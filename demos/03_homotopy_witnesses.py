@@ -44,6 +44,8 @@ mc = pullback(moebius(), cylinder_projection_map(circle), cyl, plan,
 print("cylinder bundle:", validate_cocycle(mc, plan).as_dict())
 hw = homotopy_isomorphism(mc, plan)
 print("endpoint witness:", hw.report.as_dict())
+print("transport ladder: %d points, worst probe gap %.3g"
+      % (hw.report.details["ladder_points"], hw.report.details["ladder_gap"]))
 print("det classes at t=0 and t=1:",
       s1_line_class(hw.at_zero), s1_line_class(hw.at_one))
 

@@ -312,20 +312,10 @@ def pullback(b: BundleRep, components, new_base: Base,
                 f"map image leaves the target base at {tuple(pts[~inside][0])}"
             )
     mapping = dict(enumerate(comp_exprs))
-    charts = []
-    for chart in b.cover.charts:
-        pieces = []
-        for piece in chart.pieces:
-            conds = []
-            for cond in piece:
-                if cond.poly is not None and all_poly:
-                    comp = cond.poly.compose(list(components))
-                    conds.append(Condition.from_poly(comp, cond.op))
-                else:
-                    conds.append(Condition(ex.substitute(cond.expression, mapping),
-                                           cond.op))
-            pieces.append(conds)
-        charts.append(SemialgebraicSet(new_base.dim, pieces))
+    compose = (lambda p: p.compose(list(components))) if all_poly else None
+    charts = [chart.mapped(new_base.dim, compose,
+                           lambda e: ex.substitute(e, mapping))
+              for chart in b.cover.charts]
     cover = Cover(new_base, charts, name=f"pullback({b.cover.name})")
     transitions = {key: em_subst(g, mapping) for key, g in b.transitions.items()}
     return BundleRep(cover, b.rank, transitions, name=name or f"f*({b.name})",

@@ -40,17 +40,8 @@ def extend_polynomial(poly: Polynomial, new_dim: int) -> Polynomial:
 
 
 def extend_set(sset: SemialgebraicSet, new_dim: int) -> SemialgebraicSet:
-    pieces = []
-    for piece in sset.pieces:
-        conds = []
-        for cond in piece:
-            if cond.poly is not None:
-                conds.append(Condition.from_poly(extend_polynomial(cond.poly, new_dim),
-                                                 cond.op))
-            else:
-                conds.append(Condition(cond.expression, cond.op))
-        pieces.append(conds)
-    return SemialgebraicSet(new_dim, pieces)
+    return sset.mapped(new_dim, lambda p: extend_polynomial(p, new_dim),
+                       lambda e: e)
 
 
 def point_base() -> Base:

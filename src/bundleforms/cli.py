@@ -42,6 +42,10 @@ def _apply_check(entry: TaskEntry, check, extra=None):
         entry.witness_point = list(check.witness)
     if extra:
         entry.invariants.update(extra)
+    if check.passed and check.details.get("ladder_capped"):
+        entry.status = "unknown"     # the ladder's gap is unmet at its cap
+        entry.message = ("transport ladder capped at {ladder_points} points, "
+                         "worst probe gap {ladder_gap:.3g}".format(**check.details))
 
 
 def run_tasks(doc: SpecDocument, tasks, plan: SamplePlan,

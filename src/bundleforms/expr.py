@@ -4,9 +4,10 @@ Every function handled by the library is a tree of the node kinds below:
 rational constants, variables, arithmetic, guarded quotients, integer
 powers, square roots of nonnegative arguments, absolute value, max/min,
 clamp-to-zero, a zero-gated product (extension by zero past a gate
-function's support), and entries of guarded matrix computations (solve,
+function's support), entries of guarded matrix computations (solve,
 inverse, column-span projector, Cholesky factor, definite/indefinite
-pencil sign-projectors).
+pencil sign-projectors), and entries of path products that chain a
+projector field along a homotopy.
 
 Evaluation is vectorized over an (N, dim) batch of points and memoized per
 node object, so shared subtrees are computed once.  Evaluating outside a
@@ -70,15 +71,24 @@ class Expr:
     def _eval(self, ctx: EvalContext) -> np.ndarray:
         raise NotImplementedError
 
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def children(self) -> tuple["Expr", ...]:
         return ()
+
+    def rebuild(self, children) -> "Expr":
+        """The same node over new children."""
+        return type(self)(*children)
 
     def smoothness(self) -> float:
         memo: dict[int, float] = {}
         return _smoothness(self, memo)
 
+    kinked = False      # kinked nodes bound the smoothness by zero
+
     def _own_smoothness(self, child_bounds: list[float]) -> float:
-        return min(child_bounds, default=SMOOTH)
+        return 0.0 if self.kinked else min(child_bounds, default=SMOOTH)
 
     # Operator sugar.  Division builds a guarded quotient with the default
     # guard tolerance; callers with domain knowledge construct Div directly.
@@ -121,6 +131,14 @@ def as_expr(value) -> Expr:
     raise TypeError(f"cannot interpret {value!r} as an expression")
 
 
+def _guard(bad: np.ndarray, ctx: EvalContext, describe) -> None:
+    """Raise GuardViolation at the first flagged row; `describe(i)` is the
+    message for row i."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise GuardViolation(describe(i), point=ctx.points[i])
+
+
 def _smoothness(node: Expr, memo: dict[int, float]) -> float:
     key = id(node)
     hit = memo.get(key)
@@ -137,9 +155,6 @@ class Const(Expr):
     def __init__(self, value: float):
         object.__setattr__(self, "value", float(value))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Const is immutable")
-
     def _eval(self, ctx):
         return np.full(ctx.points.shape[0], self.value)
 
@@ -155,9 +170,6 @@ class Var(Expr):
             raise DimensionMismatch("variable index must be nonnegative")
         object.__setattr__(self, "index", int(index))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Var is immutable")
-
     def _eval(self, ctx):
         if self.index >= ctx.points.shape[1]:
             raise DimensionMismatch(
@@ -169,15 +181,22 @@ class Var(Expr):
         return f"x{self.index}"
 
 
+class _Unary(Expr):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", as_expr(arg))
+
+    def children(self):
+        return (self.arg,)
+
+
 class _Binary(Expr):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Expr, b: Expr):
         object.__setattr__(self, "a", as_expr(a))
         object.__setattr__(self, "b", as_expr(b))
-
-    def __setattr__(self, *a):
-        raise AttributeError("nodes are immutable")
 
     def children(self):
         return (self.a, self.b)
@@ -234,6 +253,9 @@ class Div(_Binary):
             )
         return self.a.eval(ctx) / den
 
+    def rebuild(self, children):
+        return Div(*children, guard_tol=self.guard_tol)
+
     def __repr__(self):
         return f"({self.a!r} / {self.b!r})"
 
@@ -249,11 +271,11 @@ class Pow(Expr):
         object.__setattr__(self, "base", as_expr(base))
         object.__setattr__(self, "exponent", int(exponent))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Pow is immutable")
-
     def children(self):
         return (self.base,)
+
+    def rebuild(self, children):
+        return Pow(children[0], self.exponent)
 
     def _eval(self, ctx):
         return self.base.eval(ctx) ** self.exponent
@@ -261,31 +283,23 @@ class Pow(Expr):
     def _own_smoothness(self, child_bounds):
         # clamp(u)^(r+1) is C^r wherever u is smooth; same for |u|^(r+1).
         if isinstance(self.base, (Clamp, Abs)):
-            inner = [
-                _smoothness(c, {}) for c in self.base.children()
-            ]
-            return min([self.exponent - 1, *inner])
+            return min(self.exponent - 1, _smoothness(self.base.arg, {}))
         return min(child_bounds, default=SMOOTH)
 
     def __repr__(self):
         return f"({self.base!r})^{self.exponent}"
 
 
-class Sqrt(Expr):
+class Sqrt(_Unary):
     """Square root; the argument must be nonnegative on the declared domain.
     Values in [-guard_tol, 0) are treated as exact zeros."""
 
-    __slots__ = ("arg", "guard_tol")
+    __slots__ = ("guard_tol",)
+    kinked = True
 
     def __init__(self, arg: Expr, guard_tol: float = _DEFAULT_GUARD_TOL):
-        object.__setattr__(self, "arg", as_expr(arg))
+        super().__init__(arg)
         object.__setattr__(self, "guard_tol", float(guard_tol))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Sqrt is immutable")
-
-    def children(self):
-        return (self.arg,)
 
     def _eval(self, ctx):
         v = self.arg.eval(ctx)
@@ -297,30 +311,19 @@ class Sqrt(Expr):
             )
         return np.sqrt(np.maximum(v, 0.0))
 
-    def _own_smoothness(self, child_bounds):
-        return 0.0
+    def rebuild(self, children):
+        return Sqrt(children[0], guard_tol=self.guard_tol)
 
     def __repr__(self):
         return f"sqrt({self.arg!r})"
 
 
-class Abs(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", as_expr(arg))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Abs is immutable")
-
-    def children(self):
-        return (self.arg,)
+class Abs(_Unary):
+    __slots__ = ()
+    kinked = True
 
     def _eval(self, ctx):
         return np.abs(self.arg.eval(ctx))
-
-    def _own_smoothness(self, child_bounds):
-        return 0.0
 
     def __repr__(self):
         return f"abs({self.arg!r})"
@@ -328,12 +331,10 @@ class Abs(Expr):
 
 class Max(_Binary):
     __slots__ = ()
+    kinked = True
 
     def _eval(self, ctx):
         return np.maximum(self.a.eval(ctx), self.b.eval(ctx))
-
-    def _own_smoothness(self, child_bounds):
-        return 0.0
 
     def __repr__(self):
         return f"max({self.a!r}, {self.b!r})"
@@ -341,36 +342,23 @@ class Max(_Binary):
 
 class Min(_Binary):
     __slots__ = ()
+    kinked = True
 
     def _eval(self, ctx):
         return np.minimum(self.a.eval(ctx), self.b.eval(ctx))
-
-    def _own_smoothness(self, child_bounds):
-        return 0.0
 
     def __repr__(self):
         return f"min({self.a!r}, {self.b!r})"
 
 
-class Clamp(Expr):
+class Clamp(_Unary):
     """clamp-to-zero: max(arg, 0)."""
 
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", as_expr(arg))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Clamp is immutable")
-
-    def children(self):
-        return (self.arg,)
+    __slots__ = ()
+    kinked = True
 
     def _eval(self, ctx):
         return np.maximum(self.arg.eval(ctx), 0.0)
-
-    def _own_smoothness(self, child_bounds):
-        return 0.0
 
     def __repr__(self):
         return f"clamp({self.arg!r})"
@@ -393,9 +381,6 @@ class ZeroGate(Expr):
     def __init__(self, gate: Expr, payload: Expr):
         object.__setattr__(self, "gate", as_expr(gate))
         object.__setattr__(self, "payload", as_expr(payload))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ZeroGate is immutable")
 
     def children(self):
         return (self.gate, self.payload)
@@ -430,7 +415,8 @@ PENCIL_SQRT = "pencilsqrt"   # principal sqrt of G^-1 S, both SPD
 class MatrixGroup:
     """Shared payload of MatEntry nodes: matrices of Exprs plus an op tag."""
 
-    __slots__ = ("op", "a", "b", "a_shape", "b_shape", "guard_tol", "out_shape")
+    __slots__ = ("op", "a", "b", "guard_tol", "out_shape")
+    __setattr__ = Expr.__setattr__
 
     def __init__(self, op, a, b=None, guard_tol=1e-9):
         a = _freeze_matrix(a)
@@ -438,37 +424,24 @@ class MatrixGroup:
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a_shape", (len(a), len(a[0])))
-        object.__setattr__(self, "b_shape", (len(b), len(b[0])) if b else None)
         object.__setattr__(self, "guard_tol", float(guard_tol))
         object.__setattr__(self, "out_shape", self._out_shape())
 
-    def __setattr__(self, *a):
-        raise AttributeError("MatrixGroup is immutable")
-
     def _out_shape(self):
-        n, m = self.a_shape
+        n, m = len(self.a), len(self.a[0])
+        if self.op == SOLVE and n != m:
+            raise DimensionMismatch("solve needs a square left matrix")
+        if self.op == INV and n != m:
+            raise DimensionMismatch("inverse needs a square matrix")
         if self.op == SOLVE:
-            if n != m:
-                raise DimensionMismatch("solve needs a square left matrix")
-            return (n, self.b_shape[1])
-        if self.op == INV:
-            if n != m:
-                raise DimensionMismatch("inverse needs a square matrix")
-            return (n, n)
-        if self.op == COLSPAN_PROJ:
-            return (n, n)
-        if self.op == CHOL:
-            return (n, n)
-        if self.op in (PENCIL_PROJ_POS, PENCIL_PROJ_NEG, PENCIL_SQRT):
+            return (n, len(self.b[0]))
+        if self.op in (INV, COLSPAN_PROJ, CHOL, PENCIL_PROJ_POS, PENCIL_PROJ_NEG,
+                       PENCIL_SQRT):
             return (n, n)
         raise ValueError(f"unknown matrix op {self.op!r}")
 
     def child_exprs(self):
-        out = [e for row in self.a for e in row]
-        if self.b is not None:
-            out.extend(e for row in self.b for e in row)
-        return out
+        return [e for rows in (self.a, self.b or ()) for row in rows for e in row]
 
     def compute(self, ctx: EvalContext) -> np.ndarray:
         key = id(self)
@@ -505,44 +478,40 @@ class MatrixGroup:
         ctx.group_cache[key] = out
         return out
 
+    def substitute(self, mapping, memo, group_memo) -> "MatrixGroup":
+        a, b = (None if rows is None else
+                tuple(tuple(_subst(e, mapping, memo, group_memo) for e in row)
+                      for row in rows)
+                for rows in (self.a, self.b))
+        return MatrixGroup(self.op, a, b, guard_tol=self.guard_tol)
+
     def _guard_sv(self, a, ctx):
         sv = np.linalg.svd(a, compute_uv=False)
-        bad = sv[:, -1] <= self.guard_tol
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise GuardViolation(
-                f"matrix {self.op} guard: smallest singular value "
-                f"{sv[i, -1]:.3e} <= {self.guard_tol:.1e}",
-                point=ctx.points[i],
-            )
+        _guard(sv[:, -1] <= self.guard_tol, ctx, lambda i:
+               f"matrix {self.op} guard: smallest singular value "
+               f"{sv[i, -1]:.3e} <= {self.guard_tol:.1e}")
 
     def _guard_spd(self, s, ctx, name="cholesky argument"):
         w = np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, 1, 2)))
-        bad = w[:, 0] <= self.guard_tol
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise GuardViolation(
-                f"{name} not positive definite: min eigenvalue {w[i, 0]:.3e}",
-                point=ctx.points[i],
-            )
+        _guard(w[:, 0] <= self.guard_tol, ctx, lambda i:
+               f"{name} not positive definite: min eigenvalue {w[i, 0]:.3e}")
+
+
+def _whitened_eigh(s, g):
+    """Cholesky factor L of G and the eigen-decomposition of the symmetric
+    L^-1 S L^-T, which has the eigenvalues of the pencil G^-1 S."""
+    ell = np.linalg.cholesky(g)
+    white = np.linalg.solve(ell, np.swapaxes(np.linalg.solve(ell, s), 1, 2))
+    w, z = np.linalg.eigh(0.5 * (white + np.swapaxes(white, 1, 2)))
+    return ell, w, z
 
 
 def _pencil_projector(s, g, positive, tol, ctx):
     """Spectral projector onto the positive/negative eigenspace of the
     G-self-adjoint pencil G^-1 S, via the Cholesky-whitened symmetric form."""
-    ell = np.linalg.cholesky(g)
-    # white = L^-1 S L^-T, symmetric with the pencil's eigenvalues
-    tmp = np.linalg.solve(ell, s)
-    white = np.linalg.solve(ell, np.swapaxes(tmp, 1, 2))
-    white = 0.5 * (white + np.swapaxes(white, 1, 2))
-    w, z = np.linalg.eigh(white)
-    bad = np.abs(w).min(axis=1) <= tol
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise GuardViolation(
-            f"pencil eigenvalue {np.abs(w[i]).min():.3e} within guard {tol:.1e}",
-            point=ctx.points[i],
-        )
+    ell, w, z = _whitened_eigh(s, g)
+    _guard(np.abs(w).min(axis=1) <= tol, ctx, lambda i:
+           f"pencil eigenvalue {np.abs(w[i]).min():.3e} within guard {tol:.1e}")
     mask = (w > 0.0) if positive else (w < 0.0)
     zsel = z * mask[:, None, :]
     # projector in original coordinates: L^-T Z_sel Z_sel^T L^T
@@ -556,11 +525,7 @@ def _pencil_sqrt(s, g):
     Congruence-covariant, so chartwise values glue into a bundle morphism:
     if S, G transform by h^T . h then the square root conjugates by h^-1 . h.
     """
-    ell = np.linalg.cholesky(g)
-    tmp = np.linalg.solve(ell, s)
-    white = np.linalg.solve(ell, np.swapaxes(tmp, 1, 2))
-    white = 0.5 * (white + np.swapaxes(white, 1, 2))
-    w, z = np.linalg.eigh(white)
+    ell, w, z = _whitened_eigh(s, g)
     root = (z * np.sqrt(w)[:, None, :]) @ np.swapaxes(z, 1, 2)
     lt = np.swapaxes(ell, 1, 2)
     return np.linalg.solve(lt, root @ lt)
@@ -583,20 +548,17 @@ def _eval_matrix(rows, ctx) -> np.ndarray:
 
 
 class MatEntry(Expr):
-    """One entry of a guarded matrix computation."""
+    """One entry of a guarded matrix computation or a path product."""
 
     __slots__ = ("group", "row", "col")
 
-    def __init__(self, group: MatrixGroup, row: int, col: int):
+    def __init__(self, group: "MatrixGroup | PathProduct", row: int, col: int):
         n, m = group.out_shape
         if not (0 <= row < n and 0 <= col < m):
             raise DimensionMismatch("matrix entry index out of range")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "row", int(row))
         object.__setattr__(self, "col", int(col))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MatEntry is immutable")
 
     def children(self):
         return tuple(self.group.child_exprs())
@@ -606,6 +568,123 @@ class MatEntry(Expr):
 
     def __repr__(self):
         return f"{self.group.op}[{self.row},{self.col}]"
+
+
+# ---------------------------------------------------------------------------
+# Path products.  A PathProduct chains a projector field along a path: at a
+# base point x it is P(h(x, t_K)) ... P(h(x, t_1)).  It is a group beside
+# MatrixGroup, read through MatEntry, but evaluated by stacking rungs.
+
+PATH_BLOCK_ROWS = 1 << 13   # lifted rows evaluated together
+
+
+class PathProduct:
+    """Product of the projector `entries` (n x n, over the target space)
+    along the path `maps` at the rungs `ts`.
+
+    The maps are expressions over the lifted space (x, t) with t at column
+    `t_index`.  `source` gives x in the caller's coordinates: the identity,
+    until a substitution composes it.
+    """
+
+    __slots__ = ("entries", "maps", "t_index", "ts", "source", "out_shape")
+    __setattr__ = Expr.__setattr__
+    op = "pathproduct"
+
+    def __init__(self, entries, maps, t_index: int, ts, source=None):
+        entries = _freeze_matrix(entries)
+        n = len(entries)
+        if len(entries[0]) != n or not len(ts):
+            raise DimensionMismatch("path product needs a square projector "
+                                    "and at least one rung")
+        if source is None:
+            source = [Var(i) for i in range(t_index)]
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "maps", tuple(as_expr(h) for h in maps))
+        object.__setattr__(self, "t_index", int(t_index))
+        object.__setattr__(self, "ts", tuple(float(t) for t in ts))
+        object.__setattr__(self, "source", tuple(as_expr(x) for x in source))
+        object.__setattr__(self, "out_shape", (n, n))
+
+    def child_exprs(self):
+        return [*self.source, *self.maps, *(e for row in self.entries for e in row)]
+
+    def compute(self, ctx: EvalContext) -> np.ndarray:
+        key = id(self)
+        hit = ctx.group_cache.get(key)
+        if hit is None:
+            x = np.empty((ctx.points.shape[0], self.t_index))
+            for i, xi in enumerate(self.source):
+                x[:, i] = xi.eval(ctx)
+            hit = _rung_product(np.stack([
+                _rung_product(block) for block in path_projectors(
+                    self.entries, self.maps, self.t_index, x, self.ts,
+                    callers=ctx.points)]))
+            ctx.group_cache[key] = hit
+        return hit
+
+    def substitute(self, mapping, memo, group_memo) -> "PathProduct":
+        """Compose the substitution into `source`; the path's own
+        coordinates and the target-space entries are left alone."""
+        source = [_subst(x, mapping, memo, group_memo) for x in self.source]
+        return PathProduct(self.entries, self.maps, self.t_index, self.ts, source)
+
+
+def path_projectors(entries, maps, t_index: int, points, ts, callers=None):
+    """Yield P(h(x, t)) for every row x of `points` and every t in `ts`.
+
+    Rungs come in blocks of shape (k, N, n, n), k a power of two, each from
+    one stacked batch of at most PATH_BLOCK_ROWS lifted points (x, t): the
+    maps are evaluated once on the batch and the entries once on its
+    images, each in a fresh context, so every guard runs on every lifted
+    row.  A guard violation is re-raised at the row of `callers` (default
+    `points`) whose lifted point crossed it, naming the rung's t.
+    """
+    points = np.asarray(points, dtype=float)
+    n_pts = points.shape[0]
+    if points.shape[1] != t_index:
+        raise DimensionMismatch(
+            f"path product needs points of dimension {t_index}, got {points.shape[1]}")
+    ts = np.asarray(ts, dtype=float)
+    n = len(entries)
+    per_block = 1 << (max(1, PATH_BLOCK_ROWS // max(n_pts, 1)).bit_length() - 1)
+    for start in range(0, ts.shape[0], per_block):
+        block = ts[start:start + per_block]
+        stacked = np.column_stack([np.tile(points, (block.shape[0], 1)),
+                                   np.repeat(block, n_pts)])
+        try:
+            lifted = EvalContext(stacked)
+            stacked = np.column_stack([h.eval(lifted) for h in maps])
+            vals = _eval_matrix(entries, EvalContext(stacked))
+        except GuardViolation as err:
+            hits = (np.flatnonzero((stacked == np.asarray(err.point)).all(axis=1))
+                    if err.point is not None else ())
+            if not len(hits):
+                raise GuardViolation(f"{err} on the path") from err
+            k, i = divmod(int(hits[0]), n_pts)
+            raise GuardViolation(
+                f"{err} on the path at t = {block[k]:.6g}",
+                point=(points if callers is None else callers)[i]) from err
+        yield vals.reshape(block.shape[0], n_pts, n, n)
+
+
+def _rung_product(rungs: np.ndarray) -> np.ndarray:
+    """rungs[k-1] ... rungs[0] for a (k, N, n, n) stack.
+
+    Factors pair up from the last rung as a balanced tree, and each entry
+    sums its terms in order, as `matexpr.em_mul` would build it.  For a
+    power-of-two rung count, as on every ladder of `homotopy`, the blocks
+    are whole subtrees and the values match the symbolic chain bit for bit.
+    """
+    f = rungs[::-1]
+    while f.shape[0] > 1:
+        m = f.shape[0] // 2 * 2
+        a, b = f[0:m:2], f[1:m:2]
+        prod = a[..., :, :1] * b[..., :1, :]
+        for j in range(1, a.shape[-1]):
+            prod = prod + a[..., :, j:j + 1] * b[..., j:j + 1, :]
+        f = np.concatenate([prod, f[m:]])
+    return f[0]
 
 
 # ---------------------------------------------------------------------------
@@ -623,22 +702,6 @@ def evaluate_at(expression: Expr, point) -> float:
     return float(expression.eval(EvalContext(arr))[0])
 
 
-def max_var_index(expression: Expr) -> int:
-    """Largest variable index appearing, or -1 for constant expressions."""
-    seen: set[int] = set()
-    best = -1
-    stack = [expression]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            best = max(best, node.index)
-        stack.extend(node.children())
-    return best
-
-
 def substitute(expression: Expr, mapping: dict[int, Expr]) -> Expr:
     """Replace variables by expressions, rebuilding shared nodes once."""
     memo: dict[int, Expr] = {}
@@ -653,53 +716,16 @@ def _subst(node, mapping, memo, group_memo):
         return hit
     if isinstance(node, Var):
         out = mapping.get(node.index, node)
-    elif isinstance(node, Const):
-        out = node
-    elif isinstance(node, Add):
-        out = Add(_subst(node.a, mapping, memo, group_memo),
-                  _subst(node.b, mapping, memo, group_memo))
-    elif isinstance(node, Sub):
-        out = Sub(_subst(node.a, mapping, memo, group_memo),
-                  _subst(node.b, mapping, memo, group_memo))
-    elif isinstance(node, Mul):
-        out = Mul(_subst(node.a, mapping, memo, group_memo),
-                  _subst(node.b, mapping, memo, group_memo))
-    elif isinstance(node, Div):
-        out = Div(_subst(node.a, mapping, memo, group_memo),
-                  _subst(node.b, mapping, memo, group_memo),
-                  guard_tol=node.guard_tol)
-    elif isinstance(node, Pow):
-        out = Pow(_subst(node.base, mapping, memo, group_memo), node.exponent)
-    elif isinstance(node, Sqrt):
-        out = Sqrt(_subst(node.arg, mapping, memo, group_memo),
-                   guard_tol=node.guard_tol)
-    elif isinstance(node, Abs):
-        out = Abs(_subst(node.arg, mapping, memo, group_memo))
-    elif isinstance(node, Max):
-        out = Max(_subst(node.a, mapping, memo, group_memo),
-                  _subst(node.b, mapping, memo, group_memo))
-    elif isinstance(node, Min):
-        out = Min(_subst(node.a, mapping, memo, group_memo),
-                  _subst(node.b, mapping, memo, group_memo))
-    elif isinstance(node, Clamp):
-        out = Clamp(_subst(node.arg, mapping, memo, group_memo))
-    elif isinstance(node, ZeroGate):
-        out = ZeroGate(_subst(node.gate, mapping, memo, group_memo),
-                       _subst(node.payload, mapping, memo, group_memo))
     elif isinstance(node, MatEntry):
         g = node.group
         gout = group_memo.get(id(g))
         if gout is None:
-            a = tuple(tuple(_subst(e, mapping, memo, group_memo) for e in row)
-                      for row in g.a)
-            b = None
-            if g.b is not None:
-                b = tuple(tuple(_subst(e, mapping, memo, group_memo) for e in row)
-                          for row in g.b)
-            gout = MatrixGroup(g.op, a, b, guard_tol=g.guard_tol)
-            group_memo[id(g)] = gout
+            gout = group_memo[id(g)] = g.substitute(mapping, memo, group_memo)
         out = MatEntry(gout, node.row, node.col)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node type {type(node)!r}")
+    elif node.children():
+        out = node.rebuild([_subst(c, mapping, memo, group_memo)
+                            for c in node.children()])
+    else:
+        out = node
     memo[key] = out
     return out

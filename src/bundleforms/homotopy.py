@@ -5,17 +5,19 @@ and t = 1 to isomorphic bundles over X, and form fields restrict to
 isometric forms.  The witnesses here are explicit expression fields,
 certified by the generic checkers.
 
-The endpoint transport composes the cylinder bundle's ambient projector
-at a fixed ladder of t values; each chained projection is chart-free, so
-the chart fields obtained by solving against the restricted frames
-intertwine the restricted cocycles exactly.  Strip subdivision and
-clutching are kept for product covers, where the t direction reduces to
-interval combinatorics.
+The endpoint transport is one path-product node (`expr.PathProduct`): an
+ambient projector chained along a path over a t ladder,
+P(h(x, t_K)) ... P(h(x, t_1)), evaluated on stacked rungs with batched
+matmul.  Each chained projection is chart-free, so the chart fields
+obtained by solving against the restricted frames intertwine the
+restricted cocycles exactly.  Strip subdivision and clutching are kept for
+product covers, where the t direction reduces to interval combinatorics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .bundles import (
     pullback,
     trivial_bundle,
 )
-from .catalog import cylinder_base
+from .catalog import cylinder_base, extend_set
 from .errors import (
     BandMismatch,
     BundleformsError,
@@ -53,14 +55,17 @@ from .matexpr import (
     em_identity,
     em_inv,
     em_mul,
+    em_path_product,
     em_solve,
     em_subst,
     em_transpose,
 )
-from .semialg import Base, Condition, Cover, Polynomial, SamplePlan, SemialgebraicSet
+from .semialg import (Base, Condition, Cover, Polynomial, SamplePlan,
+                      SemialgebraicSet, sample)
 from .unity import shrink_cover
 
 DEFAULT_TRANSPORT_STEPS = 16
+LADDER_GAP = 0.35           # largest probe jump between consecutive rungs
 
 
 def _require_cylinder(base: Base) -> tuple[Base, int]:
@@ -79,7 +84,6 @@ def product_cylinder_cover(cyl: Base, base_charts, intervals,
 
     `intervals` holds one (lo, hi) pair per chart; None means unbounded.
     """
-    from .catalog import extend_set
     dim = cyl.dim
     t_poly = Polynomial.coordinate(dim, dim - 1)
     charts = []
@@ -181,7 +185,6 @@ def strip_subdivision(bundle: BundleRep, plan: SamplePlan | None = None,
 
 def _certify_strips(bundle: BundleRep, decomp: StripDecomposition,
                     plan: SamplePlan):
-    from .semialg import sample
     cyl = bundle.base
     region = cyl.cylinder_base.sset.intersect(decomp.base_chart)
     pts, _ = sample(region, plan, cyl.cylinder_base.box, plan.n_overlap)
@@ -219,7 +222,6 @@ def clutch(bundle: BundleRep, strips: StripDecomposition,
     residual variation beyond the tolerance raises BandMismatch.
     """
     plan = plan or SamplePlan()
-    from .semialg import sample
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
     d = bundle.rank
@@ -287,21 +289,10 @@ def restrict_cylinder(bundle: BundleRep, t_value: float,
     const_maps = [Polynomial.coordinate(base_x.dim, i) for i in range(base_x.dim)]
     const_maps.append(Polynomial.constant(base_x.dim, t_value))
     mapping = {t_index: ex.Const(float(t_value))}
-    from .semialg import sample
     charts, kept = [], []
     for i, chart in enumerate(bundle.cover.charts):
-        pieces = []
-        for piece in chart.pieces:
-            conds = []
-            for cond in piece:
-                if cond.poly is not None:
-                    conds.append(Condition.from_poly(cond.poly.compose(const_maps),
-                                                     cond.op))
-                else:
-                    conds.append(Condition(ex.substitute(cond.expression, mapping),
-                                           cond.op))
-            pieces.append(conds)
-        sliced = SemialgebraicSet(base_x.dim, pieces)
+        sliced = chart.mapped(base_x.dim, lambda p: p.compose(const_maps),
+                              lambda e: ex.substitute(e, mapping))
         pts, warn = sample(base_x.sset.intersect(sliced), plan, base_x.box, 24)
         if warn or pts.shape[0] == 0:
             continue
@@ -341,16 +332,19 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
                          tol: float = 1e-6, path=None) -> HomotopyWitness:
     """Certified isomorphism between the t = 0 and t = 1 restrictions.
 
-    An ambient projector for the bundle is chained over a fixed t ladder;
-    the product maps the t = 0 fiber into the t = 1 fiber and is
-    chart-free, so solving against the restricted frames yields fields
-    with exact intertwining.  For t-independent bundles every factor is
-    the same projector and the witness is identity-grade.
+    The transport is a path product of the bundle's ambient projector along
+    the identity of the cylinder over a t ladder, evaluated on stacked
+    rungs.  It maps the t = 0 fiber into the t = 1 fiber and is chart-free,
+    so solving against the restricted frames yields fields with exact
+    intertwining.  For t-independent bundles every factor is the same
+    projector and the witness is identity-grade.
 
     When the cylinder bundle is a pullback along a homotopy, pass
-    `path = (target_projector, h_component_exprs)`: the ladder then chains
+    `path = (target_projector, h_component_exprs)`: the product then chains
     the target bundle's projector along the path, which moves at the
-    geometry's own speed instead of the pullback partition's.
+    geometry's own speed instead of the pullback partition's.  The report's
+    details hold `ladder_points`, `ladder_gap` (worst probe jump) and, for a
+    ladder capped with the gap unmet, `ladder_capped`.
     """
     plan = plan or SamplePlan()
     cyl = bundle.base
@@ -361,39 +355,20 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
         _certify_slab_coverage(bundle, plan)
     shrink_cover(bundle.cover, plan=plan)   # one shrink pass must succeed
 
-    if path is None:
-        proj = gauss_embedding(bundle, plan=plan)
+    target_proj, h_exprs = path or (gauss_embedding(bundle, plan=plan),
+                                    [ex.Var(i) for i in range(cyl.dim)])
+    h_exprs = [ex.as_expr(h) for h in h_exprs]
 
-        def ladder_at(t: float):
-            return em_subst(proj.entries, {t_index: ex.Const(t)})
+    def frame_at(chart: int, t: float):
+        at_t = {t_index: ex.Const(t)}
+        return em_subst(target_proj.frames[chart],
+                        {i: ex.substitute(h, at_t) for i, h in enumerate(h_exprs)})
 
-        def frame_at(chart: int, t: float):
-            return em_subst(proj.frames[chart], {t_index: ex.Const(t)})
-    else:
-        target_proj, h_exprs = path
-        h_exprs = [ex.as_expr(h) for h in h_exprs]
-
-        def maps_at(t: float):
-            return {i: ex.substitute(h, {t_index: ex.Const(t)})
-                    for i, h in enumerate(h_exprs)}
-
-        def ladder_at(t: float):
-            return em_subst(target_proj.entries, maps_at(t))
-
-        def frame_at(chart: int, t: float):
-            return em_subst(target_proj.frames[chart], maps_at(t))
-
-    t_values = _adaptive_t_ladder(ladder_at, base_x, plan, steps)
-    # balanced product keeps the expression tree logarithmically deep
-    factors = [ladder_at(t) for t in t_values[1:]][::-1]
-    while len(factors) > 1:
-        reduced = []
-        for k in range(0, len(factors) - 1, 2):
-            reduced.append(em_mul(factors[k], factors[k + 1]))
-        if len(factors) % 2:
-            reduced.append(factors[-1])
-        factors = reduced
-    transport = factors[0]
+    t_values, gap = _adaptive_t_ladder(
+        partial(ex.path_projectors, target_proj.entries, h_exprs, t_index),
+        base_x, plan, steps)
+    transport = em_path_product(target_proj.entries, h_exprs, t_index,
+                                t_values[1:])
     b0, kept0 = restrict_cylinder(bundle, 0.0, plan)
     b1, kept1 = restrict_cylinder(bundle, 1.0, plan)
     a, b = common_cover(b0, b1)
@@ -408,12 +383,13 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
         fields.append(em_solve(gram, rhs, guard_tol=1e-12))
     witness = MorphismField(a, b, fields)
     report = check_isomorphism(a, b, witness, plan, tol)
+    report.details.update(_ladder_details(t_values, gap))
     return HomotopyWitness(a, b, witness, report)
 
 
-def _adaptive_t_ladder(ladder_at, base_x: Base, plan: SamplePlan,
-                       steps: int, gap: float = 0.35,
-                       max_points: int = 1025) -> list[float]:
+def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan, steps: int,
+                       gap: float = LADDER_GAP,
+                       max_points: int = 1025):
     """Uniform t ladder, doubled until consecutive projectors stay close.
 
     The chained product is invertible on the fibers when each consecutive
@@ -422,30 +398,41 @@ def _adaptive_t_ladder(ladder_at, base_x: Base, plan: SamplePlan,
     position translates with the base point, so the ladder must be
     uniformly finer than the band width; probe points measure the worst
     consecutive jump and the resolution doubles until it clears the gap.
+    `values(points, ts)` yields the projector along the path in rung blocks
+    (`expr.path_projectors`); each round evaluates only the new midpoints.
+    Returns the ladder and its worst probe gap (NaN without probes), which
+    exceeds `gap` only when doubling would pass `max_points`.
     """
     probes = base_x.sample_points(plan)
     if probes.shape[0] == 0:
-        return [k / steps for k in range(steps + 1)]
+        return [k / steps for k in range(steps + 1)], float("nan")
     if probes.shape[0] > 512:
         stride = probes.shape[0] // 512 + 1
         probes = probes[::stride]
-    cache: dict[float, np.ndarray] = {}
-
-    def p_at(t: float) -> np.ndarray:
-        hit = cache.get(t)
-        if hit is None:
-            hit = em_eval(ladder_at(t), probes)
-            cache[t] = hit
-        return hit
-
     n = steps
+    vals = np.concatenate(list(values(probes, [k / n for k in range(n + 1)])))
     while True:
-        ts = [k / n for k in range(n + 1)]
-        worst = max(float(np.abs(p_at(b) - p_at(a)).max())
-                    for a, b in zip(ts, ts[1:]))
+        worst = float(np.abs(np.diff(vals, axis=0)).max())
         if worst <= gap or 2 * n + 1 > max_points:
-            return ts
-        n *= 2
+            return [k / n for k in range(n + 1)], worst
+        finer = np.empty((2 * n + 1, *vals.shape[1:]))
+        finer[0::2] = vals
+        finer[1::2] = np.concatenate(list(
+            values(probes, [k / (2 * n) for k in range(1, 2 * n, 2)])))
+        n, vals = 2 * n, finer
+
+
+def _ladder_details(t_values, gap: float) -> dict:
+    """Report details of a transport ladder; `ladder_capped` marks a ladder
+    that stopped at its point cap with the gap unmet."""
+    details = {"ladder_points": len(t_values), "ladder_gap": gap}
+    if gap > LADDER_GAP:
+        details["ladder_capped"] = True
+    return details
+
+
+def _ladder_of(report: CheckReport) -> dict:
+    return {k: v for k, v in report.details.items() if k.startswith("ladder_")}
 
 
 def _certify_slab_coverage(bundle: BundleRep, plan: SamplePlan,
@@ -483,7 +470,8 @@ def homotopy_isometry(form: FormField, plan: SamplePlan | None = None,
 
     Composes the bundle transport witness with a same-bundle isometry
     between the t = 0 form and the pulled-back t = 1 form (split into
-    definite parts against the standard positive reference).
+    definite parts against the standard positive reference).  The report
+    carries the transport ladder's details.
     """
     plan = plan or SamplePlan()
     bundle = form.bundle
@@ -508,6 +496,7 @@ def homotopy_isometry(form: FormField, plan: SamplePlan | None = None,
     morphism = MorphismField(hw.at_zero, hw.at_one, fields)
     witness = IsometryWitness(morphism, f0_lift, f1_lift)
     report = check_isometry(witness, plan, tol)
+    report.details.update(_ladder_of(hw.report))
     return HomotopyIsometry(f0_lift, f1_lift, witness, report)
 
 
@@ -530,7 +519,8 @@ def trivialize_contractible(bundle: BundleRep, plan: SamplePlan | None = None,
 
     Pulls the bundle back along the scaling homotopy H(x, t) = c + t(x - c),
     transports t = 0 (a constant cocycle, trivialized by its own transition
-    values at the center) to t = 1 (the bundle as presented).
+    values at the center) to t = 1 (the bundle as presented).  The report
+    carries the transport ladder's details.
     """
     plan = plan or SamplePlan()
     base = bundle.base
@@ -577,6 +567,7 @@ def trivialize_contractible(bundle: BundleRep, plan: SamplePlan | None = None,
     triv1 = trivial_bundle(hw.at_one.cover, bundle.rank)
     morphism = MorphismField(hw.at_one, triv1, fields)
     report = check_isomorphism(hw.at_one, triv1, morphism, plan, tol)
+    report.details.update(_ladder_of(hw.report))
     return TrivializationWitness(hw.at_one, triv1, morphism, report)
 
 

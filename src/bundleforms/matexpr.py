@@ -15,10 +15,6 @@ from .errors import DimensionMismatch
 ExprMatrix = tuple  # tuple[tuple[ex.Expr, ...], ...]
 
 
-def em(rows) -> ExprMatrix:
-    return tuple(tuple(ex.as_expr(e) for e in row) for row in rows)
-
-
 def em_shape(a: ExprMatrix) -> tuple[int, int]:
     return (len(a), len(a[0]))
 
@@ -33,10 +29,6 @@ def em_const(matrix) -> ExprMatrix:
 def em_identity(d: int) -> ExprMatrix:
     return tuple(tuple(ex.Const(1.0 if i == j else 0.0) for j in range(d))
                  for i in range(d))
-
-
-def em_zeros(n: int, m: int) -> ExprMatrix:
-    return tuple(tuple(ex.Const(0.0) for _ in range(m)) for _ in range(n))
 
 
 def em_transpose(a: ExprMatrix) -> ExprMatrix:
@@ -118,7 +110,7 @@ def em_kron(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
     return tuple(out)
 
 
-def em_from_group(group: ex.MatrixGroup) -> ExprMatrix:
+def em_from_group(group) -> ExprMatrix:
     n, m = group.out_shape
     return tuple(tuple(ex.MatEntry(group, i, j) for j in range(m)) for i in range(n))
 
@@ -148,6 +140,11 @@ def em_pencil_proj(s: ExprMatrix, g: ExprMatrix, positive: bool,
 def em_pencil_sqrt(s: ExprMatrix, g: ExprMatrix,
                    guard_tol: float = 1e-12) -> ExprMatrix:
     return em_from_group(ex.MatrixGroup(ex.PENCIL_SQRT, s, g, guard_tol=guard_tol))
+
+
+def em_path_product(entries: ExprMatrix, maps, t_index: int, ts) -> ExprMatrix:
+    """P(h(x, t_K)) ... P(h(x, t_1)) for the projector P along the path h."""
+    return em_from_group(ex.PathProduct(entries, maps, t_index, ts))
 
 
 def em_inv_transpose(a: ExprMatrix, guard_tol: float = 1e-9) -> ExprMatrix:
@@ -187,13 +184,7 @@ def em_det(a: ExprMatrix) -> ex.Expr:
 
 def em_eval(a: ExprMatrix, points) -> np.ndarray:
     """Evaluate to an (N, n, m) array with one shared context."""
-    ctx = ex.EvalContext(np.asarray(points, dtype=float))
-    n, m = em_shape(a)
-    out = np.empty((ctx.points.shape[0], n, m))
-    for i in range(n):
-        for j in range(m):
-            out[:, i, j] = a[i][j].eval(ctx)
-    return out
+    return ex._eval_matrix(a, ex.EvalContext(points))
 
 
 def em_subst(a: ExprMatrix, mapping: dict[int, ex.Expr]) -> ExprMatrix:

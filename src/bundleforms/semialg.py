@@ -292,6 +292,16 @@ class SemialgebraicSet:
             [list(p) + list(q) for p in self.pieces for q in other.pieces],
         )
 
+    def mapped(self, dim: int, poly_map, expr_map) -> "SemialgebraicSet":
+        """The set in `dim` coordinates with each condition's function
+        mapped: polynomials through `poly_map` unless it is None, every
+        other function through `expr_map`."""
+        return SemialgebraicSet(dim, [
+            [Condition.from_poly(poly_map(c.poly), c.op)
+             if c.poly is not None and poly_map is not None
+             else Condition(expr_map(c.expression), c.op) for c in piece]
+            for piece in self.pieces])
+
     def with_condition(self, cond: Condition) -> "SemialgebraicSet":
         return SemialgebraicSet(self.dim, [list(p) + [cond] for p in self.pieces])
 
@@ -425,13 +435,6 @@ class CircleGeometry:
 
     coord_x: int = 0
     coord_y: int = 1
-
-    def loop_points(self, dim: int, n: int = 720) -> np.ndarray:
-        angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        pts = np.zeros((n, dim))
-        pts[:, self.coord_x] = np.cos(angles)
-        pts[:, self.coord_y] = np.sin(angles)
-        return pts
 
 
 @dataclass(frozen=True)

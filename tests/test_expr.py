@@ -71,6 +71,10 @@ def test_smoothness_bounds():
     comp = ex.Add(ex.Pow(ex.Clamp(x), 3), ex.Pow(ex.Clamp(x), 5))
     assert comp.smoothness() == 2
     assert ex.Mul(x, ex.Sqrt(x)).smoothness() == 0
+    # every kinked node bounds by zero, whatever its children
+    for kinked in (ex.Clamp(x), ex.Max(x, 1.0), ex.Min(x, 1.0)):
+        assert kinked.smoothness() == 0
+    assert ex.Div(x, ex.Add(ex.Mul(x, x), 1.0)).smoothness() == ex.SMOOTH
 
 
 def test_matrix_solve_entry():
@@ -133,6 +137,21 @@ def test_substitution_preserves_sharing():
     e = ex.Mul(shared, shared)
     out = ex.substitute(e, {0: ex.Const(2.0)})
     assert out.a is out.b
+
+
+def test_substitution_keeps_node_parameters():
+    x = ex.Var(0)
+    e = ex.ZeroGate(ex.Clamp(x), ex.Div(ex.Sqrt(ex.Abs(x), guard_tol=0.5),
+                                        ex.Pow(ex.Max(x, ex.Min(x, 1.0)), 3),
+                                        guard_tol=0.25))
+    out = ex.substitute(e, {0: ex.Add(x, ex.Const(1.0))})
+    assert type(out) is ex.ZeroGate and type(out.payload) is ex.Div
+    assert out.payload.guard_tol == 0.25 and out.payload.a.guard_tol == 0.5
+    assert out.payload.b.exponent == 3
+    pts = np.array([[-2.0], [0.5], [1.5]])
+    assert np.array_equal(ex.evaluate(out, pts), ex.evaluate(e, pts + 1.0))
+    with pytest.raises(AttributeError, match="Div is immutable"):
+        out.payload.guard_tol = 0.0
 
 
 def test_determinism_same_batch_twice():
