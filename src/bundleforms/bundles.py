@@ -32,6 +32,7 @@ from .matexpr import (
     em_colspan_proj,
     em_det,
     em_eval,
+    em_glue,
     em_hstack,
     em_identity,
     em_inv,
@@ -56,12 +57,17 @@ class BundleRep:
     """Cover + rank + transition matrix fields g_ij on chart overlaps."""
 
     def __init__(self, cover: Cover, rank: int, transitions=None,
-                 name: str = "", default_identity: bool = False):
+                 name: str = "", default_identity: bool = False, *,
+                 projector: "ProjectorField | None" = None,
+                 frame_subsets: list | None = None):
         self.cover = cover
         self.rank = int(rank)
         self.transitions = dict(transitions or {})
         self.name = name
         self.default_identity = default_identity
+        # minor-chart bundles: the projector and each chart's column subset
+        self.projector = projector
+        self.frame_subsets = frame_subsets
         for (i, j), g in self.transitions.items():
             if em_shape(g) != (self.rank, self.rank):
                 raise BundleformsError(
@@ -163,6 +169,28 @@ class _ResidualStat:
         return self.total / self.count if self.count else None
 
 
+def sampled_regions(cover: Cover, plan: SamplePlan, arity: int):
+    """Yield (indices, points, ev) for each sampled region of the cover.
+
+    Arity 1 visits the charts in ascending order, arity 2 the ordered
+    overlaps and arity 3 the ordered triples, in `itertools.permutations`
+    order; regions without sample points are skipped.  `ev(matrix)`
+    evaluates an expression matrix at the points in one context per visit,
+    so a node shared by several matrices (the transport of a witness's
+    chart fields, say) is computed once; the context is dropped when the
+    visit ends.
+    """
+    fetch = {1: cover.chart_samples, 2: cover.overlap_samples,
+             3: cover.triple_samples}[arity]
+    for idx in itertools.permutations(range(cover.n_charts), arity):
+        pts = fetch(*idx, plan)
+        if pts.shape[0] == 0:
+            continue
+        ctx = ex.EvalContext(pts)
+        yield idx, pts, lambda matrix: ex._eval_matrix(matrix, ctx)
+        del ctx
+
+
 def validate_cocycle(bundle: BundleRep, plan: SamplePlan | None = None,
                      tol: float = DEFAULT_IDENTITY_TOL) -> CheckReport:
     """Certify g_ii = id (canonical), g_ij g_jk = g_ik, and invertibility."""
@@ -172,25 +200,19 @@ def validate_cocycle(bundle: BundleRep, plan: SamplePlan | None = None,
     identity_res = 0.0
     cocycle_res = 0.0
     q = cover.n_charts
-    for i, j in itertools.combinations(range(q), 2):
-        pts = cover.overlap_samples(i, j, plan)
-        if pts.shape[0] == 0:
+    for (i, j), pts, ev in sampled_regions(cover, plan, 2):
+        if i > j:
             continue
-        gij = em_eval(bundle.transition(i, j), pts)
-        gji = em_eval(bundle.transition(j, i), pts)
-        res = np.abs(gij @ gji - np.eye(bundle.rank)).max(axis=(1, 2))
-        identity_res = max(identity_res, float(res.max()) if res.size else 0.0)
+        gij = ev(bundle.transition(i, j))
+        res = np.abs(gij @ ev(bundle.transition(j, i))
+                     - np.eye(bundle.rank)).max(axis=(1, 2))
+        identity_res = max(identity_res, float(res.max()))
         stat.add_residuals(res, pts)
         stat.add_dets(np.abs(np.linalg.det(gij)), pts, floor=tol)
-    for i, j, k in itertools.permutations(range(q), 3):
-        pts = cover.triple_samples(i, j, k, plan)
-        if pts.shape[0] == 0:
-            continue
-        gij = em_eval(bundle.transition(i, j), pts)
-        gjk = em_eval(bundle.transition(j, k), pts)
-        gik = em_eval(bundle.transition(i, k), pts)
-        res = np.abs(gij @ gjk - gik).max(axis=(1, 2))
-        cocycle_res = max(cocycle_res, float(res.max()) if res.size else 0.0)
+    for (i, j, k), pts, ev in sampled_regions(cover, plan, 3):
+        res = np.abs(ev(bundle.transition(i, j)) @ ev(bundle.transition(j, k))
+                     - ev(bundle.transition(i, k))).max(axis=(1, 2))
+        cocycle_res = max(cocycle_res, float(res.max()))
         stat.add_residuals(res, pts)
     passed = stat.max < tol and stat.min_det >= tol
     return CheckReport("cocycle", passed, stat.max, stat.min_det, stat.witness,
@@ -336,21 +358,14 @@ class SectionRep:
     def check(self, plan: SamplePlan | None = None,
               tol: float = DEFAULT_IDENTITY_TOL) -> CheckReport:
         plan = plan or SamplePlan()
-        cover = self.bundle.cover
-        max_res, witness = 0.0, None
-        for i, j in itertools.permutations(range(cover.n_charts), 2):
-            pts = cover.overlap_samples(i, j, plan)
-            if pts.shape[0] == 0:
-                continue
-            vi = em_eval(self.values[i], pts)
-            vj = em_eval(self.values[j], pts)
-            gij = em_eval(self.bundle.transition(i, j), pts)
+        stat = _ResidualStat()
+        for (i, j), pts, ev in sampled_regions(self.bundle.cover, plan, 2):
+            vi, vj = ev(self.values[i]), ev(self.values[j])
+            gij = ev(self.bundle.transition(i, j))
             res = np.abs(vi - gij @ vj).max(axis=(1, 2))
-            if res.max() > max_res:
-                max_res = float(res.max())
-                witness = tuple(pts[int(res.argmax())])
-        return CheckReport("section-compat", max_res < tol, max_res,
-                           witness=witness)
+            stat.add_residuals(res, pts)
+        return CheckReport("section-compat", stat.max < tol, stat.max,
+                           witness=stat.witness)
 
 
 @dataclass
@@ -373,21 +388,13 @@ def check_isomorphism(b1: BundleRep, b2: BundleRep, u: MorphismField,
     plan = plan or SamplePlan()
     cover = u.source.cover
     stat = _ResidualStat()
-    for i in range(cover.n_charts):
-        pts = cover.chart_samples(i, plan)
-        if pts.shape[0] == 0:
-            continue
-        ui = em_eval(u.fields[i], pts)
+    for (i,), pts, ev in sampled_regions(cover, plan, 1):
+        ui = ev(u.fields[i])
         if ui.shape[1] == ui.shape[2]:
             stat.add_dets(np.abs(np.linalg.det(ui)), pts, floor=tol)
-    for i, j in itertools.permutations(range(cover.n_charts), 2):
-        pts = cover.overlap_samples(i, j, plan)
-        if pts.shape[0] == 0:
-            continue
-        ui = em_eval(u.fields[i], pts)
-        uj = em_eval(u.fields[j], pts)
-        g1 = em_eval(u.source.transition(i, j), pts)
-        g2 = em_eval(u.target.transition(i, j), pts)
+    for (i, j), pts, ev in sampled_regions(cover, plan, 2):
+        ui, uj = ev(u.fields[i]), ev(u.fields[j])
+        g1, g2 = ev(u.source.transition(i, j)), ev(u.target.transition(i, j))
         res = np.abs(ui @ g1 - g2 @ uj).max(axis=(1, 2))
         stat.add_residuals(res, pts)
     passed = stat.max < tol and stat.min_det > tol
@@ -438,8 +445,9 @@ def generating_sections(bundle: BundleRep, r: int = 1,
 
 def section_value_matrix(sections, chart: int, pts: np.ndarray) -> np.ndarray:
     """(N, d, m) array of the m section values in one chart frame."""
-    cols = [em_eval(s.values[chart], pts) for s in sections]
-    return np.concatenate(cols, axis=2)
+    ctx = ex.EvalContext(pts)
+    return np.concatenate([ex._eval_matrix(s.values[chart], ctx)
+                           for s in sections], axis=2)
 
 
 def _normalized_min_sv(mat: np.ndarray) -> np.ndarray:
@@ -452,10 +460,7 @@ def _normalized_min_sv(mat: np.ndarray) -> np.ndarray:
 def _check_generating(sections, plan: SamplePlan, tol: float = 1e-9):
     bundle = sections[0].bundle
     d = bundle.rank
-    for k in range(bundle.cover.n_charts):
-        pts = bundle.cover.chart_samples(k, plan)
-        if pts.shape[0] == 0:
-            continue
+    for (k,), pts, _ in sampled_regions(bundle.cover, plan, 1):
         mat = section_value_matrix(sections, k, pts)
         bad = _normalized_min_sv(mat) <= tol
         if bad.any():
@@ -511,7 +516,6 @@ def gauss_embedding(bundle: BundleRep, r: int = 1,
     system = system or generating_sections(bundle, r, plan)
     pou = system.pou
     d, q = bundle.rank, bundle.cover.n_charts
-    n = q * d
     frames = []
     projs = []
     zero_block = tuple(tuple(ex.Const(0.0) for _ in range(d)) for _ in range(d))
@@ -534,17 +538,8 @@ def gauss_embedding(bundle: BundleRep, r: int = 1,
         frame = tuple(row for block in blocks for row in block)  # (qd x d)
         frames.append(frame)
         projs.append(em_colspan_proj(frame, guard_tol=1e-12))
-    entries = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            acc = None
-            for k in range(q):
-                term = ex.ZeroGate(pou.weights[k], projs[k][a][b])
-                acc = term if acc is None else ex.Add(acc, term)
-            row.append(acc)
-        entries.append(tuple(row))
-    field = ProjectorField(bundle.base, tuple(entries), d, bundle, frames, pou)
+    entries = em_glue(pou.weights, projs)
+    field = ProjectorField(bundle.base, entries, d, bundle, frames, pou)
     report = field.check(plan)
     if not report.passed:
         raise RankDrop(
@@ -608,10 +603,8 @@ def bundle_from_projector(proj: ProjectorField, plan: SamplePlan | None = None,
             paa = em_submatrix(proj.entries, idx_a, idx_a)
             pab = em_submatrix(proj.entries, idx_a, idx_b)
             transitions[(a, b)] = em_solve(paa, pab, guard_tol=1e-12)
-    bundle = BundleRep(cover, d, transitions, name=name or f"range({proj.rank})")
-    bundle.frame_subsets = [subsets[c] for c in used]
-    bundle.projector = proj
-    return bundle
+    return BundleRep(cover, d, transitions, name=name or f"range({proj.rank})",
+                     projector=proj, frame_subsets=[subsets[c] for c in used])
 
 
 def projector_frames(bundle: BundleRep):
@@ -643,9 +636,7 @@ def splitting_witness(bundle: BundleRep, comp: BundleRep,
     cover = total.cover
     triv = trivial_bundle(cover, proj.ambient)
     comp_frames = projector_frames(comp)
-    fields = []
-    for r_idx, (i, j) in enumerate(cover.parents):
-        fields.append(em_hstack(proj.frames[i], comp_frames[j]))
+    fields = [em_hstack(proj.frames[i], comp_frames[j]) for i, j in cover.parents]
     witness = MorphismField(total, triv, fields)
     return total, triv, witness
 
@@ -661,14 +652,11 @@ def coefficients(section: SectionRep, system: GeneratingSystem,
     """
     plan = plan or SamplePlan()
     bundle = system.bundle
-    d, q = bundle.rank, bundle.cover.n_charts
+    d = bundle.rank
     m = len(system.sections)
     refined_charts = []
     chart_data = []  # (chart index, generator subset)
-    for k in range(q):
-        pts = bundle.cover.chart_samples(k, plan)
-        if pts.shape[0] == 0:
-            continue
+    for (k,), pts, _ in sampled_regions(bundle.cover, plan, 1):
         values = section_value_matrix(system.sections, k, pts)  # (N, d, m)
         remaining = np.ones(pts.shape[0], dtype=bool)
         for subset in itertools.combinations(range(m), d):

@@ -42,7 +42,9 @@ class EvalContext:
         if points.ndim != 2:
             raise DimensionMismatch(f"points must be (N, dim), got shape {points.shape}")
         self.points = points
-        self.cache: dict[int, np.ndarray] = {}
+        # keyed by the node itself, so every cached node stays alive (and its
+        # id unique) for as long as the context
+        self.cache: dict[Expr, np.ndarray] = {}
         self.group_cache: dict[int, np.ndarray] = {}
         self.sub_contexts: dict[tuple[int, bytes], EvalContext] = {}
 
@@ -61,11 +63,10 @@ class Expr:
     __slots__ = ()
 
     def eval(self, ctx: EvalContext) -> np.ndarray:
-        key = id(self)
-        hit = ctx.cache.get(key)
+        hit = ctx.cache.get(self)
         if hit is None:
             hit = self._eval(ctx)
-            ctx.cache[key] = hit
+            ctx.cache[self] = hit
         return hit
 
     def _eval(self, ctx: EvalContext) -> np.ndarray:

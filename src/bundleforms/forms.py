@@ -23,9 +23,11 @@ from .bundles import (
     CheckReport,
     MorphismField,
     ProjectorField,
+    _ResidualStat,
     check_isomorphism,
     dual,
     gauss_embedding,
+    sampled_regions,
     whitney_sum,
 )
 from .errors import (
@@ -44,6 +46,7 @@ from .matexpr import (
     em_colspan_proj,
     em_const,
     em_eval,
+    em_glue,
     em_hstack,
     em_identity,
     em_inv,
@@ -90,13 +93,27 @@ def j_matrix(sig: SignatureType) -> np.ndarray:
 
 
 class FormField:
-    """Per-chart symmetric matrices of expressions over a bundle."""
+    """Per-chart symmetric matrices of expressions over a bundle.
 
-    def __init__(self, bundle: BundleRep, mats, name: str = ""):
+    Provenance, where a construction knows it: `proj`, the embedding a
+    standard positive form restricts; `hyperbolic_of`, the bundle of a
+    hyperbolic space; `negation_of`, the form a negation flips;
+    `cancellation_of`, the form b of a sum b + (-b).
+    """
+
+    def __init__(self, bundle: BundleRep, mats, name: str = "", *,
+                 proj: ProjectorField | None = None,
+                 hyperbolic_of: BundleRep | None = None,
+                 negation_of: "FormField | None" = None,
+                 cancellation_of: "FormField | None" = None):
         self.bundle = bundle
         self.mats = [tuple(tuple(ex.as_expr(e) for e in row) for row in m)
                      for m in mats]
         self.name = name
+        self.proj = proj
+        self.hyperbolic_of = hyperbolic_of
+        self.negation_of = negation_of
+        self.cancellation_of = cancellation_of
         d = bundle.rank
         if len(self.mats) != bundle.cover.n_charts:
             raise DimensionMismatch("need one matrix field per chart")
@@ -147,23 +164,15 @@ def validate_form(form: FormField, plan: SamplePlan | None = None,
     """Certify symmetry, nondegeneracy, and overlap compatibility at samples."""
     plan = plan or SamplePlan()
     cover = form.bundle.cover
-    from .bundles import _ResidualStat
     stat = _ResidualStat()
-    for i in range(cover.n_charts):
-        pts = cover.chart_samples(i, plan)
-        if pts.shape[0] == 0:
-            continue
-        s = form.eval_chart(i, pts)
+    for (i,), pts, ev in sampled_regions(cover, plan, 1):
+        s = ev(form.mats[i])
         sym = np.abs(s - np.swapaxes(s, 1, 2)).max(axis=(1, 2))
         stat.add_residuals(sym, pts)
         stat.add_dets(np.abs(np.linalg.det(s)), pts, floor=det_floor)
-    for i, j in itertools.permutations(range(cover.n_charts), 2):
-        pts = cover.overlap_samples(i, j, plan)
-        if pts.shape[0] == 0:
-            continue
-        si = form.eval_chart(i, pts)
-        sj = form.eval_chart(j, pts)
-        gji = em_eval(form.bundle.transition(j, i), pts)
+    for (i, j), pts, ev in sampled_regions(cover, plan, 2):
+        si, sj = ev(form.mats[i]), ev(form.mats[j])
+        gji = ev(form.bundle.transition(j, i))
         res = np.abs(np.swapaxes(gji, 1, 2) @ sj @ gji - si).max(axis=(1, 2))
         stat.add_residuals(res, pts)
     passed = stat.max < tol and stat.min_det >= det_floor
@@ -179,9 +188,7 @@ def standard_positive_form(bundle: BundleRep, r: int = 1,
     plan = plan or SamplePlan()
     proj = proj or gauss_embedding(bundle, r, plan)
     mats = [em_mul(em_transpose(a), a) for a in proj.frames]
-    form = FormField(bundle, mats, name=f"pos({bundle.name})")
-    form.proj = proj
-    return form
+    return FormField(bundle, mats, name=f"pos({bundle.name})", proj=proj)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +275,8 @@ def signature(form: FormField, plan: SamplePlan | None = None) -> SignatureType:
             "signature needs a base declared connected", [], []
         )
     seen: dict[tuple, tuple] = {}
-    for i in range(form.bundle.cover.n_charts):
-        pts = form.bundle.cover.chart_samples(i, plan)
-        if pts.shape[0] == 0:
-            continue
-        mats = form.eval_chart(i, pts)
+    for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
+        mats = ev(form.mats[i])
         for k in range(pts.shape[0]):
             _, sig = gram_schmidt_frame(mats[k])
             key = (sig.pos, sig.neg)
@@ -316,11 +320,8 @@ def local_trivializing_cover(form: FormField,
     """
     plan = plan or SamplePlan()
     out = []
-    for i in range(form.bundle.cover.n_charts):
-        pts = form.bundle.cover.chart_samples(i, plan)
-        if pts.shape[0] == 0:
-            continue
-        mats = form.eval_chart(i, pts)
+    for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
+        mats = ev(form.mats[i])
         groups: dict[tuple, int] = {}
         for k in range(pts.shape[0]):
             scale = max(np.abs(mats[k]).max(), 1e-30)
@@ -397,45 +398,30 @@ class FiberProjectorPair:
     def check(self, plan: SamplePlan | None = None, tol: float = 1e-8) -> CheckReport:
         plan = plan or SamplePlan()
         bundle = self.form.bundle
-        max_res, witness = 0.0, None
-        for i in range(bundle.cover.n_charts):
-            pts = bundle.cover.chart_samples(i, plan)
-            if pts.shape[0] == 0:
-                continue
-            p = em_eval(self.plus[i], pts)
-            q = em_eval(self.minus[i], pts)
+        stat = _ResidualStat()
+        for (i,), pts, ev in sampled_regions(bundle.cover, plan, 1):
+            p, q = ev(self.plus[i]), ev(self.minus[i])
             res = np.abs(p + q - np.eye(bundle.rank)).max(axis=(1, 2))
             res = np.maximum(res, np.abs(p @ p - p).max(axis=(1, 2)))
             res = np.maximum(res, np.abs(q @ q - q).max(axis=(1, 2)))
-            if res.max() > max_res:
-                max_res = float(res.max())
-                witness = tuple(pts[int(res.argmax())])
-        for i, j in itertools.permutations(range(bundle.cover.n_charts), 2):
-            pts = bundle.cover.overlap_samples(i, j, plan)
-            if pts.shape[0] == 0:
-                continue
-            gij = em_eval(bundle.transition(i, j), pts)
+            stat.add_residuals(res, pts)
+        for (i, j), pts, ev in sampled_regions(bundle.cover, plan, 2):
+            gij = ev(bundle.transition(i, j))
             for mats in (self.plus, self.minus):
-                pi = em_eval(mats[i], pts)
-                pj = em_eval(mats[j], pts)
-                res = np.abs(pi @ gij - gij @ pj).max(axis=(1, 2))
-                if res.max() > max_res:
-                    max_res = float(res.max())
-                    witness = tuple(pts[int(res.argmax())])
-        return CheckReport("decomposition", max_res < tol, max_res, witness=witness)
+                res = np.abs(ev(mats[i]) @ gij - gij @ ev(mats[j])).max(axis=(1, 2))
+                stat.add_residuals(res, pts)
+        return CheckReport("decomposition", stat.max < tol, stat.max,
+                           witness=stat.witness)
 
     def restricted_definiteness(self, plan: SamplePlan | None = None):
         """(min eig on range P+, max eig on range P-) over all samples."""
         plan = plan or SamplePlan()
         bundle = self.form.bundle
         min_pos, max_neg = float("inf"), float("-inf")
-        for i in range(bundle.cover.n_charts):
-            pts = bundle.cover.chart_samples(i, plan)
-            if pts.shape[0] == 0:
-                continue
-            s = self.form.eval_chart(i, pts)
+        for (i,), _, ev in sampled_regions(bundle.cover, plan, 1):
+            s = ev(self.form.mats[i])
             for mats, positive in ((self.plus, True), (self.minus, False)):
-                proj = em_eval(mats[i], pts)
+                proj = ev(mats[i])
                 rank = self.sig.pos if positive else self.sig.neg
                 if rank == 0:
                     continue
@@ -451,27 +437,17 @@ class FiberProjectorPair:
 
     def to_ambient(self) -> tuple[ProjectorField, ProjectorField]:
         """Glue chartwise A_i Pi A_i^+ into global ambient projectors."""
-        proj = getattr(self.reference, "proj", None)
+        proj = self.reference.proj
         if proj is None or proj.pou is None:
             raise BundleformsError("decomposition reference lacks an embedding")
         outs = []
-        n = proj.ambient
         pinvs = [em_solve(em_mul(em_transpose(f), f), em_transpose(f),
                           guard_tol=1e-12) for f in proj.frames]
         for mats, rank in ((self.plus, self.sig.pos), (self.minus, self.sig.neg)):
             locals_k = [em_mul(f, em_mul(m, p))
                         for f, m, p in zip(proj.frames, mats, pinvs)]
-            glued_rows = []
-            for a in range(n):
-                row = []
-                for b in range(n):
-                    acc = None
-                    for k, local in enumerate(locals_k):
-                        term = ex.ZeroGate(proj.pou.weights[k], local[a][b])
-                        acc = term if acc is None else ex.Add(acc, term)
-                    row.append(acc)
-                glued_rows.append(tuple(row))
-            outs.append(ProjectorField(proj.base, tuple(glued_rows), rank))
+            outs.append(ProjectorField(proj.base, em_glue(proj.pou.weights, locals_k),
+                                       rank))
         return outs[0], outs[1]
 
 
@@ -533,7 +509,7 @@ def blend_positive_subbundle(frame_field, r_plus: int, nu_plus, mu: ex.Expr,
 
 
 def _lifted_mats(f1: FormField, f2: FormField, bundle_out: BundleRep):
-    parents = getattr(bundle_out.cover, "parents", None)
+    parents = bundle_out.cover.parents
     if parents is None:
         return f1.mats, f2.mats
     m1 = [f1.mats[i] for i, _ in parents]
@@ -551,7 +527,11 @@ def orthogonal_sum(f1: FormField, f2: FormField) -> FormField:
     bundle = whitney_sum(f1.bundle, f2.bundle)
     m1, m2 = _lifted_mats(f1, f2, bundle)
     mats = [em_block_diag(a, b) for a, b in zip(m1, m2)]
-    return FormField(bundle, mats, name=f"({f1.name})perp({f2.name})")
+    # b + (-b) carries its own hyperbolic witness
+    cancelled = (f1 if f2.negation_of is f1 else
+                 f2 if f1.negation_of is f2 else None)
+    return FormField(bundle, mats, name=f"({f1.name})perp({f2.name})",
+                     cancellation_of=cancelled)
 
 
 def tensor_form(f1: FormField, f2: FormField) -> FormField:
@@ -566,7 +546,7 @@ def tensor_form(f1: FormField, f2: FormField) -> FormField:
 
 def negate_form(form: FormField) -> FormField:
     mats = [em_scale(ex.Const(-1.0), m) for m in form.mats]
-    return FormField(form.bundle, mats, name=f"-({form.name})")
+    return FormField(form.bundle, mats, name=f"-({form.name})", negation_of=form)
 
 
 def hyperbolic_space(bundle: BundleRep) -> tuple[BundleRep, FormField]:
@@ -577,9 +557,8 @@ def hyperbolic_space(bundle: BundleRep) -> tuple[BundleRep, FormField]:
     block[:d, d:] = np.eye(d)
     block[d:, :d] = np.eye(d)
     mats = [em_const(block)] * total.cover.n_charts
-    form = FormField(total, mats, name=f"H({bundle.name})")
-    form.hyperbolic_of = bundle
-    return total, form
+    return total, FormField(total, mats, name=f"H({bundle.name})",
+                            hyperbolic_of=bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +578,11 @@ def check_isometry(witness: IsometryWitness, plan: SamplePlan | None = None,
     plan = plan or SamplePlan()
     iso = check_isomorphism(witness.morphism.source, witness.morphism.target,
                             witness.morphism, plan, tol)
-    cover = witness.morphism.source.cover
-    from .bundles import _ResidualStat
     stat = _ResidualStat()
     stat.max, stat.witness = iso.max_residual, iso.witness
-    for i in range(cover.n_charts):
-        pts = cover.chart_samples(i, plan)
-        if pts.shape[0] == 0:
-            continue
-        u = em_eval(witness.morphism.fields[i], pts)
-        s = em_eval(witness.source_form.mats[i], pts)
-        sp = em_eval(witness.target_form.mats[i], pts)
+    for (i,), pts, ev in sampled_regions(witness.morphism.source.cover, plan, 1):
+        u = ev(witness.morphism.fields[i])
+        s, sp = ev(witness.source_form.mats[i]), ev(witness.target_form.mats[i])
         res = np.abs(np.swapaxes(u, 1, 2) @ sp @ u - s).max(axis=(1, 2))
         stat.add_residuals(res, pts)
     passed = stat.max < tol and iso.min_abs_det > tol
@@ -618,11 +591,8 @@ def check_isometry(witness: IsometryWitness, plan: SamplePlan | None = None,
 
 
 def _require_spd(form: FormField, plan: SamplePlan):
-    for i in range(form.bundle.cover.n_charts):
-        pts = form.bundle.cover.chart_samples(i, plan)
-        if pts.shape[0] == 0:
-            continue
-        w = np.linalg.eigvalsh(form.eval_chart(i, pts))
+    for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
+        w = np.linalg.eigvalsh(ev(form.mats[i]))
         if (w[:, 0] <= 0).any():
             bad = pts[int(np.argmax(w[:, 0] <= 0))]
             raise NotPositive(
@@ -710,23 +680,12 @@ def ambient_form(form: FormField, proj: ProjectorField):
     """n x n expression matrix representing the form on range(P) in eps^n."""
     if proj.pou is None:
         raise BundleformsError("ambient form needs an embedding with a partition")
-    n = proj.ambient
     locals_k = []
     for frame, mat in zip(proj.frames, form.mats):
         gram = em_mul(em_transpose(frame), frame)
         pinv = em_solve(gram, em_transpose(frame), guard_tol=1e-12)
         locals_k.append(em_mul(em_transpose(pinv), em_mul(mat, pinv)))
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            acc = None
-            for k, local in enumerate(locals_k):
-                term = ex.ZeroGate(proj.pou.weights[k], local[a][b])
-                acc = term if acc is None else ex.Add(acc, term)
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return em_glue(proj.pou.weights, locals_k)
 
 
 def restrict_form_to_range_bundle(ambient_mat, subbundle: BundleRep) -> FormField:

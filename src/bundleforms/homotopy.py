@@ -30,6 +30,7 @@ from .bundles import (
     common_cover,
     gauss_embedding,
     pullback,
+    sampled_regions,
     trivial_bundle,
 )
 from .catalog import cylinder_base, extend_set
@@ -98,9 +99,8 @@ def product_cylinder_cover(cyl: Base, base_charts, intervals,
                 Condition.from_poly(Polynomial.constant(dim, hi) - t_poly, ">"))
         charts.append(ext)
         structure.append((chart, (lo, hi)))
-    cover = Cover(cyl, charts, name=name or f"{cyl.name}-product")
-    cover.product_structure = structure
-    return cover
+    return Cover(cyl, charts, name=name or f"{cyl.name}-product",
+                 product_structure=structure)
 
 
 @dataclass
@@ -124,7 +124,7 @@ def strip_subdivision(bundle: BundleRep, plan: SamplePlan | None = None,
     plan = plan or SamplePlan()
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
-    structure = getattr(bundle.cover, "product_structure", None)
+    structure = bundle.cover.product_structure
     if structure is None:
         raise BundleformsError("strip subdivision needs declared product charts")
     groups: dict[int, list[tuple[int, tuple]]] = {}
@@ -276,11 +276,10 @@ def clutch(bundle: BundleRep, strips: StripDecomposition,
 
 
 def restrict_cylinder(bundle: BundleRep, t_value: float,
-                      plan: SamplePlan | None = None,
-                      form: FormField | None = None):
-    """Restrict a cylinder bundle (and optionally a form) to the slice t = c.
+                      plan: SamplePlan | None = None):
+    """Restrict a cylinder bundle to the slice t = c.
 
-    Returns (bundle over the cylinder's base, kept-chart index map[, form]).
+    Returns (bundle over the cylinder's base, kept-chart index map).
     Charts whose slice at t = c has no sampled points are dropped.
     """
     plan = plan or SamplePlan()
@@ -308,11 +307,7 @@ def restrict_cylinder(bundle: BundleRep, t_value: float,
     restricted = BundleRep(cover, bundle.rank, transitions,
                            name=f"{bundle.name}@t={t_value}",
                            default_identity=bundle.default_identity)
-    if form is None:
-        return restricted, kept
-    mats = [em_subst(form.mats[i], mapping) for i in kept]
-    restricted_form = FormField(restricted, mats, name=f"{form.name}@t={t_value}")
-    return restricted, kept, restricted_form
+    return restricted, kept
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +320,7 @@ class HomotopyWitness:
     at_one: BundleRep
     morphism: MorphismField       # between common-cover lifts of the above
     report: CheckReport
+    parent_charts: list           # per chart: (t = 0 chart, t = 1 chart) of the cylinder
 
 
 def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
@@ -349,7 +345,7 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
     plan = plan or SamplePlan()
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
-    if getattr(bundle.cover, "product_structure", None) is not None:
+    if bundle.cover.product_structure is not None:
         strip_subdivision(bundle, plan)          # certifies t-coverage
     else:
         _certify_slab_coverage(bundle, plan)
@@ -372,19 +368,18 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
     b0, kept0 = restrict_cylinder(bundle, 0.0, plan)
     b1, kept1 = restrict_cylinder(bundle, 1.0, plan)
     a, b = common_cover(b0, b1)
-    parents = a.cover.parents if hasattr(a.cover, "parents") else [
-        (i, i) for i in range(a.cover.n_charts)]
+    parent_charts = [(kept0[i0], kept1[i1]) for i0, i1 in a.cover.parents]
     fields = []
-    for (i0, i1) in parents:
-        f0 = frame_at(kept0[i0], 0.0)
-        f1 = frame_at(kept1[i1], 1.0)
+    for c0, c1 in parent_charts:
+        f0 = frame_at(c0, 0.0)
+        f1 = frame_at(c1, 1.0)
         gram = em_mul(em_transpose(f1), f1)
         rhs = em_mul(em_transpose(f1), em_mul(transport, f0))
         fields.append(em_solve(gram, rhs, guard_tol=1e-12))
     witness = MorphismField(a, b, fields)
     report = check_isomorphism(a, b, witness, plan, tol)
     report.details.update(_ladder_details(t_values, gap))
-    return HomotopyWitness(a, b, witness, report)
+    return HomotopyWitness(a, b, witness, report, parent_charts)
 
 
 def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan, steps: int,
@@ -476,15 +471,14 @@ def homotopy_isometry(form: FormField, plan: SamplePlan | None = None,
     plan = plan or SamplePlan()
     bundle = form.bundle
     hw = homotopy_isomorphism(bundle, plan, steps, tol)
-    cyl = bundle.base
-    _, t_index = _require_cylinder(cyl)
-    _, kept0, f0 = restrict_cylinder(bundle, 0.0, plan, form)
-    _, kept1, f1 = restrict_cylinder(bundle, 1.0, plan, form)
-    parents = (hw.at_zero.cover.parents
-               if hasattr(hw.at_zero.cover, "parents")
-               else [(i, i) for i in range(hw.at_zero.cover.n_charts)])
-    f0_mats = [f0.mats[i0] for i0, _ in parents]
-    f1_mats = [f1.mats[i1] for _, i1 in parents]
+    _, t_index = _require_cylinder(bundle.base)
+
+    def sliced(end: int, t: float):
+        # per chart of the witness, its parent chart's form matrix at t
+        return [em_subst(form.mats[charts[end]], {t_index: ex.Const(t)})
+                for charts in hw.parent_charts]
+
+    f0_mats, f1_mats = sliced(0, 0.0), sliced(1, 1.0)
     f0_lift = FormField(hw.at_zero, f0_mats, name=f"{form.name}@0")
     f1_lift = FormField(hw.at_one, f1_mats, name=f"{form.name}@1")
     pulled_mats = [em_mul(em_transpose(u), em_mul(m, u))
@@ -544,15 +538,15 @@ def trivialize_contractible(bundle: BundleRep, plan: SamplePlan | None = None,
                               path=(target_proj, [m.to_expr() for m in maps]))
     # t = 0 restriction is the constant cocycle g(center); its cocycle values
     # transport every refined chart to chart 0's frame
-    const_fields = []
-    center_pt = center.reshape(1, -1)
-    for r in range(hw.at_zero.cover.n_charts):
-        if r == 0:
-            const_fields.append(em_identity(bundle.rank))
-            continue
-        pts = hw.at_zero.cover.overlap_samples(0, r, plan)
-        at = pts[:1] if pts.shape[0] else center_pt
-        g = em_eval(hw.at_zero.transition(0, r), at)[0]
+    at = {}     # per chart r: the first sampled point of its overlap with chart 0
+    for (i, r), pts, _ in sampled_regions(hw.at_zero.cover, plan, 2):
+        if i > 0:
+            break
+        at[r] = pts[:1]
+    const_fields = [em_identity(bundle.rank)]
+    for r in range(1, hw.at_zero.cover.n_charts):
+        g = em_eval(hw.at_zero.transition(0, r),
+                    at.get(r, center.reshape(1, -1)))[0]
         const_fields.append(tuple(tuple(ex.Const(v) for v in row) for row in g))
     triv = trivial_bundle(hw.at_zero.cover, bundle.rank)
     to_trivial = MorphismField(hw.at_zero, triv, const_fields)

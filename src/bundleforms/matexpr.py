@@ -7,6 +7,8 @@ through the guarded batched matrix nodes so evaluation stays vectorized.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import expr as ex
@@ -153,6 +155,18 @@ def em_inv_transpose(a: ExprMatrix, guard_tol: float = 1e-9) -> ExprMatrix:
 
 def em_zero_gate(gate: ex.Expr, a: ExprMatrix) -> ExprMatrix:
     return tuple(tuple(ex.ZeroGate(gate, e) for e in row) for row in a)
+
+
+def em_glue(weights, mats) -> ExprMatrix:
+    """sum_k ZeroGate(w_k, M_k) entrywise: chart-local matrices glued with
+    partition-of-unity weights, summed in chart order."""
+    n, m = em_shape(mats[0])
+
+    def entry(a, b):
+        terms = [ex.ZeroGate(w, mat[a][b]) for w, mat in zip(weights, mats)]
+        return functools.reduce(ex.Add, terms)
+
+    return tuple(tuple(entry(a, b) for b in range(m)) for a in range(n))
 
 
 def em_submatrix(a: ExprMatrix, rows, cols) -> ExprMatrix:

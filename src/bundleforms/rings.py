@@ -30,6 +30,7 @@ from .bundles import (
     bundle_from_projector,
     dual,
     s1_line_class,
+    sampled_regions,
     tensor,
     trivial_bundle,
     whitney_sum,
@@ -160,19 +161,11 @@ def witt_add(a: WittClass, b: WittClass,
              plan: SamplePlan | None = None) -> WittClass:
     if a.base.sset is not b.base.sset:
         raise BaseMismatch("Witt classes live over different bases")
-    total = orthogonal_sum(a.form, b.form)
-    # cancellation provenance: a + (-a) carries its own hyperbolic witness
-    if getattr(b.form, "negation_of", None) is a.form:
-        total.cancellation_of = a.form
-    elif getattr(a.form, "negation_of", None) is b.form:
-        total.cancellation_of = b.form
-    return witt_class(total, plan)
+    return witt_class(orthogonal_sum(a.form, b.form), plan)
 
 
 def witt_neg(a: WittClass, plan: SamplePlan | None = None) -> WittClass:
-    flipped = negate_form(a.form)
-    flipped.negation_of = a.form
-    return WittClass(flipped, -a.sig_diff, a.rank_parity,
+    return WittClass(negate_form(a.form), -a.sig_diff, a.rank_parity,
                      None if a.det_classes is None else
                      (a.det_classes[1], a.det_classes[0]))
 
@@ -260,11 +253,8 @@ def cancellation_witness(bundle: BundleRep, form: FormField,
 def _constant_mats(form: FormField, plan: SamplePlan):
     """The common constant matrix of the form, or None if it varies."""
     value = None
-    for i in range(form.bundle.cover.n_charts):
-        pts = form.bundle.cover.chart_samples(i, plan)
-        if pts.shape[0] == 0:
-            continue
-        mats = form.eval_chart(i, pts)
+    for (i,), _, ev in sampled_regions(form.bundle.cover, plan, 1):
+        mats = ev(form.mats[i])
         if np.abs(mats - mats[0]).max() > 1e-12:
             return None
         if value is None:
@@ -296,8 +286,7 @@ def witt_is_zero(w: WittClass, plan: SamplePlan | None = None,
     if form.rank > 4:
         return "unknown", None
     # already a hyperbolic space: identity witness
-    marker = getattr(form, "hyperbolic_of", None)
-    if marker is not None:
+    if form.hyperbolic_of is not None:
         ident = [em_identity(form.rank)
                  for _ in range(form.bundle.cover.n_charts)]
         witness = IsometryWitness(
@@ -305,7 +294,7 @@ def witt_is_zero(w: WittClass, plan: SamplePlan | None = None,
         if check_isometry(witness, plan, tol).passed:
             return "true", witness
     # built as b + (-b): reuse the cancellation witness
-    cancel = getattr(form, "cancellation_of", None)
+    cancel = form.cancellation_of
     if cancel is not None:
         witness = cancellation_witness(cancel.bundle, cancel, plan)
         if check_isometry(witness, plan, tol).passed:

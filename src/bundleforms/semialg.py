@@ -467,9 +467,16 @@ class CoverageReport:
 
 
 class Cover:
-    """A base plus finitely many open charts, with a sampled coverage certificate."""
+    """A base plus finitely many open charts, with a sampled coverage certificate.
 
-    def __init__(self, base: Base, charts: list[SemialgebraicSet], name: str = ""):
+    `parents` gives, for a common refinement, the (i, j) parent chart pair of
+    each chart; `product_structure`, for a product cover of a cylinder, the
+    (base chart, t-interval) pair of each chart.
+    """
+
+    def __init__(self, base: Base, charts: list[SemialgebraicSet], name: str = "",
+                 *, parents: list | None = None,
+                 product_structure: list | None = None):
         if not charts:
             raise CoverageFailure("a cover needs at least one chart")
         for chart in charts:
@@ -480,6 +487,8 @@ class Cover:
         self.base = base
         self.charts = list(charts)
         self.name = name
+        self.parents = parents
+        self.product_structure = product_structure
         self._sample_cache: dict = {}
 
     @property
@@ -553,6 +562,6 @@ class Cover:
                 parents.append((i, j))
         if not charts:
             raise CoverageFailure("refinement produced no nonempty charts")
-        refined = Cover(self.base, charts, name=f"{self.name}&{other.name}")
-        refined.parents = parents
+        refined = Cover(self.base, charts, name=f"{self.name}&{other.name}",
+                        parents=parents)
         return refined, parents

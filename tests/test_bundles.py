@@ -20,6 +20,7 @@ from bundleforms.bundles import (
     projector_frames,
     pullback,
     s1_line_class,
+    sampled_regions,
     section_value_matrix,
     splitting_witness,
     tensor,
@@ -41,10 +42,45 @@ from bundleforms.catalog import (
     scrambled_plane_bundle,
 )
 from bundleforms.errors import GeneratorsDegenerate, NoChartFound
-from bundleforms.matexpr import em_const, em_eval, em_identity
+from bundleforms.matexpr import em_const, em_eval, em_identity, em_inv, em_transpose
 from bundleforms.semialg import SamplePlan
 
 PLAN = SamplePlan(seed=0, n_chart=220, n_overlap=160, n_triple=100)
+
+
+# --- the sampled-region walk -------------------------------------------------
+
+def test_sampled_regions_visit_order_and_points():
+    m = moebius()
+    charts = [(idx, pts) for idx, pts, _ in sampled_regions(m.cover, PLAN, 1)]
+    assert [idx for idx, _ in charts] == [(0,), (1,)]
+    assert all(np.array_equal(pts, m.cover.chart_samples(i, PLAN))
+               for (i,), pts in charts)
+    overlaps = [(idx, pts) for idx, pts, _ in sampled_regions(m.cover, PLAN, 2)]
+    assert [idx for idx, _ in overlaps] == [(0, 1), (1, 0)]
+    assert all(np.array_equal(pts, m.cover.overlap_samples(0, 1, PLAN))
+               for _, pts in overlaps)
+    assert list(sampled_regions(m.cover, PLAN, 3)) == []
+
+
+def test_sampled_regions_share_one_context_per_visit(monkeypatch):
+    misses = []
+    compute = ex.MatrixGroup.compute
+
+    def counted(self, ctx):
+        if id(self) not in ctx.group_cache:
+            misses.append(self.op)
+        return compute(self, ctx)
+
+    monkeypatch.setattr(ex.MatrixGroup, "compute", counted)
+    m = moebius()
+    inv = em_inv(m.transition(0, 1))
+    for _, pts, ev in sampled_regions(m.cover, PLAN, 2):
+        assert np.array_equal(ev(inv), em_eval(inv, pts))
+        assert np.array_equal(ev(em_transpose(inv)), ev(inv).swapaxes(1, 2))
+    # one computation per visit for the two evaluations through `ev`, and
+    # one for each separate em_eval call
+    assert misses == ["inv"] * 4
 
 
 # --- cocycle validation -----------------------------------------------------

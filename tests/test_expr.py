@@ -5,6 +5,7 @@ import pytest
 
 from bundleforms import expr as ex
 from bundleforms.errors import DimensionMismatch, GuardViolation
+from bundleforms.matexpr import em_identity
 
 
 def test_polynomial_arithmetic():
@@ -158,3 +159,13 @@ def test_determinism_same_batch_twice():
     e = ex.Sqrt(ex.Add(ex.Pow(ex.Var(0), 2), ex.Const(1.0)))
     pts = np.linspace(-1, 1, 17).reshape(-1, 1)
     assert np.array_equal(ex.evaluate(e, pts), ex.evaluate(e, pts))
+
+
+def test_shared_context_evaluates_fresh_nodes():
+    # nodes built and dropped one after another must not read each other's
+    # cached values, however their ids are reused
+    ctx = ex.EvalContext(np.zeros((3, 1)))
+    for k in range(6):
+        assert (ex.Const(float(k)).eval(ctx) == k).all()
+    for _ in range(4):
+        assert (ex._eval_matrix(em_identity(2), ctx) == np.eye(2)).all()

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from bundleforms import expr as ex
+from bundleforms import homotopy
 from bundleforms.bundles import (
     BundleRep,
     CheckReport,
     gauss_embedding,
     pullback,
     s1_line_class,
+    sampled_regions,
     trivial_bundle,
     validate_cocycle,
 )
@@ -281,6 +283,24 @@ def test_homotopy_isometry_indefinite_cylinder_form():
     assert signature(hi.at_zero, PLAN) == signature(hi.at_one, PLAN)
 
 
+def test_homotopy_isometry_restricts_each_end_once(monkeypatch):
+    # the form's slices come from the witness's parent charts, so the
+    # cylinder is restricted (and its chart slices sampled) once per end
+    calls = []
+    original = homotopy.restrict_cylinder
+
+    def counted(bundle, t_value, plan=None):
+        calls.append(t_value)
+        return original(bundle, t_value, plan)
+
+    monkeypatch.setattr(homotopy, "restrict_cylinder", counted)
+    b = moebius_cylinder()
+    f = FormField.constant(trivial_bundle(b.cover, 2), np.diag([1.0, -1.0]))
+    hi = homotopy_isometry(f, PLAN)
+    assert hi.report.passed, hi.report.as_dict()
+    assert calls == [0.0, 1.0]
+
+
 # --- contractible trivialization ------------------------------------------------------
 
 def test_trivialize_scrambled_plane_bundle():
@@ -322,6 +342,30 @@ def test_induced_iso_identity_vs_antipodal_on_moebius():
     assert "ladder_capped" not in hw.report.details
     # one path-product node instead of a symbolic copy per rung
     assert dag_nodes(hw.morphism.fields) < 5000
+
+
+def test_witness_check_computes_the_transport_once_per_region(monkeypatch):
+    # every chart field of the antipodal witness shares one transport node;
+    # the check evaluates all matrices of a region visit in one context
+    misses = []
+    compute = ex.PathProduct.compute
+
+    def counted(self, ctx):
+        if id(self) not in ctx.group_cache:
+            misses.append(ctx.points.shape[0])
+        return compute(self, ctx)
+
+    monkeypatch.setattr(ex.PathProduct, "compute", counted)
+    ident = [Polynomial.coordinate(2, 0), Polynomial.coordinate(2, 1)]
+    anti = [-Polynomial.coordinate(2, 0), -Polynomial.coordinate(2, 1)]
+    small = SamplePlan(seed=0, n_chart=70, n_overlap=50, n_triple=40)
+    hw = induced_iso_from_homotopy(moebius(), ident, anti, antipodal_path(),
+                                   circle_base(), small)
+    assert hw.report.passed, hw.report.as_dict()
+    cover = hw.at_zero.cover
+    visits = sum(1 for arity in (1, 2) for _ in sampled_regions(cover, small, arity))
+    assert visits == 16
+    assert len(misses) == visits
 
 
 def test_induced_iso_constant_homotopy():
