@@ -196,69 +196,147 @@ def standard_positive_form(bundle: BundleRep, r: int = 1,
 
 
 def gram_schmidt_frame(s: np.ndarray, near_singular: float = NEARLY_SINGULAR):
-    """Congruence frame g with g^T S g = diag(+1...,-1...) and the type.
+    """Congruence frames g with g^T S g = diag(+1...,-1...) and their types.
 
-    Pivots greedily on the largest |s(w, w)|; when every remaining diagonal
-    is below PIVOT_RATIO * scale the hyperbolic-pair fix (w_a += w_b for the
-    largest off-diagonal pair) restores a pivot.
+    One d x d matrix gives (g, SignatureType).  A stack (N, d, d) gives
+    (frames (N, d, d), pos (N,)): every row is nondegenerate, so its type
+    is (pos, d - pos).  Pivots greedily on the largest |s(w, w)|; when every
+    remaining diagonal is below PIVOT_RATIO * scale the hyperbolic-pair fix
+    (w_a += w_b for the largest off-diagonal pair) restores a pivot.  If
+    any row fails, the error is raised for the first failing row.
     """
     s = np.asarray(s, dtype=float)
-    d = s.shape[0]
-    if s.shape != (d, d) or not np.allclose(s, s.T, atol=1e-12):
+    stack = s[None] if s.ndim == 2 else s
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DimensionMismatch("gram_schmidt_frame needs a symmetric matrix")
-    if d == 0:
-        return np.zeros((0, 0)), SignatureType(0, 0)
-    if abs(np.linalg.det(s)) <= near_singular:
-        raise NearSingular(f"determinant {np.linalg.det(s):.3e} too close to zero")
-    scale = max(np.abs(s).max(), 1e-30)
-    events, g, signs = _gs_events(s, scale)
-    pos = [g[:, k] for k in range(d) if signs[k] > 0]
-    neg = [g[:, k] for k in range(d) if signs[k] < 0]
-    frame = np.stack(pos + neg, axis=1)
-    return frame, SignatureType(len(pos), len(neg))
+    n, d = stack.shape[:2]
+    frames, pos = np.zeros((n, d, d)), np.zeros(n, dtype=int)
+    if d:
+        asym = ~np.isclose(stack, np.swapaxes(stack, 1, 2),
+                           atol=1e-12).all(axis=(1, 2))
+        dets = np.linalg.det(stack)
+        singular = np.abs(dets) <= near_singular
+        usable = np.where((asym | singular)[:, None, None], np.eye(d), stack)
+        scale = np.maximum(np.abs(usable).max(axis=(1, 2)), 1e-30)
+        cols, signs, _, stuck = _gs_events(usable, scale)
+        bad = asym | singular | stuck
+        if bad.any():
+            k = int(np.argmax(bad))
+            if asym[k]:
+                raise DimensionMismatch("gram_schmidt_frame needs a symmetric matrix")
+            if singular[k]:
+                raise NearSingular(f"determinant {dets[k]:.3e} too close to zero")
+            raise NearSingular("no usable pivot or hyperbolic pair")
+        # positive columns first, each group in pivot order
+        order = np.argsort(signs < 0, axis=1, kind="stable")
+        frames = np.take_along_axis(cols, order[:, None, :], axis=2)
+        pos = (signs > 0).sum(axis=1)
+    if s.ndim == 2:
+        return frames[0], SignatureType(int(pos[0]), d - int(pos[0]))
+    return frames, pos
 
 
-def _gs_events(s: np.ndarray, scale: float):
-    """Shared pivoted-GS engine: returns (events, frame columns, signs).
+def _gs_events(s: np.ndarray, scale: np.ndarray):
+    """Pivoted congruence Gram-Schmidt over a stack s (N, d, d), per row.
 
-    Events replay deterministically: ("fix", a, b) adds slot b's vector to
-    slot a's; ("pivot", slot, sign) normalizes and orthogonalizes the rest.
+    Each of the d steps pivots on the first largest |w_j^T S w_j| over the
+    unused slots.  While that is at most PIVOT_RATIO * scale, up to d + 1
+    hyperbolic-pair fixes add slot b's vector to slot a's, for the first
+    largest |w_a^T S w_b| in itertools.combinations order.  The pivot
+    column is normalized and the unused slots are orthogonalized against
+    it.  Returns (cols, signs, events, stuck): pivot columns and signs in
+    pivot order, per-row event codes (read with `_events_of`), and the rows
+    with neither a usable pivot nor a usable pair.
     """
-    d = s.shape[0]
-    work = np.eye(d)
-    unused = list(range(d))
-    events = []
-    cols = np.zeros((d, d))
-    signs = np.zeros(d)
-    out_idx = 0
-    for _ in range(d):
-        for _fix_round in range(d + 1):
-            diags = np.array([work[:, j] @ s @ work[:, j] for j in unused])
-            best = int(np.argmax(np.abs(diags)))
-            if np.abs(diags[best]) > PIVOT_RATIO * scale:
+    n, d = s.shape[:2]
+    thr = PIVOT_RATIO * scale
+    rows = np.arange(n)
+    work = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    unused = np.ones((n, d), dtype=bool)
+    cols, signs = np.zeros((n, d, d)), np.zeros((n, d))
+    stuck = np.zeros(n, dtype=bool)
+    pair_a, pair_b = np.array(list(itertools.combinations(range(d), 2)),
+                              dtype=int).reshape(-1, 2).T
+    events = np.full((n, d, _event_width(d)), -1, dtype=np.int16)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ws = _slot_rows(work, s)
+        for step in range(d):
+            quad = (ws @ _slot_cols(work))[:, :, 0, 0]      # w_j^T S w_j
+            best = np.zeros(n, dtype=int)
+            pending = ~stuck
+            for fix_round in range(d + 1):
+                idx = np.flatnonzero(pending)
+                if not idx.size:
+                    break
+                diag = np.where(unused[idx], np.abs(quad[idx]), -1.0)
+                best[idx] = np.argmax(diag, axis=1)
+                ok = diag[np.arange(idx.size), best[idx]] > thr[idx]
+                pending[idx[ok]] = False
+                idx = idx[~ok]
+                if not idx.size:
+                    break
+                if not pair_a.size:     # d = 1: no pair to fix with
+                    stuck[idx] = True
+                    break
+                q = (ws[idx][:, :, None] @ _slot_cols(work[idx])[:, None])[..., 0, 0]
+                off = np.abs(q[:, pair_a, pair_b])
+                live = unused[idx][:, pair_a] & unused[idx][:, pair_b] & ~np.isnan(off)
+                off = np.where(live, off, -1.0)
+                pick = np.argmax(off, axis=1)
+                found = off[np.arange(idx.size), pick] > thr[idx]
+                stuck[idx[~found]] = True
+                pending[idx[~found]] = False
+                idx, a, b = idx[found], pair_a[pick[found]], pair_b[pick[found]]
+                work[idx, :, a] += work[idx, :, b]
+                ws[idx] = _slot_rows(work[idx], s[idx])
+                quad[idx] = (ws[idx] @ _slot_cols(work[idx]))[:, :, 0, 0]
+                events[idx, step, 2 * fix_round] = a
+                events[idx, step, 2 * fix_round + 1] = b
+            val = quad[rows, best]
+            sign = np.where(val > 0, 1.0, -1.0)
+            v = work[rows, :, best] / np.sqrt(np.abs(val))[:, None]
+            events[:, step, -2] = best
+            events[:, step, -1] = sign
+            cols[:, :, step] = v
+            signs[:, step] = sign
+            unused[rows, best] = False
+            coeff = (ws @ v[:, None, :, None])[:, :, 0, 0]
+            coeff = np.where(unused, sign[:, None] * coeff, 0.0)
+            work -= coeff[:, None, :] * v[:, :, None]
+            ws = _slot_rows(work, s)
+    return cols, signs, events.reshape(n, d * _event_width(d)), stuck
+
+
+# One row's `w_a @ s @ w_b` is a gemv on the strided column w_a, then a dot
+# with the column w_b.  The two helpers below lay the stack out with those
+# strides, so numpy's batched matmul makes the same BLAS calls row by row and
+# every quadratic value, hence every pivot tie, matches the per-matrix loop.
+
+def _slot_rows(work: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(N, d, 1, d): the row vectors w_j^T S of every slot j."""
+    return np.swapaxes(work, 1, 2)[:, :, None, :] @ s[:, None]
+
+
+def _slot_cols(work: np.ndarray) -> np.ndarray:
+    """(N, d, d, 1): every slot's column w_j, as a strided view."""
+    return np.swapaxes(work, 1, 2)[..., None]
+
+
+def _event_width(d: int) -> int:
+    # per step: d + 1 fix pairs (a, b), then the pivot's slot and sign
+    return 2 * (d + 1) + 2
+
+
+def _events_of(code: np.ndarray, d: int) -> tuple:
+    """One row's event codes as ("fix", a, b) / ("pivot", slot, sign) events."""
+    out = []
+    for step in code.reshape(d, _event_width(d)):
+        for a, b in step[:-2].reshape(-1, 2):
+            if a < 0:
                 break
-            off_best, off_val = None, 0.0
-            for a, b in itertools.combinations(range(len(unused)), 2):
-                v = abs(work[:, unused[a]] @ s @ work[:, unused[b]])
-                if v > abs(off_val):
-                    off_best, off_val = (a, b), v
-            if off_best is None or off_val <= PIVOT_RATIO * scale:
-                raise NearSingular("no usable pivot or hyperbolic pair")
-            a, b = off_best
-            work[:, unused[a]] += work[:, unused[b]]
-            events.append(("fix", unused[a], unused[b]))
-        slot = unused[best]
-        val = work[:, slot] @ s @ work[:, slot]
-        sign = 1.0 if val > 0 else -1.0
-        v = work[:, slot] / np.sqrt(abs(val))
-        events.append(("pivot", slot, sign))
-        cols[:, out_idx] = v
-        signs[out_idx] = sign
-        out_idx += 1
-        unused.remove(slot)
-        for j in unused:
-            work[:, j] = work[:, j] - sign * (work[:, j] @ s @ v) * v
-    return events, cols, signs
+            out.append(("fix", int(a), int(b)))
+        out.append(("pivot", int(step[-2]), float(step[-1])))
+    return tuple(out)
 
 
 def eigenvalue_signature(s: np.ndarray) -> SignatureType:
@@ -276,12 +354,9 @@ def signature(form: FormField, plan: SamplePlan | None = None) -> SignatureType:
         )
     seen: dict[tuple, tuple] = {}
     for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
-        mats = ev(form.mats[i])
-        for k in range(pts.shape[0]):
-            _, sig = gram_schmidt_frame(mats[k])
-            key = (sig.pos, sig.neg)
-            if key not in seen:
-                seen[key] = tuple(pts[k])
+        _, pos = gram_schmidt_frame(ev(form.mats[i]))
+        for p, k in zip(*np.unique(pos, return_index=True)):
+            seen.setdefault((int(p), form.rank - int(p)), tuple(pts[k]))
     if len(seen) != 1:
         raise InconsistentSignature(
             f"sampled types disagree: {sorted(seen)}",
@@ -320,14 +395,14 @@ def local_trivializing_cover(form: FormField,
     """
     plan = plan or SamplePlan()
     out = []
-    for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
+    for (i,), _, ev in sampled_regions(form.bundle.cover, plan, 1):
         mats = ev(form.mats[i])
-        groups: dict[tuple, int] = {}
-        for k in range(pts.shape[0]):
-            scale = max(np.abs(mats[k]).max(), 1e-30)
-            events, _, _ = _gs_events(mats[k], scale)
-            groups.setdefault(tuple(events), k)
-        for pattern in sorted(groups):
+        scale = np.maximum(np.abs(mats).max(axis=(1, 2), initial=0.0), 1e-30)
+        _, _, events, stuck = _gs_events(mats, scale)
+        if stuck.any():
+            raise NearSingular("no usable pivot or hyperbolic pair")
+        patterns = {_events_of(code, form.rank) for code in np.unique(events, axis=0)}
+        for pattern in sorted(patterns):
             frame, sig, guards = _symbolic_gs(form.mats[i], pattern)
             chart = form.bundle.cover.charts[i]
             for guard in guards:

@@ -11,6 +11,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class TaskEntry:
@@ -100,7 +102,7 @@ class Report:
 
 
 class timed_entry:
-    """Context manager building a TaskEntry and catching library errors."""
+    """Context manager building a TaskEntry and catching task errors."""
 
     def __init__(self, report: Report, name: str):
         self.report = report
@@ -115,7 +117,10 @@ class timed_entry:
         from .errors import BundleformsError
         self.entry.wall_time = time.perf_counter() - self.start
         if exc is not None:
-            if isinstance(exc, BundleformsError):
+            # a spec too deep for the recursive evaluator, or a singular
+            # kernel outside the guards, is the task's error, not a crash
+            if isinstance(exc, (BundleformsError, RecursionError,
+                                np.linalg.LinAlgError)):
                 self.entry.status = "error"
                 self.entry.message = f"{type(exc).__name__}: {exc}"
                 point = getattr(exc, "point", None)

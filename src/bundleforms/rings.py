@@ -135,21 +135,16 @@ class WittClass:
 
 def witt_invariants(form: FormField, plan: SamplePlan | None = None):
     plan = plan or SamplePlan()
+    circle = _is_circle(form.bundle.base)
     if form.rank == 0:
-        sig = SignatureType(0, 0)
-    else:
-        sig = signature(form, plan)
-    det_classes = None
-    if _is_circle(form.bundle.base):
-        if form.rank == 0:
-            det_classes = (0, 0)
-        else:
-            pair = decompose(form, plan)
-            plus_amb, minus_amb = pair.to_ambient()
-            plus_b = bundle_from_projector(plus_amb, plan, name="witt+")
-            minus_b = bundle_from_projector(minus_amb, plan, name="witt-")
-            det_classes = (_safe_line_class(plus_b), _safe_line_class(minus_b))
-    return sig, det_classes
+        return SignatureType(0, 0), ((0, 0) if circle else None)
+    if not circle:
+        return signature(form, plan), None
+    pair = decompose(form, plan)      # certifies the signature once, as pair.sig
+    plus_amb, minus_amb = pair.to_ambient()
+    plus_b = bundle_from_projector(plus_amb, plan, name="witt+")
+    minus_b = bundle_from_projector(minus_amb, plan, name="witt-")
+    return pair.sig, (_safe_line_class(plus_b), _safe_line_class(minus_b))
 
 
 def witt_class(form: FormField, plan: SamplePlan | None = None) -> WittClass:

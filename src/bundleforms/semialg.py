@@ -356,14 +356,17 @@ def _halton(n: int, dim: int, skip: int = 20) -> np.ndarray:
         raise DimensionMismatch("ambient dimension too large for the Halton bases")
     out = np.empty((n, dim))
     for j in range(dim):
+        # radical inverse of skip..skip+n-1, digit by digit; a spent index
+        # adds f * 0 = +0.0, which leaves r unchanged, so every value is
+        # the per-index recurrence's to the bit
         base = _PRIMES[j]
-        for k in range(n):
-            i, f, r = k + skip, 1.0, 0.0
-            while i > 0:
-                f /= base
-                r += f * (i % base)
-                i //= base
-            out[k, j] = r
+        i = np.arange(skip, skip + n, dtype=np.int64)
+        f, r = 1.0, np.zeros(n)
+        while i.any():
+            f /= base
+            r += f * (i % base)
+            i //= base
+        out[:, j] = r
     return out
 
 

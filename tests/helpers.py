@@ -37,3 +37,88 @@ def grid(lo, hi, n):
 
 
 LINE = Base(SemialgebraicSet.whole_space(1), box=((-3.0, 3.0),), name="line")
+
+
+# --- scalar references for the batched kernels --------------------------------
+
+def reference_gs_events(s, scale, pivot_ratio=1e-10):
+    """The per-sample pivoted congruence Gram-Schmidt loop, one d x d matrix.
+
+    Returns (events, frame columns, signs) and raises NearSingular where
+    neither a pivot nor a hyperbolic pair is usable.
+    """
+    import itertools
+
+    from bundleforms.errors import NearSingular
+
+    d = s.shape[0]
+    work = np.eye(d)
+    unused = list(range(d))
+    events = []
+    cols = np.zeros((d, d))
+    signs = np.zeros(d)
+    out_idx = 0
+    for _ in range(d):
+        for _fix_round in range(d + 1):
+            diags = np.array([work[:, j] @ s @ work[:, j] for j in unused])
+            best = int(np.argmax(np.abs(diags)))
+            if np.abs(diags[best]) > pivot_ratio * scale:
+                break
+            off_best, off_val = None, 0.0
+            for a, b in itertools.combinations(range(len(unused)), 2):
+                v = abs(work[:, unused[a]] @ s @ work[:, unused[b]])
+                if v > abs(off_val):
+                    off_best, off_val = (a, b), v
+            if off_best is None or off_val <= pivot_ratio * scale:
+                raise NearSingular("no usable pivot or hyperbolic pair")
+            a, b = off_best
+            work[:, unused[a]] += work[:, unused[b]]
+            events.append(("fix", unused[a], unused[b]))
+        slot = unused[best]
+        val = work[:, slot] @ s @ work[:, slot]
+        sign = 1.0 if val > 0 else -1.0
+        v = work[:, slot] / np.sqrt(abs(val))
+        events.append(("pivot", slot, sign))
+        cols[:, out_idx] = v
+        signs[out_idx] = sign
+        out_idx += 1
+        unused.remove(slot)
+        for j in unused:
+            work[:, j] = work[:, j] - sign * (work[:, j] @ s @ v) * v
+    return events, cols, signs
+
+
+def reference_gram_schmidt_frame(s, near_singular=1e-12):
+    """The per-sample `gram_schmidt_frame`: (frame, (pos, neg)) of one matrix."""
+    from bundleforms.errors import DimensionMismatch, NearSingular
+
+    s = np.asarray(s, dtype=float)
+    d = s.shape[0]
+    if s.shape != (d, d) or not np.allclose(s, s.T, atol=1e-12):
+        raise DimensionMismatch("gram_schmidt_frame needs a symmetric matrix")
+    if d == 0:
+        return np.zeros((0, 0)), (0, 0)
+    if abs(np.linalg.det(s)) <= near_singular:
+        raise NearSingular(f"determinant {np.linalg.det(s):.3e} too close to zero")
+    scale = max(np.abs(s).max(), 1e-30)
+    _, g, signs = reference_gs_events(s, scale)
+    pos = [g[:, k] for k in range(d) if signs[k] > 0]
+    neg = [g[:, k] for k in range(d) if signs[k] < 0]
+    return np.stack(pos + neg, axis=1), (len(pos), len(neg))
+
+
+def reference_halton(n, dim, skip=20):
+    """The scalar radical-inverse loop the Halton candidates are drawn from."""
+    from bundleforms.semialg import _PRIMES
+
+    out = np.empty((n, dim))
+    for j in range(dim):
+        base = _PRIMES[j]
+        for k in range(n):
+            i, f, r = k + skip, 1.0, 0.0
+            while i > 0:
+                f /= base
+                r += f * (i % base)
+                i //= base
+            out[k, j] = r
+    return out

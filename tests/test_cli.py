@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bundleforms.cli import main
+from bundleforms.reporting import Report, timed_entry
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
@@ -147,3 +149,34 @@ def test_report_subcommand_runs_validations_and_tasks(capsys):
     # implicit validations plus the declared tasks
     assert "validate-bundle eps2" in out
     assert "witt-zero hyperbolic1" in out
+
+
+def test_deep_spec_entry_is_an_error_entry(tmp_path, capsys):
+    # a 700-term sum overflows the recursive evaluator: an error entry with
+    # exit code 2, not a traceback
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    deep = " + ".join(["x0"] * 700)
+    raw["forms"]["deep"] = {"bundle": "eps1", "upper": {"U1": [deep], "U2": [deep]}}
+    raw["tasks"] = [{"op": "validate-form", "form": "deep"}]
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps(raw))
+    code, out = run_cli(capsys, "operate", spec, "--samples", "100",
+                        "--format", "machine")
+    assert code == 2
+    (task,) = json.loads(out)["tasks"]
+    assert task["status"] == "error"
+    assert task["message"].startswith("RecursionError: ")
+
+
+def test_timed_entry_records_linalg_error_and_passes_others():
+    report = Report(seed=0)
+    with timed_entry(report, "singular"):
+        np.linalg.inv(np.zeros((2, 2)))
+    (entry,) = report.entries
+    assert entry.status == "error"
+    assert entry.message == "LinAlgError: Singular matrix"
+    assert report.exit_code() == 2
+    with pytest.raises(KeyboardInterrupt):
+        with timed_entry(report, "interrupted"):
+            raise KeyboardInterrupt
+    assert len(report.entries) == 1

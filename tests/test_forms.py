@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bundleforms import expr as ex
-from bundleforms.bundles import trivial_bundle, validate_cocycle
+from bundleforms.bundles import sampled_regions, trivial_bundle, validate_cocycle
 from bundleforms.catalog import (
     circle_trivial,
     circle_two_arc_cover,
@@ -13,8 +13,15 @@ from bundleforms.catalog import (
     moebius,
     point_base,
 )
-from bundleforms.errors import NearSingular, NotPositive, OmegaViolation
+from bundleforms.errors import (
+    DimensionMismatch,
+    InconsistentSignature,
+    NearSingular,
+    NotPositive,
+    OmegaViolation,
+)
 from bundleforms.forms import (
+    PIVOT_RATIO,
     FormField,
     SignatureType,
     blend_positive_subbundle,
@@ -32,10 +39,12 @@ from bundleforms.forms import (
     standard_positive_form,
     tensor_form,
     validate_form,
+    _events_of,
+    _gs_events,
 )
 from bundleforms.matexpr import em_const, em_eval
-from bundleforms.semialg import SamplePlan
-from helpers import interval
+from bundleforms.semialg import Cover, SamplePlan
+from helpers import interval, reference_gram_schmidt_frame, reference_gs_events
 
 PLAN = SamplePlan(seed=0, n_chart=200, n_overlap=140, n_triple=90)
 
@@ -489,3 +498,136 @@ def test_check_isometry_signature_obstruction():
     from bundleforms.forms import IsometryWitness
     w = IsometryWitness(MorphismField(b, b, [em_identity(2)]), f, g)
     assert not check_isometry(w, PLAN).passed
+
+
+# --- batched Gram-Schmidt engine against the per-matrix reference -------------
+
+def _adversarial_rows(d):
+    """Exact ties, hyperbolic blocks and pivots at the PIVOT_RATIO edge."""
+    rows = [np.eye(d), np.diag([(-1.0) ** k for k in range(d)])]
+    hyp = np.zeros((d, d))
+    for k in range(0, d - 1, 2):
+        hyp[k, k + 1] = hyp[k + 1, k] = 1.0
+    if d % 2:
+        hyp[-1, -1] = -1.0
+    rows.append(hyp)
+    # every diagonal at, just above or just below PIVOT_RATIO * scale with
+    # scale 1: the pivot test and the hyperbolic-pair fix sit on the edge
+    edge = PIVOT_RATIO * 1.0
+    for t in (edge, np.nextafter(edge, 1.0), np.nextafter(edge, 0.0)):
+        rows.append(np.ones((d, d)) - np.eye(d) + t * np.eye(d))
+    return rows
+
+
+def _engine_stack(d, seed):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(300, d, d))
+    s = 0.5 * (s + np.swapaxes(s, 1, 2))
+    zero_diag = s[:100].copy()
+    zero_diag[:, np.arange(d), np.arange(d)] = 0.0
+    ints = np.triu(rng.integers(-1, 2, size=(200, d, d)).astype(float))
+    ints = ints + np.triu(ints, 1).transpose(0, 2, 1)
+    return np.concatenate([s, zero_diag, ints, np.array(_adversarial_rows(d))])
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_gs_engine_matches_reference_per_row(d):
+    stack = _engine_stack(d, 300 + d)
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1e-30)
+    cols, signs, events, stuck = _gs_events(stack, scale)
+    usable = 0
+    for k, s in enumerate(stack):
+        try:
+            ref_events, ref_cols, ref_signs = reference_gs_events(s, scale[k])
+        except NearSingular:
+            assert stuck[k], k
+            continue
+        assert not stuck[k], k
+        assert _events_of(events[k], d) == tuple(ref_events), k
+        np.testing.assert_array_equal(cols[k], ref_cols)
+        np.testing.assert_array_equal(signs[k], ref_signs)
+        usable += 1
+    assert usable > 300
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_gs_frame_stack_matches_reference_types(d):
+    stack = _engine_stack(d, 400 + d)
+    keep, want = [], []
+    for s in stack:
+        try:
+            want.append(reference_gram_schmidt_frame(s))
+        except (NearSingular, DimensionMismatch):
+            continue
+        keep.append(s)
+    frames, pos = gram_schmidt_frame(np.array(keep))
+    assert [(int(p), d - int(p)) for p in pos] == [sig for _, sig in want]
+    for frame, (ref_frame, _) in zip(frames, want):
+        np.testing.assert_array_equal(frame, ref_frame)
+    # a single matrix goes through the same engine
+    g, sig = gram_schmidt_frame(keep[-1])
+    assert (sig.pos, sig.neg) == want[-1][1]
+    np.testing.assert_array_equal(g, want[-1][0])
+
+
+def _bad_row(kind, d):
+    if kind == "asymmetric":
+        s = np.eye(d)
+        s[0, 1] = 0.5
+    elif kind == "singular":
+        s = np.diag([1.0] * (d - 1) + [0.0])
+    else:   # passes the determinant floor, but no pivot or pair is usable
+        s = np.diag([1e-11] + [1.0] * (d - 1))
+    return s
+
+
+@pytest.mark.parametrize("order", [("asymmetric", "singular", "no-pair"),
+                                   ("singular", "no-pair", "asymmetric"),
+                                   ("no-pair", "asymmetric", "singular")])
+@pytest.mark.parametrize("d", [2, 4])
+def test_gs_stack_raises_for_first_bad_row(order, d):
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(12, d, d))
+    stack = 0.5 * (stack + np.swapaxes(stack, 1, 2)) + 3 * np.eye(d)
+    for pos, kind in zip((5, 7, 9), order):
+        stack[pos] = _bad_row(kind, d)
+    want = None
+    for s in stack:                      # the per-matrix loop, in stack order
+        try:
+            reference_gram_schmidt_frame(s)
+        except (NearSingular, DimensionMismatch) as err:
+            want = err
+            break
+    assert want is not None
+    with pytest.raises(type(want)) as got:
+        gram_schmidt_frame(stack)
+    assert str(got.value) == str(want)
+
+
+def test_signature_reports_first_sample_of_each_type():
+    line = line_base()
+    cover = Cover(line, [interval(hi=0.5), interval(lo=-0.5)], name="two")
+    b = trivial_bundle(cover, 3)
+    x0 = ex.Var(0)
+    zero = ex.Const(0.0)
+    f = FormField.from_upper(b, [[x0, zero, zero, ex.Sub(x0, ex.Const(1.0)), zero,
+                                  ex.Add(x0, ex.Const(1.0))]] * 2)
+    seen = {}
+    for (i,), pts, ev in sampled_regions(cover, PLAN, 1):
+        for k, s in enumerate(ev(f.mats[i])):
+            seen.setdefault(reference_gram_schmidt_frame(s)[1], tuple(pts[k]))
+    assert len(seen) == 4
+    with pytest.raises(InconsistentSignature) as got:
+        signature(f, PLAN)
+    assert [(t.pos, t.neg) for t in got.value.types] == sorted(seen)
+    assert got.value.points == [seen[k] for k in sorted(seen)]
+
+
+def test_trivializing_cover_raises_for_stuck_row():
+    b = trivial_bundle(full_cover(line_base()), 2)
+    x0 = ex.Var(0)
+    # x0^2 * 1e-11 next to 1: near x0 = 0 no pivot or pair is usable
+    tiny = ex.Mul(ex.Const(1e-11), ex.Mul(x0, x0))
+    f = FormField.from_upper(b, [[tiny, ex.Const(0.0), ex.Const(1.0)]])
+    with pytest.raises(NearSingular, match="no usable pivot"):
+        local_trivializing_cover(f, PLAN)

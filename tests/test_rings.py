@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from bundleforms import expr as ex
+from bundleforms import forms as fo
+from bundleforms import rings as ri
 from bundleforms.bundles import s1_line_class, trivial_bundle, whitney_sum
 from bundleforms.catalog import (
     circle_trivial,
@@ -36,6 +39,7 @@ from bundleforms.rings import (
     witt_mul,
     witt_neg,
 )
+from bundleforms.errors import InconsistentSignature
 from bundleforms.semialg import SamplePlan
 
 PLAN = SamplePlan(seed=0, n_chart=200, n_overlap=140, n_triple=90)
@@ -277,3 +281,37 @@ def test_cancellation_matrix_shape():
     from bundleforms.matexpr import em_eval
     got = em_eval(witness.morphism.fields[0], np.zeros((1, 1)))[0]
     assert np.allclose(got, np.array([[1.0, 1.0], [0.5, -0.5]]))
+
+
+# --- one signature per Witt class --------------------------------------------
+
+def _count_signatures(monkeypatch):
+    calls = []
+    original = fo.signature
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    # rings binds the name itself; decompose reaches it through forms
+    monkeypatch.setattr(fo, "signature", counted)
+    monkeypatch.setattr(ri, "signature", counted)
+    return calls
+
+
+def test_witt_class_on_circle_computes_one_signature(monkeypatch):
+    calls = _count_signatures(monkeypatch)
+    m = moebius()
+    w = witt_class(standard_positive_form(m, plan=PLAN), PLAN)
+    assert len(calls) == 1
+    assert (w.sig_diff, w.rank_parity, w.det_classes) == (1, 1, (1, 0))
+    hyp = FormField.constant(circle_trivial(2), [[0.0, 1.0], [1.0, 0.0]])
+    assert witt_class(hyp, PLAN).sig_diff == 0
+    assert len(calls) == 2
+
+
+def test_witt_class_on_circle_rejects_inconsistent_signature():
+    x0 = ex.Var(0)
+    form = FormField.from_upper(circle_trivial(1), [[x0], [x0]])
+    with pytest.raises(InconsistentSignature):
+        witt_class(form, PLAN)

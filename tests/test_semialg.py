@@ -14,6 +14,7 @@ from bundleforms.semialg import (
     Polynomial,
     SamplePlan,
     SemialgebraicSet,
+    _halton,
     expr_to_polynomial,
     halfspace,
     sample,
@@ -21,7 +22,7 @@ from bundleforms.semialg import (
 from bundleforms.errors import NotPolynomial
 
 
-from helpers import interval, unit_circle
+from helpers import interval, reference_halton, unit_circle
 
 def test_polynomial_eval_and_gradient():
     # p = x0^2 x1 - 3
@@ -109,3 +110,11 @@ def test_cover_coverage_certificate():
 def test_halfspace_helper():
     s = halfspace(2, [1, -1], 0.5)            # {x0 - x1 > 1/2}
     assert s.membership(np.array([[2.0, 0.0], [0.0, 0.0]])).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("skip", [20, 0, 1, 97])
+def test_halton_matches_scalar_radical_inverse(skip):
+    for n in (1, 7, 128, 2000):
+        for dim in (1, 2, 3, 5, 10):
+            got = _halton(n, dim, skip)
+            assert got.tobytes() == reference_halton(n, dim, skip).tobytes()
