@@ -63,7 +63,7 @@ print("Witt round trip:", roundtrip_witt(w_split, plan))
 # b + (-b) is hyperbolic, with the explicit cancellation witness.
 b1 = trivial_bundle(full_cover(point), 1)
 pos = standard_positive_form(b1, plan=plan)
-witness = cancellation_witness(b1, pos, plan)
+witness = cancellation_witness(b1, pos)
 print("\ncancellation witness:", check_isometry(witness, plan).as_dict())
 
 w1 = witt_class(FormField.constant(b1, np.eye(1)), plan)

@@ -30,6 +30,7 @@ from .errors import (
 from .matexpr import (
     em_block_diag,
     em_colspan_proj,
+    em_const,
     em_det,
     em_eval,
     em_glue,
@@ -38,6 +39,7 @@ from .matexpr import (
     em_inv,
     em_inv_transpose,
     em_kron,
+    em_scale,
     em_shape,
     em_solve,
     em_sub,
@@ -51,6 +53,8 @@ from .unity import PartitionOfUnity, partition_of_unity
 DEFAULT_IDENTITY_TOL = 1e-9
 DEFAULT_WITNESS_TOL = 1e-6
 MINOR_THRESHOLD = 1e-6
+GENERATING_TOL = 1e-9        # least normalized singular value of section values
+LOOP_STEPS = 720             # initial equal steps of the circle walk
 
 
 class BundleRep:
@@ -413,32 +417,33 @@ class GeneratingSystem:
     pou: PartitionOfUnity
 
 
+def _weighted_transition(bundle: BundleRep, weight, a: int, b: int):
+    """weight * g_ab: weight * I on one chart, zero-gated by the weight
+    elsewhere, and zero where the charts never meet."""
+    if a == b:
+        return em_scale(weight, em_identity(bundle.rank))
+    try:
+        return em_zero_gate(weight, bundle.transition(a, b))
+    except BundleformsError:
+        return em_const(np.zeros((bundle.rank, bundle.rank)))
+
+
 def generating_sections(bundle: BundleRep, r: int = 1,
                         plan: SamplePlan | None = None) -> GeneratingSystem:
-    """Sections lambda_i e_j (transported to every chart) generating each fiber."""
+    """Sections lambda_i e_j (transported to every chart) generating each fiber.
+
+    On chart k, the sections of lambda_i are the columns of lambda_i g_ki.
+    """
     plan = plan or SamplePlan()
     pou = partition_of_unity(bundle.cover, r, plan)
     d, q = bundle.rank, bundle.cover.n_charts
     sections = []
-    zero_col = tuple((ex.Const(0.0),) for _ in range(d))
     for i in range(q):
-        lam = pou.weights[i]
+        blocks = [_weighted_transition(bundle, pou.weights[i], k, i)
+                  for k in range(q)]
         for j in range(d):
-            values = []
-            for k in range(q):
-                if k == i:
-                    col = tuple((ex.Mul(lam, ex.Const(1.0 if a == j else 0.0)),)
-                                for a in range(d))
-                else:
-                    try:
-                        g = bundle.transition(k, i)
-                    except BundleformsError:
-                        # charts never overlap: the section vanishes on chart k
-                        col = zero_col
-                    else:
-                        col = tuple((ex.ZeroGate(lam, g[a][j]),) for a in range(d))
-                values.append(col)
-            sections.append(SectionRep(bundle, values))
+            sections.append(SectionRep(bundle, [em_submatrix(block, range(d), [j])
+                                                for block in blocks]))
     _check_generating(sections, plan)
     return GeneratingSystem(bundle, sections, pou)
 
@@ -457,12 +462,12 @@ def _normalized_min_sv(mat: np.ndarray) -> np.ndarray:
     return sv[:, min(mat.shape[1], mat.shape[2]) - 1]
 
 
-def _check_generating(sections, plan: SamplePlan, tol: float = 1e-9):
+def _check_generating(sections, plan: SamplePlan):
     bundle = sections[0].bundle
     d = bundle.rank
     for (k,), pts, _ in sampled_regions(bundle.cover, plan, 1):
         mat = section_value_matrix(sections, k, pts)
-        bad = _normalized_min_sv(mat) <= tol
+        bad = _normalized_min_sv(mat) <= GENERATING_TOL
         if bad.any():
             raise RankDrop(
                 f"section values drop below rank {d} at "
@@ -518,23 +523,9 @@ def gauss_embedding(bundle: BundleRep, r: int = 1,
     d, q = bundle.rank, bundle.cover.n_charts
     frames = []
     projs = []
-    zero_block = tuple(tuple(ex.Const(0.0) for _ in range(d)) for _ in range(d))
     for k in range(q):
-        blocks = []
-        for i in range(q):
-            if i == k:
-                block = tuple(
-                    tuple(ex.Mul(pou.weights[i], ex.Const(1.0 if a == b else 0.0))
-                          for b in range(d))
-                    for a in range(d))
-            else:
-                try:
-                    gik = bundle.transition(i, k)
-                except BundleformsError:
-                    block = zero_block
-                else:
-                    block = em_zero_gate(pou.weights[i], gik)
-            blocks.append(block)
+        blocks = [_weighted_transition(bundle, pou.weights[i], i, k)
+                  for i in range(q)]
         frame = tuple(row for block in blocks for row in block)  # (qd x d)
         frames.append(frame)
         projs.append(em_colspan_proj(frame, guard_tol=1e-12))
@@ -549,14 +540,32 @@ def gauss_embedding(bundle: BundleRep, r: int = 1,
     return field
 
 
+def _minor_cover(subsets, n_points: int, clears):
+    """The subsets, in order, that are the first to clear their minor at
+    some point, and the mask of points that none clears.
+
+    `clears(subset)` is the (n_points,) mask where the subset's minor clears
+    the threshold; no subset is evaluated once every point is covered.
+    """
+    used = []
+    missed = np.ones(n_points, dtype=bool)
+    for subset in subsets:
+        if not missed.any():
+            break
+        ok = clears(subset)
+        if (ok & missed).any():
+            used.append(subset)
+            missed &= ~ok
+    return used, missed
+
+
 def bundle_from_projector(proj: ProjectorField, plan: SamplePlan | None = None,
-                          threshold: float = MINOR_THRESHOLD,
                           name: str = "") -> BundleRep:
     """Bundle of the projector's range, on minor-selected frame charts.
 
     Chart U_I exists for each column subset I (|I| = rank) whose frame Gram
-    determinant det P[I, I] clears the threshold somewhere; the subsets are
-    scanned lexicographically at each sample so chart selection is
+    determinant det P[I, I] clears MINOR_THRESHOLD somewhere; the subsets
+    are scanned lexicographically at each sample so chart selection is
     deterministic.  Transitions are the frame-change solves
     g_JI = P[J,J]^-1 P[J,I].
     """
@@ -571,40 +580,28 @@ def bundle_from_projector(proj: ProjectorField, plan: SamplePlan | None = None,
     if pts.shape[0] == 0:
         raise CoverageFailure("projector base yielded no sample points")
     p = proj.eval(pts)
-    subsets = list(itertools.combinations(range(proj.ambient), d))
-    grams = np.stack(
-        [np.linalg.det(p[:, list(idx), :][:, :, list(idx)]) for idx in subsets],
-        axis=1,
-    )
-    chosen = np.full(pts.shape[0], -1)
-    for col in range(len(subsets)):
-        fresh = (chosen < 0) & (grams[:, col] > threshold)
-        chosen[fresh] = col
-    if (chosen < 0).any():
-        bad = pts[int(np.argmax(chosen < 0))]
+    used, missed = _minor_cover(
+        itertools.combinations(range(proj.ambient), d), pts.shape[0],
+        lambda idx: np.linalg.det(p[:, list(idx), :][:, :, list(idx)])
+        > MINOR_THRESHOLD)
+    if missed.any():
         raise NoChartFound(
-            f"no {d}-column minor of the projector clears {threshold:.1e}",
-            point=bad,
+            f"no {d}-column minor of the projector clears {MINOR_THRESHOLD:.1e}",
+            point=pts[int(np.argmax(missed))],
         )
-    used = sorted(set(int(c) for c in chosen))
     charts = []
-    for col in used:
-        idx = subsets[col]
+    for idx in used:
         det_expr = em_det(em_submatrix(proj.entries, idx, idx))
-        gate = ex.Sub(det_expr, ex.Const(threshold))
+        gate = ex.Sub(det_expr, ex.Const(MINOR_THRESHOLD))
         charts.append(SemialgebraicSet(base.dim, [[Condition(gate, GT)]]))
     cover = Cover(base, charts, name=f"{name or 'proj'}-minors")
     transitions = {}
-    for a, ca in enumerate(used):
-        for b, cb in enumerate(used):
-            if a == b:
-                continue
-            idx_a, idx_b = subsets[ca], subsets[cb]
-            paa = em_submatrix(proj.entries, idx_a, idx_a)
-            pab = em_submatrix(proj.entries, idx_a, idx_b)
-            transitions[(a, b)] = em_solve(paa, pab, guard_tol=1e-12)
+    for (a, idx_a), (b, idx_b) in itertools.permutations(enumerate(used), 2):
+        paa = em_submatrix(proj.entries, idx_a, idx_a)
+        pab = em_submatrix(proj.entries, idx_a, idx_b)
+        transitions[(a, b)] = em_solve(paa, pab, guard_tol=1e-12)
     return BundleRep(cover, d, transitions, name=name or f"range({proj.rank})",
-                     projector=proj, frame_subsets=[subsets[c] for c in used])
+                     projector=proj, frame_subsets=used)
 
 
 def projector_frames(bundle: BundleRep):
@@ -642,8 +639,7 @@ def splitting_witness(bundle: BundleRep, comp: BundleRep,
 
 
 def coefficients(section: SectionRep, system: GeneratingSystem,
-                 plan: SamplePlan | None = None, r: int = 1,
-                 threshold: float = 1e-6) -> list:
+                 plan: SamplePlan | None = None, r: int = 1) -> list:
     """Express a section in a generating system: s = sum_j c_j s_j.
 
     Per chart, a lexicographically chosen subset of generators with a
@@ -655,34 +651,27 @@ def coefficients(section: SectionRep, system: GeneratingSystem,
     d = bundle.rank
     m = len(system.sections)
     refined_charts = []
-    chart_data = []  # (chart index, generator subset)
+    chart_data = []  # (chart index, generator subset, value matrix)
     for (k,), pts, _ in sampled_regions(bundle.cover, plan, 1):
         values = section_value_matrix(system.sections, k, pts)  # (N, d, m)
-        remaining = np.ones(pts.shape[0], dtype=bool)
-        for subset in itertools.combinations(range(m), d):
-            sub = values[:, :, subset]
-            dets = np.abs(np.linalg.det(sub))
-            ok = dets > threshold
-            if not (ok & remaining).any():
-                continue
-            cols = [em_submatrix(system.sections[idx].values[k], range(d), [0])
-                    for idx in subset]
-            vmat = cols[0]
-            for c in cols[1:]:
-                vmat = em_hstack(vmat, c)
-            det_expr = em_det(vmat)
-            gate = ex.Sub(ex.Mul(det_expr, det_expr), ex.Const(threshold**2))
-            chart = bundle.cover.charts[k].with_condition(Condition(gate, GT))
-            refined_charts.append(chart)
-            chart_data.append((k, subset, vmat))
-            remaining &= ~ok
-            if not remaining.any():
-                break
-        if remaining.any():
+        used, missed = _minor_cover(
+            itertools.combinations(range(m), d), pts.shape[0],
+            lambda subset: np.abs(np.linalg.det(values[:, :, subset]))
+            > MINOR_THRESHOLD)
+        if missed.any():
             raise GeneratorsDegenerate(
-                f"no generator minor clears {threshold:.1e} at "
-                f"{tuple(pts[int(np.argmax(remaining))])}"
+                f"no generator minor clears {MINOR_THRESHOLD:.1e} at "
+                f"{tuple(pts[int(np.argmax(missed))])}"
             )
+        for subset in used:
+            cols = [system.sections[idx].values[k] for idx in subset]
+            vmat = tuple(tuple(col[a][0] for col in cols) for a in range(d))
+            det_expr = em_det(vmat)
+            gate = ex.Sub(ex.Mul(det_expr, det_expr),
+                          ex.Const(MINOR_THRESHOLD**2))
+            refined_charts.append(
+                bundle.cover.charts[k].with_condition(Condition(gate, GT)))
+            chart_data.append((k, subset, vmat))
     if not refined_charts:
         raise GeneratorsDegenerate("no sampled chart points to solve on")
     refined = Cover(bundle.base, refined_charts, name="coefficient-minors")
@@ -701,13 +690,15 @@ def coefficients(section: SectionRep, system: GeneratingSystem,
 # Circle determinant class.
 
 
-def s1_line_class(bundle: BundleRep, n_steps: int = 720) -> int:
+def s1_line_class(bundle: BundleRep) -> int:
     """Mod-2 monodromy of transition determinant signs around the circle.
 
-    The loop is walked with adaptive bisection: where no single chart
-    contains two consecutive loop points (chart crossover bands can be
-    narrow for derived covers), the step is halved until a chart chain
-    connects them.
+    The loop starts as LOOP_STEPS equal steps.  Each round halves every
+    step whose two ends no single chart contains (chart crossover bands
+    can be narrow for derived covers), with one membership call per chart
+    for all the new midpoints.  The walk then stays in its chart while the
+    chart holds the next point and otherwise switches, at the step's start,
+    to the first chart holding both ends.
     """
     circ = bundle.base.circle
     if circ is None:
@@ -717,66 +708,48 @@ def s1_line_class(bundle: BundleRep, n_steps: int = 720) -> int:
     dim = bundle.base.dim
     charts = bundle.cover.charts
 
-    def point(angle: float) -> np.ndarray:
-        p = np.zeros((1, dim))
-        p[0, circ.coord_x] = np.cos(angle)
-        p[0, circ.coord_y] = np.sin(angle)
-        return p
+    def points(angles) -> np.ndarray:
+        pts = np.zeros((len(angles), dim))
+        pts[:, circ.coord_x] = np.cos(angles)
+        pts[:, circ.coord_y] = np.sin(angles)
+        return pts
 
-    member_cache: dict[float, np.ndarray] = {}
-
-    def precompute(angle_list):
-        pts = np.zeros((len(angle_list), dim))
-        pts[:, circ.coord_x] = np.cos(angle_list)
-        pts[:, circ.coord_y] = np.sin(angle_list)
-        rows = np.stack([c.membership(pts, margin=1e-9) for c in charts], axis=1)
-        for a, row in zip(angle_list, rows):
-            member_cache[a] = row
-
-    def membership(angle: float) -> np.ndarray:
-        row = member_cache.get(angle)
-        if row is None:
-            row = np.array([c.membership(point(angle), margin=1e-9)[0]
-                            for c in charts])
-            member_cache[angle] = row
-        return row
+    def members(angles) -> np.ndarray:
+        pts = points(angles)
+        return np.stack([c.membership(pts, margin=1e-9) for c in charts], axis=1)
 
     def switch_sign(old: int, new: int, angle: float) -> float:
-        g = em_eval(bundle.transition(new, old), point(angle))
-        det = float(np.linalg.det(g[0]))
+        at = points([angle])
+        det = float(np.linalg.det(em_eval(bundle.transition(new, old), at)[0]))
         if abs(det) < 1e-12:
-            raise GuardViolation("degenerate transition on the loop",
-                                 point=point(angle)[0])
+            raise GuardViolation("degenerate transition on the loop", point=at[0])
         return np.sign(det)
 
-    angles = [2.0 * np.pi * k / n_steps for k in range(n_steps)]
-    angles.append(2.0 * np.pi)
-    precompute(angles)
-    start_members = membership(0.0)
-    if not start_members.any():
+    angles = np.append(2.0 * np.pi * np.arange(LOOP_STEPS) / LOOP_STEPS,
+                       2.0 * np.pi)
+    member = members(angles)
+    if not member[0].any():
         raise CoverageFailure("circle loop start not covered by any chart")
-    start = int(np.argmax(start_members))
-    current, sign = start, 1.0
-    i = 0
-    while i < len(angles) - 1:
-        a, b = angles[i], angles[i + 1]
-        mb = membership(b)
-        if mb[current]:
-            i += 1
-            continue
-        ma = membership(a)
-        both = np.flatnonzero(ma & mb)
-        if both.size:
-            new = int(both[0])
-            sign *= switch_sign(current, new, a)
-            current = new
-            i += 1
-            continue
-        if b - a < 1e-9:
+    while True:
+        bad = np.flatnonzero(~(member[:-1] & member[1:]).any(axis=1))
+        if not bad.size:
+            break
+        narrow = bad[angles[bad + 1] - angles[bad] < 1e-9]
+        if narrow.size:
             raise CoverageFailure(
-                f"no chart chain near loop angle {a:.6f}"
+                f"no chart chain near loop angle {angles[narrow[0]]:.6f}"
             )
-        angles.insert(i + 1, 0.5 * (a + b))
+        mids = 0.5 * (angles[bad] + angles[bad + 1])
+        angles = np.insert(angles, bad + 1, mids)
+        member = np.insert(member, bad + 1, members(mids), axis=0)
+    start = int(np.argmax(member[0]))
+    current, sign = start, 1.0
+    for i in range(len(angles) - 1):
+        if member[i + 1, current]:
+            continue
+        new = int(np.argmax(member[i] & member[i + 1]))
+        sign *= switch_sign(current, new, angles[i])
+        current = new
     if current != start:
         sign *= switch_sign(current, start, 0.0)
     return 0 if sign > 0 else 1

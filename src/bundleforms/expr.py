@@ -5,9 +5,9 @@ rational constants, variables, arithmetic, guarded quotients, integer
 powers, square roots of nonnegative arguments, absolute value, max/min,
 clamp-to-zero, a zero-gated product (extension by zero past a gate
 function's support), entries of guarded matrix computations (solve,
-inverse, column-span projector, Cholesky factor, definite/indefinite
-pencil sign-projectors), and entries of path products that chain a
-projector field along a homotopy.
+inverse, column-span projector, definite/indefinite pencil sign-projectors,
+pencil square root), and entries of path products that chain a projector
+field along a homotopy.
 
 Evaluation is vectorized over an (N, dim) batch of points and memoized per
 node object, so shared subtrees are computed once.  Evaluating outside a
@@ -407,7 +407,6 @@ class ZeroGate(Expr):
 SOLVE = "solve"            # X = A^-1 B          guard: min sv(A)
 INV = "inv"                # X = A^-1            guard: min sv(A)
 COLSPAN_PROJ = "colproj"   # P = A (A^T A)^-1 A^T  guard: min sv(A)
-CHOL = "chol"              # lower L, S = L L^T  guard: S SPD
 PENCIL_PROJ_POS = "pencil+"  # positive sign-projector of pencil (S, G)
 PENCIL_PROJ_NEG = "pencil-"  # negative sign-projector of pencil (S, G)
 PENCIL_SQRT = "pencilsqrt"   # principal sqrt of G^-1 S, both SPD
@@ -436,7 +435,7 @@ class MatrixGroup:
             raise DimensionMismatch("inverse needs a square matrix")
         if self.op == SOLVE:
             return (n, len(self.b[0]))
-        if self.op in (INV, COLSPAN_PROJ, CHOL, PENCIL_PROJ_POS, PENCIL_PROJ_NEG,
+        if self.op in (INV, COLSPAN_PROJ, PENCIL_PROJ_POS, PENCIL_PROJ_NEG,
                        PENCIL_SQRT):
             return (n, n)
         raise ValueError(f"unknown matrix op {self.op!r}")
@@ -461,9 +460,6 @@ class MatrixGroup:
             self._guard_sv(a, ctx)
             gram = np.swapaxes(a, 1, 2) @ a
             out = a @ np.linalg.solve(gram, np.swapaxes(a, 1, 2))
-        elif self.op == CHOL:
-            self._guard_spd(a, ctx)
-            out = np.linalg.cholesky(a)
         elif self.op in (PENCIL_PROJ_POS, PENCIL_PROJ_NEG):
             g = _eval_matrix(self.b, ctx)
             self._guard_spd(g, ctx, name="pencil metric")
@@ -492,7 +488,7 @@ class MatrixGroup:
                f"matrix {self.op} guard: smallest singular value "
                f"{sv[i, -1]:.3e} <= {self.guard_tol:.1e}")
 
-    def _guard_spd(self, s, ctx, name="cholesky argument"):
+    def _guard_spd(self, s, ctx, name):
         w = np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, 1, 2)))
         _guard(w[:, 0] <= self.guard_tol, ctx, lambda i:
                f"{name} not positive definite: min eigenvalue {w[i, 0]:.3e}")

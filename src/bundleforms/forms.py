@@ -42,7 +42,6 @@ from .errors import (
 from .matexpr import (
     em_add,
     em_block_diag,
-    em_chol,
     em_colspan_proj,
     em_const,
     em_eval,
@@ -195,7 +194,7 @@ def standard_positive_form(bundle: BundleRep, r: int = 1,
 # Congruence Gram-Schmidt diagonalization.
 
 
-def gram_schmidt_frame(s: np.ndarray, near_singular: float = NEARLY_SINGULAR):
+def gram_schmidt_frame(s: np.ndarray):
     """Congruence frames g with g^T S g = diag(+1...,-1...) and their types.
 
     One d x d matrix gives (g, SignatureType).  A stack (N, d, d) gives
@@ -215,7 +214,7 @@ def gram_schmidt_frame(s: np.ndarray, near_singular: float = NEARLY_SINGULAR):
         asym = ~np.isclose(stack, np.swapaxes(stack, 1, 2),
                            atol=1e-12).all(axis=(1, 2))
         dets = np.linalg.det(stack)
-        singular = np.abs(dets) <= near_singular
+        singular = np.abs(dets) <= NEARLY_SINGULAR
         usable = np.where((asym | singular)[:, None, None], np.eye(d), stack)
         scale = np.maximum(np.abs(usable).max(axis=(1, 2)), 1e-30)
         cols, signs, _, stuck = _gs_events(usable, scale)
@@ -676,14 +675,12 @@ def _require_spd(form: FormField, plan: SamplePlan):
 
 
 def positive_isometry(form: FormField, target: FormField,
-                      plan: SamplePlan | None = None,
-                      method: str = "auto") -> IsometryWitness:
+                      plan: SamplePlan | None = None) -> IsometryWitness:
     """Isometry (bundle, form) -> (bundle, target) for positive forms.
 
-    Chartwise triangular square roots give u = C'^-1 C; their gluing is
-    checked on overlaps, and if the Cholesky frames fail to glue (they are
-    only orthogonally canonical) the congruence-covariant principal square
-    root of the pencil target^-1 form is used instead.
+    Each chart field is the principal square root of the pencil
+    target^-1 form; it is congruence-covariant, so the fields glue into a
+    bundle morphism once both forms are positive definite.
     """
     plan = plan or SamplePlan()
     if form.bundle is not target.bundle:
@@ -691,18 +688,6 @@ def positive_isometry(form: FormField, target: FormField,
     _require_spd(form, plan)
     _require_spd(target, plan)
     bundle = form.bundle
-    if method in ("auto", "cholesky"):
-        fields = []
-        for i in range(bundle.cover.n_charts):
-            c_src = em_transpose(em_chol(form.mats[i]))
-            c_tgt = em_transpose(em_chol(target.mats[i]))
-            fields.append(em_solve(c_tgt, c_src, guard_tol=1e-12))
-        witness = IsometryWitness(MorphismField(bundle, bundle, fields),
-                                  form, target)
-        if method == "cholesky":
-            return witness
-        if check_isometry(witness, plan, tol=1e-8).passed:
-            return witness
     fields = [em_pencil_sqrt(form.mats[i], target.mats[i])
               for i in range(bundle.cover.n_charts)]
     return IsometryWitness(MorphismField(bundle, bundle, fields), form, target)

@@ -67,6 +67,8 @@ from .unity import shrink_cover
 
 DEFAULT_TRANSPORT_STEPS = 16
 LADDER_GAP = 0.35           # largest probe jump between consecutive rungs
+STRIP_MARGIN = 1e-9         # t-interval overlap a strip chain must keep
+SLAB_T_VALUES = 21          # t slices of the slab coverage check
 
 
 def _require_cylinder(base: Base) -> tuple[Base, int]:
@@ -113,8 +115,8 @@ class StripDecomposition:
     strip_charts: list[int]
 
 
-def strip_subdivision(bundle: BundleRep, plan: SamplePlan | None = None,
-                      margin: float = 1e-9) -> list[StripDecomposition]:
+def strip_subdivision(bundle: BundleRep,
+                      plan: SamplePlan | None = None) -> list[StripDecomposition]:
     """Cut [0,1] into strips per base chart, each inside one product chart.
 
     Breakpoints sit at the midpoints of consecutive chosen t-intervals'
@@ -152,9 +154,9 @@ def strip_subdivision(bundle: BundleRep, plan: SamplePlan | None = None,
             best, best_hi = None, reach
             for k in order:
                 lo, hi = intervals[k]
-                if lo < reach + margin and hi > best_hi:
+                if lo < reach + STRIP_MARGIN and hi > best_hi:
                     best, best_hi = k, hi
-            if best is None or best_hi <= reach + margin:
+            if best is None or best_hi <= reach + STRIP_MARGIN:
                 raise TCoverGap(
                     f"t = {reach:.6f} not covered over base chart {gid}",
                     point=None,
@@ -167,7 +169,7 @@ def strip_subdivision(bundle: BundleRep, plan: SamplePlan | None = None,
         for a, b in zip(chain, chain[1:]):
             lo_next = intervals[b][0]
             hi_prev = intervals[a][1]
-            if lo_next >= hi_prev - margin:
+            if lo_next >= hi_prev - STRIP_MARGIN:
                 raise TCoverGap(
                     f"gap between t-intervals {intervals[a]} and {intervals[b]}"
                 )
@@ -324,7 +326,6 @@ class HomotopyWitness:
 
 
 def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
-                         steps: int = DEFAULT_TRANSPORT_STEPS,
                          tol: float = 1e-6, path=None) -> HomotopyWitness:
     """Certified isomorphism between the t = 0 and t = 1 restrictions.
 
@@ -362,7 +363,7 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
 
     t_values, gap = _adaptive_t_ladder(
         partial(ex.path_projectors, target_proj.entries, h_exprs, t_index),
-        base_x, plan, steps)
+        base_x, plan)
     transport = em_path_product(target_proj.entries, h_exprs, t_index,
                                 t_values[1:])
     b0, kept0 = restrict_cylinder(bundle, 0.0, plan)
@@ -382,8 +383,7 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
     return HomotopyWitness(a, b, witness, report, parent_charts)
 
 
-def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan, steps: int,
-                       gap: float = LADDER_GAP,
+def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan,
                        max_points: int = 1025):
     """Uniform t ladder, doubled until consecutive projectors stay close.
 
@@ -392,23 +392,24 @@ def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan, steps: int,
     crossovers concentrate the subspace's rotation in narrow t bands whose
     position translates with the base point, so the ladder must be
     uniformly finer than the band width; probe points measure the worst
-    consecutive jump and the resolution doubles until it clears the gap.
+    consecutive jump and the resolution doubles, from
+    DEFAULT_TRANSPORT_STEPS steps, until it clears LADDER_GAP.
     `values(points, ts)` yields the projector along the path in rung blocks
     (`expr.path_projectors`); each round evaluates only the new midpoints.
     Returns the ladder and its worst probe gap (NaN without probes), which
-    exceeds `gap` only when doubling would pass `max_points`.
+    exceeds LADDER_GAP only when doubling would pass `max_points`.
     """
+    n = DEFAULT_TRANSPORT_STEPS
     probes = base_x.sample_points(plan)
     if probes.shape[0] == 0:
-        return [k / steps for k in range(steps + 1)], float("nan")
+        return [k / n for k in range(n + 1)], float("nan")
     if probes.shape[0] > 512:
         stride = probes.shape[0] // 512 + 1
         probes = probes[::stride]
-    n = steps
     vals = np.concatenate(list(values(probes, [k / n for k in range(n + 1)])))
     while True:
         worst = float(np.abs(np.diff(vals, axis=0)).max())
-        if worst <= gap or 2 * n + 1 > max_points:
+        if worst <= LADDER_GAP or 2 * n + 1 > max_points:
             return [k / n for k in range(n + 1)], worst
         finer = np.empty((2 * n + 1, *vals.shape[1:]))
         finer[0::2] = vals
@@ -430,14 +431,13 @@ def _ladder_of(report: CheckReport) -> dict:
     return {k: v for k, v in report.details.items() if k.startswith("ladder_")}
 
 
-def _certify_slab_coverage(bundle: BundleRep, plan: SamplePlan,
-                           n_t: int = 21):
+def _certify_slab_coverage(bundle: BundleRep, plan: SamplePlan):
     """Sampled check that the charts cover base x [0, 1]."""
     base_x, t_index = _require_cylinder(bundle.base)
     pts = base_x.sample_points(plan)
     if pts.shape[0] == 0:
         raise CoverageFailure("cylinder base yielded no samples")
-    for t in np.linspace(0.0, 1.0, n_t):
+    for t in np.linspace(0.0, 1.0, SLAB_T_VALUES):
         lifted = np.column_stack([pts, np.full(pts.shape[0], t)])
         covered = np.zeros(pts.shape[0], dtype=bool)
         for chart in bundle.cover.charts:
@@ -459,7 +459,6 @@ class HomotopyIsometry:
 
 
 def homotopy_isometry(form: FormField, plan: SamplePlan | None = None,
-                      steps: int = DEFAULT_TRANSPORT_STEPS,
                       tol: float = 1e-6) -> HomotopyIsometry:
     """Certified isometry between the t = 0 and t = 1 restrictions of a form.
 
@@ -470,7 +469,7 @@ def homotopy_isometry(form: FormField, plan: SamplePlan | None = None,
     """
     plan = plan or SamplePlan()
     bundle = form.bundle
-    hw = homotopy_isomorphism(bundle, plan, steps, tol)
+    hw = homotopy_isomorphism(bundle, plan, tol)
     _, t_index = _require_cylinder(bundle.base)
 
     def sliced(end: int, t: float):
@@ -507,7 +506,6 @@ class TrivializationWitness:
 
 
 def trivialize_contractible(bundle: BundleRep, plan: SamplePlan | None = None,
-                            steps: int = DEFAULT_TRANSPORT_STEPS,
                             tol: float = 1e-6) -> TrivializationWitness:
     """Certified trivialization over a base star-shaped about a declared center.
 
@@ -534,7 +532,7 @@ def trivialize_contractible(bundle: BundleRep, plan: SamplePlan | None = None,
     except ImageEscapesBase as err:
         raise ContractionEscapesBase(str(err)) from err
     target_proj = gauss_embedding(bundle, plan=plan)
-    hw = homotopy_isomorphism(pulled, plan, steps, tol,
+    hw = homotopy_isomorphism(pulled, plan, tol,
                               path=(target_proj, [m.to_expr() for m in maps]))
     # t = 0 restriction is the constant cocycle g(center); its cocycle values
     # transport every refined chart to chart 0's frame
@@ -567,7 +565,6 @@ def trivialize_contractible(bundle: BundleRep, plan: SamplePlan | None = None,
 
 def induced_iso_from_homotopy(bundle: BundleRep, f_map, g_map, h_map,
                               domain: Base, plan: SamplePlan | None = None,
-                              steps: int = DEFAULT_TRANSPORT_STEPS,
                               tol: float = 1e-6) -> HomotopyWitness:
     """Isomorphism between f*(bundle) and g*(bundle) from a homotopy H.
 
@@ -596,5 +593,5 @@ def induced_iso_from_homotopy(bundle: BundleRep, f_map, g_map, h_map,
     pulled = pullback(bundle, h_map, cyl, plan, name=f"H*({bundle.name})")
     target_proj = gauss_embedding(bundle, plan=plan)
     h_exprs = [as_component_expr(c) for c in h_map]
-    return homotopy_isomorphism(pulled, plan, steps, tol,
+    return homotopy_isomorphism(pulled, plan, tol,
                                 path=(target_proj, h_exprs))

@@ -1,8 +1,8 @@
 """Small dense matrices with expression entries.
 
 Matrices are tuples of tuples of Expr nodes.  Products and sums build
-expression trees; inverses, solves, projectors and Cholesky factors go
-through the guarded batched matrix nodes so evaluation stays vectorized.
+expression trees; inverses, solves, projectors and pencil square roots
+go through the guarded batched matrix nodes so evaluation stays vectorized.
 """
 
 from __future__ import annotations
@@ -127,10 +127,6 @@ def em_solve(a: ExprMatrix, b: ExprMatrix, guard_tol: float = 1e-9) -> ExprMatri
 
 def em_colspan_proj(a: ExprMatrix, guard_tol: float = 1e-9) -> ExprMatrix:
     return em_from_group(ex.MatrixGroup(ex.COLSPAN_PROJ, a, guard_tol=guard_tol))
-
-
-def em_chol(s: ExprMatrix, guard_tol: float = 1e-12) -> ExprMatrix:
-    return em_from_group(ex.MatrixGroup(ex.CHOL, s, guard_tol=guard_tol))
 
 
 def em_pencil_proj(s: ExprMatrix, g: ExprMatrix, positive: bool,

@@ -159,7 +159,7 @@ def witt_add(a: WittClass, b: WittClass,
     return witt_class(orthogonal_sum(a.form, b.form), plan)
 
 
-def witt_neg(a: WittClass, plan: SamplePlan | None = None) -> WittClass:
+def witt_neg(a: WittClass) -> WittClass:
     return WittClass(negate_form(a.form), -a.sig_diff, a.rank_parity,
                      None if a.det_classes is None else
                      (a.det_classes[1], a.det_classes[0]))
@@ -213,8 +213,7 @@ def nabla(w: WittClass, plan: SamplePlan | None = None) -> K0Class:
     return k0_class(plus_b, minus_b)
 
 
-def cancellation_witness(bundle: BundleRep, form: FormField,
-                         plan: SamplePlan | None = None) -> IsometryWitness:
+def cancellation_witness(bundle: BundleRep, form: FormField) -> IsometryWitness:
     """(P, b) + (P, -b) = H(P) via (x, y) -> (x + y, (1/2) b(x - y)).
 
     The chart matrix is [[I, I], [S/2, -S/2]]; its form pullback equals
@@ -222,7 +221,6 @@ def cancellation_witness(bundle: BundleRep, form: FormField,
     form-compatibility law while the dual factor of H(P) uses the
     inverse-transpose cocycle.
     """
-    plan = plan or SamplePlan()
     if form.bundle is not bundle:
         raise BaseMismatch("cancellation needs the form on the given bundle")
     source_form = orthogonal_sum(form, negate_form(form))
@@ -291,7 +289,7 @@ def witt_is_zero(w: WittClass, plan: SamplePlan | None = None,
     # built as b + (-b): reuse the cancellation witness
     cancel = form.cancellation_of
     if cancel is not None:
-        witness = cancellation_witness(cancel.bundle, cancel, plan)
+        witness = cancellation_witness(cancel.bundle, cancel)
         if check_isometry(witness, plan, tol).passed:
             return "true", witness
     # constant form on a trivial presentation: diagonalize numerically and

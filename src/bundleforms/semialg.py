@@ -31,6 +31,7 @@ EQ = "=="
 
 _EQ_TOL = 1e-9
 _PROJ_TOL = 1e-13
+_PROJ_STEPS = 40  # Gauss-Newton steps onto the equations
 
 
 class Polynomial:
@@ -380,12 +381,11 @@ def _candidates(box, n: int, seed: int) -> np.ndarray:
     return np.vstack([grid, rand])
 
 
-def _project_to_variety(points: np.ndarray, polys: list[Polynomial],
-                        iterations: int = 40) -> np.ndarray:
+def _project_to_variety(points: np.ndarray, polys: list[Polynomial]) -> np.ndarray:
     """Gauss-Newton projection onto the common zero set of the polynomials."""
     pts = points.copy()
     grads = [p.gradient() for p in polys]
-    for _ in range(iterations):
+    for _ in range(_PROJ_STEPS):
         residual = np.stack([p.eval(pts) for p in polys], axis=1)
         if np.abs(residual).max() < _PROJ_TOL:
             break

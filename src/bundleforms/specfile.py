@@ -45,11 +45,21 @@ _CATALOG_BASES = {
     "line-cylinder": lambda: cylinder_base(line_base()),
 }
 
-_KNOWN_OPS = {
-    "validate-bundle", "validate-form", "invariants", "signature",
-    "decompose", "line-class", "homotopy-iso", "homotopy-isometry",
-    "trivialize", "witt-zero", "roundtrip-k0", "roundtrip-witt",
-    "check-witness",
+# task op -> the reference keys it requires
+_TASK_REFS = {
+    "validate-bundle": ("bundle",),
+    "validate-form": ("form",),
+    "invariants": (),
+    "signature": ("form",),
+    "decompose": ("form",),
+    "line-class": ("bundle",),
+    "homotopy-iso": ("bundle",),
+    "homotopy-isometry": ("form",),
+    "trivialize": ("bundle",),
+    "witt-zero": ("form",),
+    "roundtrip-k0": ("bundle",),
+    "roundtrip-witt": ("form",),
+    "check-witness": ("witness",),
 }
 
 
@@ -59,6 +69,7 @@ class SpecDocument:
     base: Base
     charts: dict = field(default_factory=dict)
     bundles: dict = field(default_factory=dict)
+    chart_names: dict = field(default_factory=dict)   # bundle -> its chart names
     forms: dict = field(default_factory=dict)
     sections: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
@@ -95,7 +106,8 @@ def parse_spec(text: str) -> SpecDocument:
                                       where=f"chart {name}", open_only=True)
 
     for name, decl in (raw.get("bundles") or {}).items():
-        doc.bundles[name] = _parse_bundle(name, decl, doc, compile_expr)
+        doc.bundles[name], doc.chart_names[name] = _parse_bundle(
+            name, decl, doc, compile_expr)
 
     for name, decl in (raw.get("forms") or {}).items():
         doc.forms[name] = _parse_form(name, decl, doc, compile_expr)
@@ -193,7 +205,7 @@ def _parse_matrix(rows, rank_rows, rank_cols, compile_expr, where):
     return tuple(tuple(compile_expr(e, where) for e in row) for row in rows)
 
 
-def _parse_bundle(name, decl, doc, compile_expr) -> BundleRep:
+def _parse_bundle(name, decl, doc, compile_expr) -> tuple[BundleRep, list]:
     where = f"bundle {name}"
     rank = int(decl.get("rank", -1))
     if rank < 0:
@@ -213,25 +225,24 @@ def _parse_bundle(name, decl, doc, compile_expr) -> BundleRep:
                                             f"{where} transition {key}")
     bundle = BundleRep(cover, rank, transitions, name=name,
                        default_identity=not transitions)
-    bundle.chart_names = chart_names
-    return bundle
+    return bundle, chart_names
 
 
-def _resolve_bundle(decl, doc, where) -> BundleRep:
+def _resolve_bundle(decl, doc, where) -> tuple[BundleRep, list]:
     ref = decl.get("bundle")
     if ref not in doc.bundles:
         raise UnresolvedReference(f"{where}: unknown bundle {ref!r}")
-    return doc.bundles[ref]
+    return doc.bundles[ref], doc.chart_names[ref]
 
 
 def _parse_form(name, decl, doc, compile_expr) -> FormField:
     where = f"form {name}"
-    bundle = _resolve_bundle(decl, doc, where)
+    bundle, chart_names = _resolve_bundle(decl, doc, where)
     d = bundle.rank
     n_upper = d * (d + 1) // 2
     uppers = []
     upper_decl = decl.get("upper") or {}
-    for chart_name in bundle.chart_names:
+    for chart_name in chart_names:
         if chart_name not in upper_decl:
             raise UnresolvedReference(f"{where}: missing entries for chart "
                                       f"{chart_name!r}")
@@ -246,10 +257,10 @@ def _parse_form(name, decl, doc, compile_expr) -> FormField:
 
 def _parse_section(name, decl, doc, compile_expr) -> SectionRep:
     where = f"section {name}"
-    bundle = _resolve_bundle(decl, doc, where)
+    bundle, chart_names = _resolve_bundle(decl, doc, where)
     values = []
     value_decl = decl.get("values") or {}
-    for chart_name in bundle.chart_names:
+    for chart_name in chart_names:
         if chart_name not in value_decl:
             raise UnresolvedReference(f"{where}: missing values for chart "
                                       f"{chart_name!r}")
@@ -268,17 +279,17 @@ def _parse_witness(name, decl, doc, compile_expr) -> MorphismField:
             raise UnresolvedReference(f"{where}: unknown {key} bundle")
     source = doc.bundles[decl["source"]]
     target = doc.bundles[decl["target"]]
-    if source.chart_names != target.chart_names:
+    chart_names = doc.chart_names[decl["source"]]
+    if chart_names != doc.chart_names[decl["target"]]:
         raise UnresolvedReference(f"{where}: source and target must share charts")
     if source.cover is not target.cover:
         target = BundleRep(source.cover, target.rank, target.transitions,
                            name=target.name,
                            default_identity=target.default_identity)
-        target.chart_names = source.chart_names
         doc.bundles[decl["target"]] = target
     fields = []
     field_decl = decl.get("fields") or {}
-    for chart_name in source.chart_names:
+    for chart_name in chart_names:
         if chart_name not in field_decl:
             raise UnresolvedReference(f"{where}: missing field for chart "
                                       f"{chart_name!r}")
@@ -291,10 +302,17 @@ def _check_task(task, doc) -> dict:
     if not isinstance(task, dict) or "op" not in task:
         raise SpecParseError("tasks are objects with an 'op' key")
     op = task["op"]
-    if op not in _KNOWN_OPS:
+    if not isinstance(op, str) or op not in _TASK_REFS:
         raise SpecParseError(f"unknown task op {op!r}")
+    for key in _TASK_REFS[op]:
+        if key not in task:
+            raise SpecParseError(f"task {op}: missing {key!r}")
+    if ("source_form" in task) != ("target_form" in task):
+        raise SpecParseError(f"task {op}: source_form and target_form go together")
     for key, table in (("bundle", doc.bundles), ("form", doc.forms),
-                       ("section", doc.sections), ("witness", doc.witnesses)):
-        if key in task and task[key] not in table:
+                       ("section", doc.sections), ("witness", doc.witnesses),
+                       ("source_form", doc.forms), ("target_form", doc.forms)):
+        if key in task and (not isinstance(task[key], str)
+                            or task[key] not in table):
             raise UnresolvedReference(f"task {op}: unknown {key} {task[key]!r}")
     return dict(task)

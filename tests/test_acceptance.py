@@ -376,7 +376,7 @@ def test_11_k0_witt_correspondence():
     for name, bundle in (("eps1", trivial_bundle(full_cover(point), 1)),
                          ("moebius", m)):
         form = standard_positive_form(bundle, plan=plan)
-        witness = cancellation_witness(bundle, form, plan)
+        witness = cancellation_witness(bundle, form)
         rep = check_isometry(witness, plan, tol=1e-8)
         assert rep.passed, (name, rep.as_dict())
         assert rep.max_residual < 1e-8

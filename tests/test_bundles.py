@@ -1,8 +1,11 @@
 """Cocycle validation, bundle algebra, sections, and the projector bridge."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from bundleforms import bundles as bu
 from bundleforms import expr as ex
 from bundleforms.bundles import (
     BundleRep,
@@ -41,9 +44,14 @@ from bundleforms.catalog import (
     plane_base,
     scrambled_plane_bundle,
 )
-from bundleforms.errors import GeneratorsDegenerate, NoChartFound
+from bundleforms.errors import (
+    CoverageFailure,
+    GeneratorsDegenerate,
+    GuardViolation,
+    NoChartFound,
+)
 from bundleforms.matexpr import em_const, em_eval, em_identity, em_inv, em_transpose
-from bundleforms.semialg import SamplePlan
+from bundleforms.semialg import GT, Condition, Cover, Polynomial, SamplePlan, SemialgebraicSet
 
 PLAN = SamplePlan(seed=0, n_chart=220, n_overlap=160, n_triple=100)
 
@@ -246,6 +254,22 @@ def test_coefficients_reconstruct_moebius_section():
         assert np.abs(recon - want).max() < 1e-8
 
 
+def test_coefficients_refined_chart_count(monkeypatch):
+    # each Moebius chart needs both generators' minors: 2 charts x 2 subsets
+    seen = []
+    glue = bu.partition_of_unity
+
+    def spy(cover, r, plan):
+        seen.append(cover.n_charts)
+        return glue(cover, r, plan)
+
+    m = moebius()
+    system = generating_sections(m, r=1, plan=PLAN)
+    monkeypatch.setattr(bu, "partition_of_unity", spy)
+    coefficients(system.sections[0], system, PLAN)
+    assert seen == [4]
+
+
 def test_coefficients_degenerate_generators():
     b = trivial_bundle(full_cover(line_base()), 1)
     system = generating_sections(b, r=1, plan=PLAN)
@@ -298,6 +322,11 @@ def test_moebius_projector_round_trip_keeps_class():
     assert rebuilt.rank == 1
     assert validate_cocycle(rebuilt, PLAN).passed
     assert s1_line_class(rebuilt) == 1
+
+
+def test_moebius_projector_frame_subsets():
+    rebuilt = bundle_from_projector(gauss_embedding(moebius(), plan=PLAN), PLAN)
+    assert rebuilt.frame_subsets == [(0,), (1,)]
 
 
 def test_round_trip_projector_range_agrees():
@@ -364,6 +393,42 @@ def test_s1_line_class_values():
     assert s1_line_class(circle_trivial(1, m.cover)) == 0
     assert s1_line_class(whitney_sum(m, m)) == 0
     assert s1_line_class(tensor(m, m)) == 0
+
+
+def _circle_cover(*polys):
+    charts = [SemialgebraicSet(2, [[Condition.from_poly(p, GT)]]) for p in polys]
+    return Cover(circle_base(), charts)
+
+
+def _coord(i):
+    return Polynomial.coordinate(2, i)
+
+
+def _tenth():
+    return Polynomial.constant(2, Fraction(1, 10))
+
+
+def test_s1_line_class_start_not_covered():
+    cover = _circle_cover(Polynomial.constant(2, Fraction(9, 10)) - _coord(0))
+    with pytest.raises(CoverageFailure, match="loop start not covered"):
+        s1_line_class(trivial_bundle(cover, 1))
+
+
+def test_s1_line_class_no_chart_chain():
+    # {x1 > 0.1} and {x1 < 0.1} leave the points with x1 = 0.1 uncovered
+    cover = _circle_cover(_coord(1) - _tenth(), _tenth() - _coord(1))
+    with pytest.raises(CoverageFailure) as err:
+        s1_line_class(trivial_bundle(cover, 1))
+    assert str(err.value) == "no chart chain near loop angle 0.100167"
+
+
+def test_s1_line_class_zero_transition_has_witness():
+    zero = ((ex.Const(0.0),),)
+    b = BundleRep(circle_two_arc_cover(), 1, {(0, 1): zero, (1, 0): zero})
+    with pytest.raises(GuardViolation, match="degenerate transition") as err:
+        s1_line_class(b)
+    assert err.value.point == pytest.approx(
+        (0.8703556959398997, 0.49242356010346705), abs=1e-12)
 
 
 def test_scrambled_plane_bundle_validates():

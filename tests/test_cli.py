@@ -168,6 +168,30 @@ def test_deep_spec_entry_is_an_error_entry(tmp_path, capsys):
     assert task["message"].startswith("RecursionError: ")
 
 
+@pytest.mark.parametrize("task", [
+    {"op": "signature"},
+    {"op": "line-class"},
+    {"op": "check-witness"},
+    {"op": "check-witness", "witness": "w", "source_form": "f"},
+    {"op": "check-witness", "witness": "w", "source_form": "f",
+     "target_form": "nowhere"},
+    {"op": "signature", "form": ["f"]},
+])
+def test_task_missing_or_unknown_reference_is_a_spec_error(tmp_path, capsys, task):
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    raw["forms"]["f"] = {"bundle": "eps1", "upper": {"U1": ["1"], "U2": ["1"]}}
+    raw["witnesses"] = {"w": {"source": "eps1", "target": "eps1",
+                              "fields": {"U1": [["1"]], "U2": [["1"]]}}}
+    raw["tasks"] = [task]
+    spec = tmp_path / "task.json"
+    spec.write_text(json.dumps(raw))
+    code = main(["operate", str(spec), "--samples", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: task " + task["op"])
+    assert captured.out == ""
+
+
 def test_timed_entry_records_linalg_error_and_passes_others():
     report = Report(seed=0)
     with timed_entry(report, "singular"):

@@ -1,5 +1,8 @@
 """Expression node evaluation, guards, smoothness bookkeeping."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -103,13 +106,37 @@ def test_colspan_projector_entry():
     assert np.allclose(vals, 0.5)
 
 
-def test_cholesky_entry_and_guard():
+def test_layer_tracer_names_every_matrix_op():
+    # the benchmark's tracer looks up a span for every MatrixGroup op tag
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    one = [[ex.Const(1.0)]]
+    accepted = []
+    for name, tag in vars(ex).items():
+        if not (name.isupper() and isinstance(tag, str)):
+            continue
+        try:
+            ex.MatrixGroup(tag, one, one)
+        except ValueError:
+            continue
+        accepted.append(tag)
+    assert ex.SOLVE in accepted and ex.PENCIL_SQRT in accepted
+    assert sorted(set(accepted) - set(layertrace.MATRIX_OPS)) == []
+    with pytest.raises(ValueError):
+        ex.MatrixGroup("no-such-op", one)
+
+
+def test_pencil_sqrt_entry_and_spd_guard():
+    # S = diag(4, 9), G = I: the principal square root is diag(2, 3)
     s = [[ex.Const(4.0), ex.Const(0.0)], [ex.Const(0.0), ex.Const(9.0)]]
-    group = ex.MatrixGroup(ex.CHOL, s)
+    g = [[ex.Const(1.0), ex.Const(0.0)], [ex.Const(0.0), ex.Const(1.0)]]
+    group = ex.MatrixGroup(ex.PENCIL_SQRT, s, g)
     assert ex.evaluate_at(ex.MatEntry(group, 0, 0), [0.0]) == pytest.approx(2.0)
     assert ex.evaluate_at(ex.MatEntry(group, 1, 1), [0.0]) == pytest.approx(3.0)
-    bad = ex.MatrixGroup(ex.CHOL, [[ex.Const(-1.0)]])
-    with pytest.raises(GuardViolation):
+    bad = ex.MatrixGroup(ex.PENCIL_SQRT, [[ex.Const(-1.0)]], [[ex.Const(1.0)]])
+    with pytest.raises(GuardViolation, match="pencil sqrt argument"):
         ex.evaluate_at(ex.MatEntry(bad, 0, 0), [0.0])
 
 

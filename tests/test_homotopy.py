@@ -483,7 +483,7 @@ def test_capped_ladder_is_flagged_and_reported_unknown():
     small = SamplePlan(seed=0, n_chart=70, n_overlap=50, n_triple=40)
     proj = gauss_embedding(moebius(), plan=small)
     values = partial(ex.path_projectors, proj.entries, antipodal_path(), 2)
-    ts, gap = _adaptive_t_ladder(values, circle_base(), small, 16, max_points=17)
+    ts, gap = _adaptive_t_ladder(values, circle_base(), small, max_points=17)
     assert len(ts) == 17 and gap > 0.35
     details = _ladder_details(ts, gap)
     assert details["ladder_capped"] is True
@@ -495,7 +495,7 @@ def test_capped_ladder_is_flagged_and_reported_unknown():
     report.add(entry)
     assert report.exit_code() == 3
     # the same ladder with the gap met passes
-    ts, gap = _adaptive_t_ladder(values, circle_base(), small, 16)
+    ts, gap = _adaptive_t_ladder(values, circle_base(), small)
     assert len(ts) == 1025 and gap <= 0.35
     entry = TaskEntry("homotopy-iso", "error")
     _apply_check(entry, CheckReport("isomorphism", True,

@@ -246,7 +246,7 @@ def test_roundtrip_with_catalog_witness():
 def test_cancellation_witness(make_bundle):
     bundle = make_bundle()
     form = standard_positive_form(bundle, plan=PLAN)
-    witness = cancellation_witness(bundle, form, PLAN)
+    witness = cancellation_witness(bundle, form)
     rep = check_isometry(witness, PLAN, tol=1e-8)
     assert rep.passed, rep.as_dict()
 
@@ -277,7 +277,7 @@ def test_cancellation_matrix_shape():
     # the explicit [[1, 1], [1/2, -1/2]] matrix for the unit form on eps^1
     b = trivial_bundle(full_cover(POINT), 1)
     f = FormField.constant(b, np.eye(1))
-    witness = cancellation_witness(b, f, PLAN)
+    witness = cancellation_witness(b, f)
     from bundleforms.matexpr import em_eval
     got = em_eval(witness.morphism.fields[0], np.zeros((1, 1)))[0]
     assert np.allclose(got, np.array([[1.0, 1.0], [0.5, -0.5]]))

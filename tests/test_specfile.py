@@ -66,6 +66,13 @@ def test_unknown_task_op():
         parse_spec(json.dumps(raw))
 
 
+def test_list_task_op_is_a_parse_error():
+    raw = json.loads(load("moebius.json"))
+    raw["tasks"] = [{"op": ["signature"]}]
+    with pytest.raises(SpecParseError):
+        parse_spec(json.dumps(raw))
+
+
 def test_unknown_variable_rejected():
     raw = json.loads(load("moebius.json"))
     raw["charts"]["U1"] = [["x7 - 1", ">"]]
