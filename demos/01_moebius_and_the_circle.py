@@ -65,7 +65,7 @@ print("ambient:", proj.ambient, " trace error:",
 # The complementary projector presents the orthogonal bundle, and stacking
 # both frames gives an explicit isomorphism with the ambient trivial
 # bundle: that is the stabilization step behind every K-class argument.
-comp = complement(m, plan=plan, proj=proj)
+comp = complement(m, plan=plan)
 total, triv, witness = splitting_witness(m, comp, proj)
 split = check_isomorphism(total, triv, witness, plan, tol=1e-6)
 print("moebius + complement = trivial:", split.as_dict())

@@ -72,6 +72,8 @@ class BundleRep:
         # minor-chart bundles: the projector and each chart's column subset
         self.projector = projector
         self.frame_subsets = frame_subsets
+        # certified Gauss embeddings by (r, plan), filled by gauss_embedding
+        self.embeddings: dict = {}
         for (i, j), g in self.transitions.items():
             if em_shape(g) != (self.rank, self.rank):
                 raise BundleformsError(
@@ -475,15 +477,17 @@ def _check_generating(sections, plan: SamplePlan):
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectorField:
-    """Global idempotent symmetric matrix field presenting a subbundle of eps^n."""
+    """Global idempotent symmetric matrix field presenting a subbundle of eps^n.
+
+    Frozen: `gauss_embedding` hands one cached field to every caller.
+    """
 
     base: Base
     entries: tuple        # n x n ExprMatrix over the base
     rank: int
-    source: BundleRep | None = None
-    frames: list | None = None        # per source chart: ambient frame (n x d)
+    frames: list | None = None        # per bundle chart: ambient frame (n x d)
     pou: PartitionOfUnity | None = None
 
     @property
@@ -509,17 +513,22 @@ class ProjectorField:
 
 
 def gauss_embedding(bundle: BundleRep, r: int = 1,
-                    plan: SamplePlan | None = None,
-                    system: GeneratingSystem | None = None) -> ProjectorField:
+                    plan: SamplePlan | None = None) -> ProjectorField:
     """Ambient projector onto the bundle, via the generating-section frames.
 
     In chart k the ambient frame stacks lambda_i * g_ik blockwise; the
     orthogonal projector onto its column span is chart-independent, and the
     charts' formulas are glued with the partition of unity.
+
+    The projector is certified when it is built and then kept in
+    `bundle.embeddings` under (r, plan), so later calls return that same
+    object; a projector that fails certification raises and is not kept.
     """
     plan = plan or SamplePlan()
-    system = system or generating_sections(bundle, r, plan)
-    pou = system.pou
+    field = bundle.embeddings.get((r, plan))
+    if field is not None:
+        return field
+    pou = generating_sections(bundle, r, plan).pou
     d, q = bundle.rank, bundle.cover.n_charts
     frames = []
     projs = []
@@ -530,13 +539,14 @@ def gauss_embedding(bundle: BundleRep, r: int = 1,
         frames.append(frame)
         projs.append(em_colspan_proj(frame, guard_tol=1e-12))
     entries = em_glue(pou.weights, projs)
-    field = ProjectorField(bundle.base, entries, d, bundle, frames, pou)
+    field = ProjectorField(bundle.base, entries, d, frames, pou)
     report = field.check(plan)
     if not report.passed:
         raise RankDrop(
             f"embedding projector failed certification: residual "
             f"{report.max_residual:.3e} at {report.witness}"
         )
+    bundle.embeddings[(r, plan)] = field
     return field
 
 
@@ -611,11 +621,11 @@ def projector_frames(bundle: BundleRep):
             for idx in bundle.frame_subsets]
 
 
-def complement(bundle: BundleRep, r: int = 1, plan: SamplePlan | None = None,
-               proj: ProjectorField | None = None) -> BundleRep:
+def complement(bundle: BundleRep, r: int = 1,
+               plan: SamplePlan | None = None) -> BundleRep:
     """Orthogonal complement inside the ambient trivial bundle."""
     plan = plan or SamplePlan()
-    proj = proj or gauss_embedding(bundle, r, plan)
+    proj = gauss_embedding(bundle, r, plan)
     n = proj.ambient
     q_entries = em_sub(em_identity(n), proj.entries)
     comp_proj = ProjectorField(proj.base, q_entries, n - proj.rank)

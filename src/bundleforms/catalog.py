@@ -172,7 +172,7 @@ def moebius_double_trivialization(r: int = 2, plan=None):
     base = total.base
     right = halfspace(2, [1, 0], 0.8, op=">=")   # contains {x0 >= sqrt(3)/2}
     left = halfspace(2, [-1, 0], 0.8, op=">=")
-    mix = separating_function(right, left, r, plan, base.box, within=base.sset)
+    mix = separating_function(right, left, r, plan, base)
     c = ex.Sub(ex.Const(1.0), ex.Mul(ex.Const(2.0), mix))        # 1 - 2m
     z = ex.Mul(ex.Const(4.0), ex.Mul(mix, ex.Sub(ex.Const(1.0), mix)))
     a1 = ((c, ex.Sub(ex.Const(0.0), z)), (z, c))

@@ -180,12 +180,11 @@ def validate_form(form: FormField, plan: SamplePlan | None = None,
 
 
 def standard_positive_form(bundle: BundleRep, r: int = 1,
-                           plan: SamplePlan | None = None,
-                           proj: ProjectorField | None = None) -> FormField:
+                           plan: SamplePlan | None = None) -> FormField:
     """Restrict the ambient inner product through the Gauss embedding:
     s_i = A_i^T A_i with A_i the chart frame in the ambient trivial bundle."""
     plan = plan or SamplePlan()
-    proj = proj or gauss_embedding(bundle, r, plan)
+    proj = gauss_embedding(bundle, r, plan)
     mats = [em_mul(em_transpose(a), a) for a in proj.frames]
     return FormField(bundle, mats, name=f"pos({bundle.name})", proj=proj)
 
@@ -694,8 +693,7 @@ def positive_isometry(form: FormField, target: FormField,
 
 
 def isometry_same_bundle(form: FormField, target: FormField,
-                         plan: SamplePlan | None = None,
-                         reference: FormField | None = None) -> IsometryWitness:
+                         plan: SamplePlan | None = None) -> IsometryWitness:
     """Isometry between two forms of equal signature on one bundle.
 
     Split both forms against a common positive reference; the projector
@@ -708,7 +706,7 @@ def isometry_same_bundle(form: FormField, target: FormField,
     plan = plan or SamplePlan()
     if form.bundle is not target.bundle:
         raise BaseMismatch("same-bundle isometry needs a shared bundle")
-    reference = reference or standard_positive_form(form.bundle, plan=plan)
+    reference = standard_positive_form(form.bundle, plan=plan)
     src = decompose(form, plan, reference)
     tgt = decompose(target, plan, reference)
     if src.sig != tgt.sig:

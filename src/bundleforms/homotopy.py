@@ -62,7 +62,7 @@ from .matexpr import (
     em_transpose,
 )
 from .semialg import (Base, Condition, Cover, Polynomial, SamplePlan,
-                      SemialgebraicSet, sample)
+                      SemialgebraicSet)
 from .unity import shrink_cover
 
 DEFAULT_TRANSPORT_STEPS = 16
@@ -189,7 +189,7 @@ def _certify_strips(bundle: BundleRep, decomp: StripDecomposition,
                     plan: SamplePlan):
     cyl = bundle.base
     region = cyl.cylinder_base.sset.intersect(decomp.base_chart)
-    pts, _ = sample(region, plan, cyl.cylinder_base.box, plan.n_overlap)
+    pts, _ = cyl.cylinder_base.sample_region(region, plan, plan.n_overlap)
     if pts.shape[0] == 0:
         return
     for k, chart_idx in enumerate(decomp.strip_charts):
@@ -229,7 +229,7 @@ def clutch(bundle: BundleRep, strips: StripDecomposition,
     d = bundle.rank
     trivializations = trivializations or [em_identity(d) for _ in strips.strip_charts]
     region = base_x.sset.intersect(strips.base_chart)
-    pts, _ = sample(region, plan, base_x.box, plan.n_overlap)
+    pts, _ = base_x.sample_region(region, plan, plan.n_overlap)
     glued = [em_mul(em_identity(d), trivializations[0])]
     accumulated = em_identity(d)
     max_var = 0.0
@@ -294,7 +294,7 @@ def restrict_cylinder(bundle: BundleRep, t_value: float,
     for i, chart in enumerate(bundle.cover.charts):
         sliced = chart.mapped(base_x.dim, lambda p: p.compose(const_maps),
                               lambda e: ex.substitute(e, mapping))
-        pts, warn = sample(base_x.sset.intersect(sliced), plan, base_x.box, 24)
+        pts, warn = base_x.sample_region(base_x.sset.intersect(sliced), plan, 24)
         if warn or pts.shape[0] == 0:
             continue
         charts.append(sliced)

@@ -13,7 +13,7 @@ decided symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -213,19 +213,21 @@ class Condition:
         return Condition(self.expression, GE if self.op == GT else self.op, self.poly)
 
 
-def _safe_eval(node: ex.Expr, points: np.ndarray) -> np.ndarray:
-    """Evaluate, marking points that violate guards with NaN."""
+def _safe_eval(node: ex.Expr, ctx: ex.EvalContext) -> np.ndarray:
+    """Evaluate in the context, marking points that violate guards with NaN:
+    on a violation, each half of the points is retried in a fresh context."""
     try:
-        return ex.evaluate(node, points)
+        return node.eval(ctx)
     except ex.GuardViolation:
         pass
+    points = ctx.points
     n = points.shape[0]
     if n == 1:
         return np.array([np.nan])
     half = n // 2
     return np.concatenate([
-        _safe_eval(node, points[:half]),
-        _safe_eval(node, points[half:]),
+        _safe_eval(node, ex.EvalContext(points[:half])),
+        _safe_eval(node, ex.EvalContext(points[half:])),
     ])
 
 
@@ -250,6 +252,9 @@ class SemialgebraicSet:
         points = np.asarray(points, dtype=float)
         if points.shape[0] == 0:
             return np.zeros(0, dtype=bool)
+        # one context for every condition: subexpressions that several
+        # conditions share are evaluated once
+        ctx = ex.EvalContext(points)
         out = np.zeros(points.shape[0], dtype=bool)
         for piece in self.pieces:
             mask = np.ones(points.shape[0], dtype=bool)
@@ -257,7 +262,7 @@ class SemialgebraicSet:
                 if not mask.any():
                     break
                 vals = (cond.poly.eval(points) if cond.poly is not None
-                        else _safe_eval(cond.expression, points))
+                        else _safe_eval(cond.expression, ctx))
                 with np.errstate(invalid="ignore"):
                     if cond.op == GT:
                         mask &= vals > margin
@@ -400,22 +405,45 @@ def _project_to_variety(points: np.ndarray, polys: list[Polynomial]) -> np.ndarr
     return pts
 
 
+def _cloud(box, n: int, seed: int, eqs: list[Polynomial],
+           memo: dict) -> np.ndarray:
+    """The n seeded candidates in the box, projected onto the equations.
+
+    The cloud is kept in the memo, read-only, under (box, n, seed,
+    equations): it is a pure function of that key, so a hit returns the
+    very array a fresh draw and projection would compute.
+    """
+    key = (tuple(map(tuple, box)), n, seed,
+           tuple(tuple(sorted(p.terms.items())) for p in eqs))
+    hit = memo.get(key)
+    if hit is None:
+        hit = _candidates(box, n, seed)
+        if eqs:
+            hit = _project_to_variety(hit, eqs)
+        hit.flags.writeable = False
+        memo[key] = hit
+    return hit
+
+
 def sample(sset: SemialgebraicSet, plan: SamplePlan, box,
-           count: int | None = None) -> tuple[np.ndarray, bool]:
+           count: int | None = None,
+           memo: dict | None = None) -> tuple[np.ndarray, bool]:
     """Sample points of the set inside the box.
 
     Returns (points, warning) where warning is True when nothing was found
-    (empty set on the scanned box, or contradictory conditions).
+    (empty set on the scanned box, or contradictory conditions).  `memo`
+    keeps the candidate clouds (see `_cloud`); callers sampling a region of
+    a base pass the base's `clouds` through `Base.sample_region`.
     """
     count = plan.n_chart if count is None else count
+    memo = {} if memo is None else memo
     collected: list[np.ndarray] = []
     total = 0
     for round_idx in range(4):
         n_cand = max(4 * count, 256) * (round_idx + 1)
-        cands = _candidates(box, n_cand, plan.seed + 7919 * round_idx)
+        seed = plan.seed + 7919 * round_idx
         for piece in sset.pieces:
-            eqs = sset.equality_polys(piece)
-            pts = _project_to_variety(cands, eqs) if eqs else cands
+            pts = _cloud(box, n_cand, seed, sset.equality_polys(piece), memo)
             piece_set = SemialgebraicSet(sset.dim, [piece])
             keep = piece_set.membership(pts, margin=plan.margin, eq_tol=1e-12)
             if keep.any():
@@ -442,7 +470,11 @@ class CircleGeometry:
 
 @dataclass(frozen=True)
 class Base:
-    """A base space: its set, a scan box, and catalog attributes."""
+    """A base space: its set, a scan box, and catalog attributes.
+
+    `clouds` is the base's sampling memo (see `_cloud`): it lives as long
+    as the base and holds only arrays, never an object that points back.
+    """
 
     sset: SemialgebraicSet
     box: tuple
@@ -452,14 +484,20 @@ class Base:
     circle: CircleGeometry | None = None
     cylinder_base: "Base | None" = None
     t_index: int | None = None
+    clouds: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     @property
     def dim(self) -> int:
         return self.sset.dim
 
+    def sample_region(self, region: SemialgebraicSet, plan: SamplePlan,
+                      count: int | None) -> tuple[np.ndarray, bool]:
+        """`sample` of a region inside this base's box, with its memo."""
+        return sample(region, plan, self.box, count, self.clouds)
+
     def sample_points(self, plan: SamplePlan, count: int | None = None) -> np.ndarray:
-        pts, _ = sample(self.sset, plan, self.box, count)
-        return pts
+        return self.sample_region(self.sset, plan, count)[0]
 
 
 @dataclass
@@ -522,7 +560,7 @@ class Cover:
         key = ("chart", i, plan)
         if key not in self._sample_cache:
             region = self.base.sset.intersect(self.charts[i])
-            pts, _ = sample(region, plan, self.base.box, plan.n_chart)
+            pts, _ = self.base.sample_region(region, plan, plan.n_chart)
             self._sample_cache[key] = pts
         return self._sample_cache[key]
 
@@ -530,7 +568,7 @@ class Cover:
         key = ("overlap", min(i, j), max(i, j), plan)
         if key not in self._sample_cache:
             region = self.base.sset.intersect(self.charts[i]).intersect(self.charts[j])
-            pts, _ = sample(region, plan, self.base.box, plan.n_overlap)
+            pts, _ = self.base.sample_region(region, plan, plan.n_overlap)
             self._sample_cache[key] = pts
         return self._sample_cache[key]
 
@@ -539,7 +577,7 @@ class Cover:
         if key not in self._sample_cache:
             region = (self.base.sset.intersect(self.charts[i])
                       .intersect(self.charts[j]).intersect(self.charts[k]))
-            pts, _ = sample(region, plan, self.base.box, plan.n_triple)
+            pts, _ = self.base.sample_region(region, plan, plan.n_triple)
             self._sample_cache[key] = pts
         return self._sample_cache[key]
 
@@ -558,7 +596,7 @@ class Cover:
             for j, cj in enumerate(other.charts):
                 inter = ci.intersect(cj)
                 region = self.base.sset.intersect(inter)
-                pts, warn = sample(region, plan, self.base.box, 16)
+                pts, warn = self.base.sample_region(region, plan, 16)
                 if warn or pts.shape[0] == 0:
                     continue
                 charts.append(inter)

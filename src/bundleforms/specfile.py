@@ -123,11 +123,17 @@ def parse_spec(text: str) -> SpecDocument:
     return doc
 
 
+def _declared(ref, table, what: str):
+    """`ref` itself, once it is a string naming an entry of `table`.  Any
+    other value, a list say, is an unresolved reference: it is never hashed."""
+    if not (isinstance(ref, str) and ref in table):
+        raise UnresolvedReference(f"{what} {ref!r}")
+    return ref
+
+
 def _parse_base(decl) -> Base:
     if "catalog" in decl:
-        name = decl["catalog"]
-        if name not in _CATALOG_BASES:
-            raise UnresolvedReference(f"unknown catalog base {name!r}")
+        name = _declared(decl["catalog"], _CATALOG_BASES, "unknown catalog base")
         return _CATALOG_BASES[name]()
     try:
         dim = int(decl["dim"])
@@ -191,11 +197,8 @@ def _chart_list(decl, doc, where):
     names = decl.get("charts")
     if not names:
         raise SpecParseError(f"{where}: missing chart list")
-    charts = []
-    for n in names:
-        if n not in doc.charts:
-            raise UnresolvedReference(f"{where}: unknown chart {n!r}")
-        charts.append(doc.charts[n])
+    charts = [doc.charts[_declared(n, doc.charts, f"{where}: unknown chart")]
+              for n in names]
     return list(names), charts
 
 
@@ -229,9 +232,7 @@ def _parse_bundle(name, decl, doc, compile_expr) -> tuple[BundleRep, list]:
 
 
 def _resolve_bundle(decl, doc, where) -> tuple[BundleRep, list]:
-    ref = decl.get("bundle")
-    if ref not in doc.bundles:
-        raise UnresolvedReference(f"{where}: unknown bundle {ref!r}")
+    ref = _declared(decl.get("bundle"), doc.bundles, f"{where}: unknown bundle")
     return doc.bundles[ref], doc.chart_names[ref]
 
 
@@ -274,19 +275,19 @@ def _parse_section(name, decl, doc, compile_expr) -> SectionRep:
 
 def _parse_witness(name, decl, doc, compile_expr) -> MorphismField:
     where = f"witness {name}"
-    for key in ("source", "target"):
-        if decl.get(key) not in doc.bundles:
-            raise UnresolvedReference(f"{where}: unknown {key} bundle")
-    source = doc.bundles[decl["source"]]
-    target = doc.bundles[decl["target"]]
-    chart_names = doc.chart_names[decl["source"]]
-    if chart_names != doc.chart_names[decl["target"]]:
+    source_ref, target_ref = (
+        _declared(decl.get(key), doc.bundles, f"{where}: unknown {key} bundle")
+        for key in ("source", "target"))
+    source = doc.bundles[source_ref]
+    target = doc.bundles[target_ref]
+    chart_names = doc.chart_names[source_ref]
+    if chart_names != doc.chart_names[target_ref]:
         raise UnresolvedReference(f"{where}: source and target must share charts")
     if source.cover is not target.cover:
         target = BundleRep(source.cover, target.rank, target.transitions,
                            name=target.name,
                            default_identity=target.default_identity)
-        doc.bundles[decl["target"]] = target
+        doc.bundles[target_ref] = target
     fields = []
     field_decl = decl.get("fields") or {}
     for chart_name in chart_names:
@@ -312,7 +313,6 @@ def _check_task(task, doc) -> dict:
     for key, table in (("bundle", doc.bundles), ("form", doc.forms),
                        ("section", doc.sections), ("witness", doc.witnesses),
                        ("source_form", doc.forms), ("target_form", doc.forms)):
-        if key in task and (not isinstance(task[key], str)
-                            or task[key] not in table):
-            raise UnresolvedReference(f"task {op}: unknown {key} {task[key]!r}")
+        if key in task:
+            _declared(task[key], table, f"task {op}: unknown {key}")
     return dict(task)

@@ -23,6 +23,7 @@ from .semialg import (
     GE,
     GT,
     EQ,
+    Base,
     Condition,
     Cover,
     SamplePlan,
@@ -62,20 +63,20 @@ def zero_function(closed: SemialgebraicSet, r: int) -> ex.Expr:
 
 
 def separating_function(x_set: SemialgebraicSet, y_set: SemialgebraicSet, r: int,
-                        plan: SamplePlan | None = None, box=None,
-                        within: SemialgebraicSet | None = None) -> ex.Expr:
+                        plan: SamplePlan | None = None,
+                        base: Base | None = None) -> ex.Expr:
     """C^r function with value exactly 0 on X and exactly 1 on Y.
 
     Built as g^2 / (g^2 + h^2) from the zero functions of the two sets.
-    When a plan and box are given, disjointness is certified on samples
-    (restricted to `within` if provided).
+    When a plan and base are given, disjointness is certified on samples
+    of the base.
     """
     g = zero_function(x_set, r)
     h = zero_function(y_set, r)
-    if plan is not None and box is not None:
+    if plan is not None and base is not None:
         for a, b in ((x_set, y_set), (y_set, x_set)):
-            region = a if within is None else a.intersect(within)
-            pts, _ = sample(region, plan, box, plan.n_overlap)
+            pts, _ = base.sample_region(a.intersect(base.sset), plan,
+                                        plan.n_overlap)
             if pts.shape[0]:
                 inside = b.membership(pts, eq_tol=1e-9)
                 if inside.any():
@@ -116,7 +117,7 @@ def shrink_cover(cover: Cover, r: int = 1, plan: SamplePlan | None = None) -> Sh
         others = SemialgebraicSet(dim, remaining)
         c_k = others.complement()          # closed, possibly off-base junk included
         u_complement = cover.charts[k].complement()
-        h = separating_function(c_k, u_complement, r, plan, base.box, within=base.sset)
+        h = separating_function(c_k, u_complement, r, plan, base)
         # V_k = {h < 1/2}; its closure {h <= 1/2} avoids {h = 1} = complement(U_k)
         v_expr = ex.Sub(ex.Const(0.5), h)
         v_k = SemialgebraicSet(dim, [[Condition(v_expr, GT)]])
@@ -132,7 +133,7 @@ def shrink_cover(cover: Cover, r: int = 1, plan: SamplePlan | None = None) -> Sh
     # closure-containment certificate: closure(V_k) stays inside U_k at samples
     for k, v_k in enumerate(new_charts):
         closed = v_k.closure().intersect(base.sset)
-        pts, _ = sample(closed, plan, base.box, plan.n_overlap)
+        pts, _ = base.sample_region(closed, plan, plan.n_overlap)
         if pts.shape[0]:
             inside = cover.charts[k].membership(pts)
             if not inside.all():

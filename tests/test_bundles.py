@@ -359,7 +359,7 @@ def test_complement_of_trivial_is_rank_zero():
 def test_moebius_complement_and_splitting_witness():
     m = moebius()
     proj = gauss_embedding(m, plan=PLAN)
-    comp = complement(m, plan=PLAN, proj=proj)
+    comp = complement(m, plan=PLAN)
     assert comp.rank == proj.ambient - 1
     total, triv, witness = splitting_witness(m, comp, proj)
     report = check_isomorphism(total, triv, witness, PLAN, tol=1e-6)

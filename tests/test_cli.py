@@ -192,6 +192,36 @@ def test_task_missing_or_unknown_reference_is_a_spec_error(tmp_path, capsys, tas
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("where,edit", [
+    ("form unit_moebius", lambda raw: raw["forms"]["unit_moebius"].update(
+        bundle=["moebius"])),
+    ("witness w", lambda raw: raw.update(witnesses={"w": {
+        "source": ["eps1"], "target": "eps1",
+        "fields": {"U1": [["1"]], "U2": [["1"]]}}})),
+    ("witness w", lambda raw: raw.update(witnesses={"w": {
+        "source": "eps1", "target": {"name": "eps1"},
+        "fields": {"U1": [["1"]], "U2": [["1"]]}}})),
+    ("section s", lambda raw: raw.update(sections={"s": {
+        "bundle": ["eps1"], "values": {"U1": ["1"], "U2": ["1"]}}})),
+    ("bundle eps1", lambda raw: raw["bundles"]["eps1"].update(
+        charts=[["U1"], "U2"])),
+    ("unknown catalog base", lambda raw: raw.update(base={"catalog": ["circle"]})),
+])
+def test_unhashable_declaration_reference_is_a_spec_error(tmp_path, capsys,
+                                                          where, edit):
+    # a list or object where a name belongs is an error line, not a
+    # TypeError traceback
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    edit(raw)
+    spec = tmp_path / "refs.json"
+    spec.write_text(json.dumps(raw))
+    code = main(["operate", str(spec), "--samples", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: " + where)
+    assert captured.out == ""
+
+
 def test_timed_entry_records_linalg_error_and_passes_others():
     report = Report(seed=0)
     with timed_entry(report, "singular"):

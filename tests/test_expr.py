@@ -1,12 +1,15 @@
 """Expression node evaluation, guards, smoothness bookkeeping."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bundleforms import expr as ex
+from bundleforms import semialg
+from bundleforms.catalog import circle_base
 from bundleforms.errors import DimensionMismatch, GuardViolation
 from bundleforms.matexpr import em_identity
 
@@ -106,12 +109,17 @@ def test_colspan_projector_entry():
     assert np.allclose(vals, 0.5)
 
 
-def test_layer_tracer_names_every_matrix_op():
-    # the benchmark's tracer looks up a span for every MatrixGroup op tag
+def load_layertrace():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
     spec = importlib.util.spec_from_file_location("layertrace", path)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace
+
+
+def test_layer_tracer_names_every_matrix_op():
+    # the benchmark's tracer looks up a span for every MatrixGroup op tag
+    layertrace = load_layertrace()
     one = [[ex.Const(1.0)]]
     accepted = []
     for name, tag in vars(ex).items():
@@ -126,6 +134,26 @@ def test_layer_tracer_names_every_matrix_op():
     assert sorted(set(accepted) - set(layertrace.MATRIX_OPS)) == []
     with pytest.raises(ValueError):
         ex.MatrixGroup("no-such-op", one)
+
+
+def test_layer_tracer_binds_sample_plan_and_count():
+    # the benchmark's sample hook binds `plan` and `count` by name from
+    # sample's signature, for every way the library calls it
+    layertrace = load_layertrace()
+    params = inspect.signature(semialg.sample).parameters
+    assert list(params)[:4] == ["sset", "plan", "box", "count"]
+    base = circle_base()
+    plan = semialg.SamplePlan(seed=0, n_chart=40)
+    tracer = layertrace.LayerTracer()
+    with tracer.installed():
+        base.sample_points(plan)                      # count None: n_chart
+        base.sample_region(base.sset, plan, 25)       # positional count
+        semialg.sample(base.sset, plan, base.box, count=30)
+    got = tracer.snapshot()
+    assert got["semialg.sample.calls"] == 3
+    assert tracer.sample_requested == 40 + 25 + 30
+    assert got["semialg.sample.points"] == 40 + 25 + 30
+    assert not hasattr(semialg.sample, "__wrapped__")    # restored on exit
 
 
 def test_pencil_sqrt_entry_and_spd_guard():

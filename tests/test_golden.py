@@ -1,9 +1,11 @@
 """CLI machine reports against golden files recorded before refactors.
 
-The files under tests/golden/ were written by `cli.run_tasks` at
-`--samples 200`, seed 0.  They are the behaviour baseline: a change that
-breaks this test has changed a verdict, an invariant, a message or a
-witness point, and the golden files are not rewritten to hide that.
+The files under tests/golden/ were written by `cli.run_tasks` at seed 0,
+at `--samples 200` (`<spec>.<subcommand>.json`) and at the CLI's default
+`--samples 1000` (`<spec>.<subcommand>.samples1000.json`).  They are the
+behaviour baseline: a change that breaks this test has changed a verdict,
+an invariant, a message or a witness point, and the golden files are not
+rewritten to hide that.
 Residuals may move in the last rounded digit under reordered arithmetic,
 so they are held only to the tolerance of their task.
 """
@@ -20,6 +22,8 @@ SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
 RUNS = [("moebius", "report"), ("moebius", "decompose"), ("moebius", "rings"),
         ("moebius_cylinder", "report")]
+DEFAULT_SAMPLE_RUNS = [("moebius", "report"), ("moebius", "decompose"),
+                       ("moebius", "rings")]
 
 # residual tolerance per task kind, as the CLI checks each one
 TOLERANCE = {
@@ -34,20 +38,18 @@ TOLERANCE = {
 }
 
 
-def machine_report(stem: str, subcommand: str) -> dict:
+def machine_report(stem: str, subcommand: str, samples: int) -> dict:
     path = SPECS / f"{stem}.json"
     doc = specfile.parse_spec(path.read_text(encoding="utf-8"))
     args = cli.build_parser().parse_args(
-        [subcommand, str(path), "--samples", "200", "--seed", "0"])
+        [subcommand, str(path), "--samples", str(samples), "--seed", "0"])
     tasks = cli._SUBCOMMANDS[subcommand](doc, args)
     report = cli.run_tasks(doc, tasks, cli._plan(args), args.tol, args.witness_tol)
     return json.loads(report.machine_text())
 
 
-@pytest.mark.parametrize("stem,subcommand", RUNS)
-def test_machine_report_matches_golden(stem, subcommand):
-    want = json.loads((GOLDEN / f"{stem}.{subcommand}.json").read_text())
-    got = machine_report(stem, subcommand)
+def assert_matches_golden(name: str, got: dict):
+    want = json.loads((GOLDEN / name).read_text())
     assert (got["seed"], got["exit_code"]) == (want["seed"], want["exit_code"])
     assert [t["name"] for t in got["tasks"]] == [t["name"] for t in want["tasks"]]
     for new, old in zip(got["tasks"], want["tasks"]):
@@ -58,3 +60,15 @@ def test_machine_report_matches_golden(stem, subcommand):
         elif new["status"] == "pass":
             tol = TOLERANCE[new["name"].split()[0]]
             assert new["max_residual"] < tol, new["name"]
+
+
+@pytest.mark.parametrize("stem,subcommand", RUNS)
+def test_machine_report_matches_golden(stem, subcommand):
+    assert_matches_golden(f"{stem}.{subcommand}.json",
+                          machine_report(stem, subcommand, 200))
+
+
+@pytest.mark.parametrize("stem,subcommand", DEFAULT_SAMPLE_RUNS)
+def test_machine_report_at_default_samples_matches_golden(stem, subcommand):
+    assert_matches_golden(f"{stem}.{subcommand}.samples1000.json",
+                          machine_report(stem, subcommand, 1000))

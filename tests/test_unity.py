@@ -58,10 +58,13 @@ def test_zero_function_rejects_open_sets():
         zero_function(interval(lo=0.0), 1)
 
 
+WIDE_LINE = Base(SemialgebraicSet.whole_space(1), box=((-2.0, 2.0),), name="line")
+
+
 def test_separating_function_values():
     x_set = interval(hi=0.0, strict=False)
     y_set = interval(lo=1.0, strict=False)
-    f = separating_function(x_set, y_set, 1, SamplePlan(seed=0), box=((-2.0, 2.0),))
+    f = separating_function(x_set, y_set, 1, SamplePlan(seed=0), base=WIDE_LINE)
     assert ex.evaluate_at(f, [0.0]) == 0.0
     assert ex.evaluate_at(f, [-1.5]) == 0.0
     assert ex.evaluate_at(f, [1.0]) == 1.0
@@ -79,7 +82,7 @@ def test_separating_function_not_disjoint():
     with pytest.raises(NotDisjoint):
         separating_function(interval(hi=1.0, strict=False),
                             interval(lo=0.0, strict=False),
-                            1, SamplePlan(seed=0), box=((-2.0, 2.0),))
+                            1, SamplePlan(seed=0), base=WIDE_LINE)
 
 
 def two_interval_cover():
