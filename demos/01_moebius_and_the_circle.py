@@ -38,7 +38,7 @@ print("bundle:", m)
 report = validate_cocycle(m, plan)
 print("cocycle check:", report.as_dict())
 
-pts = m.cover.overlap_samples(0, 1, plan)
+pts = m.cover.samples((0, 1), plan)
 signs = em_eval(m.transition(0, 1), pts)[:, 0, 0]
 print(f"overlap samples: {pts.shape[0]}, transition values: "
       f"{sorted(set(signs))}")

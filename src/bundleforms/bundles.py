@@ -37,7 +37,6 @@ from .matexpr import (
     em_hstack,
     em_identity,
     em_inv,
-    em_inv_transpose,
     em_kron,
     em_scale,
     em_shape,
@@ -45,6 +44,7 @@ from .matexpr import (
     em_sub,
     em_submatrix,
     em_subst,
+    em_transpose,
     em_zero_gate,
 )
 from .semialg import GT, Base, Condition, Cover, SamplePlan, SemialgebraicSet
@@ -186,10 +186,8 @@ def sampled_regions(cover: Cover, plan: SamplePlan, arity: int):
     chart fields, say) is computed once; the context is dropped when the
     visit ends.
     """
-    fetch = {1: cover.chart_samples, 2: cover.overlap_samples,
-             3: cover.triple_samples}[arity]
     for idx in itertools.permutations(range(cover.n_charts), arity):
-        pts = fetch(*idx, plan)
+        pts = cover.samples(idx, plan)
         if pts.shape[0] == 0:
             continue
         ctx = ex.EvalContext(pts)
@@ -289,7 +287,7 @@ def whitney_sum(b1: BundleRep, b2: BundleRep) -> BundleRep:
 def tensor(b1: BundleRep, b2: BundleRep) -> BundleRep:
     _require_same_base(b1, b2)
     if b1.rank == 0 or b2.rank == 0:
-        return BundleRep(b1.cover, 0, {}, name="rank0", default_identity=True)
+        return trivial_bundle(b1.cover, 0, "rank0")
     a, b = common_cover(b1, b2)
     transitions = {}
     for i, j, ga, gb in _paired(a, b):
@@ -303,7 +301,7 @@ def dual(b: BundleRep) -> BundleRep:
     transitions = {}
     for i, j in itertools.permutations(range(q), 2):
         try:
-            transitions[(i, j)] = em_inv_transpose(b.transition(i, j))
+            transitions[(i, j)] = em_transpose(em_inv(b.transition(i, j)))
         except BundleformsError:
             continue
     return BundleRep(b.cover, b.rank, transitions, name=f"dual({b.name})",
@@ -585,7 +583,7 @@ def bundle_from_projector(proj: ProjectorField, plan: SamplePlan | None = None,
     if d == 0:
         cover = Cover(base, [SemialgebraicSet.whole_space(base.dim)],
                       name=f"{name or 'rank0'}-cover")
-        return BundleRep(cover, 0, {}, name=name or "rank0", default_identity=True)
+        return trivial_bundle(cover, 0, name or "rank0")
     pts = base.sample_points(plan)
     if pts.shape[0] == 0:
         raise CoverageFailure("projector base yielded no sample points")

@@ -81,9 +81,9 @@ def cylinder_base(base: Base, t_lo: float = -0.3, t_hi: float = 1.3) -> Base:
     )
 
 
-def full_cover(base: Base, name: str = "") -> Cover:
+def full_cover(base: Base) -> Cover:
     return Cover(base, [SemialgebraicSet.whole_space(base.dim)],
-                 name=name or f"{base.name}-full")
+                 name=f"{base.name}-full")
 
 
 def circle_two_arc_cover(base: Base | None = None) -> Cover:
@@ -100,19 +100,19 @@ def sign_of_x0() -> ex.Expr:
     return ex.Div(ex.Var(0), ex.Abs(ex.Var(0)), guard_tol=1e-9)
 
 
-def moebius(cover: Cover | None = None) -> BundleRep:
-    cover = cover or circle_two_arc_cover()
+def moebius() -> BundleRep:
     s = sign_of_x0()
-    return BundleRep(cover, 1, {(0, 1): ((s,),), (1, 0): ((s,),)}, name="moebius")
+    return BundleRep(circle_two_arc_cover(), 1,
+                     {(0, 1): ((s,),), (1, 0): ((s,),)}, name="moebius")
 
 
-def moebius_corrupted(cover: Cover | None = None) -> BundleRep:
+def moebius_corrupted() -> BundleRep:
     """Moebius with the return transition's sign flipped on one component:
     g01 * g10 = -1 on the left overlap component, so the cocycle fails."""
-    cover = cover or circle_two_arc_cover()
     s = sign_of_x0()
     one = ex.Const(1.0)
-    return BundleRep(cover, 1, {(0, 1): ((s,),), (1, 0): ((one,),)},
+    return BundleRep(circle_two_arc_cover(), 1,
+                     {(0, 1): ((s,),), (1, 0): ((one,),)},
                      name="moebius-corrupted")
 
 
@@ -150,7 +150,7 @@ def scrambled_plane_bundle(base: Base | None = None) -> BundleRep:
     return BundleRep(cover, 2, {(0, 1): g12, (1, 0): g21}, name="scrambled-plane")
 
 
-def moebius_double_trivialization(r: int = 2, plan=None):
+def moebius_double_trivialization(plan=None):
     """Witness that moebius + moebius is trivial of rank 2.
 
     The sum's overlap cocycle diag(s, s) with s = sign(x0) is written as
@@ -172,7 +172,7 @@ def moebius_double_trivialization(r: int = 2, plan=None):
     base = total.base
     right = halfspace(2, [1, 0], 0.8, op=">=")   # contains {x0 >= sqrt(3)/2}
     left = halfspace(2, [-1, 0], 0.8, op=">=")
-    mix = separating_function(right, left, r, plan, base)
+    mix = separating_function(right, left, 2, plan, base)
     c = ex.Sub(ex.Const(1.0), ex.Mul(ex.Const(2.0), mix))        # 1 - 2m
     z = ex.Mul(ex.Const(4.0), ex.Mul(mix, ex.Sub(ex.Const(1.0), mix)))
     a1 = ((c, ex.Sub(ex.Const(0.0), z)), (z, c))
@@ -189,7 +189,9 @@ def cylinder_projection_map(base: Base):
 
 
 def scaling_homotopy_map(base: Base):
-    """H(x, t) = t * x as polynomial components on base x R."""
+    """H(x, t) = c + t (x - c) about the base's star center c, as
+    polynomial components on base x R."""
     dim = base.dim + 1
     t = Polynomial.coordinate(dim, base.dim)
-    return [Polynomial.coordinate(dim, i) * t for i in range(base.dim)]
+    return [_const(dim, c) + t * (_coord(dim, i) - _const(dim, c))
+            for i, c in enumerate(base.star_center)]

@@ -2,15 +2,16 @@
 
 
 class BundleformsError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  `point` is the sampled point
+    that witnesses the failure, where there is one."""
+
+    def __init__(self, *args, point=None):
+        super().__init__(*args)
+        self.point = None if point is None else tuple(float(v) for v in point)
 
 
 class GuardViolation(BundleformsError):
     """An expression was evaluated outside its declared domain."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = None if point is None else tuple(float(v) for v in point)
 
 
 class DimensionMismatch(BundleformsError):
@@ -50,9 +51,7 @@ class RankDrop(BundleformsError):
 
 
 class NoChartFound(BundleformsError):
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = None if point is None else tuple(float(v) for v in point)
+    pass
 
 
 class NotCatalogBase(BundleformsError):
@@ -81,9 +80,7 @@ class NotPositive(BundleformsError):
 
 
 class TCoverGap(BundleformsError):
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = None if point is None else tuple(float(v) for v in point)
+    pass
 
 
 class BandMismatch(BundleformsError):

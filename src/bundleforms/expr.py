@@ -245,13 +245,9 @@ class Div(_Binary):
 
     def _eval(self, ctx):
         den = self.b.eval(ctx)
-        bad = np.abs(den) <= self.guard_tol
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise GuardViolation(
-                f"quotient denominator {abs(den[i]):.3e} within guard {self.guard_tol:.1e}",
-                point=ctx.points[i],
-            )
+        _guard(np.abs(den) <= self.guard_tol, ctx, lambda i:
+               f"quotient denominator {abs(den[i]):.3e} within guard "
+               f"{self.guard_tol:.1e}")
         return self.a.eval(ctx) / den
 
     def rebuild(self, children):
@@ -304,12 +300,8 @@ class Sqrt(_Unary):
 
     def _eval(self, ctx):
         v = self.arg.eval(ctx)
-        bad = v < -self.guard_tol
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise GuardViolation(
-                f"sqrt argument {v[i]:.3e} is negative", point=ctx.points[i]
-            )
+        _guard(v < -self.guard_tol, ctx, lambda i:
+               f"sqrt argument {v[i]:.3e} is negative")
         return np.sqrt(np.maximum(v, 0.0))
 
     def rebuild(self, children):

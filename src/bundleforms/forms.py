@@ -5,7 +5,7 @@ across overlaps through the transitions.  Diagonalization runs a pivoted
 congruence Gram-Schmidt (columns normalized by |s(w,w)|^(-1/2)); where all
 candidate diagonals vanish a hyperbolic-pair fix restores a usable pivot.
 The positive/negative splitting uses the sign-projectors of the pencil
-G^-1 S against a positive reference form, which is chart-free up to
+G^-1 S against the standard positive form, which is chart-free up to
 conjugation; the two-chart convex-blend construction is kept as a separate
 operation for cross-validation.
 """
@@ -140,12 +140,12 @@ class FormField:
         return cls(bundle, mats, name)
 
     @classmethod
-    def constant(cls, bundle: BundleRep, matrix, name: str = "") -> "FormField":
+    def constant(cls, bundle: BundleRep, matrix) -> "FormField":
         matrix = np.asarray(matrix, dtype=float)
         if not np.allclose(matrix, matrix.T):
             raise DimensionMismatch("constant form must be symmetric")
         sym = 0.5 * (matrix + matrix.T)
-        return cls(bundle, [em_const(sym)] * bundle.cover.n_charts, name)
+        return cls(bundle, [em_const(sym)] * bundle.cover.n_charts)
 
     @property
     def rank(self) -> int:
@@ -463,7 +463,7 @@ class FiberProjectorPair:
     """Per-chart fiberwise projectors splitting the form's bundle."""
 
     form: FormField
-    reference: FormField
+    reference: FormField    # the bundle's standard positive form
     plus: list      # per chart d x d ExprMatrix
     minus: list
     sig: SignatureType
@@ -511,11 +511,8 @@ class FiberProjectorPair:
     def to_ambient(self) -> tuple[ProjectorField, ProjectorField]:
         """Glue chartwise A_i Pi A_i^+ into global ambient projectors."""
         proj = self.reference.proj
-        if proj is None or proj.pou is None:
-            raise BundleformsError("decomposition reference lacks an embedding")
         outs = []
-        pinvs = [em_solve(em_mul(em_transpose(f), f), em_transpose(f),
-                          guard_tol=1e-12) for f in proj.frames]
+        pinvs = [_left_inverse(f) for f in proj.frames]
         for mats, rank in ((self.plus, self.sig.pos), (self.minus, self.sig.neg)):
             locals_k = [em_mul(f, em_mul(m, p))
                         for f, m, p in zip(proj.frames, mats, pinvs)]
@@ -524,23 +521,24 @@ class FiberProjectorPair:
         return outs[0], outs[1]
 
 
-def decompose(form: FormField, plan: SamplePlan | None = None,
-              reference: FormField | None = None) -> FiberProjectorPair:
+def decompose(form: FormField,
+              plan: SamplePlan | None = None) -> FiberProjectorPair:
     """Split the bundle into positive/negative subbundles of the form.
 
     Chart-free spectral construction: the sign-projectors of the pencil
-    G^-1 S against the positive reference G conjugate correctly across
-    charts, so the chartwise formulas agree where charts overlap.
+    G^-1 S against the standard positive form G of the bundle conjugate
+    correctly across charts, so the chartwise formulas agree where charts
+    overlap.
     """
     plan = plan or SamplePlan()
-    reference = reference or standard_positive_form(form.bundle, plan=plan)
+    reference = standard_positive_form(form.bundle, plan=plan)
     sig = signature(form, plan)
     plus, minus = [], []
     for i in range(form.bundle.cover.n_charts):
         s_i = form.mats[i]
         g_i = reference.mats[i]
-        plus.append(em_pencil_proj(s_i, g_i, True, guard_tol=1e-9))
-        minus.append(em_pencil_proj(s_i, g_i, False, guard_tol=1e-9))
+        plus.append(em_pencil_proj(s_i, g_i, True))
+        minus.append(em_pencil_proj(s_i, g_i, False))
     return FiberProjectorPair(form, reference, plus, minus, sig)
 
 
@@ -696,7 +694,7 @@ def isometry_same_bundle(form: FormField, target: FormField,
                          plan: SamplePlan | None = None) -> IsometryWitness:
     """Isometry between two forms of equal signature on one bundle.
 
-    Split both forms against a common positive reference; the projector
+    Split both forms against the standard positive form; the projector
     swap phi = P+' P+ + P-' P- aligns the decompositions, the pulled-back
     form then block-diagonalizes along the source split, and the principal
     pencil square root of the blockwise absolute values corrects the
@@ -706,9 +704,8 @@ def isometry_same_bundle(form: FormField, target: FormField,
     plan = plan or SamplePlan()
     if form.bundle is not target.bundle:
         raise BaseMismatch("same-bundle isometry needs a shared bundle")
-    reference = standard_positive_form(form.bundle, plan=plan)
-    src = decompose(form, plan, reference)
-    tgt = decompose(target, plan, reference)
+    src = decompose(form, plan)
+    tgt = decompose(target, plan)
     if src.sig != tgt.sig:
         raise InconsistentSignature(
             f"signatures differ: {src.sig} vs {tgt.sig}",
@@ -740,10 +737,15 @@ def ambient_form(form: FormField, proj: ProjectorField):
         raise BundleformsError("ambient form needs an embedding with a partition")
     locals_k = []
     for frame, mat in zip(proj.frames, form.mats):
-        gram = em_mul(em_transpose(frame), frame)
-        pinv = em_solve(gram, em_transpose(frame), guard_tol=1e-12)
+        pinv = _left_inverse(frame)
         locals_k.append(em_mul(em_transpose(pinv), em_mul(mat, pinv)))
     return em_glue(proj.pou.weights, locals_k)
+
+
+def _left_inverse(frame):
+    """(A^T A)^-1 A^T for an ambient frame A of full column rank."""
+    return em_solve(em_mul(em_transpose(frame), frame), em_transpose(frame),
+                    guard_tol=1e-12)
 
 
 def restrict_form_to_range_bundle(ambient_mat, subbundle: BundleRep) -> FormField:

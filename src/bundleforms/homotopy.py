@@ -33,7 +33,7 @@ from .bundles import (
     sampled_regions,
     trivial_bundle,
 )
-from .catalog import cylinder_base, extend_set
+from .catalog import cylinder_base, extend_set, scaling_homotopy_map
 from .errors import (
     BandMismatch,
     BundleformsError,
@@ -69,6 +69,8 @@ DEFAULT_TRANSPORT_STEPS = 16
 LADDER_GAP = 0.35           # largest probe jump between consecutive rungs
 STRIP_MARGIN = 1e-9         # t-interval overlap a strip chain must keep
 SLAB_T_VALUES = 21          # t slices of the slab coverage check
+LADDER_MAX_POINTS = 1025    # cap on the transport ladder's t values
+CLUTCH_TOL = 1e-8           # band variation and continuity bound of clutch
 
 
 def _require_cylinder(base: Base) -> tuple[Base, int]:
@@ -81,8 +83,7 @@ def _require_cylinder(base: Base) -> tuple[Base, int]:
 # Product covers, strips, clutching.
 
 
-def product_cylinder_cover(cyl: Base, base_charts, intervals,
-                           name: str = "") -> Cover:
+def product_cylinder_cover(cyl: Base, base_charts, intervals) -> Cover:
     """Cover of the cylinder by base-chart x open-t-interval product charts.
 
     `intervals` holds one (lo, hi) pair per chart; None means unbounded.
@@ -101,7 +102,7 @@ def product_cylinder_cover(cyl: Base, base_charts, intervals,
                 Condition.from_poly(Polynomial.constant(dim, hi) - t_poly, ">"))
         charts.append(ext)
         structure.append((chart, (lo, hi)))
-    return Cover(cyl, charts, name=name or f"{cyl.name}-product",
+    return Cover(cyl, charts, name=f"{cyl.name}-product",
                  product_structure=structure)
 
 
@@ -215,31 +216,28 @@ class ClutchedTrivialization:
 
 
 def clutch(bundle: BundleRep, strips: StripDecomposition,
-           trivializations=None, plan: SamplePlan | None = None,
-           tol: float = 1e-8) -> ClutchedTrivialization:
-    """Glue per-strip trivializations by the frame change on breakpoint bands.
+           plan: SamplePlan | None = None) -> ClutchedTrivialization:
+    """Glue the strips' chart frames by the frame change on breakpoint bands.
 
-    The frame change between consecutive strips must be t-independent
-    across the band at samples (it is a function of the base point only);
-    residual variation beyond the tolerance raises BandMismatch.
+    The first strip keeps its chart frame; each later one is carried back
+    through the inverse frame changes at the breakpoints before it.  The
+    frame change g_{next,k} between consecutive strips must be
+    t-independent across the band at samples (it is a function of the base
+    point only); variation beyond CLUTCH_TOL raises BandMismatch.
     """
     plan = plan or SamplePlan()
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
     d = bundle.rank
-    trivializations = trivializations or [em_identity(d) for _ in strips.strip_charts]
     region = base_x.sset.intersect(strips.base_chart)
     pts, _ = base_x.sample_region(region, plan, plan.n_overlap)
-    glued = [em_mul(em_identity(d), trivializations[0])]
+    glued = [em_identity(d)]
     accumulated = em_identity(d)
     max_var = 0.0
     for k in range(len(strips.strip_charts) - 1):
         c_k, c_next = strips.strip_charts[k], strips.strip_charts[k + 1]
         bp = strips.breakpoints[k + 1]
-        # frame change M(x, t) = T_{k+1} g_{next,k} T_k^-1 on the band
-        g = bundle.transition(c_next, c_k)
-        m_field = em_mul(trivializations[k + 1],
-                         em_mul(g, em_inv(trivializations[k], guard_tol=1e-12)))
+        m_field = bundle.transition(c_next, c_k)
         if pts.shape[0]:
             band_ts = [bp - 1e-3, bp, bp + 1e-3]
             vals = []
@@ -249,14 +247,14 @@ def clutch(bundle: BundleRep, strips: StripDecomposition,
             spread = max(np.abs(vals[a] - vals[b]).max()
                          for a in range(3) for b in range(a + 1, 3))
             max_var = max(max_var, float(spread))
-            if spread > tol:
+            if spread > CLUTCH_TOL:
                 raise BandMismatch(
                     f"frame change varies by {spread:.3e} across the band at "
                     f"t = {bp}"
                 )
         m_at_bp = em_subst(m_field, {t_index: ex.Const(bp)})
         accumulated = em_mul(accumulated, em_inv(m_at_bp, guard_tol=1e-12))
-        glued.append(em_mul(accumulated, trivializations[k + 1]))
+        glued.append(accumulated)
     report = CheckReport("clutch", True, max_var)
     if pts.shape[0]:
         # continuity of the glued map across each band
@@ -269,7 +267,7 @@ def clutch(bundle: BundleRep, strips: StripDecomposition,
                                           strips.strip_charts[k + 1]), lifted)
             high = em_eval(glued[k + 1], lifted)
             worst = max(worst, float(np.abs(low @ g - high).max()))
-        report = CheckReport("clutch", worst < tol, max(max_var, worst))
+        report = CheckReport("clutch", worst < CLUTCH_TOL, max(max_var, worst))
     return ClutchedTrivialization(strips, glued, report)
 
 
@@ -383,8 +381,7 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
     return HomotopyWitness(a, b, witness, report, parent_charts)
 
 
-def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan,
-                       max_points: int = 1025):
+def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan):
     """Uniform t ladder, doubled until consecutive projectors stay close.
 
     The chained product is invertible on the fibers when each consecutive
@@ -397,7 +394,7 @@ def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan,
     `values(points, ts)` yields the projector along the path in rung blocks
     (`expr.path_projectors`); each round evaluates only the new midpoints.
     Returns the ladder and its worst probe gap (NaN without probes), which
-    exceeds LADDER_GAP only when doubling would pass `max_points`.
+    exceeds LADDER_GAP only when doubling would pass LADDER_MAX_POINTS.
     """
     n = DEFAULT_TRANSPORT_STEPS
     probes = base_x.sample_points(plan)
@@ -409,7 +406,7 @@ def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan,
     vals = np.concatenate(list(values(probes, [k / n for k in range(n + 1)])))
     while True:
         worst = float(np.abs(np.diff(vals, axis=0)).max())
-        if worst <= LADDER_GAP or 2 * n + 1 > max_points:
+        if worst <= LADDER_GAP or 2 * n + 1 > LADDER_MAX_POINTS:
             return [k / n for k in range(n + 1)], worst
         finer = np.empty((2 * n + 1, *vals.shape[1:]))
         finer[0::2] = vals
@@ -509,31 +506,25 @@ def trivialize_contractible(bundle: BundleRep, plan: SamplePlan | None = None,
                             tol: float = 1e-6) -> TrivializationWitness:
     """Certified trivialization over a base star-shaped about a declared center.
 
-    Pulls the bundle back along the scaling homotopy H(x, t) = c + t(x - c),
-    transports t = 0 (a constant cocycle, trivialized by its own transition
-    values at the center) to t = 1 (the bundle as presented).  The report
-    carries the transport ladder's details.
+    The constant map at the center c and the identity are homotopic through
+    H(x, t) = c + t(x - c), so the induced isomorphism carries t = 0 (a
+    constant cocycle, trivialized by its own transition values at the
+    center) to t = 1 (the bundle as presented).  The report carries the
+    transport ladder's details.
     """
     plan = plan or SamplePlan()
     base = bundle.base
     if base.star_center is None:
         raise NotCatalogBase("trivialization needs a declared star center")
     center = np.asarray(base.star_center, dtype=float)
-    dim = base.dim
-    cyl = cylinder_base(base)
-    maps = []
-    for i in range(dim):
-        xi = Polynomial.coordinate(dim + 1, i)
-        t = Polynomial.coordinate(dim + 1, dim)
-        ci = Polynomial.constant(dim + 1, center[i])
-        maps.append(ci + t * (xi - ci))
+    constant = [Polynomial.constant(base.dim, c) for c in base.star_center]
+    identity = [Polynomial.coordinate(base.dim, i) for i in range(base.dim)]
     try:
-        pulled = pullback(bundle, maps, cyl, plan, name=f"H*({bundle.name})")
+        hw = induced_iso_from_homotopy(bundle, constant, identity,
+                                       scaling_homotopy_map(base), base, plan,
+                                       tol)
     except ImageEscapesBase as err:
         raise ContractionEscapesBase(str(err)) from err
-    target_proj = gauss_embedding(bundle, plan=plan)
-    hw = homotopy_isomorphism(pulled, plan, tol,
-                              path=(target_proj, [m.to_expr() for m in maps]))
     # t = 0 restriction is the constant cocycle g(center); its cocycle values
     # transport every refined chart to chart 0's frame
     at = {}     # per chart r: the first sampled point of its overlap with chart 0

@@ -129,24 +129,18 @@ def em_colspan_proj(a: ExprMatrix, guard_tol: float = 1e-9) -> ExprMatrix:
     return em_from_group(ex.MatrixGroup(ex.COLSPAN_PROJ, a, guard_tol=guard_tol))
 
 
-def em_pencil_proj(s: ExprMatrix, g: ExprMatrix, positive: bool,
-                   guard_tol: float = 1e-9) -> ExprMatrix:
+def em_pencil_proj(s: ExprMatrix, g: ExprMatrix, positive: bool) -> ExprMatrix:
     op = ex.PENCIL_PROJ_POS if positive else ex.PENCIL_PROJ_NEG
-    return em_from_group(ex.MatrixGroup(op, s, g, guard_tol=guard_tol))
+    return em_from_group(ex.MatrixGroup(op, s, g, guard_tol=1e-9))
 
 
-def em_pencil_sqrt(s: ExprMatrix, g: ExprMatrix,
-                   guard_tol: float = 1e-12) -> ExprMatrix:
-    return em_from_group(ex.MatrixGroup(ex.PENCIL_SQRT, s, g, guard_tol=guard_tol))
+def em_pencil_sqrt(s: ExprMatrix, g: ExprMatrix) -> ExprMatrix:
+    return em_from_group(ex.MatrixGroup(ex.PENCIL_SQRT, s, g, guard_tol=1e-12))
 
 
 def em_path_product(entries: ExprMatrix, maps, t_index: int, ts) -> ExprMatrix:
     """P(h(x, t_K)) ... P(h(x, t_1)) for the projector P along the path h."""
     return em_from_group(ex.PathProduct(entries, maps, t_index, ts))
-
-
-def em_inv_transpose(a: ExprMatrix, guard_tol: float = 1e-9) -> ExprMatrix:
-    return em_transpose(em_inv(a, guard_tol))
 
 
 def em_zero_gate(gate: ex.Expr, a: ExprMatrix) -> ExprMatrix:

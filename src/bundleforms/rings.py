@@ -94,7 +94,7 @@ def k0_invariants(plus: BundleRep, minus: BundleRep):
 
 def k0_class(plus: BundleRep, minus: BundleRep | None = None) -> K0Class:
     if minus is None:
-        minus = BundleRep(plus.cover, 0, {}, name="rank0", default_identity=True)
+        minus = trivial_bundle(plus.cover, 0, "rank0")
     if plus.base.sset is not minus.base.sset:
         raise BaseMismatch("K-class representatives need one base")
     rank_diff, det_class = k0_invariants(plus, minus)
@@ -140,11 +140,17 @@ def witt_invariants(form: FormField, plan: SamplePlan | None = None):
         return SignatureType(0, 0), ((0, 0) if circle else None)
     if not circle:
         return signature(form, plan), None
-    pair = decompose(form, plan)      # certifies the signature once, as pair.sig
+    sig, plus_b, minus_b = _definite_parts(form, plan, "witt")
+    return sig, (_safe_line_class(plus_b), _safe_line_class(minus_b))
+
+
+def _definite_parts(form: FormField, plan: SamplePlan, name: str):
+    """The form's signature (certified once, by `decompose`) and its
+    positive and negative range bundles, named `name`+ and `name`-."""
+    pair = decompose(form, plan)
     plus_amb, minus_amb = pair.to_ambient()
-    plus_b = bundle_from_projector(plus_amb, plan, name="witt+")
-    minus_b = bundle_from_projector(minus_amb, plan, name="witt-")
-    return pair.sig, (_safe_line_class(plus_b), _safe_line_class(minus_b))
+    return (pair.sig, bundle_from_projector(plus_amb, plan, name=f"{name}+"),
+            bundle_from_projector(minus_amb, plan, name=f"{name}-"))
 
 
 def witt_class(form: FormField, plan: SamplePlan | None = None) -> WittClass:
@@ -187,7 +193,7 @@ def delta(k: K0Class, plan: SamplePlan | None = None) -> WittClass:
         pos = standard_positive_form(bundle, plan=plan)
         parts.append(negate_form(pos) if flip else pos)
     if not parts:
-        zero = BundleRep(k.plus.cover, 0, {}, name="rank0", default_identity=True)
+        zero = trivial_bundle(k.plus.cover, 0, "rank0")
         empty = FormField(zero, [tuple() for _ in range(zero.cover.n_charts)], "0")
         return WittClass(empty, 0, 0,
                          (0, 0) if _is_circle(k.base) else None)
@@ -203,13 +209,9 @@ def nabla(w: WittClass, plan: SamplePlan | None = None) -> K0Class:
     plan = plan or SamplePlan()
     form = w.form
     if form.rank == 0:
-        zero = BundleRep(form.bundle.cover, 0, {}, name="rank0",
-                         default_identity=True)
+        zero = trivial_bundle(form.bundle.cover, 0, "rank0")
         return k0_class(zero, zero)
-    pair = decompose(form, plan)
-    plus_amb, minus_amb = pair.to_ambient()
-    plus_b = bundle_from_projector(plus_amb, plan, name="nabla+")
-    minus_b = bundle_from_projector(minus_amb, plan, name="nabla-")
+    _, plus_b, minus_b = _definite_parts(form, plan, "nabla")
     return k0_class(plus_b, minus_b)
 
 

@@ -496,8 +496,9 @@ class Base:
         """`sample` of a region inside this base's box, with its memo."""
         return sample(region, plan, self.box, count, self.clouds)
 
-    def sample_points(self, plan: SamplePlan, count: int | None = None) -> np.ndarray:
-        return self.sample_region(self.sset, plan, count)[0]
+    def sample_points(self, plan: SamplePlan) -> np.ndarray:
+        """The plan's n_chart points of the base."""
+        return self.sample_region(self.sset, plan, None)[0]
 
 
 @dataclass
@@ -555,30 +556,19 @@ class Cover:
                 f"cover {self.name or '?'} misses sampled base point {report.witness}"
             )
 
-    def chart_samples(self, i: int, plan: SamplePlan) -> np.ndarray:
-        """Base points lying in chart i."""
-        key = ("chart", i, plan)
-        if key not in self._sample_cache:
-            region = self.base.sset.intersect(self.charts[i])
-            pts, _ = self.base.sample_region(region, plan, plan.n_chart)
-            self._sample_cache[key] = pts
-        return self._sample_cache[key]
+    def samples(self, indices, plan: SamplePlan) -> np.ndarray:
+        """Base points in the intersection of one, two or three charts.
 
-    def overlap_samples(self, i: int, j: int, plan: SamplePlan) -> np.ndarray:
-        key = ("overlap", min(i, j), max(i, j), plan)
+        The region is built from the sorted indices, and the count is the
+        plan's n_chart, n_overlap or n_triple by the number of charts.
+        """
+        key = (tuple(sorted(indices)), plan)
         if key not in self._sample_cache:
-            region = self.base.sset.intersect(self.charts[i]).intersect(self.charts[j])
-            pts, _ = self.base.sample_region(region, plan, plan.n_overlap)
-            self._sample_cache[key] = pts
-        return self._sample_cache[key]
-
-    def triple_samples(self, i: int, j: int, k: int, plan: SamplePlan) -> np.ndarray:
-        key = ("triple", *sorted((i, j, k)), plan)
-        if key not in self._sample_cache:
-            region = (self.base.sset.intersect(self.charts[i])
-                      .intersect(self.charts[j]).intersect(self.charts[k]))
-            pts, _ = self.base.sample_region(region, plan, plan.n_triple)
-            self._sample_cache[key] = pts
+            region = self.base.sset
+            for i in key[0]:
+                region = region.intersect(self.charts[i])
+            count = (plan.n_chart, plan.n_overlap, plan.n_triple)[len(key[0]) - 1]
+            self._sample_cache[key] = self.base.sample_region(region, plan, count)[0]
         return self._sample_cache[key]
 
     def refined_with(self, other: "Cover") -> "tuple[Cover, list[tuple[int, int]]]":

@@ -101,26 +101,40 @@ def parse_spec(text: str) -> SpecDocument:
         except SpecParseError as err:
             raise SpecParseError(f"{where}: {err}", column=err.column) from err
 
-    for name, conds in (raw.get("charts") or {}).items():
+    def table(key):
+        return _typed(raw.get(key) or {}, dict, key, "the declarations").items()
+
+    for name, conds in table("charts"):
         doc.charts[name] = _parse_set(conds, dim, compile_expr,
                                       where=f"chart {name}", open_only=True)
 
-    for name, decl in (raw.get("bundles") or {}).items():
+    for name, decl in table("bundles"):
         doc.bundles[name], doc.chart_names[name] = _parse_bundle(
             name, decl, doc, compile_expr)
 
-    for name, decl in (raw.get("forms") or {}).items():
+    for name, decl in table("forms"):
         doc.forms[name] = _parse_form(name, decl, doc, compile_expr)
 
-    for name, decl in (raw.get("sections") or {}).items():
+    for name, decl in table("sections"):
         doc.sections[name] = _parse_section(name, decl, doc, compile_expr)
 
-    for name, decl in (raw.get("witnesses") or {}).items():
+    for name, decl in table("witnesses"):
         doc.witnesses[name] = _parse_witness(name, decl, doc, compile_expr)
 
-    for task in raw.get("tasks") or []:
+    for task in _typed(raw.get("tasks") or [], list, "tasks", "the task list"):
         doc.tasks.append(_check_task(task, doc))
     return doc
+
+
+_JSON_NAMES = {dict: "object", list: "list"}
+
+
+def _typed(value, kind: type, where: str, what: str):
+    """`value` itself, once it is a JSON object or list as `kind` asks; a
+    value of another type is a spec error, never a TypeError further on."""
+    if not isinstance(value, kind):
+        raise SpecParseError(f"{where}: {what} must be a JSON {_JSON_NAMES[kind]}")
+    return value
 
 
 def _declared(ref, table, what: str):
@@ -132,16 +146,24 @@ def _declared(ref, table, what: str):
 
 
 def _parse_base(decl) -> Base:
+    decl = _typed(decl, dict, "base", "the declaration")
     if "catalog" in decl:
         name = _declared(decl["catalog"], _CATALOG_BASES, "unknown catalog base")
         return _CATALOG_BASES[name]()
+    star = decl.get("star_center")
     try:
         dim = int(decl["dim"])
         box = tuple(tuple(float(v) for v in pair) for pair in decl["box"])
+        star = None if star is None else tuple(float(v) for v in star)
     except KeyError as err:
         raise SpecParseError(f"base declaration missing {err}") from err
-    if len(box) != dim:
-        raise DimensionMismatch("box length must equal the dimension")
+    except (TypeError, ValueError) as err:
+        raise SpecParseError("base: dim must be an integer, box a list of "
+                             "[lo, hi] pairs and star_center a point") from err
+    if len(box) != dim or any(len(pair) != 2 for pair in box):
+        raise DimensionMismatch("box must hold one [lo, hi] pair per dimension")
+    if star is not None and len(star) != dim:
+        raise DimensionMismatch("star_center must have the base's dimension")
 
     def compile_expr(text_expr, where):
         return parse_expression(str(text_expr), dim, None)
@@ -151,12 +173,11 @@ def _parse_base(decl) -> Base:
     if not decl.get("conditions"):
         sset = SemialgebraicSet.whole_space(dim)
     circle = CircleGeometry(0, 1) if decl.get("circle") else None
-    star = decl.get("star_center")
     return Base(
         sset, box,
         name=str(decl.get("name", "custom")),
         connected=bool(decl.get("connected", True)),
-        star_center=None if star is None else tuple(float(v) for v in star),
+        star_center=star,
         circle=circle,
     )
 
@@ -164,16 +185,17 @@ def _parse_base(decl) -> Base:
 def _parse_set(conds, dim, compile_expr, where, open_only):
     # a flat list of [expr, op] pairs is one piece; a list of lists of
     # pairs is a union of pieces
-    if conds and conds and isinstance(conds[0], (list, tuple)) \
-            and conds[0] and isinstance(conds[0][0], (list, tuple)):
+    _typed(conds, list, where, "conditions")
+    if conds and isinstance(conds[0], list) and conds[0] \
+            and isinstance(conds[0][0], list):
         pieces_in = conds
     else:
         pieces_in = [conds]
     pieces = []
     for piece in pieces_in:
         out = []
-        for item in piece:
-            if not (isinstance(item, (list, tuple)) and len(item) == 2):
+        for item in _typed(piece, list, where, "each piece"):
+            if not (isinstance(item, list) and len(item) == 2):
                 raise SpecParseError(f"{where}: conditions are [expr, op] pairs")
             text_expr, op = item
             node = compile_expr(text_expr, where)
@@ -197,26 +219,33 @@ def _chart_list(decl, doc, where):
     names = decl.get("charts")
     if not names:
         raise SpecParseError(f"{where}: missing chart list")
+    _typed(names, list, where, "charts")
     charts = [doc.charts[_declared(n, doc.charts, f"{where}: unknown chart")]
               for n in names]
     return list(names), charts
 
 
 def _parse_matrix(rows, rank_rows, rank_cols, compile_expr, where):
-    if len(rows) != rank_rows or any(len(r) != rank_cols for r in rows):
+    if not (isinstance(rows, list) and len(rows) == rank_rows
+            and all(isinstance(r, list) and len(r) == rank_cols for r in rows)):
         raise DimensionMismatch(f"{where}: expected a {rank_rows}x{rank_cols} matrix")
     return tuple(tuple(compile_expr(e, where) for e in row) for row in rows)
 
 
 def _parse_bundle(name, decl, doc, compile_expr) -> tuple[BundleRep, list]:
     where = f"bundle {name}"
-    rank = int(decl.get("rank", -1))
+    _typed(decl, dict, where, "the declaration")
+    try:
+        rank = int(decl.get("rank", -1))
+    except (TypeError, ValueError) as err:
+        raise SpecParseError(f"{where}: rank must be an integer") from err
     if rank < 0:
         raise SpecParseError(f"{where}: missing rank")
     chart_names, charts = _chart_list(decl, doc, where)
     cover = Cover(doc.base, charts, name=f"{name}-cover")
     transitions = {}
-    for key, rows in (decl.get("transitions") or {}).items():
+    declared = _typed(decl.get("transitions") or {}, dict, where, "transitions")
+    for key, rows in declared.items():
         pair = [s.strip() for s in key.split(",")]
         if len(pair) != 2:
             raise SpecParseError(f"{where}: transition keys are 'A,B'")
@@ -232,6 +261,7 @@ def _parse_bundle(name, decl, doc, compile_expr) -> tuple[BundleRep, list]:
 
 
 def _resolve_bundle(decl, doc, where) -> tuple[BundleRep, list]:
+    _typed(decl, dict, where, "the declaration")
     ref = _declared(decl.get("bundle"), doc.bundles, f"{where}: unknown bundle")
     return doc.bundles[ref], doc.chart_names[ref]
 
@@ -242,12 +272,12 @@ def _parse_form(name, decl, doc, compile_expr) -> FormField:
     d = bundle.rank
     n_upper = d * (d + 1) // 2
     uppers = []
-    upper_decl = decl.get("upper") or {}
+    upper_decl = _typed(decl.get("upper") or {}, dict, where, "upper")
     for chart_name in chart_names:
         if chart_name not in upper_decl:
             raise UnresolvedReference(f"{where}: missing entries for chart "
                                       f"{chart_name!r}")
-        entries = upper_decl[chart_name]
+        entries = _typed(upper_decl[chart_name], list, where, "entries")
         if len(entries) != n_upper:
             raise DimensionMismatch(
                 f"{where}: chart {chart_name!r} needs {n_upper} upper entries")
@@ -260,12 +290,12 @@ def _parse_section(name, decl, doc, compile_expr) -> SectionRep:
     where = f"section {name}"
     bundle, chart_names = _resolve_bundle(decl, doc, where)
     values = []
-    value_decl = decl.get("values") or {}
+    value_decl = _typed(decl.get("values") or {}, dict, where, "values")
     for chart_name in chart_names:
         if chart_name not in value_decl:
             raise UnresolvedReference(f"{where}: missing values for chart "
                                       f"{chart_name!r}")
-        entries = value_decl[chart_name]
+        entries = _typed(value_decl[chart_name], list, where, "values")
         if len(entries) != bundle.rank:
             raise DimensionMismatch(f"{where}: values must have length "
                                     f"{bundle.rank}")
@@ -275,6 +305,7 @@ def _parse_section(name, decl, doc, compile_expr) -> SectionRep:
 
 def _parse_witness(name, decl, doc, compile_expr) -> MorphismField:
     where = f"witness {name}"
+    _typed(decl, dict, where, "the declaration")
     source_ref, target_ref = (
         _declared(decl.get(key), doc.bundles, f"{where}: unknown {key} bundle")
         for key in ("source", "target"))
@@ -289,7 +320,7 @@ def _parse_witness(name, decl, doc, compile_expr) -> MorphismField:
                            default_identity=target.default_identity)
         doc.bundles[target_ref] = target
     fields = []
-    field_decl = decl.get("fields") or {}
+    field_decl = _typed(decl.get("fields") or {}, dict, where, "fields")
     for chart_name in chart_names:
         if chart_name not in field_decl:
             raise UnresolvedReference(f"{where}: missing field for chart "
@@ -310,6 +341,8 @@ def _check_task(task, doc) -> dict:
             raise SpecParseError(f"task {op}: missing {key!r}")
     if ("source_form" in task) != ("target_form" in task):
         raise SpecParseError(f"task {op}: source_form and target_form go together")
+    if not isinstance(task.get("label", ""), str):
+        raise SpecParseError(f"task {op}: label must be a string")
     for key, table in (("bundle", doc.bundles), ("form", doc.forms),
                        ("section", doc.sections), ("witness", doc.witnesses),
                        ("source_form", doc.forms), ("target_form", doc.forms)):

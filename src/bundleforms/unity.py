@@ -28,7 +28,6 @@ from .semialg import (
     Cover,
     SamplePlan,
     SemialgebraicSet,
-    sample,
 )
 
 
@@ -183,22 +182,21 @@ def partition_of_unity(cover: Cover, r: int = 1,
 
 
 def vertical_retraction(u_set: SemialgebraicSet, v_set: SemialgebraicSet, r: int,
-                        plan: SamplePlan | None = None, box=None,
-                        within: SemialgebraicSet | None = None,
-                        t_index: int | None = None) -> ex.Expr:
+                        plan: SamplePlan | None = None,
+                        base: Base | None = None) -> ex.Expr:
     """tau(x, t) with tau = 1 over U, tau = t off V, interpolating between.
 
     Built as (f^2 t + g^2) / (f^2 + g^2) with f vanishing on closure(U) and
-    g on the complement of V.  The t coordinate defaults to the variable
-    right after the ambient x variables.
+    g on the complement of V; t is the variable right after the ambient x
+    variables.  When a plan and base are given, closure(U) inside V is
+    certified on samples of the base.
     """
     if not u_set.is_open() or not v_set.is_open():
         raise ContainmentFailure("vertical retraction expects open U and V")
-    t_index = u_set.dim if t_index is None else t_index
     closure_u = u_set.closure()
-    if plan is not None and box is not None:
-        region = closure_u if within is None else closure_u.intersect(within)
-        pts, _ = sample(region, plan, box, plan.n_overlap)
+    if plan is not None and base is not None:
+        pts, _ = base.sample_region(closure_u.intersect(base.sset), plan,
+                                    plan.n_overlap)
         if pts.shape[0]:
             inside = v_set.membership(pts)
             if not inside.all():
@@ -209,5 +207,5 @@ def vertical_retraction(u_set: SemialgebraicSet, v_set: SemialgebraicSet, r: int
     g = zero_function(v_set.complement(), r)
     f2 = ex.Mul(f, f)
     g2 = ex.Mul(g, g)
-    t = ex.Var(t_index)
+    t = ex.Var(u_set.dim)
     return ex.Div(ex.Add(ex.Mul(f2, t), g2), ex.Add(f2, g2))

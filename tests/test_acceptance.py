@@ -99,7 +99,7 @@ def announce(num, text):
 def test_01_cocycle_soundness():
     plan = SamplePlan(seed=0, n_chart=600, n_overlap=1000, n_triple=200)
     m = moebius()
-    pts = m.cover.overlap_samples(0, 1, plan)
+    pts = m.cover.samples((0, 1), plan)
     assert pts.shape[0] >= 1000
     report = validate_cocycle(m, plan, tol=1e-9)
     assert report.passed and report.max_residual == 0.0

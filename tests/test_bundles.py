@@ -62,11 +62,11 @@ def test_sampled_regions_visit_order_and_points():
     m = moebius()
     charts = [(idx, pts) for idx, pts, _ in sampled_regions(m.cover, PLAN, 1)]
     assert [idx for idx, _ in charts] == [(0,), (1,)]
-    assert all(np.array_equal(pts, m.cover.chart_samples(i, PLAN))
+    assert all(np.array_equal(pts, m.cover.samples((i,), PLAN))
                for (i,), pts in charts)
     overlaps = [(idx, pts) for idx, pts, _ in sampled_regions(m.cover, PLAN, 2)]
     assert [idx for idx, _ in overlaps] == [(0, 1), (1, 0)]
-    assert all(np.array_equal(pts, m.cover.overlap_samples(0, 1, PLAN))
+    assert all(np.array_equal(pts, m.cover.samples((0, 1), PLAN))
                for _, pts in overlaps)
     assert list(sampled_regions(m.cover, PLAN, 3)) == []
 
@@ -105,7 +105,7 @@ def test_moebius_overlap_components_by_hand():
     # enumeration oracle: the overlap has one component with x0 > 0 where
     # g01 = +1 and one with x0 < 0 where g01 = -1
     m = moebius()
-    pts = m.cover.overlap_samples(0, 1, PLAN)
+    pts = m.cover.samples((0, 1), PLAN)
     assert pts.shape[0] > 0
     vals = em_eval(m.transition(0, 1), pts)[:, 0, 0]
     assert set(np.sign(pts[:, 0])) == {-1.0, 1.0}
@@ -140,7 +140,7 @@ def test_tensor_with_trivial_line_keeps_transitions():
     m = moebius()
     e1 = circle_trivial(1, m.cover)
     t = tensor(e1, m)
-    pts = m.cover.overlap_samples(0, 1, PLAN)
+    pts = m.cover.samples((0, 1), PLAN)
     got = em_eval(t.transition(0, 1), pts)
     want = em_eval(m.transition(0, 1), pts)
     assert np.allclose(got, want, atol=1e-14)
@@ -150,7 +150,7 @@ def test_dual_of_moebius_equals_moebius():
     # (+-1)^(-T) = +-1 on the two overlap components
     m = moebius()
     d = dual(m)
-    pts = m.cover.overlap_samples(0, 1, PLAN)
+    pts = m.cover.samples((0, 1), PLAN)
     got = em_eval(d.transition(0, 1), pts)[:, 0, 0]
     assert np.allclose(got, np.sign(pts[:, 0]), atol=1e-14)
     assert validate_cocycle(d, PLAN).passed
@@ -177,7 +177,7 @@ def test_pullback_identity_and_constant():
     m = moebius()
     ident = [Polynomial.coordinate(2, 0), Polynomial.coordinate(2, 1)]
     back = pullback(m, ident, circle_base(), PLAN)
-    pts = back.cover.overlap_samples(0, 1, PLAN)
+    pts = back.cover.samples((0, 1), PLAN)
     got = em_eval(back.transition(0, 1), pts)[:, 0, 0]
     assert np.array_equal(got, np.sign(pts[:, 0]))
     assert validate_cocycle(back, PLAN).passed
@@ -188,7 +188,7 @@ def test_pullback_moebius_to_cylinder():
     cyl = cylinder_base(circle_base())
     back = pullback(m, cylinder_projection_map(circle_base()), cyl, PLAN)
     assert validate_cocycle(back, PLAN).passed
-    pts = back.cover.overlap_samples(0, 1, PLAN)
+    pts = back.cover.samples((0, 1), PLAN)
     got = em_eval(back.transition(0, 1), pts)[:, 0, 0]
     assert np.array_equal(got, np.sign(pts[:, 0]))  # t-independent
 
@@ -221,7 +221,7 @@ def test_generating_sections_moebius():
     system = generating_sections(m, r=1, plan=PLAN)
     assert len(system.sections) == 2
     for chart in range(2):
-        pts = m.cover.chart_samples(chart, PLAN)
+        pts = m.cover.samples((chart,), PLAN)
         mat = section_value_matrix(system.sections, chart, pts)
         sv = np.linalg.svd(mat, compute_uv=False)[:, 0]
         assert (sv > 1e-9).all()      # rank 1 everywhere sampled
@@ -246,7 +246,7 @@ def test_coefficients_reconstruct_moebius_section():
     target = system.sections[0]
     coeffs = coefficients(target, system, PLAN)
     for chart in range(2):
-        pts = m.cover.chart_samples(chart, PLAN)
+        pts = m.cover.samples((chart,), PLAN)
         gen_vals = section_value_matrix(system.sections, chart, pts)  # (N,1,2)
         coef_vals = np.stack([ex.evaluate(c, pts) for c in coeffs], axis=1)
         recon = (gen_vals @ coef_vals[:, :, None])[:, :, 0]

@@ -83,8 +83,8 @@ def test_each_cloud_is_projected_once_per_base(monkeypatch):
     assert len(projections) == 1
     # the same (box, count, seed, equations) from any region of the base
     assert base.sample_points(plan).tobytes() == pts.tobytes()
-    cover.chart_samples(0, plan)
-    cover.overlap_samples(0, 1, plan)
+    cover.samples((0,), plan)
+    cover.samples((0, 1), plan)
     assert len(projections) == 1
     base.sample_points(SamplePlan(seed=1, n_chart=100))
     assert len(projections) == 2

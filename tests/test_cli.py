@@ -222,6 +222,35 @@ def test_unhashable_declaration_reference_is_a_spec_error(tmp_path, capsys,
     assert captured.out == ""
 
 
+CUSTOM_BASE = {"dim": 2, "box": [[-1.3, 1.3], [-1.3, 1.3]],
+               "conditions": [["x0^2 + x1^2 - 1", "=="]]}
+
+
+@pytest.mark.parametrize("where,edit", [
+    ("base", lambda raw: raw.update(base="circle")),
+    ("charts", lambda raw: raw.update(charts=[1, 2])),
+    ("bundle eps1", lambda raw: raw["bundles"].update(eps1=[1, "U1"])),
+    ("bundle eps1", lambda raw: raw["bundles"]["eps1"].update(rank="one")),
+    ("bundle eps1", lambda raw: raw["bundles"]["eps1"].update(transitions=[1])),
+    ("bundle eps1", lambda raw: raw["bundles"]["eps1"].update(charts=5)),
+    ("base", lambda raw: raw.update(base=dict(CUSTOM_BASE, box=5))),
+    ("base", lambda raw: raw.update(base=dict(CUSTOM_BASE, dim="x"))),
+    ("task validate-bundle", lambda raw: raw["tasks"][0].update(label=["x"])),
+])
+def test_wrongly_typed_declaration_is_a_spec_error(tmp_path, capsys, where, edit):
+    # a value of the wrong JSON type is an error line at exit 2, not a
+    # traceback at exit 1
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    edit(raw)
+    spec = tmp_path / "types.json"
+    spec.write_text(json.dumps(raw))
+    code = main(["validate", str(spec), "--samples", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {where}: "), captured.err
+    assert captured.out == ""
+
+
 def test_timed_entry_records_linalg_error_and_passes_others():
     report = Report(seed=0)
     with timed_entry(report, "singular"):

@@ -153,7 +153,7 @@ def test_standard_positive_form_moebius():
     report = validate_form(f, PLAN, tol=1e-9)
     assert report.passed, report.as_dict()
     for i in range(2):
-        pts = m.cover.chart_samples(i, PLAN)
+        pts = m.cover.samples((i,), PLAN)
         vals = f.eval_chart(i, pts)[:, 0, 0]
         assert (vals > 0).all()
 
@@ -187,7 +187,7 @@ def test_trivializing_cover_constant_form():
     cover = local_trivializing_cover(f, PLAN)
     assert len(cover.charts) == 2  # one pattern per parent chart
     for tc in cover.charts:
-        pts = b.cover.chart_samples(tc.parent, PLAN)
+        pts = b.cover.samples((tc.parent,), PLAN)
         g = em_eval(tc.frame, pts)
         s = f.eval_chart(tc.parent, pts)
         res = np.abs(np.swapaxes(g, 1, 2) @ s @ g - j_matrix(tc.sig)).max()
@@ -252,7 +252,7 @@ def test_decompose_positive_definite():
 def test_decompose_moebius_twisted_positive():
     m = moebius()
     f = standard_positive_form(m, plan=PLAN)
-    pair = decompose(f, PLAN, reference=f)
+    pair = decompose(f, PLAN)
     assert pair.sig == SignatureType(1, 0)
     rep = pair.check(PLAN, tol=1e-8)
     assert rep.passed, rep.as_dict()

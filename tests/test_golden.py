@@ -2,10 +2,11 @@
 
 The files under tests/golden/ were written by `cli.run_tasks` at seed 0,
 at `--samples 200` (`<spec>.<subcommand>.json`) and at the CLI's default
-`--samples 1000` (`<spec>.<subcommand>.samples1000.json`).  They are the
-behaviour baseline: a change that breaks this test has changed a verdict,
-an invariant, a message or a witness point, and the golden files are not
-rewritten to hide that.
+`--samples 1000` (`<spec>.<subcommand>.samples1000.json`); the plane spec
+is the benchmark's own (`perfbench/specs/`), read here and never written.
+They are the behaviour baseline: a change that breaks this test has
+changed a verdict, an invariant, a message or a witness point, and the
+golden files are not rewritten to hide that.
 Residuals may move in the last rounded digit under reordered arithmetic,
 so they are held only to the tolerance of their task.
 """
@@ -19,11 +20,15 @@ from bundleforms import cli, specfile
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
+BENCH_SPECS = Path(__file__).resolve().parent.parent / "perfbench" / "specs"
 
 RUNS = [("moebius", "report"), ("moebius", "decompose"), ("moebius", "rings"),
         ("moebius_cylinder", "report")]
 DEFAULT_SAMPLE_RUNS = [("moebius", "report"), ("moebius", "decompose"),
                        ("moebius", "rings")]
+# the homotopy paths: cylinder transport, and trivialization on the plane
+HOMOTOPY_RUNS = [(SPECS, "moebius_cylinder", "operate"),
+                 (BENCH_SPECS, "scrambled_plane", "homotopy")]
 
 # residual tolerance per task kind, as the CLI checks each one
 TOLERANCE = {
@@ -38,8 +43,9 @@ TOLERANCE = {
 }
 
 
-def machine_report(stem: str, subcommand: str, samples: int) -> dict:
-    path = SPECS / f"{stem}.json"
+def machine_report(stem: str, subcommand: str, samples: int,
+                   specs: Path = SPECS) -> dict:
+    path = specs / f"{stem}.json"
     doc = specfile.parse_spec(path.read_text(encoding="utf-8"))
     args = cli.build_parser().parse_args(
         [subcommand, str(path), "--samples", str(samples), "--seed", "0"])
@@ -72,3 +78,10 @@ def test_machine_report_matches_golden(stem, subcommand):
 def test_machine_report_at_default_samples_matches_golden(stem, subcommand):
     assert_matches_golden(f"{stem}.{subcommand}.samples1000.json",
                           machine_report(stem, subcommand, 1000))
+
+
+@pytest.mark.parametrize("specs,stem,subcommand", HOMOTOPY_RUNS)
+def test_homotopy_report_at_default_samples_matches_golden(specs, stem,
+                                                           subcommand):
+    assert_matches_golden(f"{stem}.{subcommand}.samples1000.json",
+                          machine_report(stem, subcommand, 1000, specs))

@@ -32,6 +32,7 @@ from bundleforms.catalog import (
 from bundleforms.cli import _apply_check
 from bundleforms.errors import (
     BandMismatch,
+    ContractionEscapesBase,
     EndpointMismatch,
     GuardViolation,
     NotCatalogBase,
@@ -59,7 +60,14 @@ from bundleforms.matexpr import (
     em_subst,
 )
 from bundleforms.reporting import Report, TaskEntry
-from bundleforms.semialg import Polynomial, SamplePlan, SemialgebraicSet
+from bundleforms.semialg import (
+    GE,
+    Base,
+    Condition,
+    Polynomial,
+    SamplePlan,
+    SemialgebraicSet,
+)
 
 PLAN = SamplePlan(seed=0, n_chart=160, n_overlap=120, n_triple=80)
 
@@ -324,6 +332,30 @@ def test_trivialize_rejects_circle():
         trivialize_contractible(m, PLAN)
 
 
+def test_trivialize_rejects_a_base_not_star_shaped_about_its_center():
+    # {x0^2 >= 1/4} with center 1: the segment from 1 to -1 leaves the base
+    x0 = Polynomial.coordinate(1, 0)
+    quarter = Polynomial.constant(1, 0.25)
+    rays = SemialgebraicSet(1, [[Condition.from_poly(x0 * x0 - quarter, GE)]])
+    base = Base(rays, box=((-2.0, 2.0),), name="two-rays", star_center=(1.0,))
+    with pytest.raises(ContractionEscapesBase):
+        trivialize_contractible(trivial_bundle(full_cover(base), 1), PLAN)
+
+
+def test_trivialize_is_the_induced_isomorphism_from_the_constant_map(monkeypatch):
+    calls = []
+    original = homotopy.induced_iso_from_homotopy
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "induced_iso_from_homotopy", counted)
+    tw = trivialize_contractible(scrambled_plane_bundle(), PLAN)
+    assert tw.report.passed, tw.report.as_dict()
+    assert len(calls) == 1
+
+
 # --- induced isomorphisms ---------------------------------------------------------------
 
 def test_induced_iso_identity_vs_antipodal_on_moebius():
@@ -479,11 +511,13 @@ def test_path_product_guard_reports_base_point(entries, maps):
     assert "t = 0.5" in str(info.value)
 
 
-def test_capped_ladder_is_flagged_and_reported_unknown():
+def test_capped_ladder_is_flagged_and_reported_unknown(monkeypatch):
     small = SamplePlan(seed=0, n_chart=70, n_overlap=50, n_triple=40)
     proj = gauss_embedding(moebius(), plan=small)
     values = partial(ex.path_projectors, proj.entries, antipodal_path(), 2)
-    ts, gap = _adaptive_t_ladder(values, circle_base(), small, max_points=17)
+    with monkeypatch.context() as capped:
+        capped.setattr(homotopy, "LADDER_MAX_POINTS", 17)
+        ts, gap = _adaptive_t_ladder(values, circle_base(), small)
     assert len(ts) == 17 and gap > 0.35
     details = _ladder_details(ts, gap)
     assert details["ladder_capped"] is True

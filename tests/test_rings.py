@@ -262,7 +262,7 @@ def test_restricted_form_on_split_bundle():
     from bundleforms.forms import decompose
     m = moebius()
     f = standard_positive_form(m, plan=PLAN)
-    pair = decompose(f, PLAN, reference=f)
+    pair = decompose(f, PLAN)
     plus_amb, _ = pair.to_ambient()
     from bundleforms.bundles import bundle_from_projector
     sub = bundle_from_projector(plus_amb, PLAN, name="twisted+")

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from bundleforms.errors import (
+    BundleformsError,
     DimensionMismatch,
     SpecParseError,
     UnresolvedReference,
@@ -101,3 +102,33 @@ def test_custom_base_declaration():
     }
     doc = parse_spec(json.dumps(raw))
     assert doc.base.dim == 1 and doc.base.star_center == (1.0,)
+
+
+WRONG_TYPES = ([1], 7, "x", {"k": 1}, None)
+
+
+def declaration_paths(node, path=()):
+    """Every key path into a spec document, top-level keys included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from declaration_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+def test_wrongly_typed_values_parse_or_raise_library_errors(name):
+    # replacing any declaration value by a list, number, string, object or
+    # null either parses or raises a library error, never a TypeError
+    raw = json.loads(load(name))
+    for path in declaration_paths(raw):
+        for value in WRONG_TYPES:
+            doc = json.loads(load(name))
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                parse_spec(json.dumps(doc))
+            except BundleformsError:
+                pass

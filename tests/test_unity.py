@@ -151,7 +151,7 @@ def test_vertical_retraction_values():
     u_set = interval(lo=-0.5, hi=0.5)
     v_set = interval(lo=-1.0, hi=1.0)
     tau = vertical_retraction(u_set, v_set, 1, SamplePlan(seed=0),
-                              box=((-2.0, 2.0),))
+                              base=WIDE_LINE)
     # deep inside U: tau = 1 regardless of t
     assert ex.evaluate_at(tau, [0.0, 0.0]) == pytest.approx(1.0)
     # outside V: tau = t
@@ -168,4 +168,4 @@ def test_vertical_retraction_values():
 def test_vertical_retraction_containment_failure():
     with pytest.raises(ContainmentFailure):
         vertical_retraction(interval(lo=-2.0, hi=2.0), interval(lo=-1.0, hi=1.0),
-                            1, SamplePlan(seed=0), box=((-3.0, 3.0),))
+                            1, SamplePlan(seed=0), base=LINE)
