@@ -195,10 +195,9 @@ def sampled_regions(cover: Cover, plan: SamplePlan, arity: int):
         del ctx
 
 
-def validate_cocycle(bundle: BundleRep, plan: SamplePlan | None = None,
+def validate_cocycle(bundle: BundleRep, plan: SamplePlan,
                      tol: float = DEFAULT_IDENTITY_TOL) -> CheckReport:
     """Certify g_ii = id (canonical), g_ij g_jk = g_ik, and invertibility."""
-    plan = plan or SamplePlan()
     cover = bundle.cover
     stat = _ResidualStat()
     identity_res = 0.0
@@ -314,7 +313,7 @@ def hom(b1: BundleRep, b2: BundleRep) -> BundleRep:
 
 
 def pullback(b: BundleRep, components, new_base: Base,
-             plan: SamplePlan | None = None, name: str = "") -> BundleRep:
+             plan: SamplePlan, name: str = "") -> BundleRep:
     """Pull the bundle back along a map new_base -> b.base.
 
     The map is a list of components, polynomials or expressions.  Charts
@@ -323,7 +322,6 @@ def pullback(b: BundleRep, components, new_base: Base,
     are the originals with target variables substituted.
     """
     from .semialg import Polynomial
-    plan = plan or SamplePlan()
     if len(components) != b.base.dim:
         raise BaseMismatch("map components must match the target dimension")
     all_poly = all(isinstance(c, Polynomial) for c in components)
@@ -359,9 +357,8 @@ class SectionRep:
     bundle: BundleRep
     values: list  # one (d x 1) ExprMatrix per chart
 
-    def check(self, plan: SamplePlan | None = None,
+    def check(self, plan: SamplePlan,
               tol: float = DEFAULT_IDENTITY_TOL) -> CheckReport:
-        plan = plan or SamplePlan()
         stat = _ResidualStat()
         for (i, j), pts, ev in sampled_regions(self.bundle.cover, plan, 2):
             vi, vj = ev(self.values[i]), ev(self.values[j])
@@ -386,10 +383,9 @@ class MorphismField:
 
 
 def check_isomorphism(b1: BundleRep, b2: BundleRep, u: MorphismField,
-                      plan: SamplePlan | None = None,
+                      plan: SamplePlan,
                       tol: float = DEFAULT_WITNESS_TOL) -> CheckReport:
     """Certify u_i g1_ij = g2_ij u_j and min |det u_i| > tol at samples."""
-    plan = plan or SamplePlan()
     cover = u.source.cover
     stat = _ResidualStat()
     for (i,), pts, ev in sampled_regions(cover, plan, 1):
@@ -428,14 +424,13 @@ def _weighted_transition(bundle: BundleRep, weight, a: int, b: int):
         return em_const(np.zeros((bundle.rank, bundle.rank)))
 
 
-def generating_sections(bundle: BundleRep, r: int = 1,
-                        plan: SamplePlan | None = None) -> GeneratingSystem:
+def generating_sections(bundle: BundleRep, r: int = 1, *,
+                        plan: SamplePlan) -> GeneratingSystem:
     """Sections lambda_i e_j (transported to every chart) generating each fiber.
 
     On chart k, the sections of lambda_i are the columns of lambda_i g_ki.
     """
-    plan = plan or SamplePlan()
-    pou = partition_of_unity(bundle.cover, r, plan)
+    pou = partition_of_unity(bundle.cover, r, plan=plan)
     d, q = bundle.rank, bundle.cover.n_charts
     sections = []
     for i in range(q):
@@ -495,9 +490,7 @@ class ProjectorField:
     def eval(self, pts: np.ndarray) -> np.ndarray:
         return em_eval(self.entries, pts)
 
-    def check(self, plan: SamplePlan | None = None,
-              tol: float = 1e-8) -> CheckReport:
-        plan = plan or SamplePlan()
+    def check(self, plan: SamplePlan, tol: float = 1e-8) -> CheckReport:
         pts = self.base.sample_points(plan)
         p = self.eval(pts)
         sym = np.abs(p - np.swapaxes(p, 1, 2)).max()
@@ -510,8 +503,8 @@ class ProjectorField:
                            details={"trace_error": trace_err})
 
 
-def gauss_embedding(bundle: BundleRep, r: int = 1,
-                    plan: SamplePlan | None = None) -> ProjectorField:
+def gauss_embedding(bundle: BundleRep, r: int = 1, *,
+                    plan: SamplePlan) -> ProjectorField:
     """Ambient projector onto the bundle, via the generating-section frames.
 
     In chart k the ambient frame stacks lambda_i * g_ik blockwise; the
@@ -522,11 +515,10 @@ def gauss_embedding(bundle: BundleRep, r: int = 1,
     `bundle.embeddings` under (r, plan), so later calls return that same
     object; a projector that fails certification raises and is not kept.
     """
-    plan = plan or SamplePlan()
     field = bundle.embeddings.get((r, plan))
     if field is not None:
         return field
-    pou = generating_sections(bundle, r, plan).pou
+    pou = generating_sections(bundle, r, plan=plan).pou
     d, q = bundle.rank, bundle.cover.n_charts
     frames = []
     projs = []
@@ -567,7 +559,7 @@ def _minor_cover(subsets, n_points: int, clears):
     return used, missed
 
 
-def bundle_from_projector(proj: ProjectorField, plan: SamplePlan | None = None,
+def bundle_from_projector(proj: ProjectorField, plan: SamplePlan,
                           name: str = "") -> BundleRep:
     """Bundle of the projector's range, on minor-selected frame charts.
 
@@ -577,7 +569,6 @@ def bundle_from_projector(proj: ProjectorField, plan: SamplePlan | None = None,
     deterministic.  Transitions are the frame-change solves
     g_JI = P[J,J]^-1 P[J,I].
     """
-    plan = plan or SamplePlan()
     d = proj.rank
     base = proj.base
     if d == 0:
@@ -619,11 +610,9 @@ def projector_frames(bundle: BundleRep):
             for idx in bundle.frame_subsets]
 
 
-def complement(bundle: BundleRep, r: int = 1,
-               plan: SamplePlan | None = None) -> BundleRep:
+def complement(bundle: BundleRep, plan: SamplePlan) -> BundleRep:
     """Orthogonal complement inside the ambient trivial bundle."""
-    plan = plan or SamplePlan()
-    proj = gauss_embedding(bundle, r, plan)
+    proj = gauss_embedding(bundle, plan=plan)
     n = proj.ambient
     q_entries = em_sub(em_identity(n), proj.entries)
     comp_proj = ProjectorField(proj.base, q_entries, n - proj.rank)
@@ -647,14 +636,13 @@ def splitting_witness(bundle: BundleRep, comp: BundleRep,
 
 
 def coefficients(section: SectionRep, system: GeneratingSystem,
-                 plan: SamplePlan | None = None, r: int = 1) -> list:
+                 plan: SamplePlan) -> list:
     """Express a section in a generating system: s = sum_j c_j s_j.
 
     Per chart, a lexicographically chosen subset of generators with a
     nondegenerate value minor is solved against the section; the local
     solutions are glued with a partition of unity over the minor charts.
     """
-    plan = plan or SamplePlan()
     bundle = system.bundle
     d = bundle.rank
     m = len(system.sections)
@@ -683,7 +671,7 @@ def coefficients(section: SectionRep, system: GeneratingSystem,
     if not refined_charts:
         raise GeneratorsDegenerate("no sampled chart points to solve on")
     refined = Cover(bundle.base, refined_charts, name="coefficient-minors")
-    pou = partition_of_unity(refined, r, plan)
+    pou = partition_of_unity(refined, plan=plan)
     coeffs: list = [None] * m
     for weight, (k, subset, vmat) in zip(pou.weights, chart_data):
         rhs = section.values[k]

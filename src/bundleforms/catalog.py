@@ -20,6 +20,7 @@ from .semialg import (
     Condition,
     Cover,
     Polynomial,
+    SamplePlan,
     SemialgebraicSet,
 )
 
@@ -150,7 +151,7 @@ def scrambled_plane_bundle(base: Base | None = None) -> BundleRep:
     return BundleRep(cover, 2, {(0, 1): g12, (1, 0): g21}, name="scrambled-plane")
 
 
-def moebius_double_trivialization(plan=None):
+def moebius_double_trivialization(plan: SamplePlan):
     """Witness that moebius + moebius is trivial of rank 2.
 
     The sum's overlap cocycle diag(s, s) with s = sign(x0) is written as
@@ -163,10 +164,9 @@ def moebius_double_trivialization(plan=None):
     """
     from .bundles import MorphismField, trivial_bundle, whitney_sum
     from .matexpr import em_inv
-    from .semialg import SamplePlan, halfspace
+    from .semialg import halfspace
     from .unity import separating_function
 
-    plan = plan or SamplePlan()
     m = moebius()
     total = whitney_sum(m, m)            # same cover, stays two-chart
     base = total.base

@@ -204,18 +204,18 @@ def _tasks_decompose(doc, args):
 
 def _tasks_homotopy(doc, args):
     tasks = []
-    is_cylinder = doc.base.cylinder_base is not None
     if args.bundle:
         tasks.append({"op": "homotopy-iso", "bundle": args.bundle})
     if args.form:
         tasks.append({"op": "homotopy-isometry", "form": args.form})
     if not tasks:
-        if is_cylinder:
+        if doc.base.cylinder_base is None and doc.base.star_center is not None:
+            tasks += [{"op": "trivialize", "bundle": n} for n in doc.bundles]
+        else:
+            # on a base that is neither a cylinder nor star-shaped, each
+            # task reports the NotCatalogBase error instead of passing empty
             tasks += [{"op": "homotopy-iso", "bundle": n} for n in doc.bundles]
             tasks += [{"op": "homotopy-isometry", "form": n} for n in doc.forms]
-        else:
-            tasks += [{"op": "trivialize", "bundle": n} for n in doc.bundles
-                      if doc.base.star_center is not None]
     return tasks
 
 

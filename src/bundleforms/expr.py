@@ -88,40 +88,12 @@ class Expr:
 
     kinked = False      # kinked nodes bound the smoothness by zero
 
-    def _own_smoothness(self, child_bounds: list[float]) -> float:
+    def _own_smoothness(self, child_bounds: list[float],
+                        memo: dict[int, float]) -> float:
         return 0.0 if self.kinked else min(child_bounds, default=SMOOTH)
-
-    # Operator sugar.  Division builds a guarded quotient with the default
-    # guard tolerance; callers with domain knowledge construct Div directly.
-    def __add__(self, other):
-        return Add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return Add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(as_expr(other), self)
 
     def __neg__(self):
         return Sub(Const(0.0), self)
-
-    def __pow__(self, k):
-        return Pow(self, int(k))
 
 
 def as_expr(value) -> Expr:
@@ -145,7 +117,7 @@ def _smoothness(node: Expr, memo: dict[int, float]) -> float:
     hit = memo.get(key)
     if hit is None:
         bounds = [_smoothness(c, memo) for c in node.children()]
-        hit = node._own_smoothness(bounds)
+        hit = node._own_smoothness(bounds, memo)
         memo[key] = hit
     return hit
 
@@ -277,10 +249,12 @@ class Pow(Expr):
     def _eval(self, ctx):
         return self.base.eval(ctx) ** self.exponent
 
-    def _own_smoothness(self, child_bounds):
+    def _own_smoothness(self, child_bounds, memo):
         # clamp(u)^(r+1) is C^r wherever u is smooth; same for |u|^(r+1).
+        # The base's argument was visited through the base, so this is a
+        # memo hit.
         if isinstance(self.base, (Clamp, Abs)):
-            return min(self.exponent - 1, _smoothness(self.base.arg, {}))
+            return min(self.exponent - 1, _smoothness(self.base.arg, memo))
         return min(child_bounds, default=SMOOTH)
 
     def __repr__(self):

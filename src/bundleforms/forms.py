@@ -158,10 +158,9 @@ class FormField:
         return f"FormField({self.name or '?'}, rank={self.rank})"
 
 
-def validate_form(form: FormField, plan: SamplePlan | None = None,
+def validate_form(form: FormField, plan: SamplePlan,
                   tol: float = 1e-9, det_floor: float = 1e-9) -> CheckReport:
     """Certify symmetry, nondegeneracy, and overlap compatibility at samples."""
-    plan = plan or SamplePlan()
     cover = form.bundle.cover
     stat = _ResidualStat()
     for (i,), pts, ev in sampled_regions(cover, plan, 1):
@@ -179,12 +178,10 @@ def validate_form(form: FormField, plan: SamplePlan | None = None,
                        mean_residual=stat.mean)
 
 
-def standard_positive_form(bundle: BundleRep, r: int = 1,
-                           plan: SamplePlan | None = None) -> FormField:
+def standard_positive_form(bundle: BundleRep, plan: SamplePlan) -> FormField:
     """Restrict the ambient inner product through the Gauss embedding:
     s_i = A_i^T A_i with A_i the chart frame in the ambient trivial bundle."""
-    plan = plan or SamplePlan()
-    proj = gauss_embedding(bundle, r, plan)
+    proj = gauss_embedding(bundle, plan=plan)
     mats = [em_mul(em_transpose(a), a) for a in proj.frames]
     return FormField(bundle, mats, name=f"pos({bundle.name})", proj=proj)
 
@@ -343,9 +340,8 @@ def eigenvalue_signature(s: np.ndarray) -> SignatureType:
     return SignatureType(int((w > 0).sum()), int((w < 0).sum()))
 
 
-def signature(form: FormField, plan: SamplePlan | None = None) -> SignatureType:
+def signature(form: FormField, plan: SamplePlan) -> SignatureType:
     """Per-sample diagonalization type, required constant on the base."""
-    plan = plan or SamplePlan()
     if not form.bundle.base.connected:
         raise InconsistentSignature(
             "signature needs a base declared connected", [], []
@@ -384,14 +380,13 @@ class TrivializingCover:
 
 
 def local_trivializing_cover(form: FormField,
-                             plan: SamplePlan | None = None) -> TrivializingCover:
+                             plan: SamplePlan) -> TrivializingCover:
     """Frame fields diagonalizing the form, one chart per pivot pattern.
 
     The pivot pattern observed numerically at each sample fixes the symbolic
     replay; samples with different patterns split the chart.  Each output
     chart carries guard conditions keeping its pivots nonzero.
     """
-    plan = plan or SamplePlan()
     out = []
     for (i,), _, ev in sampled_regions(form.bundle.cover, plan, 1):
         mats = ev(form.mats[i])
@@ -468,8 +463,7 @@ class FiberProjectorPair:
     minus: list
     sig: SignatureType
 
-    def check(self, plan: SamplePlan | None = None, tol: float = 1e-8) -> CheckReport:
-        plan = plan or SamplePlan()
+    def check(self, plan: SamplePlan, tol: float = 1e-8) -> CheckReport:
         bundle = self.form.bundle
         stat = _ResidualStat()
         for (i,), pts, ev in sampled_regions(bundle.cover, plan, 1):
@@ -486,9 +480,8 @@ class FiberProjectorPair:
         return CheckReport("decomposition", stat.max < tol, stat.max,
                            witness=stat.witness)
 
-    def restricted_definiteness(self, plan: SamplePlan | None = None):
+    def restricted_definiteness(self, plan: SamplePlan):
         """(min eig on range P+, max eig on range P-) over all samples."""
-        plan = plan or SamplePlan()
         bundle = self.form.bundle
         min_pos, max_neg = float("inf"), float("-inf")
         for (i,), _, ev in sampled_regions(bundle.cover, plan, 1):
@@ -521,8 +514,7 @@ class FiberProjectorPair:
         return outs[0], outs[1]
 
 
-def decompose(form: FormField,
-              plan: SamplePlan | None = None) -> FiberProjectorPair:
+def decompose(form: FormField, plan: SamplePlan) -> FiberProjectorPair:
     """Split the bundle into positive/negative subbundles of the form.
 
     Chart-free spectral construction: the sign-projectors of the pencil
@@ -530,7 +522,6 @@ def decompose(form: FormField,
     correctly across charts, so the chartwise formulas agree where charts
     overlap.
     """
-    plan = plan or SamplePlan()
     reference = standard_positive_form(form.bundle, plan=plan)
     sig = signature(form, plan)
     plus, minus = [], []
@@ -643,10 +634,9 @@ class IsometryWitness:
     target_form: FormField
 
 
-def check_isometry(witness: IsometryWitness, plan: SamplePlan | None = None,
+def check_isometry(witness: IsometryWitness, plan: SamplePlan,
                    tol: float = 1e-8) -> CheckReport:
     """Intertwining + invertibility + u^T s' u = s, all at samples."""
-    plan = plan or SamplePlan()
     iso = check_isomorphism(witness.morphism.source, witness.morphism.target,
                             witness.morphism, plan, tol)
     stat = _ResidualStat()
@@ -672,14 +662,13 @@ def _require_spd(form: FormField, plan: SamplePlan):
 
 
 def positive_isometry(form: FormField, target: FormField,
-                      plan: SamplePlan | None = None) -> IsometryWitness:
+                      plan: SamplePlan) -> IsometryWitness:
     """Isometry (bundle, form) -> (bundle, target) for positive forms.
 
     Each chart field is the principal square root of the pencil
     target^-1 form; it is congruence-covariant, so the fields glue into a
     bundle morphism once both forms are positive definite.
     """
-    plan = plan or SamplePlan()
     if form.bundle is not target.bundle:
         raise BaseMismatch("positive isometry needs both forms on one bundle")
     _require_spd(form, plan)
@@ -691,7 +680,7 @@ def positive_isometry(form: FormField, target: FormField,
 
 
 def isometry_same_bundle(form: FormField, target: FormField,
-                         plan: SamplePlan | None = None) -> IsometryWitness:
+                         plan: SamplePlan) -> IsometryWitness:
     """Isometry between two forms of equal signature on one bundle.
 
     Split both forms against the standard positive form; the projector
@@ -701,7 +690,6 @@ def isometry_same_bundle(form: FormField, target: FormField,
     definite parts.  Every factor is congruence-covariant, so the fields
     glue into a bundle morphism.
     """
-    plan = plan or SamplePlan()
     if form.bundle is not target.bundle:
         raise BaseMismatch("same-bundle isometry needs a shared bundle")
     src = decompose(form, plan)

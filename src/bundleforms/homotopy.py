@@ -117,14 +117,13 @@ class StripDecomposition:
 
 
 def strip_subdivision(bundle: BundleRep,
-                      plan: SamplePlan | None = None) -> list[StripDecomposition]:
+                      plan: SamplePlan) -> list[StripDecomposition]:
     """Cut [0,1] into strips per base chart, each inside one product chart.
 
     Breakpoints sit at the midpoints of consecutive chosen t-intervals'
     overlaps.  A sampled t value over some base point covered by no chart
     raises TCoverGap with the witness.
     """
-    plan = plan or SamplePlan()
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
     structure = bundle.cover.product_structure
@@ -216,7 +215,7 @@ class ClutchedTrivialization:
 
 
 def clutch(bundle: BundleRep, strips: StripDecomposition,
-           plan: SamplePlan | None = None) -> ClutchedTrivialization:
+           plan: SamplePlan) -> ClutchedTrivialization:
     """Glue the strips' chart frames by the frame change on breakpoint bands.
 
     The first strip keeps its chart frame; each later one is carried back
@@ -225,7 +224,6 @@ def clutch(bundle: BundleRep, strips: StripDecomposition,
     t-independent across the band at samples (it is a function of the base
     point only); variation beyond CLUTCH_TOL raises BandMismatch.
     """
-    plan = plan or SamplePlan()
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
     d = bundle.rank
@@ -275,14 +273,12 @@ def clutch(bundle: BundleRep, strips: StripDecomposition,
 # Restriction to a t-slice.
 
 
-def restrict_cylinder(bundle: BundleRep, t_value: float,
-                      plan: SamplePlan | None = None):
+def restrict_cylinder(bundle: BundleRep, t_value: float, plan: SamplePlan):
     """Restrict a cylinder bundle to the slice t = c.
 
     Returns (bundle over the cylinder's base, kept-chart index map).
     Charts whose slice at t = c has no sampled points are dropped.
     """
-    plan = plan or SamplePlan()
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
     const_maps = [Polynomial.coordinate(base_x.dim, i) for i in range(base_x.dim)]
@@ -323,7 +319,7 @@ class HomotopyWitness:
     parent_charts: list           # per chart: (t = 0 chart, t = 1 chart) of the cylinder
 
 
-def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
+def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan,
                          tol: float = 1e-6, path=None) -> HomotopyWitness:
     """Certified isomorphism between the t = 0 and t = 1 restrictions.
 
@@ -341,7 +337,6 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan | None = None,
     details hold `ladder_points`, `ladder_gap` (worst probe jump) and, for a
     ladder capped with the gap unmet, `ladder_capped`.
     """
-    plan = plan or SamplePlan()
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
     if bundle.cover.product_structure is not None:
@@ -455,7 +450,7 @@ class HomotopyIsometry:
     report: CheckReport
 
 
-def homotopy_isometry(form: FormField, plan: SamplePlan | None = None,
+def homotopy_isometry(form: FormField, plan: SamplePlan,
                       tol: float = 1e-6) -> HomotopyIsometry:
     """Certified isometry between the t = 0 and t = 1 restrictions of a form.
 
@@ -464,7 +459,6 @@ def homotopy_isometry(form: FormField, plan: SamplePlan | None = None,
     definite parts against the standard positive reference).  The report
     carries the transport ladder's details.
     """
-    plan = plan or SamplePlan()
     bundle = form.bundle
     hw = homotopy_isomorphism(bundle, plan, tol)
     _, t_index = _require_cylinder(bundle.base)
@@ -502,7 +496,7 @@ class TrivializationWitness:
     report: CheckReport
 
 
-def trivialize_contractible(bundle: BundleRep, plan: SamplePlan | None = None,
+def trivialize_contractible(bundle: BundleRep, plan: SamplePlan,
                             tol: float = 1e-6) -> TrivializationWitness:
     """Certified trivialization over a base star-shaped about a declared center.
 
@@ -512,7 +506,6 @@ def trivialize_contractible(bundle: BundleRep, plan: SamplePlan | None = None,
     center) to t = 1 (the bundle as presented).  The report carries the
     transport ladder's details.
     """
-    plan = plan or SamplePlan()
     base = bundle.base
     if base.star_center is None:
         raise NotCatalogBase("trivialization needs a declared star center")
@@ -555,14 +548,13 @@ def trivialize_contractible(bundle: BundleRep, plan: SamplePlan | None = None,
 
 
 def induced_iso_from_homotopy(bundle: BundleRep, f_map, g_map, h_map,
-                              domain: Base, plan: SamplePlan | None = None,
+                              domain: Base, plan: SamplePlan,
                               tol: float = 1e-6) -> HomotopyWitness:
     """Isomorphism between f*(bundle) and g*(bundle) from a homotopy H.
 
     H must restrict to f at t = 0 and to g at t = 1 (within 1e-9 at
     samples) and map into the bundle's base.
     """
-    plan = plan or SamplePlan()
 
     def as_component_expr(c):
         return c.to_expr() if isinstance(c, Polynomial) else ex.as_expr(c)

@@ -133,8 +133,7 @@ class WittClass:
         return self.form.bundle.base
 
 
-def witt_invariants(form: FormField, plan: SamplePlan | None = None):
-    plan = plan or SamplePlan()
+def witt_invariants(form: FormField, plan: SamplePlan):
     circle = _is_circle(form.bundle.base)
     if form.rank == 0:
         return SignatureType(0, 0), ((0, 0) if circle else None)
@@ -153,13 +152,12 @@ def _definite_parts(form: FormField, plan: SamplePlan, name: str):
             bundle_from_projector(minus_amb, plan, name=f"{name}-"))
 
 
-def witt_class(form: FormField, plan: SamplePlan | None = None) -> WittClass:
+def witt_class(form: FormField, plan: SamplePlan) -> WittClass:
     sig, det_classes = witt_invariants(form, plan)
     return WittClass(form, sig.difference, sig.rank % 2, det_classes)
 
 
-def witt_add(a: WittClass, b: WittClass,
-             plan: SamplePlan | None = None) -> WittClass:
+def witt_add(a: WittClass, b: WittClass, plan: SamplePlan) -> WittClass:
     if a.base.sset is not b.base.sset:
         raise BaseMismatch("Witt classes live over different bases")
     return witt_class(orthogonal_sum(a.form, b.form), plan)
@@ -171,8 +169,7 @@ def witt_neg(a: WittClass) -> WittClass:
                      (a.det_classes[1], a.det_classes[0]))
 
 
-def witt_mul(a: WittClass, b: WittClass,
-             plan: SamplePlan | None = None) -> WittClass:
+def witt_mul(a: WittClass, b: WittClass, plan: SamplePlan) -> WittClass:
     if a.base.sset is not b.base.sset:
         raise BaseMismatch("Witt classes live over different bases")
     return witt_class(tensor_form(a.form, b.form), plan)
@@ -182,10 +179,9 @@ def witt_mul(a: WittClass, b: WittClass,
 # The correspondence maps.
 
 
-def delta(k: K0Class, plan: SamplePlan | None = None) -> WittClass:
+def delta(k: K0Class, plan: SamplePlan) -> WittClass:
     """Equip both representatives with standard positive forms:
     delta([P+] - [P-]) = [(P+, pos)] - [(P-, pos)]."""
-    plan = plan or SamplePlan()
     parts = []
     for bundle, flip in ((k.plus, False), (k.minus, True)):
         if bundle.rank == 0:
@@ -203,10 +199,9 @@ def delta(k: K0Class, plan: SamplePlan | None = None) -> WittClass:
     return witt_class(total, plan)
 
 
-def nabla(w: WittClass, plan: SamplePlan | None = None) -> K0Class:
+def nabla(w: WittClass, plan: SamplePlan) -> K0Class:
     """Split the form into definite subbundles:
     nabla([(P, b)]) = [P+] - [P-]."""
-    plan = plan or SamplePlan()
     form = w.form
     if form.rank == 0:
         zero = trivial_bundle(form.bundle.cover, 0, "rank0")
@@ -259,15 +254,13 @@ def _constant_mats(form: FormField, plan: SamplePlan):
     return value
 
 
-def witt_is_zero(w: WittClass, plan: SamplePlan | None = None,
-                 tol: float = 1e-8):
+def witt_is_zero(w: WittClass, plan: SamplePlan):
     """Decide triviality of a Witt class on a catalog base.
 
     Returns (verdict, witness) with verdict in {"true", "false",
     "unknown"}: "true" only with a certified isometry to a hyperbolic
     space, "false" only on an invariant obstruction, "unknown" otherwise.
     """
-    plan = plan or SamplePlan()
     base = w.base
     if not (base.connected and (base.star_center is not None or _is_circle(base))):
         raise NotCatalogBase("witt_is_zero decides only on catalog bases")
@@ -286,13 +279,13 @@ def witt_is_zero(w: WittClass, plan: SamplePlan | None = None,
                  for _ in range(form.bundle.cover.n_charts)]
         witness = IsometryWitness(
             MorphismField(form.bundle, form.bundle, ident), form, form)
-        if check_isometry(witness, plan, tol).passed:
+        if check_isometry(witness, plan).passed:
             return "true", witness
     # built as b + (-b): reuse the cancellation witness
     cancel = form.cancellation_of
     if cancel is not None:
         witness = cancellation_witness(cancel.bundle, cancel)
-        if check_isometry(witness, plan, tol).passed:
+        if check_isometry(witness, plan).passed:
             return "true", witness
     # constant form on a trivial presentation: diagonalize numerically and
     # rotate the split form onto the hyperbolic block
@@ -310,7 +303,7 @@ def witt_is_zero(w: WittClass, plan: SamplePlan | None = None,
         fields = [em_const(u) for _ in range(form.bundle.cover.n_charts)]
         witness = IsometryWitness(
             MorphismField(form.bundle, target, fields), form, target_form)
-        if check_isometry(witness, plan, tol).passed:
+        if check_isometry(witness, plan).passed:
             return "true", witness
     return "unknown", None
 
@@ -319,7 +312,7 @@ def witt_is_zero(w: WittClass, plan: SamplePlan | None = None,
 # Round trips.
 
 
-def roundtrip_k0(k: K0Class, plan: SamplePlan | None = None,
+def roundtrip_k0(k: K0Class, plan: SamplePlan,
                  want_witness: bool = False) -> dict:
     """nabla(delta(k)) must preserve the K-invariants exactly.
 
@@ -328,7 +321,6 @@ def roundtrip_k0(k: K0Class, plan: SamplePlan | None = None,
     round-tripped positive part and the trivial bundle of its rank; its
     residual is reported when requested.
     """
-    plan = plan or SamplePlan()
     back = nabla(delta(k, plan), plan)
     out = {
         "rank_diff": (k.rank_diff, back.rank_diff),
@@ -345,9 +337,8 @@ def roundtrip_k0(k: K0Class, plan: SamplePlan | None = None,
     return out
 
 
-def roundtrip_witt(w: WittClass, plan: SamplePlan | None = None) -> dict:
+def roundtrip_witt(w: WittClass, plan: SamplePlan) -> dict:
     """delta(nabla(w)) must preserve the signature difference."""
-    plan = plan or SamplePlan()
     back = delta(nabla(w, plan), plan)
     return {
         "sig_diff": (w.sig_diff, back.sig_diff),

@@ -346,13 +346,6 @@ class SamplePlan:
     n_triple: int = 150
     margin: float = 1e-9
 
-    def scaled(self, factor: float) -> "SamplePlan":
-        return SamplePlan(self.seed,
-                          max(1, int(self.n_chart * factor)),
-                          max(1, int(self.n_overlap * factor)),
-                          max(1, int(self.n_triple * factor)),
-                          self.margin)
-
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -576,7 +569,9 @@ class Cover:
 
         Returns the refined cover and, per refined chart, the (i, j) pair of
         parent chart indices.  Pairs whose intersection has no sampled point
-        are dropped.
+        are dropped.  The probe always uses the fixed default `SamplePlan()`
+        (16 points): which intersections survive is part of the refined
+        cover, so it must not depend on the plan a later check certifies with.
         """
         if other.base is not self.base and other.base.sset is not self.base.sset:
             raise CoverageFailure("refinement needs a common base")

@@ -62,26 +62,22 @@ def zero_function(closed: SemialgebraicSet, r: int) -> ex.Expr:
 
 
 def separating_function(x_set: SemialgebraicSet, y_set: SemialgebraicSet, r: int,
-                        plan: SamplePlan | None = None,
-                        base: Base | None = None) -> ex.Expr:
+                        plan: SamplePlan, base: Base) -> ex.Expr:
     """C^r function with value exactly 0 on X and exactly 1 on Y.
 
     Built as g^2 / (g^2 + h^2) from the zero functions of the two sets.
-    When a plan and base are given, disjointness is certified on samples
-    of the base.
+    Disjointness is always certified on samples of the base.
     """
     g = zero_function(x_set, r)
     h = zero_function(y_set, r)
-    if plan is not None and base is not None:
-        for a, b in ((x_set, y_set), (y_set, x_set)):
-            pts, _ = base.sample_region(a.intersect(base.sset), plan,
-                                        plan.n_overlap)
-            if pts.shape[0]:
-                inside = b.membership(pts, eq_tol=1e-9)
-                if inside.any():
-                    raise NotDisjoint(
-                        f"sampled point {tuple(pts[inside][0])} lies in both sets"
-                    )
+    for a, b in ((x_set, y_set), (y_set, x_set)):
+        pts, _ = base.sample_region(a.intersect(base.sset), plan, plan.n_overlap)
+        if pts.shape[0]:
+            inside = b.membership(pts, eq_tol=1e-9)
+            if inside.any():
+                raise NotDisjoint(
+                    f"sampled point {tuple(pts[inside][0])} lies in both sets"
+                )
     g2 = ex.Mul(g, g)
     h2 = ex.Mul(h, h)
     return ex.Div(g2, ex.Add(g2, h2))
@@ -94,14 +90,13 @@ class ShrunkCover:
     support_gates: list[ex.Expr]    # f_i, vanishing exactly off V_i
 
 
-def shrink_cover(cover: Cover, r: int = 1, plan: SamplePlan | None = None) -> ShrunkCover:
+def shrink_cover(cover: Cover, r: int = 1, *, plan: SamplePlan) -> ShrunkCover:
     """Shrink each chart so its closure sits inside the original chart.
 
     Inductive construction: the part of the base not covered by the other
     charts is separated from the complement of the current chart, and the
     new chart is the sublevel set {h < 1/2} of the separating function.
     """
-    plan = plan or SamplePlan()
     cover.require_coverage(plan)
     base = cover.base
     dim = base.dim
@@ -155,16 +150,15 @@ class PartitionOfUnity:
         return len(self.weights)
 
 
-def partition_of_unity(cover: Cover, r: int = 1,
-                       plan: SamplePlan | None = None) -> PartitionOfUnity:
+def partition_of_unity(cover: Cover, r: int = 1, *,
+                       plan: SamplePlan) -> PartitionOfUnity:
     """Weights lambda_i = f_i^2 / sum f_j^2 subordinate to the cover.
 
     Each f_i vanishes exactly off the shrunk chart V_i, so lambda_i is zero
     exactly outside chart i and the weights sum to one wherever the shrunk
     cover covers, certified at base samples.
     """
-    plan = plan or SamplePlan()
-    shrunk = shrink_cover(cover, r, plan)
+    shrunk = shrink_cover(cover, r, plan=plan)
     squares = [ex.Mul(f, f) for f in shrunk.support_gates]
     total = squares[0]
     for s in squares[1:]:
@@ -182,27 +176,24 @@ def partition_of_unity(cover: Cover, r: int = 1,
 
 
 def vertical_retraction(u_set: SemialgebraicSet, v_set: SemialgebraicSet, r: int,
-                        plan: SamplePlan | None = None,
-                        base: Base | None = None) -> ex.Expr:
+                        plan: SamplePlan, base: Base) -> ex.Expr:
     """tau(x, t) with tau = 1 over U, tau = t off V, interpolating between.
 
     Built as (f^2 t + g^2) / (f^2 + g^2) with f vanishing on closure(U) and
     g on the complement of V; t is the variable right after the ambient x
-    variables.  When a plan and base are given, closure(U) inside V is
-    certified on samples of the base.
+    variables.  closure(U) inside V is always certified on samples of the
+    base.
     """
     if not u_set.is_open() or not v_set.is_open():
         raise ContainmentFailure("vertical retraction expects open U and V")
     closure_u = u_set.closure()
-    if plan is not None and base is not None:
-        pts, _ = base.sample_region(closure_u.intersect(base.sset), plan,
-                                    plan.n_overlap)
-        if pts.shape[0]:
-            inside = v_set.membership(pts)
-            if not inside.all():
-                raise ContainmentFailure(
-                    f"closure(U) escapes V at sampled point {tuple(pts[~inside][0])}"
-                )
+    pts, _ = base.sample_region(closure_u.intersect(base.sset), plan, plan.n_overlap)
+    if pts.shape[0]:
+        inside = v_set.membership(pts)
+        if not inside.all():
+            raise ContainmentFailure(
+                f"closure(U) escapes V at sampled point {tuple(pts[~inside][0])}"
+            )
     f = zero_function(closure_u, r)
     g = zero_function(v_set.complement(), r)
     f2 = ex.Mul(f, f)

@@ -125,6 +125,36 @@ def test_single_chart_trivial_passes_vacuously():
     assert report.passed and report.max_residual == 0.0
 
 
+def three_arc_cover():
+    """{x1 < 1/2}, {x1 > -1/2}, {x0 > 1/2}: all three meet where x0 > sqrt(3)/2."""
+    x0, x1 = Polynomial.coordinate(2, 0), Polynomial.coordinate(2, 1)
+    half = Polynomial.constant(2, Fraction(1, 2))
+    arcs = [half - x1, x1 + half, x0 - half]
+    return Cover(circle_base(), [SemialgebraicSet(2, [[Condition.from_poly(p, GT)]])
+                                 for p in arcs], name="three-arcs")
+
+
+def test_triple_cocycle_law_is_certified():
+    plan = SamplePlan(seed=0, n_chart=120, n_overlap=80, n_triple=60)
+    cover = three_arc_cover()
+    assert cover.samples((0, 1, 2), plan).shape[0] > 0
+    trivial = validate_cocycle(trivial_bundle(cover, 1), plan)
+    assert trivial.passed
+    assert trivial.details["cocycle_residual"] == 0.0
+    # g_13 = g_31 = -1 and +1 elsewhere: every g_ij g_ji = 1, but
+    # g_12 g_23 = 1 != g_13 on the triple overlap
+    sign = {(i, j): -1.0 if {i, j} == {0, 2} else 1.0
+            for i in range(3) for j in range(3) if i != j}
+    twisted = BundleRep(cover, 1, {k: em_const(np.array([[v]]))
+                                   for k, v in sign.items()}, name="twisted")
+    report = validate_cocycle(twisted, plan)
+    assert not report.passed
+    assert report.details["identity_residual"] == 0.0
+    assert report.details["cocycle_residual"] == 2.0
+    assert report.max_residual == 2.0
+    assert report.witness[0] > np.sqrt(3.0) / 2.0
+
+
 # --- bundle algebra ---------------------------------------------------------
 
 def test_rank_laws():
@@ -259,9 +289,9 @@ def test_coefficients_refined_chart_count(monkeypatch):
     seen = []
     glue = bu.partition_of_unity
 
-    def spy(cover, r, plan):
+    def spy(cover, *, plan):
         seen.append(cover.n_charts)
-        return glue(cover, r, plan)
+        return glue(cover, plan=plan)
 
     m = moebius()
     system = generating_sections(m, r=1, plan=PLAN)

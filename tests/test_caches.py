@@ -46,9 +46,9 @@ def test_gauss_embedding_is_built_once_per_r_and_plan(monkeypatch):
     pou_calls = counting(monkeypatch, bu, "partition_of_unity")
     m = moebius()
     first = gauss_embedding(m, plan=PLAN)
-    assert gauss_embedding(m, 1, PLAN) is first
+    assert gauss_embedding(m, 1, plan=PLAN) is first
     assert len(pou_calls) == 1
-    other_r = gauss_embedding(m, 2, PLAN)
+    other_r = gauss_embedding(m, 2, plan=PLAN)
     other_plan = gauss_embedding(m, plan=SamplePlan(seed=1, n_chart=120,
                                                     n_overlap=80, n_triple=60))
     assert len({id(first), id(other_r), id(other_plan)}) == 3

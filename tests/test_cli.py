@@ -128,6 +128,45 @@ def test_homotopy_subcommand_cylinder(capsys):
     assert "homotopy-iso" in out
 
 
+def test_homotopy_subcommand_on_circle_is_an_error_not_a_vacuous_pass(capsys):
+    # the circle is neither a cylinder nor star-shaped: every bundle and
+    # form gets a task, and each reports the catalog-base error
+    code, out = run_cli(capsys, "homotopy", SPECS / "moebius.json",
+                        "--format", "machine")
+    assert code == 2
+    tasks = json.loads(out)["tasks"]
+    assert [t["name"] for t in tasks] == [
+        "homotopy-iso moebius", "homotopy-iso eps1", "homotopy-iso eps2",
+        "homotopy-isometry unit_moebius", "homotopy-isometry hyperbolic1"]
+    assert all(t["status"] == "error" for t in tasks)
+    assert all(t["message"].startswith("NotCatalogBase: ") for t in tasks)
+
+
+def test_check_witness_tasks_from_the_spec(tmp_path, capsys):
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    assert set(raw["sections"]) == {"one"}
+    raw["tasks"] = [
+        {"op": "check-witness", "witness": "id"},
+        {"op": "check-witness", "witness": "id", "label": "id isometry",
+         "source_form": "unit_moebius", "target_form": "unit_moebius"},
+        {"op": "check-witness", "witness": "flip"},
+    ]
+    spec = tmp_path / "witnesses.json"
+    spec.write_text(json.dumps(raw))
+    code, out = run_cli(capsys, "operate", spec, "--samples", "200",
+                        "--format", "machine")
+    assert code == 1
+    ident, isometry, flip = json.loads(out)["tasks"]
+    assert (ident["name"], ident["status"]) == ("check-witness id", "pass")
+    assert ident["max_residual"] == 0.0
+    assert (isometry["name"], isometry["status"]) == ("id isometry", "pass")
+    assert isometry["max_residual"] == 0.0
+    # eps1 -> moebius by 1: u g1 - g2 u = 1 - sign(x0) on the overlaps
+    assert (flip["name"], flip["status"]) == ("check-witness flip", "fail")
+    assert flip["max_residual"] == 2.0
+    assert flip["witness_point"][0] < 0
+
+
 def test_rings_subcommand(capsys):
     code, out = run_cli(capsys, "rings", SPECS / "moebius.json",
                         "--samples", "150")

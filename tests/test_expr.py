@@ -84,6 +84,24 @@ def test_smoothness_bounds():
     assert ex.Div(x, ex.Add(ex.Mul(x, x), 1.0)).smoothness() == ex.SMOOTH
 
 
+def test_smoothness_visits_each_node_once(monkeypatch):
+    # x <- clamp(x + x)^3, twelve times: 3 nodes per level over one Var
+    node = ex.Var(0)
+    for _ in range(12):
+        node = ex.Pow(ex.Clamp(ex.Add(node, node)), 3)
+    misses = []
+    inner = ex._smoothness
+
+    def counting(n, memo):
+        if id(n) not in memo:
+            misses.append(id(n))
+        return inner(n, memo)
+
+    monkeypatch.setattr(ex, "_smoothness", counting)
+    assert node.smoothness() == 2
+    assert len(misses) == len(set(misses)) == 3 * 12 + 1
+
+
 def test_matrix_solve_entry():
     # constant system [[2,0],[0,4]] x = (1, 2) -> x = (1/2, 1/2)
     a = [[ex.Const(2.0), ex.Const(0.0)], [ex.Const(0.0), ex.Const(4.0)]]

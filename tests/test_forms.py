@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bundleforms import expr as ex
+from bundleforms import forms as fo
 from bundleforms.bundles import sampled_regions, trivial_bundle, validate_cocycle
 from bundleforms.catalog import (
     circle_trivial,
@@ -192,6 +193,28 @@ def test_trivializing_cover_constant_form():
         s = f.eval_chart(tc.parent, pts)
         res = np.abs(np.swapaxes(g, 1, 2) @ s @ g - j_matrix(tc.sig)).max()
         assert res < 1e-8
+
+
+def test_trivializing_cover_replays_a_hyperbolic_pair_fix(monkeypatch):
+    # both diagonals vanish: the symbolic replay must add slot 1 to slot 0
+    b = trivial_bundle(full_cover(line_base()), 2)
+    s = np.array([[0.0, 1.0], [1.0, 0.0]])
+    f = FormField.constant(b, s)
+    patterns = []
+    replay = fo._symbolic_gs
+
+    def spy(s_mat, events):
+        patterns.append(events)
+        return replay(s_mat, events)
+
+    monkeypatch.setattr(fo, "_symbolic_gs", spy)
+    (tc,) = local_trivializing_cover(f, PLAN).charts
+    assert patterns == [(("fix", 0, 1), ("pivot", 0, 1.0), ("pivot", 1, -1.0))]
+    assert tc.sig == SignatureType(1, 1)
+    pts = b.cover.samples((0,), PLAN)
+    assert tc.chart.membership(pts).all()
+    g = em_eval(tc.frame, pts)
+    assert np.abs(np.swapaxes(g, 1, 2) @ s @ g - np.diag([1.0, -1.0])).max() < 1e-12
 
 
 def test_trivializing_cover_splits_on_pivot_change():

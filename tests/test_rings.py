@@ -10,6 +10,7 @@ from bundleforms.bundles import s1_line_class, trivial_bundle, whitney_sum
 from bundleforms.catalog import (
     circle_trivial,
     full_cover,
+    line_base,
     moebius,
     plane_base,
     point_base,
@@ -128,6 +129,13 @@ def test_witt_single_one_not_zero():
     w = point_witt(np.eye(1))
     verdict, _ = witt_is_zero(w, PLAN)
     assert verdict == "false"
+
+
+def test_witt_unit_line_form_is_obstructed():
+    # <1> on eps^1 over the line: signature difference 1, no witness
+    b = trivial_bundle(full_cover(line_base()), 1)
+    w = witt_class(FormField.constant(b, np.eye(1)), PLAN)
+    assert witt_is_zero(w, PLAN) == ("false", None)
 
 
 def test_hyperbolic_is_zero_with_identity_witness():

@@ -1,5 +1,8 @@
 """Sets, membership, complements, deterministic sampling."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -118,3 +121,33 @@ def test_halton_matches_scalar_radical_inverse(skip):
         for dim in (1, 2, 3, 5, 10):
             got = _halton(n, dim, skip)
             assert got.tobytes() == reference_halton(n, dim, skip).tobytes()
+
+
+# --- the sample plan is always explicit ---------------------------------------
+
+def test_no_construction_or_check_defaults_its_sample_plan():
+    # a plan defines what a certificate means, so no function may pick one
+    # silently; only Cover.refined_with probes with the fixed SamplePlan()
+    src = Path(__file__).resolve().parent.parent / "src" / "bundleforms"
+    defaulted, implicit = [], []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "plan or SamplePlan()" not in text, path.name
+        for fn in ast.walk(ast.parse(text)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):]
+            with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None]
+            defaulted += [f"{path.name}:{fn.name}" for a in with_default
+                          if a.arg == "plan"]
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and not node.args and not node.keywords
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "SamplePlan"
+                        and fn.name != "refined_with"):
+                    implicit.append(f"{path.name}:{fn.name}")
+    assert defaulted == []
+    assert implicit == []

@@ -3,14 +3,18 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bundleforms import expr as ex
 from bundleforms.errors import (
     BundleformsError,
     DimensionMismatch,
     SpecParseError,
     UnresolvedReference,
 )
+from bundleforms.exprparse import parse_expression
+from bundleforms.semialg import SamplePlan
 from bundleforms.specfile import parse_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -28,6 +32,35 @@ def test_moebius_fixture_resolves():
     assert set(doc.forms) == {"unit_moebius", "hyperbolic1"}
     assert len(doc.tasks) == 7
     assert doc.base.circle is not None
+
+
+def test_moebius_fixture_sections_and_witnesses():
+    doc = parse_spec(load("moebius.json"))
+    (section,) = doc.sections.values()
+    assert section.bundle is doc.bundles["eps1"]
+    assert section.check(SamplePlan(seed=0, n_chart=100, n_overlap=64,
+                                    n_triple=48)).passed
+    assert set(doc.witnesses) == {"id", "flip"}
+    flip = doc.witnesses["flip"]
+    assert flip.source is doc.bundles["eps1"]
+    assert flip.target.transitions == doc.bundles["moebius"].transitions
+
+
+@pytest.mark.parametrize("text,oracle", [
+    ("sqrt(x0 + 1)", lambda x0, x1: np.sqrt(x0 + 1)),
+    ("abs(x1 - 0.5)", lambda x0, x1: np.abs(x1 - 0.5)),
+    ("clamp(x1)", lambda x0, x1: np.maximum(x1, 0.0)),
+    ("min(x0, x1)", np.minimum),
+    ("max(x0, 2 * x1)", lambda x0, x1: np.maximum(x0, 2 * x1)),
+    ("(x0 - x1) * (x0 + x1)", lambda x0, x1: (x0 - x1) * (x0 + x1)),
+    ("x0**3 - x1^2", lambda x0, x1: x0**3 - x1**2),
+])
+def test_parsed_functions_match_numpy(text, oracle):
+    rng = np.random.default_rng(0)
+    pts = np.column_stack([rng.uniform(0.0, 2.0, 50), rng.uniform(-2.0, 2.0, 50)])
+    values = ex.evaluate(parse_expression(text, 2), pts)
+    np.testing.assert_allclose(values, oracle(pts[:, 0], pts[:, 1]),
+                               rtol=1e-14, atol=0.0)
 
 
 def test_round_trip_serialization():
