@@ -1,9 +1,8 @@
 """Vector bundles presented by transition cocycles, and their algebra.
 
-A bundle is a cover, a rank, and per-overlap transition matrices of
-expressions satisfying the cocycle laws.  Identity transitions are stored
-canonically, everything else is certified at sampled overlap points.  The
-projector bridge (generating sections -> ambient embedding -> idempotent
+A bundle is a cover, a rank, and a complete table of per-overlap transition
+matrices of expressions; the cocycle laws are certified at sampled overlap
+points.  The projector bridge (generating sections -> ambient embedding -> idempotent
 matrix field -> minor-chart bundle) makes the bundle/projective-module
 correspondence executable.
 """
@@ -38,6 +37,7 @@ from .matexpr import (
     em_identity,
     em_inv,
     em_kron,
+    em_mul,
     em_scale,
     em_shape,
     em_solve,
@@ -58,7 +58,12 @@ LOOP_STEPS = 720             # initial equal steps of the circle walk
 
 
 class BundleRep:
-    """Cover + rank + transition matrix fields g_ij on chart overlaps."""
+    """Cover + rank + transition matrix fields g_ij on chart overlaps.
+
+    `transitions` is complete once built: each pair i != j, in permutations
+    order, holds its declared g_ij, else the inverse of a declared g_ji, else
+    (`default_identity`) one shared identity.  g_ii is never declared.
+    """
 
     def __init__(self, cover: Cover, rank: int, transitions=None,
                  name: str = "", default_identity: bool = False, *,
@@ -66,7 +71,6 @@ class BundleRep:
                  frame_subsets: list | None = None):
         self.cover = cover
         self.rank = int(rank)
-        self.transitions = dict(transitions or {})
         self.name = name
         self.default_identity = default_identity
         # minor-chart bundles: the projector and each chart's column subset
@@ -74,27 +78,34 @@ class BundleRep:
         self.frame_subsets = frame_subsets
         # certified Gauss embeddings by (r, plan), filled by gauss_embedding
         self.embeddings: dict = {}
-        for (i, j), g in self.transitions.items():
+        declared = dict(transitions or {})
+        pairs = list(itertools.permutations(range(cover.n_charts), 2))
+        for (i, j), g in declared.items():
+            if (i, j) not in pairs:
+                raise BundleformsError(f"bundle {name or '?'}: transition ({i},{j}) "
+                                       "does not join two distinct charts")
             if em_shape(g) != (self.rank, self.rank):
                 raise BundleformsError(
                     f"transition ({i},{j}) has shape {em_shape(g)}, want rank {rank}"
                 )
+        identity = em_identity(self.rank) if default_identity else None
+        self.transitions = {}
+        for i, j in pairs:
+            if (i, j) in declared:
+                self.transitions[(i, j)] = declared[(i, j)]
+            elif (j, i) in declared:
+                self.transitions[(i, j)] = em_inv(declared[(j, i)])
+            elif default_identity:
+                self.transitions[(i, j)] = identity
 
     def transition(self, i: int, j: int):
         """g_ij, mapping chart-j fiber coordinates to chart-i coordinates."""
         if i == j:
             return em_identity(self.rank)
         got = self.transitions.get((i, j))
-        if got is not None:
-            return got
-        rev = self.transitions.get((j, i))
-        if rev is not None:
-            inv = em_inv(rev)
-            self.transitions[(i, j)] = inv
-            return inv
-        if self.default_identity:
-            return em_identity(self.rank)
-        raise BundleformsError(f"no transition declared between charts {i} and {j}")
+        if got is None:
+            raise BundleformsError(f"no transition declared between charts {i} and {j}")
+        return got
 
     @property
     def base(self) -> Base:
@@ -242,31 +253,25 @@ def common_cover(b1: BundleRep, b2: BundleRep) -> tuple[BundleRep, BundleRep]:
     refined, parents = b1.cover.refined_with(b2.cover)
 
     def lift(b: BundleRep, side: int) -> BundleRep:
+        identity = em_identity(b.rank)
         transitions = {}
         for (r, pr), (s, ps) in itertools.permutations(enumerate(parents), 2):
-            if pr[side] == ps[side]:
-                transitions[(r, s)] = em_identity(b.rank)
-                continue
-            try:
-                transitions[(r, s)] = b.transition(pr[side], ps[side])
-            except BundleformsError:
-                # parents never overlap; the pair is only reachable when the
-                # refined overlap is empty, so leave it undeclared
-                pass
+            i, j = pr[side], ps[side]
+            g = identity if i == j else b.transitions.get((i, j))
+            # parents that never overlap leave the pair undeclared: it is
+            # only reachable when the refined overlap is empty
+            if g is not None:
+                transitions[(r, s)] = g
         return BundleRep(refined, b.rank, transitions, name=b.name,
                          default_identity=b.default_identity)
 
     return lift(b1, 0), lift(b2, 1)
 
 
-def _paired(a: BundleRep, b: BundleRep):
-    """(i, j) pairs for which both lifted bundles can state a transition."""
-    q = a.cover.n_charts
-    for i, j in itertools.permutations(range(q), 2):
-        try:
-            yield i, j, a.transition(i, j), b.transition(i, j)
-        except BundleformsError:
-            continue
+def _paired(a: BundleRep, b: BundleRep, combine) -> dict:
+    """combine(g_a, g_b) for each pair both lifted bundles state."""
+    return {key: combine(ga, b.transitions[key])
+            for key, ga in a.transitions.items() if key in b.transitions}
 
 
 def whitney_sum(b1: BundleRep, b2: BundleRep) -> BundleRep:
@@ -276,10 +281,7 @@ def whitney_sum(b1: BundleRep, b2: BundleRep) -> BundleRep:
     if b2.rank == 0:
         return b1
     a, b = common_cover(b1, b2)
-    transitions = {}
-    for i, j, ga, gb in _paired(a, b):
-        transitions[(i, j)] = em_block_diag(ga, gb)
-    return BundleRep(a.cover, a.rank + b.rank, transitions,
+    return BundleRep(a.cover, a.rank + b.rank, _paired(a, b, em_block_diag),
                      name=f"({b1.name})+({b2.name})")
 
 
@@ -288,21 +290,12 @@ def tensor(b1: BundleRep, b2: BundleRep) -> BundleRep:
     if b1.rank == 0 or b2.rank == 0:
         return trivial_bundle(b1.cover, 0, "rank0")
     a, b = common_cover(b1, b2)
-    transitions = {}
-    for i, j, ga, gb in _paired(a, b):
-        transitions[(i, j)] = em_kron(ga, gb)
-    return BundleRep(a.cover, a.rank * b.rank, transitions,
+    return BundleRep(a.cover, a.rank * b.rank, _paired(a, b, em_kron),
                      name=f"({b1.name})x({b2.name})")
 
 
 def dual(b: BundleRep) -> BundleRep:
-    q = b.cover.n_charts
-    transitions = {}
-    for i, j in itertools.permutations(range(q), 2):
-        try:
-            transitions[(i, j)] = em_transpose(em_inv(b.transition(i, j)))
-        except BundleformsError:
-            continue
+    transitions = {key: em_transpose(em_inv(g)) for key, g in b.transitions.items()}
     return BundleRep(b.cover, b.rank, transitions, name=f"dual({b.name})",
                      default_identity=b.default_identity)
 
@@ -418,10 +411,10 @@ def _weighted_transition(bundle: BundleRep, weight, a: int, b: int):
     elsewhere, and zero where the charts never meet."""
     if a == b:
         return em_scale(weight, em_identity(bundle.rank))
-    try:
-        return em_zero_gate(weight, bundle.transition(a, b))
-    except BundleformsError:
+    g = bundle.transitions.get((a, b))
+    if g is None:
         return em_const(np.zeros((bundle.rank, bundle.rank)))
+    return em_zero_gate(weight, g)
 
 
 def generating_sections(bundle: BundleRep, r: int = 1, *,
@@ -480,7 +473,8 @@ class ProjectorField:
     base: Base
     entries: tuple        # n x n ExprMatrix over the base
     rank: int
-    frames: list | None = None        # per bundle chart: ambient frame (n x d)
+    frames: list | None = None        # per bundle chart: ambient frame A (n x d)
+    grams: list | None = None         # per bundle chart: A^T A (d x d)
     pou: PartitionOfUnity | None = None
 
     @property
@@ -520,16 +514,16 @@ def gauss_embedding(bundle: BundleRep, r: int = 1, *,
         return field
     pou = generating_sections(bundle, r, plan=plan).pou
     d, q = bundle.rank, bundle.cover.n_charts
-    frames = []
-    projs = []
+    frames, grams, projs = [], [], []
     for k in range(q):
         blocks = [_weighted_transition(bundle, pou.weights[i], i, k)
                   for i in range(q)]
         frame = tuple(row for block in blocks for row in block)  # (qd x d)
         frames.append(frame)
+        grams.append(em_mul(em_transpose(frame), frame))
         projs.append(em_colspan_proj(frame, guard_tol=1e-12))
     entries = em_glue(pou.weights, projs)
-    field = ProjectorField(bundle.base, entries, d, frames, pou)
+    field = ProjectorField(bundle.base, entries, d, frames, grams, pou)
     report = field.check(plan)
     if not report.passed:
         raise RankDrop(

@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--witness-tol", type=float, default=WITNESS_TOL,
                        help="witness tolerance (default 1e-6)")
         p.add_argument("--samples", type=int, default=1000,
-                       help="sample points per chart (default 1000)")
+                       help="sample points per chart, at least 1 (default 1000)")
         p.add_argument("--format", choices=("human", "machine"),
                        default="human")
         if name == "validate":
@@ -275,10 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.samples < 1:    # no check may pass on zero sample points
+        parser.error("argument --samples: must be at least 1")
     try:
         doc = parse_spec(args.spec.read_text(encoding="utf-8"))
-    except (OSError, BundleformsError) as err:
+    except (OSError, UnicodeDecodeError, BundleformsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     tasks = _SUBCOMMANDS[args.command](doc, args)

@@ -94,14 +94,12 @@ def j_matrix(sig: SignatureType) -> np.ndarray:
 class FormField:
     """Per-chart symmetric matrices of expressions over a bundle.
 
-    Provenance, where a construction knows it: `proj`, the embedding a
-    standard positive form restricts; `hyperbolic_of`, the bundle of a
-    hyperbolic space; `negation_of`, the form a negation flips;
+    Provenance, where a construction knows it: `hyperbolic_of`, the bundle
+    of a hyperbolic space; `negation_of`, the form a negation flips;
     `cancellation_of`, the form b of a sum b + (-b).
     """
 
     def __init__(self, bundle: BundleRep, mats, name: str = "", *,
-                 proj: ProjectorField | None = None,
                  hyperbolic_of: BundleRep | None = None,
                  negation_of: "FormField | None" = None,
                  cancellation_of: "FormField | None" = None):
@@ -109,7 +107,6 @@ class FormField:
         self.mats = [tuple(tuple(ex.as_expr(e) for e in row) for row in m)
                      for m in mats]
         self.name = name
-        self.proj = proj
         self.hyperbolic_of = hyperbolic_of
         self.negation_of = negation_of
         self.cancellation_of = cancellation_of
@@ -180,10 +177,10 @@ def validate_form(form: FormField, plan: SamplePlan,
 
 def standard_positive_form(bundle: BundleRep, plan: SamplePlan) -> FormField:
     """Restrict the ambient inner product through the Gauss embedding:
-    s_i = A_i^T A_i with A_i the chart frame in the ambient trivial bundle."""
+    s_i = A_i^T A_i with A_i the chart frame in the ambient trivial bundle,
+    the embedding's own `grams`."""
     proj = gauss_embedding(bundle, plan=plan)
-    mats = [em_mul(em_transpose(a), a) for a in proj.frames]
-    return FormField(bundle, mats, name=f"pos({bundle.name})", proj=proj)
+    return FormField(bundle, proj.grams, name=f"pos({bundle.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +455,7 @@ class FiberProjectorPair:
     """Per-chart fiberwise projectors splitting the form's bundle."""
 
     form: FormField
-    reference: FormField    # the bundle's standard positive form
+    proj: ProjectorField    # the bundle's Gauss embedding; its grams are G
     plus: list      # per chart d x d ExprMatrix
     minus: list
     sig: SignatureType
@@ -503,9 +500,9 @@ class FiberProjectorPair:
 
     def to_ambient(self) -> tuple[ProjectorField, ProjectorField]:
         """Glue chartwise A_i Pi A_i^+ into global ambient projectors."""
-        proj = self.reference.proj
+        proj = self.proj
         outs = []
-        pinvs = [_left_inverse(f) for f in proj.frames]
+        pinvs = [_left_inverse(f, g) for f, g in zip(proj.frames, proj.grams)]
         for mats, rank in ((self.plus, self.sig.pos), (self.minus, self.sig.neg)):
             locals_k = [em_mul(f, em_mul(m, p))
                         for f, m, p in zip(proj.frames, mats, pinvs)]
@@ -522,15 +519,11 @@ def decompose(form: FormField, plan: SamplePlan) -> FiberProjectorPair:
     correctly across charts, so the chartwise formulas agree where charts
     overlap.
     """
-    reference = standard_positive_form(form.bundle, plan=plan)
+    proj = gauss_embedding(form.bundle, plan=plan)
     sig = signature(form, plan)
-    plus, minus = [], []
-    for i in range(form.bundle.cover.n_charts):
-        s_i = form.mats[i]
-        g_i = reference.mats[i]
-        plus.append(em_pencil_proj(s_i, g_i, True))
-        minus.append(em_pencil_proj(s_i, g_i, False))
-    return FiberProjectorPair(form, reference, plus, minus, sig)
+    plus = [em_pencil_proj(s, g, True) for s, g in zip(form.mats, proj.grams)]
+    minus = [em_pencil_proj(s, g, False) for s, g in zip(form.mats, proj.grams)]
+    return FiberProjectorPair(form, proj, plus, minus, sig)
 
 
 def blend_positive_subbundle(frame_field, r_plus: int, nu_plus, mu: ex.Expr,
@@ -724,16 +717,16 @@ def ambient_form(form: FormField, proj: ProjectorField):
     if proj.pou is None:
         raise BundleformsError("ambient form needs an embedding with a partition")
     locals_k = []
-    for frame, mat in zip(proj.frames, form.mats):
-        pinv = _left_inverse(frame)
+    for frame, gram, mat in zip(proj.frames, proj.grams, form.mats):
+        pinv = _left_inverse(frame, gram)
         locals_k.append(em_mul(em_transpose(pinv), em_mul(mat, pinv)))
     return em_glue(proj.pou.weights, locals_k)
 
 
-def _left_inverse(frame):
-    """(A^T A)^-1 A^T for an ambient frame A of full column rank."""
-    return em_solve(em_mul(em_transpose(frame), frame), em_transpose(frame),
-                    guard_tol=1e-12)
+def _left_inverse(frame, gram):
+    """(A^T A)^-1 A^T for an ambient frame A of full column rank and its
+    Gram matrix A^T A."""
+    return em_solve(gram, em_transpose(frame), guard_tol=1e-12)
 
 
 def restrict_form_to_range_bundle(ambient_mat, subbundle: BundleRep) -> FormField:

@@ -108,9 +108,10 @@ def parse_spec(text: str) -> SpecDocument:
         doc.charts[name] = _parse_set(conds, dim, compile_expr,
                                       where=f"chart {name}", open_only=True)
 
+    covers: dict = {}   # one Cover per chart-name tuple, shared by its bundles
     for name, decl in table("bundles"):
         doc.bundles[name], doc.chart_names[name] = _parse_bundle(
-            name, decl, doc, compile_expr)
+            name, decl, doc, compile_expr, covers)
 
     for name, decl in table("forms"):
         doc.forms[name] = _parse_form(name, decl, doc, compile_expr)
@@ -145,6 +146,16 @@ def _declared(ref, table, what: str):
     return ref
 
 
+def _integer(value, where: str, what: str) -> int:
+    """`value` as an int, once it is a JSON number of integral value: 1.5 is
+    never truncated, and 1e400 (infinity) never raises OverflowError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecParseError(f"{where}: {what} must be an integer")
+    return value
+
+
 def _parse_base(decl) -> Base:
     decl = _typed(decl, dict, "base", "the declaration")
     if "catalog" in decl:
@@ -152,7 +163,7 @@ def _parse_base(decl) -> Base:
         return _CATALOG_BASES[name]()
     star = decl.get("star_center")
     try:
-        dim = int(decl["dim"])
+        dim = _integer(decl["dim"], "base", "dim")
         box = tuple(tuple(float(v) for v in pair) for pair in decl["box"])
         star = None if star is None else tuple(float(v) for v in star)
     except KeyError as err:
@@ -232,17 +243,17 @@ def _parse_matrix(rows, rank_rows, rank_cols, compile_expr, where):
     return tuple(tuple(compile_expr(e, where) for e in row) for row in rows)
 
 
-def _parse_bundle(name, decl, doc, compile_expr) -> tuple[BundleRep, list]:
+def _parse_bundle(name, decl, doc, compile_expr, covers) -> tuple[BundleRep, list]:
     where = f"bundle {name}"
     _typed(decl, dict, where, "the declaration")
-    try:
-        rank = int(decl.get("rank", -1))
-    except (TypeError, ValueError) as err:
-        raise SpecParseError(f"{where}: rank must be an integer") from err
+    rank = _integer(decl.get("rank", -1), where, "rank")
     if rank < 0:
         raise SpecParseError(f"{where}: missing rank")
     chart_names, charts = _chart_list(decl, doc, where)
-    cover = Cover(doc.base, charts, name=f"{name}-cover")
+    cover = covers.get(tuple(chart_names))
+    if cover is None:
+        cover = covers[tuple(chart_names)] = Cover(
+            doc.base, charts, name=f"cover({','.join(chart_names)})")
     transitions = {}
     declared = _typed(decl.get("transitions") or {}, dict, where, "transitions")
     for key, rows in declared.items():
@@ -314,11 +325,6 @@ def _parse_witness(name, decl, doc, compile_expr) -> MorphismField:
     chart_names = doc.chart_names[source_ref]
     if chart_names != doc.chart_names[target_ref]:
         raise UnresolvedReference(f"{where}: source and target must share charts")
-    if source.cover is not target.cover:
-        target = BundleRep(source.cover, target.rank, target.transitions,
-                           name=target.name,
-                           default_identity=target.default_identity)
-        doc.bundles[target_ref] = target
     fields = []
     field_decl = _typed(decl.get("fields") or {}, dict, where, "fields")
     for chart_name in chart_names:

@@ -290,6 +290,64 @@ def test_wrongly_typed_declaration_is_a_spec_error(tmp_path, capsys, where, edit
     assert captured.out == ""
 
 
+def test_diagonal_transition_is_a_spec_error(tmp_path, capsys):
+    # g_ii is the identity by definition: a declared one is not ignored
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    raw["bundles"]["moebius"]["transitions"]["U1,U1"] = [["2"]]
+    spec = tmp_path / "diagonal.json"
+    spec.write_text(json.dumps(raw))
+    code = main(["validate", str(spec), "--samples", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: bundle moebius: transition (0,0)")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_is_a_usage_error(capsys, samples):
+    # zero points would certify every identity vacuously
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(SPECS / "moebius.json"), "--samples", samples,
+              "--format", "machine"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--samples: must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("old,new,where", [
+    ('"rank": 1', '"rank": 1e400', "bundle eps1: rank"),
+    ('"rank": 1', '"rank": 1.5', "bundle eps1: rank"),
+    ('{"catalog": "circle"}', '{"dim": 1e400, "box": [[-1, 1]]}', "base: dim"),
+])
+def test_non_integral_rank_or_dim_is_a_spec_error(tmp_path, capsys, old, new,
+                                                  where):
+    # neither truncated to an integer nor an OverflowError traceback
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    del raw["bundles"]["moebius"]
+    raw.update(forms={}, witnesses={}, tasks=[])
+    text = json.dumps(raw).replace(old, new, 1)
+    assert new in text
+    spec = tmp_path / "numbers.json"
+    spec.write_text(text)
+    code = main(["validate", str(spec), "--samples", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {where} must be an integer"), captured.err
+    assert captured.out == ""
+
+
+def test_non_utf8_spec_is_an_error_line(tmp_path, capsys):
+    spec = tmp_path / "latin1.json"
+    spec.write_bytes('{"version": 1, "base": {"catalog": "line"}, "x": "\xe9"}'
+                     .encode("latin-1"))
+    code = main(["validate", str(spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: 'utf-8' codec can't decode")
+    assert captured.out == ""
+
+
 def test_timed_entry_records_linalg_error_and_passes_others():
     report = Report(seed=0)
     with timed_entry(report, "singular"):

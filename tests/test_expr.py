@@ -11,7 +11,16 @@ from bundleforms import expr as ex
 from bundleforms import semialg
 from bundleforms.catalog import circle_base
 from bundleforms.errors import DimensionMismatch, GuardViolation
-from bundleforms.matexpr import em_identity
+from bundleforms.matexpr import (
+    em_add,
+    em_const,
+    em_det,
+    em_hstack,
+    em_identity,
+    em_mul,
+    em_sub,
+    em_vstack,
+)
 
 
 def test_polynomial_arithmetic():
@@ -39,6 +48,48 @@ def test_sqrt_negative_argument_raises():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         ex.evaluate_at(ex.Var(3), [1.0, 2.0])
+
+
+def _ones(n, m):
+    return em_const(np.ones((n, m)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: em_add(_ones(2, 2), _ones(2, 1)),
+    lambda: em_sub(_ones(1, 2), _ones(2, 2)),
+    lambda: em_mul(_ones(2, 3), _ones(2, 2)),
+    lambda: em_hstack(_ones(2, 1), _ones(3, 1)),
+    lambda: em_vstack(_ones(1, 2), _ones(1, 3)),
+    lambda: em_det(_ones(2, 3)),
+    lambda: ex.MatrixGroup(ex.SOLVE, _ones(2, 3), _ones(2, 1)),
+    lambda: ex.MatrixGroup(ex.INV, _ones(3, 2)),
+    lambda: ex.MatrixGroup(ex.INV, ((ex.Const(1.0), ex.Const(0.0)),
+                                    (ex.Const(1.0),))),
+    lambda: ex.MatEntry(ex.MatrixGroup(ex.INV, _ones(2, 2)), 2, 0),
+    lambda: ex.PathProduct(_ones(2, 3), [ex.Var(0), ex.Var(1)], 1, [0.5]),
+    lambda: next(ex.path_projectors(_ones(2, 2), [ex.Var(0), ex.Var(1)], 1,
+                                    np.zeros((3, 2)), [0.5])),
+], ids=["add", "sub", "mul", "hstack", "vstack", "det", "solve", "inv",
+        "ragged", "entry", "pathproduct", "path-points"])
+def test_shape_guards_raise_dimension_mismatch(build):
+    with pytest.raises(DimensionMismatch):
+        build()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_leibniz_determinant_matches_numpy(n):
+    # entries (n + 1) delta_ij + c0 + c1 x0 + c2 x1 keep det away from zero
+    rng = np.random.default_rng(n)
+    c = rng.uniform(-1.0, 1.0, size=(3, n, n))
+    c[0] += (n + 1) * np.eye(n)
+    mat = tuple(tuple(ex.Add(ex.Const(c[0, i, j]),
+                             ex.Add(ex.Mul(ex.Const(c[1, i, j]), ex.Var(0)),
+                                    ex.Mul(ex.Const(c[2, i, j]), ex.Var(1))))
+                      for j in range(n)) for i in range(n))
+    pts = rng.uniform(-1.0, 1.0, size=(25, 2))
+    got = ex.evaluate(em_det(mat), pts)
+    want = np.linalg.det(c[0] + pts[:, :1, None] * c[1] + pts[:, 1:, None] * c[2])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def test_vectorized_evaluation_matches_scalar():

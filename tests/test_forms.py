@@ -5,7 +5,12 @@ import pytest
 
 from bundleforms import expr as ex
 from bundleforms import forms as fo
-from bundleforms.bundles import sampled_regions, trivial_bundle, validate_cocycle
+from bundleforms.bundles import (
+    gauss_embedding,
+    sampled_regions,
+    trivial_bundle,
+    validate_cocycle,
+)
 from bundleforms.catalog import (
     circle_trivial,
     circle_two_arc_cover,
@@ -157,6 +162,19 @@ def test_standard_positive_form_moebius():
         pts = m.cover.samples((i,), PLAN)
         vals = f.eval_chart(i, pts)[:, 0, 0]
         assert (vals > 0).all()
+
+
+def test_standard_positive_form_reads_the_embeddings_gram_matrices():
+    # A^T A is built once per embedding: every call, and every decompose,
+    # reads the same nodes
+    m = moebius()
+    f1, f2 = (standard_positive_form(m, plan=PLAN) for _ in range(2))
+    proj = gauss_embedding(m, plan=PLAN)
+    assert len(f1.mats) == len(proj.grams) == 2
+    for a, b, g in zip(f1.mats, f2.mats, proj.grams):
+        assert all(x is y is z for ra, rb, rg in zip(a, b, g)
+                   for x, y, z in zip(ra, rb, rg))
+    assert decompose(f1, PLAN).proj is proj
 
 
 # --- signature ------------------------------------------------------------------

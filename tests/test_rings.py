@@ -274,7 +274,7 @@ def test_restricted_form_on_split_bundle():
     plus_amb, _ = pair.to_ambient()
     from bundleforms.bundles import bundle_from_projector
     sub = bundle_from_projector(plus_amb, PLAN, name="twisted+")
-    amb = ambient_form(f, f.proj)
+    amb = ambient_form(f, pair.proj)
     restricted = restrict_form_to_range_bundle(amb, sub)
     rep = validate_form(restricted, PLAN, tol=1e-7)
     assert rep.passed, rep.as_dict()

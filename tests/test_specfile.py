@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bundleforms import expr as ex
+from bundleforms.bundles import s1_line_class, validate_cocycle
 from bundleforms.errors import (
     BundleformsError,
     DimensionMismatch,
@@ -44,6 +45,30 @@ def test_moebius_fixture_sections_and_witnesses():
     flip = doc.witnesses["flip"]
     assert flip.source is doc.bundles["eps1"]
     assert flip.target.transitions == doc.bundles["moebius"].transitions
+
+
+def test_one_object_and_one_cover_per_declaration():
+    # a witness joining two bundles neither copies nor replaces either
+    doc = parse_spec(load("moebius.json"))
+    m = doc.bundles["moebius"]
+    assert m is doc.forms["unit_moebius"].bundle is doc.witnesses["flip"].target
+    assert m is doc.witnesses["id"].source
+    assert doc.bundles["eps1"].cover is doc.bundles["eps2"].cover is m.cover
+
+
+def test_declared_transition_completes_the_table_when_parsed():
+    raw = json.loads(load("moebius.json"))
+    del raw["bundles"]["moebius"]["transitions"]["U2,U1"]
+    doc = parse_spec(json.dumps(raw))
+    bundle = doc.bundles["moebius"]
+    table = dict(bundle.transitions)
+    assert set(table) == {(0, 1), (1, 0)}
+    report = validate_cocycle(bundle, SamplePlan(seed=0, n_chart=100,
+                                                 n_overlap=64, n_triple=48))
+    assert bundle.transitions == table
+    assert all(bundle.transitions[k] is table[k] for k in table)
+    assert report.passed and report.max_residual == 0.0
+    assert s1_line_class(bundle) == 1
 
 
 @pytest.mark.parametrize("text,oracle", [
