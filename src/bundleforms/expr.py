@@ -417,15 +417,21 @@ class MatrixGroup:
         a = _eval_matrix(self.a, ctx)
         if self.op == SOLVE:
             b = _eval_matrix(self.b, ctx)
-            self._guard_sv(a, ctx)
+            self._guard_sv(a, None, ctx)
             out = np.linalg.solve(a, b)
         elif self.op == INV:
-            self._guard_sv(a, ctx)
+            self._guard_sv(a, None, ctx)
             out = np.linalg.inv(a)
         elif self.op == COLSPAN_PROJ:
-            self._guard_sv(a, ctx)
-            gram = np.swapaxes(a, 1, 2) @ a
-            out = a @ np.linalg.solve(gram, np.swapaxes(a, 1, 2))
+            at = np.swapaxes(a, 1, 2)
+            gram = at @ a
+            self._guard_sv(a, gram, ctx)
+            if a.shape[2] == 1 and a.shape[1] > 1:
+                # OpenBLAS's trsm multiplies by the reciprocal pivot, so this
+                # is a @ solve(gram, a^T) bit for bit (tests/test_expr.py)
+                out = a @ (at * (1.0 / gram))
+            else:
+                out = a @ np.linalg.solve(gram, at)
         elif self.op in (PENCIL_PROJ_POS, PENCIL_PROJ_NEG):
             g = _eval_matrix(self.b, ctx)
             self._guard_spd(g, ctx, name="pencil metric")
@@ -448,16 +454,30 @@ class MatrixGroup:
                 for rows in (self.a, self.b))
         return MatrixGroup(self.op, a, b, guard_tol=self.guard_tol)
 
-    def _guard_sv(self, a, ctx):
-        sv = np.linalg.svd(a, compute_uv=False)
-        _guard(sv[:, -1] <= self.guard_tol, ctx, lambda i:
+    def _guard_sv(self, a, gram, ctx):
+        sv = _smallest_sv(a, gram)
+        # "not above": a NaN norm is a violation, never a NaN result
+        _guard(~(sv > self.guard_tol), ctx, lambda i:
                f"matrix {self.op} guard: smallest singular value "
-               f"{sv[i, -1]:.3e} <= {self.guard_tol:.1e}")
+               f"{sv[i]:.3e} <= {self.guard_tol:.1e}")
 
     def _guard_spd(self, s, ctx, name):
         w = np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, 1, 2)))
         _guard(w[:, 0] <= self.guard_tol, ctx, lambda i:
                f"{name} not positive definite: min eigenvalue {w[i, 0]:.3e}")
+
+
+def _smallest_sv(a, gram):
+    """Smallest singular value of each matrix of the stack `a`.  A single
+    column's is its norm: sqrt of its Gram A^T A (`gram`, where the caller
+    built it), or |a| for a 1 x 1 operand.  Two or more columns keep the
+    SVD, since sqrt(lambda_min(A^T A)) loses everything below
+    sqrt(eps) sigma_max."""
+    if a.shape[2] > 1:
+        return np.linalg.svd(a, compute_uv=False)[:, -1]
+    if gram is not None:
+        return np.sqrt(gram[:, 0, 0])
+    return np.abs(a[:, 0, 0])
 
 
 def _whitened_eigh(s, g):

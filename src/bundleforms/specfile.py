@@ -246,9 +246,11 @@ def _parse_matrix(rows, rank_rows, rank_cols, compile_expr, where):
 def _parse_bundle(name, decl, doc, compile_expr, covers) -> tuple[BundleRep, list]:
     where = f"bundle {name}"
     _typed(decl, dict, where, "the declaration")
-    rank = _integer(decl.get("rank", -1), where, "rank")
-    if rank < 0:
+    if "rank" not in decl:
         raise SpecParseError(f"{where}: missing rank")
+    rank = _integer(decl["rank"], where, "rank")
+    if rank < 1:
+        raise SpecParseError(f"{where}: rank must be at least 1, got {rank}")
     chart_names, charts = _chart_list(decl, doc, where)
     cover = covers.get(tuple(chart_names))
     if cover is None:

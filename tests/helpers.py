@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from bundleforms import expr as ex
 from bundleforms.semialg import (
     EQ,
     GE,
@@ -37,6 +38,18 @@ def grid(lo, hi, n):
 
 
 LINE = Base(SemialgebraicSet.whole_space(1), box=((-3.0, 3.0),), name="line")
+
+
+def antipodal_path():
+    """H(x, t) = (a x + b Jx) / sqrt(a^2 + b^2) with a = 1 - 2t and
+    b = 4t(1 - t): stays on the circle, the identity at t = 0 and the
+    antipodal map at t = 1."""
+    x0, x1, t = ex.Var(0), ex.Var(1), ex.Var(2)
+    a = ex.Sub(ex.Const(1.0), ex.Mul(ex.Const(2.0), t))
+    b = ex.Mul(ex.Const(4.0), ex.Mul(t, ex.Sub(ex.Const(1.0), t)))
+    norm = ex.Sqrt(ex.Add(ex.Mul(a, a), ex.Mul(b, b)), guard_tol=1e-12)
+    return [ex.Div(ex.Sub(ex.Mul(a, x0), ex.Mul(b, x1)), norm, guard_tol=1e-12),
+            ex.Div(ex.Add(ex.Mul(b, x0), ex.Mul(a, x1)), norm, guard_tol=1e-12)]
 
 
 # --- scalar references for the batched kernels --------------------------------

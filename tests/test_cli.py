@@ -337,6 +337,30 @@ def test_non_integral_rank_or_dim_is_a_spec_error(tmp_path, capsys, old, new,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("rank,transitions,message", [
+    (0, {}, "rank must be at least 1, got 0"),
+    (0, {"U1,U2": []}, "rank must be at least 1, got 0"),
+    (-1, {}, "rank must be at least 1, got -1"),
+    (None, {}, "missing rank"),
+])
+def test_rank_below_one_is_a_spec_error(tmp_path, capsys, rank, transitions,
+                                        message):
+    # an error line at exit 2, not an IndexError traceback in the matrix
+    # helpers, and an explicit -1 is not reported as missing
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    raw["bundles"]["small"] = {"rank": rank, "charts": ["U1", "U2"],
+                               "transitions": transitions}
+    if rank is None:
+        del raw["bundles"]["small"]["rank"]
+    spec = tmp_path / "rank.json"
+    spec.write_text(json.dumps(raw))
+    code = main(["validate", str(spec), "--samples", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: bundle small: {message}"), captured.err
+    assert captured.out == ""
+
+
 def test_non_utf8_spec_is_an_error_line(tmp_path, capsys):
     spec = tmp_path / "latin1.json"
     spec.write_bytes('{"version": 1, "base": {"catalog": "line"}, "x": "\xe9"}'

@@ -178,6 +178,98 @@ def test_colspan_projector_entry():
     assert np.allclose(vals, 0.5)
 
 
+# --- closed-form single-column kernels ---------------------------------------
+
+def column_group(op, height, guard_tol):
+    """A MatrixGroup over one column of Vars, so a stack of columns is
+    evaluated by handing its rows in as points."""
+    a = [[ex.Var(i)] for i in range(height)]
+    b = [[ex.Const(1.0)]] if op == ex.SOLVE else None
+    return ex.MatrixGroup(op, a, b, guard_tol=guard_tol)
+
+
+def stress_columns(rng, n, height):
+    """Gaussian directions at log-normal scales clipped to [1e-6, 1e6], a
+    tenth of them rescaled to norms of 2 to 100 times the 1e-12 guard, and a
+    few axis-aligned columns."""
+    a = rng.standard_normal((n, height))
+    a *= 10.0 ** np.clip(rng.normal(0.0, 2.5, (n, 1)), -6.0, 6.0)
+    near = rng.random(n) < 0.1
+    a[near] *= (1e-12 * rng.uniform(2.0, 100.0, (near.sum(), 1))
+                / np.linalg.norm(a[near], axis=1, keepdims=True))
+    a[:height] = np.eye(height) * rng.uniform(0.5, 2.0, (height, 1))
+    return a
+
+
+@pytest.mark.parametrize("height", [2, 3, 4])
+def test_single_column_projector_is_bit_identical_to_lapack_solve(height):
+    # the closed form a (a^T a)^-1 a^T = a @ (a^T * (1 / gram)) must equal
+    # the LAPACK solve exactly: OpenBLAS's trsm multiplies by the reciprocal
+    rng = np.random.default_rng(height)
+    cols = stress_columns(rng, 35_000, height)
+    ctx = ex.EvalContext(cols)
+    got = column_group(ex.COLSPAN_PROJ, height, 1e-12).compute(ctx)
+    a = cols[:, :, None]
+    at = np.swapaxes(a, 1, 2)
+    want = a @ np.linalg.solve(at @ a, at)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-200])
+def test_single_column_guard_names_the_first_violating_point(scale):
+    tol = 1e-12
+    cols = np.array([[1.0, 2.0], [3.0, -1.0], [scale, -scale], [0.0, 0.0],
+                     [5.0, 5.0]])
+    with pytest.raises(GuardViolation) as err:
+        column_group(ex.COLSPAN_PROJ, 2, tol).compute(ex.EvalContext(cols))
+    assert "colproj" in str(err.value)
+    assert err.value.point == (scale, -scale)
+    # ten times the tolerance passes
+    ok = np.array([[10 * tol, 0.0], [0.0, -10 * tol], [6 * tol, 8 * tol]])
+    proj = column_group(ex.COLSPAN_PROJ, 2, tol).compute(ex.EvalContext(ok))
+    assert np.allclose(proj[0], [[1.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(proj[2], [[0.36, 0.48], [0.48, 0.64]])
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, 4])
+def test_single_column_guard_decides_as_the_svd(height):
+    # the column norm may differ from LAPACK's singular value in the last
+    # bits, so rows within 4 ulp of the tolerance are left out
+    tol = 1e-12
+    rng = np.random.default_rng(10 + height)
+    a = rng.standard_normal((50_000, height, 1))
+    a *= (tol * 10.0 ** rng.uniform(-1.0, 1.0, (50_000, 1, 1))
+          / np.linalg.norm(a, axis=1, keepdims=True))
+    sv = np.linalg.svd(a, compute_uv=False)[:, -1]
+    closed = ex._smallest_sv(a, np.swapaxes(a, 1, 2) @ a)
+    decided = np.abs(sv - tol) > 4 * np.spacing(tol)
+    assert decided.sum() > 49_000
+    assert 0 < (sv[decided] <= tol).sum() < decided.sum()
+    assert np.array_equal(~(closed[decided] > tol), sv[decided] <= tol)
+
+
+def test_one_by_one_solve_and_inverse_guards_equal_lapack():
+    # |a| is LAPACK's singular value of a 1 x 1 matrix bit for bit at both
+    # signs wherever LAPACK does not rescale its operand (1e-138 < |a| <
+    # 1e138, around every guard tolerance); beyond that, within an ulp
+    rng = np.random.default_rng(7)
+    a = (rng.choice([-1.0, 1.0], 100_000)
+         * 10.0 ** rng.uniform(-310.0, 300.0, 100_000))
+    a[:3] = (0.0, -0.0, 1e-12)
+    stack = a[:, None, None]
+    want = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    got = ex._smallest_sv(stack, None)
+    inside = (np.abs(a) > 1e-138) & (np.abs(a) < 1e138)
+    assert inside.sum() > 40_000
+    assert np.array_equal(got[inside | (a == 0.0)], want[inside | (a == 0.0)])
+    assert np.allclose(got, want, rtol=4e-16, atol=0.0)
+    for op in (ex.SOLVE, ex.INV):
+        with pytest.raises(GuardViolation) as err:
+            column_group(op, 1, 1e-12).compute(ex.EvalContext(a[:, None]))
+        assert op in str(err.value)
+        assert err.value.point == (0.0,)
+
+
 def load_layertrace():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
     spec = importlib.util.spec_from_file_location("layertrace", path)

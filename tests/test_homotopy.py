@@ -68,6 +68,7 @@ from bundleforms.semialg import (
     SamplePlan,
     SemialgebraicSet,
 )
+from helpers import antipodal_path
 
 PLAN = SamplePlan(seed=0, n_chart=160, n_overlap=120, n_triple=80)
 
@@ -97,18 +98,6 @@ def scaled_moebius_cylinder():
     g = ((ex.Mul(s, scale),),)
     ginv = ((ex.Div(ex.Const(1.0), ex.Mul(s, scale)),),)
     return BundleRep(cover, 1, {(0, 1): g, (1, 0): ginv}, name="scaled-moebius-cyl")
-
-
-def antipodal_path():
-    """H(x, t) = (a x + b Jx) / sqrt(a^2 + b^2) with a = 1 - 2t and
-    b = 4t(1 - t): stays on the circle, the identity at t = 0 and the
-    antipodal map at t = 1."""
-    x0, x1, t = ex.Var(0), ex.Var(1), ex.Var(2)
-    a = ex.Sub(ex.Const(1.0), ex.Mul(ex.Const(2.0), t))
-    b = ex.Mul(ex.Const(4.0), ex.Mul(t, ex.Sub(ex.Const(1.0), t)))
-    norm = ex.Sqrt(ex.Add(ex.Mul(a, a), ex.Mul(b, b)), guard_tol=1e-12)
-    return [ex.Div(ex.Sub(ex.Mul(a, x0), ex.Mul(b, x1)), norm, guard_tol=1e-12),
-            ex.Div(ex.Add(ex.Mul(b, x0), ex.Mul(a, x1)), norm, guard_tol=1e-12)]
 
 
 def symbolic_chain(entries, maps, t_index, ts):
