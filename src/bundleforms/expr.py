@@ -418,20 +418,16 @@ class MatrixGroup:
         if self.op == SOLVE:
             b = _eval_matrix(self.b, ctx)
             self._guard_sv(a, None, ctx)
-            out = np.linalg.solve(a, b)
+            out = solve(a, b)
         elif self.op == INV:
             self._guard_sv(a, None, ctx)
-            out = np.linalg.inv(a)
+            # LAPACK inverts by solving against I, so 1 x 1 is 1 / a
+            out = 1.0 / a if a.shape[1] == 1 else np.linalg.inv(a)
         elif self.op == COLSPAN_PROJ:
             at = np.swapaxes(a, 1, 2)
             gram = at @ a
             self._guard_sv(a, gram, ctx)
-            if a.shape[2] == 1 and a.shape[1] > 1:
-                # OpenBLAS's trsm multiplies by the reciprocal pivot, so this
-                # is a @ solve(gram, a^T) bit for bit (tests/test_expr.py)
-                out = a @ (at * (1.0 / gram))
-            else:
-                out = a @ np.linalg.solve(gram, at)
+            out = a @ solve(gram, at)
         elif self.op in (PENCIL_PROJ_POS, PENCIL_PROJ_NEG):
             g = _eval_matrix(self.b, ctx)
             self._guard_spd(g, ctx, name="pencil metric")
@@ -455,51 +451,174 @@ class MatrixGroup:
         return MatrixGroup(self.op, a, b, guard_tol=self.guard_tol)
 
     def _guard_sv(self, a, gram, ctx):
-        sv = _smallest_sv(a, gram)
-        # "not above": a NaN norm is a violation, never a NaN result
+        sv = _smallest_sv(a, gram, self.guard_tol)
+        # "not above": a NaN value is a violation, never a NaN result
         _guard(~(sv > self.guard_tol), ctx, lambda i:
                f"matrix {self.op} guard: smallest singular value "
                f"{sv[i]:.3e} <= {self.guard_tol:.1e}")
 
     def _guard_spd(self, s, ctx, name):
-        w = np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, 1, 2)))
-        _guard(w[:, 0] <= self.guard_tol, ctx, lambda i:
-               f"{name} not positive definite: min eigenvalue {w[i, 0]:.3e}")
+        """Flag rows whose symmetrized `s` has its smallest eigenvalue not
+        above the tolerance, as `eigvalsh` decides it; the filter, its bound
+        and the non-finite rule are `_smallest_eigenvalue`'s."""
+        w = _smallest_eigenvalue(0.5 * (s + np.swapaxes(s, 1, 2)),
+                                 self.guard_tol)
+        _guard(~(w > self.guard_tol), ctx, lambda i:
+               f"{name} not positive definite: min eigenvalue {w[i]:.3e}")
 
 
-def _smallest_sv(a, gram):
-    """Smallest singular value of each matrix of the stack `a`.  A single
-    column's is its norm: sqrt of its Gram A^T A (`gram`, where the caller
-    built it), or |a| for a 1 x 1 operand.  Two or more columns keep the
-    SVD, since sqrt(lambda_min(A^T A)) loses everything below
-    sqrt(eps) sigma_max."""
-    if a.shape[2] > 1:
-        return np.linalg.svd(a, compute_uv=False)[:, -1]
-    if gram is not None:
-        return np.sqrt(gram[:, 0, 0])
-    return np.abs(a[:, 0, 0])
+# Relative margin of the closed-form guard filters (see `_smallest_sv`):
+# far above their rounding error and LAPACK's.  Only operands within it of
+# singular, relative to their size, reach LAPACK.
+_FILTER_MARGIN = 1e-10
+_TINY = np.finfo(float).tiny
+
+
+def _smallest_sv(a, gram, tol):
+    """Per operand of the stack `a`, the value its guard compares with
+    `tol`: LAPACK's smallest singular value, or a closed form that stands
+    in for it.
+
+    - One column: its norm, sqrt of the Gram A^T A (`gram`, where the
+      caller built it) or |a| for a 1 x 1 operand.  It may differ from
+      LAPACK's value in the last bits.  A Gram that overflows goes to LAPACK.
+    - Two columns: a certified filter.  With G = A^T A, t = tr G, and
+      sigma_1 >= sigma_2 the singular values, the closed form
+      lam = t / 2 - hypot((g00 - g11) / 2, g01) is within eps t of
+      sigma_2^2, eps = gamma_n + 3u for n rows (u = 2^-53): the computed
+      Gram is within gamma_n |A|^T |A| of G entrywise, so its eigenvalues
+      move by at most gamma_n t (Weyl), and the closed form adds at most
+      3u t.  LAPACK's value is within eps_L sigma_1 of sigma_2, eps_L a
+      small multiple of u.  A row is certified, and reads +inf, when
+      lam > max(tol^2, tiny) + delta t with delta = _FILTER_MARGIN.  Then
+      sigma_2^2 > tol^2 + c^2 with c^2 = delta sigma_1^2 / 2 (while
+      eps <= delta / 4, any height below about 10^5), and as tol <
+      sigma_2 <= sigma_1, sigma_2 - tol > c^2 / (2 tol + c) >= delta
+      sigma_1 / 6, which exceeds LAPACK's error while eps_L <= delta / 6.
+      So every certified row passes at LAPACK too, and every row LAPACK
+      fails is decided by LAPACK.  Underflow adds below 1e-320 to the Gram
+      and lam, and the tiny floor keeps that under delta t / 4.  An
+      overflowing Gram makes the test inf > inf or NaN, both false.
+    - More columns: LAPACK.
+
+    The uncertified rows go to LAPACK in one call, except those with a NaN
+    or infinite entry: LAPACK gives those no defined answer, so they read
+    NaN and fail the guard.
+    """
+    k = a.shape[2]
+    if k == 1:
+        sv = np.sqrt(gram[:, 0, 0]) if gram is not None else np.abs(a[:, 0, 0])
+        rest = ~np.isfinite(sv)
+    elif k == 2:
+        sv = np.full(a.shape[0], np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):  # uncertified
+            if gram is None:
+                gram = np.swapaxes(a, 1, 2) @ a
+            g00, g11 = gram[:, 0, 0], gram[:, 1, 1]
+            rest = ~(_lambda_min(g00, g11, gram[:, 0, 1])
+                     > max(tol * tol, _TINY) + _FILTER_MARGIN * (g00 + g11))
+    else:
+        sv, rest = np.empty(a.shape[0]), np.ones(a.shape[0], dtype=bool)
+    return _lapack_rows(sv, rest, a, lambda x:
+                        np.linalg.svd(x, compute_uv=False)[:, -1])
+
+
+def _smallest_eigenvalue(m, tol):
+    """Per symmetric operand of the stack `m`, a value that is above `tol`
+    where LAPACK's (`eigvalsh`) smallest eigenvalue is, and that value
+    where it is not.
+
+    - 1 x 1: the entry, which is LAPACK's value bit for bit.
+    - 2 x 2 [[p, b], [b, q]]: a certified filter, as in `_smallest_sv`.
+      lam = (p + q) / 2 - hypot((p - q) / 2, b) is within 4u s of the
+      smallest eigenvalue, s = |p| + |q| + |b| >= ||m||_2, and LAPACK's
+      value within eps_L s.  A row is certified, and reads +inf, when
+      lam > max(tol, tiny) + delta s, delta = _FILTER_MARGIN, which clears
+      both errors while 4u + eps_L <= delta / 2.  Overflow makes s = inf
+      and the test false.
+    - Larger: LAPACK.
+
+    Uncertified rows go to LAPACK as in `_smallest_sv`; rows with a NaN or
+    infinite entry read NaN and never reach it.
+    """
+    n = m.shape[1]
+    if n == 1:
+        w = m[:, 0, 0].copy()
+        rest = ~np.isfinite(w)
+    elif n == 2:
+        p, q, b = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1]
+        w = np.full(m.shape[0], np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):  # uncertified
+            rest = ~(_lambda_min(p, q, b) > max(tol, _TINY)
+                     + _FILTER_MARGIN * (np.abs(p) + np.abs(q) + np.abs(b)))
+    else:
+        w, rest = np.empty(m.shape[0]), np.ones(m.shape[0], dtype=bool)
+    return _lapack_rows(w, rest, m, lambda x: np.linalg.eigvalsh(x)[:, 0])
+
+
+def _lambda_min(p, q, b):
+    """Smallest eigenvalue of [[p, b], [b, q]] in closed form."""
+    return 0.5 * (p + q) - np.hypot(0.5 * (p - q), b)
+
+
+def _lapack_rows(values, rest, a, lapack):
+    """`values`, overwritten on the rows flagged in `rest`: NaN where the
+    operand has a NaN or infinite entry, `lapack` of the operands on the
+    others, in one call."""
+    if not rest.any():
+        return values
+    rows = np.flatnonzero(rest)
+    finite = np.isfinite(a[rows]).all(axis=(1, 2))
+    values[rows[~finite]] = np.nan
+    if finite.any():
+        values[rows[finite]] = lapack(a[rows[finite]])
+    return values
+
+
+def solve(a, b):
+    """np.linalg.solve on a stack, in closed form for 1 x 1 systems.  Both
+    forms are LAPACK's result bit for bit (tests/test_expr.py): OpenBLAS
+    divides a single right-hand side by the pivot (trsv) and multiplies
+    several by its reciprocal (trsm)."""
+    if a.shape[-1] == 1:
+        return b / a if b.shape[-1] == 1 else b * (1.0 / a)
+    return np.linalg.solve(a, b)
 
 
 def _whitened_eigh(s, g):
     """Cholesky factor L of G and the eigen-decomposition of the symmetric
-    L^-1 S L^-T, which has the eigenvalues of the pencil G^-1 S."""
-    ell = np.linalg.cholesky(g)
-    white = np.linalg.solve(ell, np.swapaxes(np.linalg.solve(ell, s), 1, 2))
-    w, z = np.linalg.eigh(0.5 * (white + np.swapaxes(white, 1, 2)))
+    L^-1 S L^-T, which has the eigenvalues of the pencil G^-1 S.  A 1 x 1
+    pencil skips LAPACK: L is sqrt(G), and the whitened form is its own
+    eigenvalue with eigenvector 1, each as LAPACK returns it bit for bit."""
+    one = g.shape[1] == 1
+    ell = np.sqrt(g) if one else np.linalg.cholesky(g)
+    white = solve(ell, np.swapaxes(solve(ell, s), 1, 2))
+    sym = 0.5 * (white + np.swapaxes(white, 1, 2))
+    if one:
+        return ell, sym[:, 0], np.ones_like(sym)
+    w, z = np.linalg.eigh(sym)
     return ell, w, z
 
 
 def _pencil_projector(s, g, positive, tol, ctx):
     """Spectral projector onto the positive/negative eigenspace of the
-    G-self-adjoint pencil G^-1 S, via the Cholesky-whitened symmetric form."""
+    G-self-adjoint pencil G^-1 S, via the Cholesky-whitened symmetric form.
+
+    The guard flags rows whose smallest |eigenvalue| is not above `tol`,
+    so a NaN eigenvalue is a violation.  Rows of S with a NaN or infinite
+    entry are violations before any LAPACK call (G passed its SPD guard).
+    """
+    _guard(~np.isfinite(s).all(axis=(1, 2)), ctx, lambda i:
+           "pencil operand has a non-finite entry")
     ell, w, z = _whitened_eigh(s, g)
-    _guard(np.abs(w).min(axis=1) <= tol, ctx, lambda i:
-           f"pencil eigenvalue {np.abs(w[i]).min():.3e} within guard {tol:.1e}")
+    gap = np.abs(w).min(axis=1)
+    _guard(~(gap > tol), ctx, lambda i:
+           f"pencil eigenvalue {gap[i]:.3e} within guard {tol:.1e}")
     mask = (w > 0.0) if positive else (w < 0.0)
     zsel = z * mask[:, None, :]
     # projector in original coordinates: L^-T Z_sel Z_sel^T L^T
     lt = np.swapaxes(ell, 1, 2)
-    return np.linalg.solve(lt, zsel @ np.swapaxes(zsel, 1, 2) @ lt)
+    return solve(lt, zsel @ np.swapaxes(zsel, 1, 2) @ lt)
 
 
 def _pencil_sqrt(s, g):
@@ -511,7 +630,7 @@ def _pencil_sqrt(s, g):
     ell, w, z = _whitened_eigh(s, g)
     root = (z * np.sqrt(w)[:, None, :]) @ np.swapaxes(z, 1, 2)
     lt = np.swapaxes(ell, 1, 2)
-    return np.linalg.solve(lt, root @ lt)
+    return solve(lt, root @ lt)
 
 
 def _freeze_matrix(rows):

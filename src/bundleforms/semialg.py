@@ -393,7 +393,7 @@ def _project_to_variety(points: np.ndarray, polys: list[Polynomial]) -> np.ndarr
         )  # (N, k, dim)
         jjt = jac @ np.swapaxes(jac, 1, 2)
         jjt += 1e-14 * np.eye(jjt.shape[1])
-        step = np.swapaxes(jac, 1, 2) @ np.linalg.solve(jjt, residual[:, :, None])
+        step = np.swapaxes(jac, 1, 2) @ ex.solve(jjt, residual[:, :, None])
         pts = pts - step[:, :, 0]
     return pts
 

@@ -135,3 +135,18 @@ def reference_halton(n, dim, skip=20):
                 i //= base
             out[k, j] = r
     return out
+
+
+# --- LAPACK references for the matrix guards -----------------------------------
+
+def lapack_sv_above(a, tol):
+    """The singular-value guard's reference decision per operand of the
+    stack: LAPACK's smallest singular value is above tol."""
+    return np.linalg.svd(a, compute_uv=False)[:, -1] > tol
+
+
+def lapack_eig_not_above(s, tol):
+    """The SPD guard's reference decision per operand of the stack: LAPACK's
+    smallest eigenvalue of the symmetrized operand is at most tol, a
+    violation."""
+    return np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, 1, 2)))[:, 0] <= tol

@@ -21,6 +21,7 @@ from bundleforms.matexpr import (
     em_sub,
     em_vstack,
 )
+from helpers import lapack_eig_not_above, lapack_sv_above
 
 
 def test_polynomial_arithmetic():
@@ -240,12 +241,13 @@ def test_single_column_guard_decides_as_the_svd(height):
     a = rng.standard_normal((50_000, height, 1))
     a *= (tol * 10.0 ** rng.uniform(-1.0, 1.0, (50_000, 1, 1))
           / np.linalg.norm(a, axis=1, keepdims=True))
-    sv = np.linalg.svd(a, compute_uv=False)[:, -1]
-    closed = ex._smallest_sv(a, np.swapaxes(a, 1, 2) @ a)
-    decided = np.abs(sv - tol) > 4 * np.spacing(tol)
+    closed = ex._smallest_sv(a, np.swapaxes(a, 1, 2) @ a, tol) > tol
+    ulps = 4 * np.spacing(tol)
+    decided = lapack_sv_above(a, tol + ulps) | ~lapack_sv_above(a, tol - ulps)
+    want = lapack_sv_above(a, tol)
     assert decided.sum() > 49_000
-    assert 0 < (sv[decided] <= tol).sum() < decided.sum()
-    assert np.array_equal(~(closed[decided] > tol), sv[decided] <= tol)
+    assert 0 < want[decided].sum() < decided.sum()
+    assert np.array_equal(closed[decided], want[decided])
 
 
 def test_one_by_one_solve_and_inverse_guards_equal_lapack():
@@ -258,7 +260,7 @@ def test_one_by_one_solve_and_inverse_guards_equal_lapack():
     a[:3] = (0.0, -0.0, 1e-12)
     stack = a[:, None, None]
     want = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    got = ex._smallest_sv(stack, None)
+    got = ex._smallest_sv(stack, None, 1e-12)
     inside = (np.abs(a) > 1e-138) & (np.abs(a) < 1e138)
     assert inside.sum() > 40_000
     assert np.array_equal(got[inside | (a == 0.0)], want[inside | (a == 0.0)])
@@ -268,6 +270,237 @@ def test_one_by_one_solve_and_inverse_guards_equal_lapack():
             column_group(op, 1, 1e-12).compute(ex.EvalContext(a[:, None]))
         assert op in str(err.value)
         assert err.value.point == (0.0,)
+
+
+# --- certified guard filters and 1 x 1 kernels against LAPACK ---------------
+
+ULP = 2.0 ** -52
+
+
+def lapack_operands(monkeypatch, name):
+    """Route np.linalg.<name> through a wrapper; the returned list collects
+    the operand stack of every call."""
+    seen = []
+    real = getattr(np.linalg, name)
+
+    def recorded(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return seen
+
+
+def rotations(rng, n):
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+def adversarial_two_columns(rng, n, height, tol):
+    """n operands of shape height x 2: Gaussian at scales 1e-150 to 1e150,
+    then in fifths rank-deficient ones, ones with the smallest singular
+    value within 4 ulp of tol, and ones whose Gram overflows (entries near
+    1e157) or underflows (near 1e-165)."""
+    a = rng.standard_normal((n, height, 2))
+    a *= 10.0 ** rng.uniform(-150.0, 150.0, (n, 1, 1))
+    k = n // 5
+    a[:k, :, 1] = a[:k, :, 0] * rng.choice([0.0, 1.0, -3.0, 0.5], (k, 1))
+    u, _ = np.linalg.qr(rng.standard_normal((k, height, 2)))
+    s2 = tol * (1.0 + rng.integers(-4, 5, k) * ULP)
+    s1 = s2 * 10.0 ** rng.uniform(0.0, 6.0, k)
+    a[k:2 * k] = ((u * np.stack([s1, s2], -1)[:, None, :])
+                  @ np.swapaxes(rotations(rng, k), 1, 2))
+    a[2 * k:3 * k] /= np.abs(a[2 * k:3 * k]).max(axis=(1, 2), keepdims=True)
+    a[2 * k:3 * k] *= 10.0 ** rng.choice([157.0, -165.0], (k, 1, 1))
+    return a
+
+
+def adversarial_symmetric(rng, n, size, tol):
+    """n symmetric size x size operands (size 1 or 2): eigenvalues of either
+    sign at scales 1e-150 to 1e150, then in fifths exact zeros, a smallest
+    eigenvalue within 4 ulp of tol, and entries near 1e307, where the
+    filter's scale |p| + |q| + |b| overflows."""
+    lam = (rng.choice([-1.0, 1.0], (n, size))
+           * 10.0 ** rng.uniform(-150.0, 150.0, (n, size)))
+    k = n // 5
+    lam[:k, 0] = rng.choice([0.0, -0.0], k)
+    lam[k:2 * k, 0] = tol * (1.0 + rng.integers(-4, 5, k) * ULP)
+    if size == 1:
+        m = lam[:, :, None]
+    else:
+        lam[k:2 * k, 1] = lam[k:2 * k, 0] * 10.0 ** rng.uniform(0.0, 6.0, k)
+        r = rotations(rng, n)
+        m = (r * lam[:, None, :]) @ np.swapaxes(r, 1, 2)
+    m[2 * k:3 * k] = (rng.choice([-1.0, 1.0], (k, size, size))
+                      * rng.uniform(1e307, 8e307, (k, size, size)))
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
+
+
+def with_non_finite_rows(rng, a):
+    """`a` with a NaN, a +inf and a -inf entry in three rows near the end."""
+    a = a.copy()
+    for row, bad in zip((-7, -5, -2), (np.nan, np.inf, -np.inf)):
+        a[row].flat[rng.integers(a[row].size)] = bad
+    return a
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("height", [2, 3, 4])
+def test_two_column_filter_decides_as_lapack(monkeypatch, height, tol):
+    rng = np.random.default_rng([height, int(-np.log10(tol))])
+    a = with_non_finite_rows(rng, adversarial_two_columns(rng, 200_000,
+                                                          height, tol))
+    finite = np.isfinite(a).all(axis=(1, 2))
+    want = lapack_sv_above(a[finite], tol)
+    sent = lapack_operands(monkeypatch, "svd")
+    sv = ex._smallest_sv(a, None, tol)
+    monkeypatch.undo()
+    assert np.array_equal(sv[finite] > tol, want)
+    assert 0 < (~want).sum() and 0 < want.sum()
+    assert np.isnan(sv[~finite]).all() and (~finite).sum() == 3
+    # the ambiguous rows, all violations among them, went to LAPACK once,
+    # and its own value is what a violation reports
+    assert len(sent) == 1 and np.isfinite(sent[0]).all()
+    assert (~want).sum() <= len(sent[0]) < len(a)
+    checked = np.isfinite(sv)
+    assert np.array_equal(
+        sv[checked], np.linalg.svd(a[checked], compute_uv=False)[:, -1])
+    assert (sv[finite & ~checked] == np.inf).all()
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("size", [1, 2])
+def test_spd_filter_decides_as_lapack(monkeypatch, size, tol):
+    rng = np.random.default_rng([size, int(-np.log10(tol)), 1])
+    m = with_non_finite_rows(rng, adversarial_symmetric(rng, 200_000,
+                                                        size, tol))
+    finite = np.isfinite(m).all(axis=(1, 2))
+    want = lapack_eig_not_above(m[finite], tol)
+    sent = lapack_operands(monkeypatch, "eigvalsh")
+    w = ex._smallest_eigenvalue(m, tol)
+    monkeypatch.undo()
+    assert np.array_equal(~(w[finite] > tol), want)
+    assert 0 < want.sum() < want.size
+    assert np.isnan(w[~finite]).all() and (~finite).sum() == 3
+    if size == 1:
+        # a 1 x 1 operand is its own eigenvalue, as LAPACK returns it
+        assert sent == []
+        assert np.array_equal(w[finite], np.linalg.eigvalsh(m[finite])[:, 0])
+        return
+    assert len(sent) == 1 and np.isfinite(sent[0]).all()
+    assert want.sum() <= len(sent[0]) < len(m)
+    checked = np.isfinite(w)
+    assert np.array_equal(w[checked], np.linalg.eigvalsh(m[checked])[:, 0])
+
+
+def var_matrix(n, k, first=0):
+    return [[ex.Var(first + i * k + j) for j in range(k)] for i in range(n)]
+
+
+def near_identity_points(rng, count, n, k):
+    """Points whose n x k matrices are the identity's first k columns plus
+    small noise: well inside every guard."""
+    return (np.eye(n)[:, :k].ravel()
+            + 0.01 * rng.standard_normal((count, n * k)))
+
+
+@pytest.mark.parametrize("op, n, k", [(ex.SOLVE, 2, 2), (ex.INV, 2, 2),
+                                      (ex.INV, 1, 1), (ex.COLSPAN_PROJ, 3, 2),
+                                      (ex.COLSPAN_PROJ, 3, 1)])
+def test_non_finite_operand_is_a_singular_value_guard_violation(monkeypatch,
+                                                                op, n, k):
+    # LAPACK has no defined answer here: its SVD raises LinAlgError on a NaN
+    # 2 x 2 operand, with no witness point, and |inf| would pass
+    b = [[ex.Const(1.0)] for _ in range(n)] if op == ex.SOLVE else None
+    group = ex.MatrixGroup(op, var_matrix(n, k), b, guard_tol=1e-9)
+    pts = near_identity_points(np.random.default_rng(n * k), 6, n, k)
+    pts[2, -1], pts[4, 0] = np.inf, np.nan
+    sent = lapack_operands(monkeypatch, "svd")
+    with pytest.raises(GuardViolation, match=rf"matrix {op} guard: "
+                       "smallest singular value nan <= 1.0e-09") as err:
+        group.compute(ex.EvalContext(pts))
+    assert err.value.point == tuple(pts[2])
+    assert sent == []
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_non_finite_metric_is_an_spd_guard_violation(monkeypatch, size):
+    # LAPACK has no defined answer here: eigvalsh([[1, nan], [nan, 1]]) is
+    # [nan, nan], eigvalsh([[5, 0], [0, nan]]) is [0, -0], [[inf]] is inf
+    s = [[ex.Const(float(i == j)) for j in range(size)] for i in range(size)]
+    group = ex.MatrixGroup(ex.PENCIL_PROJ_POS, s, var_matrix(size, size))
+    pts = np.tile(np.eye(size).ravel(), (5, 1))
+    if size == 1:
+        pts[3, 0] = np.inf
+    else:
+        pts[3] = (1.0, np.nan, np.nan, 1.0)
+        pts[4] = (5.0, 0.0, 0.0, np.nan)
+    sent = lapack_operands(monkeypatch, "eigvalsh")
+    with pytest.raises(GuardViolation, match="pencil metric not positive "
+                       "definite: min eigenvalue nan") as err:
+        group.compute(ex.EvalContext(pts))
+    assert np.array_equal(err.value.point, pts[3], equal_nan=True)
+    assert sent == []
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_non_finite_pencil_operand_is_an_eigenvalue_guard_violation(
+        monkeypatch, size):
+    # a NaN S must not give a NaN projector
+    g = [[ex.Const(float(i == j)) for j in range(size)] for i in range(size)]
+    group = ex.MatrixGroup(ex.PENCIL_PROJ_NEG, var_matrix(size, size), g)
+    pts = np.tile(np.diag(np.arange(size) - 0.5).ravel(), (4, 1))
+    pts[1, -1] = np.nan
+    sent = lapack_operands(monkeypatch, "eigh")
+    with pytest.raises(GuardViolation,
+                       match="pencil operand has a non-finite entry") as err:
+        group.compute(ex.EvalContext(pts))
+    assert np.array_equal(err.value.point, pts[1], equal_nan=True)
+    assert sent == []
+
+
+def test_overflowing_pencil_is_an_eigenvalue_guard_violation():
+    # a finite S whose whitened form overflows has NaN eigenvalues, which
+    # are not above the guard, so no NaN projector comes out
+    s = [[ex.Var(0), ex.Const(0.0)], [ex.Const(0.0), -ex.Var(0)]]
+    g = [[ex.Const(1e-8), ex.Const(0.0)], [ex.Const(0.0), ex.Const(1e-8)]]
+    group = ex.MatrixGroup(ex.PENCIL_PROJ_POS, s, g)
+    with pytest.raises(GuardViolation, match="pencil eigenvalue nan within "
+                       "guard 1.0e-09") as err:
+        group.compute(ex.EvalContext(np.array([[1.0], [1e305], [2.0]])))
+    assert err.value.point == (1e305,)
+
+
+def lapack_whitened_eigh(s, g):
+    """`_whitened_eigh` through LAPACK alone, the reference for 1 x 1."""
+    ell = np.linalg.cholesky(g)
+    white = np.linalg.solve(ell, np.swapaxes(np.linalg.solve(ell, s), 1, 2))
+    w, z = np.linalg.eigh(0.5 * (white + np.swapaxes(white, 1, 2)))
+    return ell, w, z
+
+
+@pytest.mark.parametrize("kernel", ["solve", "solve-3", "inv", "whitened-eigh"])
+def test_one_by_one_kernels_equal_lapack_bit_for_bit(kernel):
+    # b / a (one right-hand side), b * (1 / a) (several), 1 / a, and for the
+    # pencil sqrt(g) and the entry itself with eigenvector 1, on 300,000
+    # seeded values with |a| from 1e-100 to 1e100
+    rng = np.random.default_rng(23)
+    n = 300_000
+    a = (rng.choice([-1.0, 1.0], n)
+         * 10.0 ** rng.uniform(-100.0, 100.0, n))[:, None, None]
+    if kernel.startswith("solve"):
+        b = (rng.standard_normal((n, 1, 3 if kernel == "solve-3" else 1))
+             * 10.0 ** rng.uniform(-100.0, 100.0, (n, 1, 1)))
+        assert np.array_equal(ex.solve(a, b), np.linalg.solve(a, b))
+    elif kernel == "inv":
+        got = column_group(ex.INV, 1, 1e-200).compute(ex.EvalContext(a[:, 0]))
+        assert np.array_equal(got, np.linalg.inv(a))
+    else:
+        g = np.abs(rng.permutation(a))
+        for got, want in zip(ex._whitened_eigh(a, g),
+                             lapack_whitened_eigh(a, g)):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def load_layertrace():
