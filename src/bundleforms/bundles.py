@@ -443,22 +443,20 @@ def section_value_matrix(sections, chart: int, pts: np.ndarray) -> np.ndarray:
                            for s in sections], axis=2)
 
 
-def _normalized_min_sv(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    sv = np.linalg.svd(mat / safe, compute_uv=False)
-    return sv[:, min(mat.shape[1], mat.shape[2]) - 1]
-
-
 def _check_generating(sections, plan: SamplePlan):
+    """RankDrop at the first sample whose column-normalized d x m section
+    values M have sigma_min(M^T), with Gram M M^T, not above GENERATING_TOL."""
     bundle = sections[0].bundle
-    d = bundle.rank
     for (k,), pts, _ in sampled_regions(bundle.cover, plan, 1):
         mat = section_value_matrix(sections, k, pts)
-        bad = _normalized_min_sv(mat) <= GENERATING_TOL
+        norms = np.linalg.norm(mat, axis=1, keepdims=True)
+        mat = mat / np.where(norms > 0, norms, 1.0)
+        sv = ex.smallest_sv(np.swapaxes(mat, 1, 2),
+                             mat @ np.swapaxes(mat, 1, 2), GENERATING_TOL)
+        bad = ~(sv > GENERATING_TOL)
         if bad.any():
             raise RankDrop(
-                f"section values drop below rank {d} at "
+                f"section values drop below rank {bundle.rank} at "
                 f"{tuple(pts[int(np.argmax(bad))])}"
             )
 
@@ -521,7 +519,7 @@ def gauss_embedding(bundle: BundleRep, r: int = 1, *,
         frame = tuple(row for block in blocks for row in block)  # (qd x d)
         frames.append(frame)
         grams.append(em_mul(em_transpose(frame), frame))
-        projs.append(em_colspan_proj(frame, guard_tol=1e-12))
+        projs.append(em_colspan_proj(frame))
     entries = em_glue(pou.weights, projs)
     field = ProjectorField(bundle.base, entries, d, frames, grams, pou)
     report = field.check(plan)
@@ -592,7 +590,7 @@ def bundle_from_projector(proj: ProjectorField, plan: SamplePlan,
     for (a, idx_a), (b, idx_b) in itertools.permutations(enumerate(used), 2):
         paa = em_submatrix(proj.entries, idx_a, idx_a)
         pab = em_submatrix(proj.entries, idx_a, idx_b)
-        transitions[(a, b)] = em_solve(paa, pab, guard_tol=1e-12)
+        transitions[(a, b)] = em_solve(paa, pab)
     return BundleRep(cover, d, transitions, name=name or f"range({proj.rank})",
                      projector=proj, frame_subsets=used)
 
@@ -669,7 +667,7 @@ def coefficients(section: SectionRep, system: GeneratingSystem,
     coeffs: list = [None] * m
     for weight, (k, subset, vmat) in zip(pou.weights, chart_data):
         rhs = section.values[k]
-        solve = em_solve(vmat, rhs, guard_tol=1e-12)
+        solve = em_solve(vmat, rhs)
         for pos, idx in enumerate(subset):
             term = ex.ZeroGate(weight, solve[pos][0])
             coeffs[idx] = term if coeffs[idx] is None else ex.Add(coeffs[idx], term)

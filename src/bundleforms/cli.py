@@ -62,7 +62,7 @@ def run_tasks(doc: SpecDocument, tasks, plan: SamplePlan,
 
 def _default_label(task):
     bits = [task["op"]]
-    for key in ("bundle", "form", "section", "witness"):
+    for key in ("bundle", "form", "witness"):
         if key in task:
             bits.append(str(task[key]))
     return " ".join(bits)

@@ -451,7 +451,7 @@ class MatrixGroup:
         return MatrixGroup(self.op, a, b, guard_tol=self.guard_tol)
 
     def _guard_sv(self, a, gram, ctx):
-        sv = _smallest_sv(a, gram, self.guard_tol)
+        sv = smallest_sv(a, gram, self.guard_tol)
         # "not above": a NaN value is a violation, never a NaN result
         _guard(~(sv > self.guard_tol), ctx, lambda i:
                f"matrix {self.op} guard: smallest singular value "
@@ -460,87 +460,89 @@ class MatrixGroup:
     def _guard_spd(self, s, ctx, name):
         """Flag rows whose symmetrized `s` has its smallest eigenvalue not
         above the tolerance, as `eigvalsh` decides it; the filter, its bound
-        and the non-finite rule are `_smallest_eigenvalue`'s."""
-        w = _smallest_eigenvalue(0.5 * (s + np.swapaxes(s, 1, 2)),
-                                 self.guard_tol)
+        and the non-finite rule are `smallest_eigenvalue`'s."""
+        w = smallest_eigenvalue(s, self.guard_tol)
         _guard(~(w > self.guard_tol), ctx, lambda i:
                f"{name} not positive definite: min eigenvalue {w[i]:.3e}")
 
 
-# Relative margin of the closed-form guard filters (see `_smallest_sv`):
+# Relative margin of the closed-form guard filters (see `smallest_sv`):
 # far above their rounding error and LAPACK's.  Only operands within it of
 # singular, relative to their size, reach LAPACK.
 _FILTER_MARGIN = 1e-10
 _TINY = np.finfo(float).tiny
 
 
-def _smallest_sv(a, gram, tol):
+def smallest_sv(a, gram, tol):
     """Per operand of the stack `a`, the value its guard compares with
     `tol`: LAPACK's smallest singular value, or a closed form that stands
     in for it.
 
-    - One column: its norm, sqrt of the Gram A^T A (`gram`, where the
-      caller built it) or |a| for a 1 x 1 operand.  It may differ from
-      LAPACK's value in the last bits.  A Gram that overflows goes to LAPACK.
-    - Two columns: a certified filter.  With G = A^T A, t = tr G, and
-      sigma_1 >= sigma_2 the singular values, the closed form
-      lam = t / 2 - hypot((g00 - g11) / 2, g01) is within eps t of
-      sigma_2^2, eps = gamma_n + 3u for n rows (u = 2^-53): the computed
-      Gram is within gamma_n |A|^T |A| of G entrywise, so its eigenvalues
-      move by at most gamma_n t (Weyl), and the closed form adds at most
-      3u t.  LAPACK's value is within eps_L sigma_1 of sigma_2, eps_L a
-      small multiple of u.  A row is certified, and reads +inf, when
-      lam > max(tol^2, tiny) + delta t with delta = _FILTER_MARGIN.  Then
-      sigma_2^2 > tol^2 + c^2 with c^2 = delta sigma_1^2 / 2 (while
-      eps <= delta / 4, any height below about 10^5), and as tol <
-      sigma_2 <= sigma_1, sigma_2 - tol > c^2 / (2 tol + c) >= delta
-      sigma_1 / 6, which exceeds LAPACK's error while eps_L <= delta / 6.
-      So every certified row passes at LAPACK too, and every row LAPACK
-      fails is decided by LAPACK.  Underflow adds below 1e-320 to the Gram
-      and lam, and the tiny floor keeps that under delta t / 4.  An
-      overflowing Gram makes the test inf > inf or NaN, both false.
+    - 1 x 1: |a|, LAPACK's value bit for bit wherever LAPACK does not
+      rescale its operand (1e-138 < |a| < 1e138).
+    - One or two columns: a certified filter.  With G = A^T A, t = tr G,
+      and sigma_1 >= sigma_2 the singular values (equal for one column),
+      the closed form lam = g00, or t / 2 - hypot((g00 - g11) / 2, g01),
+      is within eps t of sigma_2^2, eps = gamma_n + 3u for n rows
+      (u = 2^-53): the computed Gram is within gamma_n |A|^T |A| of G
+      entrywise, so its eigenvalues move by at most gamma_n t (Weyl), and
+      the closed form adds at most 3u t.  LAPACK's value is within
+      eps_L sigma_1 of sigma_2, eps_L a small multiple of u.  A row is
+      certified, and reads +inf, when lam > max(tol^2, tiny) + delta t
+      with delta = _FILTER_MARGIN.  Then sigma_2^2 > tol^2 + c^2 with
+      c^2 = delta sigma_1^2 / 2 (while eps <= delta / 4, any height below
+      about 10^5), and as tol < sigma_2 <= sigma_1, sigma_2 - tol >
+      c^2 / (2 tol + c) >= delta sigma_1 / 6, which exceeds LAPACK's error
+      while eps_L <= delta / 6.  So every certified row passes at LAPACK
+      too, and every row LAPACK fails is decided by LAPACK.  Underflow
+      adds below 1e-320 to the Gram and lam, and the tiny floor keeps that
+      under delta t / 4.  An overflowing Gram makes the test inf > inf or
+      NaN, both false.
     - More columns: LAPACK.
 
     The uncertified rows go to LAPACK in one call, except those with a NaN
     or infinite entry: LAPACK gives those no defined answer, so they read
-    NaN and fail the guard.
+    NaN and fail the guard.  So every decision on a finite row, and the
+    value a violation reports, is LAPACK's.
     """
     k = a.shape[2]
-    if k == 1:
-        sv = np.sqrt(gram[:, 0, 0]) if gram is not None else np.abs(a[:, 0, 0])
+    if a.shape[1:] == (1, 1):
+        sv = np.abs(a[:, 0, 0])
         rest = ~np.isfinite(sv)
-    elif k == 2:
+    elif k <= 2:
         sv = np.full(a.shape[0], np.inf)
         with np.errstate(over="ignore", invalid="ignore"):  # uncertified
             if gram is None:
                 gram = np.swapaxes(a, 1, 2) @ a
-            g00, g11 = gram[:, 0, 0], gram[:, 1, 1]
-            rest = ~(_lambda_min(g00, g11, gram[:, 0, 1])
-                     > max(tol * tol, _TINY) + _FILTER_MARGIN * (g00 + g11))
+            t = np.trace(gram, axis1=1, axis2=2)
+            lam = t if k == 1 else _lambda_min(gram[:, 0, 0], gram[:, 1, 1],
+                                               gram[:, 0, 1])
+            rest = ~(lam > max(tol * tol, _TINY) + _FILTER_MARGIN * t)
     else:
         sv, rest = np.empty(a.shape[0]), np.ones(a.shape[0], dtype=bool)
     return _lapack_rows(sv, rest, a, lambda x:
                         np.linalg.svd(x, compute_uv=False)[:, -1])
 
 
-def _smallest_eigenvalue(m, tol):
-    """Per symmetric operand of the stack `m`, a value that is above `tol`
-    where LAPACK's (`eigvalsh`) smallest eigenvalue is, and that value
-    where it is not.
+def smallest_eigenvalue(s, tol):
+    """Per operand of the stack `s`, symmetrized as m = (s + s^T) / 2 (an
+    entry that overflows is non-finite), a value above `tol` where LAPACK's
+    (`eigvalsh`) smallest eigenvalue of m is, and that value where it is not.
 
     - 1 x 1: the entry, which is LAPACK's value bit for bit.
-    - 2 x 2 [[p, b], [b, q]]: a certified filter, as in `_smallest_sv`.
-      lam = (p + q) / 2 - hypot((p - q) / 2, b) is within 4u s of the
-      smallest eigenvalue, s = |p| + |q| + |b| >= ||m||_2, and LAPACK's
-      value within eps_L s.  A row is certified, and reads +inf, when
-      lam > max(tol, tiny) + delta s, delta = _FILTER_MARGIN, which clears
-      both errors while 4u + eps_L <= delta / 2.  Overflow makes s = inf
+    - 2 x 2 [[p, b], [b, q]]: a certified filter, as in `smallest_sv`.
+      lam = (p + q) / 2 - hypot((p - q) / 2, b) is within 4u r of the
+      smallest eigenvalue, r = |p| + |q| + |b| >= ||m||_2, and LAPACK's
+      value within eps_L r.  A row is certified, and reads +inf, when
+      lam > max(tol, tiny) + delta r, delta = _FILTER_MARGIN, which clears
+      both errors while 4u + eps_L <= delta / 2.  Overflow makes r = inf
       and the test false.
     - Larger: LAPACK.
 
-    Uncertified rows go to LAPACK as in `_smallest_sv`; rows with a NaN or
+    Uncertified rows go to LAPACK as in `smallest_sv`; rows with a NaN or
     infinite entry read NaN and never reach it.
     """
+    m = 0.5 * (s + np.swapaxes(s, 1, 2))
     n = m.shape[1]
     if n == 1:
         w = m[:, 0, 0].copy()

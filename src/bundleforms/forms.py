@@ -60,6 +60,7 @@ from .matexpr import (
     em_submatrix,
     em_transpose,
     em_vstack,
+    em_zero_gate,
 )
 from .semialg import Condition, GT, SamplePlan, SemialgebraicSet
 
@@ -410,12 +411,7 @@ def _symbolic_gs(s_mat, events):
             for j in range(d)}
 
     def quad(u, w):
-        # u^T S w as a scalar expression
-        sw = em_mul(s_mat, w)
-        acc = ex.Mul(u[0][0], sw[0][0])
-        for a in range(1, d):
-            acc = ex.Add(acc, ex.Mul(u[a][0], sw[a][0]))
-        return acc
+        return em_mul(em_transpose(u), em_mul(s_mat, w))[0][0]
 
     pos_cols, neg_cols, guards = [], [], []
     for event in events:
@@ -539,7 +535,7 @@ def blend_positive_subbundle(frame_field, r_plus: int, nu_plus, mu: ex.Expr,
     """
     d = em_shape(frame_field)[0]
     r_minus = d - r_plus
-    coords = em_solve(frame_field, nu_plus, guard_tol=1e-12)  # d x r_plus
+    coords = em_solve(frame_field, nu_plus)  # d x r_plus
     top = em_submatrix(coords, range(r_plus), range(r_plus))
     bottom = em_submatrix(coords, range(r_plus, d), range(r_plus))
     theta = em_mul(bottom, em_inv(top, guard_tol=1e-12))       # r_minus x r_plus
@@ -553,10 +549,9 @@ def blend_positive_subbundle(frame_field, r_plus: int, nu_plus, mu: ex.Expr,
             )
     # ZeroGate(mu, theta) = mu * theta where mu > 0 and exactly 0 elsewhere,
     # so the graph matrix is valid on all of U even where nu_plus is not
-    gated = tuple(tuple(ex.ZeroGate(mu, e) for e in row) for row in theta)
-    graph = em_vstack(em_identity(r_plus), gated)
+    graph = em_vstack(em_identity(r_plus), em_zero_gate(mu, theta))
     columns = em_mul(frame_field, graph)
-    return em_colspan_proj(columns, guard_tol=1e-12)
+    return em_colspan_proj(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -645,13 +640,13 @@ def check_isometry(witness: IsometryWitness, plan: SamplePlan,
 
 
 def _require_spd(form: FormField, plan: SamplePlan):
+    """NotPositive at the first sample where the symmetrized chart form's
+    smallest eigenvalue, NaN included, is not above 0."""
     for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
-        w = np.linalg.eigvalsh(ev(form.mats[i]))
-        if (w[:, 0] <= 0).any():
-            bad = pts[int(np.argmax(w[:, 0] <= 0))]
-            raise NotPositive(
-                f"form {form.name or '?'} not positive definite at {tuple(bad)}"
-            )
+        bad = ~(ex.smallest_eigenvalue(ev(form.mats[i]), 0.0) > 0.0)
+        if bad.any():
+            raise NotPositive(f"form {form.name or '?'} not positive definite "
+                              f"at {tuple(pts[int(np.argmax(bad))])}")
 
 
 def positive_isometry(form: FormField, target: FormField,
@@ -726,7 +721,7 @@ def ambient_form(form: FormField, proj: ProjectorField):
 def _left_inverse(frame, gram):
     """(A^T A)^-1 A^T for an ambient frame A of full column rank and its
     Gram matrix A^T A."""
-    return em_solve(gram, em_transpose(frame), guard_tol=1e-12)
+    return em_solve(gram, em_transpose(frame))
 
 
 def restrict_form_to_range_bundle(ambient_mat, subbundle: BundleRep) -> FormField:

@@ -30,7 +30,6 @@ from .bundles import (
     common_cover,
     gauss_embedding,
     pullback,
-    sampled_regions,
     trivial_bundle,
 )
 from .catalog import cylinder_base, extend_set, scaling_homotopy_map
@@ -339,10 +338,7 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan,
     """
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
-    if bundle.cover.product_structure is not None:
-        strip_subdivision(bundle, plan)          # certifies t-coverage
-    else:
-        _certify_slab_coverage(bundle, plan)
+    _certify_slab_coverage(bundle, plan)
     shrink_cover(bundle.cover, plan=plan)   # one shrink pass must succeed
 
     target_proj, h_exprs = path or (gauss_embedding(bundle, plan=plan),
@@ -369,7 +365,7 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan,
         f1 = frame_at(c1, 1.0)
         gram = em_mul(em_transpose(f1), f1)
         rhs = em_mul(em_transpose(f1), em_mul(transport, f0))
-        fields.append(em_solve(gram, rhs, guard_tol=1e-12))
+        fields.append(em_solve(gram, rhs))
     witness = MorphismField(a, b, fields)
     report = check_isomorphism(a, b, witness, plan, tol)
     report.details.update(_ladder_details(t_values, gap))
@@ -424,12 +420,17 @@ def _ladder_of(report: CheckReport) -> dict:
 
 
 def _certify_slab_coverage(bundle: BundleRep, plan: SamplePlan):
-    """Sampled check that the charts cover base x [0, 1]."""
+    """Check that the charts cover {x} x [0, 1] over each sampled base
+    point x: on SLAB_T_VALUES t-slices and, on a product cover, at every
+    declared t-interval endpoint in [0, 1], where any gap between the open
+    intervals shows, so that there the check is exact in t."""
     base_x, t_index = _require_cylinder(bundle.base)
     pts = base_x.sample_points(plan)
     if pts.shape[0] == 0:
         raise CoverageFailure("cylinder base yielded no samples")
-    for t in np.linspace(0.0, 1.0, SLAB_T_VALUES):
+    ends = [e for _, interval in bundle.cover.product_structure or ()
+            for e in interval if e is not None and 0.0 <= e <= 1.0]
+    for t in np.union1d(np.linspace(0.0, 1.0, SLAB_T_VALUES), ends):
         lifted = np.column_stack([pts, np.full(pts.shape[0], t)])
         covered = np.zeros(pts.shape[0], dtype=bool)
         for chart in bundle.cover.charts:
@@ -437,7 +438,7 @@ def _certify_slab_coverage(bundle: BundleRep, plan: SamplePlan):
         if not covered.all():
             bad = lifted[~covered][0]
             raise TCoverGap(
-                f"slab point uncovered at t = {t:.3f}",
+                f"slab point uncovered at t = {t:.6f}",
                 point=tuple(float(v) for v in bad),
             )
 
@@ -518,17 +519,14 @@ def trivialize_contractible(bundle: BundleRep, plan: SamplePlan,
                                        tol)
     except ImageEscapesBase as err:
         raise ContractionEscapesBase(str(err)) from err
-    # t = 0 restriction is the constant cocycle g(center); its cocycle values
+    # t = 0 restriction is the constant cocycle g(center); its values at the
+    # first sampled point of each overlap with chart 0 (else the center)
     # transport every refined chart to chart 0's frame
-    at = {}     # per chart r: the first sampled point of its overlap with chart 0
-    for (i, r), pts, _ in sampled_regions(hw.at_zero.cover, plan, 2):
-        if i > 0:
-            break
-        at[r] = pts[:1]
     const_fields = [em_identity(bundle.rank)]
     for r in range(1, hw.at_zero.cover.n_charts):
+        at = hw.at_zero.cover.samples((0, r), plan)[:1]
         g = em_eval(hw.at_zero.transition(0, r),
-                    at.get(r, center.reshape(1, -1)))[0]
+                    at if at.shape[0] else center.reshape(1, -1))[0]
         const_fields.append(tuple(tuple(ex.Const(v) for v in row) for row in g))
     triv = trivial_bundle(hw.at_zero.cover, bundle.rank)
     to_trivial = MorphismField(hw.at_zero, triv, const_fields)

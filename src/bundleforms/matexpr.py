@@ -121,12 +121,12 @@ def em_inv(a: ExprMatrix, guard_tol: float = 1e-9) -> ExprMatrix:
     return em_from_group(ex.MatrixGroup(ex.INV, a, guard_tol=guard_tol))
 
 
-def em_solve(a: ExprMatrix, b: ExprMatrix, guard_tol: float = 1e-9) -> ExprMatrix:
-    return em_from_group(ex.MatrixGroup(ex.SOLVE, a, b, guard_tol=guard_tol))
+def em_solve(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
+    return em_from_group(ex.MatrixGroup(ex.SOLVE, a, b, guard_tol=1e-12))
 
 
-def em_colspan_proj(a: ExprMatrix, guard_tol: float = 1e-9) -> ExprMatrix:
-    return em_from_group(ex.MatrixGroup(ex.COLSPAN_PROJ, a, guard_tol=guard_tol))
+def em_colspan_proj(a: ExprMatrix) -> ExprMatrix:
+    return em_from_group(ex.MatrixGroup(ex.COLSPAN_PROJ, a, guard_tol=1e-12))
 
 
 def em_pencil_proj(s: ExprMatrix, g: ExprMatrix, positive: bool) -> ExprMatrix:

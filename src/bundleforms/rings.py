@@ -39,7 +39,6 @@ from .errors import BaseMismatch, BundleformsError, NotCatalogBase
 from .forms import (
     FormField,
     IsometryWitness,
-    SignatureType,
     check_isometry,
     decompose,
     gram_schmidt_frame,
@@ -60,12 +59,6 @@ from .matexpr import (
 from .semialg import SamplePlan
 
 
-def _safe_line_class(bundle: BundleRep) -> int:
-    if bundle.rank == 0:
-        return 0
-    return s1_line_class(bundle)
-
-
 def _is_circle(base) -> bool:
     return base.circle is not None
 
@@ -84,12 +77,22 @@ class K0Class:
         return self.plus.base
 
 
+def _line_classes(plus: BundleRep, minus: BundleRep):
+    """The line classes of plus and minus over a circle base, else None."""
+    if not _is_circle(plus.base):
+        return None
+    return tuple(0 if b.rank == 0 else s1_line_class(b) for b in (plus, minus))
+
+
+def _invariants(plus: BundleRep, minus: BundleRep, line_classes):
+    """Rank difference and det class of [plus] - [minus] from the line
+    classes of plus and minus (None off the circle)."""
+    return (plus.rank - minus.rank,
+            None if line_classes is None else sum(line_classes) % 2)
+
+
 def k0_invariants(plus: BundleRep, minus: BundleRep):
-    rank_diff = plus.rank - minus.rank
-    det_class = None
-    if _is_circle(plus.base):
-        det_class = (_safe_line_class(plus) + _safe_line_class(minus)) % 2
-    return rank_diff, det_class
+    return _invariants(plus, minus, _line_classes(plus, minus))
 
 
 def k0_class(plus: BundleRep, minus: BundleRep | None = None) -> K0Class:
@@ -97,8 +100,7 @@ def k0_class(plus: BundleRep, minus: BundleRep | None = None) -> K0Class:
         minus = trivial_bundle(plus.cover, 0, "rank0")
     if plus.base.sset is not minus.base.sset:
         raise BaseMismatch("K-class representatives need one base")
-    rank_diff, det_class = k0_invariants(plus, minus)
-    return K0Class(plus, minus, rank_diff, det_class)
+    return K0Class(plus, minus, *k0_invariants(plus, minus))
 
 
 def k0_add(a: K0Class, b: K0Class) -> K0Class:
@@ -127,34 +129,34 @@ class WittClass:
     sig_diff: int
     rank_parity: int
     det_classes: tuple | None     # circle: (plus-part class, minus-part class)
+    parts: tuple | None           # circle: the (plus, minus) bundles split off
 
     @property
     def base(self):
         return self.form.bundle.base
 
 
-def witt_invariants(form: FormField, plan: SamplePlan):
-    circle = _is_circle(form.bundle.base)
-    if form.rank == 0:
-        return SignatureType(0, 0), ((0, 0) if circle else None)
-    if not circle:
-        return signature(form, plan), None
-    sig, plus_b, minus_b = _definite_parts(form, plan, "witt")
-    return sig, (_safe_line_class(plus_b), _safe_line_class(minus_b))
-
-
-def _definite_parts(form: FormField, plan: SamplePlan, name: str):
+def _definite_parts(form: FormField, plan: SamplePlan):
     """The form's signature (certified once, by `decompose`) and its
-    positive and negative range bundles, named `name`+ and `name`-."""
+    positive and negative range bundles."""
     pair = decompose(form, plan)
     plus_amb, minus_amb = pair.to_ambient()
-    return (pair.sig, bundle_from_projector(plus_amb, plan, name=f"{name}+"),
-            bundle_from_projector(minus_amb, plan, name=f"{name}-"))
+    return (pair.sig, bundle_from_projector(plus_amb, plan, name=f"{form.name}+"),
+            bundle_from_projector(minus_amb, plan, name=f"{form.name}-"))
 
 
 def witt_class(form: FormField, plan: SamplePlan) -> WittClass:
-    sig, det_classes = witt_invariants(form, plan)
-    return WittClass(form, sig.difference, sig.rank % 2, det_classes)
+    """The form's class and invariants.  On a circle base they are read off
+    the form's definite split, which the class keeps for `nabla`."""
+    circle = _is_circle(form.bundle.base)
+    if form.rank == 0:
+        return WittClass(form, 0, 0, (0, 0) if circle else None, None)
+    if not circle:
+        sig = signature(form, plan)
+        return WittClass(form, sig.difference, sig.rank % 2, None, None)
+    sig, plus_b, minus_b = _definite_parts(form, plan)
+    return WittClass(form, sig.difference, sig.rank % 2,
+                     _line_classes(plus_b, minus_b), (plus_b, minus_b))
 
 
 def witt_add(a: WittClass, b: WittClass, plan: SamplePlan) -> WittClass:
@@ -165,8 +167,8 @@ def witt_add(a: WittClass, b: WittClass, plan: SamplePlan) -> WittClass:
 
 def witt_neg(a: WittClass) -> WittClass:
     return WittClass(negate_form(a.form), -a.sig_diff, a.rank_parity,
-                     None if a.det_classes is None else
-                     (a.det_classes[1], a.det_classes[0]))
+                     a.det_classes and a.det_classes[::-1],
+                     a.parts and a.parts[::-1])
 
 
 def witt_mul(a: WittClass, b: WittClass, plan: SamplePlan) -> WittClass:
@@ -192,7 +194,7 @@ def delta(k: K0Class, plan: SamplePlan) -> WittClass:
         zero = trivial_bundle(k.plus.cover, 0, "rank0")
         empty = FormField(zero, [tuple() for _ in range(zero.cover.n_charts)], "0")
         return WittClass(empty, 0, 0,
-                         (0, 0) if _is_circle(k.base) else None)
+                         (0, 0) if _is_circle(k.base) else None, None)
     total = parts[0]
     for part in parts[1:]:
         total = orthogonal_sum(total, part)
@@ -201,13 +203,15 @@ def delta(k: K0Class, plan: SamplePlan) -> WittClass:
 
 def nabla(w: WittClass, plan: SamplePlan) -> K0Class:
     """Split the form into definite subbundles:
-    nabla([(P, b)]) = [P+] - [P-]."""
+    nabla([(P, b)]) = [P+] - [P-].  On a circle base these are the bundles
+    the Witt class was split into, with its line classes."""
     form = w.form
     if form.rank == 0:
         zero = trivial_bundle(form.bundle.cover, 0, "rank0")
         return k0_class(zero, zero)
-    _, plus_b, minus_b = _definite_parts(form, plan, "nabla")
-    return k0_class(plus_b, minus_b)
+    if w.parts is None:
+        return k0_class(*_definite_parts(form, plan)[1:])
+    return K0Class(*w.parts, *_invariants(*w.parts, w.det_classes))
 
 
 def cancellation_witness(bundle: BundleRep, form: FormField) -> IsometryWitness:

@@ -32,6 +32,7 @@ EQ = "=="
 _EQ_TOL = 1e-9
 _PROJ_TOL = 1e-13
 _PROJ_STEPS = 40  # Gauss-Newton steps onto the equations
+_SAMPLE_MARGIN = 1e-9  # strict conditions of a sampled point clear it
 
 
 class Polynomial:
@@ -344,7 +345,6 @@ class SamplePlan:
     n_chart: int = 400
     n_overlap: int = 250
     n_triple: int = 150
-    margin: float = 1e-9
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -438,7 +438,7 @@ def sample(sset: SemialgebraicSet, plan: SamplePlan, box,
         for piece in sset.pieces:
             pts = _cloud(box, n_cand, seed, sset.equality_polys(piece), memo)
             piece_set = SemialgebraicSet(sset.dim, [piece])
-            keep = piece_set.membership(pts, margin=plan.margin, eq_tol=1e-12)
+            keep = piece_set.membership(pts, margin=_SAMPLE_MARGIN, eq_tol=1e-12)
             if keep.any():
                 collected.append(pts[keep])
                 total += int(keep.sum())

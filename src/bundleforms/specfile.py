@@ -45,6 +45,17 @@ _CATALOG_BASES = {
     "line-cylinder": lambda: cylinder_base(line_base()),
 }
 
+# declaration kind -> the keys the format defines for it; a catalog base
+# takes its "catalog" key alone
+_DECLARATION_KEYS = {
+    "base": ("dim", "box", "star_center", "conditions", "name", "connected",
+             "circle"),
+    "bundle": ("rank", "charts", "transitions"),
+    "form": ("bundle", "upper"),
+    "section": ("bundle", "values"),
+    "witness": ("source", "target", "fields"),
+}
+
 # task op -> the reference keys it requires
 _TASK_REFS = {
     "validate-bundle": ("bundle",),
@@ -60,6 +71,12 @@ _TASK_REFS = {
     "roundtrip-k0": ("bundle",),
     "roundtrip-witt": ("form",),
     "check-witness": ("witness",),
+}
+
+# task op -> the reference keys it may name besides those
+_TASK_OPTIONAL_REFS = {
+    "invariants": ("bundle", "form"),
+    "check-witness": ("source_form", "target_form"),
 }
 
 
@@ -138,6 +155,14 @@ def _typed(value, kind: type, where: str, what: str):
     return value
 
 
+def _known_keys(decl: dict, keys, where: str) -> None:
+    """Reject a key the format does not define for this declaration: a
+    misspelt or misplaced key is never silently ignored."""
+    unknown = set(decl) - set(keys)
+    if unknown:
+        raise SpecParseError(f"{where}: unknown keys: {sorted(unknown)}")
+
+
 def _declared(ref, table, what: str):
     """`ref` itself, once it is a string naming an entry of `table`.  Any
     other value, a list say, is an unresolved reference: it is never hashed."""
@@ -160,7 +185,14 @@ def _parse_base(decl) -> Base:
     decl = _typed(decl, dict, "base", "the declaration")
     if "catalog" in decl:
         name = _declared(decl["catalog"], _CATALOG_BASES, "unknown catalog base")
+        _known_keys(decl, ("catalog",), "base")
         return _CATALOG_BASES[name]()
+    _known_keys(decl, _DECLARATION_KEYS["base"], "base")
+    for key in ("connected", "circle"):
+        if not isinstance(decl.get(key, False), bool):
+            raise SpecParseError(f"base: {key} must be true or false")
+    if not isinstance(decl.get("name", ""), str):
+        raise SpecParseError("base: name must be a string")
     star = decl.get("star_center")
     try:
         dim = _integer(decl["dim"], "base", "dim")
@@ -186,8 +218,8 @@ def _parse_base(decl) -> Base:
     circle = CircleGeometry(0, 1) if decl.get("circle") else None
     return Base(
         sset, box,
-        name=str(decl.get("name", "custom")),
-        connected=bool(decl.get("connected", True)),
+        name=decl.get("name", "custom"),
+        connected=decl.get("connected", True),
         star_center=star,
         circle=circle,
     )
@@ -245,7 +277,8 @@ def _parse_matrix(rows, rank_rows, rank_cols, compile_expr, where):
 
 def _parse_bundle(name, decl, doc, compile_expr, covers) -> tuple[BundleRep, list]:
     where = f"bundle {name}"
-    _typed(decl, dict, where, "the declaration")
+    _known_keys(_typed(decl, dict, where, "the declaration"),
+                _DECLARATION_KEYS["bundle"], where)
     if "rank" not in decl:
         raise SpecParseError(f"{where}: missing rank")
     rank = _integer(decl["rank"], where, "rank")
@@ -273,15 +306,16 @@ def _parse_bundle(name, decl, doc, compile_expr, covers) -> tuple[BundleRep, lis
     return bundle, chart_names
 
 
-def _resolve_bundle(decl, doc, where) -> tuple[BundleRep, list]:
-    _typed(decl, dict, where, "the declaration")
+def _resolve_bundle(decl, doc, where, kind) -> tuple[BundleRep, list]:
+    _known_keys(_typed(decl, dict, where, "the declaration"),
+                _DECLARATION_KEYS[kind], where)
     ref = _declared(decl.get("bundle"), doc.bundles, f"{where}: unknown bundle")
     return doc.bundles[ref], doc.chart_names[ref]
 
 
 def _parse_form(name, decl, doc, compile_expr) -> FormField:
     where = f"form {name}"
-    bundle, chart_names = _resolve_bundle(decl, doc, where)
+    bundle, chart_names = _resolve_bundle(decl, doc, where, "form")
     d = bundle.rank
     n_upper = d * (d + 1) // 2
     uppers = []
@@ -301,7 +335,7 @@ def _parse_form(name, decl, doc, compile_expr) -> FormField:
 
 def _parse_section(name, decl, doc, compile_expr) -> SectionRep:
     where = f"section {name}"
-    bundle, chart_names = _resolve_bundle(decl, doc, where)
+    bundle, chart_names = _resolve_bundle(decl, doc, where, "section")
     values = []
     value_decl = _typed(decl.get("values") or {}, dict, where, "values")
     for chart_name in chart_names:
@@ -318,7 +352,8 @@ def _parse_section(name, decl, doc, compile_expr) -> SectionRep:
 
 def _parse_witness(name, decl, doc, compile_expr) -> MorphismField:
     where = f"witness {name}"
-    _typed(decl, dict, where, "the declaration")
+    _known_keys(_typed(decl, dict, where, "the declaration"),
+                _DECLARATION_KEYS["witness"], where)
     source_ref, target_ref = (
         _declared(decl.get(key), doc.bundles, f"{where}: unknown {key} bundle")
         for key in ("source", "target"))
@@ -347,12 +382,14 @@ def _check_task(task, doc) -> dict:
     for key in _TASK_REFS[op]:
         if key not in task:
             raise SpecParseError(f"task {op}: missing {key!r}")
+    _known_keys(task, ("op", "label", *_TASK_REFS[op],
+                       *_TASK_OPTIONAL_REFS.get(op, ())), f"task {op}")
     if ("source_form" in task) != ("target_form" in task):
         raise SpecParseError(f"task {op}: source_form and target_form go together")
     if not isinstance(task.get("label", ""), str):
         raise SpecParseError(f"task {op}: label must be a string")
     for key, table in (("bundle", doc.bundles), ("form", doc.forms),
-                       ("section", doc.sections), ("witness", doc.witnesses),
+                       ("witness", doc.witnesses),
                        ("source_form", doc.forms), ("target_form", doc.forms)):
         if key in task:
             _declared(task[key], table, f"task {op}: unknown {key}")

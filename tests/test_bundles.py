@@ -49,8 +49,10 @@ from bundleforms.errors import (
     GeneratorsDegenerate,
     GuardViolation,
     NoChartFound,
+    RankDrop,
 )
 from bundleforms.matexpr import em_const, em_eval, em_identity, em_inv, em_transpose
+from bundleforms.unity import partition_of_unity
 from bundleforms.semialg import GT, Condition, Cover, Polynomial, SamplePlan, SemialgebraicSet
 
 PLAN = SamplePlan(seed=0, n_chart=220, n_overlap=160, n_triple=100)
@@ -258,6 +260,22 @@ def test_generating_sections_moebius():
     for s in system.sections:
         rep = s.check(PLAN, tol=1e-9)
         assert rep.passed, rep.as_dict()
+
+
+def test_nan_transition_is_a_rank_drop_at_its_point():
+    # LAPACK's SVD raised LinAlgError on NaN section values, with no point
+    m = moebius()
+    nan = ((ex.Const(np.nan),),)
+    bundle = BundleRep(m.cover, 1, {(0, 1): nan, (1, 0): nan}, name="nan")
+    with pytest.raises(RankDrop, match="section values drop below rank 1"
+                       ) as err:
+        generating_sections(bundle, r=1, plan=PLAN)
+    # chart 0's first sample where the weight of chart 1, which gates the
+    # NaN transition, is positive
+    pts = m.cover.samples((0,), PLAN)
+    weight = partition_of_unity(m.cover, 1, plan=PLAN).weights[1]
+    first = pts[int(np.argmax(ex.evaluate(weight, pts) > 0.0))]
+    assert str(err.value).endswith(f" at {tuple(first)}")
 
 
 def test_coefficients_trivial_unique_solve():

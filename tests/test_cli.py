@@ -290,6 +290,44 @@ def test_wrongly_typed_declaration_is_a_spec_error(tmp_path, capsys, where, edit
     assert captured.out == ""
 
 
+def _with_base(base):
+    return lambda raw: raw.update(base=base)
+
+
+@pytest.mark.parametrize("where,edit", [
+    ("bundle moebius", lambda raw: raw["bundles"]["moebius"].update(
+        transition=raw["bundles"]["moebius"].pop("transitions"))),
+    ("base", _with_base(dict(CUSTOM_BASE, connected="false"))),
+    ("base", _with_base(dict(CUSTOM_BASE, circle="no"))),
+    ("base", _with_base(dict(CUSTOM_BASE, name=3))),
+    ("base", _with_base(dict(CUSTOM_BASE, center=[0, 0]))),
+    ("base", _with_base({"catalog": "circle",
+                         "conditions": [["x0", ">"]]})),
+    ("form unit_moebius", lambda raw: raw["forms"]["unit_moebius"].update(
+        lower={"U1": ["1"], "U2": ["1"]})),
+    ("section one", lambda raw: raw["sections"]["one"].update(chart="U1")),
+    ("witness id", lambda raw: raw["witnesses"]["id"].update(tol=1e-6)),
+    ("task line-class", lambda raw: raw["tasks"].append(
+        {"op": "line-class", "bundle": "moebius", "section": "one"})),
+    ("task validate-bundle", lambda raw: raw["tasks"].append(
+        {"op": "validate-bundle", "bundle": "moebius",
+         "source_form": "unit_moebius", "target_form": "unit_moebius"})),
+])
+def test_key_the_format_does_not_define_is_a_spec_error(tmp_path, capsys,
+                                                        where, edit):
+    # never ignored or read loosely: a renamed "transitions" made Moebius
+    # trivial, and "false" was a true "connected"
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    edit(raw)
+    spec = tmp_path / "keys.json"
+    spec.write_text(json.dumps(raw))
+    code = main(["operate", str(spec), "--samples", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {where}: "), captured.err
+    assert captured.out == ""
+
+
 def test_diagonal_transition_is_a_spec_error(tmp_path, capsys):
     # g_ii is the identity by definition: a declared one is not ignored
     raw = json.loads((SPECS / "moebius.json").read_text())

@@ -1,5 +1,6 @@
 """Expression node evaluation, guards, smoothness bookkeeping."""
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -241,13 +242,39 @@ def test_single_column_guard_decides_as_the_svd(height):
     a = rng.standard_normal((50_000, height, 1))
     a *= (tol * 10.0 ** rng.uniform(-1.0, 1.0, (50_000, 1, 1))
           / np.linalg.norm(a, axis=1, keepdims=True))
-    closed = ex._smallest_sv(a, np.swapaxes(a, 1, 2) @ a, tol) > tol
+    closed = ex.smallest_sv(a, np.swapaxes(a, 1, 2) @ a, tol) > tol
     ulps = 4 * np.spacing(tol)
     decided = lapack_sv_above(a, tol + ulps) | ~lapack_sv_above(a, tol - ulps)
     want = lapack_sv_above(a, tol)
     assert decided.sum() > 49_000
     assert 0 < want[decided].sum() < decided.sum()
     assert np.array_equal(closed[decided], want[decided])
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, 4])
+def test_single_column_guard_decides_as_lapack_on_every_row(height):
+    # the rows within 4 ulp of the tolerance included: the filter sends
+    # them to LAPACK
+    tol = 1e-12
+    rng = np.random.default_rng(20 + height)
+    a = rng.standard_normal((50_000, height, 1))
+    norm = tol * 10.0 ** rng.uniform(-1.0, 1.0, (50_000, 1, 1))
+    norm[:20_000] = tol * (1.0 + rng.integers(-4, 5, (20_000, 1, 1)) * ULP)
+    a *= norm / np.linalg.norm(a, axis=1, keepdims=True)
+    want = lapack_sv_above(a, tol)
+    assert 0 < want[:20_000].sum() < 20_000
+    got = ex.smallest_sv(a, np.swapaxes(a, 1, 2) @ a, tol) > tol
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scale", [1e-161, 1e-170])
+def test_tiny_column_violation_reports_the_lapack_value(scale):
+    # the Gram is subnormal or zero, so its square root is not the norm
+    cols = np.array([[1.0, 2.0], [scale, scale]])
+    want = np.linalg.svd(cols[1:, :, None], compute_uv=False)[0, -1]
+    with pytest.raises(GuardViolation, match="matrix colproj guard: smallest "
+                       f"singular value {want:.3e} <= 1.0e-12"):
+        column_group(ex.COLSPAN_PROJ, 2, 1e-12).compute(ex.EvalContext(cols))
 
 
 def test_one_by_one_solve_and_inverse_guards_equal_lapack():
@@ -260,7 +287,7 @@ def test_one_by_one_solve_and_inverse_guards_equal_lapack():
     a[:3] = (0.0, -0.0, 1e-12)
     stack = a[:, None, None]
     want = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    got = ex._smallest_sv(stack, None, 1e-12)
+    got = ex.smallest_sv(stack, None, 1e-12)
     inside = (np.abs(a) > 1e-138) & (np.abs(a) < 1e138)
     assert inside.sum() > 40_000
     assert np.array_equal(got[inside | (a == 0.0)], want[inside | (a == 0.0)])
@@ -354,7 +381,7 @@ def test_two_column_filter_decides_as_lapack(monkeypatch, height, tol):
     finite = np.isfinite(a).all(axis=(1, 2))
     want = lapack_sv_above(a[finite], tol)
     sent = lapack_operands(monkeypatch, "svd")
-    sv = ex._smallest_sv(a, None, tol)
+    sv = ex.smallest_sv(a, None, tol)
     monkeypatch.undo()
     assert np.array_equal(sv[finite] > tol, want)
     assert 0 < (~want).sum() and 0 < want.sum()
@@ -378,7 +405,7 @@ def test_spd_filter_decides_as_lapack(monkeypatch, size, tol):
     finite = np.isfinite(m).all(axis=(1, 2))
     want = lapack_eig_not_above(m[finite], tol)
     sent = lapack_operands(monkeypatch, "eigvalsh")
-    w = ex._smallest_eigenvalue(m, tol)
+    w = ex.smallest_eigenvalue(m, tol)
     monkeypatch.undo()
     assert np.array_equal(~(w[finite] > tol), want)
     assert 0 < want.sum() < want.size
@@ -392,6 +419,29 @@ def test_spd_filter_decides_as_lapack(monkeypatch, size, tol):
     assert want.sum() <= len(sent[0]) < len(m)
     checked = np.isfinite(w)
     assert np.array_equal(w[checked], np.linalg.eigvalsh(m[checked])[:, 0])
+
+
+def test_rank_and_definiteness_decisions_use_the_guard_filters():
+    # bundles and forms decide ranks and definiteness through the guard
+    # filters of `expr`; only functions that report LAPACK's values call it
+    src = Path(__file__).resolve().parent.parent / "src" / "bundleforms"
+    reporting = {"restricted_definiteness", "eigenvalue_signature",
+                 "blend_positive_subbundle"}
+
+    def lapack_lines(tree):
+        return {node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and ast.unparse(node) in ("np.linalg.svd", "np.linalg.eigvalsh")}
+
+    outside = []
+    for name in ("bundles.py", "forms.py"):
+        tree = ast.parse((src / name).read_text(encoding="utf-8"))
+        allowed = set().union(*(lapack_lines(fn) for fn in ast.walk(tree)
+                                if isinstance(fn, ast.FunctionDef)
+                                and fn.name in reporting))
+        outside += [f"{name}:{line}" for line in
+                    sorted(lapack_lines(tree) - allowed)]
+    assert outside == []
 
 
 def var_matrix(n, k, first=0):

@@ -488,6 +488,23 @@ def test_positive_isometry_rejects_indefinite():
         positive_isometry(f, g, PLAN)
 
 
+def test_positive_isometry_rejects_a_nan_form_at_its_point():
+    # eigvalsh([[1, nan], [nan, 1]]) is [nan, nan], which is not <= 0, so a
+    # NaN form used to pass the positivity pre-check
+    b = trivial_bundle(full_cover(line_base()), 2)
+    x = ex.Var(0)
+    off = ex.ZeroGate(ex.Sub(x, ex.Const(0.5)), ex.Const(np.nan))
+    f = FormField.from_upper(b, [[ex.Const(1.0), off, ex.Const(1.0)]],
+                             name="nan-right")
+    g = FormField.constant(b, np.eye(2))
+    with pytest.raises(NotPositive, match="form nan-right not positive "
+                       "definite at") as err:
+        positive_isometry(f, g, PLAN)
+    pts = b.cover.samples((0,), PLAN)
+    first = pts[int(np.argmax(pts[:, 0] > 0.5))]
+    assert str(err.value).endswith(f" at {tuple(first)}")
+
+
 def test_positive_isometry_on_moebius():
     m = moebius()
     f = standard_positive_form(m, plan=PLAN)

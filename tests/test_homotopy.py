@@ -154,6 +154,29 @@ def test_strips_gap_detected():
         strip_subdivision(b, PLAN)
 
 
+def test_homotopy_isomorphism_certifies_product_covers_by_slab_sampling(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("strip_subdivision called")
+
+    monkeypatch.setattr(homotopy, "strip_subdivision", refuse)
+    cyl, cover = line_cylinder_cover([(None, 0.6), (0.4, None)])
+    hw = homotopy_isomorphism(trivial_bundle(cover, 1), PLAN)
+    assert hw.report.passed, hw.report.as_dict()
+
+
+@pytest.mark.parametrize("gap", [(0.3, 0.7), (0.52, 0.53), (0.52, 0.5201),
+                                 (0.52, 0.520001)])
+def test_product_cover_t_gap_is_named_at_its_lower_end(gap):
+    # the slab slices are multiples of 0.05, and only the first gap holds
+    # one: the others show only at the upper end of the interval before them
+    cyl, gapped = line_cylinder_cover([(None, gap[0]), (gap[1], None)])
+    with pytest.raises(TCoverGap,
+                       match=f"slab point uncovered at t = {gap[0]:.6f}") as err:
+        homotopy_isomorphism(trivial_bundle(gapped, 1), PLAN)
+    assert err.value.point[-1] == gap[0]
+
+
 # --- clutch ---------------------------------------------------------------------
 
 def test_clutch_trivial_bundle_identity_gluing():

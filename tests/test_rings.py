@@ -1,5 +1,7 @@
 """K-classes, Witt classes, the correspondence maps and cancellation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,8 +44,10 @@ from bundleforms.rings import (
 )
 from bundleforms.errors import InconsistentSignature
 from bundleforms.semialg import SamplePlan
+from bundleforms.specfile import parse_spec
 
 PLAN = SamplePlan(seed=0, n_chart=200, n_overlap=140, n_triple=90)
+SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 POINT = point_base()
 
 
@@ -200,6 +204,34 @@ def test_nabla_moebius_twisted_positive():
     assert k.rank_diff == 1
     assert k.det_class == 1
     assert s1_line_class(k.plus) == 1
+
+
+def test_nabla_returns_the_bundles_the_witt_class_split_the_form_into():
+    w = witt_class(standard_positive_form(moebius(), plan=PLAN), PLAN)
+    plus_b, minus_b = w.parts
+    k = nabla(w, PLAN)
+    assert k.plus is plus_b and k.minus is minus_b
+    assert (k.rank_diff, k.det_class) == (1, 1)
+    back = nabla(witt_neg(w), PLAN)
+    assert back.plus is minus_b and back.minus is plus_b
+    assert (back.rank_diff, back.det_class) == (-1, 1)
+
+
+def test_roundtrip_witt_decomposes_each_form_once(monkeypatch):
+    doc = parse_spec((SPECS / "moebius.json").read_text(encoding="utf-8"))
+    split = []
+    real = ri.decompose
+
+    def spy(form, plan):
+        split.append(form)
+        return real(form, plan)
+
+    monkeypatch.setattr(ri, "decompose", spy)
+    form = doc.forms["unit_moebius"]
+    out = roundtrip_witt(witt_class(form, PLAN), PLAN)
+    assert out["passed"], out
+    # the form itself, then the sum of standard forms that delta builds
+    assert len(split) == 2 and split[0] is form and split[1] is not form
 
 
 def test_delta_additive_on_invariants():
