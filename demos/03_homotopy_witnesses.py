@@ -31,7 +31,7 @@ from bundleforms.catalog import (
     moebius,
     scrambled_plane_bundle,
 )
-from bundleforms.homotopy import product_cylinder_cover, strip_subdivision
+from bundleforms.homotopy import product_cylinder_cover
 
 plan = SamplePlan(seed=0, n_chart=300, n_overlap=200, n_triple=100)
 
@@ -49,16 +49,18 @@ print("transport ladder: %d points, worst probe gap %.3g"
 print("det classes at t=0 and t=1:",
       s1_line_class(hw.at_zero), s1_line_class(hw.at_one))
 
-# A strip subdivision cuts [0,1] into bands inside single product charts;
-# here a two-slab cover of the line cylinder with overlap (0.4, 0.6).
+# A product cover of the line cylinder by two slabs, t < 0.6 and t > 0.4:
+# the same transport certifies it, after the slab check has found every
+# {x} x [0, 1] covered, exactly so at the interval endpoints 0.4 and 0.6.
 from bundleforms.catalog import line_base
 from bundleforms.semialg import SemialgebraicSet
 line_cyl = cylinder_base(line_base(), t_lo=-1.5, t_hi=2.5)
 whole = SemialgebraicSet.whole_space(1)
 cover = product_cylinder_cover(line_cyl, [whole, whole],
                                [(None, 0.6), (0.4, None)])
-strips = strip_subdivision(trivial_bundle(cover, 1), plan)
-print("\nstrip breakpoints:", strips[0].breakpoints)
+slabs = homotopy_isomorphism(trivial_bundle(cover, 1), plan)
+print("\ntwo-slab cover: passed %s, %d ladder points"
+      % (slabs.report.passed, slabs.report.details["ladder_points"]))
 
 # The straight-line family (1-t) s0 + t s1 between two positive forms on
 # the trivial plane bundle over the circle: the endpoint isometry composes

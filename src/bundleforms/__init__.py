@@ -50,12 +50,10 @@ from .forms import (
     validate_form,
 )
 from .homotopy import (
-    clutch,
     homotopy_isometry,
     homotopy_isomorphism,
     induced_iso_from_homotopy,
     restrict_cylinder,
-    strip_subdivision,
     trivialize_contractible,
 )
 from .rings import (

@@ -153,14 +153,20 @@ class CheckReport:
 
 
 class _ResidualStat:
-    """Running max/mean/min-det accumulator for sampled residual batches."""
+    """Running max/mean/min-det accumulator for sampled residual batches.
+
+    The witness is the argmin point of a determinant below its floor, where
+    there is one, else the residual argmax: a determinant failure keeps its
+    own point whatever residual peaks come after it.
+    """
 
     def __init__(self):
         self.max = 0.0
         self.total = 0.0
         self.count = 0
         self.min_det = float("inf")
-        self.witness = None
+        self.residual_witness = None
+        self.det_witness = None
 
     def add_residuals(self, res: np.ndarray, pts: np.ndarray):
         if res.size == 0:
@@ -170,7 +176,7 @@ class _ResidualStat:
         peak = float(res.max())
         if peak > self.max:
             self.max = peak
-            self.witness = tuple(pts[int(res.argmax())])
+            self.residual_witness = tuple(pts[int(res.argmax())])
 
     def add_dets(self, dets: np.ndarray, pts: np.ndarray, floor: float):
         if dets.size == 0:
@@ -179,7 +185,11 @@ class _ResidualStat:
         if low < self.min_det:
             self.min_det = low
             if low < floor:
-                self.witness = tuple(pts[int(dets.argmin())])
+                self.det_witness = tuple(pts[int(dets.argmin())])
+
+    @property
+    def witness(self):
+        return self.det_witness or self.residual_witness
 
     @property
     def mean(self):
@@ -485,14 +495,14 @@ class ProjectorField:
     def check(self, plan: SamplePlan, tol: float = 1e-8) -> CheckReport:
         pts = self.base.sample_points(plan)
         p = self.eval(pts)
-        sym = np.abs(p - np.swapaxes(p, 1, 2)).max()
+        sym = np.abs(p - np.swapaxes(p, 1, 2)).max(axis=(1, 2))
         idem = np.abs(p @ p - p).max(axis=(1, 2))
-        traces = np.trace(p, axis1=1, axis2=2)
-        trace_err = np.abs(traces - self.rank).max()
-        max_res = float(max(sym, idem.max(), trace_err))
-        witness = tuple(pts[int(idem.argmax())]) if max_res >= tol else None
+        trace_err = np.abs(np.trace(p, axis1=1, axis2=2) - self.rank)
+        res = np.maximum(np.maximum(sym, idem), trace_err)
+        max_res = float(res.max())
+        witness = tuple(pts[int(res.argmax())]) if max_res >= tol else None
         return CheckReport("projector", max_res < tol, max_res, witness=witness,
-                           details={"trace_error": trace_err})
+                           details={"trace_error": trace_err.max()})
 
 
 def gauss_embedding(bundle: BundleRep, r: int = 1, *,

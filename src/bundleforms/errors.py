@@ -83,10 +83,6 @@ class TCoverGap(BundleformsError):
     pass
 
 
-class BandMismatch(BundleformsError):
-    pass
-
-
 class EndpointMismatch(BundleformsError):
     pass
 

@@ -628,14 +628,18 @@ def check_isometry(witness: IsometryWitness, plan: SamplePlan,
     iso = check_isomorphism(witness.morphism.source, witness.morphism.target,
                             witness.morphism, plan, tol)
     stat = _ResidualStat()
-    stat.max, stat.witness = iso.max_residual, iso.witness
+    stat.max, stat.min_det = iso.max_residual, iso.min_abs_det
+    if iso.min_abs_det < tol:       # the isomorphism's determinant failure
+        stat.det_witness = iso.witness
+    else:
+        stat.residual_witness = iso.witness
     for (i,), pts, ev in sampled_regions(witness.morphism.source.cover, plan, 1):
         u = ev(witness.morphism.fields[i])
         s, sp = ev(witness.source_form.mats[i]), ev(witness.target_form.mats[i])
         res = np.abs(np.swapaxes(u, 1, 2) @ sp @ u - s).max(axis=(1, 2))
         stat.add_residuals(res, pts)
-    passed = stat.max < tol and iso.min_abs_det > tol
-    return CheckReport("isometry", passed, stat.max, iso.min_abs_det,
+    passed = stat.max < tol and stat.min_det > tol
+    return CheckReport("isometry", passed, stat.max, stat.min_det,
                        stat.witness, mean_residual=stat.mean)
 
 

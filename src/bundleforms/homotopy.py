@@ -1,4 +1,4 @@
-"""Homotopy witnesses: strip subdivision, clutching, endpoint transport.
+"""Homotopy witnesses: endpoint transport and contractible trivializations.
 
 Bundles over a cylinder base X x R containing X x [0,1] restrict at t = 0
 and t = 1 to isomorphic bundles over X, and form fields restrict to
@@ -10,8 +10,10 @@ ambient projector chained along a path over a t ladder,
 P(h(x, t_K)) ... P(h(x, t_1)), evaluated on stacked rungs with batched
 matmul.  Each chained projection is chart-free, so the chart fields
 obtained by solving against the restricted frames intertwine the
-restricted cocycles exactly.  Strip subdivision and clutching are kept for
-product covers, where the t direction reduces to interval combinatorics.
+restricted cocycles exactly.  One t-coverage certificate,
+`_certify_slab_coverage`, checks every cylinder cover the transport runs on;
+on a product cover of base charts by open t-intervals it is exact at each
+declared interval endpoint.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .bundles import (
 )
 from .catalog import cylinder_base, extend_set, scaling_homotopy_map
 from .errors import (
-    BandMismatch,
-    BundleformsError,
     ContainmentFailure,
     ContractionEscapesBase,
     CoverageFailure,
@@ -60,16 +60,13 @@ from .matexpr import (
     em_subst,
     em_transpose,
 )
-from .semialg import (Base, Condition, Cover, Polynomial, SamplePlan,
-                      SemialgebraicSet)
+from .semialg import Base, Condition, Cover, Polynomial, SamplePlan
 from .unity import shrink_cover
 
 DEFAULT_TRANSPORT_STEPS = 16
 LADDER_GAP = 0.35           # largest probe jump between consecutive rungs
-STRIP_MARGIN = 1e-9         # t-interval overlap a strip chain must keep
 SLAB_T_VALUES = 21          # t slices of the slab coverage check
 LADDER_MAX_POINTS = 1025    # cap on the transport ladder's t values
-CLUTCH_TOL = 1e-8           # band variation and continuity bound of clutch
 
 
 def _require_cylinder(base: Base) -> tuple[Base, int]:
@@ -79,7 +76,7 @@ def _require_cylinder(base: Base) -> tuple[Base, int]:
 
 
 # ---------------------------------------------------------------------------
-# Product covers, strips, clutching.
+# Product covers.
 
 
 def product_cylinder_cover(cyl: Base, base_charts, intervals) -> Cover:
@@ -89,8 +86,7 @@ def product_cylinder_cover(cyl: Base, base_charts, intervals) -> Cover:
     """
     dim = cyl.dim
     t_poly = Polynomial.coordinate(dim, dim - 1)
-    charts = []
-    structure = []
+    charts, t_intervals = [], []
     for chart, (lo, hi) in zip(base_charts, intervals):
         ext = extend_set(chart, dim)
         if lo is not None:
@@ -100,172 +96,9 @@ def product_cylinder_cover(cyl: Base, base_charts, intervals) -> Cover:
             ext = ext.with_condition(
                 Condition.from_poly(Polynomial.constant(dim, hi) - t_poly, ">"))
         charts.append(ext)
-        structure.append((chart, (lo, hi)))
+        t_intervals.append((lo, hi))
     return Cover(cyl, charts, name=f"{cyl.name}-product",
-                 product_structure=structure)
-
-
-@dataclass
-class StripDecomposition:
-    """Per base chart: constant breakpoints 0 = b_0 < ... < b_R = 1 and the
-    cylinder chart assigned to each strip."""
-
-    base_chart: SemialgebraicSet
-    breakpoints: list[float]
-    strip_charts: list[int]
-
-
-def strip_subdivision(bundle: BundleRep,
-                      plan: SamplePlan) -> list[StripDecomposition]:
-    """Cut [0,1] into strips per base chart, each inside one product chart.
-
-    Breakpoints sit at the midpoints of consecutive chosen t-intervals'
-    overlaps.  A sampled t value over some base point covered by no chart
-    raises TCoverGap with the witness.
-    """
-    cyl = bundle.base
-    base_x, t_index = _require_cylinder(cyl)
-    structure = bundle.cover.product_structure
-    if structure is None:
-        raise BundleformsError("strip subdivision needs declared product charts")
-    groups: dict[int, list[tuple[int, tuple]]] = {}
-    keyed: dict[bytes, int] = {}
-    base_charts: list[SemialgebraicSet] = []
-    for idx, (chart, interval) in enumerate(structure):
-        key = repr([(c.op, repr(c.poly)) for piece in chart.pieces
-                    for c in piece]).encode()
-        gid = keyed.setdefault(key, len(base_charts))
-        if gid == len(base_charts):
-            base_charts.append(chart)
-        groups.setdefault(gid, []).append((idx, interval))
-    out = []
-    for gid, members in groups.items():
-        intervals = [( -np.inf if lo is None else lo, np.inf if hi is None else hi)
-                     for _, (lo, hi) in members]
-        order = sorted(range(len(members)), key=lambda k: (intervals[k][0],
-                                                           intervals[k][1]))
-        # greedy chain covering [0, 1]
-        chain: list[int] = []
-        reach = 0.0
-        for _ in range(len(members) + 1):
-            if reach >= 1.0 and chain:
-                break
-            best, best_hi = None, reach
-            for k in order:
-                lo, hi = intervals[k]
-                if lo < reach + STRIP_MARGIN and hi > best_hi:
-                    best, best_hi = k, hi
-            if best is None or best_hi <= reach + STRIP_MARGIN:
-                raise TCoverGap(
-                    f"t = {reach:.6f} not covered over base chart {gid}",
-                    point=None,
-                )
-            if chain and best == chain[-1]:
-                raise TCoverGap(f"t coverage stalls at {reach:.6f}")
-            chain.append(best)
-            reach = best_hi
-        breakpoints = [0.0]
-        for a, b in zip(chain, chain[1:]):
-            lo_next = intervals[b][0]
-            hi_prev = intervals[a][1]
-            if lo_next >= hi_prev - STRIP_MARGIN:
-                raise TCoverGap(
-                    f"gap between t-intervals {intervals[a]} and {intervals[b]}"
-                )
-            mid = 0.5 * (max(lo_next, 0.0) + min(hi_prev, 1.0))
-            breakpoints.append(float(mid))
-        breakpoints.append(1.0)
-        if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
-            raise TCoverGap(f"breakpoints not increasing: {breakpoints}")
-        strip_charts = [members[k][0] for k in chain]
-        decomp = StripDecomposition(base_charts[gid], breakpoints, strip_charts)
-        _certify_strips(bundle, decomp, plan)
-        out.append(decomp)
-    return out
-
-
-def _certify_strips(bundle: BundleRep, decomp: StripDecomposition,
-                    plan: SamplePlan):
-    cyl = bundle.base
-    region = cyl.cylinder_base.sset.intersect(decomp.base_chart)
-    pts, _ = cyl.cylinder_base.sample_region(region, plan, plan.n_overlap)
-    if pts.shape[0] == 0:
-        return
-    for k, chart_idx in enumerate(decomp.strip_charts):
-        lo, hi = decomp.breakpoints[k], decomp.breakpoints[k + 1]
-        for t in np.linspace(lo, hi, 5):
-            lifted = np.column_stack([pts, np.full(pts.shape[0], t)])
-            inside = bundle.cover.charts[chart_idx].membership(lifted)
-            if not inside.all():
-                bad = lifted[~inside][0]
-                raise TCoverGap(
-                    f"strip {k} escapes its chart at t = {t:.4f}",
-                    point=tuple(float(v) for v in bad),
-                )
-
-
-@dataclass
-class ClutchedTrivialization:
-    """Glued per-strip trivialization fields over base_chart x [0,1]."""
-
-    strips: StripDecomposition
-    fields: list          # per strip: d x d ExprMatrix in that strip's chart
-    report: CheckReport
-
-
-def clutch(bundle: BundleRep, strips: StripDecomposition,
-           plan: SamplePlan) -> ClutchedTrivialization:
-    """Glue the strips' chart frames by the frame change on breakpoint bands.
-
-    The first strip keeps its chart frame; each later one is carried back
-    through the inverse frame changes at the breakpoints before it.  The
-    frame change g_{next,k} between consecutive strips must be
-    t-independent across the band at samples (it is a function of the base
-    point only); variation beyond CLUTCH_TOL raises BandMismatch.
-    """
-    cyl = bundle.base
-    base_x, t_index = _require_cylinder(cyl)
-    d = bundle.rank
-    region = base_x.sset.intersect(strips.base_chart)
-    pts, _ = base_x.sample_region(region, plan, plan.n_overlap)
-    glued = [em_identity(d)]
-    accumulated = em_identity(d)
-    max_var = 0.0
-    for k in range(len(strips.strip_charts) - 1):
-        c_k, c_next = strips.strip_charts[k], strips.strip_charts[k + 1]
-        bp = strips.breakpoints[k + 1]
-        m_field = bundle.transition(c_next, c_k)
-        if pts.shape[0]:
-            band_ts = [bp - 1e-3, bp, bp + 1e-3]
-            vals = []
-            for t in band_ts:
-                lifted = np.column_stack([pts, np.full(pts.shape[0], t)])
-                vals.append(em_eval(m_field, lifted))
-            spread = max(np.abs(vals[a] - vals[b]).max()
-                         for a in range(3) for b in range(a + 1, 3))
-            max_var = max(max_var, float(spread))
-            if spread > CLUTCH_TOL:
-                raise BandMismatch(
-                    f"frame change varies by {spread:.3e} across the band at "
-                    f"t = {bp}"
-                )
-        m_at_bp = em_subst(m_field, {t_index: ex.Const(bp)})
-        accumulated = em_mul(accumulated, em_inv(m_at_bp, guard_tol=1e-12))
-        glued.append(accumulated)
-    report = CheckReport("clutch", True, max_var)
-    if pts.shape[0]:
-        # continuity of the glued map across each band
-        worst = 0.0
-        for k in range(len(strips.strip_charts) - 1):
-            bp = strips.breakpoints[k + 1]
-            lifted = np.column_stack([pts, np.full(pts.shape[0], bp)])
-            low = em_eval(glued[k], lifted)
-            g = em_eval(bundle.transition(strips.strip_charts[k],
-                                          strips.strip_charts[k + 1]), lifted)
-            high = em_eval(glued[k + 1], lifted)
-            worst = max(worst, float(np.abs(low @ g - high).max()))
-        report = CheckReport("clutch", worst < CLUTCH_TOL, max(max_var, worst))
-    return ClutchedTrivialization(strips, glued, report)
+                 t_intervals=t_intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +255,19 @@ def _ladder_of(report: CheckReport) -> dict:
 def _certify_slab_coverage(bundle: BundleRep, plan: SamplePlan):
     """Check that the charts cover {x} x [0, 1] over each sampled base
     point x: on SLAB_T_VALUES t-slices and, on a product cover, at every
-    declared t-interval endpoint in [0, 1], where any gap between the open
+    endpoint in [0, 1] of its `t_intervals`, where any gap between the open
     intervals shows, so that there the check is exact in t."""
     base_x, t_index = _require_cylinder(bundle.base)
     pts = base_x.sample_points(plan)
     if pts.shape[0] == 0:
         raise CoverageFailure("cylinder base yielded no samples")
-    ends = [e for _, interval in bundle.cover.product_structure or ()
+    ends = [e for interval in bundle.cover.t_intervals or ()
             for e in interval if e is not None and 0.0 <= e <= 1.0]
     for t in np.union1d(np.linspace(0.0, 1.0, SLAB_T_VALUES), ends):
         lifted = np.column_stack([pts, np.full(pts.shape[0], t)])
-        covered = np.zeros(pts.shape[0], dtype=bool)
-        for chart in bundle.cover.charts:
-            covered |= chart.membership(lifted)
-        if not covered.all():
-            bad = lifted[~covered][0]
-            raise TCoverGap(
-                f"slab point uncovered at t = {t:.6f}",
-                point=tuple(float(v) for v in bad),
-            )
+        bad = bundle.cover.first_uncovered(lifted)
+        if bad is not None:
+            raise TCoverGap(f"slab point uncovered at t = {t:.6f}", point=bad)
 
 
 @dataclass

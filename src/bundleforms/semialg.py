@@ -505,13 +505,13 @@ class Cover:
     """A base plus finitely many open charts, with a sampled coverage certificate.
 
     `parents` gives, for a common refinement, the (i, j) parent chart pair of
-    each chart; `product_structure`, for a product cover of a cylinder, the
-    (base chart, t-interval) pair of each chart.
+    each chart; `t_intervals`, for a product cover of a cylinder, the open
+    t-interval (lo, hi) of each chart, None for an unbounded end.
     """
 
     def __init__(self, base: Base, charts: list[SemialgebraicSet], name: str = "",
                  *, parents: list | None = None,
-                 product_structure: list | None = None):
+                 t_intervals: list | None = None):
         if not charts:
             raise CoverageFailure("a cover needs at least one chart")
         for chart in charts:
@@ -523,7 +523,7 @@ class Cover:
         self.charts = list(charts)
         self.name = name
         self.parents = parents
-        self.product_structure = product_structure
+        self.t_intervals = t_intervals
         self._sample_cache: dict = {}
 
     @property
@@ -534,13 +534,17 @@ class Cover:
         pts = self.base.sample_points(plan)
         if pts.shape[0] == 0:
             return CoverageReport(False, 0, None)
-        covered = np.zeros(pts.shape[0], dtype=bool)
+        bad = self.first_uncovered(pts)
+        return CoverageReport(bad is None, pts.shape[0], bad)
+
+    def first_uncovered(self, points: np.ndarray) -> tuple | None:
+        """The first of `points` that no chart contains, or None."""
+        covered = np.zeros(points.shape[0], dtype=bool)
         for chart in self.charts:
-            covered |= chart.membership(pts, margin=0.0)
+            covered |= chart.membership(points, margin=0.0)
         if covered.all():
-            return CoverageReport(True, pts.shape[0], None)
-        bad = pts[~covered][0]
-        return CoverageReport(False, pts.shape[0], tuple(float(v) for v in bad))
+            return None
+        return tuple(float(v) for v in points[~covered][0])
 
     def require_coverage(self, plan: SamplePlan) -> None:
         report = self.coverage(plan)

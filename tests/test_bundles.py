@@ -435,6 +435,34 @@ def test_singular_witness_fails_with_point():
     assert report.witness is not None
 
 
+def test_determinant_failure_names_its_own_point():
+    # both fields are nearly equal multiples of x0, so the intertwining
+    # residual is ~1e-20 and passes; |det| = 1e-4 |x0| fails near x0 = 0,
+    # and a later residual peak must not take the witness over
+    m = moebius()
+    x0 = ex.Mul(ex.Const(1e-4), ex.Var(0))
+    u = MorphismField(m, m, [((x0,),),
+                             ((ex.Mul(x0, ex.Const(1.0 + 2.0 ** -50)),),)])
+    report = check_isomorphism(m, m, u, SamplePlan(0, 200, 100, 60), tol=1e-6)
+    assert not report.passed
+    assert report.max_residual < 1e-18 and report.min_abs_det < 1e-6
+    assert 1e-4 * abs(report.witness[0]) == pytest.approx(report.min_abs_det)
+
+
+def test_projector_check_names_the_point_of_its_worst_residual():
+    # idempotent with trace 1 everywhere; only the symmetry fails, by
+    # clamp(x0 - 1/2), which is worst at x0 = 1
+    off = ex.Clamp(ex.Sub(ex.Var(0), ex.Const(0.5)))
+    one, zero = ex.Const(1.0), ex.Const(0.0)
+    field = ProjectorField(circle_base(), ((one, off), (zero, zero)), 1)
+    plan = SamplePlan(0, 200, 100, 60)
+    report = field.check(plan)
+    assert not report.passed
+    assert report.max_residual > 0.49
+    assert report.details["trace_error"] == 0.0
+    assert report.witness[0] - 0.5 == pytest.approx(report.max_residual)
+
+
 def test_s1_line_class_values():
     m = moebius()
     assert s1_line_class(m) == 1

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from bundleforms.cli import main
+from bundleforms.forms import FiberProjectorPair
 from bundleforms.reporting import Report, timed_entry
+from bundleforms.semialg import SamplePlan
+from bundleforms.specfile import parse_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
@@ -105,6 +108,41 @@ def test_error_status_entry(tmp_path, capsys):
     code, out = run_cli(capsys, "operate", spec, "--samples", "100")
     assert code == 2
     assert "error" in out
+
+
+def test_error_entry_carries_the_violating_point(tmp_path, capsys):
+    # sqrt(x0) is evaluated on chart U1 of the circle, which holds x0 < 0
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    raw["forms"] = {"bad": {"bundle": "eps1",
+                            "upper": {"U1": ["sqrt(x0)"], "U2": ["1"]}}}
+    raw["tasks"] = [{"op": "validate-form", "form": "bad"}]
+    spec = tmp_path / "sqrt.json"
+    spec.write_text(json.dumps(raw))
+    code, out = run_cli(capsys, "operate", spec, "--samples", "200",
+                        "--format", "machine")
+    assert code == 2
+    (entry,) = json.loads(out)["tasks"]
+    assert entry["status"] == "error"
+    assert entry["message"].startswith("GuardViolation: sqrt argument")
+    point = np.array(entry["witness_point"])
+    assert point[0] < 0
+    plan = SamplePlan(seed=0, n_chart=200, n_overlap=100, n_triple=66)
+    samples = parse_spec(spec.read_text()).bundles["eps1"].cover.samples(
+        (0,), plan)
+    assert np.abs(samples - point).max(axis=1).min() < 1e-11
+
+
+def test_decompose_with_failed_restricted_definiteness_fails(monkeypatch,
+                                                             capsys):
+    # the split of hyperbolic1 has both parts; neither stays definite
+    monkeypatch.setattr(FiberProjectorPair, "restricted_definiteness",
+                        lambda self, plan: (-1.0, 1.0))
+    code, out = run_cli(capsys, "decompose", SPECS / "moebius.json",
+                        "--form", "hyperbolic1", "--samples", "150",
+                        "--format", "machine")
+    assert code == 1
+    (entry,) = json.loads(out)["tasks"]
+    assert entry["status"] == "fail"
 
 
 def test_signature_subcommand(capsys):

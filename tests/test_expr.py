@@ -580,6 +580,22 @@ def test_layer_tracer_names_every_matrix_op():
         ex.MatrixGroup("no-such-op", one)
 
 
+def test_layer_tracer_hooks_resolve():
+    # the benchmark's tracer patches these names; a rename here would
+    # otherwise show only in a traced benchmark run
+    layertrace = load_layertrace()
+    for mod_name, name in layertrace.LAYER_FUNCTIONS:
+        module = importlib.import_module(f"bundleforms.{mod_name}")
+        if "." in name:
+            cls_name, meth = name.split(".")
+            assert meth in vars(getattr(module, cls_name)), name
+        else:
+            assert callable(getattr(module, name, None)), name
+    assert callable(ex._eval_matrix)
+    assert "compute" in ex.MatrixGroup.__dict__
+    assert isinstance(ex.EvalContext(np.zeros((2, 1))).group_cache, dict)
+
+
 def test_layer_tracer_binds_sample_plan_and_count():
     # the benchmark's sample hook binds `plan` and `count` by name from
     # sample's signature, for every way the library calls it

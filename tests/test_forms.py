@@ -558,6 +558,24 @@ def test_check_isometry_signature_obstruction():
     assert not check_isometry(w, PLAN).passed
 
 
+def test_check_isometry_keeps_the_determinant_witness():
+    # the isomorphism part fails only on |det u| = 1e-4 |x0| near x0 = 0;
+    # the form residual |u^T 1 u - 0| <= 1e-8 passes, and its peak near
+    # |x0| = 1 must not take the witness over
+    from bundleforms.bundles import MorphismField
+    from bundleforms.forms import IsometryWitness
+    m = moebius()
+    x0 = ex.Mul(ex.Const(1e-4), ex.Var(0))
+    u = MorphismField(m, m, [((x0,),),
+                             ((ex.Mul(x0, ex.Const(1.0 + 2.0 ** -50)),),)])
+    w = IsometryWitness(u, FormField.constant(m, np.zeros((1, 1))),
+                        FormField.constant(m, np.eye(1)))
+    rep = check_isometry(w, SamplePlan(0, 200, 100, 60), tol=1e-6)
+    assert not rep.passed
+    assert 1e-10 < rep.max_residual < 1e-6 and rep.min_abs_det < 1e-6
+    assert 1e-4 * abs(rep.witness[0]) == pytest.approx(rep.min_abs_det)
+
+
 # --- batched Gram-Schmidt engine against the per-matrix reference -------------
 
 def _adversarial_rows(d):

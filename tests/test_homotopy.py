@@ -1,4 +1,4 @@
-"""Strips, clutching, endpoint transport witnesses and the path product."""
+"""Product covers, endpoint transport witnesses and the path product."""
 
 from functools import partial
 
@@ -31,7 +31,6 @@ from bundleforms.catalog import (
 )
 from bundleforms.cli import _apply_check
 from bundleforms.errors import (
-    BandMismatch,
     ContractionEscapesBase,
     EndpointMismatch,
     GuardViolation,
@@ -42,19 +41,15 @@ from bundleforms.forms import FormField, check_isometry, signature, validate_for
 from bundleforms.homotopy import (
     _adaptive_t_ladder,
     _ladder_details,
-    clutch,
     homotopy_isometry,
     homotopy_isomorphism,
     induced_iso_from_homotopy,
     product_cylinder_cover,
     restrict_cylinder,
-    strip_subdivision,
     trivialize_contractible,
 )
 from bundleforms.matexpr import (
-    em_const,
     em_eval,
-    em_identity,
     em_mul,
     em_path_product,
     em_subst,
@@ -128,38 +123,9 @@ def dag_nodes(fields) -> int:
     return len(seen)
 
 
-# --- strip subdivision --------------------------------------------------------
+# --- product covers ------------------------------------------------------------
 
-def test_strips_two_overlapping_intervals():
-    cyl, cover = line_cylinder_cover([(None, 0.6), (0.4, None)])
-    b = trivial_bundle(cover, 1)
-    strips = strip_subdivision(b, PLAN)
-    assert len(strips) == 1
-    assert strips[0].breakpoints == [0.0, 0.5, 1.0]
-    assert strips[0].strip_charts == [0, 1]
-
-
-def test_strips_single_chart():
-    cyl, cover = line_cylinder_cover([(-1.0, 2.0)])
-    b = trivial_bundle(cover, 2)
-    strips = strip_subdivision(b, PLAN)
-    assert strips[0].breakpoints == [0.0, 1.0]
-    assert strips[0].strip_charts == [0]
-
-
-def test_strips_gap_detected():
-    cyl, cover = line_cylinder_cover([(None, 0.3), (0.7, None)])
-    b = trivial_bundle(cover, 1)
-    with pytest.raises(TCoverGap):
-        strip_subdivision(b, PLAN)
-
-
-def test_homotopy_isomorphism_certifies_product_covers_by_slab_sampling(
-        monkeypatch):
-    def refuse(*args):
-        raise AssertionError("strip_subdivision called")
-
-    monkeypatch.setattr(homotopy, "strip_subdivision", refuse)
+def test_homotopy_isomorphism_certifies_product_covers_by_slab_sampling():
     cyl, cover = line_cylinder_cover([(None, 0.6), (0.4, None)])
     hw = homotopy_isomorphism(trivial_bundle(cover, 1), PLAN)
     assert hw.report.passed, hw.report.as_dict()
@@ -175,50 +141,6 @@ def test_product_cover_t_gap_is_named_at_its_lower_end(gap):
                        match=f"slab point uncovered at t = {gap[0]:.6f}") as err:
         homotopy_isomorphism(trivial_bundle(gapped, 1), PLAN)
     assert err.value.point[-1] == gap[0]
-
-
-# --- clutch ---------------------------------------------------------------------
-
-def test_clutch_trivial_bundle_identity_gluing():
-    cyl, cover = line_cylinder_cover([(None, 0.6), (0.4, None)])
-    b = trivial_bundle(cover, 2)
-    strips = strip_subdivision(b, PLAN)[0]
-    glued = clutch(b, strips, plan=PLAN)
-    assert glued.report.passed
-    pts = np.array([[0.3, 0.5]])
-    for field in glued.fields:
-        assert np.allclose(em_eval(field, pts)[0], np.eye(2))
-
-
-def test_clutch_composes_frame_changes():
-    # t-independent rotation transition between the two slabs
-    cyl, cover = line_cylinder_cover([(None, 0.6), (0.4, None)])
-    theta = 0.7
-    rot = np.array([[np.cos(theta), -np.sin(theta)],
-                    [np.sin(theta), np.cos(theta)]])
-    b = BundleRep(cover, 2, {(0, 1): em_const(rot),
-                             (1, 0): em_const(rot.T)}, name="rot-slab")
-    strips = strip_subdivision(b, PLAN)[0]
-    glued = clutch(b, strips, plan=PLAN)
-    assert glued.report.passed, glued.report.as_dict()
-    # second strip's field transports through the band frame change
-    pts = np.array([[0.2, 0.7]])
-    got = em_eval(glued.fields[1], pts)[0]
-    assert np.allclose(got, np.linalg.inv(rot.T @ np.eye(2)), atol=1e-12) or \
-        np.allclose(got, rot, atol=1e-12)
-
-
-def test_clutch_band_mismatch():
-    cyl, cover = line_cylinder_cover([(None, 0.6), (0.4, None)])
-    t = ex.Var(1)
-    # transition varies with t inside the band: not a valid product cocycle
-    g = ((ex.Add(ex.Const(1.0), ex.Mul(ex.Const(0.5), t)),),)
-    ginv = ((ex.Div(ex.Const(1.0), ex.Add(ex.Const(1.0),
-                                          ex.Mul(ex.Const(0.5), t))),),)
-    b = BundleRep(cover, 1, {(0, 1): g, (1, 0): ginv}, name="t-dependent")
-    strips = strip_subdivision(b, PLAN)[0]
-    with pytest.raises(BandMismatch):
-        clutch(b, strips, plan=PLAN)
 
 
 # --- restriction ------------------------------------------------------------------

@@ -234,6 +234,23 @@ def test_roundtrip_witt_decomposes_each_form_once(monkeypatch):
     assert len(split) == 2 and split[0] is form and split[1] is not form
 
 
+@pytest.mark.parametrize("circle", [True, False])
+def test_rank_zero_classes(circle):
+    # the zero form and the zero K-class, on the circle (line classes
+    # (0, 0)) and on the line (no line classes)
+    cover = moebius().cover if circle else full_cover(line_base())
+    zero = trivial_bundle(cover, 0)
+    lines = (0, 0) if circle else None
+    form = FormField(zero, [tuple()] * cover.n_charts, name="0")
+    for w in (witt_class(form, PLAN), delta(k0_class(zero, zero), PLAN)):
+        assert (w.sig_diff, w.rank_parity, w.det_classes, w.parts) == \
+            (0, 0, lines, None)
+        assert w.form.rank == 0
+        k = nabla(w, PLAN)
+        assert (k.plus.rank, k.minus.rank, k.rank_diff) == (0, 0, 0)
+        assert k.det_class == (0 if circle else None)
+
+
 def test_delta_additive_on_invariants():
     m = moebius()
     e1 = circle_trivial(1, m.cover)
