@@ -68,11 +68,11 @@ print("\ncancellation witness:", check_isometry(witness, plan).as_dict())
 
 w1 = witt_class(FormField.constant(b1, np.eye(1)), plan)
 total = witt_add(w1, witt_neg(w1), plan)
-verdict, wit = witt_is_zero(total, plan)
+verdict, wit, _ = witt_is_zero(total, plan)
 print("<1> + <-1> is zero:", verdict)
 
 # Hyperbolic spaces are the neutral class by definition.
 hb, hform = hyperbolic_space(b1)
-verdict, _ = witt_is_zero(witt_class(hform, plan), plan)
+verdict, _, _ = witt_is_zero(witt_class(hform, plan), plan)
 print("H(eps^1) is zero:", verdict)
 print("<1> alone is zero:", witt_is_zero(w1, plan)[0])

@@ -47,7 +47,8 @@ from .matexpr import (
     em_transpose,
     em_zero_gate,
 )
-from .semialg import GT, Base, Condition, Cover, SamplePlan, SemialgebraicSet
+from .semialg import (GT, Base, Condition, Cover, SamplePlan, SemialgebraicSet,
+                      first_flagged)
 from .unity import PartitionOfUnity, partition_of_unity
 
 DEFAULT_IDENTITY_TOL = 1e-9
@@ -176,7 +177,7 @@ class _ResidualStat:
         peak = float(res.max())
         if peak > self.max:
             self.max = peak
-            self.residual_witness = tuple(pts[int(res.argmax())])
+            self.residual_witness = first_flagged(pts, res == peak)
 
     def add_dets(self, dets: np.ndarray, pts: np.ndarray, floor: float):
         if dets.size == 0:
@@ -185,7 +186,7 @@ class _ResidualStat:
         if low < self.min_det:
             self.min_det = low
             if low < floor:
-                self.det_witness = tuple(pts[int(dets.argmin())])
+                self.det_witness = first_flagged(pts, dets == low)
 
     @property
     def witness(self):
@@ -333,11 +334,9 @@ def pullback(b: BundleRep, components, new_base: Base,
     pts = new_base.sample_points(plan)
     if pts.shape[0]:
         images = np.stack([ex.evaluate(e, pts) for e in comp_exprs], axis=1)
-        inside = b.base.sset.membership(images, eq_tol=1e-7)
-        if not inside.all():
-            raise ImageEscapesBase(
-                f"map image leaves the target base at {tuple(pts[~inside][0])}"
-            )
+        out = first_flagged(pts, ~b.base.sset.membership(images, eq_tol=1e-7))
+        if out is not None:
+            raise ImageEscapesBase(f"map image leaves the target base at {out}")
     mapping = dict(enumerate(comp_exprs))
     compose = (lambda p: p.compose(list(components))) if all_poly else None
     charts = [chart.mapped(new_base.dim, compose,
@@ -463,12 +462,10 @@ def _check_generating(sections, plan: SamplePlan):
         mat = mat / np.where(norms > 0, norms, 1.0)
         sv = ex.smallest_sv(np.swapaxes(mat, 1, 2),
                              mat @ np.swapaxes(mat, 1, 2), GENERATING_TOL)
-        bad = ~(sv > GENERATING_TOL)
-        if bad.any():
+        bad = first_flagged(pts, ~(sv > GENERATING_TOL))
+        if bad is not None:
             raise RankDrop(
-                f"section values drop below rank {bundle.rank} at "
-                f"{tuple(pts[int(np.argmax(bad))])}"
-            )
+                f"section values drop below rank {bundle.rank} at {bad}")
 
 
 @dataclass(frozen=True)
@@ -500,7 +497,7 @@ class ProjectorField:
         trace_err = np.abs(np.trace(p, axis1=1, axis2=2) - self.rank)
         res = np.maximum(np.maximum(sym, idem), trace_err)
         max_res = float(res.max())
-        witness = tuple(pts[int(res.argmax())]) if max_res >= tol else None
+        witness = first_flagged(pts, res == max_res) if max_res >= tol else None
         return CheckReport("projector", max_res < tol, max_res, witness=witness,
                            details={"trace_error": trace_err.max()})
 
@@ -509,9 +506,11 @@ def gauss_embedding(bundle: BundleRep, r: int = 1, *,
                     plan: SamplePlan) -> ProjectorField:
     """Ambient projector onto the bundle, via the generating-section frames.
 
-    In chart k the ambient frame stacks lambda_i * g_ik blockwise; the
-    orthogonal projector onto its column span is chart-independent, and the
-    charts' formulas are glued with the partition of unity.
+    In chart k the ambient frame stacks lambda_i * g_ik blockwise, from
+    the partition of unity directly; the orthogonal projector onto its
+    column span is chart-independent (its guard checks the frame's rank
+    wherever it is evaluated), and the charts' formulas are glued with the
+    partition of unity.
 
     The projector is certified when it is built and then kept in
     `bundle.embeddings` under (r, plan), so later calls return that same
@@ -520,7 +519,7 @@ def gauss_embedding(bundle: BundleRep, r: int = 1, *,
     field = bundle.embeddings.get((r, plan))
     if field is not None:
         return field
-    pou = generating_sections(bundle, r, plan=plan).pou
+    pou = partition_of_unity(bundle.cover, r, plan=plan)
     d, q = bundle.rank, bundle.cover.n_charts
     frames, grams, projs = [], [], []
     for k in range(q):
@@ -656,11 +655,10 @@ def coefficients(section: SectionRep, system: GeneratingSystem,
             itertools.combinations(range(m), d), pts.shape[0],
             lambda subset: np.abs(np.linalg.det(values[:, :, subset]))
             > MINOR_THRESHOLD)
-        if missed.any():
+        bad = first_flagged(pts, missed)
+        if bad is not None:
             raise GeneratorsDegenerate(
-                f"no generator minor clears {MINOR_THRESHOLD:.1e} at "
-                f"{tuple(pts[int(np.argmax(missed))])}"
-            )
+                f"no generator minor clears {MINOR_THRESHOLD:.1e} at {bad}")
         for subset in used:
             cols = [system.sections[idx].values[k] for idx in subset]
             vmat = tuple(tuple(col[a][0] for col in cols) for a in range(d))
@@ -698,8 +696,7 @@ def s1_line_class(bundle: BundleRep) -> int:
     chart holds the next point and otherwise switches, at the step's start,
     to the first chart holding both ends.
     """
-    circ = bundle.base.circle
-    if circ is None:
+    if not bundle.base.circle:
         raise NotCatalogBase("determinant class needs a circle catalog base")
     if bundle.rank < 1:
         raise NotCatalogBase("determinant class needs rank >= 1")
@@ -708,8 +705,8 @@ def s1_line_class(bundle: BundleRep) -> int:
 
     def points(angles) -> np.ndarray:
         pts = np.zeros((len(angles), dim))
-        pts[:, circ.coord_x] = np.cos(angles)
-        pts[:, circ.coord_y] = np.sin(angles)
+        pts[:, 0] = np.cos(angles)
+        pts[:, 1] = np.sin(angles)
         return pts
 
     def members(angles) -> np.ndarray:

@@ -16,7 +16,6 @@ from .semialg import (
     EQ,
     GT,
     Base,
-    CircleGeometry,
     Condition,
     Cover,
     Polynomial,
@@ -65,7 +64,7 @@ def circle_base() -> Base:
     p = _coord(2, 0) * _coord(2, 0) + _coord(2, 1) * _coord(2, 1) - _const(2, 1)
     sset = SemialgebraicSet(2, [[Condition.from_poly(p, EQ)]])
     return Base(sset, box=((-1.3, 1.3), (-1.3, 1.3)), name="circle",
-                connected=True, circle=CircleGeometry(0, 1))
+                connected=True, circle=True)
 
 
 def cylinder_base(base: Base, t_lo: float = -0.3, t_hi: float = 1.3) -> Base:

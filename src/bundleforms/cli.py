@@ -88,7 +88,7 @@ def _run_one(doc, task, plan, tol, witness_tol, entry: TaskEntry):
     elif op == "decompose":
         form = doc.forms[task["form"]]
         pair = fo.decompose(form, plan)
-        check = pair.check(plan)
+        check = pair.check(plan, tol)
         min_pos, max_neg = pair.restricted_definiteness(plan)
         ok = check.passed
         if pair.sig.pos and not min_pos > 0:
@@ -118,15 +118,11 @@ def _run_one(doc, task, plan, tol, witness_tol, entry: TaskEntry):
     elif op == "witt-zero":
         form = doc.forms[task["form"]]
         w = ri.witt_class(form, plan)
-        verdict, witness = ri.witt_is_zero(w, plan)
+        verdict, _, check = ri.witt_is_zero(w, plan)
         entry.invariants["is_zero"] = verdict
-        if verdict == "unknown":
-            entry.status = "unknown"
-        else:
-            entry.status = "pass"
-            if witness is not None:
-                check = fo.check_isometry(witness, plan)
-                entry.max_residual = check.max_residual
+        entry.status = "unknown" if verdict == "unknown" else "pass"
+        if check is not None:
+            entry.max_residual = check.max_residual
     elif op == "roundtrip-k0":
         bundle = doc.bundles[task["bundle"]]
         k = ri.k0_class(bundle)
@@ -160,7 +156,7 @@ def _invariants(doc, task, plan, entry):
     if "bundle" in task:
         bundle = doc.bundles[task["bundle"]]
         entry.invariants["rank"] = bundle.rank
-        if bundle.base.circle is not None:
+        if bundle.base.circle:
             entry.invariants["det_class"] = s1_line_class(bundle)
     if "form" in task:
         form = doc.forms[task["form"]]

@@ -9,6 +9,10 @@ inverse, column-span projector, definite/indefinite pencil sign-projectors,
 pencil square root), and entries of path products that chain a projector
 field along a homotopy.
 
+Each elementwise node kind declares once its numpy function `fn`, repr
+`template`, `kinked` flag and constructor `params` beyond its children;
+evaluating, printing, rebuilding and parsing read those declarations.
+
 Evaluation is vectorized over an (N, dim) batch of points and memoized per
 node object, so shared subtrees are computed once.  Evaluating outside a
 declared guard raises :class:`GuardViolation` with a witness point; it is
@@ -79,14 +83,17 @@ class Expr:
         return ()
 
     def rebuild(self, children) -> "Expr":
-        """The same node over new children."""
-        return type(self)(*children)
+        """The same node over new children, with the same `params`."""
+        return type(self)(*children,
+                          **{name: getattr(self, name) for name in self.params})
 
     def smoothness(self) -> float:
         memo: dict[int, float] = {}
         return _smoothness(self, memo)
 
+    params = ()         # constructor keywords beyond the children
     kinked = False      # kinked nodes bound the smoothness by zero
+    power_lifts_kink = False    # |u|^(r+1), clamp(u)^(r+1) are C^r in u
 
     def _own_smoothness(self, child_bounds: list[float],
                         memo: dict[int, float]) -> float:
@@ -155,7 +162,10 @@ class Var(Expr):
 
 
 class _Unary(Expr):
+    """A node of one argument: `fn` of its value."""
+
     __slots__ = ("arg",)
+    arity = 1
 
     def __init__(self, arg: Expr):
         object.__setattr__(self, "arg", as_expr(arg))
@@ -163,9 +173,18 @@ class _Unary(Expr):
     def children(self):
         return (self.arg,)
 
+    def _eval(self, ctx):
+        return self.fn(self.arg.eval(ctx))
+
+    def __repr__(self):
+        return self.template.format(self.arg)
+
 
 class _Binary(Expr):
+    """A node of two arguments: `fn` of their values (`a` first)."""
+
     __slots__ = ("a", "b")
+    arity = 2
 
     def __init__(self, a: Expr, b: Expr):
         object.__setattr__(self, "a", as_expr(a))
@@ -174,35 +193,26 @@ class _Binary(Expr):
     def children(self):
         return (self.a, self.b)
 
+    def _eval(self, ctx):
+        return self.fn(self.a.eval(ctx), self.b.eval(ctx))
+
+    def __repr__(self):
+        return self.template.format(self.a, self.b)
+
 
 class Add(_Binary):
     __slots__ = ()
-
-    def _eval(self, ctx):
-        return self.a.eval(ctx) + self.b.eval(ctx)
-
-    def __repr__(self):
-        return f"({self.a!r} + {self.b!r})"
+    fn, template = np.add, "({!r} + {!r})"
 
 
 class Sub(_Binary):
     __slots__ = ()
-
-    def _eval(self, ctx):
-        return self.a.eval(ctx) - self.b.eval(ctx)
-
-    def __repr__(self):
-        return f"({self.a!r} - {self.b!r})"
+    fn, template = np.subtract, "({!r} - {!r})"
 
 
 class Mul(_Binary):
     __slots__ = ()
-
-    def _eval(self, ctx):
-        return self.a.eval(ctx) * self.b.eval(ctx)
-
-    def __repr__(self):
-        return f"({self.a!r} * {self.b!r})"
+    fn, template = np.multiply, "({!r} * {!r})"
 
 
 class Div(_Binary):
@@ -210,6 +220,8 @@ class Div(_Binary):
     the expression is used on.  |den| <= guard_tol at a point is an error."""
 
     __slots__ = ("guard_tol",)
+    template = "({!r} / {!r})"
+    params = ("guard_tol",)
 
     def __init__(self, num: Expr, den: Expr, guard_tol: float = _DEFAULT_GUARD_TOL):
         super().__init__(num, den)
@@ -222,17 +234,12 @@ class Div(_Binary):
                f"{self.guard_tol:.1e}")
         return self.a.eval(ctx) / den
 
-    def rebuild(self, children):
-        return Div(*children, guard_tol=self.guard_tol)
-
-    def __repr__(self):
-        return f"({self.a!r} / {self.b!r})"
-
 
 class Pow(Expr):
     """Integer power, exponent >= 1."""
 
     __slots__ = ("base", "exponent")
+    params = ("exponent",)
 
     def __init__(self, base: Expr, exponent: int):
         if exponent < 1:
@@ -243,9 +250,6 @@ class Pow(Expr):
     def children(self):
         return (self.base,)
 
-    def rebuild(self, children):
-        return Pow(children[0], self.exponent)
-
     def _eval(self, ctx):
         return self.base.eval(ctx) ** self.exponent
 
@@ -253,7 +257,7 @@ class Pow(Expr):
         # clamp(u)^(r+1) is C^r wherever u is smooth; same for |u|^(r+1).
         # The base's argument was visited through the base, so this is a
         # memo hit.
-        if isinstance(self.base, (Clamp, Abs)):
+        if self.base.power_lifts_kink:
             return min(self.exponent - 1, _smoothness(self.base.arg, memo))
         return min(child_bounds, default=SMOOTH)
 
@@ -267,6 +271,8 @@ class Sqrt(_Unary):
 
     __slots__ = ("guard_tol",)
     kinked = True
+    template = "sqrt({!r})"
+    params = ("guard_tol",)
 
     def __init__(self, arg: Expr, guard_tol: float = _DEFAULT_GUARD_TOL):
         super().__init__(arg)
@@ -278,57 +284,31 @@ class Sqrt(_Unary):
                f"sqrt argument {v[i]:.3e} is negative")
         return np.sqrt(np.maximum(v, 0.0))
 
-    def rebuild(self, children):
-        return Sqrt(children[0], guard_tol=self.guard_tol)
-
-    def __repr__(self):
-        return f"sqrt({self.arg!r})"
-
 
 class Abs(_Unary):
     __slots__ = ()
-    kinked = True
-
-    def _eval(self, ctx):
-        return np.abs(self.arg.eval(ctx))
-
-    def __repr__(self):
-        return f"abs({self.arg!r})"
+    kinked = power_lifts_kink = True
+    fn, template = np.abs, "abs({!r})"
 
 
 class Max(_Binary):
     __slots__ = ()
     kinked = True
-
-    def _eval(self, ctx):
-        return np.maximum(self.a.eval(ctx), self.b.eval(ctx))
-
-    def __repr__(self):
-        return f"max({self.a!r}, {self.b!r})"
+    fn, template = np.maximum, "max({!r}, {!r})"
 
 
 class Min(_Binary):
     __slots__ = ()
     kinked = True
-
-    def _eval(self, ctx):
-        return np.minimum(self.a.eval(ctx), self.b.eval(ctx))
-
-    def __repr__(self):
-        return f"min({self.a!r}, {self.b!r})"
+    fn, template = np.minimum, "min({!r}, {!r})"
 
 
 class Clamp(_Unary):
     """clamp-to-zero: max(arg, 0)."""
 
     __slots__ = ()
-    kinked = True
-
-    def _eval(self, ctx):
-        return np.maximum(self.arg.eval(ctx), 0.0)
-
-    def __repr__(self):
-        return f"clamp({self.arg!r})"
+    kinked = power_lifts_kink = True
+    fn, template = staticmethod(lambda v: np.maximum(v, 0.0)), "clamp({!r})"
 
 
 class ZeroGate(Expr):

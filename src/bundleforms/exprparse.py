@@ -21,7 +21,11 @@ _TOKEN = re.compile(r"""
   | (?P<ws>\s+)
 """, re.VERBOSE)
 
-_FUNCTIONS = {"sqrt": 1, "abs": 1, "clamp": 1, "min": 2, "max": 2}
+# operators and function names -> node classes; a function takes its
+# class's arity of arguments
+_NODES = {"+": ex.Add, "-": ex.Sub, "*": ex.Mul, "/": ex.Div,
+          "sqrt": ex.Sqrt, "abs": ex.Abs, "clamp": ex.Clamp,
+          "min": ex.Min, "max": ex.Max}
 
 
 class _Tokens:
@@ -76,7 +80,7 @@ def _parse_sum(tk, dim, t_index):
     while tk.peek()[1] in ("+", "-"):
         _, op, _ = tk.next()
         right = _parse_product(tk, dim, t_index)
-        left = ex.Add(left, right) if op == "+" else ex.Sub(left, right)
+        left = _NODES[op](left, right)
     return left
 
 
@@ -85,7 +89,7 @@ def _parse_product(tk, dim, t_index):
     while tk.peek()[1] in ("*", "/"):
         _, op, _ = tk.next()
         right = _parse_unary(tk, dim, t_index)
-        left = ex.Mul(left, right) if op == "*" else ex.Div(left, right)
+        left = _NODES[op](left, right)
     return left
 
 
@@ -126,22 +130,15 @@ def _parse_atom(tk, dim, t_index):
         tk.expect(")")
         return inner
     if kind == "ident":
-        if value in _FUNCTIONS:
+        if value in _NODES:
+            node = _NODES[value]
             tk.expect("(")
             args = [_parse_sum(tk, dim, t_index)]
-            for _ in range(_FUNCTIONS[value] - 1):
+            for _ in range(node.arity - 1):
                 tk.expect(",")
                 args.append(_parse_sum(tk, dim, t_index))
             tk.expect(")")
-            if value == "sqrt":
-                return ex.Sqrt(args[0])
-            if value == "abs":
-                return ex.Abs(args[0])
-            if value == "clamp":
-                return ex.Clamp(args[0])
-            if value == "min":
-                return ex.Min(args[0], args[1])
-            return ex.Max(args[0], args[1])
+            return node(*args)
         if value == "t":
             if t_index is None:
                 raise SpecParseError(

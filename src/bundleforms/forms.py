@@ -62,7 +62,7 @@ from .matexpr import (
     em_vstack,
     em_zero_gate,
 )
-from .semialg import Condition, GT, SamplePlan, SemialgebraicSet
+from .semialg import Condition, GT, SamplePlan, SemialgebraicSet, first_flagged
 
 NEARLY_SINGULAR = 1e-12
 PIVOT_RATIO = 1e-10
@@ -347,8 +347,9 @@ def signature(form: FormField, plan: SamplePlan) -> SignatureType:
     seen: dict[tuple, tuple] = {}
     for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
         _, pos = gram_schmidt_frame(ev(form.mats[i]))
-        for p, k in zip(*np.unique(pos, return_index=True)):
-            seen.setdefault((int(p), form.rank - int(p)), tuple(pts[k]))
+        for p in np.unique(pos):
+            seen.setdefault((int(p), form.rank - int(p)),
+                            first_flagged(pts, pos == p))
     if len(seen) != 1:
         raise InconsistentSignature(
             f"sampled types disagree: {sorted(seen)}",
@@ -542,11 +543,10 @@ def blend_positive_subbundle(frame_field, r_plus: int, nu_plus, mu: ex.Expr,
     if overlap_pts is not None and overlap_pts.shape[0]:
         th = em_eval(theta, overlap_pts)
         norms = np.linalg.svd(th, compute_uv=False)[:, 0]
-        if (norms >= 1.0).any():
-            bad = overlap_pts[int(np.argmax(norms >= 1.0))]
+        bad = first_flagged(overlap_pts, norms >= 1.0)
+        if bad is not None:
             raise OmegaViolation(
-                f"graph operator norm {norms.max():.3f} >= 1 at {tuple(bad)}"
-            )
+                f"graph operator norm {norms.max():.3f} >= 1 at {bad}")
     # ZeroGate(mu, theta) = mu * theta where mu > 0 and exactly 0 elsewhere,
     # so the graph matrix is valid on all of U even where nu_plus is not
     graph = em_vstack(em_identity(r_plus), em_zero_gate(mu, theta))
@@ -647,10 +647,11 @@ def _require_spd(form: FormField, plan: SamplePlan):
     """NotPositive at the first sample where the symmetrized chart form's
     smallest eigenvalue, NaN included, is not above 0."""
     for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
-        bad = ~(ex.smallest_eigenvalue(ev(form.mats[i]), 0.0) > 0.0)
-        if bad.any():
+        bad = first_flagged(
+            pts, ~(ex.smallest_eigenvalue(ev(form.mats[i]), 0.0) > 0.0))
+        if bad is not None:
             raise NotPositive(f"form {form.name or '?'} not positive definite "
-                              f"at {tuple(pts[int(np.argmax(bad))])}")
+                              f"at {bad}")
 
 
 def positive_isometry(form: FormField, target: FormField,

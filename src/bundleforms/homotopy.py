@@ -61,7 +61,6 @@ from .matexpr import (
     em_transpose,
 )
 from .semialg import Base, Condition, Cover, Polynomial, SamplePlan
-from .unity import shrink_cover
 
 DEFAULT_TRANSPORT_STEPS = 16
 LADDER_GAP = 0.35           # largest probe jump between consecutive rungs
@@ -172,7 +171,6 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan,
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
     _certify_slab_coverage(bundle, plan)
-    shrink_cover(bundle.cover, plan=plan)   # one shrink pass must succeed
 
     target_proj, h_exprs = path or (gauss_embedding(bundle, plan=plan),
                                     [ex.Var(i) for i in range(cyl.dim)])

@@ -59,10 +59,6 @@ from .matexpr import (
 from .semialg import SamplePlan
 
 
-def _is_circle(base) -> bool:
-    return base.circle is not None
-
-
 @dataclass
 class K0Class:
     """Formal difference [plus] - [minus] with cached stable invariants."""
@@ -79,7 +75,7 @@ class K0Class:
 
 def _line_classes(plus: BundleRep, minus: BundleRep):
     """The line classes of plus and minus over a circle base, else None."""
-    if not _is_circle(plus.base):
+    if not plus.base.circle:
         return None
     return tuple(0 if b.rank == 0 else s1_line_class(b) for b in (plus, minus))
 
@@ -148,7 +144,7 @@ def _definite_parts(form: FormField, plan: SamplePlan):
 def witt_class(form: FormField, plan: SamplePlan) -> WittClass:
     """The form's class and invariants.  On a circle base they are read off
     the form's definite split, which the class keeps for `nabla`."""
-    circle = _is_circle(form.bundle.base)
+    circle = form.bundle.base.circle
     if form.rank == 0:
         return WittClass(form, 0, 0, (0, 0) if circle else None, None)
     if not circle:
@@ -194,7 +190,7 @@ def delta(k: K0Class, plan: SamplePlan) -> WittClass:
         zero = trivial_bundle(k.plus.cover, 0, "rank0")
         empty = FormField(zero, [tuple() for _ in range(zero.cover.n_charts)], "0")
         return WittClass(empty, 0, 0,
-                         (0, 0) if _is_circle(k.base) else None, None)
+                         (0, 0) if k.base.circle else None, None)
     total = parts[0]
     for part in parts[1:]:
         total = orthogonal_sum(total, part)
@@ -261,43 +257,50 @@ def _constant_mats(form: FormField, plan: SamplePlan):
 def witt_is_zero(w: WittClass, plan: SamplePlan):
     """Decide triviality of a Witt class on a catalog base.
 
-    Returns (verdict, witness) with verdict in {"true", "false",
+    Returns (verdict, witness, report) with verdict in {"true", "false",
     "unknown"}: "true" only with a certified isometry to a hyperbolic
     space, "false" only on an invariant obstruction, "unknown" otherwise.
+    The witness and its `check_isometry` report are those of a "true", None
+    otherwise (and for the rank-0 class, which needs no witness).
     """
     base = w.base
-    if not (base.connected and (base.star_center is not None or _is_circle(base))):
+    if not (base.connected and (base.star_center is not None or base.circle)):
         raise NotCatalogBase("witt_is_zero decides only on catalog bases")
     if w.sig_diff != 0 or w.rank_parity != 0:
-        return "false", None
+        return "false", None, None
     if w.det_classes is not None and w.det_classes[0] != w.det_classes[1]:
-        return "false", None
+        return "false", None, None
     form = w.form
     if form.rank == 0:
-        return "true", None
+        return "true", None, None
     if form.rank > 4:
-        return "unknown", None
+        return "unknown", None, None
+    for witness in _hyperbolic_witnesses(form, plan):
+        report = check_isometry(witness, plan)
+        if report.passed:
+            return "true", witness, report
+    return "unknown", None, None
+
+
+def _hyperbolic_witnesses(form: FormField, plan: SamplePlan):
+    """Candidate isometries of a form with signature difference 0 onto a
+    hyperbolic space, in the order `witt_is_zero` tries them."""
     # already a hyperbolic space: identity witness
     if form.hyperbolic_of is not None:
         ident = [em_identity(form.rank)
                  for _ in range(form.bundle.cover.n_charts)]
-        witness = IsometryWitness(
+        yield IsometryWitness(
             MorphismField(form.bundle, form.bundle, ident), form, form)
-        if check_isometry(witness, plan).passed:
-            return "true", witness
     # built as b + (-b): reuse the cancellation witness
     cancel = form.cancellation_of
     if cancel is not None:
-        witness = cancellation_witness(cancel.bundle, cancel)
-        if check_isometry(witness, plan).passed:
-            return "true", witness
+        yield cancellation_witness(cancel.bundle, cancel)
     # constant form on a trivial presentation: diagonalize numerically and
-    # rotate the split form onto the hyperbolic block
+    # rotate the split form onto the hyperbolic block; the constant is a
+    # sample of the form, so its type is split (sig.pos == sig.neg)
     const = _constant_mats(form, plan)
     if const is not None and form.bundle.default_identity:
         g, sig = gram_schmidt_frame(const)
-        if sig.pos != sig.neg:
-            return "false", None
         k = sig.pos
         w_rot = np.block([[np.eye(k), np.eye(k)],
                           [np.eye(k), -np.eye(k)]]) / np.sqrt(2.0)
@@ -305,11 +308,8 @@ def witt_is_zero(w: WittClass, plan: SamplePlan):
         half = trivial_bundle(form.bundle.cover, k)
         target, target_form = hyperbolic_space(half)
         fields = [em_const(u) for _ in range(form.bundle.cover.n_charts)]
-        witness = IsometryWitness(
+        yield IsometryWitness(
             MorphismField(form.bundle, target, fields), form, target_form)
-        if check_isometry(witness, plan).passed:
-            return "true", witness
-    return "unknown", None
 
 
 # ---------------------------------------------------------------------------

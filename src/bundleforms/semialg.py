@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -161,23 +162,29 @@ class Polynomial:
 
 def expr_to_polynomial(node: ex.Expr, dim: int) -> Polynomial:
     """Convert a polynomial-shaped expression tree; raise NotPolynomial otherwise."""
-    if isinstance(node, ex.Const):
-        return Polynomial.constant(dim, Fraction(node.value).limit_denominator(10**12))
-    if isinstance(node, ex.Var):
-        return Polynomial.coordinate(dim, node.index)
-    if isinstance(node, ex.Add):
-        return expr_to_polynomial(node.a, dim) + expr_to_polynomial(node.b, dim)
-    if isinstance(node, ex.Sub):
-        return expr_to_polynomial(node.a, dim) - expr_to_polynomial(node.b, dim)
-    if isinstance(node, ex.Mul):
-        return expr_to_polynomial(node.a, dim) * expr_to_polynomial(node.b, dim)
-    if isinstance(node, ex.Pow):
-        base = expr_to_polynomial(node.base, dim)
-        out = Polynomial.constant(dim, 1)
-        for _ in range(node.exponent):
-            out = out * base
-        return out
-    raise NotPolynomial(f"node {node!r} is not polynomial")
+    convert = _TO_POLYNOMIAL.get(type(node))
+    if convert is None:
+        raise NotPolynomial(f"node {node!r} is not polynomial")
+    return convert(node, dim)
+
+
+def _binary(op):
+    return lambda node, dim: op(expr_to_polynomial(node.a, dim),
+                                expr_to_polynomial(node.b, dim))
+
+
+# node class -> conversion of such a node in `dim` variables
+_TO_POLYNOMIAL = {
+    ex.Const: lambda node, dim: Polynomial.constant(
+        dim, Fraction(node.value).limit_denominator(10**12)),
+    ex.Var: lambda node, dim: Polynomial.coordinate(dim, node.index),
+    ex.Add: _binary(Polynomial.__add__),
+    ex.Sub: _binary(Polynomial.__sub__),
+    ex.Mul: _binary(Polynomial.__mul__),
+    ex.Pow: lambda node, dim: reduce(Polynomial.__mul__,
+                                     [expr_to_polynomial(node.base, dim)] * node.exponent,
+                                     Polynomial.constant(dim, 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -212,6 +219,14 @@ class Condition:
 
     def closure(self) -> "Condition":
         return Condition(self.expression, GE if self.op == GT else self.op, self.poly)
+
+
+def first_flagged(points: np.ndarray, flags: np.ndarray) -> tuple | None:
+    """The first of `points` whose flag is set, as Python floats, or None:
+    the sample that error messages and witnesses name."""
+    if not flags.any():
+        return None
+    return tuple(float(v) for v in points[int(np.argmax(flags))])
 
 
 def _safe_eval(node: ex.Expr, ctx: ex.EvalContext) -> np.ndarray:
@@ -423,8 +438,9 @@ def sample(sset: SemialgebraicSet, plan: SamplePlan, box,
            memo: dict | None = None) -> tuple[np.ndarray, bool]:
     """Sample points of the set inside the box.
 
-    Returns (points, warning) where warning is True when nothing was found
-    (empty set on the scanned box, or contradictory conditions).  `memo`
+    Returns (points, empty) where empty is True only when no point was
+    found (empty set on the scanned box, or contradictory conditions); a
+    sample of fewer than `count` points is not flagged.  `memo`
     keeps the candidate clouds (see `_cloud`); callers sampling a region of
     a base pass the base's `clouds` through `Base.sample_region`.
     """
@@ -454,14 +470,6 @@ def sample(sset: SemialgebraicSet, plan: SamplePlan, box,
 
 
 @dataclass(frozen=True)
-class CircleGeometry:
-    """Unit-circle catalog attribute: which two coordinates carry the circle."""
-
-    coord_x: int = 0
-    coord_y: int = 1
-
-
-@dataclass(frozen=True)
 class Base:
     """A base space: its set, a scan box, and catalog attributes.
 
@@ -474,7 +482,7 @@ class Base:
     name: str = ""
     connected: bool = True
     star_center: tuple | None = None
-    circle: CircleGeometry | None = None
+    circle: bool = False        # the unit circle in (x0, x1), or a cylinder on it
     cylinder_base: "Base | None" = None
     t_index: int | None = None
     clouds: dict = field(default_factory=dict, init=False, compare=False,
@@ -497,7 +505,6 @@ class Base:
 @dataclass
 class CoverageReport:
     ok: bool
-    n_points: int
     witness: tuple | None = None
 
 
@@ -533,18 +540,16 @@ class Cover:
     def coverage(self, plan: SamplePlan) -> CoverageReport:
         pts = self.base.sample_points(plan)
         if pts.shape[0] == 0:
-            return CoverageReport(False, 0, None)
+            return CoverageReport(False)
         bad = self.first_uncovered(pts)
-        return CoverageReport(bad is None, pts.shape[0], bad)
+        return CoverageReport(bad is None, bad)
 
     def first_uncovered(self, points: np.ndarray) -> tuple | None:
         """The first of `points` that no chart contains, or None."""
         covered = np.zeros(points.shape[0], dtype=bool)
         for chart in self.charts:
             covered |= chart.membership(points, margin=0.0)
-        if covered.all():
-            return None
-        return tuple(float(v) for v in points[~covered][0])
+        return first_flagged(points, ~covered)
 
     def require_coverage(self, plan: SamplePlan) -> None:
         report = self.coverage(plan)

@@ -27,7 +27,6 @@ from .exprparse import parse_expression
 from .forms import FormField
 from .semialg import (
     Base,
-    CircleGeometry,
     Condition,
     Cover,
     SemialgebraicSet,
@@ -215,13 +214,12 @@ def _parse_base(decl) -> Base:
                       where="base", open_only=False)
     if not decl.get("conditions"):
         sset = SemialgebraicSet.whole_space(dim)
-    circle = CircleGeometry(0, 1) if decl.get("circle") else None
     return Base(
         sset, box,
         name=decl.get("name", "custom"),
         connected=decl.get("connected", True),
         star_center=star,
-        circle=circle,
+        circle=decl.get("circle", False),
     )
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import expr as ex
 from .errors import (
     ContainmentFailure,
@@ -28,6 +26,7 @@ from .semialg import (
     Cover,
     SamplePlan,
     SemialgebraicSet,
+    first_flagged,
 )
 
 
@@ -72,12 +71,9 @@ def separating_function(x_set: SemialgebraicSet, y_set: SemialgebraicSet, r: int
     h = zero_function(y_set, r)
     for a, b in ((x_set, y_set), (y_set, x_set)):
         pts, _ = base.sample_region(a.intersect(base.sset), plan, plan.n_overlap)
-        if pts.shape[0]:
-            inside = b.membership(pts, eq_tol=1e-9)
-            if inside.any():
-                raise NotDisjoint(
-                    f"sampled point {tuple(pts[inside][0])} lies in both sets"
-                )
+        both = first_flagged(pts, b.membership(pts, eq_tol=1e-9))
+        if both is not None:
+            raise NotDisjoint(f"sampled point {both} lies in both sets")
     g2 = ex.Mul(g, g)
     h2 = ex.Mul(h, h)
     return ex.Div(g2, ex.Add(g2, h2))
@@ -86,7 +82,6 @@ def separating_function(x_set: SemialgebraicSet, y_set: SemialgebraicSet, r: int
 @dataclass
 class ShrunkCover:
     cover: Cover                    # the shrunk charts V_i
-    original: Cover
     support_gates: list[ex.Expr]    # f_i, vanishing exactly off V_i
 
 
@@ -128,14 +123,11 @@ def shrink_cover(cover: Cover, r: int = 1, *, plan: SamplePlan) -> ShrunkCover:
     for k, v_k in enumerate(new_charts):
         closed = v_k.closure().intersect(base.sset)
         pts, _ = base.sample_region(closed, plan, plan.n_overlap)
-        if pts.shape[0]:
-            inside = cover.charts[k].membership(pts)
-            if not inside.all():
-                raise CoverageFailure(
-                    f"shrunk chart {k} escapes its original chart at "
-                    f"{tuple(pts[~inside][0])}"
-                )
-    return ShrunkCover(shrunk, cover, gates)
+        out = first_flagged(pts, ~cover.charts[k].membership(pts))
+        if out is not None:
+            raise CoverageFailure(
+                f"shrunk chart {k} escapes its original chart at {out}")
+    return ShrunkCover(shrunk, gates)
 
 
 @dataclass
@@ -165,12 +157,10 @@ def partition_of_unity(cover: Cover, r: int = 1, *,
         total = ex.Add(total, s)
     pts = cover.base.sample_points(plan)
     if pts.shape[0]:
-        vals = ex.evaluate(total, pts)
-        if (vals <= 1e-12).any():
-            bad = pts[int(np.argmax(vals <= 1e-12))]
+        bad = first_flagged(pts, ex.evaluate(total, pts) <= 1e-12)
+        if bad is not None:
             raise CoverageFailure(
-                f"partition denominator vanishes at sampled base point {tuple(bad)}"
-            )
+                f"partition denominator vanishes at sampled base point {bad}")
     weights = [ex.Div(s, total) for s in squares]
     return PartitionOfUnity(weights, shrunk)
 
@@ -188,12 +178,9 @@ def vertical_retraction(u_set: SemialgebraicSet, v_set: SemialgebraicSet, r: int
         raise ContainmentFailure("vertical retraction expects open U and V")
     closure_u = u_set.closure()
     pts, _ = base.sample_region(closure_u.intersect(base.sset), plan, plan.n_overlap)
-    if pts.shape[0]:
-        inside = v_set.membership(pts)
-        if not inside.all():
-            raise ContainmentFailure(
-                f"closure(U) escapes V at sampled point {tuple(pts[~inside][0])}"
-            )
+    out = first_flagged(pts, ~v_set.membership(pts))
+    if out is not None:
+        raise ContainmentFailure(f"closure(U) escapes V at sampled point {out}")
     f = zero_function(closure_u, r)
     g = zero_function(v_set.complement(), r)
     f2 = ex.Mul(f, f)

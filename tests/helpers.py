@@ -1,5 +1,8 @@
 """Shared construction helpers for the test suite."""
 
+import ast
+import re
+
 import numpy as np
 
 from bundleforms import expr as ex
@@ -150,3 +153,13 @@ def lapack_eig_not_above(s, tol):
     smallest eigenvalue of the symmetrized operand is at most tol, a
     violation."""
     return np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, 1, 2)))[:, 0] <= tol
+
+
+def named_point(message: str) -> tuple:
+    """The first parenthesized point an error message names, read back as
+    Python literals; each coordinate must print as a plain float, never as
+    a numpy scalar such as np.float64(0.5)."""
+    assert "np." not in message, message
+    point = ast.literal_eval(re.search(r"\([^()]*\)", message).group())
+    assert point and all(type(v) is float for v in point), message
+    return point

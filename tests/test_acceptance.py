@@ -384,7 +384,7 @@ def test_11_k0_witt_correspondence():
     w1 = witt_class(FormField.constant(
         trivial_bundle(full_cover(point), 1), np.eye(1)), plan)
     total = witt_add(w1, witt_neg(w1), plan)
-    verdict, witness = witt_is_zero(total, plan)
+    verdict, witness, _ = witt_is_zero(total, plan)
     assert verdict == "true" and witness is not None
     announce(11, "delta/nabla preserve invariants; cancellation witnessed")
 

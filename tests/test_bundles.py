@@ -47,6 +47,7 @@ from bundleforms.catalog import (
 from bundleforms.errors import (
     CoverageFailure,
     GeneratorsDegenerate,
+    ImageEscapesBase,
     GuardViolation,
     NoChartFound,
     RankDrop,
@@ -54,6 +55,7 @@ from bundleforms.errors import (
 from bundleforms.matexpr import em_const, em_eval, em_identity, em_inv, em_transpose
 from bundleforms.unity import partition_of_unity
 from bundleforms.semialg import GT, Condition, Cover, Polynomial, SamplePlan, SemialgebraicSet
+from helpers import named_point
 
 PLAN = SamplePlan(seed=0, n_chart=220, n_overlap=160, n_triple=100)
 
@@ -275,7 +277,7 @@ def test_nan_transition_is_a_rank_drop_at_its_point():
     pts = m.cover.samples((0,), PLAN)
     weight = partition_of_unity(m.cover, 1, plan=PLAN).weights[1]
     first = pts[int(np.argmax(ex.evaluate(weight, pts) > 0.0))]
-    assert str(err.value).endswith(f" at {tuple(first)}")
+    assert str(err.value).endswith(f" at {tuple(first.tolist())}")
 
 
 def test_coefficients_trivial_unique_solve():
@@ -510,3 +512,18 @@ def test_s1_line_class_zero_transition_has_witness():
 def test_scrambled_plane_bundle_validates():
     b = scrambled_plane_bundle(plane_base())
     assert validate_cocycle(b, PLAN).passed
+
+
+def test_escaping_image_and_witnesses_are_plain_floats():
+    # x -> (x, x) leaves the circle at the line's first sample
+    with pytest.raises(ImageEscapesBase, match="leaves the target base") as err:
+        pullback(moebius(), [ex.Var(0), ex.Var(0)], line_base(), PLAN)
+    assert named_point(str(err.value)) == tuple(
+        line_base().sample_points(PLAN)[0].tolist())
+    # 2 I is no projector, and a flipped transition is no cocycle: both
+    # reports name their witness in Python floats
+    base = circle_base()
+    two = bu.ProjectorField(base, em_const(2.0 * np.eye(2)), 1)
+    for report in (two.check(PLAN), validate_cocycle(moebius_corrupted(), PLAN)):
+        assert not report.passed
+        assert all(type(v) is float for v in report.witness)

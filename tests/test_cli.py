@@ -460,3 +460,15 @@ def test_timed_entry_records_linalg_error_and_passes_others():
         with timed_entry(report, "interrupted"):
             raise KeyboardInterrupt
     assert len(report.entries) == 1
+
+
+def test_decompose_certifies_at_the_identity_tolerance(capsys):
+    # hyperbolic1's projector pair has residual 3.33e-16: above --tol 1e-17,
+    # so its decomposition fails, where a fixed 1e-8 passed it
+    code, out = run_cli(capsys, "decompose", SPECS / "moebius.json",
+                        "--tol", "1e-17", "--format", "machine")
+    tasks = {t["name"]: t for t in json.loads(out)["tasks"]}
+    assert code == 1
+    hyp = tasks["decompose hyperbolic1"]
+    assert hyp["status"] == "fail" and 1e-17 < hyp["max_residual"] < 1e-15
+    assert tasks["decompose unit_moebius"]["status"] == "pass"

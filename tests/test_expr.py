@@ -684,3 +684,9 @@ def test_shared_context_evaluates_fresh_nodes():
         assert (ex.Const(float(k)).eval(ctx) == k).all()
     for _ in range(4):
         assert (ex._eval_matrix(em_identity(2), ctx) == np.eye(2)).all()
+
+
+def test_integer_power_of_a_smooth_base_is_smooth():
+    assert ex.Pow(ex.Var(0), 2).smoothness() == ex.SMOOTH
+    # only abs and clamp bases lift their kink with the power
+    assert ex.Pow(ex.Sqrt(ex.Var(0)), 3).smoothness() == 0

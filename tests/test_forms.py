@@ -50,7 +50,12 @@ from bundleforms.forms import (
 )
 from bundleforms.matexpr import em_const, em_eval
 from bundleforms.semialg import Cover, SamplePlan
-from helpers import interval, reference_gram_schmidt_frame, reference_gs_events
+from helpers import (
+    interval,
+    named_point,
+    reference_gram_schmidt_frame,
+    reference_gs_events,
+)
 
 PLAN = SamplePlan(seed=0, n_chart=200, n_overlap=140, n_triple=90)
 
@@ -502,7 +507,7 @@ def test_positive_isometry_rejects_a_nan_form_at_its_point():
         positive_isometry(f, g, PLAN)
     pts = b.cover.samples((0,), PLAN)
     first = pts[int(np.argmax(pts[:, 0] > 0.5))]
-    assert str(err.value).endswith(f" at {tuple(first)}")
+    assert str(err.value).endswith(f" at {tuple(first.tolist())}")
 
 
 def test_positive_isometry_on_moebius():
@@ -707,3 +712,12 @@ def test_trivializing_cover_raises_for_stuck_row():
     f = FormField.from_upper(b, [[tiny, ex.Const(0.0), ex.Const(1.0)]])
     with pytest.raises(NearSingular, match="no usable pivot"):
         local_trivializing_cover(f, PLAN)
+
+
+def test_not_positive_names_a_plain_float_point():
+    b = trivial_bundle(full_cover(line_base()), 1)
+    f = FormField.from_upper(b, [[ex.Const(-1.0)]], name="minus")
+    with pytest.raises(NotPositive, match="form minus not positive") as err:
+        positive_isometry(f, FormField.constant(b, np.eye(1)), PLAN)
+    assert named_point(str(err.value)) == tuple(
+        b.cover.samples((0,), PLAN)[0].tolist())

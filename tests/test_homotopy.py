@@ -150,7 +150,7 @@ def test_restrict_moebius_cylinder_keeps_class():
     b0, kept = restrict_cylinder(b, 0.0, PLAN)
     assert validate_cocycle(b0, PLAN).passed
     assert s1_line_class(b0) == 1
-    assert b0.base.circle is not None
+    assert b0.base.circle
 
 
 # --- homotopy isomorphism ----------------------------------------------------------

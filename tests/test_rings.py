@@ -118,7 +118,7 @@ def test_witt_one_plus_minus_one_is_zero_class():
     n = witt_neg(w)
     out = witt_add(w, n, PLAN)
     assert out.sig_diff == 0
-    verdict, witness = witt_is_zero(out, PLAN)
+    verdict, witness, _ = witt_is_zero(out, PLAN)
     assert verdict == "true" and witness is not None
 
 
@@ -131,7 +131,7 @@ def test_witt_product_signature():
 
 def test_witt_single_one_not_zero():
     w = point_witt(np.eye(1))
-    verdict, _ = witt_is_zero(w, PLAN)
+    verdict, _, _ = witt_is_zero(w, PLAN)
     assert verdict == "false"
 
 
@@ -139,7 +139,7 @@ def test_witt_unit_line_form_is_obstructed():
     # <1> on eps^1 over the line: signature difference 1, no witness
     b = trivial_bundle(full_cover(line_base()), 1)
     w = witt_class(FormField.constant(b, np.eye(1)), PLAN)
-    assert witt_is_zero(w, PLAN) == ("false", None)
+    assert witt_is_zero(w, PLAN) == ("false", None, None)
 
 
 def test_hyperbolic_is_zero_with_identity_witness():
@@ -147,21 +147,51 @@ def test_hyperbolic_is_zero_with_identity_witness():
     total, form = hyperbolic_space(b)
     w = witt_class(form, PLAN)
     assert w.sig_diff == 0
-    verdict, witness = witt_is_zero(w, PLAN)
+    verdict, witness, _ = witt_is_zero(w, PLAN)
     assert verdict == "true" and witness is not None
 
 
 def test_witt_constant_normal_form_route():
     # no provenance tags: the constant-form route must still find a witness
     w = point_witt(np.diag([1.0, -1.0]))
-    verdict, witness = witt_is_zero(w, PLAN)
+    verdict, witness, _ = witt_is_zero(w, PLAN)
     assert verdict == "true"
     assert check_isometry(witness, PLAN, tol=1e-8).passed
 
 
+def test_witt_split_type_with_different_line_classes_is_not_zero():
+    # <1> on moebius + <-1> on eps1, both on the two-arc cover: signature
+    # difference 0, but the definite parts' line classes are (1, 0)
+    m = moebius()
+    eps1 = trivial_bundle(m.cover, 1)
+    w = witt_add(witt_class(FormField.constant(m, np.eye(1)), PLAN),
+                 witt_class(FormField.constant(eps1, -np.eye(1)), PLAN), PLAN)
+    assert w.sig_diff == 0 and w.det_classes == (1, 0)
+    assert witt_is_zero(w, PLAN) == ("false", None, None)
+
+
+def test_witt_varying_split_form_is_unknown():
+    # diag(1 + x0^2, -1) on eps^2 over the line: split type, but neither a
+    # tagged hyperbolic space, a cancellation sum nor a constant form
+    b = trivial_bundle(full_cover(line_base()), 2)
+    x0 = ex.Var(0)
+    f = FormField.from_upper(b, [[ex.Add(ex.Const(1.0), ex.Mul(x0, x0)),
+                                  ex.Const(0.0), ex.Const(-1.0)]])
+    w = witt_class(f, PLAN)
+    assert w.sig_diff == 0
+    assert witt_is_zero(w, PLAN) == ("unknown", None, None)
+
+
+def test_witt_zero_returns_the_report_of_its_witness():
+    w = point_witt(np.diag([1.0, -1.0]))
+    verdict, witness, report = witt_is_zero(w, PLAN)
+    assert verdict == "true" and report.passed
+    assert report.as_dict() == check_isometry(witness, PLAN).as_dict()
+
+
 def test_witt_unknown_for_large_rank():
     w = point_witt(np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]))
-    verdict, _ = witt_is_zero(w, PLAN)
+    verdict, _, _ = witt_is_zero(w, PLAN)
     assert verdict == "unknown"
 
 

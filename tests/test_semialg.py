@@ -22,10 +22,10 @@ from bundleforms.semialg import (
     halfspace,
     sample,
 )
-from bundleforms.errors import NotPolynomial
+from bundleforms.errors import CoverageFailure, NotPolynomial
 
 
-from helpers import interval, reference_halton, unit_circle
+from helpers import interval, named_point, reference_halton, unit_circle
 
 def test_polynomial_eval_and_gradient():
     # p = x0^2 x1 - 3
@@ -151,3 +151,14 @@ def test_no_construction_or_check_defaults_its_sample_plan():
                     implicit.append(f"{path.name}:{fn.name}")
     assert defaulted == []
     assert implicit == []
+
+
+def test_uncovered_point_prints_plain_floats():
+    base = Base(SemialgebraicSet.whole_space(1), box=((-2.0, 2.0),), name="line")
+    bad = Cover(base, [interval(hi=-1.0), interval(lo=1.0)], name="gap")
+    plan = SamplePlan(seed=1, n_chart=200)
+    with pytest.raises(CoverageFailure, match="misses sampled base point") as err:
+        bad.require_coverage(plan)
+    (x,) = named_point(str(err.value))
+    assert -1.0 <= x <= 1.0
+    assert (x,) == bad.coverage(plan).witness

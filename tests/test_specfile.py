@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bundleforms import expr as ex
+from bundleforms import exprparse
 from bundleforms.bundles import s1_line_class, validate_cocycle
 from bundleforms.errors import (
     BundleformsError,
@@ -16,6 +17,7 @@ from bundleforms.errors import (
 )
 from bundleforms.exprparse import parse_expression
 from bundleforms.semialg import SamplePlan
+from bundleforms.cli import main
 from bundleforms.specfile import parse_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -32,7 +34,7 @@ def test_moebius_fixture_resolves():
     assert doc.bundles["moebius"].rank == 1
     assert set(doc.forms) == {"unit_moebius", "hyperbolic1"}
     assert len(doc.tasks) == 7
-    assert doc.base.circle is not None
+    assert doc.base.circle
 
 
 def test_moebius_fixture_sections_and_witnesses():
@@ -190,3 +192,62 @@ def test_wrongly_typed_values_parse_or_raise_library_errors(name):
                 parse_spec(json.dumps(doc))
             except BundleformsError:
                 pass
+
+
+def test_less_than_conditions_flip_to_greater_than():
+    raw = json.loads(load("moebius.json"))
+    written = parse_spec(json.dumps(raw)).charts["U1"]          # 1/2 - x1 > 0
+    raw["charts"]["U1"] = [["x1 - 1/2", "<"]]
+    flipped = parse_spec(json.dumps(raw)).charts["U1"]
+    rng = np.random.default_rng(0)
+    pts = np.vstack([rng.uniform(-1.3, 1.3, (200, 2)), [[0.0, 0.5]]])
+    np.testing.assert_array_equal(flipped.membership(pts), written.membership(pts))
+    # a base condition may be non-strict on either side
+    base = {"name": "ray", "dim": 1, "box": [[-3.0, 3.0]],
+            "conditions": [["x0 - 1", "<="]], "star_center": [0.0]}
+    doc = parse_spec(json.dumps({
+        "version": 1, "base": base, "charts": {"all": []},
+        "bundles": {"e1": {"rank": 1, "charts": ["all"], "transitions": {}}},
+        "tasks": []}))
+    np.testing.assert_array_equal(
+        doc.base.sset.membership(np.array([[0.0], [1.0], [2.0]])),
+        [True, True, False])
+
+
+def test_non_strict_chart_is_an_error_line(tmp_path, capsys):
+    raw = json.loads(load("moebius.json"))
+    raw["charts"]["U1"] = [["1/2 - x1", ">="]]
+    spec = tmp_path / "closed_chart.json"
+    spec.write_text(json.dumps(raw))
+    code = main(["validate", str(spec), "--samples", "64"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: chart U1: charts need strict conditions\n"
+
+
+# each parser entry and the numpy function its class must evaluate as
+NODE_ORACLES = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "sqrt": np.sqrt, "abs": np.abs, "clamp": lambda v: np.maximum(v, 0.0),
+    "min": np.minimum, "max": np.maximum,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_ORACLES))
+def test_parser_table_entry_builds_its_class(name):
+    node = exprparse._NODES[name]
+    args = ("x0", "x1")[:node.arity]
+    text = (f"x0 {name} x1" if not name.isalpha()
+            else f"{name}({', '.join(args)})")
+    parsed = parse_expression(text, 2)
+    assert type(parsed) is node
+    rng = np.random.default_rng(1)
+    # x0 > 0 keeps sqrt in its domain, |x1| >= 0.1 keeps / off its guard
+    pts = np.column_stack([rng.uniform(0.1, 2.0, 64),
+                           rng.choice([-1.0, 1.0], 64) * rng.uniform(0.1, 2.0, 64)])
+    want = NODE_ORACLES[name](*(pts[:, i] for i in range(node.arity)))
+    np.testing.assert_array_equal(ex.evaluate(parsed, pts), want)
+
+
+def test_parser_table_is_the_node_vocabulary():
+    assert set(exprparse._NODES) == set(NODE_ORACLES)

@@ -18,7 +18,7 @@ from bundleforms.unity import (
     vertical_retraction,
     zero_function,
 )
-from helpers import interval
+from helpers import interval, named_point
 
 
 from helpers import LINE, grid
@@ -169,3 +169,12 @@ def test_vertical_retraction_containment_failure():
     with pytest.raises(ContainmentFailure):
         vertical_retraction(interval(lo=-2.0, hi=2.0), interval(lo=-1.0, hi=1.0),
                             1, SamplePlan(seed=0), base=LINE)
+
+
+def test_not_disjoint_names_a_plain_float_point():
+    with pytest.raises(NotDisjoint, match="lies in both sets") as err:
+        separating_function(interval(hi=1.0, strict=False),
+                            interval(lo=0.0, strict=False),
+                            1, SamplePlan(seed=0), base=WIDE_LINE)
+    (x,) = named_point(str(err.value))
+    assert 0.0 <= x <= 1.0
