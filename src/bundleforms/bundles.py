@@ -710,8 +710,9 @@ def s1_line_class(bundle: BundleRep) -> int:
         return pts
 
     def members(angles) -> np.ndarray:
-        pts = points(angles)
-        return np.stack([c.membership(pts, margin=1e-9) for c in charts], axis=1)
+        kernels = ex.KernelMemo(points(angles))
+        return np.stack([c.membership(kernels.points, margin=1e-9,
+                                      kernels=kernels) for c in charts], axis=1)
 
     def switch_sign(old: int, new: int, angle: float) -> float:
         at = points([angle])

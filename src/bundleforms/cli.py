@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=IDENTITY_TOL,
                        help="identity tolerance (default 1e-9)")
         p.add_argument("--witness-tol", type=float, default=WITNESS_TOL,
-                       help="witness tolerance (default 1e-6)")
+                       help="homotopy, trivialize and check-witness tolerance "
+                            "(default 1e-6); witt-zero runs at a fixed 1e-8")
         p.add_argument("--samples", type=int, default=1000,
                        help="sample points per chart, at least 1 (default 1000)")
         p.add_argument("--format", choices=("human", "machine"),

@@ -28,6 +28,7 @@ clamp or abs raises the kink bound to ``exponent - 1``.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -38,14 +39,35 @@ SMOOTH = math.inf
 _DEFAULT_GUARD_TOL = 1e-12
 
 
-class EvalContext:
-    """Holds one batch of points plus per-node result caches."""
+class KernelMemo:
+    """One point array and the read-only MatrixGroup outputs computed on its
+    rows, by group object (held weakly) and by the rows' path (see
+    `EvalContext`); a compute that raises GuardViolation keeps nothing."""
+
+    __slots__ = ("points", "outputs")
 
     def __init__(self, points: np.ndarray):
+        self.points = points
+        self.outputs = weakref.WeakKeyDictionary()     # group: {path: output}
+
+
+class EvalContext:
+    """Holds one batch of points plus per-node result caches.
+
+    With `kernels`, the points are rows of `kernels.points`: all of them
+    at the root (`path` ()), and under a ZeroGate the parent's rows at the
+    gate's mask, whose bytes extend the path.  Contexts with one memo and
+    one path hold the very same rows, so they share MatrixGroup outputs."""
+
+    def __init__(self, points: np.ndarray, kernels: KernelMemo | None = None, path=()):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise DimensionMismatch(f"points must be (N, dim), got shape {points.shape}")
+        if kernels is not None and not path and points is not kernels.points:
+            raise ValueError("a kernel memo serves only its own point array")
         self.points = points
+        self.kernels = kernels
+        self.path = path
         # keyed by the node itself, so every cached node stays alive (and its
         # id unique) for as long as the context
         self.cache: dict[Expr, np.ndarray] = {}
@@ -56,7 +78,7 @@ class EvalContext:
         key = (gate_id, mask.tobytes())
         ctx = self.sub_contexts.get(key)
         if ctx is None:
-            ctx = EvalContext(self.points[mask])
+            ctx = EvalContext(self.points[mask], self.kernels, (*self.path, key[1]))
             self.sub_contexts[key] = ctx
         return ctx
 
@@ -361,7 +383,7 @@ PENCIL_SQRT = "pencilsqrt"   # principal sqrt of G^-1 S, both SPD
 class MatrixGroup:
     """Shared payload of MatEntry nodes: matrices of Exprs plus an op tag."""
 
-    __slots__ = ("op", "a", "b", "guard_tol", "out_shape")
+    __slots__ = ("op", "a", "b", "guard_tol", "out_shape", "__weakref__")
     __setattr__ = Expr.__setattr__
 
     def __init__(self, op, a, b=None, guard_tol=1e-9):
@@ -390,38 +412,43 @@ class MatrixGroup:
         return [e for rows in (self.a, self.b or ()) for row in rows for e in row]
 
     def compute(self, ctx: EvalContext) -> np.ndarray:
-        key = id(self)
-        hit = ctx.group_cache.get(key)
-        if hit is not None:
-            return hit
+        """From the context's cache, else its memo, else computed."""
+        hit = ctx.group_cache.get(id(self))
+        if hit is None:
+            memo = ctx.kernels
+            hit = None if memo is None else memo.outputs.get(self, {}).get(ctx.path)
+            if hit is None:
+                hit = self._compute(ctx)
+                if memo is not None:
+                    hit.flags.writeable = False     # shared: nobody may edit it
+                    memo.outputs.setdefault(self, {})[ctx.path] = hit
+            ctx.group_cache[id(self)] = hit
+        return hit
+
+    def _compute(self, ctx: EvalContext) -> np.ndarray:
         a = _eval_matrix(self.a, ctx)
         if self.op == SOLVE:
             b = _eval_matrix(self.b, ctx)
             self._guard_sv(a, None, ctx)
-            out = solve(a, b)
-        elif self.op == INV:
+            return solve(a, b)
+        if self.op == INV:
             self._guard_sv(a, None, ctx)
             # LAPACK inverts by solving against I, so 1 x 1 is 1 / a
-            out = 1.0 / a if a.shape[1] == 1 else np.linalg.inv(a)
-        elif self.op == COLSPAN_PROJ:
+            return 1.0 / a if a.shape[1] == 1 else np.linalg.inv(a)
+        if self.op == COLSPAN_PROJ:
             at = np.swapaxes(a, 1, 2)
             gram = at @ a
             self._guard_sv(a, gram, ctx)
-            out = a @ solve(gram, at)
-        elif self.op in (PENCIL_PROJ_POS, PENCIL_PROJ_NEG):
-            g = _eval_matrix(self.b, ctx)
-            self._guard_spd(g, ctx, name="pencil metric")
-            out = _pencil_projector(a, g, self.op == PENCIL_PROJ_POS,
-                                    self.guard_tol, ctx)
-        elif self.op == PENCIL_SQRT:
-            g = _eval_matrix(self.b, ctx)
+            return a @ solve(gram, at)
+        g = _eval_matrix(self.b, ctx)
+        if self.op == PENCIL_SQRT:
             self._guard_spd(a, ctx, name="pencil sqrt argument")
             self._guard_spd(g, ctx, name="pencil sqrt metric")
-            out = _pencil_sqrt(a, g)
-        else:  # pragma: no cover - constructor rejects unknown ops
-            raise ValueError(self.op)
-        ctx.group_cache[key] = out
-        return out
+            return _pencil_sqrt(a, g)
+        # the constructor admits no other op
+        self._guard_spd(g, ctx, name="pencil metric")
+        return _pencil_projector(a, g, self.op == PENCIL_PROJ_POS,
+                                 self.guard_tol, ctx)
 
     def substitute(self, mapping, memo, group_memo) -> "MatrixGroup":
         a, b = (None if rows is None else

@@ -264,13 +264,16 @@ class SemialgebraicSet:
     def is_closed_form(self) -> bool:
         return all(c.op in (GE, EQ) for piece in self.pieces for c in piece)
 
-    def membership(self, points, margin: float = 0.0, eq_tol: float = _EQ_TOL) -> np.ndarray:
+    def membership(self, points, margin: float = 0.0, eq_tol: float = _EQ_TOL,
+                   kernels: ex.KernelMemo | None = None) -> np.ndarray:
+        """Per point, whether it is in the set; `kernels`, the memo of
+        `points`, shares MatrixGroup outputs with other calls given it."""
         points = np.asarray(points, dtype=float)
         if points.shape[0] == 0:
             return np.zeros(0, dtype=bool)
         # one context for every condition: subexpressions that several
         # conditions share are evaluated once
-        ctx = ex.EvalContext(points)
+        ctx = ex.EvalContext(points, kernels)
         out = np.zeros(points.shape[0], dtype=bool)
         for piece in self.pieces:
             mask = np.ones(points.shape[0], dtype=bool)
@@ -414,13 +417,12 @@ def _project_to_variety(points: np.ndarray, polys: list[Polynomial]) -> np.ndarr
 
 
 def _cloud(box, n: int, seed: int, eqs: list[Polynomial],
-           memo: dict) -> np.ndarray:
-    """The n seeded candidates in the box, projected onto the equations.
+           memo: dict) -> ex.KernelMemo:
+    """The kernel memo of the n seeded candidates in the box, projected
+    onto the equations, kept in `memo` under (box, n, seed, equations).
 
-    The cloud is kept in the memo, read-only, under (box, n, seed,
-    equations): it is a pure function of that key, so a hit returns the
-    very array a fresh draw and projection would compute.
-    """
+    The cloud is read-only and a pure function of that key, so a hit holds
+    the very array a fresh draw and projection would compute."""
     key = (tuple(map(tuple, box)), n, seed,
            tuple(tuple(sorted(p.terms.items())) for p in eqs))
     hit = memo.get(key)
@@ -429,7 +431,7 @@ def _cloud(box, n: int, seed: int, eqs: list[Polynomial],
         if eqs:
             hit = _project_to_variety(hit, eqs)
         hit.flags.writeable = False
-        memo[key] = hit
+        hit = memo[key] = ex.KernelMemo(hit)
     return hit
 
 
@@ -452,11 +454,12 @@ def sample(sset: SemialgebraicSet, plan: SamplePlan, box,
         n_cand = max(4 * count, 256) * (round_idx + 1)
         seed = plan.seed + 7919 * round_idx
         for piece in sset.pieces:
-            pts = _cloud(box, n_cand, seed, sset.equality_polys(piece), memo)
+            cloud = _cloud(box, n_cand, seed, sset.equality_polys(piece), memo)
             piece_set = SemialgebraicSet(sset.dim, [piece])
-            keep = piece_set.membership(pts, margin=_SAMPLE_MARGIN, eq_tol=1e-12)
+            keep = piece_set.membership(cloud.points, margin=_SAMPLE_MARGIN,
+                                        eq_tol=1e-12, kernels=cloud)
             if keep.any():
-                collected.append(pts[keep])
+                collected.append(cloud.points[keep])
                 total += int(keep.sum())
         if total >= count:
             break
@@ -474,7 +477,8 @@ class Base:
     """A base space: its set, a scan box, and catalog attributes.
 
     `clouds` is the base's sampling memo (see `_cloud`): it lives as long
-    as the base and holds only arrays, never an object that points back.
+    as the base and holds clouds and their kernel outputs, never an object
+    that points back.
     """
 
     sset: SemialgebraicSet
@@ -546,9 +550,10 @@ class Cover:
 
     def first_uncovered(self, points: np.ndarray) -> tuple | None:
         """The first of `points` that no chart contains, or None."""
+        kernels = ex.KernelMemo(points)
         covered = np.zeros(points.shape[0], dtype=bool)
         for chart in self.charts:
-            covered |= chart.membership(points, margin=0.0)
+            covered |= chart.membership(points, kernels=kernels)
         return first_flagged(points, ~covered)
 
     def require_coverage(self, plan: SamplePlan) -> None:

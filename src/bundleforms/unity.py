@@ -133,10 +133,6 @@ def shrink_cover(cover: Cover, r: int = 1, *, plan: SamplePlan) -> ShrunkCover:
 @dataclass
 class PartitionOfUnity:
     weights: list[ex.Expr]          # lambda_i, summing to one on the base
-    shrunk: ShrunkCover
-
-    def __iter__(self):
-        return iter(self.weights)
 
     def __len__(self):
         return len(self.weights)
@@ -162,7 +158,7 @@ def partition_of_unity(cover: Cover, r: int = 1, *,
             raise CoverageFailure(
                 f"partition denominator vanishes at sampled base point {bad}")
     weights = [ex.Div(s, total) for s in squares]
-    return PartitionOfUnity(weights, shrunk)
+    return PartitionOfUnity(weights)
 
 
 def vertical_retraction(u_set: SemialgebraicSet, v_set: SemialgebraicSet, r: int,

@@ -1,5 +1,6 @@
 """The construction caches: Gauss embeddings per bundle, candidate clouds
-per base, and one evaluation context per membership call.
+and their kernel memos per base, and one evaluation context per membership
+call.
 
 Each cached value is a pure function of its key, so a hit must return what
 a fresh computation would; these tests pin what is built how often, that
@@ -18,9 +19,11 @@ from bundleforms import bundles as bu
 from bundleforms import cli, specfile
 from bundleforms import expr as ex
 from bundleforms import semialg
-from bundleforms.bundles import CheckReport, ProjectorField, gauss_embedding
+from bundleforms.bundles import (CheckReport, ProjectorField, bundle_from_projector,
+                                 gauss_embedding)
 from bundleforms.catalog import circle_base, circle_two_arc_cover, moebius
 from bundleforms.errors import RankDrop
+from bundleforms.forms import decompose
 from bundleforms.semialg import GT, Condition, SamplePlan, SemialgebraicSet, sample
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -102,7 +105,8 @@ def test_memoised_sampling_matches_a_fresh_draw():
             for _ in range(2):     # the first call fills the memo, the second reads it
                 got, warn = base.sample_region(region, plan, count)
                 assert (got.tobytes(), warn) == (want.tobytes(), want_warn)
-    assert base.clouds and all(not a.flags.writeable for a in base.clouds.values())
+    assert base.clouds and all(not m.points.flags.writeable
+                               for m in base.clouds.values())
 
 
 def test_fresh_bases_share_no_clouds(monkeypatch):
@@ -196,3 +200,88 @@ def test_membership_computes_a_shared_matrix_group_once(monkeypatch):
     assert computed == [inv]
     # 1 / (1 + x^2) < 1/2 exactly where |x| > 1
     assert got.tolist() == (np.abs(np.linspace(-3.0, 3.0, 13)) > 1.0).tolist()
+
+
+# --- kernel memos, per candidate cloud -----------------------------------------
+
+def pencil_split_cover():
+    """The minor cover of hyperbolic1's positive range bundle: each chart
+    condition is a minor of a glued pencil projector, so its MatrixGroups
+    run under ZeroGate sub-contexts."""
+    doc = specfile.parse_spec((SPECS / "moebius.json").read_text(encoding="utf-8"))
+    plus, _ = decompose(doc.forms["hyperbolic1"], PLAN).to_ambient()
+    cover = bundle_from_projector(plus, PLAN, name="hyperbolic1+").cover
+    assert any(g.op == ex.PENCIL_PROJ_POS for g in _groups(cover.charts[0]))
+    return cover
+
+
+def _groups(sset):
+    seen, stack, groups = set(), [c.expression for p in sset.pieces for c in p], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, ex.MatEntry):
+            groups.append(node.group)
+            stack.extend(node.group.child_exprs())
+        stack.extend(node.children())
+    return groups
+
+
+def without_memo(monkeypatch):
+    """Make every membership call evaluate in a context of its own."""
+    plain = SemialgebraicSet.membership
+    monkeypatch.setattr(SemialgebraicSet, "membership",
+                        lambda self, points, margin=0.0, eq_tol=semialg._EQ_TOL,
+                        kernels=None: plain(self, points, margin, eq_tol))
+
+
+def test_memo_membership_matches_a_fresh_context(monkeypatch):
+    cover = pencil_split_cover()
+    base = cover.base
+    regions = [*cover.charts, cover.charts[0].complement(),
+               cover.charts[0].intersect(cover.charts[1])]
+    cloud = semialg._cloud(base.box, 300, 0, [], {})
+    for region in regions:
+        got = region.membership(cloud.points, margin=1e-3, kernels=cloud)
+        assert got.tolist() == region.membership(cloud.points, margin=1e-3).tolist()
+    assert cloud.outputs
+    # the sampled regions, each drawn after the others filled the memo
+    shared = [base.sample_region(base.sset.intersect(r), PLAN, 50)[0].tobytes()
+              for r in regions]
+    without_memo(monkeypatch)
+    fresh = [sample(base.sset.intersect(r), PLAN, base.box, 50)[0].tobytes()
+             for r in regions]
+    assert shared == fresh
+
+
+def test_second_region_reruns_no_computed_kernel(monkeypatch):
+    cover, fresh = pencil_split_cover(), pencil_split_cover()
+    computing, eigh_keys = [], []
+    compute, eigh = ex.MatrixGroup._compute, ex._whitened_eigh
+
+    def keyed_compute(group, ctx):
+        computing.append((group, ctx.kernels, ctx.path))
+        try:
+            return compute(group, ctx)
+        finally:
+            computing.pop()
+
+    def keyed_eigh(s, g):
+        eigh_keys.append(computing[-1])
+        return eigh(s, g)
+
+    monkeypatch.setattr(ex.MatrixGroup, "_compute", keyed_compute)
+    monkeypatch.setattr(ex, "_whitened_eigh", keyed_eigh)
+    cover.samples((0,), PLAN)
+    first = list(eigh_keys)
+    cover.samples((1,), PLAN)
+    second = eigh_keys[len(first):]
+    assert first and all(memo is not None for _, memo, _ in eigh_keys)
+    assert len(set(eigh_keys)) == len(eigh_keys)
+    # without the memo, the second region computes its pencils again
+    without_memo(monkeypatch)
+    before = len(eigh_keys)
+    fresh.samples((1,), PLAN)
+    assert len(eigh_keys) - before > len(second)

@@ -171,6 +171,70 @@ def test_matrix_solve_guard():
         ex.evaluate_at(ex.MatEntry(group, 0, 0), [0.0])
 
 
+
+# --- the kernel memo: one MatrixGroup output per (group, rows of one array) ---
+
+def counted_kernels(monkeypatch):
+    """The (group, path) of every MatrixGroup kernel that runs."""
+    runs = []
+    compute = ex.MatrixGroup._compute
+
+    def counted(group, ctx):
+        runs.append((group, ctx.path))
+        return compute(group, ctx)
+
+    monkeypatch.setattr(ex.MatrixGroup, "_compute", counted)
+    return runs
+
+
+def test_memo_shares_kernels_only_between_equal_gate_masks(monkeypatch):
+    x = ex.Var(0)
+    inv = ex.MatrixGroup(ex.INV, [[ex.Add(ex.Const(1.0), ex.Mul(x, x))]])
+    entry = ex.MatEntry(inv, 0, 0)
+    # two gate objects positive where x > 0, one where x > 0.5
+    gates = [ex.Clamp(x), ex.Max(x, ex.Const(0.0)), ex.Sub(x, ex.Const(0.5))]
+    gated = [ex.ZeroGate(g, entry) for g in gates]
+    runs = counted_kernels(monkeypatch)
+    memo = ex.KernelMemo(np.linspace(-1.0, 1.0, 9).reshape(-1, 1))
+    got = [g.eval(ex.EvalContext(memo.points, memo)) for g in gated]
+    assert [group for group, _ in runs] == [inv, inv]
+    assert runs[0][1] != runs[1][1] and len(memo.outputs[inv]) == 2
+    again = [g.eval(ex.EvalContext(memo.points, memo)) for g in gated]
+    assert len(runs) == 2
+    for g, first, second in zip(gated, got, again):
+        want = ex.evaluate(g, memo.points)          # no memo
+        assert first.tobytes() == second.tobytes() == want.tobytes()
+    assert len(runs) == 2 + 3
+    with pytest.raises(ValueError, match="own point array"):
+        ex.EvalContext(memo.points.copy(), memo)
+
+
+def test_memo_keeps_nothing_of_a_failed_guard():
+    entry = ex.MatEntry(ex.MatrixGroup(ex.INV, [[ex.Var(0)]], guard_tol=1e-9), 0, 0)
+    memo = ex.KernelMemo(np.array([[2.0], [1.0], [0.0], [-1.0]]))
+    raised = []
+    for _ in range(2):
+        with pytest.raises(GuardViolation) as err:
+            entry.eval(ex.EvalContext(memo.points, memo))
+        assert not memo.outputs
+        raised.append((str(err.value), err.value.point))
+    assert raised[0] == raised[1] and raised[0][1] == (0.0,)
+
+
+def test_memo_outputs_are_read_only():
+    entry = ex.MatEntry(ex.MatrixGroup(ex.INV, [[ex.Var(0)]]), 0, 0)
+    memo = ex.KernelMemo(np.array([[2.0], [4.0]]))
+    ctx = ex.EvalContext(memo.points, memo)
+    assert entry.eval(ctx).tolist() == [0.5, 0.25]
+    assert entry.eval(ex.EvalContext(memo.points, memo)).tolist() == [0.5, 0.25]
+    outputs = [*memo.outputs[entry.group].values(), *ctx.group_cache.values()]
+    assert len(outputs) == 2 and outputs[0] is outputs[1]
+    for out in outputs:
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0] = 0.0
+
+
 def test_colspan_projector_entry():
     # A = (1, 1)^T spans the diagonal; projector = [[.5,.5],[.5,.5]]
     a = [[ex.Const(1.0)], [ex.Const(1.0)]]
