@@ -204,16 +204,18 @@ def sampled_regions(cover: Cover, plan: SamplePlan, arity: int):
     overlaps and arity 3 the ordered triples, in `itertools.permutations`
     order; regions without sample points are skipped.  `ev(matrix)`
     evaluates an expression matrix at the points in one context per visit,
-    so a node shared by several matrices (the transport of a witness's
-    chart fields, say) is computed once; the context is dropped when the
-    visit ends.
+    so a node shared by several matrices is computed once.  The context is
+    dropped when the visit ends, but it evaluates in the region's kernel
+    memo (`Cover.region_memo`): a group output (the transport of a
+    witness's chart fields, say) is computed once per region array and
+    read again by the (j, i) visit and by every later walk of the cover.
     """
     for idx in itertools.permutations(range(cover.n_charts), arity):
-        pts = cover.samples(idx, plan)
-        if pts.shape[0] == 0:
+        memo = cover.region_memo(idx, plan)
+        if memo.points.shape[0] == 0:
             continue
-        ctx = ex.EvalContext(pts)
-        yield idx, pts, lambda matrix: ex._eval_matrix(matrix, ctx)
+        ctx = ex.EvalContext(memo.points, memo)
+        yield idx, memo.points, lambda matrix: ex._eval_matrix(matrix, ctx)
         del ctx
 
 

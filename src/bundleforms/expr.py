@@ -40,9 +40,12 @@ _DEFAULT_GUARD_TOL = 1e-12
 
 
 class KernelMemo:
-    """One point array and the read-only MatrixGroup outputs computed on its
-    rows, by group object (held weakly) and by the rows' path (see
-    `EvalContext`); a compute that raises GuardViolation keeps nothing."""
+    """One point array and the read-only MatrixGroup and PathProduct outputs
+    computed on its rows, by group object (held weakly, so an entry goes
+    with its group) and by the rows' path (see `EvalContext`); a compute
+    that raises GuardViolation keeps nothing.  Each sampling cloud
+    (`semialg._cloud`) and each sampled cover region (`Cover.region_memo`)
+    has one."""
 
     __slots__ = ("points", "outputs")
 
@@ -684,7 +687,9 @@ class MatEntry(Expr):
 # ---------------------------------------------------------------------------
 # Path products.  A PathProduct chains a projector field along a path: at a
 # base point x it is P(h(x, t_K)) ... P(h(x, t_1)).  It is a group beside
-# MatrixGroup, read through MatEntry, but evaluated by stacking rungs.
+# MatrixGroup, read through MatEntry and looked up as MatrixGroup is (the
+# context's cache, then its kernel memo, so one transport is computed once
+# per sampled region array), but evaluated by stacking rungs.
 
 PATH_BLOCK_ROWS = 1 << 13   # lifted rows evaluated together
 
@@ -698,7 +703,8 @@ class PathProduct:
     until a substitution composes it.
     """
 
-    __slots__ = ("entries", "maps", "t_index", "ts", "source", "out_shape")
+    __slots__ = ("entries", "maps", "t_index", "ts", "source", "out_shape",
+                 "__weakref__")
     __setattr__ = Expr.__setattr__
     op = "pathproduct"
 
@@ -720,19 +726,18 @@ class PathProduct:
     def child_exprs(self):
         return [*self.source, *self.maps, *(e for row in self.entries for e in row)]
 
-    def compute(self, ctx: EvalContext) -> np.ndarray:
-        key = id(self)
-        hit = ctx.group_cache.get(key)
-        if hit is None:
-            x = np.empty((ctx.points.shape[0], self.t_index))
-            for i, xi in enumerate(self.source):
-                x[:, i] = xi.eval(ctx)
-            hit = _rung_product(np.stack([
-                _rung_product(block) for block in path_projectors(
-                    self.entries, self.maps, self.t_index, x, self.ts,
-                    callers=ctx.points)]))
-            ctx.group_cache[key] = hit
-        return hit
+    # the context's cache, then its memo, then `_compute`: bound here, so a
+    # wrapper patched onto MatrixGroup.compute never sees a path product
+    compute = MatrixGroup.compute
+
+    def _compute(self, ctx: EvalContext) -> np.ndarray:
+        x = np.empty((ctx.points.shape[0], self.t_index))
+        for i, xi in enumerate(self.source):
+            x[:, i] = xi.eval(ctx)
+        return _rung_product(np.stack([
+            _rung_product(block) for block in path_projectors(
+                self.entries, self.maps, self.t_index, x, self.ts,
+                callers=ctx.points)]))
 
     def substitute(self, mapping, memo, group_memo) -> "PathProduct":
         """Compose the substitution into `source`; the path's own

@@ -569,13 +569,21 @@ class Cover:
         The region is built from the sorted indices, and the count is the
         plan's n_chart, n_overlap or n_triple by the number of charts.
         """
+        return self.region_memo(indices, plan).points
+
+    def region_memo(self, indices, plan: SamplePlan) -> ex.KernelMemo:
+        """The kernel memo of `samples(indices, plan)`, kept per (sorted
+        indices, plan): every order of the indices reads one read-only
+        array and the kernel outputs computed on it."""
         key = (tuple(sorted(indices)), plan)
         if key not in self._sample_cache:
             region = self.base.sset
             for i in key[0]:
                 region = region.intersect(self.charts[i])
             count = (plan.n_chart, plan.n_overlap, plan.n_triple)[len(key[0]) - 1]
-            self._sample_cache[key] = self.base.sample_region(region, plan, count)[0]
+            pts = self.base.sample_region(region, plan, count)[0]
+            pts.flags.writeable = False
+            self._sample_cache[key] = ex.KernelMemo(pts)
         return self._sample_cache[key]
 
     def refined_with(self, other: "Cover") -> "tuple[Cover, list[tuple[int, int]]]":

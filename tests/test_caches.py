@@ -1,6 +1,6 @@
 """The construction caches: Gauss embeddings per bundle, candidate clouds
-and their kernel memos per base, and one evaluation context per membership
-call.
+and their kernel memos per base, one evaluation context per membership
+call, and one kernel memo per sampled cover region.
 
 Each cached value is a pure function of its key, so a hit must return what
 a fresh computation would; these tests pin what is built how often, that
@@ -24,7 +24,12 @@ from bundleforms.bundles import (CheckReport, ProjectorField, bundle_from_projec
 from bundleforms.catalog import circle_base, circle_two_arc_cover, moebius
 from bundleforms.errors import RankDrop
 from bundleforms.forms import decompose
-from bundleforms.semialg import GT, Condition, SamplePlan, SemialgebraicSet, sample
+from bundleforms.homotopy import induced_iso_from_homotopy
+from bundleforms.matexpr import em_eval, em_path_product
+from bundleforms.semialg import (GT, Condition, Polynomial, SamplePlan, SemialgebraicSet,
+                                 sample)
+
+from helpers import antipodal_path
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 PLAN = SamplePlan(seed=0, n_chart=120, n_overlap=80, n_triple=60)
@@ -285,3 +290,73 @@ def test_second_region_reruns_no_computed_kernel(monkeypatch):
     before = len(eigh_keys)
     fresh.samples((1,), PLAN)
     assert len(eigh_keys) - before > len(second)
+
+
+# --- kernel memos, per sampled cover region ----------------------------------
+
+def recording_transports(monkeypatch):
+    """Record every array `PathProduct.compute` hands to its readers."""
+    reads = []
+    compute = ex.PathProduct.compute
+
+    def recorded(group, ctx):
+        out = compute(group, ctx)
+        reads.append(out)
+        return out
+
+    monkeypatch.setattr(ex.PathProduct, "compute", recorded)
+    return reads
+
+
+def test_overlap_visits_read_one_transport_array(monkeypatch):
+    m = moebius()
+    proj = gauss_embedding(m, plan=PLAN)
+    field = em_path_product(proj.entries, antipodal_path(), 2, [k / 8 for k in range(1, 9)])
+    computed = counting(monkeypatch, ex.PathProduct, "_compute")
+    reads = recording_transports(monkeypatch)
+    visits = []
+    for idx, _, ev in bu.sampled_regions(m.cover, PLAN, 2):
+        ev(field)
+        visits.append(idx)
+    assert visits == [(0, 1), (1, 0)]
+    # the (1, 0) visit and every entry read the array the (0, 1) visit computed
+    assert len(computed) == 1 and len(reads) == 8
+    assert all(r is reads[0] for r in reads) and not reads[0].flags.writeable
+    # and it is what a fresh context computes
+    assert np.array_equal(em_eval(field, m.cover.samples((0, 1), PLAN)), reads[0])
+
+
+def test_a_transport_that_crosses_a_guard_stores_nothing():
+    # sqrt(x0 - t) is violated on the path wherever x0 < t
+    field = em_path_product([[ex.Var(0)]], [ex.Sqrt(ex.Sub(ex.Var(0), ex.Var(2)))], 2,
+                            [k / 8 for k in range(1, 9)])
+    memo = moebius().cover.region_memo((0, 1), PLAN)
+    errors = []
+    for _ in range(2):      # the second context finds nothing kept and fails again
+        with pytest.raises(ex.GuardViolation) as info:
+            ex._eval_matrix(field, ex.EvalContext(memo.points, memo))
+        errors.append((str(info.value), info.value.point))
+        assert not memo.outputs
+    assert errors[0] == errors[1] and errors[0][1] is not None
+
+
+def test_dropping_a_witness_frees_its_region_memo_entries():
+    ident = [Polynomial.coordinate(2, 0), Polynomial.coordinate(2, 1)]
+    anti = [-Polynomial.coordinate(2, 0), -Polynomial.coordinate(2, 1)]
+    small = SamplePlan(seed=0, n_chart=70, n_overlap=50, n_triple=40)
+    m = moebius()
+    hw = induced_iso_from_homotopy(m, ident, anti, antipodal_path(), circle_base(), small)
+    assert hw.report.passed
+    cover = hw.morphism.source.cover
+    memos = [cover.region_memo(idx, small) for idx in [(0,), (1,), (0, 1)]]
+    transports = [weakref.ref(g) for memo in memos for g in memo.outputs
+                  if isinstance(g, ex.PathProduct)]
+    assert len(transports) == len(memos)
+    gc.collect()
+    gc.disable()
+    try:
+        del hw
+        assert all(t() is None for t in transports)
+        assert not any(isinstance(g, ex.PathProduct) for memo in memos for g in memo.outputs)
+    finally:
+        gc.enable()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bundleforms.cli import main
-from bundleforms.forms import FiberProjectorPair
+from bundleforms.forms import FiberProjectorPair, decompose
 from bundleforms.reporting import Report, timed_entry
 from bundleforms.semialg import SamplePlan
 from bundleforms.specfile import parse_spec
@@ -472,3 +472,19 @@ def test_decompose_certifies_at_the_identity_tolerance(capsys):
     hyp = tasks["decompose hyperbolic1"]
     assert hyp["status"] == "fail" and 1e-17 < hyp["max_residual"] < 1e-15
     assert tasks["decompose unit_moebius"]["status"] == "pass"
+
+
+def test_failed_decompose_names_the_check_witness(capsys):
+    # the failing hyperbolic1 task reports the point where the projector
+    # pair's residual peaks; the passing task names no point
+    code, out = run_cli(capsys, "decompose", SPECS / "moebius.json", "--tol", "1e-17",
+                        "--samples", "150", "--format", "machine")
+    tasks = {t["name"]: t for t in json.loads(out)["tasks"]}
+    assert code == 1 and tasks["decompose unit_moebius"]["witness_point"] is None
+    hyp = tasks["decompose hyperbolic1"]
+    assert hyp["status"] == "fail" and hyp["witness_point"] is not None
+    plan = SamplePlan(seed=0, n_chart=150, n_overlap=75, n_triple=50)
+    form = parse_spec((SPECS / "moebius.json").read_text()).forms["hyperbolic1"]
+    check = decompose(form, plan).check(plan, 1e-17)
+    assert not check.passed
+    assert np.abs(np.array(hyp["witness_point"]) - check.witness).max() < 1e-11

@@ -312,16 +312,16 @@ def test_induced_iso_identity_vs_antipodal_on_moebius():
 
 def test_witness_check_computes_the_transport_once_per_region(monkeypatch):
     # every chart field of the antipodal witness shares one transport node;
-    # the check evaluates all matrices of a region visit in one context
-    misses = []
-    compute = ex.PathProduct.compute
+    # the check evaluates it in each region's kernel memo, so the (i, j) and
+    # (j, i) visits of an overlap read one computation
+    computed = []
+    compute = ex.PathProduct._compute
 
     def counted(self, ctx):
-        if id(self) not in ctx.group_cache:
-            misses.append(ctx.points.shape[0])
+        computed.append(ctx.points.shape[0])
         return compute(self, ctx)
 
-    monkeypatch.setattr(ex.PathProduct, "compute", counted)
+    monkeypatch.setattr(ex.PathProduct, "_compute", counted)
     ident = [Polynomial.coordinate(2, 0), Polynomial.coordinate(2, 1)]
     anti = [-Polynomial.coordinate(2, 0), -Polynomial.coordinate(2, 1)]
     small = SamplePlan(seed=0, n_chart=70, n_overlap=50, n_triple=40)
@@ -329,9 +329,9 @@ def test_witness_check_computes_the_transport_once_per_region(monkeypatch):
                                    circle_base(), small)
     assert hw.report.passed, hw.report.as_dict()
     cover = hw.at_zero.cover
-    visits = sum(1 for arity in (1, 2) for _ in sampled_regions(cover, small, arity))
-    assert visits == 16
-    assert len(misses) == visits
+    visited = [pts for arity in (1, 2) for _, pts, _ in sampled_regions(cover, small, arity)]
+    assert len(visited) == 16
+    assert len(computed) == len({id(pts) for pts in visited}) < len(visited)
 
 
 def test_induced_iso_constant_homotopy():

@@ -8,11 +8,13 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
   earlier context computed (hits) and lookups that had to compute it
   (misses), with their rows;
 - `_whitened_eigh` calls and rows: the Cholesky-whitened eigensolve behind
-  every pencil projector and pencil square root.
+  every pencil projector and pencil square root;
+- `PathProduct` computations (transports along a homotopy's t-ladder) with
+  their base-point rows, and the kernel memo traffic on transports.
 
 The per-layer trace of the benchmark counts a memo hit as a kernel call,
 since it sees only the context's own cache; these counts tell the two
-apart.  On a tree without kernel memos the memo lines read zero.
+apart.
 
 The tool reads `perfbench/` and writes nothing.
 
@@ -38,31 +40,43 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     """(calls, rows) per counter over one operation of the workload."""
     calls, rows = Counter(), Counter()
     compute, eigh = ex.MatrixGroup.compute, ex._whitened_eigh
+    lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
 
     def tally(key, n):
         calls[key] += 1
         rows[key] += n
 
-    def counted_compute(group, ctx):
-        if id(group) not in ctx.group_cache:
-            n = ctx.points.shape[0]
-            memo = getattr(ctx, "kernels", None)
-            hit = memo is not None and ctx.path in memo.outputs.get(group, {})
-            if memo is not None:
-                tally("memo hit" if hit else "memo miss", n)
-            if not hit:
-                tally(f"matrixgroup {group.op}", n)
-        return compute(group, ctx)
+    def counted(lookup, memo_key):
+        """The group lookup `lookup`, tallying memo traffic under `memo_key`
+        and, for a MatrixGroup, the computations by op tag."""
+        def counted_lookup(group, ctx):
+            if id(group) not in ctx.group_cache:
+                n = ctx.points.shape[0]
+                memo = ctx.kernels
+                hit = memo is not None and ctx.path in memo.outputs.get(group, {})
+                if memo is not None:
+                    tally(f"{memo_key} hit" if hit else f"{memo_key} miss", n)
+                if not hit and isinstance(group, ex.MatrixGroup):
+                    tally(f"matrixgroup {group.op}", n)
+            return lookup(group, ctx)
+        return counted_lookup
+
+    def counted_transport(group, ctx):
+        tally("pathproduct", ctx.points.shape[0])
+        return transport(group, ctx)
 
     def counted_eigh(s, g):
         tally("_whitened_eigh", s.shape[0])
         return eigh(s, g)
 
-    ex.MatrixGroup.compute, ex._whitened_eigh = counted_compute, counted_eigh
+    ex.MatrixGroup.compute, ex._whitened_eigh = counted(compute, "memo"), counted_eigh
+    ex.PathProduct.compute = counted(lookup, "transport memo")
+    ex.PathProduct._compute = counted_transport
     try:
         workloads.run_operation(name, SEED)
     finally:
         ex.MatrixGroup.compute, ex._whitened_eigh = compute, eigh
+        ex.PathProduct.compute, ex.PathProduct._compute = lookup, transport
     return calls, rows
 
 
@@ -75,7 +89,9 @@ def main() -> int:
         for key in [*groups, "memo hit", "memo miss", "_whitened_eigh"]:
             print(f"  {key:22s} {calls[key]:7d} calls {rows[key]:10d} rows")
         print(f"  {'matrixgroup total':22s} {total:7d} calls "
-              f"{sum(rows[k] for k in groups):10d} rows", flush=True)
+              f"{sum(rows[k] for k in groups):10d} rows")
+        for key in ["pathproduct", "transport memo hit", "transport memo miss"]:
+            print(f"  {key:22s} {calls[key]:7d} calls {rows[key]:10d} rows", flush=True)
     return 0
 
 
