@@ -206,9 +206,11 @@ def sampled_regions(cover: Cover, plan: SamplePlan, arity: int):
     evaluates an expression matrix at the points in one context per visit,
     so a node shared by several matrices is computed once.  The context is
     dropped when the visit ends, but it evaluates in the region's kernel
-    memo (`Cover.region_memo`): a group output (the transport of a
-    witness's chart fields, say) is computed once per region array and
-    read again by the (j, i) visit and by every later walk of the cover.
+    memo (`Cover.region_memo`), which the base interns per sampled point
+    set: a group output (the transport of a witness's chart fields, say)
+    is computed once per point set and read again by the (j, i) visit, by
+    every region with the same points and by every later walk of the
+    cover.
     """
     for idx in itertools.permutations(range(cover.n_charts), arity):
         memo = cover.region_memo(idx, plan)

@@ -44,8 +44,10 @@ class KernelMemo:
     computed on its rows, by group object (held weakly, so an entry goes
     with its group) and by the rows' path (see `EvalContext`); a compute
     that raises GuardViolation keeps nothing.  Each sampling cloud
-    (`semialg._cloud`) and each sampled cover region (`Cover.region_memo`)
-    has one."""
+    (`semialg._cloud`) has one, and so does each point set sampled for a
+    cover region: a base interns it by the rows it selects
+    (`Base.region_memo`), so every region of the base with that point set
+    reads one memo."""
 
     __slots__ = ("points", "outputs")
 

@@ -416,15 +416,20 @@ def _project_to_variety(points: np.ndarray, polys: list[Polynomial]) -> np.ndarr
     return pts
 
 
+def _cloud_key(box, n: int, seed: int, eqs: list[Polynomial]) -> tuple:
+    return (tuple(map(tuple, box)), n, seed,
+            tuple(tuple(sorted(p.terms.items())) for p in eqs))
+
+
 def _cloud(box, n: int, seed: int, eqs: list[Polynomial],
            memo: dict) -> ex.KernelMemo:
     """The kernel memo of the n seeded candidates in the box, projected
-    onto the equations, kept in `memo` under (box, n, seed, equations).
+    onto the equations, kept in `memo` under `_cloud_key` (box, n, seed,
+    equations).
 
     The cloud is read-only and a pure function of that key, so a hit holds
     the very array a fresh draw and projection would compute."""
-    key = (tuple(map(tuple, box)), n, seed,
-           tuple(tuple(sorted(p.terms.items())) for p in eqs))
+    key = _cloud_key(box, n, seed, eqs)
     hit = memo.get(key)
     if hit is None:
         hit = _candidates(box, n, seed)
@@ -433,6 +438,53 @@ def _cloud(box, n: int, seed: int, eqs: list[Polynomial],
         hit.flags.writeable = False
         hit = memo[key] = ex.KernelMemo(hit)
     return hit
+
+
+def _selection(sset: SemialgebraicSet, plan: SamplePlan, box, count: int,
+               memo: dict) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
+    """The rows `sample` keeps before its dedupe: per sampling round and
+    piece that kept a row, in that order, the cloud's `_cloud_key`, its
+    points and the keep mask."""
+    selection = []
+    total = 0
+    for round_idx in range(4):
+        n_cand = max(4 * count, 256) * (round_idx + 1)
+        seed = plan.seed + 7919 * round_idx
+        for piece in sset.pieces:
+            eqs = sset.equality_polys(piece)
+            cloud = _cloud(box, n_cand, seed, eqs, memo)
+            piece_set = SemialgebraicSet(sset.dim, [piece])
+            keep = piece_set.membership(cloud.points, margin=_SAMPLE_MARGIN,
+                                        eq_tol=1e-12, kernels=cloud)
+            if keep.any():
+                selection.append((_cloud_key(box, n_cand, seed, eqs),
+                                  cloud.points, keep))
+                total += int(keep.sum())
+        if total >= count:
+            break
+    return selection
+
+
+def _first_distinct(points: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each distinct row of `points`
+    rounded to 12 digits: rows are equal when every entry is (so -0.0
+    equals 0.0 and a NaN equals nothing), and a stable sort keeps the
+    earliest row of each run of equals."""
+    rounded = np.round(points, 12)
+    order = np.lexsort(rounded.T)
+    runs = rounded[order]
+    first = np.r_[True, (runs[1:] != runs[:-1]).any(axis=1)]
+    keep = np.zeros(len(order), dtype=bool)
+    keep[order[first]] = True
+    return keep
+
+
+def _deduped(selection, dim: int, count: int) -> tuple[np.ndarray, bool]:
+    """The first `count` distinct selected rows, and whether there are none."""
+    if not selection:
+        return np.empty((0, dim)), True
+    allpts = np.vstack([points[keep] for _, points, keep in selection])
+    return allpts[_first_distinct(allpts)][:count], False
 
 
 def sample(sset: SemialgebraicSet, plan: SamplePlan, box,
@@ -447,38 +499,18 @@ def sample(sset: SemialgebraicSet, plan: SamplePlan, box,
     a base pass the base's `clouds` through `Base.sample_region`.
     """
     count = plan.n_chart if count is None else count
-    memo = {} if memo is None else memo
-    collected: list[np.ndarray] = []
-    total = 0
-    for round_idx in range(4):
-        n_cand = max(4 * count, 256) * (round_idx + 1)
-        seed = plan.seed + 7919 * round_idx
-        for piece in sset.pieces:
-            cloud = _cloud(box, n_cand, seed, sset.equality_polys(piece), memo)
-            piece_set = SemialgebraicSet(sset.dim, [piece])
-            keep = piece_set.membership(cloud.points, margin=_SAMPLE_MARGIN,
-                                        eq_tol=1e-12, kernels=cloud)
-            if keep.any():
-                collected.append(cloud.points[keep])
-                total += int(keep.sum())
-        if total >= count:
-            break
-    if not collected:
-        return np.empty((0, sset.dim)), True
-    allpts = np.vstack(collected)
-    # deterministic dedupe keeping first occurrences
-    _, idx = np.unique(np.round(allpts, 12), axis=0, return_index=True)
-    allpts = allpts[np.sort(idx)]
-    return allpts[:count], False
+    selection = _selection(sset, plan, box, count, {} if memo is None else memo)
+    return _deduped(selection, sset.dim, count)
 
 
 @dataclass(frozen=True)
 class Base:
     """A base space: its set, a scan box, and catalog attributes.
 
-    `clouds` is the base's sampling memo (see `_cloud`): it lives as long
-    as the base and holds clouds and their kernel outputs, never an object
-    that points back.
+    `clouds` is the base's sampling memo (see `_cloud`), and `regions`
+    holds the kernel memos of its sampled regions, interned by selection
+    (see `region_memo`). Both live as long as the base and hold point
+    arrays and their kernel outputs, never an object that points back.
     """
 
     sset: SemialgebraicSet
@@ -491,6 +523,8 @@ class Base:
     t_index: int | None = None
     clouds: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
+    regions: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     @property
     def dim(self) -> int:
@@ -500,6 +534,26 @@ class Base:
                       count: int | None) -> tuple[np.ndarray, bool]:
         """`sample` of a region inside this base's box, with its memo."""
         return sample(region, plan, self.box, count, self.clouds)
+
+    def region_memo(self, region: SemialgebraicSet, plan: SamplePlan,
+                    count: int) -> ex.KernelMemo:
+        """The kernel memo of `sample_region(region, plan, count)`'s points,
+        interned in `regions` by their selection: per round and piece that
+        kept a row, the cloud's key and the keep mask's bytes, then count.
+
+        The points are a pure function of that key, so regions whose
+        conditions keep the same rows of the same clouds read one
+        read-only array and the kernel outputs computed on it; no point
+        value is hashed. Only a new key pays for the dedupe."""
+        selection = _selection(region, plan, self.box, count, self.clouds)
+        key = (tuple((cloud_key, keep.tobytes()) for cloud_key, _, keep in selection),
+               count)
+        hit = self.regions.get(key)
+        if hit is None:
+            points = _deduped(selection, region.dim, count)[0]
+            points.flags.writeable = False
+            hit = self.regions[key] = ex.KernelMemo(points)
+        return hit
 
     def sample_points(self, plan: SamplePlan) -> np.ndarray:
         """The plan's n_chart points of the base."""
@@ -573,17 +627,17 @@ class Cover:
 
     def region_memo(self, indices, plan: SamplePlan) -> ex.KernelMemo:
         """The kernel memo of `samples(indices, plan)`, kept per (sorted
-        indices, plan): every order of the indices reads one read-only
-        array and the kernel outputs computed on it."""
+        indices, plan), so every order of the indices reads it without a
+        membership pass. It is the base's interned memo (`Base.region_memo`):
+        regions of any cover of the base that sample the same point set
+        share one read-only array and the kernel outputs computed on it."""
         key = (tuple(sorted(indices)), plan)
         if key not in self._sample_cache:
             region = self.base.sset
             for i in key[0]:
                 region = region.intersect(self.charts[i])
             count = (plan.n_chart, plan.n_overlap, plan.n_triple)[len(key[0]) - 1]
-            pts = self.base.sample_region(region, plan, count)[0]
-            pts.flags.writeable = False
-            self._sample_cache[key] = ex.KernelMemo(pts)
+            self._sample_cache[key] = self.base.region_memo(region, plan, count)
         return self._sample_cache[key]
 
     def refined_with(self, other: "Cover") -> "tuple[Cover, list[tuple[int, int]]]":

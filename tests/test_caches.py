@@ -1,6 +1,7 @@
 """The construction caches: Gauss embeddings per bundle, candidate clouds
 and their kernel memos per base, one evaluation context per membership
-call, and one kernel memo per sampled cover region.
+call, and one kernel memo per sampled point set of a base, which every
+cover region sampling that set reads.
 
 Each cached value is a pure function of its key, so a hit must return what
 a fresh computation would; these tests pin what is built how often, that
@@ -360,3 +361,62 @@ def test_dropping_a_witness_frees_its_region_memo_entries():
         assert not any(isinstance(g, ex.PathProduct) for memo in memos for g in memo.outputs)
     finally:
         gc.enable()
+
+
+# --- region samples, interned per base by their selection --------------------
+
+DEEP_PLAN = SamplePlan(seed=0, n_chart=70, n_overlap=50, n_triple=40)
+
+
+@pytest.fixture(scope="module")
+def deep_ladder_cover():
+    """The common refinement that the antipodal-homotopy witness is checked on."""
+    ident = [Polynomial.coordinate(2, 0), Polynomial.coordinate(2, 1)]
+    anti = [-Polynomial.coordinate(2, 0), -Polynomial.coordinate(2, 1)]
+    hw = induced_iso_from_homotopy(moebius(), ident, anti, antipodal_path(),
+                                   circle_base(), DEEP_PLAN)
+    assert hw.report.passed
+    return hw.at_zero.cover
+
+
+def test_regions_with_one_selection_read_one_array_and_memo(deep_ladder_cover):
+    cover = deep_ladder_cover
+    for a, b in [((0,), (3,)), ((0, 1), (0, 2))]:
+        assert cover.region_memo(a, DEEP_PLAN) is cover.region_memo(b, DEEP_PLAN)
+        assert cover.samples(a, DEEP_PLAN) is cover.samples(b, DEEP_PLAN)
+    # a chart whose conditions keep other rows has its own array
+    assert cover.samples((1,), DEEP_PLAN).tobytes() != cover.samples((0,), DEEP_PLAN).tobytes()
+
+
+def test_interned_region_depends_on_seed_and_count():
+    base = circle_base()
+    region = base.sset.intersect(circle_two_arc_cover(base).charts[0])
+    memo = base.region_memo(region, PLAN, 50)
+    assert base.region_memo(region, PLAN, 50) is memo
+    assert memo.points.tobytes() == sample(region, PLAN, base.box, 50)[0].tobytes()
+    with pytest.raises(ValueError):
+        memo.points[0, 0] = 0.0
+    # 40 points keep the same rows of the same clouds; only the count differs
+    fewer = base.region_memo(region, PLAN, 40)
+    assert fewer is not memo and fewer.points.tobytes() == memo.points[:40].tobytes()
+    # another seed draws other clouds, so another key and array, though its
+    # first 50 points are the seed-free Halton half's and equal these
+    other_plan = SamplePlan(seed=1, n_chart=120)
+    other_seed = base.region_memo(region, other_plan, 50)
+    assert other_seed is not memo and other_seed.points is not memo.points
+    assert other_seed.points.tobytes() == sample(region, other_plan, base.box, 50)[0].tobytes()
+    assert not (fewer.points.flags.writeable or other_seed.points.flags.writeable)
+
+
+def test_a_transport_on_a_second_region_of_one_point_set_is_a_memo_hit(
+        monkeypatch, deep_ladder_cover):
+    cover = deep_ladder_cover
+    proj = gauss_embedding(moebius(), plan=DEEP_PLAN)
+    field = em_path_product(proj.entries, antipodal_path(), 2, [k / 8 for k in range(1, 9)])
+    computed = counting(monkeypatch, ex.PathProduct, "_compute")
+    reads = recording_transports(monkeypatch)
+    for idx in [(0,), (3,)]:
+        memo = cover.region_memo(idx, DEEP_PLAN)
+        ex._eval_matrix(field, ex.EvalContext(memo.points, memo))
+    assert len(computed) == 1
+    assert reads and all(r is reads[0] for r in reads)

@@ -17,6 +17,7 @@ from bundleforms.semialg import (
     Polynomial,
     SamplePlan,
     SemialgebraicSet,
+    _first_distinct,
     _halton,
     expr_to_polynomial,
     halfspace,
@@ -122,6 +123,26 @@ def test_halton_matches_scalar_radical_inverse(skip):
             got = _halton(n, dim, skip)
             assert got.tobytes() == reference_halton(n, dim, skip).tobytes()
 
+
+
+def test_dedupe_keeps_the_rows_np_unique_keeps():
+    # `sample` keeps the first occurrence of each row rounded to 12 digits;
+    # the sort-and-mask dedupe must keep exactly the rows np.unique did
+    rng = np.random.default_rng(0)
+    values = [0.0, -0.0, 0.5, 0.5 + 4e-13, 0.5 + 5e-13, 0.5 + 6e-13, 1 - 5e-13,
+              1.0, 1e-13, -1e-13, np.inf, -np.inf, np.nan]
+    stacks = [
+        np.array([[0.25, -0.0]]),                           # one row
+        np.array([[0.0], [-0.0], [1e-13], [0.0]]),          # one column, ±0.0
+        np.vstack([_halton(k, 2) for k in (8, 16, 32)]),    # repeated prefixes
+        np.vstack([_halton(64, 3)] * 2) + rng.choice([0.0, 4e-13, 6e-13], (128, 3)),
+    ]
+    for _ in range(600):
+        n, dim = int(rng.integers(1, 48)), int(rng.integers(1, 4))
+        stacks.append(rng.choice(values, size=(n, dim)))
+    for stack in stacks:
+        _, first = np.unique(np.round(stack, 12), axis=0, return_index=True)
+        assert np.flatnonzero(_first_distinct(stack)).tolist() == sorted(first.tolist())
 
 # --- the sample plan is always explicit ---------------------------------------
 

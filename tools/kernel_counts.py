@@ -10,7 +10,10 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
 - `_whitened_eigh` calls and rows: the Cholesky-whitened eigensolve behind
   every pencil projector and pencil square root;
 - `PathProduct` computations (transports along a homotopy's t-ladder) with
-  their base-point rows, and the kernel memo traffic on transports.
+  their base-point rows, and the kernel memo traffic on transports;
+- region arrays: the sampled cover regions requested through
+  `Cover.region_memo` (one per cover, sorted indices and plan), and the
+  distinct arrays their bases interned for them (`Base.region_memo`).
 
 The per-layer trace of the benchmark counts a memo hit as a kernel call,
 since it sees only the context's own cache; these counts tell the two
@@ -32,6 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from bundleforms import expr as ex  # noqa: E402
+from bundleforms.semialg import Base  # noqa: E402
 
 SEED = 0
 
@@ -41,6 +45,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     calls, rows = Counter(), Counter()
     compute, eigh = ex.MatrixGroup.compute, ex._whitened_eigh
     lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
+    interned, region_memo = {}, Base.region_memo
 
     def tally(key, n):
         calls[key] += 1
@@ -69,14 +74,25 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
         tally("_whitened_eigh", s.shape[0])
         return eigh(s, g)
 
+    def counted_region(base, region, plan, count):
+        memo = region_memo(base, region, plan, count)
+        n = memo.points.shape[0]
+        tally("region requested", n)
+        if id(memo) not in interned:
+            tally("region interned", n)
+        interned[id(memo)] = memo       # alive, so no id is reused
+        return memo
+
     ex.MatrixGroup.compute, ex._whitened_eigh = counted(compute, "memo"), counted_eigh
     ex.PathProduct.compute = counted(lookup, "transport memo")
     ex.PathProduct._compute = counted_transport
+    Base.region_memo = counted_region
     try:
         workloads.run_operation(name, SEED)
     finally:
         ex.MatrixGroup.compute, ex._whitened_eigh = compute, eigh
         ex.PathProduct.compute, ex.PathProduct._compute = lookup, transport
+        Base.region_memo = region_memo
     return calls, rows
 
 
@@ -91,7 +107,9 @@ def main() -> int:
         print(f"  {'matrixgroup total':22s} {total:7d} calls "
               f"{sum(rows[k] for k in groups):10d} rows")
         for key in ["pathproduct", "transport memo hit", "transport memo miss"]:
-            print(f"  {key:22s} {calls[key]:7d} calls {rows[key]:10d} rows", flush=True)
+            print(f"  {key:22s} {calls[key]:7d} calls {rows[key]:10d} rows")
+        for key in ["region requested", "region interned"]:
+            print(f"  {key:22s} {calls[key]:7d} arrays {rows[key]:9d} rows", flush=True)
     return 0
 
 
