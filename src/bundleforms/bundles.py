@@ -494,8 +494,9 @@ class ProjectorField:
         return em_eval(self.entries, pts)
 
     def check(self, plan: SamplePlan, tol: float = 1e-8) -> CheckReport:
-        pts = self.base.sample_points(plan)
-        p = self.eval(pts)
+        memo = self.base.sample_memo(plan)
+        pts = memo.points
+        p = em_eval(self.entries, pts, memo)
         sym = np.abs(p - np.swapaxes(p, 1, 2)).max(axis=(1, 2))
         idem = np.abs(p @ p - p).max(axis=(1, 2))
         trace_err = np.abs(np.trace(p, axis1=1, axis2=2) - self.rank)
@@ -580,10 +581,11 @@ def bundle_from_projector(proj: ProjectorField, plan: SamplePlan,
         cover = Cover(base, [SemialgebraicSet.whole_space(base.dim)],
                       name=f"{name or 'rank0'}-cover")
         return trivial_bundle(cover, 0, name or "rank0")
-    pts = base.sample_points(plan)
+    memo = base.sample_memo(plan)
+    pts = memo.points
     if pts.shape[0] == 0:
         raise CoverageFailure("projector base yielded no sample points")
-    p = proj.eval(pts)
+    p = em_eval(proj.entries, pts, memo)
     used, missed = _minor_cover(
         itertools.combinations(range(proj.ambient), d), pts.shape[0],
         lambda idx: np.linalg.det(p[:, list(idx), :][:, :, list(idx)])
@@ -698,7 +700,8 @@ def s1_line_class(bundle: BundleRep) -> int:
     can be narrow for derived covers), with one membership call per chart
     for all the new midpoints.  The walk then stays in its chart while the
     chart holds the next point and otherwise switches, at the step's start,
-    to the first chart holding both ends.
+    to the first chart holding both ends.  The initial grid is the base's
+    (`Base.grid_memo`), so every bundle on the base shares its kernel memo.
     """
     if not bundle.base.circle:
         raise NotCatalogBase("determinant class needs a circle catalog base")
@@ -713,8 +716,7 @@ def s1_line_class(bundle: BundleRep) -> int:
         pts[:, 1] = np.sin(angles)
         return pts
 
-    def members(angles) -> np.ndarray:
-        kernels = ex.KernelMemo(points(angles))
+    def members(kernels: ex.KernelMemo) -> np.ndarray:
         return np.stack([c.membership(kernels.points, margin=1e-9,
                                       kernels=kernels) for c in charts], axis=1)
 
@@ -727,7 +729,8 @@ def s1_line_class(bundle: BundleRep) -> int:
 
     angles = np.append(2.0 * np.pi * np.arange(LOOP_STEPS) / LOOP_STEPS,
                        2.0 * np.pi)
-    member = members(angles)
+    member = members(bundle.base.grid_memo(("loop grid", LOOP_STEPS),
+                                           lambda: points(angles)))
     if not member[0].any():
         raise CoverageFailure("circle loop start not covered by any chart")
     while True:
@@ -741,7 +744,8 @@ def s1_line_class(bundle: BundleRep) -> int:
             )
         mids = 0.5 * (angles[bad] + angles[bad + 1])
         angles = np.insert(angles, bad + 1, mids)
-        member = np.insert(member, bad + 1, members(mids), axis=0)
+        member = np.insert(member, bad + 1, members(ex.KernelMemo(points(mids))),
+                           axis=0)
     start = int(np.argmax(member[0]))
     current, sign = start, 1.0
     for i in range(len(angles) - 1):

@@ -44,10 +44,12 @@ class KernelMemo:
     computed on its rows, by group object (held weakly, so an entry goes
     with its group) and by the rows' path (see `EvalContext`); a compute
     that raises GuardViolation keeps nothing.  Each sampling cloud
-    (`semialg._cloud`) has one, and so does each point set sampled for a
-    cover region: a base interns it by the rows it selects
-    (`Base.region_memo`), so every region of the base with that point set
-    reads one memo."""
+    (`semialg._cloud`) has one, and so does each point set a base samples
+    (cover regions, the base's own samples, the probes of `unity`): the
+    base interns it by the rows it selects (`Base.region_memo`), so every
+    sampling of the base with that point set reads one memo.  A fixed grid
+    a base evaluates again, such as the circle loop's, has one too
+    (`Base.grid_memo`)."""
 
     __slots__ = ("points", "outputs")
 
@@ -73,9 +75,10 @@ class EvalContext:
         self.points = points
         self.kernels = kernels
         self.path = path
-        # keyed by the node itself, so every cached node stays alive (and its
-        # id unique) for as long as the context
-        self.cache: dict[Expr, np.ndarray] = {}
+        # keyed by the node itself (and by a pencil twin whose output its
+        # pair stored, see `_keep`), so every node and group the caches
+        # name stays alive (and its id unique) for as long as the context
+        self.cache: dict[Expr | MatrixGroup, np.ndarray] = {}
         self.group_cache: dict[int, np.ndarray] = {}
         self.sub_contexts: dict[tuple[int, bytes], EvalContext] = {}
 
@@ -386,9 +389,13 @@ PENCIL_SQRT = "pencilsqrt"   # principal sqrt of G^-1 S, both SPD
 
 
 class MatrixGroup:
-    """Shared payload of MatEntry nodes: matrices of Exprs plus an op tag."""
+    """Shared payload of MatEntry nodes: matrices of Exprs plus an op tag.
 
-    __slots__ = ("op", "a", "b", "guard_tol", "out_shape", "__weakref__")
+    The two sign-projector groups of one pencil (S, G) may be declared a
+    pair (`pencil_pair`): each holds the other weakly as `twin`, and
+    computing either sign stores both signs' outputs."""
+
+    __slots__ = ("op", "a", "b", "guard_tol", "out_shape", "twin", "__weakref__")
     __setattr__ = Expr.__setattr__
 
     def __init__(self, op, a, b=None, guard_tol=1e-9):
@@ -399,6 +406,7 @@ class MatrixGroup:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "guard_tol", float(guard_tol))
         object.__setattr__(self, "out_shape", self._out_shape())
+        object.__setattr__(self, "twin", None)
 
     def _out_shape(self):
         n, m = len(self.a), len(self.a[0])
@@ -423,10 +431,7 @@ class MatrixGroup:
             memo = ctx.kernels
             hit = None if memo is None else memo.outputs.get(self, {}).get(ctx.path)
             if hit is None:
-                hit = self._compute(ctx)
-                if memo is not None:
-                    hit.flags.writeable = False     # shared: nobody may edit it
-                    memo.outputs.setdefault(self, {})[ctx.path] = hit
+                return _keep(self, ctx, self._compute(ctx))
             ctx.group_cache[id(self)] = hit
         return hit
 
@@ -452,10 +457,17 @@ class MatrixGroup:
             return _pencil_sqrt(a, g)
         # the constructor admits no other op
         self._guard_spd(g, ctx, name="pencil metric")
-        return _pencil_projector(a, g, self.op == PENCIL_PROJ_POS,
-                                 self.guard_tol, ctx)
+        positive = self.op == PENCIL_PROJ_POS
+        twin = self.twin and self.twin()
+        if twin is None:
+            return _pencil_projector(a, g, positive, self.guard_tol, ctx)
+        # one eigensolve for both signs; a guard violation stores neither
+        ell, w, z = _pencil_eigh(a, g, self.guard_tol, ctx)
+        _keep(twin, ctx, _sign_projector(ell, w, z, not positive))
+        return _sign_projector(ell, w, z, positive)
 
     def substitute(self, mapping, memo, group_memo) -> "MatrixGroup":
+        """The group over the substituted operands, unpaired."""
         a, b = (None if rows is None else
                 tuple(tuple(_subst(e, mapping, memo, group_memo) for e in row)
                       for row in rows)
@@ -476,6 +488,29 @@ class MatrixGroup:
         w = smallest_eigenvalue(s, self.guard_tol)
         _guard(~(w > self.guard_tol), ctx, lambda i:
                f"{name} not positive definite: min eigenvalue {w[i]:.3e}")
+
+
+def pencil_pair(s, g, guard_tol) -> tuple[MatrixGroup, MatrixGroup]:
+    """The positive and negative sign-projector groups of the pencil
+    (S, G), declared twins of each other."""
+    plus = MatrixGroup(PENCIL_PROJ_POS, s, g, guard_tol=guard_tol)
+    minus = MatrixGroup(PENCIL_PROJ_NEG, plus.a, plus.b, guard_tol=guard_tol)
+    object.__setattr__(plus, "twin", weakref.ref(minus))
+    object.__setattr__(minus, "twin", weakref.ref(plus))
+    return plus, minus
+
+
+def _keep(group, ctx: EvalContext, out: np.ndarray) -> np.ndarray:
+    """Store `out` as the group's output for the context's rows: in the
+    context's cache, which also keeps the group alive (so its id stays
+    unique while cached), and read-only in its memo, if it has one."""
+    memo = ctx.kernels
+    if memo is not None:
+        out.flags.writeable = False         # shared: nobody may edit it
+        memo.outputs.setdefault(group, {})[ctx.path] = out
+    ctx.group_cache[id(group)] = out
+    ctx.cache[group] = out
+    return out
 
 
 # Relative margin of the closed-form guard filters (see `smallest_sv`):
@@ -616,18 +651,27 @@ def _whitened_eigh(s, g):
 
 def _pencil_projector(s, g, positive, tol, ctx):
     """Spectral projector onto the positive/negative eigenspace of the
-    G-self-adjoint pencil G^-1 S, via the Cholesky-whitened symmetric form.
+    G-self-adjoint pencil G^-1 S, via the Cholesky-whitened symmetric form."""
+    return _sign_projector(*_pencil_eigh(s, g, tol, ctx), positive)
 
-    The guard flags rows whose smallest |eigenvalue| is not above `tol`,
-    so a NaN eigenvalue is a violation.  Rows of S with a NaN or infinite
-    entry are violations before any LAPACK call (G passed its SPD guard).
-    """
+
+def _pencil_eigh(s, g, tol, ctx):
+    """`_whitened_eigh` of the pencil, guarded: the guard flags rows whose
+    smallest |eigenvalue| is not above `tol`, so a NaN eigenvalue is a
+    violation.  Rows of S with a NaN or infinite entry are violations
+    before any LAPACK call (G passed its SPD guard)."""
     _guard(~np.isfinite(s).all(axis=(1, 2)), ctx, lambda i:
            "pencil operand has a non-finite entry")
     ell, w, z = _whitened_eigh(s, g)
     gap = np.abs(w).min(axis=1)
     _guard(~(gap > tol), ctx, lambda i:
            f"pencil eigenvalue {gap[i]:.3e} within guard {tol:.1e}")
+    return ell, w, z
+
+
+def _sign_projector(ell, w, z, positive):
+    """The positive/negative sign-projector from the pencil's whitened
+    eigen-decomposition."""
     mask = (w > 0.0) if positive else (w < 0.0)
     zsel = z * mask[:, None, :]
     # projector in original coordinates: L^-T Z_sel Z_sel^T L^T
@@ -809,9 +853,10 @@ def _rung_product(rungs: np.ndarray) -> np.ndarray:
 # Public helpers.
 
 
-def evaluate(expression: Expr, points) -> np.ndarray:
-    """Evaluate an expression on an (N, dim) batch; returns shape (N,)."""
-    return expression.eval(EvalContext(points))
+def evaluate(expression: Expr, points, kernels: KernelMemo | None = None) -> np.ndarray:
+    """Evaluate an expression on an (N, dim) batch; returns shape (N,).
+    `kernels`, the memo of `points`, shares MatrixGroup outputs."""
+    return expression.eval(EvalContext(points, kernels))
 
 
 def evaluate_at(expression: Expr, point) -> float:

@@ -51,7 +51,7 @@ from .matexpr import (
     em_inv,
     em_kron,
     em_mul,
-    em_pencil_proj,
+    em_pencil_pair,
     em_pencil_sqrt,
     em_scale,
     em_shape,
@@ -514,13 +514,14 @@ def decompose(form: FormField, plan: SamplePlan) -> FiberProjectorPair:
     Chart-free spectral construction: the sign-projectors of the pencil
     G^-1 S against the standard positive form G of the bundle conjugate
     correctly across charts, so the chartwise formulas agree where charts
-    overlap.
+    overlap.  Each chart's two sign-projectors are twins
+    (`em_pencil_pair`), so one eigensolve per point set serves both.
     """
     proj = gauss_embedding(form.bundle, plan=plan)
     sig = signature(form, plan)
-    plus = [em_pencil_proj(s, g, True) for s, g in zip(form.mats, proj.grams)]
-    minus = [em_pencil_proj(s, g, False) for s, g in zip(form.mats, proj.grams)]
-    return FiberProjectorPair(form, proj, plus, minus, sig)
+    pairs = [em_pencil_pair(s, g) for s, g in zip(form.mats, proj.grams)]
+    return FiberProjectorPair(form, proj, [p for p, _ in pairs],
+                              [m for _, m in pairs], sig)
 
 
 def blend_positive_subbundle(frame_field, r_plus: int, nu_plus, mu: ex.Expr,

@@ -119,8 +119,8 @@ def restrict_cylinder(bundle: BundleRep, t_value: float, plan: SamplePlan):
     for i, chart in enumerate(bundle.cover.charts):
         sliced = chart.mapped(base_x.dim, lambda p: p.compose(const_maps),
                               lambda e: ex.substitute(e, mapping))
-        pts, warn = base_x.sample_region(base_x.sset.intersect(sliced), plan, 24)
-        if warn or pts.shape[0] == 0:
+        probe = base_x.region_memo(base_x.sset.intersect(sliced), plan, 24)
+        if not probe.points.shape[0]:
             continue
         charts.append(sliced)
         kept.append(i)
@@ -263,7 +263,7 @@ def _certify_slab_coverage(bundle: BundleRep, plan: SamplePlan):
             for e in interval if e is not None and 0.0 <= e <= 1.0]
     for t in np.union1d(np.linspace(0.0, 1.0, SLAB_T_VALUES), ends):
         lifted = np.column_stack([pts, np.full(pts.shape[0], t)])
-        bad = bundle.cover.first_uncovered(lifted)
+        bad = bundle.cover.first_uncovered(ex.KernelMemo(lifted))
         if bad is not None:
             raise TCoverGap(f"slab point uncovered at t = {t:.6f}", point=bad)
 

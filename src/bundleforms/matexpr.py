@@ -129,9 +129,11 @@ def em_colspan_proj(a: ExprMatrix) -> ExprMatrix:
     return em_from_group(ex.MatrixGroup(ex.COLSPAN_PROJ, a, guard_tol=1e-12))
 
 
-def em_pencil_proj(s: ExprMatrix, g: ExprMatrix, positive: bool) -> ExprMatrix:
-    op = ex.PENCIL_PROJ_POS if positive else ex.PENCIL_PROJ_NEG
-    return em_from_group(ex.MatrixGroup(op, s, g, guard_tol=1e-9))
+def em_pencil_pair(s: ExprMatrix, g: ExprMatrix) -> tuple[ExprMatrix, ExprMatrix]:
+    """The positive and negative sign-projectors of the pencil (S, G), as
+    twin groups: one eigensolve serves both."""
+    plus, minus = ex.pencil_pair(s, g, guard_tol=1e-9)
+    return em_from_group(plus), em_from_group(minus)
 
 
 def em_pencil_sqrt(s: ExprMatrix, g: ExprMatrix) -> ExprMatrix:
@@ -186,9 +188,10 @@ def em_det(a: ExprMatrix) -> ex.Expr:
     return total
 
 
-def em_eval(a: ExprMatrix, points) -> np.ndarray:
-    """Evaluate to an (N, n, m) array with one shared context."""
-    return ex._eval_matrix(a, ex.EvalContext(points))
+def em_eval(a: ExprMatrix, points, kernels: ex.KernelMemo | None = None) -> np.ndarray:
+    """Evaluate to an (N, n, m) array with one shared context; `kernels`,
+    the memo of `points`, shares MatrixGroup outputs."""
+    return ex._eval_matrix(a, ex.EvalContext(points, kernels))
 
 
 def em_subst(a: ExprMatrix, mapping: dict[int, ex.Expr]) -> ExprMatrix:

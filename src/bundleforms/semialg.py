@@ -489,18 +489,21 @@ def _deduped(selection, dim: int, count: int) -> tuple[np.ndarray, bool]:
 
 def sample(sset: SemialgebraicSet, plan: SamplePlan, box,
            count: int | None = None,
-           memo: dict | None = None) -> tuple[np.ndarray, bool]:
+           memo: Base | None = None) -> tuple[np.ndarray, bool]:
     """Sample points of the set inside the box.
 
     Returns (points, empty) where empty is True only when no point was
     found (empty set on the scanned box, or contradictory conditions); a
-    sample of fewer than `count` points is not flagged.  `memo`
-    keeps the candidate clouds (see `_cloud`); callers sampling a region of
-    a base pass the base's `clouds` through `Base.sample_region`.
+    sample of fewer than `count` points is not flagged.  With `memo`, the
+    base whose box this is, the candidate clouds are the base's (see
+    `_cloud`) and the points are interned there by selection (see
+    `Base.region_memo`): a read-only array that equal selections share.
     """
     count = plan.n_chart if count is None else count
-    selection = _selection(sset, plan, box, count, {} if memo is None else memo)
-    return _deduped(selection, sset.dim, count)
+    if memo is None:
+        return _deduped(_selection(sset, plan, box, count, {}), sset.dim, count)
+    selection = _selection(sset, plan, box, count, memo.clouds)
+    return memo.intern(selection, count).points, not selection
 
 
 @dataclass(frozen=True)
@@ -508,9 +511,12 @@ class Base:
     """A base space: its set, a scan box, and catalog attributes.
 
     `clouds` is the base's sampling memo (see `_cloud`), and `regions`
-    holds the kernel memos of its sampled regions, interned by selection
-    (see `region_memo`). Both live as long as the base and hold point
-    arrays and their kernel outputs, never an object that points back.
+    holds the kernel memos of the point sets the base evaluates again: its
+    sampled regions, interned by selection (see `region_memo`), each also
+    under the id of its read-only points, which it keeps alive, and fixed
+    grids by name (see `grid_memo`).  Both live as long as the base and
+    hold point arrays and their kernel outputs, never an object that
+    points back.
     """
 
     sset: SemialgebraicSet
@@ -530,34 +536,45 @@ class Base:
     def dim(self) -> int:
         return self.sset.dim
 
-    def sample_region(self, region: SemialgebraicSet, plan: SamplePlan,
-                      count: int | None) -> tuple[np.ndarray, bool]:
-        """`sample` of a region inside this base's box, with its memo."""
-        return sample(region, plan, self.box, count, self.clouds)
-
-    def region_memo(self, region: SemialgebraicSet, plan: SamplePlan,
-                    count: int) -> ex.KernelMemo:
-        """The kernel memo of `sample_region(region, plan, count)`'s points,
-        interned in `regions` by their selection: per round and piece that
-        kept a row, the cloud's key and the keep mask's bytes, then count.
-
-        The points are a pure function of that key, so regions whose
-        conditions keep the same rows of the same clouds read one
-        read-only array and the kernel outputs computed on it; no point
-        value is hashed. Only a new key pays for the dedupe."""
-        selection = _selection(region, plan, self.box, count, self.clouds)
+    def intern(self, selection, count: int) -> ex.KernelMemo:
+        """The kernel memo of the first `count` distinct rows of `selection`
+        (see `_selection`), kept in `regions` under (per round and piece
+        that kept a row, the cloud's key and the keep mask's bytes; then
+        count).  The points are a pure function of that key, so no point
+        value is hashed, and only a new key pays for the dedupe."""
         key = (tuple((cloud_key, keep.tobytes()) for cloud_key, _, keep in selection),
                count)
         hit = self.regions.get(key)
         if hit is None:
-            points = _deduped(selection, region.dim, count)[0]
+            points = _deduped(selection, self.dim, count)[0]
             points.flags.writeable = False
-            hit = self.regions[key] = ex.KernelMemo(points)
+            hit = self.regions[key] = self.regions[id(points)] = ex.KernelMemo(points)
         return hit
 
+    def region_memo(self, region: SemialgebraicSet, plan: SamplePlan,
+                    count: int) -> ex.KernelMemo:
+        """The kernel memo of `region`'s `sample` in this base's box:
+        regions whose conditions keep the same rows of the same clouds read
+        one read-only array and the kernel outputs computed on it."""
+        return self.regions[id(sample(region, plan, self.box, count, self)[0])]
+
+    def sample_memo(self, plan: SamplePlan) -> ex.KernelMemo:
+        """The kernel memo of the plan's n_chart points of the base."""
+        return self.region_memo(self.sset, plan, plan.n_chart)
+
     def sample_points(self, plan: SamplePlan) -> np.ndarray:
-        """The plan's n_chart points of the base."""
-        return self.sample_region(self.sset, plan, None)[0]
+        """The plan's n_chart points of the base, read-only."""
+        return self.sample_memo(plan).points
+
+    def grid_memo(self, name, make) -> ex.KernelMemo:
+        """The kernel memo of the fixed point array `make()`, built once and
+        kept in `regions` under `name`."""
+        hit = self.regions.get(name)
+        if hit is None:
+            points = make()
+            points.flags.writeable = False
+            hit = self.regions[name] = ex.KernelMemo(points)
+        return hit
 
 
 @dataclass
@@ -596,15 +613,15 @@ class Cover:
         return len(self.charts)
 
     def coverage(self, plan: SamplePlan) -> CoverageReport:
-        pts = self.base.sample_points(plan)
-        if pts.shape[0] == 0:
+        memo = self.base.sample_memo(plan)
+        if memo.points.shape[0] == 0:
             return CoverageReport(False)
-        bad = self.first_uncovered(pts)
+        bad = self.first_uncovered(memo)
         return CoverageReport(bad is None, bad)
 
-    def first_uncovered(self, points: np.ndarray) -> tuple | None:
-        """The first of `points` that no chart contains, or None."""
-        kernels = ex.KernelMemo(points)
+    def first_uncovered(self, kernels: ex.KernelMemo) -> tuple | None:
+        """The first of the memo's points that no chart contains, or None."""
+        points = kernels.points
         covered = np.zeros(points.shape[0], dtype=bool)
         for chart in self.charts:
             covered |= chart.membership(points, kernels=kernels)
@@ -657,8 +674,7 @@ class Cover:
             for j, cj in enumerate(other.charts):
                 inter = ci.intersect(cj)
                 region = self.base.sset.intersect(inter)
-                pts, warn = self.base.sample_region(region, plan, 16)
-                if warn or pts.shape[0] == 0:
+                if not self.base.region_memo(region, plan, 16).points.shape[0]:
                     continue
                 charts.append(inter)
                 parents.append((i, j))

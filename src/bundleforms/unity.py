@@ -70,8 +70,9 @@ def separating_function(x_set: SemialgebraicSet, y_set: SemialgebraicSet, r: int
     g = zero_function(x_set, r)
     h = zero_function(y_set, r)
     for a, b in ((x_set, y_set), (y_set, x_set)):
-        pts, _ = base.sample_region(a.intersect(base.sset), plan, plan.n_overlap)
-        both = first_flagged(pts, b.membership(pts, eq_tol=1e-9))
+        memo = base.region_memo(a.intersect(base.sset), plan, plan.n_overlap)
+        both = first_flagged(memo.points,
+                             b.membership(memo.points, eq_tol=1e-9, kernels=memo))
         if both is not None:
             raise NotDisjoint(f"sampled point {both} lies in both sets")
     g2 = ex.Mul(g, g)
@@ -122,8 +123,9 @@ def shrink_cover(cover: Cover, r: int = 1, *, plan: SamplePlan) -> ShrunkCover:
     # closure-containment certificate: closure(V_k) stays inside U_k at samples
     for k, v_k in enumerate(new_charts):
         closed = v_k.closure().intersect(base.sset)
-        pts, _ = base.sample_region(closed, plan, plan.n_overlap)
-        out = first_flagged(pts, ~cover.charts[k].membership(pts))
+        memo = base.region_memo(closed, plan, plan.n_overlap)
+        out = first_flagged(memo.points,
+                            ~cover.charts[k].membership(memo.points, kernels=memo))
         if out is not None:
             raise CoverageFailure(
                 f"shrunk chart {k} escapes its original chart at {out}")
@@ -151,9 +153,10 @@ def partition_of_unity(cover: Cover, r: int = 1, *,
     total = squares[0]
     for s in squares[1:]:
         total = ex.Add(total, s)
-    pts = cover.base.sample_points(plan)
-    if pts.shape[0]:
-        bad = first_flagged(pts, ex.evaluate(total, pts) <= 1e-12)
+    memo = cover.base.sample_memo(plan)
+    if memo.points.shape[0]:
+        bad = first_flagged(memo.points,
+                            ex.evaluate(total, memo.points, memo) <= 1e-12)
         if bad is not None:
             raise CoverageFailure(
                 f"partition denominator vanishes at sampled base point {bad}")
@@ -173,8 +176,8 @@ def vertical_retraction(u_set: SemialgebraicSet, v_set: SemialgebraicSet, r: int
     if not u_set.is_open() or not v_set.is_open():
         raise ContainmentFailure("vertical retraction expects open U and V")
     closure_u = u_set.closure()
-    pts, _ = base.sample_region(closure_u.intersect(base.sset), plan, plan.n_overlap)
-    out = first_flagged(pts, ~v_set.membership(pts))
+    memo = base.region_memo(closure_u.intersect(base.sset), plan, plan.n_overlap)
+    out = first_flagged(memo.points, ~v_set.membership(memo.points, kernels=memo))
     if out is not None:
         raise ContainmentFailure(f"closure(U) escapes V at sampled point {out}")
     f = zero_function(closure_u, r)

@@ -109,7 +109,7 @@ def test_memoised_sampling_matches_a_fresh_draw():
         for count in (None, 16, 300):
             want, want_warn = sample(region, plan, base.box, count)
             for _ in range(2):     # the first call fills the memo, the second reads it
-                got, warn = base.sample_region(region, plan, count)
+                got, warn = sample(region, plan, base.box, count, base)
                 assert (got.tobytes(), warn) == (want.tobytes(), want_warn)
     assert base.clouds and all(not m.points.flags.writeable
                                for m in base.clouds.values())
@@ -254,7 +254,7 @@ def test_memo_membership_matches_a_fresh_context(monkeypatch):
         assert got.tolist() == region.membership(cloud.points, margin=1e-3).tolist()
     assert cloud.outputs
     # the sampled regions, each drawn after the others filled the memo
-    shared = [base.sample_region(base.sset.intersect(r), PLAN, 50)[0].tobytes()
+    shared = [sample(base.sset.intersect(r), PLAN, base.box, 50, base)[0].tobytes()
               for r in regions]
     without_memo(monkeypatch)
     fresh = [sample(base.sset.intersect(r), PLAN, base.box, 50)[0].tobytes()
@@ -420,3 +420,100 @@ def test_a_transport_on_a_second_region_of_one_point_set_is_a_memo_hit(
         ex._eval_matrix(field, ex.EvalContext(memo.points, memo))
     assert len(computed) == 1
     assert reads and all(r is reads[0] for r in reads)
+
+
+# --- one evaluation scope per base point set ---------------------------------
+
+def test_base_samples_are_one_read_only_array():
+    base = circle_base()
+    pts = base.sample_points(PLAN)
+    assert base.sample_points(PLAN) is pts and not pts.flags.writeable
+    assert base.sample_memo(PLAN).points is pts
+    assert pts.tobytes() == sample(base.sset, PLAN, base.box)[0].tobytes()
+
+
+def hyperbolic_split():
+    """hyperbolic1's ambient positive and negative projectors, on the base
+    of the parsed Moebius spec."""
+    doc = specfile.parse_spec((SPECS / "moebius.json").read_text(encoding="utf-8"))
+    return doc, decompose(doc.forms["hyperbolic1"], PLAN).to_ambient()
+
+
+def recording_pencils(monkeypatch):
+    """Record (group, memo) for every pencil projector computed, and every
+    pencil lookup that neither a context's cache nor a kernel memo served."""
+    computed, missed = [], []
+    compute, lookup = ex.MatrixGroup._compute, ex.MatrixGroup.compute
+
+    def recorded_compute(group, ctx):
+        if group.op in (ex.PENCIL_PROJ_POS, ex.PENCIL_PROJ_NEG):
+            computed.append((group, ctx.kernels))
+        return compute(group, ctx)
+
+    def recorded_lookup(group, ctx):
+        if (group.op in (ex.PENCIL_PROJ_POS, ex.PENCIL_PROJ_NEG)
+                and id(group) not in ctx.group_cache
+                and (ctx.kernels is None
+                     or ctx.path not in ctx.kernels.outputs.get(group, {}))):
+            missed.append(group)
+        return lookup(group, ctx)
+
+    monkeypatch.setattr(ex.MatrixGroup, "_compute", recorded_compute)
+    monkeypatch.setattr(ex.MatrixGroup, "compute", recorded_lookup)
+    return computed, missed
+
+
+def test_minus_range_bundle_reads_the_pencils_its_plus_twin_computed(monkeypatch):
+    doc, (plus, minus) = hyperbolic_split()
+    computed, missed = recording_pencils(monkeypatch)
+    bundle_from_projector(plus, PLAN, name="hyperbolic1+")
+    memo = doc.base.sample_memo(PLAN)
+    assert computed and all(kernels is memo for _, kernels in computed)
+    assert {g.op for g, _ in computed} == {ex.PENCIL_PROJ_POS}
+    before = len(computed), len(missed)
+    bundle_from_projector(minus, PLAN, name="hyperbolic1-")
+    assert (len(computed), len(missed)) == before
+
+
+LOOP_GRID = ("loop grid", bu.LOOP_STEPS)
+
+
+def test_loop_grid_kernels_run_once_per_base(monkeypatch):
+    doc, (plus, _) = hyperbolic_split()
+    bundle = bundle_from_projector(plus, PLAN, name="hyperbolic1+")
+    other = bu.BundleRep(bundle.cover, bundle.rank, bundle.transitions, name="again")
+    kernels = []
+    compute = ex.MatrixGroup._compute
+
+    def recorded(group, ctx):
+        kernels.append(ctx.kernels)
+        return compute(group, ctx)
+
+    monkeypatch.setattr(ex.MatrixGroup, "_compute", recorded)
+    first = bu.s1_line_class(bundle)
+    grid = doc.base.regions[LOOP_GRID]
+    assert grid.points.shape[0] == bu.LOOP_STEPS + 1 and not grid.points.flags.writeable
+    on_grid = sum(k is grid for k in kernels)
+    assert on_grid and grid.outputs
+    assert bu.s1_line_class(other) == first
+    assert sum(k is grid for k in kernels) == on_grid
+
+
+def test_dropping_the_bundles_frees_the_loop_grid_entries():
+    doc, (plus, minus) = hyperbolic_split()
+    bundles = [bundle_from_projector(p, PLAN, name=n)
+               for p, n in ((plus, "hyperbolic1+"), (minus, "hyperbolic1-"))]
+    classes = [bu.s1_line_class(b) for b in bundles]
+    assert classes == [bu.s1_line_class(b) for b in bundles]
+    base = doc.base
+    grid = base.regions[LOOP_GRID]
+    groups = [weakref.ref(g) for g in grid.outputs]
+    assert groups
+    gc.collect()
+    gc.disable()
+    try:
+        del doc, plus, minus, bundles
+        assert all(g() is None for g in groups)
+        assert not grid.outputs and base.regions[LOOP_GRID] is grid
+    finally:
+        gc.enable()

@@ -671,7 +671,7 @@ def test_layer_tracer_binds_sample_plan_and_count():
     tracer = layertrace.LayerTracer()
     with tracer.installed():
         base.sample_points(plan)                      # count None: n_chart
-        base.sample_region(base.sset, plan, 25)       # positional count
+        base.region_memo(base.sset, plan, 25)         # positional count
         semialg.sample(base.sset, plan, base.box, count=30)
     got = tracer.snapshot()
     assert got["semialg.sample.calls"] == 3
@@ -704,6 +704,95 @@ def test_pencil_projector_split():
     # the two projectors resolve the identity
     total = ex.Add(ex.MatEntry(pos, 0, 1), ex.MatEntry(neg, 0, 1))
     assert ex.evaluate_at(total, [0.0]) == pytest.approx(0.0)
+
+
+# --- pencil pairs: one eigensolve for both signs of a pencil (S, G) ----------
+
+PAIR_TOL = 1e-9
+
+
+def pencil_stack(rng, size, gap, count=64):
+    """Points whose first size^2 columns are S and next size^2 are G: G is
+    SPD, and the whitened eigenvalues of every row have random signs, with
+    smallest magnitude `gap` times the pair's guard tolerance."""
+    b = rng.standard_normal((count, size, size))
+    g = b @ np.swapaxes(b, 1, 2) + size * np.eye(size)
+    ell = np.linalg.cholesky(g)
+    q, _ = np.linalg.qr(rng.standard_normal((count, size, size)))
+    w = rng.uniform(0.5, 2.0, (count, size)) * rng.choice([-1.0, 1.0], (count, size))
+    w[:, 0] = gap * PAIR_TOL * rng.choice([-1.0, 1.0], count)
+    s = ell @ (q * w[:, None, :]) @ np.swapaxes(q, 1, 2) @ np.swapaxes(ell, 1, 2)
+    s = 0.5 * (s + np.swapaxes(s, 1, 2))
+    return np.column_stack([s.reshape(count, -1), g.reshape(count, -1)])
+
+
+def pencil_pair_of(size):
+    return ex.pencil_pair(var_matrix(size, size), var_matrix(size, size, size * size),
+                          PAIR_TOL)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("gap", [1.001, 0.999])
+@pytest.mark.parametrize("first", [0, 1])
+def test_twin_served_projector_equals_the_single_sign_kernel_bit_for_bit(
+        size, gap, first):
+    pts = pencil_stack(np.random.default_rng(7 + size), size, gap)
+    pair = pencil_pair_of(size)
+    memo = ex.KernelMemo(pts)
+    ctx = ex.EvalContext(pts, memo)
+    s, g = ex._eval_matrix(pair[0].a, ctx), ex._eval_matrix(pair[0].b, ctx)
+    if gap < 1.0:
+        with pytest.raises(GuardViolation) as want:
+            ex._pencil_projector(s, g, True, PAIR_TOL, ex.EvalContext(pts))
+        with pytest.raises(GuardViolation) as got:
+            pair[first].compute(ctx)
+        assert (str(got.value), got.value.point) == (str(want.value), want.value.point)
+        assert not memo.outputs and not ctx.group_cache
+        return
+    served = pair[first].compute(ctx)
+    twin = pair[1 - first].compute(ctx)
+    assert ctx.group_cache[id(pair[1 - first])] is twin
+    for group, out in ((pair[first], served), (pair[1 - first], twin)):
+        want = ex._pencil_projector(s, g, group.op == ex.PENCIL_PROJ_POS,
+                                    PAIR_TOL, ex.EvalContext(pts))
+        assert out.tobytes() == want.tobytes()
+        assert memo.outputs[group][()] is out
+
+
+def test_non_finite_pencil_pair_operand_stores_neither_sign():
+    pts = pencil_stack(np.random.default_rng(3), 2, 10.0, count=8)
+    pts[5, 1] = np.nan
+    plus, minus = pencil_pair_of(2)
+    memo = ex.KernelMemo(pts)
+    ctx = ex.EvalContext(pts, memo)
+    for group in (minus, plus):
+        with pytest.raises(GuardViolation, match="pencil operand has a non-finite"):
+            group.compute(ctx)
+        for either in (plus, minus):
+            assert either not in memo.outputs and id(either) not in ctx.group_cache
+
+
+def test_one_eigensolve_per_pair_memo_and_path(monkeypatch):
+    eighs = []
+    eigh = ex._whitened_eigh
+    monkeypatch.setattr(ex, "_whitened_eigh",
+                        lambda s, g: eighs.append(s.shape[0]) or eigh(s, g))
+    pts = pencil_stack(np.random.default_rng(5), 2, 10.0)
+    plus, minus = pencil_pair_of(2)
+    gate = ex.Sub(ex.Var(0), ex.Const(0.0))       # keeps the rows with S00 > 0
+    memo = ex.KernelMemo(pts)
+    reads = []
+    for group in (plus, minus):                   # one context per sign
+        ctx = ex.EvalContext(pts, memo)
+        entry = ex.MatEntry(group, 0, 1)
+        reads.append((entry.eval(ctx), ex.ZeroGate(gate, entry).eval(ctx)))
+    kept = int((pts[:, 0] > 0).sum())
+    assert eighs == [len(pts), kept]              # paths () and the gate's mask
+    for group, (whole, gated) in zip((plus, minus), reads):
+        fresh = ex.MatrixGroup(group.op, group.a, group.b, guard_tol=PAIR_TOL)
+        assert whole.tobytes() == ex.evaluate(ex.MatEntry(fresh, 0, 1), pts).tobytes()
+        assert gated.tobytes() == ex.evaluate(
+            ex.ZeroGate(gate, ex.MatEntry(fresh, 0, 1)), pts).tobytes()
 
 
 def test_substitute_variable_by_expression():

@@ -9,11 +9,19 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
   (misses), with their rows;
 - `_whitened_eigh` calls and rows: the Cholesky-whitened eigensolve behind
   every pencil projector and pencil square root;
+- pencil projector outputs served by the pair's twin: outputs that a twin
+  group's computation stored (`expr.pencil_pair`) and a reader then read,
+  so no eigensolve of their own ran;
 - `PathProduct` computations (transports along a homotopy's t-ladder) with
   their base-point rows, and the kernel memo traffic on transports;
-- region arrays: the sampled cover regions requested through
-  `Cover.region_memo` (one per cover, sorted indices and plan), and the
-  distinct arrays their bases interned for them (`Base.region_memo`).
+- point arrays a base evaluates again, requested and interned, by kind:
+  cover regions (`Base.region_memo` through `Cover.region_memo`, one per
+  cover, sorted indices and plan), base samples (`Base.sample_memo`),
+  unity probes (the regions `unity` certifies disjointness and
+  containment on), other probes (the refinement and slice probes) and the
+  loop grid (`Base.grid_memo`).  "Interned" counts the requests that made
+  a new array and memo; every other request read one an earlier request
+  of any kind made.
 
 The per-layer trace of the benchmark counts a memo hit as a kernel call,
 since it sees only the context's own cache; these counts tell the two
@@ -38,14 +46,27 @@ from bundleforms import expr as ex  # noqa: E402
 from bundleforms.semialg import Base  # noqa: E402
 
 SEED = 0
+# the function that asks `Base.region_memo` for an array -> the array's kind
+# (`Cover.region_memo`, `Base.sample_memo`); any function of `unity` asks for
+# unity probes, and any other for other probes
+KINDS = {"region_memo": "cover regions", "sample_memo": "base samples"}
+
+
+def kind_of(frame) -> str:
+    """The kind of point array the calling frame asks its base for."""
+    if frame.f_globals.get("__name__") == "bundleforms.unity":
+        return "unity probes"
+    return KINDS.get(frame.f_code.co_name, "other probes")
 
 
 def counted_operation(name: str) -> tuple[Counter, Counter]:
     """(calls, rows) per counter over one operation of the workload."""
     calls, rows = Counter(), Counter()
-    compute, eigh = ex.MatrixGroup.compute, ex._whitened_eigh
+    compute, kernel = ex.MatrixGroup.compute, ex.MatrixGroup._compute
+    eigh = ex._whitened_eigh
     lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
-    interned, region_memo = {}, Base.region_memo
+    region_memo, grid_memo = Base.region_memo, Base.grid_memo
+    interned, twins = {}, {}
 
     def tally(key, n):
         calls[key] += 1
@@ -53,7 +74,8 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
 
     def counted(lookup, memo_key):
         """The group lookup `lookup`, tallying memo traffic under `memo_key`
-        and, for a MatrixGroup, the computations by op tag."""
+        and, for a MatrixGroup, the computations by op tag and the first
+        read of each output a twin stored."""
         def counted_lookup(group, ctx):
             if id(group) not in ctx.group_cache:
                 n = ctx.points.shape[0]
@@ -63,8 +85,20 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
                     tally(f"{memo_key} hit" if hit else f"{memo_key} miss", n)
                 if not hit and isinstance(group, ex.MatrixGroup):
                     tally(f"matrixgroup {group.op}", n)
-            return lookup(group, ctx)
+            out = lookup(group, ctx)
+            if twins.get(id(out), (None, True))[1] is False:
+                twins[id(out)] = (out, True)
+                tally("pencil twin served", out.shape[0])
+            return out
         return counted_lookup
+
+    def counted_kernel(group, ctx):
+        out = kernel(group, ctx)
+        twin = group.twin and group.twin()
+        if twin is not None:
+            stored = ctx.group_cache[id(twin)]
+            twins[id(stored)] = (stored, False)     # alive, so no id is reused
+        return out
 
     def counted_transport(group, ctx):
         tally("pathproduct", ctx.points.shape[0])
@@ -74,26 +108,41 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
         tally("_whitened_eigh", s.shape[0])
         return eigh(s, g)
 
-    def counted_region(base, region, plan, count):
-        memo = region_memo(base, region, plan, count)
+    def counted_array(memo, kind):
         n = memo.points.shape[0]
-        tally("region requested", n)
+        tally(f"{kind} requested", n)
         if id(memo) not in interned:
-            tally("region interned", n)
+            tally(f"{kind} interned", n)
         interned[id(memo)] = memo       # alive, so no id is reused
         return memo
 
-    ex.MatrixGroup.compute, ex._whitened_eigh = counted(compute, "memo"), counted_eigh
-    ex.PathProduct.compute = counted(lookup, "transport memo")
-    ex.PathProduct._compute = counted_transport
-    Base.region_memo = counted_region
+    def counted_region(base, region, plan, count):
+        return counted_array(region_memo(base, region, plan, count),
+                             kind_of(sys._getframe(1)))
+
+    def counted_grid(base, name, make):
+        return counted_array(grid_memo(base, name, make), "loop grid")
+
+    patches = [(ex.MatrixGroup, "compute", counted(compute, "memo")),
+               (ex.MatrixGroup, "_compute", counted_kernel),
+               (ex, "_whitened_eigh", counted_eigh),
+               (ex.PathProduct, "compute", counted(lookup, "transport memo")),
+               (ex.PathProduct, "_compute", counted_transport),
+               (Base, "region_memo", counted_region),
+               (Base, "grid_memo", counted_grid)]
+    originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patches]
+    for owner, attr, new in patches:
+        setattr(owner, attr, new)
     try:
         workloads.run_operation(name, SEED)
     finally:
-        ex.MatrixGroup.compute, ex._whitened_eigh = compute, eigh
-        ex.PathProduct.compute, ex.PathProduct._compute = lookup, transport
-        Base.region_memo = region_memo
+        for owner, attr, old in originals:
+            setattr(owner, attr, old)
     return calls, rows
+
+
+ARRAY_KINDS = ["cover regions", "base samples", "unity probes", "other probes",
+               "loop grid"]
 
 
 def main() -> int:
@@ -102,14 +151,17 @@ def main() -> int:
         print(f"{name} (seed {SEED}, one operation)")
         groups = sorted(k for k in calls if k.startswith("matrixgroup "))
         total = sum(calls[k] for k in groups)
-        for key in [*groups, "memo hit", "memo miss", "_whitened_eigh"]:
-            print(f"  {key:22s} {calls[key]:7d} calls {rows[key]:10d} rows")
-        print(f"  {'matrixgroup total':22s} {total:7d} calls "
+        for key in [*groups, "memo hit", "memo miss", "_whitened_eigh",
+                    "pencil twin served"]:
+            print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
+        print(f"  {'matrixgroup total':24s} {total:7d} calls "
               f"{sum(rows[k] for k in groups):10d} rows")
         for key in ["pathproduct", "transport memo hit", "transport memo miss"]:
-            print(f"  {key:22s} {calls[key]:7d} calls {rows[key]:10d} rows")
-        for key in ["region requested", "region interned"]:
-            print(f"  {key:22s} {calls[key]:7d} arrays {rows[key]:9d} rows", flush=True)
+            print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
+        for kind in ARRAY_KINDS:
+            for key in [f"{kind} requested", f"{kind} interned"]:
+                print(f"  {key:24s} {calls[key]:7d} arrays {rows[key]:9d} rows")
+        sys.stdout.flush()
     return 0
 
 
