@@ -13,10 +13,13 @@ Each elementwise node kind declares once its numpy function `fn`, repr
 `template`, `kinked` flag and constructor `params` beyond its children;
 evaluating, printing, rebuilding and parsing read those declarations.
 
-Evaluation is vectorized over an (N, dim) batch of points and memoized per
-node object, so shared subtrees are computed once.  Evaluating outside a
-declared guard raises :class:`GuardViolation` with a witness point; it is
-never a silent NaN.
+Nodes, matrix groups and path products are hash-consed: construction
+returns the live object of equal structure if there is one (`_Interned`),
+so structurally equal terms are one object.  Evaluation is vectorized over
+an (N, dim) batch of points and memoized per node in its context, so a
+subterm, however often a construction rebuilt it, is computed once per
+batch.  Evaluating outside a declared guard raises :class:`GuardViolation`
+with a witness point; it is never a silent NaN.
 
 Each node carries a smoothness lower bound: how many continuous
 derivatives the function is guaranteed to have on its guarded domain.  The
@@ -28,6 +31,7 @@ clamp or abs raises the kink bound to ``exponent - 1``.
 from __future__ import annotations
 
 import math
+import struct
 import weakref
 
 import numpy as np
@@ -37,6 +41,32 @@ from .errors import DimensionMismatch, GuardViolation
 SMOOTH = math.inf
 
 _DEFAULT_GUARD_TOL = 1e-12
+
+# structural key -> the one live node, group or path product with it
+_INTERNED = weakref.WeakValueDictionary()
+
+
+def _bits(value: float) -> bytes:
+    """A float's bit pattern: keys by it keep 0.0 and -0.0 apart."""
+    return struct.pack("<d", value)
+
+
+def _ids(rows) -> tuple:
+    return tuple(tuple(map(id, row)) for row in rows)
+
+
+class _Interned(type):
+    """Construction through the intern table: the object is built, then
+    replaced by the live one of equal key, `(class, *obj._key())`, if any.
+
+    A key names children by `id`: a live entry keeps its children alive,
+    so no child id is reused while the entry exists.  A node's value on
+    given rows is a pure function of its kind, params and children's
+    values, so one object serves every structurally equal construction."""
+
+    def __call__(cls, *args, **kwargs):
+        obj = super().__call__(*args, **kwargs)
+        return _INTERNED.setdefault((cls, *obj._key()), obj)
 
 
 class KernelMemo:
@@ -91,10 +121,11 @@ class EvalContext:
         return ctx
 
 
-class Expr:
-    """Base expression node.  Nodes are immutable and identity-hashed."""
+class Expr(metaclass=_Interned):
+    """Base expression node.  Nodes are immutable and hash-consed: one live
+    object per structure, so identity is structural equality."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def eval(self, ctx: EvalContext) -> np.ndarray:
         hit = ctx.cache.get(self)
@@ -111,6 +142,12 @@ class Expr:
 
     def children(self) -> tuple["Expr", ...]:
         return ()
+
+    def _key(self) -> tuple:
+        """The children by id, then the declared `params` (floats by bits)."""
+        return (*map(id, self.children()),
+                *(_bits(v) if isinstance(v, float) else v
+                  for v in (getattr(self, name) for name in self.params)))
 
     def rebuild(self, children) -> "Expr":
         """The same node over new children, with the same `params`."""
@@ -165,6 +202,9 @@ class Const(Expr):
     def __init__(self, value: float):
         object.__setattr__(self, "value", float(value))
 
+    def _key(self):
+        return (_bits(self.value),)
+
     def _eval(self, ctx):
         return np.full(ctx.points.shape[0], self.value)
 
@@ -179,6 +219,9 @@ class Var(Expr):
         if index < 0:
             raise DimensionMismatch("variable index must be nonnegative")
         object.__setattr__(self, "index", int(index))
+
+    def _key(self):
+        return (self.index,)
 
     def _eval(self, ctx):
         if self.index >= ctx.points.shape[1]:
@@ -388,12 +431,14 @@ PENCIL_PROJ_NEG = "pencil-"  # negative sign-projector of pencil (S, G)
 PENCIL_SQRT = "pencilsqrt"   # principal sqrt of G^-1 S, both SPD
 
 
-class MatrixGroup:
-    """Shared payload of MatEntry nodes: matrices of Exprs plus an op tag.
+class MatrixGroup(metaclass=_Interned):
+    """Shared payload of MatEntry nodes: matrices of Exprs plus an op tag,
+    hash-consed by (op, guard_tol, operands) as nodes are.
 
     The two sign-projector groups of one pencil (S, G) may be declared a
     pair (`pencil_pair`): each holds the other weakly as `twin`, and
-    computing either sign stores both signs' outputs."""
+    computing either sign stores both signs' outputs.  The twin is not
+    part of the key, so an equal construction returns the paired group."""
 
     __slots__ = ("op", "a", "b", "guard_tol", "out_shape", "twin", "__weakref__")
     __setattr__ = Expr.__setattr__
@@ -407,6 +452,10 @@ class MatrixGroup:
         object.__setattr__(self, "guard_tol", float(guard_tol))
         object.__setattr__(self, "out_shape", self._out_shape())
         object.__setattr__(self, "twin", None)
+
+    def _key(self):
+        return (self.op, _bits(self.guard_tol), _ids(self.a),
+                None if self.b is None else _ids(self.b))
 
     def _out_shape(self):
         n, m = len(self.a), len(self.a[0])
@@ -466,10 +515,11 @@ class MatrixGroup:
         _keep(twin, ctx, _sign_projector(ell, w, z, not positive))
         return _sign_projector(ell, w, z, positive)
 
-    def substitute(self, mapping, memo, group_memo) -> "MatrixGroup":
-        """The group over the substituted operands, unpaired."""
+    def substitute(self, mapping, memo) -> "MatrixGroup":
+        """The group over the substituted operands: the paired group
+        itself, if one of equal structure is alive."""
         a, b = (None if rows is None else
-                tuple(tuple(_subst(e, mapping, memo, group_memo) for e in row)
+                tuple(tuple(_subst(e, mapping, memo) for e in row)
                       for row in rows)
                 for rows in (self.a, self.b))
         return MatrixGroup(self.op, a, b, guard_tol=self.guard_tol)
@@ -492,7 +542,7 @@ class MatrixGroup:
 
 def pencil_pair(s, g, guard_tol) -> tuple[MatrixGroup, MatrixGroup]:
     """The positive and negative sign-projector groups of the pencil
-    (S, G), declared twins of each other."""
+    (S, G), declared twins of each other (again, if they were)."""
     plus = MatrixGroup(PENCIL_PROJ_POS, s, g, guard_tol=guard_tol)
     minus = MatrixGroup(PENCIL_PROJ_NEG, plus.a, plus.b, guard_tol=guard_tol)
     object.__setattr__(plus, "twin", weakref.ref(minus))
@@ -720,6 +770,9 @@ class MatEntry(Expr):
         object.__setattr__(self, "row", int(row))
         object.__setattr__(self, "col", int(col))
 
+    def _key(self):
+        return (id(self.group), self.row, self.col)
+
     def children(self):
         return tuple(self.group.child_exprs())
 
@@ -740,9 +793,9 @@ class MatEntry(Expr):
 PATH_BLOCK_ROWS = 1 << 13   # lifted rows evaluated together
 
 
-class PathProduct:
+class PathProduct(metaclass=_Interned):
     """Product of the projector `entries` (n x n, over the target space)
-    along the path `maps` at the rungs `ts`.
+    along the path `maps` at the rungs `ts`, hash-consed as nodes are.
 
     The maps are expressions over the lifted space (x, t) with t at column
     `t_index`.  `source` gives x in the caller's coordinates: the identity,
@@ -769,6 +822,11 @@ class PathProduct:
         object.__setattr__(self, "source", tuple(as_expr(x) for x in source))
         object.__setattr__(self, "out_shape", (n, n))
 
+    def _key(self):
+        return (_ids(self.entries), tuple(map(id, self.maps)),
+                tuple(map(id, self.source)), self.t_index,
+                struct.pack(f"<{len(self.ts)}d", *self.ts))
+
     def child_exprs(self):
         return [*self.source, *self.maps, *(e for row in self.entries for e in row)]
 
@@ -785,10 +843,10 @@ class PathProduct:
                 self.entries, self.maps, self.t_index, x, self.ts,
                 callers=ctx.points)]))
 
-    def substitute(self, mapping, memo, group_memo) -> "PathProduct":
+    def substitute(self, mapping, memo) -> "PathProduct":
         """Compose the substitution into `source`; the path's own
         coordinates and the target-space entries are left alone."""
-        source = [_subst(x, mapping, memo, group_memo) for x in self.source]
+        source = [_subst(x, mapping, memo) for x in self.source]
         return PathProduct(self.entries, self.maps, self.t_index, self.ts, source)
 
 
@@ -867,12 +925,13 @@ def evaluate_at(expression: Expr, point) -> float:
 
 def substitute(expression: Expr, mapping: dict[int, Expr]) -> Expr:
     """Replace variables by expressions, rebuilding shared nodes once."""
-    memo: dict[int, Expr] = {}
-    group_memo: dict[int, MatrixGroup] = {}
-    return _subst(expression, mapping, memo, group_memo)
+    return _subst(expression, mapping, {})
 
 
-def _subst(node, mapping, memo, group_memo):
+def _subst(node, mapping, memo):
+    """`node` with variables replaced; `memo` maps the id of each node done
+    to its output.  Each entry of a group substitutes the group again, and
+    the intern table makes the results one group."""
     key = id(node)
     hit = memo.get(key)
     if hit is not None:
@@ -880,14 +939,9 @@ def _subst(node, mapping, memo, group_memo):
     if isinstance(node, Var):
         out = mapping.get(node.index, node)
     elif isinstance(node, MatEntry):
-        g = node.group
-        gout = group_memo.get(id(g))
-        if gout is None:
-            gout = group_memo[id(g)] = g.substitute(mapping, memo, group_memo)
-        out = MatEntry(gout, node.row, node.col)
+        out = MatEntry(node.group.substitute(mapping, memo), node.row, node.col)
     elif node.children():
-        out = node.rebuild([_subst(c, mapping, memo, group_memo)
-                            for c in node.children()])
+        out = node.rebuild([_subst(c, mapping, memo) for c in node.children()])
     else:
         out = node
     memo[key] = out

@@ -197,6 +197,5 @@ def em_eval(a: ExprMatrix, points, kernels: ex.KernelMemo | None = None) -> np.n
 def em_subst(a: ExprMatrix, mapping: dict[int, ex.Expr]) -> ExprMatrix:
     """Variable substitution across all entries, preserving shared nodes."""
     memo: dict[int, ex.Expr] = {}
-    group_memo: dict[int, ex.MatrixGroup] = {}
-    return tuple(tuple(ex._subst(e, mapping, memo, group_memo) for e in row)
+    return tuple(tuple(ex._subst(e, mapping, memo) for e in row)
                  for row in a)

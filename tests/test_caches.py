@@ -1,7 +1,8 @@
 """The construction caches: Gauss embeddings per bundle, candidate clouds
 and their kernel memos per base, one evaluation context per membership
-call, and one kernel memo per sampled point set of a base, which every
-cover region sampling that set reads.
+call, one kernel memo per sampled point set of a base, which every
+cover region sampling that set reads, and the intern table that makes
+structurally equal expression nodes one object.
 
 Each cached value is a pure function of its key, so a hit must return what
 a fresh computation would; these tests pin what is built how often, that
@@ -517,3 +518,47 @@ def test_dropping_the_bundles_frees_the_loop_grid_entries():
         assert not grid.outputs and base.regions[LOOP_GRID] is grid
     finally:
         gc.enable()
+
+
+# --- the intern table: one node per structure, held weakly -------------------
+
+def test_dropping_a_dag_returns_the_intern_table_to_its_size():
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(ex._INTERNED)
+        x = ex.Var(7001)
+        group = ex.MatrixGroup(ex.COLSPAN_PROJ, [[x], [ex.Add(x, 0.5)]])
+        path = ex.PathProduct([[ex.Mul(ex.Var(0), 2.0)]], [ex.Var(7002)], 1, [0.5])
+        dag = ex.Add(ex.MatEntry(group, 1, 0), ex.MatEntry(path, 0, 0))
+        assert len(ex._INTERNED) > before
+        del x, group, path, dag
+        assert len(ex._INTERNED) == before
+    finally:
+        gc.enable()
+
+
+def test_a_rebuilt_subterm_is_evaluated_once_per_context(monkeypatch):
+    def zero_function():        # as every partition of unity rebuilds it
+        c = ex.Sub(ex.Mul(ex.Var(0), ex.Var(0)), 0.25)
+        return ex.Pow(ex.Clamp(-c), 3)
+
+    def total():
+        return ex.Sub(zero_function(), ex.Mul(zero_function(), ex.Var(0)))
+
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (50, 1))
+    # un-shared: each copy in a context of its own
+    unshared = np.subtract(ex.evaluate(zero_function(), pts),
+                           np.multiply(ex.evaluate(zero_function(), pts), pts[:, 0]))
+    contexts = []
+    pow_eval = ex.Pow._eval
+
+    def recorded(node, ctx):
+        contexts.append(ctx)
+        return pow_eval(node, ctx)
+
+    monkeypatch.setattr(ex.Pow, "_eval", recorded)
+    ctx = ex.EvalContext(pts)
+    out = total().eval(ctx)
+    assert contexts == [ctx]
+    assert out.tobytes() == unshared.tobytes()

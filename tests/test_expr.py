@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -789,10 +790,27 @@ def test_one_eigensolve_per_pair_memo_and_path(monkeypatch):
     kept = int((pts[:, 0] > 0).sum())
     assert eighs == [len(pts), kept]              # paths () and the gate's mask
     for group, (whole, gated) in zip((plus, minus), reads):
-        fresh = ex.MatrixGroup(group.op, group.a, group.b, guard_tol=PAIR_TOL)
-        assert whole.tobytes() == ex.evaluate(ex.MatEntry(fresh, 0, 1), pts).tobytes()
+        # fresh contexts without a memo compute again what the memo served
+        assert whole.tobytes() == ex.evaluate(ex.MatEntry(group, 0, 1), pts).tobytes()
         assert gated.tobytes() == ex.evaluate(
-            ex.ZeroGate(gate, ex.MatEntry(fresh, 0, 1)), pts).tobytes()
+            ex.ZeroGate(gate, ex.MatEntry(group, 0, 1)), pts).tobytes()
+
+
+def test_a_substituted_group_equal_to_a_paired_one_is_that_group():
+    plus, minus = pencil_pair_of(2)
+    unpaired = ex.MatrixGroup(ex.PENCIL_PROJ_NEG, var_matrix(2, 2, 8),
+                              var_matrix(2, 2, 12), guard_tol=PAIR_TOL)
+    assert unpaired.twin is None
+    moved = ex.substitute(ex.MatEntry(unpaired, 0, 1),
+                          {8 + i: ex.Var(i) for i in range(8)})
+    assert moved.group is minus and minus.twin() is plus
+    pts = pencil_stack(np.random.default_rng(11), 2, 10.0)
+    ctx = ex.EvalContext(pts)
+    out = moved.group.compute(ctx)
+    assert id(plus) in ctx.group_cache          # the pair's one eigensolve
+    s, g = ex._eval_matrix(minus.a, ctx), ex._eval_matrix(minus.b, ctx)
+    want = ex._pencil_projector(s, g, False, PAIR_TOL, ex.EvalContext(pts))
+    assert out.tobytes() == want.tobytes()
 
 
 def test_substitute_variable_by_expression():
@@ -843,3 +861,89 @@ def test_integer_power_of_a_smooth_base_is_smooth():
     assert ex.Pow(ex.Var(0), 2).smoothness() == ex.SMOOTH
     # only abs and clamp bases lift their kink with the power
     assert ex.Pow(ex.Sqrt(ex.Var(0)), 3).smoothness() == 0
+
+
+# --- hash-consing: one object per structure ----------------------------------
+
+def _group():
+    return ex.MatrixGroup(ex.SOLVE, var_matrix(2, 2), var_matrix(2, 1, 4), guard_tol=1e-8)
+
+
+def _path(ts=(0.25, 0.75)):
+    return ex.PathProduct(var_matrix(2, 2), [ex.Var(0), ex.Mul(ex.Var(1), ex.Var(0))],
+                          1, ts)
+
+
+EQUAL_CONSTRUCTIONS = {
+    "const": lambda: ex.Const(2.5),
+    "var": lambda: ex.Var(3),
+    "add": lambda: ex.Add(ex.Var(0), 1.0),
+    "sub": lambda: ex.Sub(0.0, ex.Var(0)),
+    "mul": lambda: ex.Mul(ex.Var(0), ex.Var(1)),
+    "div": lambda: ex.Div(ex.Var(0), ex.Var(1), guard_tol=1e-6),
+    "pow": lambda: ex.Pow(ex.Clamp(ex.Var(0)), 3),
+    "sqrt": lambda: ex.Sqrt(ex.Var(0)),
+    "abs": lambda: ex.Abs(ex.Var(0)),
+    "max": lambda: ex.Max(ex.Var(0), ex.Var(1)),
+    "min": lambda: ex.Min(ex.Var(0), ex.Var(1)),
+    "clamp": lambda: ex.Clamp(ex.Sub(ex.Var(0), 0.5)),
+    "zerogate": lambda: ex.ZeroGate(ex.Var(0), ex.Div(1.0, ex.Var(0))),
+    "matrixgroup": _group,
+    "matentry": lambda: ex.MatEntry(_group(), 1, 0),
+    "pathproduct": _path,
+    "pathentry": lambda: ex.MatEntry(_path(), 0, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EQUAL_CONSTRUCTIONS))
+def test_equal_constructions_are_one_object(kind):
+    first = EQUAL_CONSTRUCTIONS[kind]()
+    assert EQUAL_CONSTRUCTIONS[kind]() is first
+
+
+def test_rebuild_and_substitute_return_the_interned_object():
+    x, y, z = ex.Var(0), ex.Var(1), ex.Var(2)
+
+    def build(u):
+        return ex.Div(ex.Pow(ex.Sub(u, y), 3), ex.Add(ex.Clamp(u), 1.0), guard_tol=1e-6)
+
+    e = build(x)
+    assert e.rebuild(e.children()) is e
+    assert ex.substitute(e, {5: z}) is e
+    assert ex.substitute(e, {0: z}) is build(z)
+    entry = ex.MatEntry(ex.MatrixGroup(ex.SOLVE, [[x]], [[y]]), 0, 0)
+    assert (ex.substitute(entry, {1: z})
+            is ex.MatEntry(ex.MatrixGroup(ex.SOLVE, [[x]], [[z]]), 0, 0))
+    path = ex.MatEntry(_path(), 1, 1)
+    source = ex.Mul(x, 2.0)
+    moved = ex.PathProduct(path.group.entries, path.group.maps, 1, (0.25, 0.75),
+                           source=[source])
+    assert ex.substitute(path, {0: source}) is ex.MatEntry(moved, 1, 1)
+
+
+def test_signed_zeros_stay_distinct():
+    pos, neg = ex.Const(0.0), ex.Const(-0.0)
+    assert pos is not neg and (repr(pos), repr(neg)) == ("0.0", "-0.0")
+    assert ex.Const(-0.0) is neg
+    rungs, signed = _path((0.0, 1.0)), _path((-0.0, 1.0))
+    assert rungs is not signed
+    assert [math.copysign(1.0, t) for t in signed.ts] == [-1.0, 1.0]
+
+
+def test_params_are_part_of_the_key():
+    x = ex.Var(0)
+    pairs = [(ex.Div(1.0, x, guard_tol=1e-6), ex.Div(1.0, x, guard_tol=1e-7)),
+             (ex.Sqrt(x, guard_tol=1e-6), ex.Sqrt(x)),
+             (ex.Pow(x, 2), ex.Pow(x, 3)),
+             (ex.MatrixGroup(ex.INV, [[x]]), ex.MatrixGroup(ex.INV, [[x]], guard_tol=1e-6)),
+             (ex.MatEntry(_group(), 0, 0), ex.MatEntry(_group(), 1, 0)),
+             (_path((0.25,)), _path((0.5,)))]
+    for a, b in pairs:
+        assert a is not b
+
+
+def test_a_second_pencil_pair_is_the_same_twinned_pair():
+    plus, minus = pencil_pair_of(2)
+    assert pencil_pair_of(2) == (plus, minus)
+    assert plus.twin() is minus and minus.twin() is plus
+    assert ex.MatrixGroup(ex.PENCIL_PROJ_POS, plus.a, plus.b, guard_tol=PAIR_TOL) is plus

@@ -21,7 +21,17 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
   containment on), other probes (the refinement and slice probes) and the
   loop grid (`Base.grid_memo`).  "Interned" counts the requests that made
   a new array and memo; every other request read one an earlier request
-  of any kind made.
+  of any kind made;
+- expression node evaluations by node kind, with their rows: the calls
+  of a node's `_eval`, which no context cache served;
+- structural duplicates: evaluations of a node in a context that had
+  already evaluated another node object of equal structure (kind, params,
+  floats by their bits, and children of equal structure; a group or path
+  product by its op, tolerance, operands and rungs, never its twin).  The
+  structure is found here without the intern table, so the count shows
+  what the table saves: every such evaluation is one it would serve from
+  the context's cache;
+- live intern table entries after the operation, its result still held.
 
 The per-layer trace of the benchmark counts a memo hit as a kernel call,
 since it sees only the context's own cache; these counts tell the two
@@ -34,7 +44,9 @@ The tool reads `perfbench/` and writes nothing.
 
 from __future__ import annotations
 
+import struct
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -59,9 +71,50 @@ def kind_of(frame) -> str:
     return KINDS.get(frame.f_code.co_name, "other probes")
 
 
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def structure(obj, memo: dict, table: dict) -> int:
+    """A number that structurally equal nodes, groups and path products
+    share, found without the intern table.  `memo` maps id(obj) to
+    (obj, number) and keeps obj alive, so no id is reused while it holds
+    the entry; `table` numbers the structures."""
+    hit = memo.get(id(obj))
+    if hit is not None:
+        return hit[1]
+
+    def rows_of(rows):
+        return tuple(tuple(structure(e, memo, table) for e in row) for row in rows)
+
+    if isinstance(obj, ex.MatrixGroup):
+        key = (obj.op, _bits(obj.guard_tol), rows_of(obj.a),
+               None if obj.b is None else rows_of(obj.b))
+    elif isinstance(obj, ex.PathProduct):
+        key = (rows_of(obj.entries), rows_of([obj.maps, obj.source]),
+               obj.t_index, tuple(map(_bits, obj.ts)))
+    elif isinstance(obj, ex.MatEntry):
+        key = (structure(obj.group, memo, table), obj.row, obj.col)
+    elif isinstance(obj, ex.Const):
+        key = (_bits(obj.value),)
+    elif isinstance(obj, ex.Var):
+        key = (obj.index,)
+    else:
+        key = (*(structure(c, memo, table) for c in obj.children()),
+               *(_bits(v) if isinstance(v, float) else v
+                 for v in (getattr(obj, p) for p in obj.params)))
+    number = table.setdefault((type(obj), *key), len(table))
+    memo[id(obj)] = (obj, number)
+    return number
+
+
 def counted_operation(name: str) -> tuple[Counter, Counter]:
     """(calls, rows) per counter over one operation of the workload."""
     calls, rows = Counter(), Counter()
+    node_eval = ex.Expr.eval
+    # per context: its structure memo, and the first node evaluated there
+    # with each structure
+    seen, table = weakref.WeakKeyDictionary(), {}
     compute, kernel = ex.MatrixGroup.compute, ex.MatrixGroup._compute
     eigh = ex._whitened_eigh
     lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
@@ -100,6 +153,15 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
             twins[id(stored)] = (stored, False)     # alive, so no id is reused
         return out
 
+    def counted_eval(node, ctx):
+        if node not in ctx.cache:
+            n = ctx.points.shape[0]
+            tally(f"node {type(node).__name__}", n)
+            memo, first = seen.setdefault(ctx, ({}, {}))
+            if first.setdefault(structure(node, memo, table), id(node)) != id(node):
+                tally("structural duplicates", n)
+        return node_eval(node, ctx)
+
     def counted_transport(group, ctx):
         tally("pathproduct", ctx.points.shape[0])
         return transport(group, ctx)
@@ -126,6 +188,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     patches = [(ex.MatrixGroup, "compute", counted(compute, "memo")),
                (ex.MatrixGroup, "_compute", counted_kernel),
                (ex, "_whitened_eigh", counted_eigh),
+               (ex.Expr, "eval", counted_eval),
                (ex.PathProduct, "compute", counted(lookup, "transport memo")),
                (ex.PathProduct, "_compute", counted_transport),
                (Base, "region_memo", counted_region),
@@ -134,7 +197,9 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     for owner, attr, new in patches:
         setattr(owner, attr, new)
     try:
-        workloads.run_operation(name, SEED)
+        result = workloads.run_operation(name, SEED)
+        calls["live intern table entries"] = len(ex._INTERNED)
+        del result
     finally:
         for owner, attr, old in originals:
             setattr(owner, attr, old)
@@ -161,6 +226,12 @@ def main() -> int:
         for kind in ARRAY_KINDS:
             for key in [f"{kind} requested", f"{kind} interned"]:
                 print(f"  {key:24s} {calls[key]:7d} arrays {rows[key]:9d} rows")
+        nodes = sorted(k for k in calls if k.startswith("node "))
+        for key in [*nodes, "structural duplicates"]:
+            print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
+        print(f"  {'node total':24s} {sum(calls[k] for k in nodes):7d} calls "
+              f"{sum(rows[k] for k in nodes):10d} rows")
+        print(f"  {'live intern entries':24s} {calls['live intern table entries']:7d}")
         sys.stdout.flush()
     return 0
 
