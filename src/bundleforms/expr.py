@@ -929,9 +929,8 @@ def substitute(expression: Expr, mapping: dict[int, Expr]) -> Expr:
 
 
 def _subst(node, mapping, memo):
-    """`node` with variables replaced; `memo` maps the id of each node done
-    to its output.  Each entry of a group substitutes the group again, and
-    the intern table makes the results one group."""
+    """`node` with variables replaced; `memo` maps the id of each node and
+    group done to its output, so a group's entries substitute it once."""
     key = id(node)
     hit = memo.get(key)
     if hit is not None:
@@ -939,7 +938,9 @@ def _subst(node, mapping, memo):
     if isinstance(node, Var):
         out = mapping.get(node.index, node)
     elif isinstance(node, MatEntry):
-        out = MatEntry(node.group.substitute(mapping, memo), node.row, node.col)
+        out = MatEntry(_subst(node.group, mapping, memo), node.row, node.col)
+    elif isinstance(node, (MatrixGroup, PathProduct)):
+        out = node.substitute(mapping, memo)
     elif node.children():
         out = node.rebuild([_subst(c, mapping, memo) for c in node.children()])
     else:

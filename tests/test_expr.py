@@ -789,11 +789,22 @@ def test_one_eigensolve_per_pair_memo_and_path(monkeypatch):
         reads.append((entry.eval(ctx), ex.ZeroGate(gate, entry).eval(ctx)))
     kept = int((pts[:, 0] > 0).sum())
     assert eighs == [len(pts), kept]              # paths () and the gate's mask
+    # the reference is the single-sign kernel, on all rows and on the gate's
+    # mask, scattered into the gate product as ZeroGate does
+    gate_vals = ex.evaluate(gate, pts)
+    mask = gate_vals > 0.0
     for group, (whole, gated) in zip((plus, minus), reads):
-        # fresh contexts without a memo compute again what the memo served
-        assert whole.tobytes() == ex.evaluate(ex.MatEntry(group, 0, 1), pts).tobytes()
-        assert gated.tobytes() == ex.evaluate(
-            ex.ZeroGate(gate, ex.MatEntry(group, 0, 1)), pts).tobytes()
+        positive = group.op == ex.PENCIL_PROJ_POS
+        want = []
+        for rows in (pts, pts[mask]):
+            ctx = ex.EvalContext(rows)
+            s, g = ex._eval_matrix(group.a, ctx), ex._eval_matrix(group.b, ctx)
+            want.append(ex._pencil_projector(s, g, positive, PAIR_TOL,
+                                             ex.EvalContext(rows))[:, 0, 1])
+        want_gated = np.zeros_like(gate_vals)
+        want_gated[mask] = gate_vals[mask] * want[1]
+        assert whole.tobytes() == want[0].tobytes()
+        assert gated.tobytes() == want_gated.tobytes()
 
 
 def test_a_substituted_group_equal_to_a_paired_one_is_that_group():
@@ -919,6 +930,20 @@ def test_rebuild_and_substitute_return_the_interned_object():
     moved = ex.PathProduct(path.group.entries, path.group.maps, 1, (0.25, 0.75),
                            source=[source])
     assert ex.substitute(path, {0: source}) is ex.MatEntry(moved, 1, 1)
+
+
+def test_one_substitution_substitutes_each_group_once(monkeypatch):
+    from bundleforms.matexpr import em_subst
+    calls = []
+    substitute = ex.MatrixGroup.substitute
+    monkeypatch.setattr(ex.MatrixGroup, "substitute",
+                        lambda g, *args: calls.append(g) or substitute(g, *args))
+    group = ex.MatrixGroup(ex.INV, var_matrix(2, 2))
+    entries = [[ex.MatEntry(group, i, j) for j in range(2)] for i in range(2)]
+    moved = em_subst(entries, {0: ex.Var(4)})
+    assert calls == [group]
+    assert {e.group for row in moved for e in row} == {
+        ex.MatrixGroup(ex.INV, [[ex.Var(4), ex.Var(1)], [ex.Var(2), ex.Var(3)]])}
 
 
 def test_signed_zeros_stay_distinct():

@@ -25,12 +25,11 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
 - expression node evaluations by node kind, with their rows: the calls
   of a node's `_eval`, which no context cache served;
 - structural duplicates: evaluations of a node in a context that had
-  already evaluated another node object of equal structure (kind, params,
-  floats by their bits, and children of equal structure; a group or path
-  product by its op, tolerance, operands and rungs, never its twin).  The
-  structure is found here without the intern table, so the count shows
-  what the table saves: every such evaluation is one it would serve from
-  the context's cache;
+  already evaluated another node object of equal structure.  Structure is
+  the intern key (`expr._Interned`) with every child id replaced by the
+  child's structure, so equal structures are found whether or not the
+  table merged their objects; the count is 0 unless some node was built
+  past the table;
 - live intern table entries after the operation, its result still held.
 
 The per-layer trace of the benchmark counts a memo hit as a kernel call,
@@ -44,7 +43,6 @@ The tool reads `perfbench/` and writes nothing.
 
 from __future__ import annotations
 
-import struct
 import sys
 import weakref
 from collections import Counter
@@ -71,41 +69,40 @@ def kind_of(frame) -> str:
     return KINDS.get(frame.f_code.co_name, "other probes")
 
 
-def _bits(value: float) -> bytes:
-    return struct.pack("<d", value)
-
-
 def structure(obj, memo: dict, table: dict) -> int:
     """A number that structurally equal nodes, groups and path products
-    share, found without the intern table.  `memo` maps id(obj) to
-    (obj, number) and keeps obj alive, so no id is reused while it holds
-    the entry; `table` numbers the structures."""
+    share: the object's intern key, `(class, *obj._key())`, with each id of
+    a direct sub-object (a node's children, an entry's group, a group's or
+    path product's operands) replaced by that sub-object's number.  So the
+    key's rules live in `expr.py` alone, and the number does not depend on
+    the table having merged anything.  `memo` maps id(obj) to (obj, number)
+    and keeps obj alive, so no id is reused while it holds the entry;
+    `table` numbers the structures."""
     hit = memo.get(id(obj))
     if hit is not None:
         return hit[1]
-
-    def rows_of(rows):
-        return tuple(tuple(structure(e, memo, table) for e in row) for row in rows)
-
-    if isinstance(obj, ex.MatrixGroup):
-        key = (obj.op, _bits(obj.guard_tol), rows_of(obj.a),
-               None if obj.b is None else rows_of(obj.b))
-    elif isinstance(obj, ex.PathProduct):
-        key = (rows_of(obj.entries), rows_of([obj.maps, obj.source]),
-               obj.t_index, tuple(map(_bits, obj.ts)))
-    elif isinstance(obj, ex.MatEntry):
-        key = (structure(obj.group, memo, table), obj.row, obj.col)
-    elif isinstance(obj, ex.Const):
-        key = (_bits(obj.value),)
-    elif isinstance(obj, ex.Var):
-        key = (obj.index,)
+    if isinstance(obj, ex.MatEntry):
+        subs = (obj.group,)
+    elif isinstance(obj, (ex.MatrixGroup, ex.PathProduct)):
+        subs = obj.child_exprs()
     else:
-        key = (*(structure(c, memo, table) for c in obj.children()),
-               *(_bits(v) if isinstance(v, float) else v
-                 for v in (getattr(obj, p) for p in obj.params)))
-    number = table.setdefault((type(obj), *key), len(table))
+        subs = obj.children()
+    key = _numbered((type(obj), *obj._key()), {id(sub): sub for sub in subs},
+                    memo, table)
+    number = table.setdefault(key, len(table))
     memo[id(obj)] = (obj, number)
     return number
+
+
+def _numbered(part, subs: dict, memo: dict, table: dict):
+    """`part` of a key with each id in `subs` replaced by the structure of
+    the sub-object it names; params are small ints (indices, exponents),
+    never a live object's id."""
+    if isinstance(part, tuple):
+        return tuple(_numbered(p, subs, memo, table) for p in part)
+    if type(part) is int and part in subs:
+        return ("sub", structure(subs[part], memo, table))
+    return part
 
 
 def counted_operation(name: str) -> tuple[Counter, Counter]:
