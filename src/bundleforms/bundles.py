@@ -214,9 +214,9 @@ def sampled_regions(cover: Cover, plan: SamplePlan, arity: int):
     """
     for idx in itertools.permutations(range(cover.n_charts), arity):
         memo = cover.region_memo(idx, plan)
-        if memo.points.shape[0] == 0:
+        if len(memo) == 0:
             continue
-        ctx = ex.EvalContext(memo.points, memo)
+        ctx = ex.EvalContext(memo)
         yield idx, memo.points, lambda matrix: ex._eval_matrix(matrix, ctx)
         del ctx
 
@@ -449,19 +449,18 @@ def generating_sections(bundle: BundleRep, r: int = 1, *,
     return GeneratingSystem(bundle, sections, pou)
 
 
-def section_value_matrix(sections, chart: int, pts: np.ndarray) -> np.ndarray:
-    """(N, d, m) array of the m section values in one chart frame."""
-    ctx = ex.EvalContext(pts)
-    return np.concatenate([ex._eval_matrix(s.values[chart], ctx)
-                           for s in sections], axis=2)
+def section_value_matrix(sections, chart: int, ev) -> np.ndarray:
+    """(N, d, m) array of the m section values in one chart frame, each
+    evaluated by `ev` (a `sampled_regions` visit's)."""
+    return np.concatenate([ev(s.values[chart]) for s in sections], axis=2)
 
 
 def _check_generating(sections, plan: SamplePlan):
     """RankDrop at the first sample whose column-normalized d x m section
     values M have sigma_min(M^T), with Gram M M^T, not above GENERATING_TOL."""
     bundle = sections[0].bundle
-    for (k,), pts, _ in sampled_regions(bundle.cover, plan, 1):
-        mat = section_value_matrix(sections, k, pts)
+    for (k,), pts, ev in sampled_regions(bundle.cover, plan, 1):
+        mat = section_value_matrix(sections, k, ev)
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
         mat = mat / np.where(norms > 0, norms, 1.0)
         sv = ex.smallest_sv(np.swapaxes(mat, 1, 2),
@@ -495,14 +494,13 @@ class ProjectorField:
 
     def check(self, plan: SamplePlan, tol: float = 1e-8) -> CheckReport:
         memo = self.base.sample_memo(plan)
-        pts = memo.points
-        p = em_eval(self.entries, pts, memo)
+        p = em_eval(self.entries, memo)
         sym = np.abs(p - np.swapaxes(p, 1, 2)).max(axis=(1, 2))
         idem = np.abs(p @ p - p).max(axis=(1, 2))
         trace_err = np.abs(np.trace(p, axis1=1, axis2=2) - self.rank)
         res = np.maximum(np.maximum(sym, idem), trace_err)
         max_res = float(res.max())
-        witness = first_flagged(pts, res == max_res) if max_res >= tol else None
+        witness = first_flagged(memo.points, res == max_res) if max_res >= tol else None
         return CheckReport("projector", max_res < tol, max_res, witness=witness,
                            details={"trace_error": trace_err.max()})
 
@@ -585,7 +583,7 @@ def bundle_from_projector(proj: ProjectorField, plan: SamplePlan,
     pts = memo.points
     if pts.shape[0] == 0:
         raise CoverageFailure("projector base yielded no sample points")
-    p = em_eval(proj.entries, pts, memo)
+    p = em_eval(proj.entries, memo)
     used, missed = _minor_cover(
         itertools.combinations(range(proj.ambient), d), pts.shape[0],
         lambda idx: np.linalg.det(p[:, list(idx), :][:, :, list(idx)])
@@ -655,8 +653,8 @@ def coefficients(section: SectionRep, system: GeneratingSystem,
     m = len(system.sections)
     refined_charts = []
     chart_data = []  # (chart index, generator subset, value matrix)
-    for (k,), pts, _ in sampled_regions(bundle.cover, plan, 1):
-        values = section_value_matrix(system.sections, k, pts)  # (N, d, m)
+    for (k,), pts, ev in sampled_regions(bundle.cover, plan, 1):
+        values = section_value_matrix(system.sections, k, ev)  # (N, d, m)
         used, missed = _minor_cover(
             itertools.combinations(range(m), d), pts.shape[0],
             lambda subset: np.abs(np.linalg.det(values[:, :, subset]))
@@ -716,9 +714,8 @@ def s1_line_class(bundle: BundleRep) -> int:
         pts[:, 1] = np.sin(angles)
         return pts
 
-    def members(kernels: ex.KernelMemo) -> np.ndarray:
-        return np.stack([c.membership(kernels.points, margin=1e-9,
-                                      kernels=kernels) for c in charts], axis=1)
+    def members(memo: ex.KernelMemo) -> np.ndarray:
+        return np.stack([c.membership(memo, margin=1e-9) for c in charts], axis=1)
 
     def switch_sign(old: int, new: int, angle: float) -> float:
         at = points([angle])

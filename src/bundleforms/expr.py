@@ -69,41 +69,53 @@ class _Interned(type):
         return _INTERNED.setdefault((cls, *obj._key()), obj)
 
 
+def _batch(points) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise DimensionMismatch(f"points must be (N, dim), got shape {points.shape}")
+    return points
+
+
 class KernelMemo:
-    """One point array and the read-only MatrixGroup and PathProduct outputs
-    computed on its rows, by group object (held weakly, so an entry goes
-    with its group) and by the rows' path (see `EvalContext`); a compute
-    that raises GuardViolation keeps nothing.  Each sampling cloud
-    (`semialg._cloud`) has one, and so does each point set a base samples
-    (cover regions, the base's own samples, the probes of `unity`): the
-    base interns it by the rows it selects (`Base.region_memo`), so every
-    sampling of the base with that point set reads one memo.  A fixed grid
-    a base evaluates again, such as the circle loop's, has one too
-    (`Base.grid_memo`)."""
+    """One (N, dim) point array, made read-only, and the read-only
+    MatrixGroup and PathProduct outputs computed on its rows, by group
+    object (held weakly, so an entry goes with its group) and by the rows'
+    path (see `EvalContext`); a compute that raises GuardViolation keeps
+    nothing.  It is the point set's one evaluation scope: every evaluator
+    takes it in place of the array, and `len(memo)` is its number of rows.
+    Each sampling cloud (`semialg._cloud`) has one, and so does each point
+    set a base samples (cover regions, the base's own samples, the probes
+    of `unity`) or evaluates again (`Base.grid_memo`, the circle loop's
+    grid): the base interns it by the rows it selects (`Base.region_memo`),
+    so every sampling of the base with that point set reads one memo."""
 
     __slots__ = ("points", "outputs")
 
-    def __init__(self, points: np.ndarray):
-        self.points = points
+    def __init__(self, points):
+        self.points = _batch(points)
+        self.points.flags.writeable = False     # shared: nobody may edit it
         self.outputs = weakref.WeakKeyDictionary()     # group: {path: output}
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
 
 
 class EvalContext:
     """Holds one batch of points plus per-node result caches.
 
-    With `kernels`, the points are rows of `kernels.points`: all of them
-    at the root (`path` ()), and under a ZeroGate the parent's rows at the
-    gate's mask, whose bytes extend the path.  Contexts with one memo and
-    one path hold the very same rows, so they share MatrixGroup outputs."""
+    `points` is an (N, dim) array, evaluated with no memo, or a KernelMemo:
+    then the context's points are rows of the memo's array, all of them at
+    the root (`path` ()), and under a ZeroGate (`sub`) the parent's rows at
+    the gate's mask, whose bytes extend the path.  Contexts with one memo
+    and one path hold the very same rows, so they share MatrixGroup outputs."""
 
-    def __init__(self, points: np.ndarray, kernels: KernelMemo | None = None, path=()):
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2:
-            raise DimensionMismatch(f"points must be (N, dim), got shape {points.shape}")
-        if kernels is not None and not path and points is not kernels.points:
-            raise ValueError("a kernel memo serves only its own point array")
+    def __init__(self, points):
+        memo = points if isinstance(points, KernelMemo) else None
+        self._bind(_batch(points) if memo is None else memo.points, memo, ())
+
+    def _bind(self, points: np.ndarray, memo: KernelMemo | None, path: tuple):
         self.points = points
-        self.kernels = kernels
+        self.memo = memo
         self.path = path
         # keyed by the node itself (and by a pencil twin whose output its
         # pair stored, see `_keep`), so every node and group the caches
@@ -116,8 +128,8 @@ class EvalContext:
         key = (gate_id, mask.tobytes())
         ctx = self.sub_contexts.get(key)
         if ctx is None:
-            ctx = EvalContext(self.points[mask], self.kernels, (*self.path, key[1]))
-            self.sub_contexts[key] = ctx
+            ctx = self.sub_contexts[key] = object.__new__(EvalContext)
+            ctx._bind(self.points[mask], self.memo, (*self.path, key[1]))
         return ctx
 
 
@@ -477,7 +489,7 @@ class MatrixGroup(metaclass=_Interned):
         """From the context's cache, else its memo, else computed."""
         hit = ctx.group_cache.get(id(self))
         if hit is None:
-            memo = ctx.kernels
+            memo = ctx.memo
             hit = None if memo is None else memo.outputs.get(self, {}).get(ctx.path)
             if hit is None:
                 return _keep(self, ctx, self._compute(ctx))
@@ -554,7 +566,7 @@ def _keep(group, ctx: EvalContext, out: np.ndarray) -> np.ndarray:
     """Store `out` as the group's output for the context's rows: in the
     context's cache, which also keeps the group alive (so its id stays
     unique while cached), and read-only in its memo, if it has one."""
-    memo = ctx.kernels
+    memo = ctx.memo
     if memo is not None:
         out.flags.writeable = False         # shared: nobody may edit it
         memo.outputs.setdefault(group, {})[ctx.path] = out
@@ -911,10 +923,10 @@ def _rung_product(rungs: np.ndarray) -> np.ndarray:
 # Public helpers.
 
 
-def evaluate(expression: Expr, points, kernels: KernelMemo | None = None) -> np.ndarray:
-    """Evaluate an expression on an (N, dim) batch; returns shape (N,).
-    `kernels`, the memo of `points`, shares MatrixGroup outputs."""
-    return expression.eval(EvalContext(points, kernels))
+def evaluate(expression: Expr, points) -> np.ndarray:
+    """Evaluate an expression on an (N, dim) batch, or on a KernelMemo's
+    points sharing its MatrixGroup outputs; returns shape (N,)."""
+    return expression.eval(EvalContext(points))
 
 
 def evaluate_at(expression: Expr, point) -> float:

@@ -120,7 +120,7 @@ def restrict_cylinder(bundle: BundleRep, t_value: float, plan: SamplePlan):
         sliced = chart.mapped(base_x.dim, lambda p: p.compose(const_maps),
                               lambda e: ex.substitute(e, mapping))
         probe = base_x.region_memo(base_x.sset.intersect(sliced), plan, 24)
-        if not probe.points.shape[0]:
+        if not len(probe):
             continue
         charts.append(sliced)
         kept.append(i)

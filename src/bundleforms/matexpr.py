@@ -188,10 +188,10 @@ def em_det(a: ExprMatrix) -> ex.Expr:
     return total
 
 
-def em_eval(a: ExprMatrix, points, kernels: ex.KernelMemo | None = None) -> np.ndarray:
-    """Evaluate to an (N, n, m) array with one shared context; `kernels`,
-    the memo of `points`, shares MatrixGroup outputs."""
-    return ex._eval_matrix(a, ex.EvalContext(points, kernels))
+def em_eval(a: ExprMatrix, points) -> np.ndarray:
+    """Evaluate to an (N, n, m) array with one shared context, on an
+    (N, dim) batch or a KernelMemo (sharing its MatrixGroup outputs)."""
+    return ex._eval_matrix(a, ex.EvalContext(points))
 
 
 def em_subst(a: ExprMatrix, mapping: dict[int, ex.Expr]) -> ExprMatrix:

@@ -264,16 +264,14 @@ class SemialgebraicSet:
     def is_closed_form(self) -> bool:
         return all(c.op in (GE, EQ) for piece in self.pieces for c in piece)
 
-    def membership(self, points, margin: float = 0.0, eq_tol: float = _EQ_TOL,
-                   kernels: ex.KernelMemo | None = None) -> np.ndarray:
-        """Per point, whether it is in the set; `kernels`, the memo of
-        `points`, shares MatrixGroup outputs with other calls given it."""
-        points = np.asarray(points, dtype=float)
-        if points.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
+    def membership(self, points, margin: float = 0.0,
+                   eq_tol: float = _EQ_TOL) -> np.ndarray:
+        """Per point of an (N, dim) array or a KernelMemo (sharing its
+        MatrixGroup outputs), whether it is in the set."""
         # one context for every condition: subexpressions that several
         # conditions share are evaluated once
-        ctx = ex.EvalContext(points, kernels)
+        ctx = ex.EvalContext(points)
+        points = ctx.points
         out = np.zeros(points.shape[0], dtype=bool)
         for piece in self.pieces:
             mask = np.ones(points.shape[0], dtype=bool)
@@ -422,26 +420,25 @@ def _cloud_key(box, n: int, seed: int, eqs: list[Polynomial]) -> tuple:
 
 
 def _cloud(box, n: int, seed: int, eqs: list[Polynomial],
-           memo: dict) -> ex.KernelMemo:
+           clouds: dict) -> ex.KernelMemo:
     """The kernel memo of the n seeded candidates in the box, projected
-    onto the equations, kept in `memo` under `_cloud_key` (box, n, seed,
+    onto the equations, kept in `clouds` under `_cloud_key` (box, n, seed,
     equations).
 
     The cloud is read-only and a pure function of that key, so a hit holds
     the very array a fresh draw and projection would compute."""
     key = _cloud_key(box, n, seed, eqs)
-    hit = memo.get(key)
+    hit = clouds.get(key)
     if hit is None:
         hit = _candidates(box, n, seed)
         if eqs:
             hit = _project_to_variety(hit, eqs)
-        hit.flags.writeable = False
-        hit = memo[key] = ex.KernelMemo(hit)
+        hit = clouds[key] = ex.KernelMemo(hit)
     return hit
 
 
 def _selection(sset: SemialgebraicSet, plan: SamplePlan, box, count: int,
-               memo: dict) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
+               clouds: dict) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
     """The rows `sample` keeps before its dedupe: per sampling round and
     piece that kept a row, in that order, the cloud's `_cloud_key`, its
     points and the keep mask."""
@@ -452,10 +449,10 @@ def _selection(sset: SemialgebraicSet, plan: SamplePlan, box, count: int,
         seed = plan.seed + 7919 * round_idx
         for piece in sset.pieces:
             eqs = sset.equality_polys(piece)
-            cloud = _cloud(box, n_cand, seed, eqs, memo)
+            cloud = _cloud(box, n_cand, seed, eqs, clouds)
             piece_set = SemialgebraicSet(sset.dim, [piece])
-            keep = piece_set.membership(cloud.points, margin=_SAMPLE_MARGIN,
-                                        eq_tol=1e-12, kernels=cloud)
+            keep = piece_set.membership(cloud, margin=_SAMPLE_MARGIN,
+                                        eq_tol=1e-12)
             if keep.any():
                 selection.append((_cloud_key(box, n_cand, seed, eqs),
                                   cloud.points, keep))
@@ -489,29 +486,29 @@ def _deduped(selection, dim: int, count: int) -> tuple[np.ndarray, bool]:
 
 def sample(sset: SemialgebraicSet, plan: SamplePlan, box,
            count: int | None = None,
-           memo: Base | None = None) -> tuple[np.ndarray, bool]:
+           base: Base | None = None) -> tuple[np.ndarray, bool]:
     """Sample points of the set inside the box.
 
     Returns (points, empty) where empty is True only when no point was
     found (empty set on the scanned box, or contradictory conditions); a
-    sample of fewer than `count` points is not flagged.  With `memo`, the
+    sample of fewer than `count` points is not flagged.  With `base`, the
     base whose box this is, the candidate clouds are the base's (see
     `_cloud`) and the points are interned there by selection (see
     `Base.region_memo`): a read-only array that equal selections share.
     """
     count = plan.n_chart if count is None else count
-    if memo is None:
+    if base is None:
         return _deduped(_selection(sset, plan, box, count, {}), sset.dim, count)
-    selection = _selection(sset, plan, box, count, memo.clouds)
-    return memo.intern(selection, count).points, not selection
+    selection = _selection(sset, plan, box, count, base.clouds)
+    return base.intern(selection, count).points, not selection
 
 
 @dataclass(frozen=True)
 class Base:
     """A base space: its set, a scan box, and catalog attributes.
 
-    `clouds` is the base's sampling memo (see `_cloud`), and `regions`
-    holds the kernel memos of the point sets the base evaluates again: its
+    `clouds` holds the kernel memos of its sampling clouds (see `_cloud`),
+    and `regions` those of the point sets the base evaluates again: its
     sampled regions, interned by selection (see `region_memo`), each also
     under the id of its read-only points, which it keeps alive, and fixed
     grids by name (see `grid_memo`).  Both live as long as the base and
@@ -547,7 +544,6 @@ class Base:
         hit = self.regions.get(key)
         if hit is None:
             points = _deduped(selection, self.dim, count)[0]
-            points.flags.writeable = False
             hit = self.regions[key] = self.regions[id(points)] = ex.KernelMemo(points)
         return hit
 
@@ -571,9 +567,7 @@ class Base:
         kept in `regions` under `name`."""
         hit = self.regions.get(name)
         if hit is None:
-            points = make()
-            points.flags.writeable = False
-            hit = self.regions[name] = ex.KernelMemo(points)
+            hit = self.regions[name] = ex.KernelMemo(make())
         return hit
 
 
@@ -614,18 +608,15 @@ class Cover:
 
     def coverage(self, plan: SamplePlan) -> CoverageReport:
         memo = self.base.sample_memo(plan)
-        if memo.points.shape[0] == 0:
+        if len(memo) == 0:
             return CoverageReport(False)
         bad = self.first_uncovered(memo)
         return CoverageReport(bad is None, bad)
 
-    def first_uncovered(self, kernels: ex.KernelMemo) -> tuple | None:
+    def first_uncovered(self, memo: ex.KernelMemo) -> tuple | None:
         """The first of the memo's points that no chart contains, or None."""
-        points = kernels.points
-        covered = np.zeros(points.shape[0], dtype=bool)
-        for chart in self.charts:
-            covered |= chart.membership(points, kernels=kernels)
-        return first_flagged(points, ~covered)
+        covered = np.any([chart.membership(memo) for chart in self.charts], axis=0)
+        return first_flagged(memo.points, ~covered)
 
     def require_coverage(self, plan: SamplePlan) -> None:
         report = self.coverage(plan)
@@ -674,7 +665,7 @@ class Cover:
             for j, cj in enumerate(other.charts):
                 inter = ci.intersect(cj)
                 region = self.base.sset.intersect(inter)
-                if not self.base.region_memo(region, plan, 16).points.shape[0]:
+                if not len(self.base.region_memo(region, plan, 16)):
                     continue
                 charts.append(inter)
                 parents.append((i, j))

@@ -71,8 +71,7 @@ def separating_function(x_set: SemialgebraicSet, y_set: SemialgebraicSet, r: int
     h = zero_function(y_set, r)
     for a, b in ((x_set, y_set), (y_set, x_set)):
         memo = base.region_memo(a.intersect(base.sset), plan, plan.n_overlap)
-        both = first_flagged(memo.points,
-                             b.membership(memo.points, eq_tol=1e-9, kernels=memo))
+        both = first_flagged(memo.points, b.membership(memo, eq_tol=1e-9))
         if both is not None:
             raise NotDisjoint(f"sampled point {both} lies in both sets")
     g2 = ex.Mul(g, g)
@@ -124,8 +123,7 @@ def shrink_cover(cover: Cover, r: int = 1, *, plan: SamplePlan) -> ShrunkCover:
     for k, v_k in enumerate(new_charts):
         closed = v_k.closure().intersect(base.sset)
         memo = base.region_memo(closed, plan, plan.n_overlap)
-        out = first_flagged(memo.points,
-                            ~cover.charts[k].membership(memo.points, kernels=memo))
+        out = first_flagged(memo.points, ~cover.charts[k].membership(memo))
         if out is not None:
             raise CoverageFailure(
                 f"shrunk chart {k} escapes its original chart at {out}")
@@ -154,9 +152,8 @@ def partition_of_unity(cover: Cover, r: int = 1, *,
     for s in squares[1:]:
         total = ex.Add(total, s)
     memo = cover.base.sample_memo(plan)
-    if memo.points.shape[0]:
-        bad = first_flagged(memo.points,
-                            ex.evaluate(total, memo.points, memo) <= 1e-12)
+    if len(memo):
+        bad = first_flagged(memo.points, ex.evaluate(total, memo) <= 1e-12)
         if bad is not None:
             raise CoverageFailure(
                 f"partition denominator vanishes at sampled base point {bad}")
@@ -177,7 +174,7 @@ def vertical_retraction(u_set: SemialgebraicSet, v_set: SemialgebraicSet, r: int
         raise ContainmentFailure("vertical retraction expects open U and V")
     closure_u = u_set.closure()
     memo = base.region_memo(closure_u.intersect(base.sset), plan, plan.n_overlap)
-    out = first_flagged(memo.points, ~v_set.membership(memo.points, kernels=memo))
+    out = first_flagged(memo.points, ~v_set.membership(memo))
     if out is not None:
         raise ContainmentFailure(f"closure(U) escapes V at sampled point {out}")
     f = zero_function(closure_u, r)

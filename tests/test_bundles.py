@@ -246,7 +246,7 @@ def test_generating_sections_trivial_single_chart():
     system = generating_sections(b, r=1, plan=PLAN)
     assert len(system.sections) == 2
     pts = np.linspace(-2, 2, 9).reshape(-1, 1)
-    mat = section_value_matrix(system.sections, 0, pts)
+    mat = section_value_matrix(system.sections, 0, lambda m: em_eval(m, pts))
     assert np.allclose(mat, np.broadcast_to(np.eye(2), (9, 2, 2)))
 
 
@@ -256,7 +256,8 @@ def test_generating_sections_moebius():
     assert len(system.sections) == 2
     for chart in range(2):
         pts = m.cover.samples((chart,), PLAN)
-        mat = section_value_matrix(system.sections, chart, pts)
+        mat = section_value_matrix(system.sections, chart,
+                                   lambda m: em_eval(m, pts))
         sv = np.linalg.svd(mat, compute_uv=False)[:, 0]
         assert (sv > 1e-9).all()      # rank 1 everywhere sampled
     for s in system.sections:
@@ -297,7 +298,8 @@ def test_coefficients_reconstruct_moebius_section():
     coeffs = coefficients(target, system, PLAN)
     for chart in range(2):
         pts = m.cover.samples((chart,), PLAN)
-        gen_vals = section_value_matrix(system.sections, chart, pts)  # (N,1,2)
+        gen_vals = section_value_matrix(system.sections, chart,
+                                        lambda m: em_eval(m, pts))  # (N,1,2)
         coef_vals = np.stack([ex.evaluate(c, pts) for c in coeffs], axis=1)
         recon = (gen_vals @ coef_vals[:, :, None])[:, :, 0]
         want = em_eval(target.values[chart], pts)[:, :, 0]

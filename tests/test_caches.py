@@ -237,11 +237,12 @@ def _groups(sset):
 
 
 def without_memo(monkeypatch):
-    """Make every membership call evaluate in a context of its own."""
+    """Make every membership call evaluate in a context of its own: on the
+    array of a memo it is given, without the memo."""
     plain = SemialgebraicSet.membership
     monkeypatch.setattr(SemialgebraicSet, "membership",
-                        lambda self, points, margin=0.0, eq_tol=semialg._EQ_TOL,
-                        kernels=None: plain(self, points, margin, eq_tol))
+                        lambda self, points, margin=0.0, eq_tol=semialg._EQ_TOL:
+                        plain(self, getattr(points, "points", points), margin, eq_tol))
 
 
 def test_memo_membership_matches_a_fresh_context(monkeypatch):
@@ -251,7 +252,7 @@ def test_memo_membership_matches_a_fresh_context(monkeypatch):
                cover.charts[0].intersect(cover.charts[1])]
     cloud = semialg._cloud(base.box, 300, 0, [], {})
     for region in regions:
-        got = region.membership(cloud.points, margin=1e-3, kernels=cloud)
+        got = region.membership(cloud, margin=1e-3)
         assert got.tolist() == region.membership(cloud.points, margin=1e-3).tolist()
     assert cloud.outputs
     # the sampled regions, each drawn after the others filled the memo
@@ -269,7 +270,7 @@ def test_second_region_reruns_no_computed_kernel(monkeypatch):
     compute, eigh = ex.MatrixGroup._compute, ex._whitened_eigh
 
     def keyed_compute(group, ctx):
-        computing.append((group, ctx.kernels, ctx.path))
+        computing.append((group, ctx.memo, ctx.path))
         try:
             return compute(group, ctx)
         finally:
@@ -336,7 +337,7 @@ def test_a_transport_that_crosses_a_guard_stores_nothing():
     errors = []
     for _ in range(2):      # the second context finds nothing kept and fails again
         with pytest.raises(ex.GuardViolation) as info:
-            ex._eval_matrix(field, ex.EvalContext(memo.points, memo))
+            ex._eval_matrix(field, ex.EvalContext(memo))
         errors.append((str(info.value), info.value.point))
         assert not memo.outputs
     assert errors[0] == errors[1] and errors[0][1] is not None
@@ -418,7 +419,7 @@ def test_a_transport_on_a_second_region_of_one_point_set_is_a_memo_hit(
     reads = recording_transports(monkeypatch)
     for idx in [(0,), (3,)]:
         memo = cover.region_memo(idx, DEEP_PLAN)
-        ex._eval_matrix(field, ex.EvalContext(memo.points, memo))
+        ex._eval_matrix(field, ex.EvalContext(memo))
     assert len(computed) == 1
     assert reads and all(r is reads[0] for r in reads)
 
@@ -448,14 +449,14 @@ def recording_pencils(monkeypatch):
 
     def recorded_compute(group, ctx):
         if group.op in (ex.PENCIL_PROJ_POS, ex.PENCIL_PROJ_NEG):
-            computed.append((group, ctx.kernels))
+            computed.append((group, ctx.memo))
         return compute(group, ctx)
 
     def recorded_lookup(group, ctx):
         if (group.op in (ex.PENCIL_PROJ_POS, ex.PENCIL_PROJ_NEG)
                 and id(group) not in ctx.group_cache
-                and (ctx.kernels is None
-                     or ctx.path not in ctx.kernels.outputs.get(group, {}))):
+                and (ctx.memo is None
+                     or ctx.path not in ctx.memo.outputs.get(group, {}))):
             missed.append(group)
         return lookup(group, ctx)
 
@@ -469,7 +470,7 @@ def test_minus_range_bundle_reads_the_pencils_its_plus_twin_computed(monkeypatch
     computed, missed = recording_pencils(monkeypatch)
     bundle_from_projector(plus, PLAN, name="hyperbolic1+")
     memo = doc.base.sample_memo(PLAN)
-    assert computed and all(kernels is memo for _, kernels in computed)
+    assert computed and all(scope is memo for _, scope in computed)
     assert {g.op for g, _ in computed} == {ex.PENCIL_PROJ_POS}
     before = len(computed), len(missed)
     bundle_from_projector(minus, PLAN, name="hyperbolic1-")
@@ -483,21 +484,21 @@ def test_loop_grid_kernels_run_once_per_base(monkeypatch):
     doc, (plus, _) = hyperbolic_split()
     bundle = bundle_from_projector(plus, PLAN, name="hyperbolic1+")
     other = bu.BundleRep(bundle.cover, bundle.rank, bundle.transitions, name="again")
-    kernels = []
+    memos = []
     compute = ex.MatrixGroup._compute
 
     def recorded(group, ctx):
-        kernels.append(ctx.kernels)
+        memos.append(ctx.memo)
         return compute(group, ctx)
 
     monkeypatch.setattr(ex.MatrixGroup, "_compute", recorded)
     first = bu.s1_line_class(bundle)
     grid = doc.base.regions[LOOP_GRID]
     assert grid.points.shape[0] == bu.LOOP_STEPS + 1 and not grid.points.flags.writeable
-    on_grid = sum(k is grid for k in kernels)
+    on_grid = sum(k is grid for k in memos)
     assert on_grid and grid.outputs
     assert bu.s1_line_class(other) == first
-    assert sum(k is grid for k in kernels) == on_grid
+    assert sum(k is grid for k in memos) == on_grid
 
 
 def test_dropping_the_bundles_frees_the_loop_grid_entries():

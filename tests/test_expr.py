@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bundleforms import expr as ex
-from bundleforms import semialg
+from bundleforms import matexpr, semialg
 from bundleforms.catalog import circle_base
 from bundleforms.errors import DimensionMismatch, GuardViolation
 from bundleforms.matexpr import (
@@ -197,17 +197,15 @@ def test_memo_shares_kernels_only_between_equal_gate_masks(monkeypatch):
     gated = [ex.ZeroGate(g, entry) for g in gates]
     runs = counted_kernels(monkeypatch)
     memo = ex.KernelMemo(np.linspace(-1.0, 1.0, 9).reshape(-1, 1))
-    got = [g.eval(ex.EvalContext(memo.points, memo)) for g in gated]
+    got = [g.eval(ex.EvalContext(memo)) for g in gated]
     assert [group for group, _ in runs] == [inv, inv]
     assert runs[0][1] != runs[1][1] and len(memo.outputs[inv]) == 2
-    again = [g.eval(ex.EvalContext(memo.points, memo)) for g in gated]
+    again = [g.eval(ex.EvalContext(memo)) for g in gated]
     assert len(runs) == 2
     for g, first, second in zip(gated, got, again):
         want = ex.evaluate(g, memo.points)          # no memo
         assert first.tobytes() == second.tobytes() == want.tobytes()
     assert len(runs) == 2 + 3
-    with pytest.raises(ValueError, match="own point array"):
-        ex.EvalContext(memo.points.copy(), memo)
 
 
 def test_memo_keeps_nothing_of_a_failed_guard():
@@ -216,7 +214,7 @@ def test_memo_keeps_nothing_of_a_failed_guard():
     raised = []
     for _ in range(2):
         with pytest.raises(GuardViolation) as err:
-            entry.eval(ex.EvalContext(memo.points, memo))
+            entry.eval(ex.EvalContext(memo))
         assert not memo.outputs
         raised.append((str(err.value), err.value.point))
     assert raised[0] == raised[1] and raised[0][1] == (0.0,)
@@ -225,15 +223,45 @@ def test_memo_keeps_nothing_of_a_failed_guard():
 def test_memo_outputs_are_read_only():
     entry = ex.MatEntry(ex.MatrixGroup(ex.INV, [[ex.Var(0)]]), 0, 0)
     memo = ex.KernelMemo(np.array([[2.0], [4.0]]))
-    ctx = ex.EvalContext(memo.points, memo)
+    ctx = ex.EvalContext(memo)
     assert entry.eval(ctx).tolist() == [0.5, 0.25]
-    assert entry.eval(ex.EvalContext(memo.points, memo)).tolist() == [0.5, 0.25]
+    assert entry.eval(ex.EvalContext(memo)).tolist() == [0.5, 0.25]
     outputs = [*memo.outputs[entry.group].values(), *ctx.group_cache.values()]
     assert len(outputs) == 2 and outputs[0] is outputs[1]
     for out in outputs:
         assert not out.flags.writeable
         with pytest.raises(ValueError):
             out[0] = 0.0
+
+
+@pytest.mark.parametrize("scope", [np.asarray, ex.KernelMemo])
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 2, 1))])
+def test_points_not_n_by_dim_raise_as_array_or_memo(scope, bad):
+    with pytest.raises(DimensionMismatch, match="points must be"):
+        ex.evaluate(ex.Var(0), scope(bad))
+    with pytest.raises(DimensionMismatch, match="points must be"):
+        ex.EvalContext(scope(bad))
+
+
+def test_memo_len_is_its_number_of_points():
+    memo = ex.KernelMemo(np.zeros((7, 2)))
+    assert len(memo) == memo.points.shape[0] == 7
+    assert len(ex.KernelMemo(np.zeros((0, 3)))) == 0
+
+
+def test_layer_tracer_counts_a_memo_evaluation_by_its_rows():
+    # the benchmark's expr.eval.rows is len() of the evaluator's second
+    # positional argument, so a memo must count as its points
+    layertrace = load_layertrace()
+    memo = ex.KernelMemo(np.linspace(-1.0, 1.0, 6).reshape(-1, 2))
+    inv = ex.MatrixGroup(ex.INV, [[ex.Add(ex.Const(1.0), ex.Mul(ex.Var(0), ex.Var(0)))]])
+    tracer = layertrace.LayerTracer()
+    with tracer.installed():
+        ex.evaluate(ex.MatEntry(inv, 0, 0), memo)
+        matexpr.em_eval(((ex.Var(1),),), memo)
+    got = tracer.snapshot()
+    assert got["expr.eval.calls"] == 2
+    assert got["expr.eval.rows"] == 2 * len(memo.points)
 
 
 def test_colspan_projector_entry():
@@ -740,7 +768,7 @@ def test_twin_served_projector_equals_the_single_sign_kernel_bit_for_bit(
     pts = pencil_stack(np.random.default_rng(7 + size), size, gap)
     pair = pencil_pair_of(size)
     memo = ex.KernelMemo(pts)
-    ctx = ex.EvalContext(pts, memo)
+    ctx = ex.EvalContext(memo)
     s, g = ex._eval_matrix(pair[0].a, ctx), ex._eval_matrix(pair[0].b, ctx)
     if gap < 1.0:
         with pytest.raises(GuardViolation) as want:
@@ -765,7 +793,7 @@ def test_non_finite_pencil_pair_operand_stores_neither_sign():
     pts[5, 1] = np.nan
     plus, minus = pencil_pair_of(2)
     memo = ex.KernelMemo(pts)
-    ctx = ex.EvalContext(pts, memo)
+    ctx = ex.EvalContext(memo)
     for group in (minus, plus):
         with pytest.raises(GuardViolation, match="pencil operand has a non-finite"):
             group.compute(ctx)
@@ -784,7 +812,7 @@ def test_one_eigensolve_per_pair_memo_and_path(monkeypatch):
     memo = ex.KernelMemo(pts)
     reads = []
     for group in (plus, minus):                   # one context per sign
-        ctx = ex.EvalContext(pts, memo)
+        ctx = ex.EvalContext(memo)
         entry = ex.MatEntry(group, 0, 1)
         reads.append((entry.eval(ctx), ex.ZeroGate(gate, entry).eval(ctx)))
     kept = int((pts[:, 0] > 0).sum())

@@ -4,6 +4,11 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
 
 - `MatrixGroup` computations by op tag, with the rows they ran on: calls
   that neither the context's own cache nor a kernel memo served;
+- the `MatrixGroup` computations among them that ran in a context without
+  a kernel memo (one built on a bare point array, or a sub-context of
+  one), with their rows, by the function that built the root context.
+  The public evaluators (`evaluate`, `em_eval`, `membership`) build the
+  contexts of their callers, so their caller is named instead;
 - kernel memo traffic: lookups that found the (group, rows) output an
   earlier context computed (hits) and lookups that had to compute it
   (misses), with their rows;
@@ -56,6 +61,8 @@ from bundleforms import expr as ex  # noqa: E402
 from bundleforms.semialg import Base  # noqa: E402
 
 SEED = 0
+# the evaluators that build a context for their caller's points
+EVALUATORS = {"evaluate", "evaluate_at", "em_eval", "SemialgebraicSet.membership"}
 # the function that asks `Base.region_memo` for an array -> the array's kind
 # (`Cover.region_memo`, `Base.sample_memo`); any function of `unity` asks for
 # unity probes, and any other for other probes
@@ -67,6 +74,15 @@ def kind_of(frame) -> str:
     if frame.f_globals.get("__name__") == "bundleforms.unity":
         return "unity probes"
     return KINDS.get(frame.f_code.co_name, "other probes")
+
+
+def builder_of(frame) -> str:
+    """The module and qualified name of the function of `frame`, or of the
+    first caller outside the public evaluators."""
+    while frame.f_code.co_qualname in EVALUATORS:
+        frame = frame.f_back
+    module = frame.f_globals.get("__name__", "?").removeprefix("bundleforms.")
+    return f"{module}.{frame.f_code.co_qualname}"
 
 
 def structure(obj, memo: dict, table: dict) -> int:
@@ -116,7 +132,9 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     eigh = ex._whitened_eigh
     lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
     region_memo, grid_memo = Base.region_memo, Base.grid_memo
+    init, sub = ex.EvalContext.__init__, ex.EvalContext.sub
     interned, twins = {}, {}
+    builders = weakref.WeakKeyDictionary()      # context -> builder_of name
 
     def tally(key, n):
         calls[key] += 1
@@ -129,12 +147,14 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
         def counted_lookup(group, ctx):
             if id(group) not in ctx.group_cache:
                 n = ctx.points.shape[0]
-                memo = ctx.kernels
+                memo = ctx.memo
                 hit = memo is not None and ctx.path in memo.outputs.get(group, {})
                 if memo is not None:
                     tally(f"{memo_key} hit" if hit else f"{memo_key} miss", n)
                 if not hit and isinstance(group, ex.MatrixGroup):
                     tally(f"matrixgroup {group.op}", n)
+                    if memo is None:
+                        tally(f"memo-less {builders.get(ctx)}", n)
             out = lookup(group, ctx)
             if twins.get(id(out), (None, True))[1] is False:
                 twins[id(out)] = (out, True)
@@ -158,6 +178,15 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
             if first.setdefault(structure(node, memo, table), id(node)) != id(node):
                 tally("structural duplicates", n)
         return node_eval(node, ctx)
+
+    def counted_init(ctx, points):
+        init(ctx, points)
+        builders[ctx] = builder_of(sys._getframe(1))
+
+    def counted_sub(ctx, gate_id, mask):
+        child = sub(ctx, gate_id, mask)
+        builders[child] = builders.get(ctx)
+        return child
 
     def counted_transport(group, ctx):
         tally("pathproduct", ctx.points.shape[0])
@@ -189,7 +218,9 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
                (ex.PathProduct, "compute", counted(lookup, "transport memo")),
                (ex.PathProduct, "_compute", counted_transport),
                (Base, "region_memo", counted_region),
-               (Base, "grid_memo", counted_grid)]
+               (Base, "grid_memo", counted_grid),
+               (ex.EvalContext, "__init__", counted_init),
+               (ex.EvalContext, "sub", counted_sub)]
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patches]
     for owner, attr, new in patches:
         setattr(owner, attr, new)
@@ -218,6 +249,10 @@ def main() -> int:
             print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
         print(f"  {'matrixgroup total':24s} {total:7d} calls "
               f"{sum(rows[k] for k in groups):10d} rows")
+        print("  memo-less, by the function that built the context:")
+        for key in sorted(k for k in calls if k.startswith("memo-less ")):
+            print(f"    {key.removeprefix('memo-less '):46s} {calls[key]:7d} calls "
+                  f"{rows[key]:10d} rows")
         for key in ["pathproduct", "transport memo hit", "transport memo miss"]:
             print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
         for kind in ARRAY_KINDS:
