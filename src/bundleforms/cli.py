@@ -97,6 +97,7 @@ def _run_one(doc, task, plan, tol, witness_tol, entry: TaskEntry):
             ok = False
         entry.status = "pass" if ok else "fail"
         entry.max_residual = check.max_residual
+        entry.mean_residual = check.mean_residual
         if not check.passed:    # a passing report names no point
             entry.witness_point = list(check.witness)
         entry.invariants.update({"positive": pair.sig.pos,

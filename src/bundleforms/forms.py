@@ -472,7 +472,7 @@ class FiberProjectorPair:
                 res = np.abs(ev(mats[i]) @ gij - gij @ ev(mats[j])).max(axis=(1, 2))
                 stat.add_residuals(res, pts)
         return CheckReport("decomposition", stat.max < tol, stat.max,
-                           witness=stat.witness)
+                           witness=stat.witness, mean_residual=stat.mean)
 
     def restricted_definiteness(self, plan: SamplePlan):
         """(min eig on range P+, max eig on range P-) over all samples."""

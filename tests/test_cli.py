@@ -219,6 +219,18 @@ def test_decompose_subcommand(capsys):
     assert "positive=1" in out and "negative=1" in out
 
 
+@pytest.mark.parametrize("spec", ["moebius.json", "moebius_cylinder.json"])
+def test_every_decompose_entry_reports_its_mean_residual(capsys, spec):
+    # the projector pair's check computes the mean; the entry used to drop it
+    code, out = run_cli(capsys, "decompose", SPECS / spec, "--samples", "150",
+                        "--format", "machine")
+    tasks = [t for t in json.loads(out)["tasks"] if t["name"].startswith("decompose ")]
+    assert code == 0 and tasks
+    for task in tasks:
+        assert isinstance(task["mean_residual"], float)
+        assert task["mean_residual"] <= task["max_residual"]
+
+
 def test_report_subcommand_runs_validations_and_tasks(capsys):
     code, out = run_cli(capsys, "report", SPECS / "moebius.json",
                         "--samples", "150")
