@@ -246,7 +246,8 @@ def test_generating_sections_trivial_single_chart():
     system = generating_sections(b, r=1, plan=PLAN)
     assert len(system.sections) == 2
     pts = np.linspace(-2, 2, 9).reshape(-1, 1)
-    mat = section_value_matrix(system.sections, 0, lambda m: em_eval(m, pts))
+    mat = section_value_matrix(system.sections, 0,
+                               lambda matrix: em_eval(matrix, pts))
     assert np.allclose(mat, np.broadcast_to(np.eye(2), (9, 2, 2)))
 
 
@@ -257,7 +258,7 @@ def test_generating_sections_moebius():
     for chart in range(2):
         pts = m.cover.samples((chart,), PLAN)
         mat = section_value_matrix(system.sections, chart,
-                                   lambda m: em_eval(m, pts))
+                                   lambda matrix: em_eval(matrix, pts))
         sv = np.linalg.svd(mat, compute_uv=False)[:, 0]
         assert (sv > 1e-9).all()      # rank 1 everywhere sampled
     for s in system.sections:
@@ -299,7 +300,7 @@ def test_coefficients_reconstruct_moebius_section():
     for chart in range(2):
         pts = m.cover.samples((chart,), PLAN)
         gen_vals = section_value_matrix(system.sections, chart,
-                                        lambda m: em_eval(m, pts))  # (N,1,2)
+                                        lambda matrix: em_eval(matrix, pts))  # (N,1,2)
         coef_vals = np.stack([ex.evaluate(c, pts) for c in coeffs], axis=1)
         recon = (gen_vals @ coef_vals[:, :, None])[:, :, 0]
         want = em_eval(target.values[chart], pts)[:, :, 0]

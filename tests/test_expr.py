@@ -254,7 +254,8 @@ def test_layer_tracer_counts_a_memo_evaluation_by_its_rows():
     # positional argument, so a memo must count as its points
     layertrace = load_layertrace()
     memo = ex.KernelMemo(np.linspace(-1.0, 1.0, 6).reshape(-1, 2))
-    inv = ex.MatrixGroup(ex.INV, [[ex.Add(ex.Const(1.0), ex.Mul(ex.Var(0), ex.Var(0)))]])
+    x = ex.Var(0)
+    inv = ex.MatrixGroup(ex.INV, [[ex.Add(ex.Const(1.0), ex.Mul(x, x))]])
     tracer = layertrace.LayerTracer()
     with tracer.installed():
         ex.evaluate(ex.MatEntry(inv, 0, 0), memo)
