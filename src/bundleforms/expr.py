@@ -523,9 +523,9 @@ class MatrixGroup(metaclass=_Interned):
         if twin is None:
             return _pencil_projector(a, g, positive, self.guard_tol, ctx)
         # one eigensolve for both signs; a guard violation stores neither
-        ell, w, z = _pencil_eigh(a, g, self.guard_tol, ctx)
-        _keep(twin, ctx, _sign_projector(ell, w, z, not positive))
-        return _sign_projector(ell, w, z, positive)
+        eig = _pencil_eigh(a, g, self.guard_tol, ctx)
+        _keep(twin, ctx, _sign_projector(eig, not positive))
+        return _sign_projector(eig, positive)
 
     def substitute(self, mapping, memo) -> "MatrixGroup":
         """The group over the substituted operands: the paired group
@@ -698,9 +698,12 @@ def solve(a, b):
 
 def _whitened_eigh(s, g):
     """Cholesky factor L of G and the eigen-decomposition of the symmetric
-    L^-1 S L^-T, which has the eigenvalues of the pencil G^-1 S.  A 1 x 1
-    pencil skips LAPACK: L is sqrt(G), and the whitened form is its own
-    eigenvalue with eigenvector 1, each as LAPACK returns it bit for bit."""
+    L^-1 S L^-T, which has the eigenvalues of the pencil G^-1 S: LAPACK's
+    kernel for the pencil square root and for the sign projectors of the
+    pencils `pencil_gap` leaves to it (larger than 2 x 2, or 2 x 2 rows its
+    filter does not certify).  A 1 x 1 pencil skips LAPACK: L is sqrt(G),
+    and the whitened form is its own eigenvalue with eigenvector 1, each as
+    LAPACK returns it bit for bit."""
     one = g.shape[1] == 1
     ell = np.sqrt(g) if one else np.linalg.cholesky(g)
     white = solve(ell, np.swapaxes(solve(ell, s), 1, 2))
@@ -713,25 +716,149 @@ def _whitened_eigh(s, g):
 
 def _pencil_projector(s, g, positive, tol, ctx):
     """Spectral projector onto the positive/negative eigenspace of the
-    G-self-adjoint pencil G^-1 S, via the Cholesky-whitened symmetric form."""
-    return _sign_projector(*_pencil_eigh(s, g, tol, ctx), positive)
+    G-self-adjoint pencil G^-1 S."""
+    return _sign_projector(_pencil_eigh(s, g, tol, ctx), positive)
 
 
 def _pencil_eigh(s, g, tol, ctx):
-    """`_whitened_eigh` of the pencil, guarded: the guard flags rows whose
-    smallest |eigenvalue| is not above `tol`, so a NaN eigenvalue is a
-    violation.  Rows of S with a NaN or infinite entry are violations
-    before any LAPACK call (G passed its SPD guard)."""
+    """The pencil's sign data (`pencil_gap`), guarded: rows of S with a NaN
+    or infinite entry are violations before any kernel runs (G passed its
+    SPD guard), and then rows whose smallest |eigenvalue| is not above
+    `tol`, as LAPACK decides it, so a NaN eigenvalue is a violation."""
     _guard(~np.isfinite(s).all(axis=(1, 2)), ctx, lambda i:
            "pencil operand has a non-finite entry")
-    ell, w, z = _whitened_eigh(s, g)
-    gap = np.abs(w).min(axis=1)
+    gap, eig = pencil_gap(s, g, tol)
     _guard(~(gap > tol), ctx, lambda i:
            f"pencil eigenvalue {gap[i]:.3e} within guard {tol:.1e}")
-    return ell, w, z
+    return eig
 
 
-def _sign_projector(ell, w, z, positive):
+# A 2 x 2 pencil is certified only with trace of G and scale of S inside
+# (1 / _SAFE, _SAFE): every intermediate of `_closed_pencil` is then a
+# normal number or an underflow far below its term's rounding, and none
+# overflows.
+_SAFE = 1e100
+
+
+def pencil_gap(s, g, tol):
+    """Per pencil (S, G) of the stacks, G SPD and S read through its
+    symmetric part, the value its eigenvalue guard compares with `tol`,
+    and the sign data that `_sign_projector` reads.
+
+    - 2 x 2: a certified filter (`_closed_pencil`).  A certified row reads
+      +inf, and its projectors are the closed form's.
+    - Every other row, and every pencil of another size: LAPACK's whitened
+      kernel (`_whitened_eigh`), in one call, which gives both the value,
+      the smallest |eigenvalue|, and the projectors.
+
+    So every guard decision the closed form cannot certify, and every
+    value a violation reports, is LAPACK's.  The sign data is (closed,
+    rows, whitened): the closed form's (half, traceless) on all rows, or
+    None; the rows sent to LAPACK (None: all); and `_whitened_eigh` on
+    them, or None if there are none."""
+    if s.shape[1] != 2:
+        whitened = _whitened_eigh(s, g)
+        return np.abs(whitened[1]).min(axis=1), (None, None, whitened)
+    half, traceless, certified = _closed_pencil(s, g, tol)
+    gap = np.full(s.shape[0], np.inf)
+    rows = np.flatnonzero(~certified)
+    whitened = None
+    if len(rows):
+        whitened = _whitened_eigh(s[rows], g[rows])
+        gap[rows] = np.abs(whitened[1]).min(axis=1)
+    return gap, ((half, traceless), rows, whitened)
+
+
+def _closed_pencil(s, g, tol):
+    """The sign projectors of 2 x 2 pencils in closed form, and the rows
+    whose guard decision they certify.
+
+    S is symmetrized, [[p, b], [b, q]] with b = (s01 + s10) / 2, and G is
+    read from its lower triangle, as Cholesky reads it.  With adj(G) the
+    adjugate, d = det G and M = adj(G) S = d A, A = G^-1 S:
+
+    - the eigenvalues of A are lam = (tr M / 2 +- r) / d, where r, half
+      their distance times d, is hypot(nu + (g10 / g00) m10, (sqrt(d) / g00)
+      m10) with nu = (m00 - m11) / 2: the whitened form's discriminant as a
+      sum of squares, so no cancellation, with each leg divided by g00
+      first, so that G = cI and nu = 0 give r = |m10| exactly;
+    - if both have one sign, the positive projector is exactly I or 0;
+    - otherwise, by Cayley-Hamilton, P+- = +-(A - lam-+ I) / (lam+ - lam-)
+      = I / 2 +- N / (2 r), N = M - (tr M / 2) I = [[nu, m01], [m10, -nu]].
+
+    Certification.  Let gamma = g00 + g11 >= ||G||, s = |p| + |q| + 2|b|
+    >= ||S||, kappa = gamma^2 / d >= cond(G) (and >= 4), and rho =
+    gamma s / d >= ||G^-1|| ||S||, which bounds every |lam|.  To first
+    order in u = 2^-53:
+
+    - nu, m01, m10 and tr M / 2 are each within 3u gamma s of their value,
+      and d within u kappa d;
+    - each leg of the hypot is at most r <= gamma s, and |g10| / g00 and
+      sqrt(d) / g00 are at most sqrt(kappa), so r is within
+      (8 + 8 sqrt(kappa) + kappa / 2) u gamma s <= 7u kappa gamma s;
+    - so each computed lam is within 16u kappa rho of the pencil's.
+
+    LAPACK's eigenvalues are within eps_L kappa rho, eps_L a small
+    multiple of u: Cholesky's backward error moves G by a small multiple of
+    u ||G||, which moves lam by u kappa |lam| times it, and the solves and
+    `eigh` add a small multiple of u ||L^-1||^2 ||S|| <= u rho.  A row is
+    certified when d > 0, gamma and s lie in (1 / _SAFE, _SAFE), and both
+    |lam| > max(tol, tiny) + delta kappa rho, delta = _FILTER_MARGIN.  While
+    16u + eps_L <= delta / 2, the pencil's |lam| then exceed tol + eps_L
+    kappa rho, so LAPACK passes the row too, with the same signs.  Past
+    kappa = 2 / delta the margin exceeds every computed |lam| (at most
+    about 1.5 rho), so no row is certified, and below it u kappa < 3e-6
+    keeps the first-order terms exact enough.  A row with d <= 0 (its
+    lower triangle not positive definite) or a non-finite intermediate is
+    never certified.
+
+    Returns (half, traceless, certified): P+ = half I + traceless and P- =
+    (1 - half) I - traceless on the certified rows; other rows hold
+    anything."""
+    p, q = s[:, 0, 0], s[:, 1, 1]
+    b = 0.5 * (s[:, 0, 1] + s[:, 1, 0])
+    g00, g10, g11 = g[:, 0, 0], g[:, 1, 0], g[:, 1, 1]
+    with np.errstate(all="ignore"):     # warns on uncertified rows alone
+        d = g00 * g11 - g10 * g10
+        nu = 0.5 * (g11 * p - g00 * q)
+        m01, m10 = g11 * b - g10 * q, g00 * b - g10 * p
+        r = np.hypot(nu + g10 / g00 * m10, np.sqrt(d) / g00 * m10)
+        mid = 0.5 * (g11 * p + g00 * q) - g10 * b
+        hi, lo = (mid + r) / d, (mid - r) / d
+        gamma, scale = g00 + g11, np.abs(p) + np.abs(q) + 2.0 * np.abs(b)
+        margin = _FILTER_MARGIN * (gamma * gamma / d) * (gamma * scale / d)
+        certified = ((d > 0.0) & (np.minimum(np.abs(hi), np.abs(lo))
+                                  > max(tol, _TINY) + margin)
+                     & (gamma > 1.0 / _SAFE) & (gamma < _SAFE)
+                     & (scale > 1.0 / _SAFE) & (scale < _SAFE))
+        mixed = (lo < 0.0) & (hi > 0.0)
+        # same-sign rows take no quotient, so no 0 / 0 for equal lam
+        traceless = np.divide(np.stack([nu, m01, m10, -nu], axis=1),
+                              (r + r)[:, None], out=np.zeros((len(r), 4)),
+                              where=mixed[:, None]).reshape(-1, 2, 2)
+    half = np.where(mixed, 0.5, np.where(lo > 0.0, 1.0, 0.0))
+    return half, traceless, certified
+
+
+def _sign_projector(eig, positive):
+    """The positive/negative sign-projector from a pencil's sign data
+    (`pencil_gap`): the closed form's on its certified 2 x 2 rows, and
+    L^-T Z_sel Z_sel^T L^T from LAPACK's whitened decomposition on the
+    others."""
+    closed, rows, whitened = eig
+    if closed is None:
+        return _whitened_projector(*whitened, positive)
+    half, traceless = closed
+    out = traceless.copy() if positive else -traceless
+    diag = half if positive else 1.0 - half
+    out[:, 0, 0] += diag
+    out[:, 1, 1] += diag
+    if whitened is not None:
+        out[rows] = _whitened_projector(*whitened, positive)
+    return out
+
+
+def _whitened_projector(ell, w, z, positive):
     """The positive/negative sign-projector from the pencil's whitened
     eigen-decomposition."""
     mask = (w > 0.0) if positive else (w < 0.0)

@@ -267,7 +267,7 @@ def test_memo_membership_matches_a_fresh_context(monkeypatch):
 def test_second_region_reruns_no_computed_kernel(monkeypatch):
     cover, fresh = pencil_split_cover(), pencil_split_cover()
     computing, eigh_keys = [], []
-    compute, eigh = ex.MatrixGroup._compute, ex._whitened_eigh
+    compute, eigh = ex.MatrixGroup._compute, ex._pencil_eigh
 
     def keyed_compute(group, ctx):
         computing.append((group, ctx.memo, ctx.path))
@@ -276,18 +276,20 @@ def test_second_region_reruns_no_computed_kernel(monkeypatch):
         finally:
             computing.pop()
 
-    def keyed_eigh(s, g):
+    def keyed_eigh(s, g, tol, ctx):
         eigh_keys.append(computing[-1])
-        return eigh(s, g)
+        return eigh(s, g, tol, ctx)
 
     monkeypatch.setattr(ex.MatrixGroup, "_compute", keyed_compute)
-    monkeypatch.setattr(ex, "_whitened_eigh", keyed_eigh)
+    monkeypatch.setattr(ex, "_pencil_eigh", keyed_eigh)
+    whitened = counting(monkeypatch, ex, "_whitened_eigh")
     cover.samples((0,), PLAN)
     first = list(eigh_keys)
     cover.samples((1,), PLAN)
     second = eigh_keys[len(first):]
     assert first and all(memo is not None for _, memo, _ in eigh_keys)
     assert len(set(eigh_keys)) == len(eigh_keys)
+    assert whitened == []                   # the closed form served every row
     # without the memo, the second region computes its pencils again
     without_memo(monkeypatch)
     before = len(eigh_keys)

@@ -474,29 +474,44 @@ def test_timed_entry_records_linalg_error_and_passes_others():
     assert len(report.entries) == 1
 
 
-def test_decompose_certifies_at_the_identity_tolerance(capsys):
-    # hyperbolic1's projector pair has residual 3.33e-16: above --tol 1e-17,
-    # so its decomposition fails, where a fixed 1e-8 passed it
-    code, out = run_cli(capsys, "decompose", SPECS / "moebius.json",
+def tilted_spec(tmp_path):
+    """moebius.json with one more form on the trivial rank-2 bundle: the
+    constant indefinite [[2, 1], [1, -3]], whose sign projectors have
+    irrational entries, so their residual is a rounding error above 1e-17
+    under the closed form and under LAPACK alike (hyperbolic1's is 0)."""
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    tilted = ["2", "1", "-3"]
+    raw["forms"]["tilted"] = {"bundle": "eps2",
+                              "upper": {"U1": tilted, "U2": tilted}}
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_decompose_certifies_at_the_identity_tolerance(tmp_path, capsys):
+    # tilted's projector pair has a residual of rounding size: above
+    # --tol 1e-17, so its decomposition fails, where a fixed 1e-8 passed it
+    code, out = run_cli(capsys, "decompose", tilted_spec(tmp_path),
                         "--tol", "1e-17", "--format", "machine")
     tasks = {t["name"]: t for t in json.loads(out)["tasks"]}
     assert code == 1
-    hyp = tasks["decompose hyperbolic1"]
-    assert hyp["status"] == "fail" and 1e-17 < hyp["max_residual"] < 1e-15
+    tilted = tasks["decompose tilted"]
+    assert tilted["status"] == "fail" and 1e-17 < tilted["max_residual"] < 1e-15
     assert tasks["decompose unit_moebius"]["status"] == "pass"
 
 
-def test_failed_decompose_names_the_check_witness(capsys):
-    # the failing hyperbolic1 task reports the point where the projector
-    # pair's residual peaks; the passing task names no point
-    code, out = run_cli(capsys, "decompose", SPECS / "moebius.json", "--tol", "1e-17",
+def test_failed_decompose_names_the_check_witness(tmp_path, capsys):
+    # the failing tilted task reports the point where the projector pair's
+    # residual peaks; the passing task names no point
+    spec = tilted_spec(tmp_path)
+    code, out = run_cli(capsys, "decompose", spec, "--tol", "1e-17",
                         "--samples", "150", "--format", "machine")
     tasks = {t["name"]: t for t in json.loads(out)["tasks"]}
     assert code == 1 and tasks["decompose unit_moebius"]["witness_point"] is None
-    hyp = tasks["decompose hyperbolic1"]
-    assert hyp["status"] == "fail" and hyp["witness_point"] is not None
+    tilted = tasks["decompose tilted"]
+    assert tilted["status"] == "fail" and tilted["witness_point"] is not None
     plan = SamplePlan(seed=0, n_chart=150, n_overlap=75, n_triple=50)
-    form = parse_spec((SPECS / "moebius.json").read_text()).forms["hyperbolic1"]
+    form = parse_spec(spec.read_text()).forms["tilted"]
     check = decompose(form, plan).check(plan, 1e-17)
     assert not check.passed
-    assert np.abs(np.array(hyp["witness_point"]) - check.witness).max() < 1e-11
+    assert np.abs(np.array(tilted["witness_point"]) - check.witness).max() < 1e-11

@@ -617,7 +617,8 @@ def test_overflowing_pencil_is_an_eigenvalue_guard_violation():
 
 
 def lapack_whitened_eigh(s, g):
-    """`_whitened_eigh` through LAPACK alone, the reference for 1 x 1."""
+    """`_whitened_eigh` through LAPACK alone: the reference for 1 x 1
+    pencils and for the 2 x 2 closed form."""
     ell = np.linalg.cholesky(g)
     white = np.linalg.solve(ell, np.swapaxes(np.linalg.solve(ell, s), 1, 2))
     w, z = np.linalg.eigh(0.5 * (white + np.swapaxes(white, 1, 2)))
@@ -645,6 +646,111 @@ def test_one_by_one_kernels_equal_lapack_bit_for_bit(kernel):
         for got, want in zip(ex._whitened_eigh(a, g),
                              lapack_whitened_eigh(a, g)):
             assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def adversarial_pencils(rng, n, tol):
+    """n symmetric 2 x 2 pencils (S, G), G SPD with condition number up to
+    1e12 at scales 1e-3 to 1e3 and eigenvalues of either sign at scales
+    1e-6 to 1e6, then in sixths: near-equal eigenvalues (relative spread
+    below 1e-9); one eigenvalue at (1 +- 1e-6) tol or within 4 ulp of tol,
+    the other within a factor 100 of it, over a well-conditioned G, a
+    quarter of them scaled by 1e-155 so that the closed form's products
+    underflow; equal ones, G = I and S = cI; and diagonal pencils with
+    signed zeros off the diagonal and on it (S = 0 among them)."""
+    k = n // 6
+    cond = 10.0 ** rng.uniform(0.0, 12.0, n)
+    cond[k:2 * k] = rng.uniform(1.0, 4.0, k)
+    size = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    size[k:2 * k] *= np.where(rng.random(k) < 0.25, 1e-155, 1.0)
+    r = rotations(rng, n)
+    g = (r * np.stack([size, size / cond], 1)[:, None, :]) @ np.swapaxes(r, 1, 2)
+    g = 0.5 * (g + np.swapaxes(g, 1, 2))
+    lam = rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 2))
+    lam[:k, 1] = lam[:k, 0] * (1.0 + rng.uniform(-1e-9, 1e-9, k))
+    near = np.where(rng.random(k) < 0.5, rng.choice([-1e-6, 1e-6], k),
+                    rng.integers(-4, 5, k) * ULP)
+    lam[k:2 * k, 0] = tol * (1.0 + near)
+    lam[k:2 * k, 1] = tol * 10.0 ** rng.uniform(0.0, 2.0, k)
+    lam[k:2 * k] *= rng.choice([-1.0, 1.0], (k, 2))
+    ell = np.linalg.cholesky(g)
+    q = rotations(rng, n)
+    s = ell @ (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2) @ np.swapaxes(ell, 1, 2)
+    s = 0.5 * (s + np.swapaxes(s, 1, 2))
+    equal = slice(2 * k, 3 * k)
+    s[equal] = (rng.choice([-1.0, 1.0], k)
+                * 10.0 ** rng.uniform(-15.0, 3.0, k))[:, None, None] * np.eye(2)
+    g[equal] = np.eye(2)
+    zeros = slice(3 * k, 4 * k)
+    s[zeros] = np.eye(2) * (rng.choice([-1.0, 1.0, 0.0, -0.0], (k, 1, 2))
+                            * 10.0 ** rng.uniform(-12.0, 2.0, (k, 1, 2)))
+    g[zeros] = np.eye(2) * 10.0 ** rng.uniform(-2.0, 2.0, (k, 1, 2))
+    for m in (s, g):
+        m[zeros, 0, 1] = rng.choice([0.0, -0.0], k)
+        m[zeros, 1, 0] = rng.choice([0.0, -0.0], k)
+    return s, g
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_closed_form_pencil_decides_as_lapack(monkeypatch, tol):
+    # every 2 x 2 guard decision is the filter's certified pass or LAPACK's,
+    # in one call; a violation reports LAPACK's value at LAPACK's first
+    # row; no numpy warning escapes (0 / 0 on equal eigenvalues, overflow)
+    rng = np.random.default_rng([int(-np.log10(tol)), 2])
+    n = 60_000
+    s, g = adversarial_pencils(rng, n, tol)
+    ell, w, z = lapack_whitened_eigh(s, g)
+    want = np.abs(w).min(axis=1)
+    sent = lapack_operands(monkeypatch, "eigh")
+    gap, eig = ex.pencil_gap(s, g, tol)
+    monkeypatch.undo()
+    certified = gap == np.inf
+    assert np.array_equal(gap > tol, want > tol)
+    assert np.array_equal(gap[~certified], want[~certified])
+    assert len(sent) == 1 and len(sent[0]) == (~certified).sum()
+    k = n // 6
+    for start, violations in ((0, False), (k, True), (2 * k, True),
+                              (3 * k, True), (4 * k, False)):
+        # each family has rows the filter certifies and rows it leaves to
+        # LAPACK; those at tol, the equal and the zero ones have violations
+        family = slice(start, n if start == 4 * k else start + k)
+        assert 0 < certified[family].sum() < certified[family].size
+        pts = np.column_stack([s[family].reshape(-1, 4), g[family].reshape(-1, 4)])
+        ctx = ex.EvalContext(pts)
+        bad = ~(want[family] > tol)
+        assert bad.any() == violations
+        if not violations:
+            ex._pencil_eigh(s[family], g[family], tol, ctx)
+            continue
+        i = int(np.argmax(bad))
+        with pytest.raises(GuardViolation) as err:
+            ex._pencil_eigh(s[family], g[family], tol, ctx)
+        assert str(err.value) == (f"pencil eigenvalue {want[family][i]:.3e} "
+                                  f"within guard {tol:.1e}")
+        assert err.value.point == tuple(pts[i])
+    # the stated bound: on a certified row the closed form's projectors are
+    # entrywise within 8 u kappa of LAPACK's, plus 8 u kappa rho / (lam+ -
+    # lam-) where the eigenvalues differ in sign (kappa, rho as in
+    # `expr._closed_pencil`)
+    gamma = g[:, 0, 0] + g[:, 1, 1]
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 1, 0] ** 2
+    scale = np.abs(s[:, 0, 0]) + np.abs(s[:, 1, 1]) + np.abs(s[:, 0, 1] + s[:, 1, 0])
+    kappa, rho = gamma ** 2 / det, gamma * scale / det
+    mixed = (w[:, 0] < 0.0) & (w[:, 1] > 0.0)
+    bound = 8.0 * ULP / 2.0 * kappa * (1.0 + np.divide(
+        rho, w[:, 1] - w[:, 0], out=np.zeros(n), where=mixed))
+    for positive in (True, False):
+        got = ex._sign_projector(eig, positive)
+        lapack = ex._whitened_projector(ell, w, z, positive)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got[~certified], lapack[~certified])
+        err = np.abs(got - lapack).max(axis=(1, 2))
+        assert (err[certified] <= bound[certified]).all()
+        # same-sign rows are exactly I or 0
+        same = certified & ~mixed
+        assert same.any() and mixed[certified].any()
+        one = (w[same, 0] > 0.0) == positive
+        assert np.array_equal(got[same], np.where(one[:, None, None], np.eye(2), 0.0))
 
 
 def load_layertrace():
@@ -804,9 +910,10 @@ def test_non_finite_pencil_pair_operand_stores_neither_sign():
 
 def test_one_eigensolve_per_pair_memo_and_path(monkeypatch):
     eighs = []
-    eigh = ex._whitened_eigh
-    monkeypatch.setattr(ex, "_whitened_eigh",
-                        lambda s, g: eighs.append(s.shape[0]) or eigh(s, g))
+    eigh = ex._pencil_eigh
+    monkeypatch.setattr(ex, "_pencil_eigh", lambda s, g, tol, ctx:
+                        eighs.append(s.shape[0]) or eigh(s, g, tol, ctx))
+    lapack = lapack_operands(monkeypatch, "eigh")
     pts = pencil_stack(np.random.default_rng(5), 2, 10.0)
     plus, minus = pencil_pair_of(2)
     gate = ex.Sub(ex.Var(0), ex.Const(0.0))       # keeps the rows with S00 > 0
@@ -818,6 +925,7 @@ def test_one_eigensolve_per_pair_memo_and_path(monkeypatch):
         reads.append((entry.eval(ctx), ex.ZeroGate(gate, entry).eval(ctx)))
     kept = int((pts[:, 0] > 0).sum())
     assert eighs == [len(pts), kept]              # paths () and the gate's mask
+    assert lapack == []                           # the filter certified every row
     # the reference is the single-sign kernel, on all rows and on the gate's
     # mask, scattered into the gate product as ZeroGate does
     gate_vals = ex.evaluate(gate, pts)

@@ -12,8 +12,12 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
 - kernel memo traffic: lookups that found the (group, rows) output an
   earlier context computed (hits) and lookups that had to compute it
   (misses), with their rows;
-- `_whitened_eigh` calls and rows: the Cholesky-whitened eigensolve behind
-  every pencil projector and pencil square root;
+- pencil eigensolves: the 2 x 2 pencil sign projectors' closed form
+  (`expr._closed_pencil`), its calls and the rows its filter certified,
+  and LAPACK's Cholesky-whitened eigensolve (`expr._whitened_eigh`) by
+  operand size: at 2 x 2 the rows the filter left to LAPACK, at 1 x 1
+  (already closed form, LAPACK's result bit for bit) the pencil
+  projectors and square roots of rank-one bundles;
 - pencil projector outputs served by the pair's twin: outputs that a twin
   group's computation stored (`expr.pencil_pair`) and a reader then read,
   so no eigensolve of their own ran;
@@ -129,7 +133,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     # with each structure
     seen, table = weakref.WeakKeyDictionary(), {}
     compute, kernel = ex.MatrixGroup.compute, ex.MatrixGroup._compute
-    eigh = ex._whitened_eigh
+    eigh, closed = ex._whitened_eigh, ex._closed_pencil
     lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
     region_memo, grid_memo = Base.region_memo, Base.grid_memo
     init, sub = ex.EvalContext.__init__, ex.EvalContext.sub
@@ -193,8 +197,14 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
         return transport(group, ctx)
 
     def counted_eigh(s, g):
-        tally("_whitened_eigh", s.shape[0])
+        n = s.shape[1]
+        tally(f"_whitened_eigh {n}x{n}", s.shape[0])
         return eigh(s, g)
+
+    def counted_closed(s, g, tol):
+        out = closed(s, g, tol)
+        tally("pencil closed form", int(out[2].sum()))
+        return out
 
     def counted_array(memo, kind):
         n = memo.points.shape[0]
@@ -214,6 +224,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     patches = [(ex.MatrixGroup, "compute", counted(compute, "memo")),
                (ex.MatrixGroup, "_compute", counted_kernel),
                (ex, "_whitened_eigh", counted_eigh),
+               (ex, "_closed_pencil", counted_closed),
                (ex.Expr, "eval", counted_eval),
                (ex.PathProduct, "compute", counted(lookup, "transport memo")),
                (ex.PathProduct, "_compute", counted_transport),
@@ -244,8 +255,10 @@ def main() -> int:
         print(f"{name} (seed {SEED}, one operation)")
         groups = sorted(k for k in calls if k.startswith("matrixgroup "))
         total = sum(calls[k] for k in groups)
-        for key in [*groups, "memo hit", "memo miss", "_whitened_eigh",
-                    "pencil twin served"]:
+        eighs = sorted({"_whitened_eigh 1x1", "_whitened_eigh 2x2",
+                        *(k for k in calls if k.startswith("_whitened_eigh "))})
+        for key in [*groups, "memo hit", "memo miss", "pencil closed form",
+                    *eighs, "pencil twin served"]:
             print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
         print(f"  {'matrixgroup total':24s} {total:7d} calls "
               f"{sum(rows[k] for k in groups):10d} rows")
