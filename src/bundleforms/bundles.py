@@ -47,8 +47,8 @@ from .matexpr import (
     em_transpose,
     em_zero_gate,
 )
-from .semialg import (GT, Base, Condition, Cover, SamplePlan, SemialgebraicSet,
-                      first_flagged)
+from .semialg import (GT, Base, Condition, Cover, Polynomial, SamplePlan,
+                      SemialgebraicSet, component_expr, first_flagged)
 from .unity import PartitionOfUnity, partition_of_unity
 
 DEFAULT_IDENTITY_TOL = 1e-9
@@ -329,12 +329,10 @@ def pullback(b: BundleRep, components, new_base: Base,
     conditions stay polynomial under polynomial maps) and the transitions
     are the originals with target variables substituted.
     """
-    from .semialg import Polynomial
     if len(components) != b.base.dim:
         raise BaseMismatch("map components must match the target dimension")
     all_poly = all(isinstance(c, Polynomial) for c in components)
-    comp_exprs = [c.to_expr() if isinstance(c, Polynomial) else ex.as_expr(c)
-                  for c in components]
+    comp_exprs = [component_expr(c) for c in components]
     pts = new_base.sample_points(plan)
     if pts.shape[0]:
         images = np.stack([ex.evaluate(e, pts) for e in comp_exprs], axis=1)
@@ -372,7 +370,7 @@ class SectionRep:
             res = np.abs(vi - gij @ vj).max(axis=(1, 2))
             stat.add_residuals(res, pts)
         return CheckReport("section-compat", stat.max < tol, stat.max,
-                           witness=stat.witness)
+                           witness=stat.witness, mean_residual=stat.mean)
 
 
 @dataclass
@@ -502,7 +500,8 @@ class ProjectorField:
         max_res = float(res.max())
         witness = first_flagged(memo.points, res == max_res) if max_res >= tol else None
         return CheckReport("projector", max_res < tol, max_res, witness=witness,
-                           details={"trace_error": trace_err.max()})
+                           details={"trace_error": trace_err.max()},
+                           mean_residual=float(res.mean()))
 
 
 def gauss_embedding(bundle: BundleRep, r: int = 1, *,

@@ -117,9 +117,10 @@ class EvalContext:
         self.points = points
         self.memo = memo
         self.path = path
-        # keyed by the node itself (and by a pencil twin whose output its
-        # pair stored, see `_keep`), so every node and group the caches
-        # name stays alive (and its id unique) for as long as the context
+        # keyed by the node itself (and by the opposite sign's group whose
+        # output a pencil group stored, see `_keep`), so every node and
+        # group the caches name stays alive (and its id unique) for as long
+        # as the context
         self.cache: dict[Expr | MatrixGroup, np.ndarray] = {}
         self.group_cache: dict[int, np.ndarray] = {}
         self.sub_contexts: dict[tuple[int, bytes], EvalContext] = {}
@@ -447,12 +448,11 @@ class MatrixGroup(metaclass=_Interned):
     """Shared payload of MatEntry nodes: matrices of Exprs plus an op tag,
     hash-consed by (op, guard_tol, operands) as nodes are.
 
-    The two sign-projector groups of one pencil (S, G) may be declared a
-    pair (`pencil_pair`): each holds the other weakly as `twin`, and
-    computing either sign stores both signs' outputs.  The twin is not
-    part of the key, so an equal construction returns the paired group."""
+    The two sign-projector groups of one pencil (S, G) differ in their op
+    alone, so either finds the other in the intern table: computing one
+    sign stores the other's output too, if that group is alive (`_opposite`)."""
 
-    __slots__ = ("op", "a", "b", "guard_tol", "out_shape", "twin", "__weakref__")
+    __slots__ = ("op", "a", "b", "guard_tol", "out_shape", "__weakref__")
     __setattr__ = Expr.__setattr__
 
     def __init__(self, op, a, b=None, guard_tol=1e-9):
@@ -463,7 +463,6 @@ class MatrixGroup(metaclass=_Interned):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "guard_tol", float(guard_tol))
         object.__setattr__(self, "out_shape", self._out_shape())
-        object.__setattr__(self, "twin", None)
 
     def _key(self):
         return (self.op, _bits(self.guard_tol), _ids(self.a),
@@ -519,17 +518,22 @@ class MatrixGroup(metaclass=_Interned):
         # the constructor admits no other op
         self._guard_spd(g, ctx, name="pencil metric")
         positive = self.op == PENCIL_PROJ_POS
-        twin = self.twin and self.twin()
-        if twin is None:
-            return _pencil_projector(a, g, positive, self.guard_tol, ctx)
         # one eigensolve for both signs; a guard violation stores neither
         eig = _pencil_eigh(a, g, self.guard_tol, ctx)
-        _keep(twin, ctx, _sign_projector(eig, not positive))
+        opposite = self._opposite()
+        if opposite is not None:
+            _keep(opposite, ctx, _sign_projector(eig, not positive))
         return _sign_projector(eig, positive)
 
+    def _opposite(self) -> "MatrixGroup | None":
+        """The live sign-projector group of the same pencil and guard with
+        the other sign, if any code built one."""
+        op = PENCIL_PROJ_NEG if self.op == PENCIL_PROJ_POS else PENCIL_PROJ_POS
+        return _INTERNED.get((MatrixGroup, op, *self._key()[1:]))
+
     def substitute(self, mapping, memo) -> "MatrixGroup":
-        """The group over the substituted operands: the paired group
-        itself, if one of equal structure is alive."""
+        """The group over the substituted operands: the live group of equal
+        structure itself, if there is one."""
         a, b = (None if rows is None else
                 tuple(tuple(_subst(e, mapping, memo) for e in row)
                       for row in rows)
@@ -550,16 +554,6 @@ class MatrixGroup(metaclass=_Interned):
         w = smallest_eigenvalue(s, self.guard_tol)
         _guard(~(w > self.guard_tol), ctx, lambda i:
                f"{name} not positive definite: min eigenvalue {w[i]:.3e}")
-
-
-def pencil_pair(s, g, guard_tol) -> tuple[MatrixGroup, MatrixGroup]:
-    """The positive and negative sign-projector groups of the pencil
-    (S, G), declared twins of each other (again, if they were)."""
-    plus = MatrixGroup(PENCIL_PROJ_POS, s, g, guard_tol=guard_tol)
-    minus = MatrixGroup(PENCIL_PROJ_NEG, plus.a, plus.b, guard_tol=guard_tol)
-    object.__setattr__(plus, "twin", weakref.ref(minus))
-    object.__setattr__(minus, "twin", weakref.ref(plus))
-    return plus, minus
 
 
 def _keep(group, ctx: EvalContext, out: np.ndarray) -> np.ndarray:
@@ -712,12 +706,6 @@ def _whitened_eigh(s, g):
         return ell, sym[:, 0], np.ones_like(sym)
     w, z = np.linalg.eigh(sym)
     return ell, w, z
-
-
-def _pencil_projector(s, g, positive, tol, ctx):
-    """Spectral projector onto the positive/negative eigenspace of the
-    G-self-adjoint pencil G^-1 S."""
-    return _sign_projector(_pencil_eigh(s, g, tol, ctx), positive)
 
 
 def _pencil_eigh(s, g, tol, ctx):

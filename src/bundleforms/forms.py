@@ -514,8 +514,8 @@ def decompose(form: FormField, plan: SamplePlan) -> FiberProjectorPair:
     Chart-free spectral construction: the sign-projectors of the pencil
     G^-1 S against the standard positive form G of the bundle conjugate
     correctly across charts, so the chartwise formulas agree where charts
-    overlap.  Each chart's two sign-projectors are twins
-    (`em_pencil_pair`), so one eigensolve per point set serves both.
+    overlap.  Each chart's two sign-projector groups differ in their op
+    alone (`em_pencil_pair`), so one eigensolve per point set serves both.
     """
     proj = gauss_embedding(form.bundle, plan=plan)
     sig = signature(form, plan)

@@ -60,7 +60,7 @@ from .matexpr import (
     em_subst,
     em_transpose,
 )
-from .semialg import Base, Condition, Cover, Polynomial, SamplePlan
+from .semialg import Base, Condition, Cover, Polynomial, SamplePlan, component_expr
 
 DEFAULT_TRANSPORT_STEPS = 16
 LADDER_GAP = 0.35           # largest probe jump between consecutive rungs
@@ -379,15 +379,12 @@ def induced_iso_from_homotopy(bundle: BundleRep, f_map, g_map, h_map,
     samples) and map into the bundle's base.
     """
 
-    def as_component_expr(c):
-        return c.to_expr() if isinstance(c, Polynomial) else ex.as_expr(c)
-
     pts = domain.sample_points(plan)
     if pts.shape[0]:
         lifted0 = np.column_stack([pts, np.zeros(pts.shape[0])])
         lifted1 = np.column_stack([pts, np.ones(pts.shape[0])])
         for cf, cg, ch in zip(f_map, g_map, h_map):
-            ef, eg, eh = (as_component_expr(c) for c in (cf, cg, ch))
+            ef, eg, eh = (component_expr(c) for c in (cf, cg, ch))
             err0 = np.abs(ex.evaluate(eh, lifted0) - ex.evaluate(ef, pts)).max()
             err1 = np.abs(ex.evaluate(eh, lifted1) - ex.evaluate(eg, pts)).max()
             if err0 > 1e-9 or err1 > 1e-9:
@@ -398,6 +395,6 @@ def induced_iso_from_homotopy(bundle: BundleRep, f_map, g_map, h_map,
     cyl = cylinder_base(domain)
     pulled = pullback(bundle, h_map, cyl, plan, name=f"H*({bundle.name})")
     target_proj = gauss_embedding(bundle, plan=plan)
-    h_exprs = [as_component_expr(c) for c in h_map]
+    h_exprs = [component_expr(c) for c in h_map]
     return homotopy_isomorphism(pulled, plan, tol,
                                 path=(target_proj, h_exprs))

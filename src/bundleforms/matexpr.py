@@ -130,10 +130,11 @@ def em_colspan_proj(a: ExprMatrix) -> ExprMatrix:
 
 
 def em_pencil_pair(s: ExprMatrix, g: ExprMatrix) -> tuple[ExprMatrix, ExprMatrix]:
-    """The positive and negative sign-projectors of the pencil (S, G), as
-    twin groups: one eigensolve serves both."""
-    plus, minus = ex.pencil_pair(s, g, guard_tol=1e-9)
-    return em_from_group(plus), em_from_group(minus)
+    """The positive and negative sign-projectors of the pencil (S, G): two
+    groups that differ in their op alone, so one eigensolve serves both
+    (`MatrixGroup._compute`)."""
+    return tuple(em_from_group(ex.MatrixGroup(op, s, g, guard_tol=1e-9))
+                 for op in (ex.PENCIL_PROJ_POS, ex.PENCIL_PROJ_NEG))
 
 
 def em_pencil_sqrt(s: ExprMatrix, g: ExprMatrix) -> ExprMatrix:
@@ -172,8 +173,6 @@ def em_det(a: ExprMatrix) -> ex.Expr:
         raise DimensionMismatch("determinant needs a square matrix")
     if n == 1:
         return a[0][0]
-    if n == 2:
-        return ex.Sub(ex.Mul(a[0][0], a[1][1]), ex.Mul(a[0][1], a[1][0]))
     total: ex.Expr | None = None
     for j in range(n):
         minor = tuple(tuple(a[i][k] for k in range(n) if k != j)

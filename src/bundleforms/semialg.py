@@ -160,6 +160,13 @@ class Polynomial:
         return " + ".join(bits)
 
 
+def component_expr(component) -> ex.Expr:
+    """A map component, a Polynomial, an Expr or a number, as an Expr."""
+    if isinstance(component, Polynomial):
+        return component.to_expr()
+    return ex.as_expr(component)
+
+
 def expr_to_polynomial(node: ex.Expr, dim: int) -> Polynomial:
     """Convert a polynomial-shaped expression tree; raise NotPolynomial otherwise."""
     convert = _TO_POLYNOMIAL.get(type(node))

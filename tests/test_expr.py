@@ -79,6 +79,11 @@ def test_shape_guards_raise_dimension_mismatch(build):
         build()
 
 
+def test_two_by_two_determinant_is_the_interned_cross_difference():
+    a = var_matrix(2, 2)
+    assert em_det(a) is ex.Sub(ex.Mul(a[0][0], a[1][1]), ex.Mul(a[0][1], a[1][0]))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_leibniz_determinant_matches_numpy(n):
     # entries (n + 1) delta_ij + c0 + c1 x0 + c2 x1 keep det away from zero
@@ -862,24 +867,48 @@ def pencil_stack(rng, size, gap, count=64):
     return np.column_stack([s.reshape(count, -1), g.reshape(count, -1)])
 
 
-def pencil_pair_of(size):
-    return ex.pencil_pair(var_matrix(size, size), var_matrix(size, size, size * size),
-                          PAIR_TOL)
+def pencil_groups(size):
+    """The positive and negative sign-projector groups of one pencil (S, G)
+    over the point columns of `pencil_stack`, built one after the other."""
+    return tuple(ex.MatrixGroup(op, var_matrix(size, size),
+                                var_matrix(size, size, size * size),
+                                guard_tol=PAIR_TOL)
+                 for op in (ex.PENCIL_PROJ_POS, ex.PENCIL_PROJ_NEG))
 
 
+def single_sign(group, rows):
+    """The group's sign projector on `rows` from a fresh context: its own
+    eigensolve, with nothing stored for the other sign."""
+    ctx = ex.EvalContext(rows)
+    s, g = ex._eval_matrix(group.a, ctx), ex._eval_matrix(group.b, ctx)
+    eig = ex._pencil_eigh(s, g, PAIR_TOL, ex.EvalContext(rows))
+    return ex._sign_projector(eig, group.op == ex.PENCIL_PROJ_POS)
+
+
+def counted_pencil_eighs(monkeypatch):
+    """Route `_pencil_eigh` through a wrapper; the returned list collects
+    the row count of every call."""
+    eighs = []
+    eigh = ex._pencil_eigh
+    monkeypatch.setattr(ex, "_pencil_eigh", lambda s, g, tol, ctx:
+                        eighs.append(s.shape[0]) or eigh(s, g, tol, ctx))
+    return eighs
+
+
+# the opposite sign's group is its "twin": the one whose output a sign's
+# eigensolve stores too
 @pytest.mark.parametrize("size", [1, 2])
 @pytest.mark.parametrize("gap", [1.001, 0.999])
 @pytest.mark.parametrize("first", [0, 1])
 def test_twin_served_projector_equals_the_single_sign_kernel_bit_for_bit(
         size, gap, first):
     pts = pencil_stack(np.random.default_rng(7 + size), size, gap)
-    pair = pencil_pair_of(size)
+    pair = pencil_groups(size)
     memo = ex.KernelMemo(pts)
     ctx = ex.EvalContext(memo)
-    s, g = ex._eval_matrix(pair[0].a, ctx), ex._eval_matrix(pair[0].b, ctx)
     if gap < 1.0:
         with pytest.raises(GuardViolation) as want:
-            ex._pencil_projector(s, g, True, PAIR_TOL, ex.EvalContext(pts))
+            single_sign(pair[0], pts)
         with pytest.raises(GuardViolation) as got:
             pair[first].compute(ctx)
         assert (str(got.value), got.value.point) == (str(want.value), want.value.point)
@@ -889,16 +918,14 @@ def test_twin_served_projector_equals_the_single_sign_kernel_bit_for_bit(
     twin = pair[1 - first].compute(ctx)
     assert ctx.group_cache[id(pair[1 - first])] is twin
     for group, out in ((pair[first], served), (pair[1 - first], twin)):
-        want = ex._pencil_projector(s, g, group.op == ex.PENCIL_PROJ_POS,
-                                    PAIR_TOL, ex.EvalContext(pts))
-        assert out.tobytes() == want.tobytes()
+        assert out.tobytes() == single_sign(group, pts).tobytes()
         assert memo.outputs[group][()] is out
 
 
 def test_non_finite_pencil_pair_operand_stores_neither_sign():
     pts = pencil_stack(np.random.default_rng(3), 2, 10.0, count=8)
     pts[5, 1] = np.nan
-    plus, minus = pencil_pair_of(2)
+    plus, minus = pencil_groups(2)
     memo = ex.KernelMemo(pts)
     ctx = ex.EvalContext(memo)
     for group in (minus, plus):
@@ -909,13 +936,10 @@ def test_non_finite_pencil_pair_operand_stores_neither_sign():
 
 
 def test_one_eigensolve_per_pair_memo_and_path(monkeypatch):
-    eighs = []
-    eigh = ex._pencil_eigh
-    monkeypatch.setattr(ex, "_pencil_eigh", lambda s, g, tol, ctx:
-                        eighs.append(s.shape[0]) or eigh(s, g, tol, ctx))
+    eighs = counted_pencil_eighs(monkeypatch)
     lapack = lapack_operands(monkeypatch, "eigh")
     pts = pencil_stack(np.random.default_rng(5), 2, 10.0)
-    plus, minus = pencil_pair_of(2)
+    plus, minus = pencil_groups(2)
     gate = ex.Sub(ex.Var(0), ex.Const(0.0))       # keeps the rows with S00 > 0
     memo = ex.KernelMemo(pts)
     reads = []
@@ -926,39 +950,57 @@ def test_one_eigensolve_per_pair_memo_and_path(monkeypatch):
     kept = int((pts[:, 0] > 0).sum())
     assert eighs == [len(pts), kept]              # paths () and the gate's mask
     assert lapack == []                           # the filter certified every row
-    # the reference is the single-sign kernel, on all rows and on the gate's
-    # mask, scattered into the gate product as ZeroGate does
+    # the reference is each sign's own eigensolve, on all rows and on the
+    # gate's mask, scattered into the gate product as ZeroGate does
     gate_vals = ex.evaluate(gate, pts)
     mask = gate_vals > 0.0
     for group, (whole, gated) in zip((plus, minus), reads):
-        positive = group.op == ex.PENCIL_PROJ_POS
-        want = []
-        for rows in (pts, pts[mask]):
-            ctx = ex.EvalContext(rows)
-            s, g = ex._eval_matrix(group.a, ctx), ex._eval_matrix(group.b, ctx)
-            want.append(ex._pencil_projector(s, g, positive, PAIR_TOL,
-                                             ex.EvalContext(rows))[:, 0, 1])
+        want = [single_sign(group, rows)[:, 0, 1] for rows in (pts, pts[mask])]
         want_gated = np.zeros_like(gate_vals)
         want_gated[mask] = gate_vals[mask] * want[1]
         assert whole.tobytes() == want[0].tobytes()
         assert gated.tobytes() == want_gated.tobytes()
 
 
+def test_separately_built_signs_share_one_eigensolve_per_memo_and_path(monkeypatch):
+    eighs = counted_pencil_eighs(monkeypatch)
+    pts = pencil_stack(np.random.default_rng(13), 2, 10.0)
+    # two unrelated constructions: the groups meet only in the intern table
+    plus = ex.MatrixGroup(ex.PENCIL_PROJ_POS, var_matrix(2, 2), var_matrix(2, 2, 4),
+                          guard_tol=PAIR_TOL)
+    minus = matexpr.em_from_group(ex.MatrixGroup(
+        ex.PENCIL_PROJ_NEG, var_matrix(2, 2), var_matrix(2, 2, 4),
+        guard_tol=PAIR_TOL))[0][0].group
+    gate = ex.Sub(ex.Var(3), ex.Const(0.0))       # keeps the rows with S11 > 0
+    want = []
+    for rows in (pts, pts[:40]):                  # two memos
+        memo = ex.KernelMemo(rows)
+        for group in (minus, plus):               # one context per sign
+            ctx = ex.EvalContext(memo)
+            ex.ZeroGate(gate, ex.MatEntry(group, 1, 1)).eval(ctx)
+            group.compute(ctx)
+        want += [int((rows[:, 3] > 0).sum()), len(rows)]   # gate's path, then ()
+    assert eighs == want and want[0] < want[1]
+    # a sign with no live opposite runs its own eigensolve
+    lone = ex.MatrixGroup(ex.PENCIL_PROJ_POS, var_matrix(2, 2), var_matrix(2, 2, 4),
+                          guard_tol=1e-10)
+    assert lone._opposite() is None
+    lone.compute(ex.EvalContext(pts))
+    assert eighs[4:] == [len(pts)]
+
+
 def test_a_substituted_group_equal_to_a_paired_one_is_that_group():
-    plus, minus = pencil_pair_of(2)
-    unpaired = ex.MatrixGroup(ex.PENCIL_PROJ_NEG, var_matrix(2, 2, 8),
-                              var_matrix(2, 2, 12), guard_tol=PAIR_TOL)
-    assert unpaired.twin is None
-    moved = ex.substitute(ex.MatEntry(unpaired, 0, 1),
+    plus, minus = pencil_groups(2)
+    other = ex.MatrixGroup(ex.PENCIL_PROJ_NEG, var_matrix(2, 2, 8),
+                           var_matrix(2, 2, 12), guard_tol=PAIR_TOL)
+    moved = ex.substitute(ex.MatEntry(other, 0, 1),
                           {8 + i: ex.Var(i) for i in range(8)})
-    assert moved.group is minus and minus.twin() is plus
+    assert moved.group is minus
     pts = pencil_stack(np.random.default_rng(11), 2, 10.0)
     ctx = ex.EvalContext(pts)
     out = moved.group.compute(ctx)
     assert id(plus) in ctx.group_cache          # the pair's one eigensolve
-    s, g = ex._eval_matrix(minus.a, ctx), ex._eval_matrix(minus.b, ctx)
-    want = ex._pencil_projector(s, g, False, PAIR_TOL, ex.EvalContext(pts))
-    assert out.tobytes() == want.tobytes()
+    assert out.tobytes() == single_sign(minus, pts).tobytes()
 
 
 def test_substitute_variable_by_expression():
@@ -1105,7 +1147,7 @@ def test_params_are_part_of_the_key():
 
 
 def test_a_second_pencil_pair_is_the_same_twinned_pair():
-    plus, minus = pencil_pair_of(2)
-    assert pencil_pair_of(2) == (plus, minus)
-    assert plus.twin() is minus and minus.twin() is plus
+    plus, minus = pencil_groups(2)
+    assert pencil_groups(2) == (plus, minus)
+    assert plus._opposite() is minus and minus._opposite() is plus
     assert ex.MatrixGroup(ex.PENCIL_PROJ_POS, plus.a, plus.b, guard_tol=PAIR_TOL) is plus

@@ -8,7 +8,7 @@ import pytest
 
 from bundleforms import expr as ex
 from bundleforms import exprparse
-from bundleforms.bundles import s1_line_class, validate_cocycle
+from bundleforms.bundles import gauss_embedding, s1_line_class, validate_cocycle
 from bundleforms.errors import (
     BundleformsError,
     DimensionMismatch,
@@ -48,6 +48,16 @@ def test_moebius_fixture_sections_and_witnesses():
     assert flip.source is doc.bundles["eps1"]
     assert flip.target.transitions == doc.bundles["moebius"].transitions
 
+
+
+def test_section_and_projector_checks_report_their_mean_residual():
+    doc = parse_spec(load("moebius.json"))
+    (section,) = doc.sections.values()
+    plan = SamplePlan(seed=0, n_chart=100, n_overlap=64, n_triple=48)
+    projector = gauss_embedding(doc.bundles["moebius"], plan=plan)
+    for report in (section.check(plan), projector.check(plan)):
+        assert type(report.mean_residual) is float
+        assert 0.0 <= report.mean_residual <= report.max_residual
 
 def test_one_object_and_one_cover_per_declaration():
     # a witness joining two bundles neither copies nor replaces either
@@ -231,6 +241,36 @@ NODE_ORACLES = {
     "sqrt": np.sqrt, "abs": np.abs, "clamp": lambda v: np.maximum(v, 0.0),
     "min": np.minimum, "max": np.maximum,
 }
+
+
+_X0, _X1 = ex.Var(0), ex.Var(1)
+# one expression per node kind the printer writes, and nested mixes
+ROUND_TRIPS = {
+    "const zero": ex.Const(0.0),
+    "const": ex.Const(2.5),
+    "var": _X1,
+    "add": ex.Add(_X0, _X1),
+    "sub": ex.Sub(_X0, ex.Const(0.75)),
+    "mul": ex.Mul(ex.Const(3.0), _X1),
+    "div": ex.Div(_X0, _X1),
+    "pow": ex.Pow(ex.Add(_X0, _X1), 3),
+    "sqrt": ex.Sqrt(_X0),
+    "abs": ex.Abs(_X1),
+    "clamp": ex.Clamp(ex.Sub(_X0, ex.Const(0.5))),
+    "min": ex.Min(_X0, _X1),
+    "max": ex.Max(_X1, ex.Const(1.0)),
+    "nested": ex.Div(ex.Sqrt(ex.Add(ex.Pow(_X0, 2), ex.Const(1.0))),
+                     ex.Max(ex.Abs(_X1), ex.Pow(ex.Clamp(ex.Sub(_X0, _X1)), 2))),
+    "nested min": ex.Mul(ex.Min(ex.Sub(ex.Const(0.0), _X0), ex.Pow(_X1, 4)),
+                         ex.Sub(ex.Add(_X0, ex.Abs(ex.Div(_X1, ex.Const(2.0)))),
+                                ex.Sqrt(ex.Max(_X0, _X1)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+def test_printed_expression_parses_to_the_same_node(name):
+    node = ROUND_TRIPS[name]
+    assert parse_expression(repr(node), 2) is node
 
 
 @pytest.mark.parametrize("name", sorted(NODE_ORACLES))

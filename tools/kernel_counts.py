@@ -18,9 +18,11 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
   operand size: at 2 x 2 the rows the filter left to LAPACK, at 1 x 1
   (already closed form, LAPACK's result bit for bit) the pencil
   projectors and square roots of rank-one bundles;
-- pencil projector outputs served by the pair's twin: outputs that a twin
-  group's computation stored (`expr.pencil_pair`) and a reader then read,
-  so no eigensolve of their own ran;
+- pencil projector outputs served by the opposite sign: outputs that the
+  computation of the same pencil's other sign stored in the group found in
+  the intern table (`MatrixGroup._opposite`) and a reader then read, so no
+  eigensolve of their own ran; and the pencil computations that found no
+  live opposite group, whose other sign's output nobody stored;
 - `PathProduct` computations (transports along a homotopy's t-ladder) with
   their base-point rows, and the kernel memo traffic on transports;
 - point arrays a base evaluates again, requested and interned, by kind:
@@ -137,7 +139,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
     region_memo, grid_memo = Base.region_memo, Base.grid_memo
     init, sub = ex.EvalContext.__init__, ex.EvalContext.sub
-    interned, twins = {}, {}
+    interned, served = {}, {}
     builders = weakref.WeakKeyDictionary()      # context -> builder_of name
 
     def tally(key, n):
@@ -147,7 +149,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     def counted(lookup, memo_key):
         """The group lookup `lookup`, tallying memo traffic under `memo_key`
         and, for a MatrixGroup, the computations by op tag and the first
-        read of each output a twin stored."""
+        read of each output the opposite sign's computation stored."""
         def counted_lookup(group, ctx):
             if id(group) not in ctx.group_cache:
                 n = ctx.points.shape[0]
@@ -160,18 +162,21 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
                     if memo is None:
                         tally(f"memo-less {builders.get(ctx)}", n)
             out = lookup(group, ctx)
-            if twins.get(id(out), (None, True))[1] is False:
-                twins[id(out)] = (out, True)
-                tally("pencil twin served", out.shape[0])
+            if served.get(id(out), (None, True))[1] is False:
+                served[id(out)] = (out, True)
+                tally("pencil opposite served", out.shape[0])
             return out
         return counted_lookup
 
     def counted_kernel(group, ctx):
         out = kernel(group, ctx)
-        twin = group.twin and group.twin()
-        if twin is not None:
-            stored = ctx.group_cache[id(twin)]
-            twins[id(stored)] = (stored, False)     # alive, so no id is reused
+        if group.op in (ex.PENCIL_PROJ_POS, ex.PENCIL_PROJ_NEG):
+            opposite = group._opposite()
+            if opposite is None:
+                tally("pencil no live opposite", ctx.points.shape[0])
+            else:
+                stored = ctx.group_cache[id(opposite)]
+                served[id(stored)] = (stored, False)    # alive, so no id is reused
         return out
 
     def counted_eval(node, ctx):
@@ -258,7 +263,7 @@ def main() -> int:
         eighs = sorted({"_whitened_eigh 1x1", "_whitened_eigh 2x2",
                         *(k for k in calls if k.startswith("_whitened_eigh "))})
         for key in [*groups, "memo hit", "memo miss", "pencil closed form",
-                    *eighs, "pencil twin served"]:
+                    *eighs, "pencil opposite served", "pencil no live opposite"]:
             print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
         print(f"  {'matrixgroup total':24s} {total:7d} calls "
               f"{sum(rows[k] for k in groups):10d} rows")
