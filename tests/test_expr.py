@@ -968,9 +968,8 @@ def test_separately_built_signs_share_one_eigensolve_per_memo_and_path(monkeypat
     # two unrelated constructions: the groups meet only in the intern table
     plus = ex.MatrixGroup(ex.PENCIL_PROJ_POS, var_matrix(2, 2), var_matrix(2, 2, 4),
                           guard_tol=PAIR_TOL)
-    minus = matexpr.em_from_group(ex.MatrixGroup(
-        ex.PENCIL_PROJ_NEG, var_matrix(2, 2), var_matrix(2, 2, 4),
-        guard_tol=PAIR_TOL))[0][0].group
+    minus = ex.MatrixGroup(ex.PENCIL_PROJ_NEG, var_matrix(2, 2), var_matrix(2, 2, 4),
+                           guard_tol=PAIR_TOL)
     gate = ex.Sub(ex.Var(3), ex.Const(0.0))       # keeps the rows with S11 > 0
     want = []
     for rows in (pts, pts[:40]):                  # two memos
