@@ -48,7 +48,8 @@ from .matexpr import (
     em_zero_gate,
 )
 from .semialg import (GT, Base, Condition, Cover, Polynomial, SamplePlan,
-                      SemialgebraicSet, component_expr, first_flagged)
+                      SemialgebraicSet, component_expr, first_flagged,
+                      memberships)
 from .unity import PartitionOfUnity, partition_of_unity
 
 DEFAULT_IDENTITY_TOL = 1e-9
@@ -692,56 +693,28 @@ def coefficients(section: SectionRep, system: GeneratingSystem,
 def s1_line_class(bundle: BundleRep) -> int:
     """Mod-2 monodromy of transition determinant signs around the circle.
 
-    The loop starts as LOOP_STEPS equal steps.  Each round halves every
-    step whose two ends no single chart contains (chart crossover bands
-    can be narrow for derived covers), with one membership call per chart
-    for all the new midpoints.  The walk then stays in its chart while the
-    chart holds the next point and otherwise switches, at the step's start,
-    to the first chart holding both ends.  The initial grid is the base's
-    (`Base.grid_memo`), so every bundle on the base shares its kernel memo.
+    The walk goes along the loop of `refined_loop` and stays in its chart
+    while the chart holds the next point; otherwise it switches, at the
+    step's start, to the first chart holding both ends.  Each switch reads
+    the sign of the transition determinant at its angle, evaluated on a
+    one-row memo the base interns by that angle (`Base.grid_memo`), so
+    every bundle on the base that switches there shares its kernels.
     """
     if not bundle.base.circle:
         raise NotCatalogBase("determinant class needs a circle catalog base")
     if bundle.rank < 1:
         raise NotCatalogBase("determinant class needs rank >= 1")
-    dim = bundle.base.dim
-    charts = bundle.cover.charts
-
-    def points(angles) -> np.ndarray:
-        pts = np.zeros((len(angles), dim))
-        pts[:, 0] = np.cos(angles)
-        pts[:, 1] = np.sin(angles)
-        return pts
-
-    def members(memo: ex.KernelMemo) -> np.ndarray:
-        return np.stack([c.membership(memo, margin=1e-9) for c in charts], axis=1)
+    base = bundle.base
 
     def switch_sign(old: int, new: int, angle: float) -> float:
-        at = points([angle])
+        at = _loop_memo(base, ("loop point", angle), [angle])
         det = float(np.linalg.det(em_eval(bundle.transition(new, old), at)[0]))
         if abs(det) < 1e-12:
-            raise GuardViolation("degenerate transition on the loop", point=at[0])
+            raise GuardViolation("degenerate transition on the loop",
+                                 point=at.points[0])
         return np.sign(det)
 
-    angles = np.append(2.0 * np.pi * np.arange(LOOP_STEPS) / LOOP_STEPS,
-                       2.0 * np.pi)
-    member = members(bundle.base.grid_memo(("loop grid", LOOP_STEPS),
-                                           lambda: points(angles)))
-    if not member[0].any():
-        raise CoverageFailure("circle loop start not covered by any chart")
-    while True:
-        bad = np.flatnonzero(~(member[:-1] & member[1:]).any(axis=1))
-        if not bad.size:
-            break
-        narrow = bad[angles[bad + 1] - angles[bad] < 1e-9]
-        if narrow.size:
-            raise CoverageFailure(
-                f"no chart chain near loop angle {angles[narrow[0]]:.6f}"
-            )
-        mids = 0.5 * (angles[bad] + angles[bad + 1])
-        angles = np.insert(angles, bad + 1, mids)
-        member = np.insert(member, bad + 1, members(ex.KernelMemo(points(mids))),
-                           axis=0)
+    angles, member = refined_loop(bundle.cover)
     start = int(np.argmax(member[0]))
     current, sign = start, 1.0
     for i in range(len(angles) - 1):
@@ -753,3 +726,74 @@ def s1_line_class(bundle: BundleRep) -> int:
     if current != start:
         sign *= switch_sign(current, start, 0.0)
     return 0 if sign > 0 else 1
+
+
+def refined_loop(cover: Cover) -> tuple[np.ndarray, np.ndarray]:
+    """The circle walk's loop angles, from 0 to 2 pi, and per angle which
+    charts hold its point (margin 1e-9).
+
+    The loop starts as LOOP_STEPS equal steps, on the base's grid
+    (`Base.grid_memo`).  Each round halves, at 0.5 * (a + b), every step
+    whose two ends no single chart contains (chart crossover bands can be
+    narrow for derived covers).  A round that meets midpoints not yet
+    evaluated evaluates `_loop_batch` of its bad steps, and the rounds read
+    their midpoints from it, so they insert the angles one-round-at-a-time
+    halving would.
+    """
+    base, charts = cover.base, cover.charts
+    angles = np.append(2.0 * np.pi * np.arange(LOOP_STEPS) / LOOP_STEPS,
+                       2.0 * np.pi)
+    member = memberships(charts, _loop_memo(base, ("loop grid", LOOP_STEPS),
+                                            angles), 1e-9)
+    if not member[0].any():
+        raise CoverageFailure("circle loop start not covered by any chart")
+    batch = np.empty(0)
+    while True:
+        bad = np.flatnonzero(~(member[:-1] & member[1:]).any(axis=1))
+        if not bad.size:
+            return angles, member
+        narrow = bad[angles[bad + 1] - angles[bad] < 1e-9]
+        if narrow.size:
+            raise CoverageFailure(
+                f"no chart chain near loop angle {angles[narrow[0]]:.6f}"
+            )
+        mids = 0.5 * (angles[bad] + angles[bad + 1])
+        if not np.isin(mids, batch).all():
+            batch, batch_member = _loop_batch(cover, angles[bad], angles[bad + 1])
+        angles = np.insert(angles, bad + 1, mids)
+        member = np.insert(member, bad + 1,
+                           batch_member[np.searchsorted(batch, mids)], axis=0)
+
+
+def _loop_batch(cover: Cover, lo: np.ndarray, hi: np.ndarray):
+    """Every angle that repeated halving at 0.5 * (a + b) inserts inside the
+    steps (lo[k], hi[k]), ascending, down to the deepest level that keeps
+    them within LOOP_STEPS angles (the first level always), and which
+    charts hold each point, evaluated in one context.  The angles are a
+    pure function of the steps' ends and the depth, so the base interns
+    their memo by them (`Base.grid_memo`)."""
+    depth = 1
+    while len(lo) * ((2 << depth) - 1) <= LOOP_STEPS:
+        depth += 1
+    ends = np.column_stack([lo, hi])
+    for _ in range(depth):
+        halved = np.empty((len(ends), 2 * ends.shape[1] - 1))
+        halved[:, ::2] = ends
+        halved[:, 1::2] = 0.5 * (ends[:, :-1] + ends[:, 1:])
+        ends = halved
+    angles = ends[:, 1:-1].ravel()
+    memo = _loop_memo(cover.base, ("loop batch", depth, lo.tobytes(), hi.tobytes()),
+                      angles)
+    return angles, memberships(cover.charts, memo, 1e-9)
+
+
+def _loop_memo(base: Base, name, angles) -> ex.KernelMemo:
+    """The base's memo (`Base.grid_memo`) of the unit circle's points in
+    (x0, x1) at `angles`, other coordinates 0, kept under `name`, which
+    must determine the angles."""
+    def points() -> np.ndarray:
+        pts = np.zeros((len(angles), base.dim))
+        pts[:, 0] = np.cos(angles)
+        pts[:, 1] = np.sin(angles)
+        return pts
+    return base.grid_memo(name, points)

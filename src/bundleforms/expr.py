@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import struct
 import weakref
+from types import MappingProxyType
 
 import numpy as np
 
@@ -100,6 +101,10 @@ class KernelMemo:
         return self.points.shape[0]
 
 
+# the parent cache of a root context: it holds no node
+_NO_PARENT = MappingProxyType({})
+
+
 class EvalContext:
     """Holds one batch of points plus per-node result caches.
 
@@ -107,16 +112,29 @@ class EvalContext:
     then the context's points are rows of the memo's array, all of them at
     the root (`path` ()), and under a ZeroGate (`sub`) the parent's rows at
     the gate's mask, whose bytes extend the path.  Contexts with one memo
-    and one path hold the very same rows, so they share MatrixGroup outputs."""
+    and one path hold the very same rows, so they share MatrixGroup outputs.
+
+    A sub-context also holds its parent's `cache` dict (`parent_cache`) and
+    the gate's mask, never the parent context, which holds the sub-context
+    in `sub_contexts`: so no context is part of a reference cycle.  A node
+    the parent holds is read as the parent's value at the mask
+    (`Expr.eval`).  That is the fresh value bit for bit, since every node
+    kind is a per-row function (a ladder's power-of-two rung count keeps
+    `PathProduct` blocking independent of the row count), and it passed
+    its guards on a superset of the rows."""
 
     def __init__(self, points):
         memo = points if isinstance(points, KernelMemo) else None
-        self._bind(_batch(points) if memo is None else memo.points, memo, ())
+        self._bind(_batch(points) if memo is None else memo.points, memo, (),
+                   _NO_PARENT, None)
 
-    def _bind(self, points: np.ndarray, memo: KernelMemo | None, path: tuple):
+    def _bind(self, points: np.ndarray, memo: KernelMemo | None, path: tuple,
+              parent_cache, mask: np.ndarray | None):
         self.points = points
         self.memo = memo
         self.path = path
+        self.parent_cache = parent_cache
+        self.mask = mask
         # keyed by the node itself (and by the opposite sign's group whose
         # output a pencil group stored, see `_keep`), so every node and
         # group the caches name stays alive (and its id unique) for as long
@@ -130,7 +148,8 @@ class EvalContext:
         ctx = self.sub_contexts.get(key)
         if ctx is None:
             ctx = self.sub_contexts[key] = object.__new__(EvalContext)
-            ctx._bind(self.points[mask], self.memo, (*self.path, key[1]))
+            ctx._bind(self.points[mask], self.memo, (*self.path, key[1]),
+                      self.cache, mask)
         return ctx
 
 
@@ -143,7 +162,8 @@ class Expr(metaclass=_Interned):
     def eval(self, ctx: EvalContext) -> np.ndarray:
         hit = ctx.cache.get(self)
         if hit is None:
-            hit = self._eval(ctx)
+            held = ctx.parent_cache.get(self)
+            hit = self._eval(ctx) if held is None else held[ctx.mask]
             ctx.cache[self] = hit
         return hit
 

@@ -12,9 +12,12 @@ composites preserve the cached invariants, and the hyperbolic cancellation
 (P, b) + (P, -b) = H(P) carries the explicit witness
 (x, y) -> (x + y, (1/2) b(x - y)).
 
-Smoothness classes add nothing at this level: expression fields carry
-their smoothness bounds along, so a class and its continuous counterpart
-share one representation and the comparison map is the identity here.
+The classes carry no smoothness degree.  A bundle or form is one
+expression field whatever C^r class it is meant in, the invariants (rank
+difference, signature difference, rank parity, circle determinant
+classes) are read off sampled values alone, and nothing in this module
+reads `Expr.smoothness()`.  So the comparison between the C^r and C^0
+groups is neither computed nor checked here.
 """
 
 from __future__ import annotations

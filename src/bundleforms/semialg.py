@@ -254,6 +254,14 @@ def _safe_eval(node: ex.Expr, ctx: ex.EvalContext) -> np.ndarray:
     ])
 
 
+def memberships(sets, points, margin: float) -> np.ndarray:
+    """The (N, len(sets)) matrix of `membership(points, margin)` of each
+    set, evaluated in one context: subexpressions and matrix computations
+    that several sets share are computed once."""
+    ctx = ex.EvalContext(points)
+    return np.stack([s._members(ctx, margin, _EQ_TOL) for s in sets], axis=1)
+
+
 class SemialgebraicSet:
     """Finite union of basic pieces in a fixed ambient dimension."""
 
@@ -275,9 +283,13 @@ class SemialgebraicSet:
                    eq_tol: float = _EQ_TOL) -> np.ndarray:
         """Per point of an (N, dim) array or a KernelMemo (sharing its
         MatrixGroup outputs), whether it is in the set."""
-        # one context for every condition: subexpressions that several
-        # conditions share are evaluated once
-        ctx = ex.EvalContext(points)
+        return self._members(ex.EvalContext(points), margin, eq_tol)
+
+    def _members(self, ctx: ex.EvalContext, margin: float,
+                 eq_tol: float) -> np.ndarray:
+        """Membership of the context's points: one context for every
+        condition, so subexpressions that several conditions share are
+        evaluated once."""
         points = ctx.points
         out = np.zeros(points.shape[0], dtype=bool)
         for piece in self.pieces:
@@ -622,7 +634,7 @@ class Cover:
 
     def first_uncovered(self, memo: ex.KernelMemo) -> tuple | None:
         """The first of the memo's points that no chart contains, or None."""
-        covered = np.any([chart.membership(memo) for chart in self.charts], axis=0)
+        covered = memberships(self.charts, memo, 0.0).any(axis=1)
         return first_flagged(memo.points, ~covered)
 
     def require_coverage(self, plan: SamplePlan) -> None:

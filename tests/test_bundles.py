@@ -503,6 +503,75 @@ def test_s1_line_class_no_chart_chain():
     assert str(err.value) == "no chart chain near loop angle 0.100167"
 
 
+def _plain_loop(cover):
+    """The circle walk's loop halved one round at a time, each round's
+    midpoints evaluated on their own, and its number of rounds."""
+    def members(angles):
+        pts = np.column_stack([np.cos(angles), np.sin(angles)])
+        return np.stack([c.membership(pts, margin=1e-9) for c in cover.charts], axis=1)
+
+    angles = np.append(2.0 * np.pi * np.arange(bu.LOOP_STEPS) / bu.LOOP_STEPS,
+                       2.0 * np.pi)
+    member, rounds = members(angles), 0
+    while True:
+        bad = np.flatnonzero(~(member[:-1] & member[1:]).any(axis=1))
+        if not bad.size:
+            return angles, member, rounds
+        mids = 0.5 * (angles[bad] + angles[bad + 1])
+        angles = np.insert(angles, bad + 1, mids)
+        member = np.insert(member, bad + 1, members(mids), axis=0)
+        rounds += 1
+
+
+def _plain_class(bundle, angles, member):
+    """The walk of `s1_line_class` along a given loop."""
+    def sign(old, new, angle):
+        at = [[np.cos(angle), np.sin(angle)]]
+        return np.sign(np.linalg.det(em_eval(bundle.transition(new, old), at)[0]))
+
+    start = current = int(np.argmax(member[0]))
+    product = 1.0
+    for i in range(len(angles) - 1):
+        if not member[i + 1, current]:
+            new = int(np.argmax(member[i] & member[i + 1]))
+            product *= sign(current, new, angles[i])
+            current = new
+    if current != start:
+        product *= sign(current, start, 0.0)
+    return 0 if product > 0 else 1
+
+
+def test_narrow_crossover_refines_in_one_batch_as_plain_halving(monkeypatch):
+    # {x1 > 0.1} and {x1 < 0.1001} overlap in two arcs about 1e-4 wide,
+    # far narrower than a loop step of 2 pi / 720
+    x1 = ex.Var(1)
+    conditions = [Condition(ex.Sub(x1, ex.Const(0.1)), GT),
+                  Condition(ex.Sub(ex.Const(0.1001), x1), GT)]
+    cover = Cover(circle_base(), [SemialgebraicSet(2, [[c]]) for c in conditions])
+    flip = ((ex.Div(ex.Var(0), ex.Abs(ex.Var(0))),),)
+    bundle = BundleRep(cover, 1, {(0, 1): flip, (1, 0): flip})
+    angles, member, rounds = _plain_loop(cover)
+    assert rounds >= 5
+    contexts = []                   # every context a chart condition is read in
+    expressions = {c.expression for c in conditions}
+    node_eval = ex.Expr.eval
+
+    def recorded(node, ctx):
+        if node in expressions and ctx not in contexts:
+            contexts.append(ctx)
+        return node_eval(node, ctx)
+
+    monkeypatch.setattr(ex.Expr, "eval", recorded)
+    assert s1_line_class(bundle) == _plain_class(bundle, angles, member) == 1
+    # the loop grid, then one batch for every round
+    assert [len(ctx.points) for ctx in contexts][0] == bu.LOOP_STEPS + 1
+    assert len(contexts) == 2
+    monkeypatch.undo()
+    got_angles, got_member = bu.refined_loop(cover)
+    assert got_angles.tobytes() == angles.tobytes()
+    assert (got_member == member).all()
+
+
 def test_s1_line_class_zero_transition_has_witness():
     zero = ((ex.Const(0.0),),)
     b = BundleRep(circle_two_arc_cover(), 1, {(0, 1): zero, (1, 0): zero})

@@ -1,9 +1,11 @@
 """Expression node evaluation, guards, smoothness bookkeeping."""
 
 import ast
+import gc
 import importlib.util
 import inspect
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -943,10 +945,12 @@ def test_one_eigensolve_per_pair_memo_and_path(monkeypatch):
     gate = ex.Sub(ex.Var(0), ex.Const(0.0))       # keeps the rows with S00 > 0
     memo = ex.KernelMemo(pts)
     reads = []
-    for group in (plus, minus):                   # one context per sign
-        ctx = ex.EvalContext(memo)
+    for group in (plus, minus):
+        # one context per sign and path: a gated read in the context that
+        # read the entry at the root would take the root's value
         entry = ex.MatEntry(group, 0, 1)
-        reads.append((entry.eval(ctx), ex.ZeroGate(gate, entry).eval(ctx)))
+        reads.append((entry.eval(ex.EvalContext(memo)),
+                      ex.ZeroGate(gate, entry).eval(ex.EvalContext(memo))))
     kept = int((pts[:, 0] > 0).sum())
     assert eighs == [len(pts), kept]              # paths () and the gate's mask
     assert lapack == []                           # the filter certified every row
@@ -986,6 +990,132 @@ def test_separately_built_signs_share_one_eigensolve_per_memo_and_path(monkeypat
     assert lone._opposite() is None
     lone.compute(ex.EvalContext(pts))
     assert eighs[4:] == [len(pts)]
+
+
+# --- gated sub-contexts read what their parent context holds ----------------
+
+def parent_read_points():
+    """64 rows: column 0 the gate's variable, positive on 32 rows, then a
+    pencil's S (columns 1-4) and its SPD metric G (columns 5-8)."""
+    rng = np.random.default_rng(17)
+    gate = np.linspace(-1.0, 1.0, 64)[rng.permutation(64)]
+    return np.column_stack([gate, pencil_stack(rng, 2, 10.0)])
+
+
+def parent_read_nodes():
+    """One node of every kind over `parent_read_points`, inside its guards."""
+    s, g = var_matrix(2, 2, 1), var_matrix(2, 2, 5)
+    x, y = ex.Var(1), ex.Var(2)
+    shifted = [[ex.Add(g[0][0], 1.0), g[0][1]], [g[1][0], ex.Add(g[1][1], 1.0)]]
+    groups = [ex.MatrixGroup(ex.SOLVE, g, [[x], [ex.Var(3)]]),
+              ex.MatrixGroup(ex.INV, g),
+              ex.MatrixGroup(ex.COLSPAN_PROJ, [[g[0][0]], [g[1][0]]]),
+              *(ex.MatrixGroup(op, s, g, guard_tol=PAIR_TOL)
+                for op in (ex.PENCIL_PROJ_POS, ex.PENCIL_PROJ_NEG)),
+              ex.MatrixGroup(ex.PENCIL_SQRT, g, shifted)]
+    # 256 rungs: two blocks of 128 on the 64 rows, one block on the 32
+    # gated rows (`path_projectors`)
+    path = ex.PathProduct([[1.0, ex.Mul(0.01, ex.Var(0))],
+                           [ex.Mul(-0.01, ex.Var(1)), 1.0]],
+                          [ex.Mul(ex.Var(0), ex.Var(1)), ex.Var(1)], 1,
+                          np.arange(256) / 256)
+    return {"const": ex.Const(2.5), "var": ex.Var(3),
+            "add": ex.Add(x, y), "sub": ex.Sub(x, y), "mul": ex.Mul(x, y),
+            "max": ex.Max(x, y), "min": ex.Min(x, y),
+            "div": ex.Div(x, ex.Add(1.0, ex.Mul(y, y))),
+            "sqrt": ex.Sqrt(ex.Mul(x, x)), "abs": ex.Abs(ex.Sub(x, y)),
+            "clamp": ex.Clamp(x), "pow": ex.Pow(x, 3),
+            "zerogate": ex.ZeroGate(y, ex.Div(1.0, y)),
+            **{f"matentry {grp.op}": ex.MatEntry(grp, grp.out_shape[0] - 1, 0)
+               for grp in groups},
+            "pathproduct": ex.MatEntry(path, 0, 1)}
+
+
+def test_parent_read_cases_cover_every_node_kind():
+    nodes = parent_read_nodes()
+    kinds = {type(node) for node in nodes.values()}
+    assert kinds >= {*ex._Unary.__subclasses__(), *ex._Binary.__subclasses__(),
+                     ex.Const, ex.Var, ex.Pow, ex.ZeroGate, ex.MatEntry}
+    assert {node.group.op for node in nodes.values() if isinstance(node, ex.MatEntry)} \
+        == {ex.SOLVE, ex.INV, ex.COLSPAN_PROJ, ex.PENCIL_PROJ_POS,
+            ex.PENCIL_PROJ_NEG, ex.PENCIL_SQRT, ex.PathProduct.op}
+
+
+@pytest.mark.parametrize("kind", sorted(parent_read_nodes()))
+def test_gated_read_served_by_the_parent_equals_a_fresh_evaluation(monkeypatch, kind):
+    node = parent_read_nodes()[kind]
+    pts = parent_read_points()
+    gate = ex.Var(0)
+    ctx = ex.EvalContext(pts)
+    node.eval(ctx)
+    evaluated = []
+    own = type(node)._eval
+    monkeypatch.setattr(type(node), "_eval",
+                        lambda self, at: evaluated.append(at) or own(self, at))
+    gated = ex.ZeroGate(gate, node).eval(ctx)
+    mask = pts[:, 0] > 0.0
+    child = ctx.sub(id(gate), mask)
+    assert len(child.points) == 32 and child not in evaluated
+    fresh = node.eval(ex.EvalContext(pts[mask]))
+    assert child.cache[node].tobytes() == fresh.tobytes()
+    # a context whose root never read the node evaluates it on the gate's rows
+    assert gated.tobytes() == ex.ZeroGate(gate, node).eval(ex.EvalContext(pts)).tobytes()
+
+
+def test_gated_read_of_a_pencil_entry_the_parent_holds_runs_no_eigensolve(monkeypatch):
+    eighs = counted_pencil_eighs(monkeypatch)
+    pts = pencil_stack(np.random.default_rng(19), 2, 10.0)
+    plus, _ = pencil_groups(2)
+    entry = ex.MatEntry(plus, 0, 1)
+    ctx = ex.EvalContext(ex.KernelMemo(pts))
+    whole = entry.eval(ctx)
+    gated = ex.ZeroGate(ex.Var(0), entry).eval(ctx)
+    assert eighs == [len(pts)]
+    mask = pts[:, 0] > 0.0
+    want = np.zeros(len(pts))
+    want[mask] = pts[mask, 0] * single_sign(plus, pts[mask])[:, 0, 1]
+    assert whole.tobytes() == single_sign(plus, pts)[:, 0, 1].tobytes()
+    assert gated.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("payload, message", [
+    (lambda x: ex.Div(1.0, x),
+     "quotient denominator 0.000e+00 within guard 1.0e-12"),
+    (lambda x: ex.MatEntry(ex.MatrixGroup(ex.INV, [[x]]), 0, 0),
+     "matrix inv guard: smallest singular value 0.000e+00 <= 1.0e-09")])
+def test_gated_guard_violation_raises_as_a_fresh_evaluation(payload, message):
+    x = ex.Var(1)
+    # x1 vanishes on an ungated row and on the second and third gated rows
+    pts = np.array([[-1.0, 0.0], [1.0, 2.0], [1.0, 0.0], [-1.0, 3.0], [2.0, 0.0]])
+    node = payload(x)
+    ctx = ex.EvalContext(pts)
+    x.eval(ctx)                 # the parent holds the operand, not the payload
+    with pytest.raises(GuardViolation) as gated:
+        ex.ZeroGate(ex.Var(0), node).eval(ctx)
+    with pytest.raises(GuardViolation) as fresh:
+        node.eval(ex.EvalContext(pts[pts[:, 0] > 0.0]))
+    assert str(gated.value) == str(fresh.value) == message
+    assert gated.value.point == fresh.value.point == (1.0, 0.0)
+
+
+def test_a_context_with_sub_contexts_is_freed_by_reference_counting():
+    x = ex.Var(0)
+    square = ex.Mul(x, x)
+    nested = ex.ZeroGate(x, ex.ZeroGate(ex.Sub(x, 0.5), square))
+    ctx = ex.EvalContext(np.linspace(-1.0, 1.0, 9).reshape(-1, 1))
+    square.eval(ctx)
+    nested.eval(ctx)
+    (child,) = ctx.sub_contexts.values()
+    assert child.sub_contexts and child.parent_cache is ctx.cache
+    refs = [weakref.ref(c) for c in (ctx, child, *child.sub_contexts.values())]
+    del child
+    gc.collect()
+    gc.disable()
+    try:
+        del ctx
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_a_substituted_group_equal_to_a_paired_one_is_that_group():

@@ -29,12 +29,18 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
   cover regions (`Base.region_memo` through `Cover.region_memo`, one per
   cover, sorted indices and plan), base samples (`Base.sample_memo`),
   unity probes (the regions `unity` certifies disjointness and
-  containment on), other probes (the refinement and slice probes) and the
-  loop grid (`Base.grid_memo`).  "Interned" counts the requests that made
-  a new array and memo; every other request read one an earlier request
-  of any kind made;
+  containment on), other probes (the refinement and slice probes), and
+  the circle walk's arrays (`Base.grid_memo`): the loop grid, the
+  refinement batches of `bundles.refined_loop` (each batch is one
+  membership evaluation of every angle repeated halving could insert in
+  a round's bad steps) and the sign switches' one-row points.
+  "Interned" counts the requests that made a new array and memo; every
+  other request read one an earlier request of any kind made;
 - expression node evaluations by node kind, with their rows: the calls
   of a node's `_eval`, which no context cache served;
+- node reads a parent context served: reads in a `ZeroGate` sub-context
+  of a node its parent context held, taken as the parent's value at the
+  gate's mask with no `_eval`, with the sub-context's rows;
 - structural duplicates: evaluations of a node in a context that had
   already evaluated another node object of equal structure.  Structure is
   the intern key (`expr._Interned`) with every child id replaced by the
@@ -182,10 +188,13 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     def counted_eval(node, ctx):
         if node not in ctx.cache:
             n = ctx.points.shape[0]
-            tally(f"node {type(node).__name__}", n)
-            memo, first = seen.setdefault(ctx, ({}, {}))
-            if first.setdefault(structure(node, memo, table), id(node)) != id(node):
-                tally("structural duplicates", n)
+            if node in ctx.parent_cache:
+                tally("parent served", n)
+            else:
+                tally(f"node {type(node).__name__}", n)
+                memo, first = seen.setdefault(ctx, ({}, {}))
+                if first.setdefault(structure(node, memo, table), id(node)) != id(node):
+                    tally("structural duplicates", n)
         return node_eval(node, ctx)
 
     def counted_init(ctx, points):
@@ -224,7 +233,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
                              kind_of(sys._getframe(1)))
 
     def counted_grid(base, name, make):
-        return counted_array(grid_memo(base, name, make), "loop grid")
+        return counted_array(grid_memo(base, name, make), GRID_KINDS[name[0]])
 
     patches = [(ex.MatrixGroup, "compute", counted(compute, "memo")),
                (ex.MatrixGroup, "_compute", counted_kernel),
@@ -250,8 +259,11 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     return calls, rows
 
 
+# the first item of a `Base.grid_memo` name -> the array's kind
+GRID_KINDS = {"loop grid": "loop grid", "loop batch": "loop batches",
+              "loop point": "loop switches"}
 ARRAY_KINDS = ["cover regions", "base samples", "unity probes", "other probes",
-               "loop grid"]
+               *GRID_KINDS.values()]
 
 
 def main() -> int:
@@ -277,7 +289,7 @@ def main() -> int:
             for key in [f"{kind} requested", f"{kind} interned"]:
                 print(f"  {key:24s} {calls[key]:7d} arrays {rows[key]:9d} rows")
         nodes = sorted(k for k in calls if k.startswith("node "))
-        for key in [*nodes, "structural duplicates"]:
+        for key in [*nodes, "structural duplicates", "parent served"]:
             print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
         print(f"  {'node total':24s} {sum(calls[k] for k in nodes):7d} calls "
               f"{sum(rows[k] for k in nodes):10d} rows")
