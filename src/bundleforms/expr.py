@@ -88,14 +88,18 @@ class KernelMemo:
     set a base samples (cover regions, the base's own samples, the probes
     of `unity`) or evaluates again (`Base.grid_memo`, the circle loop's
     grid): the base interns it by the rows it selects (`Base.region_memo`),
-    so every sampling of the base with that point set reads one memo."""
+    so every sampling of the base with that point set reads one memo.
+    `held` maps the condition expressions a sampling batch evaluated on a
+    cloud's rows to their values (`semialg._kept`); it is emptied when the
+    batch ends (`Base.region_memos`)."""
 
-    __slots__ = ("points", "outputs")
+    __slots__ = ("points", "outputs", "held")
 
     def __init__(self, points):
         self.points = _batch(points)
         self.points.flags.writeable = False     # shared: nobody may edit it
         self.outputs = weakref.WeakKeyDictionary()     # group: {path: output}
+        self.held: dict[Expr, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -456,6 +456,26 @@ def _cloud(box, n: int, seed: int, eqs: list[Polynomial],
     return hit
 
 
+def _kept(piece, dim: int, cloud: ex.KernelMemo) -> np.ndarray:
+    """The cloud rows that sampling keeps in one piece.  The piece's
+    context starts from the condition values the cloud holds
+    (`KernelMemo.held`), so its conditions, and every `ZeroGate`
+    sub-context through `parent_cache`, read them with no evaluation; then
+    the roots of the piece's conditions that the context holds are held
+    too.  A root that hit a guard violation is not in the context (the
+    `_safe_eval` bisection runs in fresh contexts), so it is never held,
+    and every held value is the fresh one bit for bit, since every node
+    kind is a per-row function."""
+    ctx = ex.EvalContext(cloud)
+    ctx.cache.update(cloud.held)
+    keep = SemialgebraicSet(dim, [piece])._members(ctx, _SAMPLE_MARGIN, 1e-12)
+    for cond in piece:
+        value = ctx.cache.get(cond.expression)
+        if value is not None:
+            cloud.held[cond.expression] = value
+    return keep
+
+
 def _selection(sset: SemialgebraicSet, plan: SamplePlan, box, count: int,
                clouds: dict) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
     """The rows `sample` keeps before its dedupe: per sampling round and
@@ -469,9 +489,7 @@ def _selection(sset: SemialgebraicSet, plan: SamplePlan, box, count: int,
         for piece in sset.pieces:
             eqs = sset.equality_polys(piece)
             cloud = _cloud(box, n_cand, seed, eqs, clouds)
-            piece_set = SemialgebraicSet(sset.dim, [piece])
-            keep = piece_set.membership(cloud, margin=_SAMPLE_MARGIN,
-                                        eq_tol=1e-12)
+            keep = _kept(piece, sset.dim, cloud)
             if keep.any():
                 selection.append((_cloud_key(box, n_cand, seed, eqs),
                                   cloud.points, keep))
@@ -513,7 +531,9 @@ def sample(sset: SemialgebraicSet, plan: SamplePlan, box,
     sample of fewer than `count` points is not flagged.  With `base`, the
     base whose box this is, the candidate clouds are the base's (see
     `_cloud`) and the points are interned there by selection (see
-    `Base.region_memo`): a read-only array that equal selections share.
+    `Base.region_memos`): a read-only array that equal selections share.
+    The clouds hold the condition values it evaluates (see `_kept`) until
+    the batch it is part of, `Base.region_memos`, ends.
     """
     count = plan.n_chart if count is None else count
     if base is None:
@@ -528,7 +548,7 @@ class Base:
 
     `clouds` holds the kernel memos of its sampling clouds (see `_cloud`),
     and `regions` those of the point sets the base evaluates again: its
-    sampled regions, interned by selection (see `region_memo`), each also
+    sampled regions, interned by selection (see `region_memos`), each also
     under the id of its read-only points, which it keeps alive, and fixed
     grids by name (see `grid_memo`).  Both live as long as the base and
     hold point arrays and their kernel outputs, never an object that
@@ -566,12 +586,27 @@ class Base:
             hit = self.regions[key] = self.regions[id(points)] = ex.KernelMemo(points)
         return hit
 
+    def region_memos(self, regions: list[SemialgebraicSet], plan: SamplePlan,
+                     count: int) -> list[ex.KernelMemo]:
+        """The kernel memo of each region's `sample` in this base's box, in
+        one batch: while it runs, each cloud holds the values of the
+        condition expressions tested on it (`KernelMemo.held`), so a
+        condition that several regions test is evaluated once per cloud,
+        and a later condition built on it reads it.  The held values are
+        dropped when the batch returns or raises.  Regions whose conditions
+        keep the same rows of the same clouds read one read-only array and
+        the kernel outputs computed on it."""
+        try:
+            return [self.regions[id(sample(region, plan, self.box, count, self)[0])]
+                    for region in regions]
+        finally:
+            for cloud in self.clouds.values():
+                cloud.held.clear()
+
     def region_memo(self, region: SemialgebraicSet, plan: SamplePlan,
                     count: int) -> ex.KernelMemo:
-        """The kernel memo of `region`'s `sample` in this base's box:
-        regions whose conditions keep the same rows of the same clouds read
-        one read-only array and the kernel outputs computed on it."""
-        return self.regions[id(sample(region, plan, self.box, count, self)[0])]
+        """The kernel memo of `region`'s `sample`: a batch of one."""
+        return self.region_memos([region], plan, count)[0]
 
     def sample_memo(self, plan: SamplePlan) -> ex.KernelMemo:
         """The kernel memo of the plan's n_chart points of the base."""

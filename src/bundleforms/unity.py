@@ -65,18 +65,34 @@ def separating_function(x_set: SemialgebraicSet, y_set: SemialgebraicSet, r: int
     """C^r function with value exactly 0 on X and exactly 1 on Y.
 
     Built as g^2 / (g^2 + h^2) from the zero functions of the two sets.
-    Disjointness is always certified on samples of the base.
+    Disjointness is always certified on samples of the base, the samples of
+    both sets drawn in one batch (`Base.region_memos`).
     """
+    h = _separating(x_set, y_set, r)
+    regions = [s.intersect(base.sset) for s in (x_set, y_set)]
+    _certify_disjoint(x_set, y_set,
+                      base.region_memos(regions, plan, plan.n_overlap))
+    return h
+
+
+def _separating(x_set: SemialgebraicSet, y_set: SemialgebraicSet,
+                r: int) -> ex.Expr:
+    """The function of `separating_function`, uncertified."""
     g = zero_function(x_set, r)
     h = zero_function(y_set, r)
-    for a, b in ((x_set, y_set), (y_set, x_set)):
-        memo = base.region_memo(a.intersect(base.sset), plan, plan.n_overlap)
-        both = first_flagged(memo.points, b.membership(memo, eq_tol=1e-9))
-        if both is not None:
-            raise NotDisjoint(f"sampled point {both} lies in both sets")
     g2 = ex.Mul(g, g)
     h2 = ex.Mul(h, h)
     return ex.Div(g2, ex.Add(g2, h2))
+
+
+def _certify_disjoint(x_set: SemialgebraicSet, y_set: SemialgebraicSet,
+                      memos) -> None:
+    """Raise NotDisjoint at the first sample of X (`memos[0]`) that lies in
+    Y, else at the first sample of Y (`memos[1]`) that lies in X."""
+    for memo, other in zip(memos, (y_set, x_set)):
+        both = first_flagged(memo.points, other.membership(memo, eq_tol=1e-9))
+        if both is not None:
+            raise NotDisjoint(f"sampled point {both} lies in both sets")
 
 
 @dataclass
@@ -91,12 +107,22 @@ def shrink_cover(cover: Cover, r: int = 1, *, plan: SamplePlan) -> ShrunkCover:
     Inductive construction: the part of the base not covered by the other
     charts is separated from the complement of the current chart, and the
     new chart is the sublevel set {h < 1/2} of the separating function.
+    The samples only certify, so every separating function and shrunk chart
+    is built first.  Then, step by step, the two separated sets and the
+    closure of the shrunk chart are sampled on the base in one batch
+    (`Base.region_memos`), which evaluates each condition once per cloud:
+    a shrunk chart's condition is held before the later steps' complements,
+    built on it, read it.  The samples are certified in the order of the
+    induction: each step's disjointness, the shrunk cover's coverage, then
+    each closure's containment in its original chart.
     """
     cover.require_coverage(plan)
     base = cover.base
     dim = base.dim
     new_charts: list[SemialgebraicSet] = []
     gates: list[ex.Expr] = []
+    # per step: c_k, complement(U_k) and closure(V_k)
+    regions: list[SemialgebraicSet] = []
     for k in range(cover.n_charts):
         remaining = []
         for v in new_charts:
@@ -106,13 +132,18 @@ def shrink_cover(cover: Cover, r: int = 1, *, plan: SamplePlan) -> ShrunkCover:
         others = SemialgebraicSet(dim, remaining)
         c_k = others.complement()          # closed, possibly off-base junk included
         u_complement = cover.charts[k].complement()
-        h = separating_function(c_k, u_complement, r, plan, base)
+        h = _separating(c_k, u_complement, r)
         # V_k = {h < 1/2}; its closure {h <= 1/2} avoids {h = 1} = complement(U_k)
         v_expr = ex.Sub(ex.Const(0.5), h)
         v_k = SemialgebraicSet(dim, [[Condition(v_expr, GT)]])
         new_charts.append(v_k)
         # gate vanishing exactly off V_k: clamp(1/2 - h)^(r+1)
         gates.append(ex.Pow(ex.Clamp(v_expr), r + 1))
+        regions += [c_k, u_complement, v_k.closure()]
+    memos = base.region_memos([s.intersect(base.sset) for s in regions], plan,
+                              plan.n_overlap)
+    for k in range(0, len(regions), 3):
+        _certify_disjoint(*regions[k:k + 2], memos[k:k + 2])
     shrunk = Cover(base, new_charts, name=f"{cover.name}~shrunk")
     report = shrunk.coverage(plan)
     if not report.ok:
@@ -120,9 +151,7 @@ def shrink_cover(cover: Cover, r: int = 1, *, plan: SamplePlan) -> ShrunkCover:
             f"shrunk cover misses sampled base point {report.witness}"
         )
     # closure-containment certificate: closure(V_k) stays inside U_k at samples
-    for k, v_k in enumerate(new_charts):
-        closed = v_k.closure().intersect(base.sset)
-        memo = base.region_memo(closed, plan, plan.n_overlap)
+    for k, memo in enumerate(memos[2::3]):
         out = first_flagged(memo.points, ~cover.charts[k].membership(memo))
         if out is not None:
             raise CoverageFailure(

@@ -1,8 +1,9 @@
 """The construction caches: Gauss embeddings per bundle, candidate clouds
 and their kernel memos per base, one evaluation context per membership
 call, one kernel memo per sampled point set of a base, which every
-cover region sampling that set reads, and the intern table that makes
-structurally equal expression nodes one object.
+cover region sampling that set reads, the condition values a sampling
+batch holds per cloud, and the intern table that makes structurally
+equal expression nodes one object.
 
 Each cached value is a pure function of its key, so a hit must return what
 a fresh computation would; these tests pin what is built how often, that
@@ -24,12 +25,13 @@ from bundleforms import semialg
 from bundleforms.bundles import (CheckReport, ProjectorField, bundle_from_projector,
                                  gauss_embedding)
 from bundleforms.catalog import circle_base, circle_two_arc_cover, moebius
-from bundleforms.errors import RankDrop
+from bundleforms.errors import NotPolynomial, RankDrop
 from bundleforms.forms import decompose
 from bundleforms.homotopy import induced_iso_from_homotopy
 from bundleforms.matexpr import em_eval, em_path_product
 from bundleforms.semialg import (GT, Condition, Polynomial, SamplePlan, SemialgebraicSet,
                                  sample)
+from bundleforms.unity import shrink_cover
 
 from helpers import antipodal_path
 
@@ -521,6 +523,114 @@ def test_dropping_the_bundles_frees_the_loop_grid_entries():
         assert not grid.outputs and base.regions[LOOP_GRID] is grid
     finally:
         gc.enable()
+
+
+# --- one sampling batch per shrink: condition values held per cloud ----------
+
+def three_arc_cover(base):
+    """Three arcs of the circle whose conditions are general expressions, so
+    sampling evaluates them in contexts: U0 = {x1 > -0.3},
+    U1 = {x1 < 0.3, x0 > -0.5}, U2 = {x1 < 0.3, x0 < 0.5}."""
+    x0, x1 = ex.Var(0), ex.Var(1)
+    below = Condition(ex.Sub(ex.Const(0.3), x1), GT)
+    charts = [SemialgebraicSet(2, [[Condition(ex.Add(x1, ex.Const(0.3)), GT)]]),
+              SemialgebraicSet(2, [[below, Condition(ex.Add(x0, ex.Const(0.5)), GT)]]),
+              SemialgebraicSet(2, [[below, Condition(ex.Sub(ex.Const(0.5), x0), GT)]])]
+    return semialg.Cover(base, charts, name="three-arcs")
+
+
+def test_a_batch_returns_the_memos_of_sampling_each_region_alone(monkeypatch):
+    batches = []
+    original = semialg.Base.region_memos
+
+    def recording(base, regions, plan, count):
+        batches.append((list(regions), count))
+        return original(base, regions, plan, count)
+
+    monkeypatch.setattr(semialg.Base, "region_memos", recording)
+    shrink_cover(three_arc_cover(circle_base()), 1, plan=PLAN)
+    monkeypatch.undo()
+    regions, count = max(batches, key=lambda b: len(b[0]))
+    assert len(regions) == 9        # 2 disjointness regions and a closure per chart
+    base = circle_base()
+    memos = base.region_memos(regions, PLAN, count)
+    for region, memo in zip(regions, memos):
+        assert base.region_memo(region, PLAN, count) is memo
+        alone = circle_base().region_memo(region, PLAN, count)
+        assert memo.points.tobytes() == alone.points.tobytes()
+        assert memo.points.tobytes() == sample(region, PLAN, base.box, count)[0].tobytes()
+    assert any(len(memo) for memo in memos)
+
+
+def test_a_shrink_evaluates_each_condition_root_once_per_cloud(monkeypatch):
+    """Every condition a sampling pass tests on a cloud is evaluated there
+    at most once per batch: a later piece or region reads the held value
+    (a root that violated a guard is not held, and is not counted)."""
+    base = circle_base()
+    cover = three_arc_cover(base)
+    evaluated = {}
+    safe_eval = semialg._safe_eval
+
+    def counted(node, ctx):
+        fresh = node not in ctx.cache
+        out = safe_eval(node, ctx)
+        if (fresh and node in ctx.cache and ctx.path == ()
+                and any(ctx.memo is c for c in base.clouds.values())):
+            key = (node, id(ctx.memo))      # the base keeps its clouds alive
+            evaluated[key] = evaluated.get(key, 0) + 1
+        return out
+
+    monkeypatch.setattr(semialg, "_safe_eval", counted)
+    shrink_cover(cover, 1, plan=PLAN)
+    assert len(evaluated) > len(cover.charts)
+    assert max(evaluated.values()) == 1
+
+
+def test_a_condition_that_fails_its_guard_is_not_held():
+    box = ((-2.0, 2.0),)
+    x = ex.Var(0)
+    guarded = ex.Sub(ex.Sqrt(x), ex.Const(0.5))     # violates its guard at x < 0
+    free = ex.Add(x, ex.Const(1.5))
+    first = SemialgebraicSet(1, [[Condition(free, GT), Condition(guarded, GT)]])
+    clouds = {}
+    semialg._selection(first, PLAN, box, 50, clouds)
+    assert all(free in c.held and guarded not in c.held for c in clouds.values())
+    # a later region reads the guarded root under a gate, where it passes:
+    # it keeps the rows of the clouds that it keeps when sampled alone
+    gated = SemialgebraicSet(1, [[Condition(ex.ZeroGate(x, guarded), GT)]])
+    later = semialg._selection(gated, PLAN, box, 50, clouds)
+    alone = semialg._selection(gated, PLAN, box, 50, {})
+    assert [(key, keep.tobytes()) for key, _, keep in later] == \
+        [(key, keep.tobytes()) for key, _, keep in alone]
+    line = semialg.Base(SemialgebraicSet.whole_space(1), box)
+    together = line.region_memos([first, gated], PLAN, 50)[1]
+    memo = semialg.Base(SemialgebraicSet.whole_space(1), box).region_memo(gated, PLAN, 50)
+    assert len(memo) and together.points.tobytes() == memo.points.tobytes()
+    assert (together.points[:, 0] > 0.25).all()
+
+
+def test_no_held_value_outlives_its_batch(monkeypatch):
+    base = circle_base()
+    cover = three_arc_cover(base)
+    held_sizes = []
+    kept = semialg._kept
+
+    def recording(piece, dim, cloud):
+        out = kept(piece, dim, cloud)
+        held_sizes.append(len(cloud.held))
+        return out
+
+    monkeypatch.setattr(semialg, "_kept", recording)
+    shrink_cover(cover, 1, plan=PLAN)
+    assert max(held_sizes) > 1
+    assert base.clouds and not any(c.held for c in base.clouds.values())
+    # a region whose equality is not polynomial raises after the first held values
+    del held_sizes[:]
+    not_polynomial = SemialgebraicSet(2, [[Condition(ex.Var(0), semialg.EQ)]])
+    with pytest.raises(NotPolynomial):
+        base.region_memos([cover.charts[0], not_polynomial], PLAN, 50)
+    assert held_sizes and max(held_sizes) >= 1
+    assert not any(c.held for c in base.clouds.values())
 
 
 # --- the intern table: one node per structure, held weakly -------------------

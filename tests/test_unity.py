@@ -178,3 +178,31 @@ def test_not_disjoint_names_a_plain_float_point():
                             1, SamplePlan(seed=0), base=WIDE_LINE)
     (x,) = named_point(str(err.value))
     assert 0.0 <= x <= 1.0
+
+
+class StricterChart(SemialgebraicSet):
+    """A chart whose membership test demands a margin of 0.5: sampling and
+    the shrink read its conditions, and only the containment check reads
+    this test, so a shrunk chart's closure escapes it."""
+
+    def membership(self, points, margin=0.0, eq_tol=1e-9):
+        return super().membership(points, max(margin, 0.5), eq_tol)
+
+
+def test_shrink_failures_name_the_first_sampled_point_in_inductive_order():
+    # the samples of both certificates come from one batch, and each step's
+    # disjointness is certified before the closures, as the induction goes
+    gap = Cover(WIDE_LINE, [interval(hi=0.0), interval(lo=0.1)], name="gap")
+    with pytest.raises(NotDisjoint) as err:
+        shrink_cover(gap, r=1, plan=SamplePlan(seed=0, n_chart=8))
+    assert str(err.value) == "sampled point (0.0625,) lies in both sets"
+    strict = Cover(WIDE_LINE, [interval(hi=1.0),
+                               StricterChart(1, interval(lo=0.0).pieces)])
+    with pytest.raises(CoverageFailure) as err:
+        shrink_cover(strict, r=1, plan=SamplePlan(seed=0))
+    assert str(err.value) == "shrunk chart 1 escapes its original chart at (0.4375,)"
+    with pytest.raises(NotDisjoint) as err:
+        separating_function(interval(hi=1.0, strict=False),
+                            interval(lo=0.0, strict=False),
+                            1, SamplePlan(seed=0), base=WIDE_LINE)
+    assert str(err.value) == "sampled point (0.625,) lies in both sets"

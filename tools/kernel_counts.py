@@ -26,7 +26,9 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
 - `PathProduct` computations (transports along a homotopy's t-ladder) with
   their base-point rows, and the kernel memo traffic on transports;
 - point arrays a base evaluates again, requested and interned, by kind:
-  cover regions (`Base.region_memo` through `Cover.region_memo`, one per
+  each region a `Base.region_memos` batch samples counts as one request
+  of the kind of the function that asked for the batch (directly or
+  through `Base.region_memo`): cover regions (`Cover.region_memo`, one per
   cover, sorted indices and plan), base samples (`Base.sample_memo`),
   unity probes (the regions `unity` certifies disjointness and
   containment on), other probes (the refinement and slice probes), and
@@ -41,6 +43,9 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
 - node reads a parent context served: reads in a `ZeroGate` sub-context
   of a node its parent context held, taken as the parent's value at the
   gate's mask with no `_eval`, with the sub-context's rows;
+- condition values a sampling batch served: per piece context of
+  `Base.region_memos`, the held condition values (`KernelMemo.held`) it
+  read, each counted once, with the cloud's rows;
 - structural duplicates: evaluations of a node in a context that had
   already evaluated another node object of equal structure.  Structure is
   the intern key (`expr._Interned`) with every child id replaced by the
@@ -75,14 +80,17 @@ from bundleforms.semialg import Base  # noqa: E402
 SEED = 0
 # the evaluators that build a context for their caller's points
 EVALUATORS = {"evaluate", "evaluate_at", "em_eval", "SemialgebraicSet.membership"}
-# the function that asks `Base.region_memo` for an array -> the array's kind
+# the function that asks `Base.region_memos` for arrays -> their kind
 # (`Cover.region_memo`, `Base.sample_memo`); any function of `unity` asks for
 # unity probes, and any other for other probes
 KINDS = {"region_memo": "cover regions", "sample_memo": "base samples"}
 
 
 def kind_of(frame) -> str:
-    """The kind of point array the calling frame asks its base for."""
+    """The kind of point array the calling frame asks its base for, seen
+    past `Base.region_memo`, a batch of one."""
+    if frame.f_code.co_qualname == "Base.region_memo":
+        frame = frame.f_back
     if frame.f_globals.get("__name__") == "bundleforms.unity":
         return "unity probes"
     return KINDS.get(frame.f_code.co_name, "other probes")
@@ -143,9 +151,10 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     compute, kernel = ex.MatrixGroup.compute, ex.MatrixGroup._compute
     eigh, closed = ex._whitened_eigh, ex._closed_pencil
     lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
-    region_memo, grid_memo = Base.region_memo, Base.grid_memo
+    region_memos, grid_memo = Base.region_memos, Base.grid_memo
     init, sub = ex.EvalContext.__init__, ex.EvalContext.sub
     interned, served = {}, {}
+    batch_read = weakref.WeakKeyDictionary()    # context -> ids of held nodes read
     builders = weakref.WeakKeyDictionary()      # context -> builder_of name
 
     def tally(key, n):
@@ -195,6 +204,11 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
                 memo, first = seen.setdefault(ctx, ({}, {}))
                 if first.setdefault(structure(node, memo, table), id(node)) != id(node):
                     tally("structural duplicates", n)
+        elif ctx.memo is not None and ctx.memo.held.get(node) is ctx.cache[node]:
+            read = batch_read.setdefault(ctx, set())
+            if id(node) not in read:    # the context keeps the node alive
+                read.add(id(node))
+                tally("batch served", ctx.points.shape[0])
         return node_eval(node, ctx)
 
     def counted_init(ctx, points):
@@ -228,9 +242,10 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
         interned[id(memo)] = memo       # alive, so no id is reused
         return memo
 
-    def counted_region(base, region, plan, count):
-        return counted_array(region_memo(base, region, plan, count),
-                             kind_of(sys._getframe(1)))
+    def counted_regions(base, regions, plan, count):
+        memos = region_memos(base, regions, plan, count)
+        kind = kind_of(sys._getframe(1))
+        return [counted_array(memo, kind) for memo in memos]
 
     def counted_grid(base, name, make):
         return counted_array(grid_memo(base, name, make), GRID_KINDS[name[0]])
@@ -242,7 +257,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
                (ex.Expr, "eval", counted_eval),
                (ex.PathProduct, "compute", counted(lookup, "transport memo")),
                (ex.PathProduct, "_compute", counted_transport),
-               (Base, "region_memo", counted_region),
+               (Base, "region_memos", counted_regions),
                (Base, "grid_memo", counted_grid),
                (ex.EvalContext, "__init__", counted_init),
                (ex.EvalContext, "sub", counted_sub)]
@@ -289,7 +304,8 @@ def main() -> int:
             for key in [f"{kind} requested", f"{kind} interned"]:
                 print(f"  {key:24s} {calls[key]:7d} arrays {rows[key]:9d} rows")
         nodes = sorted(k for k in calls if k.startswith("node "))
-        for key in [*nodes, "structural duplicates", "parent served"]:
+        for key in [*nodes, "structural duplicates", "parent served",
+                    "batch served"]:
             print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
         print(f"  {'node total':24s} {sum(calls[k] for k in nodes):7d} calls "
               f"{sum(rows[k] for k in nodes):10d} rows")
