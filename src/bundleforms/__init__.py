@@ -43,7 +43,6 @@ from .forms import (
     isometry_same_bundle,
     local_trivializing_cover,
     orthogonal_sum,
-    positive_isometry,
     signature,
     standard_positive_form,
     tensor_form,

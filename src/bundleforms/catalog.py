@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expr as ex
-from .bundles import BundleRep, trivial_bundle
+from .bundles import BundleRep, MorphismField, trivial_bundle, whitney_sum
+from .matexpr import em_inv, em_mul
 from .semialg import (
     EQ,
     GT,
@@ -21,7 +22,9 @@ from .semialg import (
     Polynomial,
     SamplePlan,
     SemialgebraicSet,
+    halfspace,
 )
+from .unity import separating_function
 
 
 def _coord(dim, i):
@@ -121,22 +124,20 @@ def circle_trivial(rank: int = 1, cover: Cover | None = None) -> BundleRep:
     return trivial_bundle(cover, rank, name=f"eps^{rank}-circle")
 
 
-def plane_two_chart_cover(base: Base | None = None) -> Cover:
-    base = base or plane_base()
+def plane_two_chart_cover() -> Cover:
     c1 = SemialgebraicSet(2, [[Condition.from_poly(_coord(2, 0) + _const(2, 1), GT)]])
     c2 = SemialgebraicSet(2, [[Condition.from_poly(_const(2, 1) - _coord(2, 0), GT)]])
-    return Cover(base, [c1, c2], name="plane-two-charts")
+    return Cover(plane_base(), [c1, c2], name="plane-two-charts")
 
 
-def scrambled_plane_bundle(base: Base | None = None) -> BundleRep:
+def scrambled_plane_bundle() -> BundleRep:
     """Trivial rank-2 bundle over the plane in a scrambled two-chart dress.
 
     The transition is a constant cocycle conjugated by a polynomial shear,
     so it is globally evaluable and the bundle is trivializable but not
     presented trivially.
     """
-    base = base or plane_base()
-    cover = plane_two_chart_cover(base)
+    cover = plane_two_chart_cover()
     x0, x1 = ex.Var(0), ex.Var(1)
     shear = ex.Mul(x0, x1)
     r = ((ex.Const(1.0), shear), (ex.Const(0.0), ex.Const(1.0)))
@@ -144,7 +145,6 @@ def scrambled_plane_bundle(base: Base | None = None) -> BundleRep:
              (ex.Const(0.0), ex.Const(1.0)))
     c = ((ex.Const(2.0), ex.Const(1.0)), (ex.Const(0.0), ex.Const(0.5)))
     c_inv = ((ex.Const(0.5), ex.Const(-1.0)), (ex.Const(0.0), ex.Const(2.0)))
-    from .matexpr import em_mul
     g12 = em_mul(r, em_mul(c, r_inv))
     g21 = em_mul(r, em_mul(c_inv, r_inv))
     return BundleRep(cover, 2, {(0, 1): g12, (1, 0): g21}, name="scrambled-plane")
@@ -161,11 +161,6 @@ def moebius_double_trivialization(plan: SamplePlan):
 
     Returns (sum_bundle, trivial_bundle, MorphismField).
     """
-    from .bundles import MorphismField, trivial_bundle, whitney_sum
-    from .matexpr import em_inv
-    from .semialg import halfspace
-    from .unity import separating_function
-
     m = moebius()
     total = whitney_sum(m, m)            # same cover, stays two-chart
     base = total.base

@@ -20,7 +20,7 @@ from .bundles import check_isomorphism, s1_line_class, validate_cocycle
 from .errors import BundleformsError
 from .reporting import Report, TaskEntry, timed_entry
 from .semialg import SamplePlan
-from .specfile import SpecDocument, parse_spec
+from .specfile import SpecDocument, _declared, parse_spec
 
 IDENTITY_TOL = 1e-9
 WITNESS_TOL = 1e-6
@@ -170,11 +170,13 @@ def _invariants(doc, task, plan, entry):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand task builders.
+# Subcommand task builders.  A name the spec does not declare is an
+# UnresolvedReference, raised before any task runs.
 
 
 def _tasks_validate(doc, args):
-    names = set(args.names or [])
+    names = {_declared(n, doc.bundles.keys() | doc.forms.keys(),
+                       "unknown bundle or form") for n in args.names or []}
     tasks = []
     for name in doc.bundles:
         if not names or name in names:
@@ -191,22 +193,29 @@ def _tasks_invariants(doc, args):
     return tasks
 
 
+def _form_names(doc, args):
+    """The `--form` name, or every form of the spec."""
+    if args.form:
+        return [_declared(args.form, doc.forms, "unknown form")]
+    return list(doc.forms)
+
+
 def _tasks_signature(doc, args):
-    names = [args.form] if args.form else list(doc.forms)
-    return [{"op": "signature", "form": n} for n in names]
+    return [{"op": "signature", "form": n} for n in _form_names(doc, args)]
 
 
 def _tasks_decompose(doc, args):
-    names = [args.form] if args.form else list(doc.forms)
-    return [{"op": "decompose", "form": n} for n in names]
+    return [{"op": "decompose", "form": n} for n in _form_names(doc, args)]
 
 
 def _tasks_homotopy(doc, args):
     tasks = []
     if args.bundle:
-        tasks.append({"op": "homotopy-iso", "bundle": args.bundle})
+        tasks.append({"op": "homotopy-iso", "bundle":
+                      _declared(args.bundle, doc.bundles, "unknown bundle")})
     if args.form:
-        tasks.append({"op": "homotopy-isometry", "form": args.form})
+        tasks.append({"op": "homotopy-isometry", "form":
+                      _declared(args.form, doc.forms, "unknown form")})
     if not tasks:
         if doc.base.cylinder_base is None and doc.base.star_center is not None:
             tasks += [{"op": "trivialize", "bundle": n} for n in doc.bundles]
@@ -281,10 +290,10 @@ def main(argv=None) -> int:
         parser.error("argument --samples: must be at least 1")
     try:
         doc = parse_spec(args.spec.read_text(encoding="utf-8"))
+        tasks = _SUBCOMMANDS[args.command](doc, args)
     except (OSError, UnicodeDecodeError, BundleformsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    tasks = _SUBCOMMANDS[args.command](doc, args)
     report = run_tasks(doc, tasks, _plan(args), args.tol, args.witness_tol)
     if args.format == "machine":
         sys.stdout.write(report.machine_text())

@@ -75,8 +75,8 @@ class OmegaViolation(BundleformsError):
     pass
 
 
-class NotPositive(BundleformsError):
-    pass
+class NonFiniteForm(BundleformsError):
+    """A form field evaluated to NaN or infinity at a sampled point."""
 
 
 class TCoverGap(BundleformsError):

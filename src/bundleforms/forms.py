@@ -27,7 +27,9 @@ from .bundles import (
     check_isomorphism,
     dual,
     gauss_embedding,
+    projector_frames,
     sampled_regions,
+    tensor as tensor_bundle,
     whitney_sum,
 )
 from .errors import (
@@ -36,7 +38,7 @@ from .errors import (
     DimensionMismatch,
     InconsistentSignature,
     NearSingular,
-    NotPositive,
+    NonFiniteForm,
     OmegaViolation,
 )
 from .matexpr import (
@@ -157,21 +159,22 @@ class FormField:
 
 
 def validate_form(form: FormField, plan: SamplePlan,
-                  tol: float = 1e-9, det_floor: float = 1e-9) -> CheckReport:
-    """Certify symmetry, nondegeneracy, and overlap compatibility at samples."""
+                  tol: float = 1e-9) -> CheckReport:
+    """Certify symmetry, nondegeneracy, and overlap compatibility at samples:
+    residuals below `tol`, and |det| at least `tol`, as in `validate_cocycle`."""
     cover = form.bundle.cover
     stat = _ResidualStat()
     for (i,), pts, ev in sampled_regions(cover, plan, 1):
         s = ev(form.mats[i])
         sym = np.abs(s - np.swapaxes(s, 1, 2)).max(axis=(1, 2))
         stat.add_residuals(sym, pts)
-        stat.add_dets(np.abs(np.linalg.det(s)), pts, floor=det_floor)
+        stat.add_dets(np.abs(np.linalg.det(s)), pts, floor=tol)
     for (i, j), pts, ev in sampled_regions(cover, plan, 2):
         si, sj = ev(form.mats[i]), ev(form.mats[j])
         gji = ev(form.bundle.transition(j, i))
         res = np.abs(np.swapaxes(gji, 1, 2) @ sj @ gji - si).max(axis=(1, 2))
         stat.add_residuals(res, pts)
-    passed = stat.max < tol and stat.min_det >= det_floor
+    passed = stat.max < tol and stat.min_det >= tol
     return CheckReport("form", passed, stat.max, stat.min_det, stat.witness,
                        mean_residual=stat.mean)
 
@@ -339,14 +342,21 @@ def eigenvalue_signature(s: np.ndarray) -> SignatureType:
 
 
 def signature(form: FormField, plan: SamplePlan) -> SignatureType:
-    """Per-sample diagonalization type, required constant on the base."""
+    """Per-sample diagonalization type, required constant on the base.
+    A sampled matrix with a NaN or infinite entry raises NonFiniteForm at
+    its point."""
     if not form.bundle.base.connected:
         raise InconsistentSignature(
             "signature needs a base declared connected", [], []
         )
     seen: dict[tuple, tuple] = {}
     for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
-        _, pos = gram_schmidt_frame(ev(form.mats[i]))
+        mats = ev(form.mats[i])
+        bad = first_flagged(pts, ~np.isfinite(mats).all(axis=(1, 2)))
+        if bad is not None:
+            raise NonFiniteForm(f"form {form.name or '?'} is not finite at {bad}",
+                                point=bad)
+        _, pos = gram_schmidt_frame(mats)
         for p in np.unique(pos):
             seen.setdefault((int(p), form.rank - int(p)),
                             first_flagged(pts, pos == p))
@@ -588,7 +598,6 @@ def orthogonal_sum(f1: FormField, f2: FormField) -> FormField:
 def tensor_form(f1: FormField, f2: FormField) -> FormField:
     if f1.bundle.base.sset is not f2.bundle.base.sset:
         raise BaseMismatch("tensor needs forms over one base")
-    from .bundles import tensor as tensor_bundle
     bundle = tensor_bundle(f1.bundle, f2.bundle)
     m1, m2 = _lifted_mats(f1, f2, bundle)
     mats = [em_kron(a, b) for a, b in zip(m1, m2)]
@@ -642,35 +651,6 @@ def check_isometry(witness: IsometryWitness, plan: SamplePlan,
     passed = stat.max < tol and stat.min_det > tol
     return CheckReport("isometry", passed, stat.max, stat.min_det,
                        stat.witness, mean_residual=stat.mean)
-
-
-def _require_spd(form: FormField, plan: SamplePlan):
-    """NotPositive at the first sample where the symmetrized chart form's
-    smallest eigenvalue, NaN included, is not above 0."""
-    for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
-        bad = first_flagged(
-            pts, ~(ex.smallest_eigenvalue(ev(form.mats[i]), 0.0) > 0.0))
-        if bad is not None:
-            raise NotPositive(f"form {form.name or '?'} not positive definite "
-                              f"at {bad}")
-
-
-def positive_isometry(form: FormField, target: FormField,
-                      plan: SamplePlan) -> IsometryWitness:
-    """Isometry (bundle, form) -> (bundle, target) for positive forms.
-
-    Each chart field is the principal square root of the pencil
-    target^-1 form; it is congruence-covariant, so the fields glue into a
-    bundle morphism once both forms are positive definite.
-    """
-    if form.bundle is not target.bundle:
-        raise BaseMismatch("positive isometry needs both forms on one bundle")
-    _require_spd(form, plan)
-    _require_spd(target, plan)
-    bundle = form.bundle
-    fields = [em_pencil_sqrt(form.mats[i], target.mats[i])
-              for i in range(bundle.cover.n_charts)]
-    return IsometryWitness(MorphismField(bundle, bundle, fields), form, target)
 
 
 def isometry_same_bundle(form: FormField, target: FormField,
@@ -732,7 +712,6 @@ def _left_inverse(frame, gram):
 
 def restrict_form_to_range_bundle(ambient_mat, subbundle: BundleRep) -> FormField:
     """Pull an ambient form back through a minor-chart bundle's frames."""
-    from .bundles import projector_frames
     mats = []
     for frame in projector_frames(subbundle):
         mats.append(em_mul(em_transpose(frame), em_mul(ambient_mat, frame)))

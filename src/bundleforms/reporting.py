@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import BundleformsError
+
 
 @dataclass
 class TaskEntry:
@@ -114,7 +116,6 @@ class timed_entry:
         return self.entry
 
     def __exit__(self, exc_type, exc, tb):
-        from .errors import BundleformsError
         self.entry.wall_time = time.perf_counter() - self.start
         if exc is not None:
             # a spec too deep for the recursive evaluator, or a singular

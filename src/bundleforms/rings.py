@@ -319,29 +319,15 @@ def _hyperbolic_witnesses(form: FormField, plan: SamplePlan):
 # Round trips.
 
 
-def roundtrip_k0(k: K0Class, plan: SamplePlan,
-                 want_witness: bool = False) -> dict:
-    """nabla(delta(k)) must preserve the K-invariants exactly.
-
-    Over a star-shaped base with a trivially presented representative the
-    catalog also provides an explicit isomorphism witness between the
-    round-tripped positive part and the trivial bundle of its rank; its
-    residual is reported when requested.
-    """
+def roundtrip_k0(k: K0Class, plan: SamplePlan) -> dict:
+    """nabla(delta(k)) must preserve the K-invariants exactly."""
     back = nabla(delta(k, plan), plan)
-    out = {
+    return {
         "rank_diff": (k.rank_diff, back.rank_diff),
         "det_class": (k.det_class, back.det_class),
         "passed": (k.rank_diff == back.rank_diff
                    and k.det_class == back.det_class),
     }
-    if (want_witness and k.base.star_center is not None
-            and k.minus.rank == 0 and back.plus.rank == k.plus.rank):
-        from .homotopy import trivialize_contractible
-        tw = trivialize_contractible(back.plus, plan)
-        out["witness_residual"] = tw.report.max_residual
-        out["passed"] = out["passed"] and tw.report.passed
-    return out
 
 
 def roundtrip_witt(w: WittClass, plan: SamplePlan) -> dict:

@@ -255,9 +255,10 @@ def _safe_eval(node: ex.Expr, ctx: ex.EvalContext) -> np.ndarray:
 
 
 def memberships(sets, points, margin: float) -> np.ndarray:
-    """The (N, len(sets)) matrix of `membership(points, margin)` of each
-    set, evaluated in one context: subexpressions and matrix computations
-    that several sets share are computed once."""
+    """The (N, len(sets)) matrix of each set's membership, its strict
+    conditions held above `margin`, evaluated in one context:
+    subexpressions and matrix computations that several sets share are
+    computed once."""
     ctx = ex.EvalContext(points)
     return np.stack([s._members(ctx, margin, _EQ_TOL) for s in sets], axis=1)
 
@@ -279,11 +280,10 @@ class SemialgebraicSet:
     def is_closed_form(self) -> bool:
         return all(c.op in (GE, EQ) for piece in self.pieces for c in piece)
 
-    def membership(self, points, margin: float = 0.0,
-                   eq_tol: float = _EQ_TOL) -> np.ndarray:
+    def membership(self, points, eq_tol: float = _EQ_TOL) -> np.ndarray:
         """Per point of an (N, dim) array or a KernelMemo (sharing its
         MatrixGroup outputs), whether it is in the set."""
-        return self._members(ex.EvalContext(points), margin, eq_tol)
+        return self._members(ex.EvalContext(points), 0.0, eq_tol)
 
     def _members(self, ctx: ex.EvalContext, margin: float,
                  eq_tol: float) -> np.ndarray:
@@ -385,16 +385,16 @@ class SamplePlan:
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
-def _halton(n: int, dim: int, skip: int = 20) -> np.ndarray:
+def _halton(n: int, dim: int) -> np.ndarray:
     if dim > len(_PRIMES):
         raise DimensionMismatch("ambient dimension too large for the Halton bases")
     out = np.empty((n, dim))
     for j in range(dim):
-        # radical inverse of skip..skip+n-1, digit by digit; a spent index
+        # radical inverse of 20..20+n-1, digit by digit; a spent index
         # adds f * 0 = +0.0, which leaves r unchanged, so every value is
         # the per-index recurrence's to the bit
         base = _PRIMES[j]
-        i = np.arange(skip, skip + n, dtype=np.int64)
+        i = np.arange(20, 20 + n, dtype=np.int64)
         f, r = 1.0, np.zeros(n)
         while i.any():
             f /= base

@@ -355,11 +355,14 @@ def test_11_k0_witt_correspondence():
     for name, k in items:
         w = delta(k, plan)
         assert w.sig_diff == k.rank_diff, name
-        want_witness = name in ("point-e2", "plane-e2")
-        out = roundtrip_k0(k, plan, want_witness=want_witness)
+        out = roundtrip_k0(k, plan)
         assert out["passed"], (name, out)
-        if want_witness:
-            assert out["witness_residual"] < 1e-6, (name, out)
+        if name in ("point-e2", "plane-e2"):
+            # over a star-shaped base the round-tripped positive part is
+            # certified trivial by an explicit witness
+            tw = trivialize_contractible(nabla(delta(k, plan), plan).plus, plan)
+            assert tw.report.passed, (name, tw.report.as_dict())
+            assert tw.report.max_residual < 1e-6, (name, tw.report.as_dict())
     witt_items = [
         ("point-split", witt_class(FormField.constant(
             trivial_bundle(full_cover(point), 3), np.diag([1.0, 1.0, -1.0])),

@@ -41,7 +41,6 @@ from bundleforms.catalog import (
     line_base,
     moebius,
     moebius_corrupted,
-    plane_base,
     scrambled_plane_bundle,
 )
 from bundleforms.errors import (
@@ -54,7 +53,8 @@ from bundleforms.errors import (
 )
 from bundleforms.matexpr import em_const, em_eval, em_identity, em_inv, em_transpose
 from bundleforms.unity import partition_of_unity
-from bundleforms.semialg import GT, Condition, Cover, Polynomial, SamplePlan, SemialgebraicSet
+from bundleforms.semialg import (GT, Condition, Cover, Polynomial, SamplePlan,
+                                 SemialgebraicSet, memberships)
 from helpers import named_point
 
 PLAN = SamplePlan(seed=0, n_chart=220, n_overlap=160, n_triple=100)
@@ -508,7 +508,7 @@ def _plain_loop(cover):
     midpoints evaluated on their own, and its number of rounds."""
     def members(angles):
         pts = np.column_stack([np.cos(angles), np.sin(angles)])
-        return np.stack([c.membership(pts, margin=1e-9) for c in cover.charts], axis=1)
+        return memberships(cover.charts, pts, 1e-9)
 
     angles = np.append(2.0 * np.pi * np.arange(bu.LOOP_STEPS) / bu.LOOP_STEPS,
                        2.0 * np.pi)
@@ -582,7 +582,7 @@ def test_s1_line_class_zero_transition_has_witness():
 
 
 def test_scrambled_plane_bundle_validates():
-    b = scrambled_plane_bundle(plane_base())
+    b = scrambled_plane_bundle()
     assert validate_cocycle(b, PLAN).passed
 
 

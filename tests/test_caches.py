@@ -30,7 +30,7 @@ from bundleforms.forms import decompose
 from bundleforms.homotopy import induced_iso_from_homotopy
 from bundleforms.matexpr import em_eval, em_path_product
 from bundleforms.semialg import (GT, Condition, Polynomial, SamplePlan, SemialgebraicSet,
-                                 sample)
+                                 memberships, sample)
 from bundleforms.unity import shrink_cover
 
 from helpers import antipodal_path
@@ -185,7 +185,7 @@ def test_shared_context_membership_matches_pointwise_evaluation():
     with pytest.raises(ex.GuardViolation):       # so the NaN bisection runs
         ex.evaluate(q, points)
     for margin in (0.0, 0.25):
-        got = sset.membership(points, margin=margin)
+        got = memberships([sset], points, margin)[:, 0]
         want = _one_point_at_a_time(sset, points, margin)
         assert got.tolist() == want.tolist()
     assert 0 < got.sum() < len(points)
@@ -243,8 +243,8 @@ def without_memo(monkeypatch):
     array of a memo it is given, without the memo."""
     plain = SemialgebraicSet.membership
     monkeypatch.setattr(SemialgebraicSet, "membership",
-                        lambda self, points, margin=0.0, eq_tol=semialg._EQ_TOL:
-                        plain(self, getattr(points, "points", points), margin, eq_tol))
+                        lambda self, points, eq_tol=semialg._EQ_TOL:
+                        plain(self, getattr(points, "points", points), eq_tol))
 
 
 def test_memo_membership_matches_a_fresh_context(monkeypatch):
@@ -254,8 +254,8 @@ def test_memo_membership_matches_a_fresh_context(monkeypatch):
                cover.charts[0].intersect(cover.charts[1])]
     cloud = semialg._cloud(base.box, 300, 0, [], {})
     for region in regions:
-        got = region.membership(cloud, margin=1e-3)
-        assert got.tolist() == region.membership(cloud.points, margin=1e-3).tolist()
+        got = memberships([region], cloud, 1e-3)
+        assert got.tolist() == memberships([region], cloud.points, 1e-3).tolist()
     assert cloud.outputs
     # the sampled regions, each drawn after the others filled the memo
     shared = [sample(base.sset.intersect(r), PLAN, base.box, 50, base)[0].tobytes()

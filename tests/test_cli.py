@@ -391,6 +391,34 @@ def test_diagonal_transition_is_a_spec_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["signature", "moebius.json", "--form", "X"], "error: unknown form 'X'"),
+    (["decompose", "moebius.json", "--form", "X"], "error: unknown form 'X'"),
+    (["homotopy", "moebius_cylinder.json", "--bundle", "X"],
+     "error: unknown bundle 'X'"),
+    (["homotopy", "moebius_cylinder.json", "--form", "X"],
+     "error: unknown form 'X'"),
+], ids=["signature-form", "decompose-form", "homotopy-bundle", "homotopy-form"])
+def test_unknown_option_name_is_an_error_line(capsys, argv, line):
+    # the name is rejected before any task runs: no KeyError traceback
+    code = main([argv[0], str(SPECS / argv[1]), *argv[2:], "--samples", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == line + "\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("names", [["nosuch"], ["moebius", "nosuch"]])
+def test_validate_rejects_a_name_the_spec_does_not_declare(capsys, names):
+    # an undeclared name never drops out to leave zero tasks passing
+    code = main(["validate", str(SPECS / "moebius.json"), *names,
+                 "--samples", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: unknown bundle or form 'nosuch'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_samples_below_one_is_a_usage_error(capsys, samples):
     # zero points would certify every identity vacuously

@@ -23,7 +23,7 @@ from bundleforms.errors import (
     DimensionMismatch,
     InconsistentSignature,
     NearSingular,
-    NotPositive,
+    NonFiniteForm,
     OmegaViolation,
 )
 from bundleforms.forms import (
@@ -36,11 +36,11 @@ from bundleforms.forms import (
     eigenvalue_signature,
     gram_schmidt_frame,
     hyperbolic_space,
+    isometry_same_bundle,
     j_matrix,
     local_trivializing_cover,
     negate_form,
     orthogonal_sum,
-    positive_isometry,
     signature,
     standard_positive_form,
     tensor_form,
@@ -52,7 +52,6 @@ from bundleforms.matexpr import em_const, em_eval
 from bundleforms.semialg import Cover, SamplePlan
 from helpers import (
     interval,
-    named_point,
     reference_gram_schmidt_frame,
     reference_gs_events,
 )
@@ -134,7 +133,7 @@ def test_validate_degenerate_form_fails():
     b = trivial_bundle(full_cover(line_base()), 2)
     x0 = ex.Var(0)
     f = FormField.from_upper(b, [[x0, ex.Const(0.0), ex.Const(1.0)]])
-    report = validate_form(f, PLAN, det_floor=0.05)
+    report = validate_form(f, PLAN, tol=0.05)
     assert not report.passed
     assert report.min_abs_det < 0.05
     assert report.witness is not None and abs(report.witness[0]) < 0.05
@@ -466,7 +465,7 @@ def test_positive_isometry_scalar():
     b = trivial_bundle(full_cover(line_base()), 2)
     f = FormField.constant(b, np.eye(2))
     g = FormField.constant(b, 4.0 * np.eye(2))
-    w = positive_isometry(f, g, PLAN)
+    w = isometry_same_bundle(f, g, PLAN)
     pts = np.zeros((1, 1))
     assert np.allclose(em_eval(w.morphism.fields[0], pts)[0], 0.5 * np.eye(2))
     assert check_isometry(w, PLAN, tol=1e-10).passed
@@ -479,8 +478,8 @@ def test_positive_isometry_random_spd_pair():
     b_mat = rng.normal(size=(4, 4))
     sp = b_mat @ b_mat.T + 0.5 * np.eye(4)
     b = trivial_bundle(full_cover(line_base()), 4)
-    w = positive_isometry(FormField.constant(b, s),
-                          FormField.constant(b, sp), PLAN)
+    w = isometry_same_bundle(FormField.constant(b, s),
+                             FormField.constant(b, sp), PLAN)
     rep = check_isometry(w, PLAN, tol=1e-10)
     assert rep.passed, rep.as_dict()
 
@@ -489,32 +488,34 @@ def test_positive_isometry_rejects_indefinite():
     b = trivial_bundle(full_cover(line_base()), 2)
     f = FormField.constant(b, np.eye(2))
     g = FormField.constant(b, np.diag([1.0, -1.0]))
-    with pytest.raises(NotPositive):
-        positive_isometry(f, g, PLAN)
+    with pytest.raises(InconsistentSignature, match="signatures differ") as err:
+        isometry_same_bundle(f, g, PLAN)
+    assert err.value.types == [SignatureType(2, 0), SignatureType(1, 1)]
 
 
 def test_positive_isometry_rejects_a_nan_form_at_its_point():
-    # eigvalsh([[1, nan], [nan, 1]]) is [nan, nan], which is not <= 0, so a
-    # NaN form used to pass the positivity pre-check
+    # the signature names the first sample where the form is NaN, before
+    # the congruence Gram-Schmidt sees the matrix
     b = trivial_bundle(full_cover(line_base()), 2)
     x = ex.Var(0)
     off = ex.ZeroGate(ex.Sub(x, ex.Const(0.5)), ex.Const(np.nan))
     f = FormField.from_upper(b, [[ex.Const(1.0), off, ex.Const(1.0)]],
                              name="nan-right")
     g = FormField.constant(b, np.eye(2))
-    with pytest.raises(NotPositive, match="form nan-right not positive "
-                       "definite at") as err:
-        positive_isometry(f, g, PLAN)
+    with pytest.raises(NonFiniteForm, match="form nan-right is not finite "
+                       "at") as err:
+        isometry_same_bundle(f, g, PLAN)
     pts = b.cover.samples((0,), PLAN)
     first = pts[int(np.argmax(pts[:, 0] > 0.5))]
     assert str(err.value).endswith(f" at {tuple(first.tolist())}")
+    assert err.value.point == tuple(first.tolist())
 
 
 def test_positive_isometry_on_moebius():
     m = moebius()
     f = standard_positive_form(m, plan=PLAN)
     g = FormField.constant(m, np.array([[2.0]]))
-    w = positive_isometry(f, g, PLAN)
+    w = isometry_same_bundle(f, g, PLAN)
     assert check_isometry(w, PLAN, tol=1e-8).passed
 
 
@@ -532,7 +533,6 @@ def test_check_isometry_identity():
 def test_accepted_witnesses_connect_equal_signatures():
     # every accepted isometry witness connects forms whose sampled
     # signatures agree, across a few random constant pairs
-    from bundleforms.forms import isometry_same_bundle
     rng = np.random.default_rng(21)
     b = trivial_bundle(full_cover(line_base()), 3)
     for _ in range(5):
@@ -712,12 +712,3 @@ def test_trivializing_cover_raises_for_stuck_row():
     f = FormField.from_upper(b, [[tiny, ex.Const(0.0), ex.Const(1.0)]])
     with pytest.raises(NearSingular, match="no usable pivot"):
         local_trivializing_cover(f, PLAN)
-
-
-def test_not_positive_names_a_plain_float_point():
-    b = trivial_bundle(full_cover(line_base()), 1)
-    f = FormField.from_upper(b, [[ex.Const(-1.0)]], name="minus")
-    with pytest.raises(NotPositive, match="form minus not positive") as err:
-        positive_isometry(f, FormField.constant(b, np.eye(1)), PLAN)
-    assert named_point(str(err.value)) == tuple(
-        b.cover.samples((0,), PLAN)[0].tolist())

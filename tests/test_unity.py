@@ -10,7 +10,7 @@ from bundleforms.errors import (
     NotDisjoint,
     OpenSetRejected,
 )
-from bundleforms.semialg import Base, Cover, SamplePlan, SemialgebraicSet
+from bundleforms.semialg import Base, Cover, SamplePlan, SemialgebraicSet, memberships
 from bundleforms.unity import (
     partition_of_unity,
     separating_function,
@@ -185,8 +185,8 @@ class StricterChart(SemialgebraicSet):
     the shrink read its conditions, and only the containment check reads
     this test, so a shrunk chart's closure escapes it."""
 
-    def membership(self, points, margin=0.0, eq_tol=1e-9):
-        return super().membership(points, max(margin, 0.5), eq_tol)
+    def membership(self, points, eq_tol=1e-9):
+        return memberships([self], points, 0.5)[:, 0]
 
 
 def test_shrink_failures_name_the_first_sampled_point_in_inductive_order():
