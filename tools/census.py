@@ -84,25 +84,25 @@ def _package_functions():
     functions: list[_Function] = []
     by_name: dict[str, list[_Function]] = {}
     classes: dict[str, tuple[list[str], dict[str, _Function]]] = {}
+
+    def visit(body, prefix: str, cls: ast.ClassDef | None):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                bases = [b.id if isinstance(b, ast.Name) else b.attr
+                         for b in node.bases
+                         if isinstance(b, (ast.Name, ast.Attribute))]
+                classes.setdefault(node.name, (bases, {}))
+                visit(node.body, f"{prefix}{node.name}.", node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                fn = _Function(f"{prefix}{node.name}", node, cls is not None)
+                functions.append(fn)
+                by_name.setdefault(node.name, []).append(fn)
+                if cls is not None:
+                    classes[cls.name][1][node.name] = fn
+                visit(node.body, f"{prefix}{node.name}.", None)
+
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-
-        def visit(body, prefix: str, cls: ast.ClassDef | None):
-            for node in body:
-                if isinstance(node, ast.ClassDef):
-                    bases = [b.id if isinstance(b, ast.Name) else b.attr
-                             for b in node.bases
-                             if isinstance(b, (ast.Name, ast.Attribute))]
-                    classes.setdefault(node.name, (bases, {}))
-                    visit(node.body, f"{prefix}{node.name}.", node)
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    fn = _Function(f"{prefix}{node.name}", node, cls is not None)
-                    functions.append(fn)
-                    by_name.setdefault(node.name, []).append(fn)
-                    if cls is not None:
-                        classes[cls.name][1][node.name] = fn
-                    visit(node.body, f"{prefix}{node.name}.", None)
-
         visit(tree.body, f"{path.stem}.", None)
     return functions, by_name, classes
 
