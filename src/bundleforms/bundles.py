@@ -10,6 +10,7 @@ correspondence executable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +160,10 @@ class _ResidualStat:
 
     The witness is the argmin point of a determinant below its floor, where
     there is one, else the residual argmax: a determinant failure keeps its
-    own point whatever residual peaks come after it.
+    own point whatever residual peaks come after it.  A non-finite residual
+    or determinant fails the check at its first point: the max becomes that
+    residual (so no later peak replaces it) and the min determinant NaN, which
+    no floor admits.
     """
 
     def __init__(self):
@@ -175,13 +179,25 @@ class _ResidualStat:
             return
         self.total += float(res.sum())
         self.count += res.size
+        if not math.isfinite(self.max):
+            return
+        bad = ~np.isfinite(res)
+        if bad.any():
+            self.max = float(res[bad][0])
+            self.residual_witness = first_flagged(pts, bad)
+            return
         peak = float(res.max())
         if peak > self.max:
             self.max = peak
             self.residual_witness = first_flagged(pts, res == peak)
 
     def add_dets(self, dets: np.ndarray, pts: np.ndarray, floor: float):
-        if dets.size == 0:
+        if dets.size == 0 or math.isnan(self.min_det):
+            return
+        bad = ~np.isfinite(dets)
+        if bad.any():
+            self.min_det = float("nan")
+            self.det_witness = first_flagged(pts, bad)
             return
         low = float(dets.min())
         if low < self.min_det:
@@ -709,6 +725,9 @@ def s1_line_class(bundle: BundleRep) -> int:
     def switch_sign(old: int, new: int, angle: float) -> float:
         at = _loop_memo(base, ("loop point", angle), [angle])
         det = float(np.linalg.det(em_eval(bundle.transition(new, old), at)[0]))
+        if not math.isfinite(det):
+            raise GuardViolation(f"transition determinant {det} not finite on the loop",
+                                 point=at.points[0])
         if abs(det) < 1e-12:
             raise GuardViolation("degenerate transition on the loop",
                                  point=at.points[0])

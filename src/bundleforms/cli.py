@@ -36,7 +36,7 @@ def _apply_check(entry: TaskEntry, check, extra=None):
     entry.status = "pass" if check.passed else "fail"
     entry.max_residual = check.max_residual
     entry.mean_residual = check.mean_residual
-    if np.isfinite(check.min_abs_det):
+    if not np.isinf(check.min_abs_det):     # inf: no determinant was checked
         entry.min_abs_det = check.min_abs_det
     if check.witness is not None:
         entry.witness_point = list(check.witness)

@@ -88,18 +88,14 @@ class KernelMemo:
     set a base samples (cover regions, the base's own samples, the probes
     of `unity`) or evaluates again (`Base.grid_memo`, the circle loop's
     grid): the base interns it by the rows it selects (`Base.region_memo`),
-    so every sampling of the base with that point set reads one memo.
-    `held` maps the condition expressions a sampling batch evaluated on a
-    cloud's rows to their values (`semialg._kept`); it is emptied when the
-    batch ends (`Base.region_memos`)."""
+    so every sampling of the base with that point set reads one memo."""
 
-    __slots__ = ("points", "outputs", "held")
+    __slots__ = ("points", "outputs")
 
     def __init__(self, points):
         self.points = _batch(points)
         self.points.flags.writeable = False     # shared: nobody may edit it
         self.outputs = weakref.WeakKeyDictionary()     # group: {path: output}
-        self.held: dict[Expr, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -939,9 +935,52 @@ class MatEntry(Expr):
 # base point x it is P(h(x, t_K)) ... P(h(x, t_1)).  It is a group beside
 # MatrixGroup, read through MatEntry and looked up as MatrixGroup is (the
 # context's cache, then its kernel memo, so one transport is computed once
-# per sampled region array), but evaluated by stacking rungs.
+# per sampled region array), but evaluated by stacking rungs, and only at
+# the base points its row store does not hold yet.
 
 PATH_BLOCK_ROWS = 1 << 13   # lifted rows evaluated together
+
+
+class _RowStore:
+    """Transported rows of one path product: one growing (capacity, n, n)
+    array, and per base point x the index of its row, keyed by x's float64
+    bytes (`_row_keys`).  It holds plain arrays only, so it goes with its
+    path product."""
+
+    __slots__ = ("index", "values")
+
+    def __init__(self, n: int):
+        self.index: dict[bytes, int] = {}
+        self.values = np.empty((0, n, n))
+
+    def fill(self, keys: list, make) -> None:
+        """Store the rows of the keys not stored yet: `make(at)` gives them,
+        for `at` the position in `keys` of each such key's first
+        occurrence.  If `make` raises, nothing is stored."""
+        new = {}
+        for i, key in enumerate(keys):
+            if key not in self.index and key not in new:
+                new[key] = i
+        if not new:
+            return
+        values = make(np.fromiter(new.values(), np.intp, len(new)))
+        start, end = len(self.index), len(self.index) + len(new)
+        if end > len(self.values):
+            grown = np.empty((max(end, 2 * len(self.values)), *self.values.shape[1:]))
+            grown[:start] = self.values[:start]
+            self.values = grown
+        self.values[start:end] = values
+        self.index.update(zip(new, range(start, end)))
+
+    def read(self, keys: list) -> np.ndarray:
+        return self.values[np.fromiter(map(self.index.__getitem__, keys),
+                                       np.intp, len(keys))]
+
+
+def _row_keys(x: np.ndarray) -> list:
+    """Each row's float64 bytes, so 0.0 and -0.0 stay apart."""
+    x = np.ascontiguousarray(x, dtype=float)
+    return x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel().tolist()
 
 
 class PathProduct(metaclass=_Interned):
@@ -951,10 +990,16 @@ class PathProduct(metaclass=_Interned):
     The maps are expressions over the lifted space (x, t) with t at column
     `t_index`.  `source` gives x in the caller's coordinates: the identity,
     until a substitution composes it.
+
+    `store` holds the transport of every base point x computed (or
+    seeded) so far, so a compute transports only the points it has not
+    met.  A transport is a per-row function of x (a ladder's power-of-two
+    rung count keeps its blocking out of the values, see `_rung_product`),
+    so a stored row is the fresh value bit for bit.
     """
 
     __slots__ = ("entries", "maps", "t_index", "ts", "source", "out_shape",
-                 "__weakref__")
+                 "store", "__weakref__")
     __setattr__ = Expr.__setattr__
     op = "pathproduct"
 
@@ -964,6 +1009,8 @@ class PathProduct(metaclass=_Interned):
         if len(entries[0]) != n or not len(ts):
             raise DimensionMismatch("path product needs a square projector "
                                     "and at least one rung")
+        if t_index < 1:
+            raise DimensionMismatch("path product needs a base coordinate")
         if source is None:
             source = [Var(i) for i in range(t_index)]
         object.__setattr__(self, "entries", entries)
@@ -972,6 +1019,7 @@ class PathProduct(metaclass=_Interned):
         object.__setattr__(self, "ts", tuple(float(t) for t in ts))
         object.__setattr__(self, "source", tuple(as_expr(x) for x in source))
         object.__setattr__(self, "out_shape", (n, n))
+        object.__setattr__(self, "store", _RowStore(n))
 
     def _key(self):
         return (_ids(self.entries), tuple(map(id, self.maps)),
@@ -986,13 +1034,34 @@ class PathProduct(metaclass=_Interned):
     compute = MatrixGroup.compute
 
     def _compute(self, ctx: EvalContext) -> np.ndarray:
+        """The transport at each row: the stored rows read, the others
+        transported once each and stored only if all of them pass."""
         x = np.empty((ctx.points.shape[0], self.t_index))
         for i, xi in enumerate(self.source):
             x[:, i] = xi.eval(ctx)
+        keys = _row_keys(x)
+        self.store.fill(keys, lambda at: self._transport(x[at], ctx.points[at]))
+        return self.store.read(keys)
+
+    def _transport(self, x: np.ndarray, callers: np.ndarray) -> np.ndarray:
+        """The product at each base point x, a guard error naming the row
+        of `callers` whose lifted point crossed it."""
         return _rung_product(np.stack([
             _rung_product(block) for block in path_projectors(
                 self.entries, self.maps, self.t_index, x, self.ts,
-                callers=ctx.points)]))
+                callers=callers)]))
+
+    def seed(self, x: np.ndarray, rungs: np.ndarray) -> None:
+        """Store the product of `rungs`, P(h(x, t)) at each t of `ts` and
+        each base point x (shape (len(ts), N, n, n), as `path_projectors`
+        yields them), for the rows of `x` not stored yet: `_transport`'s
+        value bit for bit.  The product runs on a few rows at a time, so
+        no second copy of the rungs is made."""
+        if rungs.shape[:2] != (len(self.ts), x.shape[0]):
+            raise DimensionMismatch("seed rungs must match the path's rungs and points")
+        step = max(1, PATH_BLOCK_ROWS // len(self.ts))
+        self.store.fill(_row_keys(x), lambda at: np.concatenate([
+            _rung_product(rungs[:, at[i:i + step]]) for i in range(0, len(at), step)]))
 
     def substitute(self, mapping, memo) -> "PathProduct":
         """Compose the substitution into `source`; the path's own

@@ -191,7 +191,7 @@ def standard_positive_form(bundle: BundleRep, plan: SamplePlan) -> FormField:
 # Congruence Gram-Schmidt diagonalization.
 
 
-def gram_schmidt_frame(s: np.ndarray):
+def gram_schmidt_frame(s: np.ndarray, points: np.ndarray | None = None):
     """Congruence frames g with g^T S g = diag(+1...,-1...) and their types.
 
     One d x d matrix gives (g, SignatureType).  A stack (N, d, d) gives
@@ -199,7 +199,9 @@ def gram_schmidt_frame(s: np.ndarray):
     is (pos, d - pos).  Pivots greedily on the largest |s(w, w)|; when every
     remaining diagonal is below PIVOT_RATIO * scale the hyperbolic-pair fix
     (w_a += w_b for the largest off-diagonal pair) restores a pivot.  If
-    any row fails, the error is raised for the first failing row.
+    any row fails, the error is raised for the first failing row, at its
+    row of `points` (the sample each row of the stack was evaluated at),
+    if given.
     """
     s = np.asarray(s, dtype=float)
     stack = s[None] if s.ndim == 2 else s
@@ -218,11 +220,14 @@ def gram_schmidt_frame(s: np.ndarray):
         bad = asym | singular | stuck
         if bad.any():
             k = int(np.argmax(bad))
+            point = None if points is None else points[k]
             if asym[k]:
-                raise DimensionMismatch("gram_schmidt_frame needs a symmetric matrix")
+                raise DimensionMismatch("gram_schmidt_frame needs a symmetric matrix",
+                                        point=point)
             if singular[k]:
-                raise NearSingular(f"determinant {dets[k]:.3e} too close to zero")
-            raise NearSingular("no usable pivot or hyperbolic pair")
+                raise NearSingular(f"determinant {dets[k]:.3e} too close to zero",
+                                   point=point)
+            raise NearSingular("no usable pivot or hyperbolic pair", point=point)
         # positive columns first, each group in pivot order
         order = np.argsort(signs < 0, axis=1, kind="stable")
         frames = np.take_along_axis(cols, order[:, None, :], axis=2)
@@ -356,7 +361,7 @@ def signature(form: FormField, plan: SamplePlan) -> SignatureType:
         if bad is not None:
             raise NonFiniteForm(f"form {form.name or '?'} is not finite at {bad}",
                                 point=bad)
-        _, pos = gram_schmidt_frame(mats)
+        _, pos = gram_schmidt_frame(mats, pts)
         for p in np.unique(pos):
             seen.setdefault((int(p), form.rank - int(p)),
                             first_flagged(pts, pos == p))
@@ -397,12 +402,13 @@ def local_trivializing_cover(form: FormField,
     chart carries guard conditions keeping its pivots nonzero.
     """
     out = []
-    for (i,), _, ev in sampled_regions(form.bundle.cover, plan, 1):
+    for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
         mats = ev(form.mats[i])
         scale = np.maximum(np.abs(mats).max(axis=(1, 2), initial=0.0), 1e-30)
         _, _, events, stuck = _gs_events(mats, scale)
         if stuck.any():
-            raise NearSingular("no usable pivot or hyperbolic pair")
+            raise NearSingular("no usable pivot or hyperbolic pair",
+                               point=first_flagged(pts, stuck))
         patterns = {_events_of(code, form.rank) for code in np.unique(events, axis=0)}
         for pattern in sorted(patterns):
             frame, sig, guards = _symbolic_gs(form.mats[i], pattern)
@@ -639,7 +645,7 @@ def check_isometry(witness: IsometryWitness, plan: SamplePlan,
                             witness.morphism, plan, tol)
     stat = _ResidualStat()
     stat.max, stat.min_det = iso.max_residual, iso.min_abs_det
-    if iso.min_abs_det < tol:       # the isomorphism's determinant failure
+    if not iso.min_abs_det >= tol:  # the isomorphism's determinant failure
         stat.det_witness = iso.witness
     else:
         stat.residual_witness = iso.witness

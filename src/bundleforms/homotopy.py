@@ -181,11 +181,8 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan,
         return em_subst(target_proj.frames[chart],
                         {i: ex.substitute(h, at_t) for i, h in enumerate(h_exprs)})
 
-    t_values, gap = _adaptive_t_ladder(
-        partial(ex.path_projectors, target_proj.entries, h_exprs, t_index),
-        base_x, plan)
-    transport = em_path_product(target_proj.entries, h_exprs, t_index,
-                                t_values[1:])
+    transport, ladder = _seeded_transport(target_proj.entries, h_exprs,
+                                          t_index, base_x, plan)
     b0, kept0 = restrict_cylinder(bundle, 0.0, plan)
     b1, kept1 = restrict_cylinder(bundle, 1.0, plan)
     a, b = common_cover(b0, b1)
@@ -199,8 +196,23 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan,
         fields.append(em_solve(gram, rhs))
     witness = MorphismField(a, b, fields)
     report = check_isomorphism(a, b, witness, plan, tol)
-    report.details.update(_ladder_details(t_values, gap))
+    report.details.update(ladder)
     return HomotopyWitness(a, b, witness, report, parent_charts)
+
+
+def _seeded_transport(entries, h_exprs, t_index: int, base_x: Base,
+                      plan: SamplePlan):
+    """The transport over the adaptive ladder, as an expression matrix of
+    one path product, and the ladder's report details.  The path product
+    starts with the probes' transports in its row store: the product of
+    the rungs the ladder evaluated at each probe, which is what the path
+    product would compute there, since the ladder has 16 * 2^j rungs.  The
+    ladder's values are dropped on return."""
+    t_values, gap, probes, vals = _adaptive_t_ladder(
+        partial(ex.path_projectors, entries, h_exprs, t_index), base_x, plan)
+    transport = em_path_product(entries, h_exprs, t_index, t_values[1:])
+    transport[0][0].group.seed(probes, vals[1:])
+    return transport, _ladder_details(t_values, gap)
 
 
 def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan):
@@ -215,13 +227,15 @@ def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan):
     DEFAULT_TRANSPORT_STEPS steps, until it clears LADDER_GAP.
     `values(points, ts)` yields the projector along the path in rung blocks
     (`expr.path_projectors`); each round evaluates only the new midpoints.
-    Returns the ladder and its worst probe gap (NaN without probes), which
-    exceeds LADDER_GAP only when doubling would pass LADDER_MAX_POINTS.
+    Returns the ladder, its worst probe gap (NaN without probes), which
+    exceeds LADDER_GAP only when doubling would pass LADDER_MAX_POINTS,
+    the probes, and the projector at each ladder value and probe.
     """
     n = DEFAULT_TRANSPORT_STEPS
     probes = base_x.sample_points(plan)
     if probes.shape[0] == 0:
-        return [k / n for k in range(n + 1)], float("nan")
+        return ([k / n for k in range(n + 1)], float("nan"), probes,
+                np.empty((n + 1, 0)))
     if probes.shape[0] > 512:
         stride = probes.shape[0] // 512 + 1
         probes = probes[::stride]
@@ -229,7 +243,7 @@ def _adaptive_t_ladder(values, base_x: Base, plan: SamplePlan):
     while True:
         worst = float(np.abs(np.diff(vals, axis=0)).max())
         if worst <= LADDER_GAP or 2 * n + 1 > LADDER_MAX_POINTS:
-            return [k / n for k in range(n + 1)], worst
+            return [k / n for k in range(n + 1)], worst, probes, vals
         finer = np.empty((2 * n + 1, *vals.shape[1:]))
         finer[0::2] = vals
         finer[1::2] = np.concatenate(list(

@@ -456,31 +456,32 @@ def _cloud(box, n: int, seed: int, eqs: list[Polynomial],
     return hit
 
 
-def _kept(piece, dim: int, cloud: ex.KernelMemo) -> np.ndarray:
+def _kept(piece, dim: int, cloud: ex.KernelMemo, held: dict) -> np.ndarray:
     """The cloud rows that sampling keeps in one piece.  The piece's
-    context starts from the condition values the cloud holds
-    (`KernelMemo.held`), so its conditions, and every `ZeroGate`
-    sub-context through `parent_cache`, read them with no evaluation; then
-    the roots of the piece's conditions that the context holds are held
-    too.  A root that hit a guard violation is not in the context (the
-    `_safe_eval` bisection runs in fresh contexts), so it is never held,
-    and every held value is the fresh one bit for bit, since every node
-    kind is a per-row function."""
+    context starts from the condition values `held` maps on the cloud's
+    rows, so its conditions, and every `ZeroGate` sub-context through
+    `parent_cache`, read them with no evaluation; then the roots of the
+    piece's conditions that the context holds are held too.  A root that
+    hit a guard violation is not in the context (the `_safe_eval`
+    bisection runs in fresh contexts), so it is never held, and every held
+    value is the fresh one bit for bit, since every node kind is a per-row
+    function."""
     ctx = ex.EvalContext(cloud)
-    ctx.cache.update(cloud.held)
+    ctx.cache.update(held)
     keep = SemialgebraicSet(dim, [piece])._members(ctx, _SAMPLE_MARGIN, 1e-12)
     for cond in piece:
         value = ctx.cache.get(cond.expression)
         if value is not None:
-            cloud.held[cond.expression] = value
+            held[cond.expression] = value
     return keep
 
 
 def _selection(sset: SemialgebraicSet, plan: SamplePlan, box, count: int,
-               clouds: dict) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
+               clouds: dict, held: dict) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
     """The rows `sample` keeps before its dedupe: per sampling round and
     piece that kept a row, in that order, the cloud's `_cloud_key`, its
-    points and the keep mask."""
+    points and the keep mask.  The clouds come from `clouds`, and `held`
+    maps each cloud to the condition values evaluated on it (`_kept`)."""
     selection = []
     total = 0
     for round_idx in range(4):
@@ -489,7 +490,7 @@ def _selection(sset: SemialgebraicSet, plan: SamplePlan, box, count: int,
         for piece in sset.pieces:
             eqs = sset.equality_polys(piece)
             cloud = _cloud(box, n_cand, seed, eqs, clouds)
-            keep = _kept(piece, sset.dim, cloud)
+            keep = _kept(piece, sset.dim, cloud, held.setdefault(cloud, {}))
             if keep.any():
                 selection.append((_cloud_key(box, n_cand, seed, eqs),
                                   cloud.points, keep))
@@ -523,23 +524,34 @@ def _deduped(selection, dim: int, count: int) -> tuple[np.ndarray, bool]:
 
 def sample(sset: SemialgebraicSet, plan: SamplePlan, box,
            count: int | None = None,
-           base: Base | None = None) -> tuple[np.ndarray, bool]:
+           batch: SamplingBatch | None = None) -> tuple[np.ndarray, bool]:
     """Sample points of the set inside the box.
 
     Returns (points, empty) where empty is True only when no point was
     found (empty set on the scanned box, or contradictory conditions); a
-    sample of fewer than `count` points is not flagged.  With `base`, the
-    base whose box this is, the candidate clouds are the base's (see
-    `_cloud`) and the points are interned there by selection (see
-    `Base.region_memos`): a read-only array that equal selections share.
-    The clouds hold the condition values it evaluates (see `_kept`) until
-    the batch it is part of, `Base.region_memos`, ends.
+    sample of fewer than `count` points is not flagged.  Within a batch of
+    `Base.region_memos`, the candidate clouds are its base's (see `_cloud`),
+    the points are interned there by selection (see `Base.intern`): a
+    read-only array that equal selections share, and the condition values
+    it evaluates stay held for the batch's later regions.
     """
     count = plan.n_chart if count is None else count
-    if base is None:
-        return _deduped(_selection(sset, plan, box, count, {}), sset.dim, count)
-    selection = _selection(sset, plan, box, count, base.clouds)
+    if batch is None:
+        return _deduped(_selection(sset, plan, box, count, {}, {}), sset.dim, count)
+    base = batch.base
+    selection = _selection(sset, plan, box, count, base.clouds, batch.held)
     return base.intern(selection, count).points, not selection
+
+
+@dataclass
+class SamplingBatch:
+    """One `Base.region_memos` call: the base whose clouds it samples and
+    whose regions it interns into, and per cloud the values of the
+    condition expressions evaluated on it (`_kept`).  The values live in
+    the batch, so none outlives it."""
+
+    base: "Base"
+    held: dict = field(default_factory=dict)    # cloud memo -> {Expr: values}
 
 
 @dataclass(frozen=True)
@@ -589,19 +601,16 @@ class Base:
     def region_memos(self, regions: list[SemialgebraicSet], plan: SamplePlan,
                      count: int) -> list[ex.KernelMemo]:
         """The kernel memo of each region's `sample` in this base's box, in
-        one batch: while it runs, each cloud holds the values of the
-        condition expressions tested on it (`KernelMemo.held`), so a
-        condition that several regions test is evaluated once per cloud,
-        and a later condition built on it reads it.  The held values are
-        dropped when the batch returns or raises.  Regions whose conditions
-        keep the same rows of the same clouds read one read-only array and
-        the kernel outputs computed on it."""
-        try:
-            return [self.regions[id(sample(region, plan, self.box, count, self)[0])]
-                    for region in regions]
-        finally:
-            for cloud in self.clouds.values():
-                cloud.held.clear()
+        one `SamplingBatch`: it holds the values of the condition
+        expressions tested on each cloud, so a condition that several
+        regions test is evaluated once per cloud, and a later condition
+        built on it reads it; the values go with the batch when it returns
+        or raises.  Regions whose conditions keep the same rows of the same
+        clouds read one read-only array and the kernel outputs computed on
+        it."""
+        batch = SamplingBatch(self)
+        return [self.regions[id(sample(region, plan, self.box, count, batch)[0])]
+                for region in regions]
 
     def region_memo(self, region: SemialgebraicSet, plan: SamplePlan,
                     count: int) -> ex.KernelMemo:

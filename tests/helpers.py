@@ -1,6 +1,7 @@
 """Shared construction helpers for the test suite."""
 
 import ast
+import json
 import re
 
 import numpy as np
@@ -41,6 +42,24 @@ def grid(lo, hi, n):
 
 
 LINE = Base(SemialgebraicSet.whole_space(1), box=((-3.0, 3.0),), name="line")
+
+
+def nan_where_positive(gate):
+    """NaN where `gate` > 0 and 0 elsewhere: added to an entry, it makes the
+    entry NaN on part of a region only."""
+    return ex.ZeroGate(gate, ex.Const(np.nan))
+
+
+def machine_task(check) -> dict:
+    """The CLI machine report's entry of one check, read back by json."""
+    from bundleforms.cli import _apply_check
+    from bundleforms.reporting import Report, TaskEntry
+    entry = TaskEntry("check", "error")
+    _apply_check(entry, check)
+    report = Report(seed=0)
+    report.add(entry)
+    (task,) = json.loads(report.machine_text())["tasks"]
+    return task
 
 
 def antipodal_path():

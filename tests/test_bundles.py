@@ -55,7 +55,7 @@ from bundleforms.matexpr import em_const, em_eval, em_identity, em_inv, em_trans
 from bundleforms.unity import partition_of_unity
 from bundleforms.semialg import (GT, Condition, Cover, Polynomial, SamplePlan,
                                  SemialgebraicSet, memberships)
-from helpers import named_point
+from helpers import machine_task, named_point, nan_where_positive
 
 PLAN = SamplePlan(seed=0, n_chart=220, n_overlap=160, n_triple=100)
 
@@ -579,6 +579,49 @@ def test_s1_line_class_zero_transition_has_witness():
         s1_line_class(b)
     assert err.value.point == pytest.approx(
         (0.8703556959398997, 0.49242356010346705), abs=1e-12)
+
+
+def test_s1_line_class_nan_transition_raises_at_its_angle():
+    nan = ((ex.Const(np.nan),),)
+    b = BundleRep(circle_two_arc_cover(), 1, {(0, 1): nan, (1, 0): nan})
+    with pytest.raises(GuardViolation, match="determinant nan not finite") as err:
+        s1_line_class(b)
+    # the first switch of the walk, as for the zero transition above
+    assert err.value.point == pytest.approx(
+        (0.8703556959398997, 0.49242356010346705), abs=1e-12)
+
+
+# --- a non-finite value fails its check at its first point -------------------
+
+def nan_right(e):
+    """`e` where x0 <= 0, NaN where x0 > 0."""
+    return ex.Add(e, nan_where_positive(ex.Var(0)))
+
+
+def first_right(pts) -> tuple:
+    return tuple(pts[int(np.argmax(pts[:, 0] > 0))].tolist())
+
+
+def test_validate_cocycle_fails_at_the_first_nan_transition():
+    m = moebius()
+    (s,), = m.transitions[(0, 1)]
+    b = BundleRep(m.cover, 1, {(0, 1): ((nan_right(s),),), (1, 0): ((s,),)})
+    report = validate_cocycle(b, PLAN)
+    assert not report.passed
+    assert report.witness == first_right(m.cover.samples((0, 1), PLAN))
+    task = machine_task(report)
+    assert task["status"] == "fail"
+    assert task["max_residual"] == task["min_abs_det"] == "nan"
+
+
+def test_check_isomorphism_fails_at_the_first_nan_field():
+    m = moebius()
+    one = ((ex.Const(1.0),),)
+    u = MorphismField(m, m, [((nan_right(ex.Const(1.0)),),), one])
+    report = check_isomorphism(m, m, u, PLAN)
+    assert not report.passed
+    assert report.witness == first_right(m.cover.samples((0,), PLAN))
+    assert machine_task(report)["status"] == "fail"
 
 
 def test_scrambled_plane_bundle_validates():

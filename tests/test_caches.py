@@ -13,6 +13,7 @@ per-point verdict.
 
 import gc
 import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,10 @@ from bundleforms import semialg
 from bundleforms.bundles import (CheckReport, ProjectorField, bundle_from_projector,
                                  gauss_embedding)
 from bundleforms.catalog import circle_base, circle_two_arc_cover, moebius
-from bundleforms.errors import NotPolynomial, RankDrop
+from bundleforms.errors import DimensionMismatch, NotPolynomial, RankDrop
 from bundleforms.forms import decompose
-from bundleforms.homotopy import induced_iso_from_homotopy
-from bundleforms.matexpr import em_eval, em_path_product
+from bundleforms.homotopy import _adaptive_t_ladder, induced_iso_from_homotopy
+from bundleforms.matexpr import em_eval, em_path_product, em_subst
 from bundleforms.semialg import (GT, Condition, Polynomial, SamplePlan, SemialgebraicSet,
                                  memberships, sample)
 from bundleforms.unity import shrink_cover
@@ -109,11 +110,11 @@ def test_memoised_sampling_matches_a_fresh_draw():
     cover = circle_two_arc_cover(base)
     region = base.sset.intersect(cover.charts[0]).intersect(cover.charts[1])
     for plan in (PLAN, SamplePlan(seed=3, n_chart=40)):
-        for count in (None, 16, 300):
+        for count in (plan.n_chart, 16, 300):
             want, want_warn = sample(region, plan, base.box, count)
             for _ in range(2):     # the first call fills the memo, the second reads it
-                got, warn = sample(region, plan, base.box, count, base)
-                assert (got.tobytes(), warn) == (want.tobytes(), want_warn)
+                got = base.region_memo(region, plan, count)
+                assert (got.points.tobytes(), not len(got)) == (want.tobytes(), want_warn)
     assert base.clouds and all(not m.points.flags.writeable
                                for m in base.clouds.values())
 
@@ -258,7 +259,7 @@ def test_memo_membership_matches_a_fresh_context(monkeypatch):
         assert got.tolist() == memberships([region], cloud.points, 1e-3).tolist()
     assert cloud.outputs
     # the sampled regions, each drawn after the others filled the memo
-    shared = [sample(base.sset.intersect(r), PLAN, base.box, 50, base)[0].tobytes()
+    shared = [base.region_memo(base.sset.intersect(r), PLAN, 50).points.tobytes()
               for r in regions]
     without_memo(monkeypatch)
     fresh = [sample(base.sset.intersect(r), PLAN, base.box, 50)[0].tobytes()
@@ -367,6 +368,104 @@ def test_dropping_a_witness_frees_its_region_memo_entries():
         assert not any(isinstance(g, ex.PathProduct) for memo in memos for g in memo.outputs)
     finally:
         gc.enable()
+
+
+# --- path products: each base point transported once --------------------------
+
+def counting_rows(monkeypatch):
+    """The number of base points each `PathProduct._transport` call moves:
+    counts only, so no path product is kept alive (as `counting` would)."""
+    rows = []
+    transport = ex.PathProduct._transport
+
+    def counted(group, x, callers):
+        rows.append(len(x))
+        return transport(group, x, callers)
+
+    monkeypatch.setattr(ex.PathProduct, "_transport", counted)
+    return rows
+
+
+def dropped(field):
+    """Drop the path product of the one matrix in the list `field`, with its
+    row store, and check that it is gone, so that the next construction of
+    equal structure starts empty."""
+    group = weakref.ref(field[0][0][0].group)
+    del field[:]
+    gc.collect()
+    assert group() is None
+
+
+ANTIPODAL_TS = [k / 16 for k in range(1, 17)]
+
+
+def test_a_second_point_set_transports_only_its_new_rows(monkeypatch):
+    proj = gauss_embedding(moebius(), plan=PLAN)
+    pts = circle_base().sample_points(PLAN)
+    rows = counting_rows(monkeypatch)
+    field = [em_path_product(proj.entries, antipodal_path(), 2, ANTIPODAL_TS)]
+    em_eval(field[0], pts[:40])
+    # 20 rows met before, 20 new ones, each new one twice
+    second = np.vstack([pts[20:60], pts[40:60]])
+    got = em_eval(field[0], second)
+    assert rows == [40, 20]
+    assert len(field[0][0][0].group.store.index) == 60
+    dropped(field)
+    fresh = em_eval(em_path_product(proj.entries, antipodal_path(), 2, ANTIPODAL_TS),
+                    second)
+    assert rows == [40, 20, 40]
+    assert got.tobytes() == fresh.tobytes()
+
+
+def test_a_transport_that_raises_stores_no_row_and_names_the_caller():
+    # sqrt(x0 - t) is violated on the path wherever x0 < t
+    field = em_path_product([[ex.Var(0)]], [ex.Sqrt(ex.Sub(ex.Var(0), ex.Var(1)))], 1,
+                            [k / 8 for k in range(1, 9)])
+    store = field[0][0].group.store
+    em_eval(field, np.array([[2.0]]))
+    assert len(store.index) == 1
+    for _ in range(2):      # the second compute finds nothing kept and fails again
+        with pytest.raises(ex.GuardViolation) as info:
+            em_eval(field, np.array([[2.0], [3.0], [0.25], [0.5], [0.25]]))
+        assert info.value.point == (0.25,) and "t = 0.375" in str(info.value)
+        assert len(store.index) == 1
+    # after a substitution x = 2y, the caller's row y, not x
+    halved = em_subst(field, {0: ex.Mul(ex.Const(2.0), ex.Var(0))})
+    with pytest.raises(ex.GuardViolation) as info:
+        em_eval(halved, np.array([[1.0], [0.125], [0.125]]))
+    assert info.value.point == (0.125,) and "t = 0.375" in str(info.value)
+    assert not halved[0][0].group.store.index
+
+
+def test_seeded_probe_rows_equal_computed_rows(monkeypatch):
+    small = SamplePlan(seed=0, n_chart=70, n_overlap=50, n_triple=40)
+    proj = gauss_embedding(moebius(), plan=small)
+    values = partial(ex.path_projectors, proj.entries, antipodal_path(), 2)
+    ts, _, probes, vals = _adaptive_t_ladder(values, circle_base(), small)
+    assert len(ts) == 1025      # so the seed multiplies its rows a few at a time
+    field = [em_path_product(proj.entries, antipodal_path(), 2, ts[1:])]
+    group = field[0][0][0].group
+    with pytest.raises(DimensionMismatch):
+        group.seed(probes, vals)
+    group.seed(probes, vals[1:])
+    del group
+    rows = counting_rows(monkeypatch)
+    seeded = em_eval(field[0], probes)
+    assert rows == []
+    dropped(field)
+    computed = em_eval(em_path_product(proj.entries, antipodal_path(), 2, ts[1:]), probes)
+    assert rows == [len(probes)]
+    assert seeded.tobytes() == computed.tobytes()
+
+
+def test_a_row_store_goes_with_its_path_product():
+    proj = gauss_embedding(moebius(), plan=PLAN)
+    field = [em_path_product(proj.entries, antipodal_path(), 2, ANTIPODAL_TS)]
+    em_eval(field[0], circle_base().sample_points(PLAN))
+    values = weakref.ref(field[0][0][0].group.store.values)
+    assert values() is not None
+    dropped(field)
+    assert values() is None
 
 
 # --- region samples, interned per base by their selection --------------------
@@ -592,14 +691,15 @@ def test_a_condition_that_fails_its_guard_is_not_held():
     guarded = ex.Sub(ex.Sqrt(x), ex.Const(0.5))     # violates its guard at x < 0
     free = ex.Add(x, ex.Const(1.5))
     first = SemialgebraicSet(1, [[Condition(free, GT), Condition(guarded, GT)]])
-    clouds = {}
-    semialg._selection(first, PLAN, box, 50, clouds)
-    assert all(free in c.held and guarded not in c.held for c in clouds.values())
+    clouds, held = {}, {}
+    semialg._selection(first, PLAN, box, 50, clouds, held)
+    assert held.keys() == set(clouds.values())
+    assert all(free in h and guarded not in h for h in held.values())
     # a later region reads the guarded root under a gate, where it passes:
     # it keeps the rows of the clouds that it keeps when sampled alone
     gated = SemialgebraicSet(1, [[Condition(ex.ZeroGate(x, guarded), GT)]])
-    later = semialg._selection(gated, PLAN, box, 50, clouds)
-    alone = semialg._selection(gated, PLAN, box, 50, {})
+    later = semialg._selection(gated, PLAN, box, 50, clouds, held)
+    alone = semialg._selection(gated, PLAN, box, 50, {}, {})
     assert [(key, keep.tobytes()) for key, _, keep in later] == \
         [(key, keep.tobytes()) for key, _, keep in alone]
     line = semialg.Base(SemialgebraicSet.whole_space(1), box)
@@ -612,25 +712,39 @@ def test_a_condition_that_fails_its_guard_is_not_held():
 def test_no_held_value_outlives_its_batch(monkeypatch):
     base = circle_base()
     cover = three_arc_cover(base)
-    held_sizes = []
+    held_sizes = []     # per `_kept` call: the values its cloud held before
     kept = semialg._kept
 
-    def recording(piece, dim, cloud):
-        out = kept(piece, dim, cloud)
-        held_sizes.append(len(cloud.held))
-        return out
+    def recording(piece, dim, cloud, held):
+        held_sizes.append(len(held))
+        return kept(piece, dim, cloud, held)
 
     monkeypatch.setattr(semialg, "_kept", recording)
     shrink_cover(cover, 1, plan=PLAN)
     assert max(held_sizes) > 1
-    assert base.clouds and not any(c.held for c in base.clouds.values())
-    # a region whose equality is not polynomial raises after the first held values
-    del held_sizes[:]
+    # the clouds hold no values of their own, and each batch starts empty
+    assert base.clouds and not any(hasattr(c, "held") for c in base.clouds.values())
+    batches = []
+    batch = semialg.SamplingBatch
+
+    def new_batch(owner):
+        batches.append(batch(owner))
+        return batches[-1]
+
+    monkeypatch.setattr(semialg, "SamplingBatch", new_batch)
+    for _ in range(2):
+        del held_sizes[:]
+        base.region_memos(cover.charts, PLAN, 50)
+        assert held_sizes[0] == 0 and max(held_sizes) >= 1
+    assert len(batches) == 2 and batches[0].held is not batches[1].held
+    # a region whose equality is not polynomial raises after the first held
+    # values, and the next batch starts empty all the same
     not_polynomial = SemialgebraicSet(2, [[Condition(ex.Var(0), semialg.EQ)]])
     with pytest.raises(NotPolynomial):
         base.region_memos([cover.charts[0], not_polynomial], PLAN, 50)
-    assert held_sizes and max(held_sizes) >= 1
-    assert not any(c.held for c in base.clouds.values())
+    del held_sizes[:]
+    base.region_memos(cover.charts, PLAN, 50)
+    assert held_sizes[0] == 0
 
 
 # --- the intern table: one node per structure, held weakly -------------------

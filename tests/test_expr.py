@@ -72,10 +72,11 @@ def _ones(n, m):
                                     (ex.Const(1.0),))),
     lambda: ex.MatEntry(ex.MatrixGroup(ex.INV, _ones(2, 2)), 2, 0),
     lambda: ex.PathProduct(_ones(2, 3), [ex.Var(0), ex.Var(1)], 1, [0.5]),
+    lambda: ex.PathProduct(_ones(2, 2), [ex.Var(0), ex.Var(0)], 0, [0.5]),
     lambda: next(ex.path_projectors(_ones(2, 2), [ex.Var(0), ex.Var(1)], 1,
                                     np.zeros((3, 2)), [0.5])),
 ], ids=["add", "sub", "mul", "hstack", "vstack", "det", "solve", "inv",
-        "ragged", "entry", "pathproduct", "path-points"])
+        "ragged", "entry", "pathproduct", "path-no-base", "path-points"])
 def test_shape_guards_raise_dimension_mismatch(build):
     with pytest.raises(DimensionMismatch):
         build()
@@ -1056,6 +1057,10 @@ def test_gated_read_served_by_the_parent_equals_a_fresh_evaluation(monkeypatch, 
     mask = pts[:, 0] > 0.0
     child = ctx.sub(id(gate), mask)
     assert len(child.points) == 32 and child not in evaluated
+    group = getattr(node, "group", None)
+    if isinstance(group, ex.PathProduct):
+        # a fresh transport, not the rows the root's compute stored
+        object.__setattr__(group, "store", ex._RowStore(group.out_shape[0]))
     fresh = node.eval(ex.EvalContext(pts[mask]))
     assert child.cache[node].tobytes() == fresh.tobytes()
     # a context whose root never read the node evaluates it on the gate's rows

@@ -52,6 +52,8 @@ from bundleforms.matexpr import em_const, em_eval
 from bundleforms.semialg import Cover, SamplePlan
 from helpers import (
     interval,
+    machine_task,
+    nan_where_positive,
     reference_gram_schmidt_frame,
     reference_gs_events,
 )
@@ -579,6 +581,75 @@ def test_check_isometry_keeps_the_determinant_witness():
     assert not rep.passed
     assert 1e-10 < rep.max_residual < 1e-6 and rep.min_abs_det < 1e-6
     assert 1e-4 * abs(rep.witness[0]) == pytest.approx(rep.min_abs_det)
+
+
+# --- a non-finite value fails its check at its first point -------------------
+
+def nan_line_form():
+    """A form on the trivial plane bundle over the line: the identity, with
+    NaN off the diagonal where x0 > 0.5; and that first sample of its chart."""
+    b = trivial_bundle(full_cover(line_base()), 2)
+    off = nan_where_positive(ex.Sub(ex.Var(0), ex.Const(0.5)))
+    f = FormField.from_upper(b, [[ex.Const(1.0), off, ex.Const(1.0)]], name="nan")
+    pts = b.cover.samples((0,), PLAN)
+    return f, tuple(pts[int(np.argmax(pts[:, 0] > 0.5))].tolist())
+
+
+def test_validate_form_fails_at_the_first_nan_entry():
+    f, first = nan_line_form()
+    report = validate_form(f, PLAN)
+    assert not report.passed and report.witness == first
+    task = machine_task(report)
+    assert task["status"] == "fail" and task["max_residual"] == "nan"
+
+
+def test_check_isometry_fails_at_the_first_nan_residual():
+    from bundleforms.bundles import MorphismField
+    from bundleforms.forms import IsometryWitness
+    from bundleforms.matexpr import em_identity
+    f, first = nan_line_form()
+    g = FormField.constant(f.bundle, np.eye(2))
+    w = IsometryWitness(MorphismField(f.bundle, f.bundle, [em_identity(2)]), f, g)
+    report = check_isometry(w, PLAN)
+    assert not report.passed and report.witness == first
+    assert machine_task(report)["status"] == "fail"
+
+
+def test_decomposition_check_fails_at_the_first_nan_projector():
+    import dataclasses
+    b = trivial_bundle(full_cover(line_base()), 2)
+    pair = decompose(FormField.constant(b, np.diag([2.0, -1.0])), PLAN)
+    assert pair.check(PLAN).passed
+    gate = nan_where_positive(ex.Sub(ex.Var(0), ex.Const(0.5)))
+    plus = [tuple(tuple(ex.Add(e, gate) for e in row) for row in mat)
+            for mat in pair.plus]
+    report = dataclasses.replace(pair, plus=plus).check(PLAN)
+    pts = b.cover.samples((0,), PLAN)
+    assert not report.passed
+    assert report.witness == tuple(pts[int(np.argmax(pts[:, 0] > 0.5))].tolist())
+    assert machine_task(report)["status"] == "fail"
+
+
+def test_trivializing_cover_names_its_first_stuck_sample():
+    f, first = nan_line_form()
+    with pytest.raises(NearSingular, match="no usable pivot") as err:
+        local_trivializing_cover(f, PLAN)
+    assert err.value.point == first
+
+
+def test_signature_names_the_first_sample_without_a_pivot():
+    # pivots below PIVOT_RATIO * 1e12 = 100 are unusable: the second one is
+    # 1e4 (0.5 - x0), floored at 1, so every sample with x0 >= 0.49 is stuck
+    b = trivial_bundle(full_cover(line_base()), 2)
+    x = ex.Var(0)
+    low = ex.Max(ex.Const(1.0), ex.Mul(ex.Const(1e4), ex.Sub(ex.Const(0.5), x)))
+    f = FormField.from_upper(b, [[ex.Const(1e12), ex.Const(0.0), low]])
+    pts = b.cover.samples((0,), PLAN)
+    stuck = np.maximum(1.0, 1e4 * (0.5 - pts[:, 0])) <= PIVOT_RATIO * 1e12
+    assert stuck.any() and not stuck.all()
+    with pytest.raises(NearSingular, match="no usable pivot") as err:
+        signature(f, PLAN)
+    assert err.value.point == tuple(pts[int(np.argmax(stuck))].tolist())
 
 
 # --- batched Gram-Schmidt engine against the per-matrix reference -------------

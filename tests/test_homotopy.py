@@ -455,7 +455,7 @@ def test_capped_ladder_is_flagged_and_reported_unknown(monkeypatch):
     values = partial(ex.path_projectors, proj.entries, antipodal_path(), 2)
     with monkeypatch.context() as capped:
         capped.setattr(homotopy, "LADDER_MAX_POINTS", 17)
-        ts, gap = _adaptive_t_ladder(values, circle_base(), small)
+        ts, gap, _, _ = _adaptive_t_ladder(values, circle_base(), small)
     assert len(ts) == 17 and gap > 0.35
     details = _ladder_details(ts, gap)
     assert details["ladder_capped"] is True
@@ -467,7 +467,7 @@ def test_capped_ladder_is_flagged_and_reported_unknown(monkeypatch):
     report.add(entry)
     assert report.exit_code() == 3
     # the same ladder with the gap met passes
-    ts, gap = _adaptive_t_ladder(values, circle_base(), small)
+    ts, gap, _, _ = _adaptive_t_ladder(values, circle_base(), small)
     assert len(ts) == 1025 and gap <= 0.35
     entry = TaskEntry("homotopy-iso", "error")
     _apply_check(entry, CheckReport("isomorphism", True,

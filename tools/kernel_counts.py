@@ -24,7 +24,10 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
   eigensolve of their own ran; and the pencil computations that found no
   live opposite group, whose other sign's output nobody stored;
 - `PathProduct` computations (transports along a homotopy's t-ladder) with
-  their base-point rows, and the kernel memo traffic on transports;
+  their base-point rows; of those rows, the ones transported (new to the
+  path product's row store, each transported once) and the ones read from
+  the row store; the rows that `homotopy` seeded into row stores from its
+  ladder's probes; and the kernel memo traffic on transports;
 - point arrays a base evaluates again, requested and interned, by kind:
   each region a `Base.region_memos` batch samples counts as one request
   of the kind of the function that asked for the batch (directly or
@@ -44,8 +47,9 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
   of a node its parent context held, taken as the parent's value at the
   gate's mask with no `_eval`, with the sub-context's rows;
 - condition values a sampling batch served: per piece context of
-  `Base.region_memos`, the held condition values (`KernelMemo.held`) it
-  read, each counted once, with the cloud's rows;
+  `Base.region_memos`, the condition values its batch held on the cloud
+  (`semialg.SamplingBatch`) that it read, each counted once, with the
+  cloud's rows;
 - structural duplicates: evaluations of a node in a context that had
   already evaluated another node object of equal structure.  Structure is
   the intern key (`expr._Interned`) with every child id replaced by the
@@ -75,6 +79,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from bundleforms import expr as ex  # noqa: E402
+from bundleforms import semialg  # noqa: E402
 from bundleforms.semialg import Base  # noqa: E402
 
 SEED = 0
@@ -151,10 +156,12 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     compute, kernel = ex.MatrixGroup.compute, ex.MatrixGroup._compute
     eigh, closed = ex._whitened_eigh, ex._closed_pencil
     lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
+    seed, kept = ex.PathProduct.seed, semialg._kept
     region_memos, grid_memo = Base.region_memos, Base.grid_memo
     init, sub = ex.EvalContext.__init__, ex.EvalContext.sub
     interned, served = {}, {}
     batch_read = weakref.WeakKeyDictionary()    # context -> ids of held nodes read
+    held = {}       # id(cloud) -> the values its batch holds, while `_kept` runs
     builders = weakref.WeakKeyDictionary()      # context -> builder_of name
 
     def tally(key, n):
@@ -204,7 +211,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
                 memo, first = seen.setdefault(ctx, ({}, {}))
                 if first.setdefault(structure(node, memo, table), id(node)) != id(node):
                     tally("structural duplicates", n)
-        elif ctx.memo is not None and ctx.memo.held.get(node) is ctx.cache[node]:
+        elif held.get(id(ctx.memo), {}).get(node) is ctx.cache[node]:
             read = batch_read.setdefault(ctx, set())
             if id(node) not in read:    # the context keeps the node alive
                 read.add(id(node))
@@ -221,8 +228,26 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
         return child
 
     def counted_transport(group, ctx):
-        tally("pathproduct", ctx.points.shape[0])
-        return transport(group, ctx)
+        n = ctx.points.shape[0]
+        tally("pathproduct", n)
+        before = len(group.store.index)
+        out = transport(group, ctx)
+        new = len(group.store.index) - before
+        tally("transported", new)
+        tally("row store read", n - new)
+        return out
+
+    def counted_seed(group, x, rungs):
+        before = len(group.store.index)
+        seed(group, x, rungs)
+        tally("probe seeded", len(group.store.index) - before)
+
+    def counted_kept(piece, dim, cloud, values):
+        held[id(cloud)] = values
+        try:
+            return kept(piece, dim, cloud, values)
+        finally:
+            del held[id(cloud)]
 
     def counted_eigh(s, g):
         n = s.shape[1]
@@ -257,6 +282,8 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
                (ex.Expr, "eval", counted_eval),
                (ex.PathProduct, "compute", counted(lookup, "transport memo")),
                (ex.PathProduct, "_compute", counted_transport),
+               (ex.PathProduct, "seed", counted_seed),
+               (semialg, "_kept", counted_kept),
                (Base, "region_memos", counted_regions),
                (Base, "grid_memo", counted_grid),
                (ex.EvalContext, "__init__", counted_init),
@@ -298,7 +325,8 @@ def main() -> int:
         for key in sorted(k for k in calls if k.startswith("memo-less ")):
             print(f"    {key.removeprefix('memo-less '):46s} {calls[key]:7d} calls "
                   f"{rows[key]:10d} rows")
-        for key in ["pathproduct", "transport memo hit", "transport memo miss"]:
+        for key in ["pathproduct", "transported", "row store read", "probe seeded",
+                    "transport memo hit", "transport memo miss"]:
             print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
         for kind in ARRAY_KINDS:
             for key in [f"{kind} requested", f"{kind} interned"]:
