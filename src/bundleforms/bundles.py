@@ -79,8 +79,11 @@ class BundleRep:
         # minor-chart bundles: the projector and each chart's column subset
         self.projector = projector
         self.frame_subsets = frame_subsets
-        # certified Gauss embeddings by (r, plan), filled by gauss_embedding
-        self.embeddings: dict = {}
+        # results certified on this bundle, each kept once it is built
+        # without raising, by a key naming its construction: the Gauss
+        # embedding, the homotopy witness and the line class.  None points
+        # back at the bundle, so reference counting frees them with it.
+        self.certified: dict = {}
         declared = dict(transitions or {})
         pairs = list(itertools.permutations(range(cover.n_charts), 2))
         for (i, j), g in declared.items():
@@ -532,10 +535,12 @@ def gauss_embedding(bundle: BundleRep, r: int = 1, *,
     partition of unity.
 
     The projector is certified when it is built and then kept in
-    `bundle.embeddings` under (r, plan), so later calls return that same
-    object; a projector that fails certification raises and is not kept.
+    `bundle.certified` under ("gauss embedding", r, plan), so later calls
+    return that same object; a projector that fails certification raises
+    and is not kept.
     """
-    field = bundle.embeddings.get((r, plan))
+    key = ("gauss embedding", r, plan)
+    field = bundle.certified.get(key)
     if field is not None:
         return field
     pou = partition_of_unity(bundle.cover, r, plan=plan)
@@ -556,7 +561,7 @@ def gauss_embedding(bundle: BundleRep, r: int = 1, *,
             f"embedding projector failed certification: residual "
             f"{report.max_residual:.3e} at {report.witness}"
         )
-    bundle.embeddings[(r, plan)] = field
+    bundle.certified[key] = field
     return field
 
 
@@ -714,8 +719,13 @@ def s1_line_class(bundle: BundleRep) -> int:
     step's start, to the first chart holding both ends.  Each switch reads
     the sign of the transition determinant at its angle, evaluated on a
     one-row memo the base interns by that angle (`Base.grid_memo`), so
-    every bundle on the base that switches there shares its kernels.
+    every bundle on the base that switches there shares its kernels.  The
+    class is kept in `bundle.certified`, once the walk ends without
+    raising, and later calls return it.
     """
+    known = bundle.certified.get("line class")
+    if known is not None:
+        return known
     if not bundle.base.circle:
         raise NotCatalogBase("determinant class needs a circle catalog base")
     if bundle.rank < 1:
@@ -744,7 +754,8 @@ def s1_line_class(bundle: BundleRep) -> int:
         current = new
     if current != start:
         sign *= switch_sign(current, start, 0.0)
-    return 0 if sign > 0 else 1
+    bundle.certified["line class"] = 0 if sign > 0 else 1
+    return bundle.certified["line class"]
 
 
 def refined_loop(cover: Cover) -> tuple[np.ndarray, np.ndarray]:
@@ -752,12 +763,15 @@ def refined_loop(cover: Cover) -> tuple[np.ndarray, np.ndarray]:
     charts hold its point (margin 1e-9).
 
     The loop starts as LOOP_STEPS equal steps, on the base's grid
-    (`Base.grid_memo`).  Each round halves, at 0.5 * (a + b), every step
-    whose two ends no single chart contains (chart crossover bands can be
-    narrow for derived covers).  A round that meets midpoints not yet
-    evaluated evaluates `_loop_batch` of its bad steps, and the rounds read
-    their midpoints from it, so they insert the angles one-round-at-a-time
-    halving would.
+    (`Base.grid_memo`); a grid angle that no chart holds is a
+    `CoverageFailure` at that angle, raised before any halving.  Each round
+    halves, at 0.5 * (a + b), every step whose two ends no single chart
+    contains (chart crossover bands can be narrow for derived covers) and
+    each some chart holds, down to steps 1e-9 wide; a step below that width
+    or with an end that no chart holds is a `CoverageFailure`.  A round
+    that meets midpoints not yet evaluated evaluates `_loop_batch` of its
+    bad steps, and the rounds read their midpoints from it, so they insert
+    the angles one-round-at-a-time halving would.
     """
     base, charts = cover.base, cover.charts
     angles = np.append(2.0 * np.pi * np.arange(LOOP_STEPS) / LOOP_STEPS,
@@ -766,15 +780,21 @@ def refined_loop(cover: Cover) -> tuple[np.ndarray, np.ndarray]:
                                             angles), 1e-9)
     if not member[0].any():
         raise CoverageFailure("circle loop start not covered by any chart")
+    bare = angles[~member.any(axis=1)]
+    if bare.size:
+        raise CoverageFailure(
+            f"circle loop angle {bare[0]:.6f} not covered by any chart",
+            point=_loop_points(base, bare[:1])[0])
     batch = np.empty(0)
     while True:
         bad = np.flatnonzero(~(member[:-1] & member[1:]).any(axis=1))
         if not bad.size:
             return angles, member
-        narrow = bad[angles[bad + 1] - angles[bad] < 1e-9]
-        if narrow.size:
+        stuck = bad[(angles[bad + 1] - angles[bad] < 1e-9)
+                    | ~member[bad].any(axis=1) | ~member[bad + 1].any(axis=1)]
+        if stuck.size:
             raise CoverageFailure(
-                f"no chart chain near loop angle {angles[narrow[0]]:.6f}"
+                f"no chart chain near loop angle {angles[stuck[0]]:.6f}"
             )
         mids = 0.5 * (angles[bad] + angles[bad + 1])
         if not np.isin(mids, batch).all():
@@ -810,9 +830,12 @@ def _loop_memo(base: Base, name, angles) -> ex.KernelMemo:
     """The base's memo (`Base.grid_memo`) of the unit circle's points in
     (x0, x1) at `angles`, other coordinates 0, kept under `name`, which
     must determine the angles."""
-    def points() -> np.ndarray:
-        pts = np.zeros((len(angles), base.dim))
-        pts[:, 0] = np.cos(angles)
-        pts[:, 1] = np.sin(angles)
-        return pts
-    return base.grid_memo(name, points)
+    return base.grid_memo(name, lambda: _loop_points(base, angles))
+
+
+def _loop_points(base: Base, angles) -> np.ndarray:
+    """The unit circle's points in (x0, x1) at `angles`, other coordinates 0."""
+    pts = np.zeros((len(angles), base.dim))
+    pts[:, 0] = np.cos(angles)
+    pts[:, 1] = np.sin(angles)
+    return pts

@@ -19,7 +19,9 @@ so structurally equal terms are one object.  Evaluation is vectorized over
 an (N, dim) batch of points and memoized per node in its context, so a
 subterm, however often a construction rebuilt it, is computed once per
 batch.  Evaluating outside a declared guard raises :class:`GuardViolation`
-with a witness point; it is never a silent NaN.
+with a witness point.  Arithmetic that overflows is not guarded: it gives
+inf or NaN (``10^400 - 10^400`` is NaN), and every residual and
+determinant check fails at the first point where such a value reaches it.
 
 Each node carries a smoothness lower bound: how many continuous
 derivatives the function is guaranteed to have on its guarded domain.  The

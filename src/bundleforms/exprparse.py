@@ -4,7 +4,9 @@ Grammar: numbers (integers, decimals), variables x0..x{n-1} (t is an alias
 for the cylinder coordinate), + - * / ^ with the usual precedence, unary
 minus, parentheses, and the functions sqrt, abs, min, max, clamp.  The
 quotient operator builds a guarded quotient; ^ takes a nonnegative integer
-literal.
+literal.  Parentheses, function arguments and unary minus nest at most
+MAX_NESTING deep; deeper input is a `SpecParseError` at its column, since
+the descent below recurses once per level.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ _NODES = {"+": ex.Add, "-": ex.Sub, "*": ex.Mul, "/": ex.Div,
           "sqrt": ex.Sqrt, "abs": ex.Abs, "clamp": ex.Clamp,
           "min": ex.Min, "max": ex.Max}
 
+MAX_NESTING = 128
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -46,6 +50,7 @@ class _Tokens:
                 self.items.append((kind, value, pos))
             pos = m.end()
         self.index = 0
+        self.depth = 0      # nesting levels open around the next token
 
     def peek(self):
         if self.index < len(self.items):
@@ -94,10 +99,18 @@ def _parse_product(tk, dim, t_index):
 
 
 def _parse_unary(tk, dim, t_index):
-    if tk.peek()[1] == "-":
+    _, value, pos = tk.peek()
+    if tk.depth > MAX_NESTING:
+        raise SpecParseError(f"expression nests deeper than {MAX_NESTING} "
+                             "levels", column=pos + 1)
+    tk.depth += 1
+    if value == "-":
         tk.next()
-        return ex.Sub(ex.Const(0.0), _parse_unary(tk, dim, t_index))
-    return _parse_power(tk, dim, t_index)
+        out = ex.Sub(ex.Const(0.0), _parse_unary(tk, dim, t_index))
+    else:
+        out = _parse_power(tk, dim, t_index)
+    tk.depth -= 1
+    return out
 
 
 def _parse_power(tk, dim, t_index):

@@ -99,7 +99,9 @@ class FormField:
 
     Provenance, where a construction knows it: `hyperbolic_of`, the bundle
     of a hyperbolic space; `negation_of`, the form a negation flips;
-    `cancellation_of`, the form b of a sum b + (-b).
+    `cancellation_of`, the form b of a sum b + (-b).  `certified` holds
+    results certified on the form, as `BundleRep.certified` does on a
+    bundle: the definite split of `rings._definite_parts`.
     """
 
     def __init__(self, bundle: BundleRep, mats, name: str = "", *,
@@ -113,6 +115,7 @@ class FormField:
         self.hyperbolic_of = hyperbolic_of
         self.negation_of = negation_of
         self.cancellation_of = cancellation_of
+        self.certified: dict = {}
         d = bundle.rank
         if len(self.mats) != bundle.cover.n_charts:
             raise DimensionMismatch("need one matrix field per chart")

@@ -167,7 +167,14 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan,
     geometry's own speed instead of the pullback partition's.  The report's
     details hold `ladder_points`, `ladder_gap` (worst probe jump) and, for a
     ladder capped with the gap unmet, `ladder_capped`.
+
+    Without a `path`, the witness is kept in `bundle.certified` under
+    ("homotopy witness", plan, tol) once it is built without raising, and
+    later calls return that same object; its report is never changed.
     """
+    key = ("homotopy witness", plan, tol)
+    if path is None and key in bundle.certified:
+        return bundle.certified[key]
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
     _certify_slab_coverage(bundle, plan)
@@ -197,7 +204,10 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan,
     witness = MorphismField(a, b, fields)
     report = check_isomorphism(a, b, witness, plan, tol)
     report.details.update(ladder)
-    return HomotopyWitness(a, b, witness, report, parent_charts)
+    hw = HomotopyWitness(a, b, witness, report, parent_charts)
+    if path is None:
+        bundle.certified[key] = hw
+    return hw
 
 
 def _seeded_transport(entries, h_exprs, t_index: int, base_x: Base,

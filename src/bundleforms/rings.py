@@ -137,11 +137,21 @@ class WittClass:
 
 def _definite_parts(form: FormField, plan: SamplePlan):
     """The form's signature (certified once, by `decompose`) and its
-    positive and negative range bundles."""
+    positive and negative range bundles.  They are kept in `form.certified`
+    under ("definite parts", plan) once built without raising, and later
+    calls return them.  Neither part points back at the form: the
+    `FiberProjectorPair`, which does, is dropped."""
+    key = ("definite parts", plan)
+    known = form.certified.get(key)
+    if known is not None:
+        return known
     pair = decompose(form, plan)
     plus_amb, minus_amb = pair.to_ambient()
-    return (pair.sig, bundle_from_projector(plus_amb, plan, name=f"{form.name}+"),
-            bundle_from_projector(minus_amb, plan, name=f"{form.name}-"))
+    parts = (pair.sig,
+             bundle_from_projector(plus_amb, plan, name=f"{form.name}+"),
+             bundle_from_projector(minus_amb, plan, name=f"{form.name}-"))
+    form.certified[key] = parts
+    return parts
 
 
 def witt_class(form: FormField, plan: SamplePlan) -> WittClass:

@@ -503,6 +503,35 @@ def test_s1_line_class_no_chart_chain():
     assert str(err.value) == "no chart chain near loop angle 0.100167"
 
 
+def test_s1_line_class_uncovered_loop_angle_raises_before_halving(monkeypatch):
+    # {x1 < 1/2} and {x1 > 0.9} leave the arc 1/2 <= x1 <= 0.9 uncovered:
+    # the walk names its first grid angle, pi/6, and halves no step
+    cover = _circle_cover(Polynomial.constant(2, Fraction(1, 2)) - _coord(1),
+                          _coord(1) - Polynomial.constant(2, Fraction(9, 10)))
+    flip = ((ex.Div(ex.Var(0), ex.Abs(ex.Var(0))),),)
+    bundle = BundleRep(cover, 1, {(0, 1): flip, (1, 0): flip}, name="moebius")
+    batches = []
+    monkeypatch.setattr(bu, "_loop_batch", lambda *args: batches.append(args))
+    with pytest.raises(CoverageFailure) as err:
+        s1_line_class(bundle)
+    assert str(err.value) == "circle loop angle 0.523599 not covered by any chart"
+    assert err.value.point == pytest.approx((np.cos(np.pi / 6), 0.5), abs=1e-12)
+    assert batches == [] and bundle.certified == {}
+
+
+def test_s1_line_class_gap_below_the_step_floor_is_no_chart_chain():
+    # {x1 > 0.1} and {1e6 (0.1 + 1e-9 - x1) > 0}: at margin 1e-9 they leave
+    # a gap about 1e-15 wide in x1, which no halving down to 1e-9 meets
+    x1 = ex.Var(1)
+    conditions = [Condition(ex.Sub(x1, ex.Const(0.1)), GT),
+                  Condition(ex.Mul(ex.Const(1e6), ex.Sub(ex.Const(0.1 + 1e-9), x1)),
+                            GT)]
+    cover = Cover(circle_base(), [SemialgebraicSet(2, [[c]]) for c in conditions])
+    with pytest.raises(CoverageFailure) as err:
+        s1_line_class(trivial_bundle(cover, 1))
+    assert str(err.value) == "no chart chain near loop angle 0.100167"
+
+
 def _plain_loop(cover):
     """The circle walk's loop halved one round at a time, each round's
     midpoints evaluated on their own, and its number of rounds."""

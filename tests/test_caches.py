@@ -1,5 +1,6 @@
-"""The construction caches: Gauss embeddings per bundle, candidate clouds
-and their kernel memos per base, one evaluation context per membership
+"""The construction caches: certified results per bundle or form (Gauss
+embeddings, homotopy witnesses, definite splits, line classes), candidate
+clouds and their kernel memos per base, one evaluation context per membership
 call, one kernel memo per sampled point set of a base, which every
 cover region sampling that set reads, the condition values a sampling
 batch holds per cloud, and the intern table that makes structurally
@@ -20,14 +21,15 @@ import numpy as np
 import pytest
 
 from bundleforms import bundles as bu
-from bundleforms import cli, specfile
+from bundleforms import cli, homotopy, rings, specfile
 from bundleforms import expr as ex
 from bundleforms import semialg
 from bundleforms.bundles import (CheckReport, ProjectorField, bundle_from_projector,
                                  gauss_embedding)
 from bundleforms.catalog import circle_base, circle_two_arc_cover, moebius
-from bundleforms.errors import DimensionMismatch, NotPolynomial, RankDrop
-from bundleforms.forms import decompose
+from bundleforms.errors import (CoverageFailure, DimensionMismatch, GuardViolation,
+                                NearSingular, NotPolynomial, RankDrop)
+from bundleforms.forms import FormField, decompose
 from bundleforms.homotopy import _adaptive_t_ladder, induced_iso_from_homotopy
 from bundleforms.matexpr import em_eval, em_path_product, em_subst
 from bundleforms.semialg import (GT, Condition, Polynomial, SamplePlan, SemialgebraicSet,
@@ -79,9 +81,9 @@ def test_failed_certification_is_not_cached(monkeypatch):
                         CheckReport("projector", False, 1.0, witness=(1.0, 0.0)))
         with pytest.raises(RankDrop):
             gauss_embedding(m, plan=PLAN)
-    assert m.embeddings == {}
+    assert m.certified == {}
     proj = gauss_embedding(m, plan=PLAN)      # certified this time, and kept
-    assert m.embeddings == {(1, PLAN): proj}
+    assert m.certified == {("gauss embedding", 1, PLAN): proj}
     assert len(pou_calls) == 2
 
 
@@ -131,24 +133,156 @@ def test_fresh_bases_share_no_clouds(monkeypatch):
 
 def test_document_base_is_freed_by_reference_counting():
     # a cached object never points back at its owner, so a finished
-    # document (bundles, their embeddings, the base and its clouds) is
-    # freed without the cycle collector
-    path = SPECS / "moebius.json"
+    # document (bundles and forms, what they certified, the base and its
+    # clouds) is freed without the cycle collector, after each task list
+    # that fills a cache: embeddings and line classes (report), definite
+    # splits (rings) and homotopy witnesses (operate)
+    runs = [("moebius.json", "report", "line class"),
+            ("moebius.json", "rings", "definite parts"),
+            ("moebius_cylinder.json", "operate", "homotopy witness")]
     gc.collect()
     gc.disable()
     try:
-        doc = specfile.parse_spec(path.read_text(encoding="utf-8"))
-        args = cli.build_parser().parse_args(["report", str(path), "--samples", "64"])
-        report = cli.run_tasks(doc, cli._SUBCOMMANDS["report"](doc, args),
-                               cli._plan(args))
-        assert report.exit_code() == 0
-        assert any(b.embeddings for b in doc.bundles.values())
-        assert doc.base.clouds
-        base = weakref.ref(doc.base)
-        del doc
-        assert base() is None
+        for name, sub, kind in runs:
+            path = SPECS / name
+            doc = specfile.parse_spec(path.read_text(encoding="utf-8"))
+            args = cli.build_parser().parse_args([sub, str(path), "--samples", "64"])
+            report = cli.run_tasks(doc, cli._SUBCOMMANDS[sub](doc, args),
+                                   cli._plan(args))
+            assert report.exit_code() == 0
+            owners = [*doc.bundles.values(), *doc.forms.values()]
+            kinds = {key if isinstance(key, str) else key[0]
+                     for owner in owners for key in owner.certified}
+            assert kind in kinds and "gauss embedding" in kinds
+            assert doc.base.clouds
+            base = weakref.ref(doc.base)
+            del doc, owners
+            assert base() is None, (name, sub)
     finally:
         gc.enable()
+
+
+# --- certified results, per owner and key ------------------------------------
+
+def circle_spec():
+    return specfile.parse_spec((SPECS / "moebius.json").read_text(encoding="utf-8"))
+
+
+def counting_kernels(monkeypatch):
+    """Count every MatrixGroup output computed (not read from a memo)."""
+    computed = []
+    compute = ex.MatrixGroup._compute
+
+    def recorded(group, ctx):
+        computed.append(group)
+        return compute(group, ctx)
+
+    monkeypatch.setattr(ex.MatrixGroup, "_compute", recorded)
+    return computed
+
+
+def test_a_second_witt_class_reads_the_cached_split(monkeypatch):
+    form = circle_spec().forms["hyperbolic1"]
+    first = rings.witt_class(form, PLAN)
+    (key, (_, *parts)), = form.certified.items()
+    assert key == ("definite parts", PLAN) and tuple(parts) == first.parts
+    splits = counting(monkeypatch, rings, "decompose")
+    walks = counting(monkeypatch, bu, "refined_loop")
+    computed = counting_kernels(monkeypatch)
+    second = rings.witt_class(form, PLAN)
+    assert second.parts[0] is first.parts[0] and second.parts[1] is first.parts[1]
+    assert (second.sig_diff, second.rank_parity, second.det_classes) == (
+        first.sig_diff, first.rank_parity, first.det_classes)
+    assert (splits, walks, computed) == ([], [], [])
+    # another plan is another split
+    rings.witt_class(form, SamplePlan(seed=1, n_chart=120, n_overlap=80,
+                                      n_triple=60))
+    assert len(splits) == 1 and len(form.certified) == 2
+
+
+def test_a_second_line_class_reads_the_cached_class(monkeypatch):
+    bundle = moebius()
+    walks = counting(monkeypatch, bu, "refined_loop")
+    assert bu.s1_line_class(bundle) == 1
+    assert bundle.certified == {"line class": 1}
+    computed = counting_kernels(monkeypatch)
+    assert bu.s1_line_class(bundle) == 1
+    assert len(walks) == 1 and computed == []
+
+
+def cylinder_spec():
+    return specfile.parse_spec(
+        (SPECS / "moebius_cylinder.json").read_text(encoding="utf-8"))
+
+
+def test_homotopy_isometry_reads_the_witness_homotopy_iso_certified(monkeypatch):
+    doc = cylinder_spec()
+    bundle, form = doc.bundles["moebius_cyl"], doc.forms["indefinite_cyl"]
+    hw = homotopy.homotopy_isomorphism(bundle, PLAN, 1e-6)
+    assert bundle.certified[("homotopy witness", PLAN, 1e-6)] is hw
+    details = dict(hw.report.details)
+    ladders = counting(monkeypatch, homotopy, "_adaptive_t_ladder")
+    slices = counting(monkeypatch, homotopy, "restrict_cylinder")
+    first = homotopy.homotopy_isometry(form, PLAN, 1e-6)
+    second = homotopy.homotopy_isometry(form, PLAN, 1e-6)
+    assert first.report.passed and second.report.passed
+    assert first.at_zero.bundle is hw.at_zero and second.at_one.bundle is hw.at_one
+    assert (ladders, slices) == ([], [])
+    # the isometry's report carries the ladder; the witness's report is as it was
+    assert first.report.details["ladder_points"] == details["ladder_points"]
+    assert hw.report.details == details
+    assert homotopy.homotopy_isomorphism(bundle, PLAN, 1e-6) is hw
+    # another tolerance is another witness
+    assert homotopy.homotopy_isomorphism(bundle, PLAN, 1e-7) is not hw
+    assert len(ladders) == 1
+
+
+def test_a_witness_along_a_path_is_not_cached(monkeypatch):
+    pulled = []
+    pullback = homotopy.pullback
+
+    def recorded(*args, **kwargs):
+        pulled.append(pullback(*args, **kwargs))
+        return pulled[-1]
+
+    monkeypatch.setattr(homotopy, "pullback", recorded)
+    ident = [Polynomial.coordinate(2, 0), Polynomial.coordinate(2, 1)]
+    hw = induced_iso_from_homotopy(moebius(), ident, ident, [ex.Var(0), ex.Var(1)],
+                                   circle_base(), PLAN)
+    assert hw.report.passed
+    (bundle,) = pulled
+    assert bundle.certified == {}
+
+
+def test_a_construction_that_raises_caches_nothing(monkeypatch):
+    # the line class: a cover that leaves the loop's start uncovered
+    x0 = Polynomial.coordinate(2, 0)
+    cover = semialg.Cover(circle_base(), [SemialgebraicSet(
+        2, [[Condition.from_poly(Polynomial.constant(2, 0.9) - x0, GT)]])])
+    bundle = bu.trivial_bundle(cover, 1)
+    with pytest.raises(CoverageFailure):
+        bu.s1_line_class(bundle)
+    assert bundle.certified == {}
+    # the definite split: a form whose signature has no pivot
+    doc = circle_spec()
+    form = FormField.from_upper(doc.bundles["eps1"], [[0.0], [0.0]], name="zero")
+    with pytest.raises(NearSingular):
+        rings.witt_class(form, PLAN)
+    assert form.certified == {}
+    # the homotopy witness: a check that raises once
+    doc = cylinder_spec()
+    bundle = doc.bundles["moebius_cyl"]
+    with monkeypatch.context() as patched:
+        patched.setattr(homotopy, "check_isomorphism", raising)
+        with pytest.raises(GuardViolation):
+            homotopy.homotopy_isomorphism(bundle, PLAN, 1e-6)
+    assert all(key[0] == "gauss embedding" for key in bundle.certified)
+    hw = homotopy.homotopy_isomorphism(bundle, PLAN, 1e-6)
+    assert bundle.certified[("homotopy witness", PLAN, 1e-6)] is hw
+
+
+def raising(*args):
+    raise GuardViolation("check interrupted")
 
 
 # --- one context per membership call -----------------------------------------

@@ -1,6 +1,7 @@
 """Command dispatch, report rendering, exit codes, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -543,3 +544,41 @@ def test_failed_decompose_names_the_check_witness(tmp_path, capsys):
     check = decompose(form, plan).check(plan, 1e-17)
     assert not check.passed
     assert np.abs(np.array(tilted["witness_point"]) - check.witness).max() < 1e-11
+
+
+@pytest.mark.parametrize("depth, code", [(200, 2), (100, 0)])
+def test_a_deep_nest_is_a_spec_error_naming_its_field(tmp_path, capsys, depth,
+                                                      code):
+    # a form entry nested 200 parentheses deep is one error line and exit 2,
+    # where the recursive parser used to crash with a traceback; 100 parses
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    raw["forms"]["hyperbolic1"]["upper"]["U1"][1] = "(" * depth + "1" + ")" * depth
+    spec = tmp_path / "nested.json"
+    spec.write_text(json.dumps(raw))
+    assert main(["validate", str(spec), "hyperbolic1", "--samples", "50"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: form hyperbolic1: expression nests deeper than "
+                       "128 levels\n")
+    else:
+        assert err == ""
+
+
+def test_an_overflow_prints_no_floating_point_warning(tmp_path, capsys):
+    # 10^400 - 10^400 is NaN: the checks fail there, and numpy's overflow and
+    # invalid-value warnings (power, subtract, det) are not printed
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    nan = [["10^400 - 10^400"]]
+    raw["bundles"]["moebius"]["transitions"] = {"U1,U2": nan, "U2,U1": nan}
+    raw["forms"]["hyperbolic1"]["upper"]["U1"][0] = "10^400 - 10^400"
+    spec = tmp_path / "overflow.json"
+    spec.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(capsys, "report", spec, "--samples", "50",
+                            "--format", "machine")
+    assert code == 2 and capsys.readouterr().err == ""
+    assert [str(w.message) for w in caught] == []
+    tasks = {t["name"]: t for t in json.loads(out)["tasks"]}
+    assert tasks["validate-bundle moebius"]["status"] == "fail"
+    assert tasks["validate-bundle moebius"]["max_residual"] == "nan"
