@@ -51,7 +51,7 @@ from .matexpr import (
 from .semialg import (GT, Base, Condition, Cover, Polynomial, SamplePlan,
                       SemialgebraicSet, component_expr, first_flagged,
                       memberships)
-from .unity import PartitionOfUnity, partition_of_unity
+from .unity import PartitionOfUnity, normalized_partition, partition_of_unity
 
 DEFAULT_IDENTITY_TOL = 1e-9
 DEFAULT_WITNESS_TOL = 1e-6
@@ -66,12 +66,17 @@ class BundleRep:
     `transitions` is complete once built: each pair i != j, in permutations
     order, holds its declared g_ij, else the inverse of a declared g_ji, else
     (`default_identity`) one shared identity.  g_ii is never declared.
+
+    Provenance, where a construction knows it: `summands`, the bundles
+    (b1, b2) of a Whitney sum b1 + b2, whose kept embeddings
+    `gauss_embedding` stacks block-diagonally.
     """
 
     def __init__(self, cover: Cover, rank: int, transitions=None,
                  name: str = "", default_identity: bool = False, *,
                  projector: "ProjectorField | None" = None,
-                 frame_subsets: list | None = None):
+                 frame_subsets: list | None = None,
+                 summands: "tuple[BundleRep, BundleRep] | None" = None):
         self.cover = cover
         self.rank = int(rank)
         self.name = name
@@ -79,6 +84,7 @@ class BundleRep:
         # minor-chart bundles: the projector and each chart's column subset
         self.projector = projector
         self.frame_subsets = frame_subsets
+        self.summands = summands
         # results certified on this bundle, each kept once it is built
         # without raising, by a key naming its construction: the Gauss
         # embedding, the homotopy witness and the line class.  None points
@@ -303,6 +309,16 @@ def common_cover(b1: BundleRep, b2: BundleRep) -> tuple[BundleRep, BundleRep]:
     return lift(b1, 0), lift(b2, 1)
 
 
+def parent_charts(b1: BundleRep, b2: BundleRep, cover: Cover):
+    """Per chart of `cover`, on which a bundle is built from b1 and b2
+    through `common_cover`, its parent charts (i, j) in b1's and b2's
+    covers: (k, k) when the two share a cover, which is then kept as it is,
+    whatever refinement it may itself come from."""
+    if b1.cover is b2.cover:
+        return [(k, k) for k in range(cover.n_charts)]
+    return cover.parents
+
+
 def _paired(a: BundleRep, b: BundleRep, combine) -> dict:
     """combine(g_a, g_b) for each pair both lifted bundles state."""
     return {key: combine(ga, b.transitions[key])
@@ -317,7 +333,7 @@ def whitney_sum(b1: BundleRep, b2: BundleRep) -> BundleRep:
         return b1
     a, b = common_cover(b1, b2)
     return BundleRep(a.cover, a.rank + b.rank, _paired(a, b, em_block_diag),
-                     name=f"({b1.name})+({b2.name})")
+                     name=f"({b1.name})+({b2.name})", summands=(b1, b2))
 
 
 def tensor(b1: BundleRep, b2: BundleRep) -> BundleRep:
@@ -526,13 +542,12 @@ class ProjectorField:
 
 def gauss_embedding(bundle: BundleRep, r: int = 1, *,
                     plan: SamplePlan) -> ProjectorField:
-    """Ambient projector onto the bundle, via the generating-section frames.
+    """Ambient projector onto the bundle, built by its provenance.
 
-    In chart k the ambient frame stacks lambda_i * g_ik blockwise, from
-    the partition of unity directly; the orthogonal projector onto its
-    column span is chart-independent (its guard checks the frame's rank
-    wherever it is evaluated), and the charts' formulas are glued with the
-    partition of unity.
+    A Whitney sum b1 + b2 (`bundle.summands`) stacks its summands' kept
+    embeddings block-diagonally (`_block_sum_embedding`), as the idempotent
+    of P + Q is diag(e_P, e_Q); any other bundle is embedded through its
+    cocycle and a partition of unity (`_cocycle_embedding`).
 
     The projector is certified when it is built and then kept in
     `bundle.certified` under ("gauss embedding", r, plan), so later calls
@@ -543,18 +558,8 @@ def gauss_embedding(bundle: BundleRep, r: int = 1, *,
     field = bundle.certified.get(key)
     if field is not None:
         return field
-    pou = partition_of_unity(bundle.cover, r, plan=plan)
-    d, q = bundle.rank, bundle.cover.n_charts
-    frames, grams, projs = [], [], []
-    for k in range(q):
-        blocks = [_weighted_transition(bundle, pou.weights[i], i, k)
-                  for i in range(q)]
-        frame = tuple(row for block in blocks for row in block)  # (qd x d)
-        frames.append(frame)
-        grams.append(em_mul(em_transpose(frame), frame))
-        projs.append(em_colspan_proj(frame))
-    entries = em_glue(pou.weights, projs)
-    field = ProjectorField(bundle.base, entries, d, frames, grams, pou)
+    build = _block_sum_embedding if bundle.summands else _cocycle_embedding
+    field = build(bundle, r, plan)
     report = field.check(plan)
     if not report.passed:
         raise RankDrop(
@@ -563,6 +568,49 @@ def gauss_embedding(bundle: BundleRep, r: int = 1, *,
         )
     bundle.certified[key] = field
     return field
+
+
+def _cocycle_embedding(bundle: BundleRep, r: int,
+                       plan: SamplePlan) -> ProjectorField:
+    """In chart k the ambient frame (qd x d) stacks lambda_i * g_ik
+    blockwise, from the partition of unity directly; the orthogonal
+    projector onto its column span is chart-independent (its guard checks
+    the frame's rank wherever it is evaluated), and the charts' formulas are
+    glued with the partition of unity."""
+    pou = partition_of_unity(bundle.cover, r, plan=plan)
+    q = bundle.cover.n_charts
+    frames, grams, projs = [], [], []
+    for k in range(q):
+        blocks = [_weighted_transition(bundle, pou.weights[i], i, k)
+                  for i in range(q)]
+        frame = tuple(row for block in blocks for row in block)
+        frames.append(frame)
+        grams.append(em_mul(em_transpose(frame), frame))
+        projs.append(em_colspan_proj(frame))
+    return ProjectorField(bundle.base, em_glue(pou.weights, projs), bundle.rank,
+                          frames, grams, pou)
+
+
+def _block_sum_embedding(bundle: BundleRep, r: int,
+                         plan: SamplePlan) -> ProjectorField:
+    """diag(P1, P2) in eps^(n1 + n2) from the summands' kept embeddings.
+
+    The sum's chart with parent charts (i, j) (`parent_charts`) has frame
+    diag(A1_i, A2_j), Gram diag(G1_i, G2_j) and weight
+    lambda_i mu_j / sum lambda_i mu_j over the kept charts: zero off the
+    chart, since lambda_i is off U_i and mu_j off V_j.  No partition of
+    unity is built on the sum's own cover.
+    """
+    b1, b2 = bundle.summands
+    e1, e2 = (gauss_embedding(b, r, plan=plan) for b in (b1, b2))
+    parents = parent_charts(b1, b2, bundle.cover)
+    pou = normalized_partition(
+        [ex.Mul(e1.pou.weights[i], e2.pou.weights[j]) for i, j in parents],
+        bundle.base, plan)
+    return ProjectorField(
+        bundle.base, em_block_diag(e1.entries, e2.entries), bundle.rank,
+        [em_block_diag(e1.frames[i], e2.frames[j]) for i, j in parents],
+        [em_block_diag(e1.grams[i], e2.grams[j]) for i, j in parents], pou)
 
 
 def _minor_cover(subsets, n_points: int, clears):
@@ -656,7 +704,8 @@ def splitting_witness(bundle: BundleRep, comp: BundleRep,
     cover = total.cover
     triv = trivial_bundle(cover, proj.ambient)
     comp_frames = projector_frames(comp)
-    fields = [em_hstack(proj.frames[i], comp_frames[j]) for i, j in cover.parents]
+    fields = [em_hstack(proj.frames[i], comp_frames[j])
+              for i, j in parent_charts(bundle, comp, cover)]
     witness = MorphismField(total, triv, fields)
     return total, triv, witness
 
@@ -794,8 +843,8 @@ def refined_loop(cover: Cover) -> tuple[np.ndarray, np.ndarray]:
                     | ~member[bad].any(axis=1) | ~member[bad + 1].any(axis=1)]
         if stuck.size:
             raise CoverageFailure(
-                f"no chart chain near loop angle {angles[stuck[0]]:.6f}"
-            )
+                f"no chart chain near loop angle {angles[stuck[0]]:.6f}",
+                point=_loop_points(base, angles[stuck[:1]])[0])
         mids = 0.5 * (angles[bad] + angles[bad + 1])
         if not np.isin(mids, batch).all():
             batch, batch_member = _loop_batch(cover, angles[bad], angles[bad + 1])

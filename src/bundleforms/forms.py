@@ -27,6 +27,7 @@ from .bundles import (
     check_isomorphism,
     dual,
     gauss_embedding,
+    parent_charts,
     projector_frames,
     sampled_regions,
     tensor as tensor_bundle,
@@ -579,7 +580,7 @@ def blend_positive_subbundle(frame_field, r_plus: int, nu_plus, mu: ex.Expr,
 
 
 def _lifted_mats(f1: FormField, f2: FormField, bundle_out: BundleRep):
-    parents = bundle_out.cover.parents
+    parents = parent_charts(f1.bundle, f2.bundle, bundle_out.cover)
     if parents is None:
         return f1.mats, f2.mats
     m1 = [f1.mats[i] for i, _ in parents]

@@ -31,6 +31,7 @@ from .bundles import (
     check_isomorphism,
     common_cover,
     gauss_embedding,
+    parent_charts,
     pullback,
     trivial_bundle,
 )
@@ -193,9 +194,9 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan,
     b0, kept0 = restrict_cylinder(bundle, 0.0, plan)
     b1, kept1 = restrict_cylinder(bundle, 1.0, plan)
     a, b = common_cover(b0, b1)
-    parent_charts = [(kept0[i0], kept1[i1]) for i0, i1 in a.cover.parents]
+    charts = [(kept0[i0], kept1[i1]) for i0, i1 in parent_charts(b0, b1, a.cover)]
     fields = []
-    for c0, c1 in parent_charts:
+    for c0, c1 in charts:
         f0 = frame_at(c0, 0.0)
         f1 = frame_at(c1, 1.0)
         gram = em_mul(em_transpose(f1), f1)
@@ -204,7 +205,7 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan,
     witness = MorphismField(a, b, fields)
     report = check_isomorphism(a, b, witness, plan, tol)
     report.details.update(ladder)
-    hw = HomotopyWitness(a, b, witness, report, parent_charts)
+    hw = HomotopyWitness(a, b, witness, report, charts)
     if path is None:
         bundle.certified[key] = hw
     return hw

@@ -115,7 +115,8 @@ def parse_spec(text: str) -> SpecDocument:
         try:
             return parse_expression(str(text_expr), dim, t_index)
         except SpecParseError as err:
-            raise SpecParseError(f"{where}: {err}", column=err.column) from err
+            at = "" if err.column is None else f", text column {err.column}"
+            raise SpecParseError(f"{where}{at}: {err}", column=err.column) from err
 
     def table(key):
         return _typed(raw.get(key) or {}, dict, key, "the declarations").items()
@@ -270,7 +271,9 @@ def _parse_matrix(rows, rank_rows, rank_cols, compile_expr, where):
     if not (isinstance(rows, list) and len(rows) == rank_rows
             and all(isinstance(r, list) and len(r) == rank_cols for r in rows)):
         raise DimensionMismatch(f"{where}: expected a {rank_rows}x{rank_cols} matrix")
-    return tuple(tuple(compile_expr(e, where) for e in row) for row in rows)
+    return tuple(tuple(compile_expr(e, f"{where} row {a} column {b}")
+                       for b, e in enumerate(row))
+                 for a, row in enumerate(rows))
 
 
 def _parse_bundle(name, decl, doc, compile_expr, covers) -> tuple[BundleRep, list]:
@@ -326,7 +329,8 @@ def _parse_form(name, decl, doc, compile_expr) -> FormField:
         if len(entries) != n_upper:
             raise DimensionMismatch(
                 f"{where}: chart {chart_name!r} needs {n_upper} upper entries")
-        uppers.append([compile_expr(e, where) for e in entries])
+        uppers.append([compile_expr(e, f"{where} chart {chart_name} entry {k}")
+                       for k, e in enumerate(entries)])
     form = FormField.from_upper(bundle, uppers, name=name)
     return form
 
@@ -344,7 +348,8 @@ def _parse_section(name, decl, doc, compile_expr) -> SectionRep:
         if len(entries) != bundle.rank:
             raise DimensionMismatch(f"{where}: values must have length "
                                     f"{bundle.rank}")
-        values.append(tuple((compile_expr(e, where),) for e in entries))
+        values.append(tuple((compile_expr(e, f"{where} chart {chart_name} entry {k}"),)
+                            for k, e in enumerate(entries)))
     return SectionRep(bundle, values)
 
 
@@ -367,7 +372,8 @@ def _parse_witness(name, decl, doc, compile_expr) -> MorphismField:
             raise UnresolvedReference(f"{where}: missing field for chart "
                                       f"{chart_name!r}")
         fields.append(_parse_matrix(field_decl[chart_name], target.rank,
-                                    source.rank, compile_expr, where))
+                                    source.rank, compile_expr,
+                                    f"{where} chart {chart_name}"))
     return MorphismField(source, target, fields)
 
 

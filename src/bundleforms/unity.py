@@ -176,18 +176,26 @@ def partition_of_unity(cover: Cover, r: int = 1, *,
     cover covers, certified at base samples.
     """
     shrunk = shrink_cover(cover, r, plan=plan)
-    squares = [ex.Mul(f, f) for f in shrunk.support_gates]
-    total = squares[0]
-    for s in squares[1:]:
-        total = ex.Add(total, s)
-    memo = cover.base.sample_memo(plan)
+    return normalized_partition([ex.Mul(f, f) for f in shrunk.support_gates],
+                                cover.base, plan)
+
+
+def normalized_partition(parts: list[ex.Expr], base: Base,
+                         plan: SamplePlan) -> PartitionOfUnity:
+    """Weights w_k / sum_j w_j of nonnegative functions w_k, each zero
+    exactly where its w_k is.  The denominator is certified positive at
+    the base samples: CoverageFailure names the first where it is not."""
+    total = parts[0]
+    for part in parts[1:]:
+        total = ex.Add(total, part)
+    memo = base.sample_memo(plan)
     if len(memo):
         bad = first_flagged(memo.points, ex.evaluate(total, memo) <= 1e-12)
         if bad is not None:
             raise CoverageFailure(
-                f"partition denominator vanishes at sampled base point {bad}")
-    weights = [ex.Div(s, total) for s in squares]
-    return PartitionOfUnity(weights)
+                f"partition denominator vanishes at sampled base point {bad}",
+                point=bad)
+    return PartitionOfUnity([ex.Div(part, total) for part in parts])
 
 
 def vertical_retraction(u_set: SemialgebraicSet, v_set: SemialgebraicSet, r: int,

@@ -353,6 +353,90 @@ def test_gauss_embedding_moebius_idempotent_trace_one():
     assert np.abs(np.trace(p, axis1=1, axis2=2) - 1.0).max() < 1e-6
 
 
+# --- the block-sum embedding of a Whitney sum ---------------------------------
+
+def _moebius_plus_trivial(shared: bool):
+    """moebius + eps^1, and the sum's parent chart pairs: eps^1 on moebius's
+    own cover (the sum keeps it, parents (k, k)) or on a second two-arc cover
+    of its base (the sum lives on their four-chart refinement)."""
+    m = moebius()
+    t = circle_trivial(1, m.cover if shared else circle_two_arc_cover(m.base))
+    total = whitney_sum(m, t)
+    parents = [(0, 0), (1, 1)] if shared else total.cover.parents
+    return m, t, total, parents
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_a_sum_embeds_as_the_block_diagonal_of_its_summands_kept_embeddings(shared):
+    m, t, total, parents = _moebius_plus_trivial(shared)
+    assert total.summands == (m, t) and total.cover.n_charts == len(parents)
+    proj = gauss_embedding(total, plan=PLAN)
+    e1, e2 = (b.certified[("gauss embedding", 1, PLAN)] for b in (m, t))
+    assert proj.ambient == e1.ambient + e2.ambient == 4 and proj.rank == 2
+    pts = total.base.sample_points(PLAN)
+
+    def block_diag(a, b):
+        out = np.zeros((len(pts), a.shape[1] + b.shape[1], a.shape[2] + b.shape[2]))
+        out[:, :a.shape[1], :a.shape[2]] = a
+        out[:, a.shape[1]:, a.shape[2]:] = b
+        return out
+
+    assert proj.eval(pts).tobytes() == block_diag(e1.eval(pts), e2.eval(pts)).tobytes()
+    # each chart's frame and Gram are its parent charts' blocks
+    for k, (i, j) in enumerate(parents):
+        for got, a, b in ((proj.frames[k], e1.frames[i], e2.frames[j]),
+                          (proj.grams[k], e1.grams[i], e2.grams[j])):
+            want = block_diag(em_eval(a, pts), em_eval(b, pts))
+            assert em_eval(got, pts).tobytes() == want.tobytes()
+    assert s1_line_class(total) == 1
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_block_sum_weights_sum_to_one_and_vanish_off_their_chart(shared):
+    _, _, total, _ = _moebius_plus_trivial(shared)
+    proj = gauss_embedding(total, plan=PLAN)
+    pts = total.base.sample_points(PLAN)
+    weights = np.stack([ex.evaluate(w, pts) for w in proj.pou.weights], axis=1)
+    assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
+    inside = memberships(total.cover.charts, pts, 0.0)
+    assert (weights[~inside] == 0.0).all() and (weights >= 0.0).all()
+
+
+@pytest.mark.parametrize("dropped, raises", [(0, True), (1, False), (2, False),
+                                             (3, True)])
+def test_a_refinement_that_drops_a_chart_certifies_or_names_a_point(monkeypatch,
+                                                                    dropped, raises):
+    # the refinement's probe keeps only intersections it samples; drop a
+    # nonempty chart by hand.  The overlaps (0, 1) and (1, 0) are also held
+    # by (0, 0) and (1, 1), so the sum still certifies; (0, 0) and (1, 1)
+    # alone hold the arcs x1 < -1/2 and x1 > 1/2, where the kept weights'
+    # denominator vanishes: an error at a sampled point of the dropped chart
+    refined_with = Cover.refined_with
+
+    def dropping(self, other):
+        cover, parents = refined_with(self, other)
+        keep = [k for k in range(cover.n_charts) if k != dropped]
+        parents = [parents[k] for k in keep]
+        return Cover(self.base, [cover.charts[k] for k in keep],
+                     name=cover.name, parents=parents), parents
+
+    monkeypatch.setattr(Cover, "refined_with", dropping)
+    m, t, total, _ = _moebius_plus_trivial(shared=False)
+    lost = refined_with(m.cover, t.cover)[0].charts[dropped]
+    assert total.cover.n_charts == 3
+    if raises:
+        with pytest.raises(CoverageFailure,
+                           match="partition denominator vanishes") as err:
+            gauss_embedding(total, plan=PLAN)
+        assert memberships([lost], np.array([err.value.point]), 0.0).all()
+        assert total.certified == {}
+    else:
+        proj = gauss_embedding(total, plan=PLAN)
+        pts = total.base.sample_points(PLAN)
+        total_weight = sum(ex.evaluate(w, pts) for w in proj.pou.weights)
+        assert np.abs(total_weight - 1.0).max() < 1e-12
+
+
 def test_bundle_from_constant_projector():
     base = line_base()
     proj = ProjectorField(base, em_const(np.diag([1.0, 0.0])), 1)
@@ -501,6 +585,7 @@ def test_s1_line_class_no_chart_chain():
     with pytest.raises(CoverageFailure) as err:
         s1_line_class(trivial_bundle(cover, 1))
     assert str(err.value) == "no chart chain near loop angle 0.100167"
+    _assert_names_its_angle(err.value)
 
 
 def test_s1_line_class_uncovered_loop_angle_raises_before_halving(monkeypatch):
@@ -530,6 +615,13 @@ def test_s1_line_class_gap_below_the_step_floor_is_no_chart_chain():
     with pytest.raises(CoverageFailure) as err:
         s1_line_class(trivial_bundle(cover, 1))
     assert str(err.value) == "no chart chain near loop angle 0.100167"
+    _assert_names_its_angle(err.value)
+
+
+def _assert_names_its_angle(err):
+    """The error's point is the loop point at the angle its message names."""
+    angle = float(str(err).rsplit(" ", 1)[1])
+    assert err.point == pytest.approx((np.cos(angle), np.sin(angle)), abs=1e-6)
 
 
 def _plain_loop(cover):

@@ -23,7 +23,7 @@ import pytest
 from bundleforms import bundles as bu
 from bundleforms import cli, homotopy, rings, specfile
 from bundleforms import expr as ex
-from bundleforms import semialg
+from bundleforms import semialg, unity
 from bundleforms.bundles import (CheckReport, ProjectorField, bundle_from_projector,
                                  gauss_embedding)
 from bundleforms.catalog import circle_base, circle_two_arc_cover, moebius
@@ -85,6 +85,26 @@ def test_failed_certification_is_not_cached(monkeypatch):
     proj = gauss_embedding(m, plan=PLAN)      # certified this time, and kept
     assert m.certified == {("gauss embedding", 1, PLAN): proj}
     assert len(pou_calls) == 2
+
+
+def test_a_sum_embeds_from_its_summands_kept_embeddings(monkeypatch):
+    # the summands' embeddings are built once and kept; the sum reads them,
+    # shrinks no cover and samples nothing but the base's own samples (its
+    # weights' denominator and the projector certificate)
+    m = moebius()
+    t = bu.trivial_bundle(circle_two_arc_cover(m.base), 1)
+    kept = [gauss_embedding(b, plan=PLAN) for b in (m, t)]
+    total = bu.whitney_sum(m, t)
+    assert total.cover.n_charts == 4
+    pou_calls = counting(monkeypatch, bu, "partition_of_unity")
+    shrinks = counting(monkeypatch, unity, "shrink_cover")
+    batches = counting(monkeypatch, semialg.Base, "region_memos")
+    proj = gauss_embedding(total, plan=PLAN)
+    assert pou_calls == [] and shrinks == []
+    assert batches and all(region is m.base.sset
+                           for _, regions, _, _ in batches for region in regions)
+    assert [b.certified[("gauss embedding", 1, PLAN)] for b in (m, t)] == kept
+    assert total.certified == {("gauss embedding", 1, PLAN): proj}
 
 
 # --- candidate clouds, per base ----------------------------------------------

@@ -550,7 +550,8 @@ def test_failed_decompose_names_the_check_witness(tmp_path, capsys):
 def test_a_deep_nest_is_a_spec_error_naming_its_field(tmp_path, capsys, depth,
                                                       code):
     # a form entry nested 200 parentheses deep is one error line and exit 2,
-    # where the recursive parser used to crash with a traceback; 100 parses
+    # naming the chart, the entry and the text column where the nest passes
+    # the cap; the recursive parser used to crash with a traceback; 100 parses
     raw = json.loads((SPECS / "moebius.json").read_text())
     raw["forms"]["hyperbolic1"]["upper"]["U1"][1] = "(" * depth + "1" + ")" * depth
     spec = tmp_path / "nested.json"
@@ -558,8 +559,8 @@ def test_a_deep_nest_is_a_spec_error_naming_its_field(tmp_path, capsys, depth,
     assert main(["validate", str(spec), "hyperbolic1", "--samples", "50"]) == code
     err = capsys.readouterr().err
     if code:
-        assert err == ("error: form hyperbolic1: expression nests deeper than "
-                       "128 levels\n")
+        assert err == ("error: form hyperbolic1 chart U1 entry 1, text column "
+                       "130: expression nests deeper than 128 levels\n")
     else:
         assert err == ""
 

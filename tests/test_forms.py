@@ -6,10 +6,12 @@ import pytest
 from bundleforms import expr as ex
 from bundleforms import forms as fo
 from bundleforms.bundles import (
+    BundleRep,
     gauss_embedding,
     sampled_regions,
     trivial_bundle,
     validate_cocycle,
+    whitney_sum,
 )
 from bundleforms.catalog import (
     circle_trivial,
@@ -398,6 +400,22 @@ def test_orthogonal_sum_signature():
     f2 = point_form(np.diag([-1.0]))
     s = orthogonal_sum(f1, f2)
     assert signature(s, PLAN) == SignatureType(1, 1)
+
+
+def test_a_sum_of_forms_on_one_refined_cover_pairs_each_chart_with_itself():
+    # both forms live on a Whitney sum's refined cover, which the sum keeps:
+    # chart k of f + (-f) holds f's chart-k matrix, not its parent's.  A
+    # cocycle with a factor 2 makes the charts' standard forms differ
+    m = moebius()
+    scaled = BundleRep(circle_two_arc_cover(m.base), 1,
+                       {(0, 1): ((ex.Const(2.0),),)}, name="scaled")
+    f = standard_positive_form(whitney_sum(m, scaled), PLAN)
+    total = orthogonal_sum(f, negate_form(f))
+    assert total.bundle.cover is f.bundle.cover
+    assert validate_form(total, PLAN).passed
+    pts = f.bundle.base.sample_points(PLAN)
+    for mat, own in zip(total.mats, f.mats):
+        assert em_eval(mat, pts)[:, :2, :2].tobytes() == em_eval(own, pts).tobytes()
 
 
 def test_tensor_signature_law():

@@ -11,6 +11,7 @@ from bundleforms import rings as ri
 from bundleforms.bundles import s1_line_class, trivial_bundle, whitney_sum
 from bundleforms.catalog import (
     circle_trivial,
+    circle_two_arc_cover,
     full_cover,
     line_base,
     moebius,
@@ -292,6 +293,35 @@ def test_delta_additive_on_invariants():
             r1 = delta(a, PLAN)
             r2 = delta(b, PLAN)
             assert lhs.sig_diff == r1.sig_diff + r2.sig_diff
+
+
+def test_sums_embedded_blockwise_keep_the_ring_invariants():
+    # each Whitney sum here (a hyperbolic space, a K-sum and the form sums
+    # delta builds) is embedded as the block diagonal of its summands' kept
+    # embeddings, on the refinement of two covers of one circle
+    m = moebius()
+    e1 = circle_trivial(1, circle_two_arc_cover(m.base))
+    total, h = hyperbolic_space(m)
+    wh = witt_class(h, PLAN)
+    assert (wh.sig_diff, wh.rank_parity, wh.det_classes) == (0, 0, (1, 1))
+    assert witt_is_zero(wh, PLAN)[0] == "true"
+    assert roundtrip_witt(wh, PLAN)["passed"]
+    k = k0_add(k0_class(m), k0_class(e1))
+    assert (k.rank_diff, k.det_class) == (2, 1)
+    w = delta(k, PLAN)
+    assert (w.sig_diff, w.rank_parity, w.det_classes) == (2, 0, (1, 0))
+    back = nabla(w, PLAN)
+    assert (back.rank_diff, back.det_class) == (2, 1)
+    assert roundtrip_k0(k, PLAN)["passed"]
+    diff = k0_class(m, e1)
+    w_diff = delta(diff, PLAN)
+    assert (w_diff.sig_diff, w_diff.det_classes) == (0, (1, 0))
+    assert roundtrip_k0(diff, PLAN)["passed"] and roundtrip_witt(w_diff, PLAN)["passed"]
+    key = ("gauss embedding", 1, PLAN)
+    for bundle in (total, k.plus, w_diff.form.bundle):
+        assert bundle.summands is not None
+        assert bundle.certified[key].ambient == sum(
+            b.certified[key].ambient for b in bundle.summands)
 
 
 # --- round trips and cancellation --------------------------------------------------

@@ -123,6 +123,16 @@ def test_bad_expression_reports_column():
     assert err.value.column is not None
 
 
+def test_a_bad_matrix_entry_names_its_row_column_and_text_column():
+    raw = json.loads(load("moebius.json"))
+    raw["bundles"]["moebius"]["transitions"]["U1,U2"] = [["x0 + y"]]
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(json.dumps(raw))
+    assert str(err.value) == ("bundle moebius transition U1,U2 row 0 column 0, "
+                              "text column 6: unknown identifier 'y'")
+    assert err.value.column == 6
+
+
 def test_dimension_mismatch_in_transition():
     raw = json.loads(load("moebius.json"))
     raw["bundles"]["moebius"]["transitions"]["U1,U2"] = [["1", "0"]]

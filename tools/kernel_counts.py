@@ -56,6 +56,11 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
   child's structure, so equal structures are found whether or not the
   table merged their objects; the count is 0 unless some node was built
   past the table;
+- Gauss embeddings built, by construction: through the cocycle and a
+  partition of unity (`bundles._cocycle_embedding`), or as the block
+  diagonal of a Whitney sum's summands' kept embeddings
+  (`bundles._block_sum_embedding`); an embedding kept on its bundle and
+  read again is not built;
 - live intern table entries after the operation, its result still held.
 
 The per-layer trace of the benchmark counts a memo hit as a kernel call,
@@ -78,6 +83,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
+from bundleforms import bundles  # noqa: E402
 from bundleforms import expr as ex  # noqa: E402
 from bundleforms import semialg  # noqa: E402
 from bundleforms.semialg import Base  # noqa: E402
@@ -249,6 +255,12 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
         finally:
             del held[id(cloud)]
 
+    def counted_build(build, kind):
+        def counted_embedding(bundle, r, plan):
+            tally(f"embedding {kind}", 1)
+            return build(bundle, r, plan)
+        return counted_embedding
+
     def counted_eigh(s, g):
         n = s.shape[1]
         tally(f"_whitened_eigh {n}x{n}", s.shape[0])
@@ -287,7 +299,11 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
                (Base, "region_memos", counted_regions),
                (Base, "grid_memo", counted_grid),
                (ex.EvalContext, "__init__", counted_init),
-               (ex.EvalContext, "sub", counted_sub)]
+               (ex.EvalContext, "sub", counted_sub),
+               (bundles, "_cocycle_embedding",
+                counted_build(bundles._cocycle_embedding, "partition of unity")),
+               (bundles, "_block_sum_embedding",
+                counted_build(bundles._block_sum_embedding, "block sum"))]
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patches]
     for owner, attr, new in patches:
         setattr(owner, attr, new)
@@ -304,6 +320,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
 # the first item of a `Base.grid_memo` name -> the array's kind
 GRID_KINDS = {"loop grid": "loop grid", "loop batch": "loop batches",
               "loop point": "loop switches"}
+EMBEDDING_KINDS = ["partition of unity", "block sum"]
 ARRAY_KINDS = ["cover regions", "base samples", "unity probes", "other probes",
                *GRID_KINDS.values()]
 
@@ -337,6 +354,8 @@ def main() -> int:
             print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
         print(f"  {'node total':24s} {sum(calls[k] for k in nodes):7d} calls "
               f"{sum(rows[k] for k in nodes):10d} rows")
+        print("  gauss embeddings built: " + ", ".join(
+            f"{calls['embedding ' + kind]} by {kind}" for kind in EMBEDDING_KINDS))
         print(f"  {'live intern entries':24s} {calls['live intern table entries']:7d}")
         sys.stdout.flush()
     return 0
