@@ -57,6 +57,7 @@ DEFAULT_IDENTITY_TOL = 1e-9
 DEFAULT_WITNESS_TOL = 1e-6
 MINOR_THRESHOLD = 1e-6
 GENERATING_TOL = 1e-9        # least normalized singular value of section values
+PROJECTOR_TOL = 1e-8         # symmetry, idempotence and trace of a projector
 LOOP_STEPS = 720             # initial equal steps of the circle walk
 
 
@@ -374,7 +375,8 @@ def pullback(b: BundleRep, components, new_base: Base,
         images = np.stack([ex.evaluate(e, pts) for e in comp_exprs], axis=1)
         out = first_flagged(pts, ~b.base.sset.membership(images, eq_tol=1e-7))
         if out is not None:
-            raise ImageEscapesBase(f"map image leaves the target base at {out}")
+            raise ImageEscapesBase(f"map image leaves the target base at {out}",
+                                   point=out)
     mapping = dict(enumerate(comp_exprs))
     compose = (lambda p: p.compose(list(components))) if all_poly else None
     charts = [chart.mapped(new_base.dim, compose,
@@ -397,16 +399,16 @@ class SectionRep:
     bundle: BundleRep
     values: list  # one (d x 1) ExprMatrix per chart
 
-    def check(self, plan: SamplePlan,
-              tol: float = DEFAULT_IDENTITY_TOL) -> CheckReport:
+    def check(self, plan: SamplePlan) -> CheckReport:
         stat = _ResidualStat()
         for (i, j), pts, ev in sampled_regions(self.bundle.cover, plan, 2):
             vi, vj = ev(self.values[i]), ev(self.values[j])
             gij = ev(self.bundle.transition(i, j))
             res = np.abs(vi - gij @ vj).max(axis=(1, 2))
             stat.add_residuals(res, pts)
-        return CheckReport("section-compat", stat.max < tol, stat.max,
-                           witness=stat.witness, mean_residual=stat.mean)
+        return CheckReport("section-compat", stat.max < DEFAULT_IDENTITY_TOL,
+                           stat.max, witness=stat.witness,
+                           mean_residual=stat.mean)
 
 
 @dataclass
@@ -464,13 +466,12 @@ def _weighted_transition(bundle: BundleRep, weight, a: int, b: int):
     return em_zero_gate(weight, g)
 
 
-def generating_sections(bundle: BundleRep, r: int = 1, *,
-                        plan: SamplePlan) -> GeneratingSystem:
+def generating_sections(bundle: BundleRep, *, plan: SamplePlan) -> GeneratingSystem:
     """Sections lambda_i e_j (transported to every chart) generating each fiber.
 
     On chart k, the sections of lambda_i are the columns of lambda_i g_ki.
     """
-    pou = partition_of_unity(bundle.cover, r, plan=plan)
+    pou = partition_of_unity(bundle.cover, plan=plan)
     d, q = bundle.rank, bundle.cover.n_charts
     sections = []
     for i in range(q):
@@ -502,7 +503,7 @@ def _check_generating(sections, plan: SamplePlan):
         bad = first_flagged(pts, ~(sv > GENERATING_TOL))
         if bad is not None:
             raise RankDrop(
-                f"section values drop below rank {bundle.rank} at {bad}")
+                f"section values drop below rank {bundle.rank} at {bad}", point=bad)
 
 
 @dataclass(frozen=True)
@@ -526,7 +527,7 @@ class ProjectorField:
     def eval(self, pts: np.ndarray) -> np.ndarray:
         return em_eval(self.entries, pts)
 
-    def check(self, plan: SamplePlan, tol: float = 1e-8) -> CheckReport:
+    def check(self, plan: SamplePlan) -> CheckReport:
         memo = self.base.sample_memo(plan)
         p = em_eval(self.entries, memo)
         sym = np.abs(p - np.swapaxes(p, 1, 2)).max(axis=(1, 2))
@@ -534,14 +535,14 @@ class ProjectorField:
         trace_err = np.abs(np.trace(p, axis1=1, axis2=2) - self.rank)
         res = np.maximum(np.maximum(sym, idem), trace_err)
         max_res = float(res.max())
-        witness = first_flagged(memo.points, res == max_res) if max_res >= tol else None
-        return CheckReport("projector", max_res < tol, max_res, witness=witness,
+        passed = max_res < PROJECTOR_TOL
+        witness = None if passed else first_flagged(memo.points, res == max_res)
+        return CheckReport("projector", passed, max_res, witness=witness,
                            details={"trace_error": trace_err.max()},
                            mean_residual=float(res.mean()))
 
 
-def gauss_embedding(bundle: BundleRep, r: int = 1, *,
-                    plan: SamplePlan) -> ProjectorField:
+def gauss_embedding(bundle: BundleRep, *, plan: SamplePlan) -> ProjectorField:
     """Ambient projector onto the bundle, built by its provenance.
 
     A Whitney sum b1 + b2 (`bundle.summands`) stacks its summands' kept
@@ -550,34 +551,33 @@ def gauss_embedding(bundle: BundleRep, r: int = 1, *,
     cocycle and a partition of unity (`_cocycle_embedding`).
 
     The projector is certified when it is built and then kept in
-    `bundle.certified` under ("gauss embedding", r, plan), so later calls
+    `bundle.certified` under ("gauss embedding", plan), so later calls
     return that same object; a projector that fails certification raises
     and is not kept.
     """
-    key = ("gauss embedding", r, plan)
+    key = ("gauss embedding", plan)
     field = bundle.certified.get(key)
     if field is not None:
         return field
     build = _block_sum_embedding if bundle.summands else _cocycle_embedding
-    field = build(bundle, r, plan)
+    field = build(bundle, plan)
     report = field.check(plan)
     if not report.passed:
         raise RankDrop(
             f"embedding projector failed certification: residual "
-            f"{report.max_residual:.3e} at {report.witness}"
-        )
+            f"{report.max_residual:.3e} at {report.witness}",
+            point=report.witness)
     bundle.certified[key] = field
     return field
 
 
-def _cocycle_embedding(bundle: BundleRep, r: int,
-                       plan: SamplePlan) -> ProjectorField:
+def _cocycle_embedding(bundle: BundleRep, plan: SamplePlan) -> ProjectorField:
     """In chart k the ambient frame (qd x d) stacks lambda_i * g_ik
     blockwise, from the partition of unity directly; the orthogonal
     projector onto its column span is chart-independent (its guard checks
     the frame's rank wherever it is evaluated), and the charts' formulas are
     glued with the partition of unity."""
-    pou = partition_of_unity(bundle.cover, r, plan=plan)
+    pou = partition_of_unity(bundle.cover, plan=plan)
     q = bundle.cover.n_charts
     frames, grams, projs = [], [], []
     for k in range(q):
@@ -591,8 +591,7 @@ def _cocycle_embedding(bundle: BundleRep, r: int,
                           frames, grams, pou)
 
 
-def _block_sum_embedding(bundle: BundleRep, r: int,
-                         plan: SamplePlan) -> ProjectorField:
+def _block_sum_embedding(bundle: BundleRep, plan: SamplePlan) -> ProjectorField:
     """diag(P1, P2) in eps^(n1 + n2) from the summands' kept embeddings.
 
     The sum's chart with parent charts (i, j) (`parent_charts`) has frame
@@ -602,7 +601,7 @@ def _block_sum_embedding(bundle: BundleRep, r: int,
     unity is built on the sum's own cover.
     """
     b1, b2 = bundle.summands
-    e1, e2 = (gauss_embedding(b, r, plan=plan) for b in (b1, b2))
+    e1, e2 = (gauss_embedding(b, plan=plan) for b in (b1, b2))
     parents = parent_charts(b1, b2, bundle.cover)
     pou = normalized_partition(
         [ex.Mul(e1.pou.weights[i], e2.pou.weights[j]) for i, j in parents],
@@ -732,7 +731,7 @@ def coefficients(section: SectionRep, system: GeneratingSystem,
         bad = first_flagged(pts, missed)
         if bad is not None:
             raise GeneratorsDegenerate(
-                f"no generator minor clears {MINOR_THRESHOLD:.1e} at {bad}")
+                f"no generator minor clears {MINOR_THRESHOLD:.1e} at {bad}", point=bad)
         for subset in used:
             cols = [system.sections[idx].values[k] for idx in subset]
             vmat = tuple(tuple(col[a][0] for col in cols) for a in range(d))

@@ -10,8 +10,8 @@ pencil square root), and entries of path products that chain a projector
 field along a homotopy.
 
 Each elementwise node kind declares once its numpy function `fn`, repr
-`template`, `kinked` flag and constructor `params` beyond its children;
-evaluating, printing, rebuilding and parsing read those declarations.
+`template` and constructor `params` beyond its children; evaluating,
+printing, rebuilding and parsing read those declarations.
 
 Nodes, matrix groups and path products are hash-consed: construction
 returns the live object of equal structure if there is one (`_Interned`),
@@ -22,17 +22,10 @@ batch.  Evaluating outside a declared guard raises :class:`GuardViolation`
 with a witness point.  Arithmetic that overflows is not guarded: it gives
 inf or NaN (``10^400 - 10^400`` is NaN), and every residual and
 determinant check fails at the first point where such a value reaches it.
-
-Each node carries a smoothness lower bound: how many continuous
-derivatives the function is guaranteed to have on its guarded domain.  The
-bound of a composite is the minimum over its children; kinked nodes (abs,
-max, min, clamp, sqrt) bound it by zero, except that an integer power of a
-clamp or abs raises the kink bound to ``exponent - 1``.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 import weakref
 from types import MappingProxyType
@@ -40,8 +33,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatch, GuardViolation
-
-SMOOTH = math.inf
 
 _DEFAULT_GUARD_TOL = 1e-12
 
@@ -189,17 +180,7 @@ class Expr(metaclass=_Interned):
         return type(self)(*children,
                           **{name: getattr(self, name) for name in self.params})
 
-    def smoothness(self) -> float:
-        memo: dict[int, float] = {}
-        return _smoothness(self, memo)
-
     params = ()         # constructor keywords beyond the children
-    kinked = False      # kinked nodes bound the smoothness by zero
-    power_lifts_kink = False    # |u|^(r+1), clamp(u)^(r+1) are C^r in u
-
-    def _own_smoothness(self, child_bounds: list[float],
-                        memo: dict[int, float]) -> float:
-        return 0.0 if self.kinked else min(child_bounds, default=SMOOTH)
 
     def __neg__(self):
         return Sub(Const(0.0), self)
@@ -219,16 +200,6 @@ def _guard(bad: np.ndarray, ctx: EvalContext, describe) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         raise GuardViolation(describe(i), point=ctx.points[i])
-
-
-def _smoothness(node: Expr, memo: dict[int, float]) -> float:
-    key = id(node)
-    hit = memo.get(key)
-    if hit is None:
-        bounds = [_smoothness(c, memo) for c in node.children()]
-        hit = node._own_smoothness(bounds, memo)
-        memo[key] = hit
-    return hit
 
 
 class Const(Expr):
@@ -361,14 +332,6 @@ class Pow(Expr):
     def _eval(self, ctx):
         return self.base.eval(ctx) ** self.exponent
 
-    def _own_smoothness(self, child_bounds, memo):
-        # clamp(u)^(r+1) is C^r wherever u is smooth; same for |u|^(r+1).
-        # The base's argument was visited through the base, so this is a
-        # memo hit.
-        if self.base.power_lifts_kink:
-            return min(self.exponent - 1, _smoothness(self.base.arg, memo))
-        return min(child_bounds, default=SMOOTH)
-
     def __repr__(self):
         return f"({self.base!r})^{self.exponent}"
 
@@ -378,7 +341,6 @@ class Sqrt(_Unary):
     Values in [-guard_tol, 0) are treated as exact zeros."""
 
     __slots__ = ("guard_tol",)
-    kinked = True
     template = "sqrt({!r})"
     params = ("guard_tol",)
 
@@ -395,19 +357,16 @@ class Sqrt(_Unary):
 
 class Abs(_Unary):
     __slots__ = ()
-    kinked = power_lifts_kink = True
     fn, template = np.abs, "abs({!r})"
 
 
 class Max(_Binary):
     __slots__ = ()
-    kinked = True
     fn, template = np.maximum, "max({!r}, {!r})"
 
 
 class Min(_Binary):
     __slots__ = ()
-    kinked = True
     fn, template = np.minimum, "min({!r}, {!r})"
 
 
@@ -415,7 +374,6 @@ class Clamp(_Unary):
     """clamp-to-zero: max(arg, 0)."""
 
     __slots__ = ()
-    kinked = power_lifts_kink = True
     fn, template = staticmethod(lambda v: np.maximum(v, 0.0)), "clamp({!r})"
 
 
@@ -425,10 +383,7 @@ class ZeroGate(Expr):
     The payload is only evaluated where the gate is positive, so payload
     guards need to hold only there.  Used to extend chart-local data by
     zero past the support of a partition-of-unity weight, mirroring the
-    piecewise extension in the section and coefficient constructions.  The
-    smoothness bound min(gate, payload) relies on the construction
-    discipline that the gate's support closure sits inside the payload's
-    domain.
+    piecewise extension in the section and coefficient constructions.
     """
 
     __slots__ = ("gate", "payload")

@@ -567,7 +567,7 @@ def blend_positive_subbundle(frame_field, r_plus: int, nu_plus, mu: ex.Expr,
         bad = first_flagged(overlap_pts, norms >= 1.0)
         if bad is not None:
             raise OmegaViolation(
-                f"graph operator norm {norms.max():.3f} >= 1 at {bad}")
+                f"graph operator norm {norms.max():.3f} >= 1 at {bad}", point=bad)
     # ZeroGate(mu, theta) = mu * theta where mu > 0 and exactly 0 elsewhere,
     # so the graph matrix is valid on all of U even where nu_plus is not
     graph = em_vstack(em_identity(r_plus), em_zero_gate(mu, theta))

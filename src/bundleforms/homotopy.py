@@ -368,7 +368,7 @@ def trivialize_contractible(bundle: BundleRep, plan: SamplePlan,
                                        scaling_homotopy_map(base), base, plan,
                                        tol)
     except ImageEscapesBase as err:
-        raise ContractionEscapesBase(str(err)) from err
+        raise ContractionEscapesBase(str(err), point=err.point) from err
     # t = 0 restriction is the constant cocycle g(center); its values at the
     # first sampled point of each overlap with chart 0 (else the center)
     # transport every refined chart to chart 0's frame

@@ -12,11 +12,12 @@ composites preserve the cached invariants, and the hyperbolic cancellation
 (P, b) + (P, -b) = H(P) carries the explicit witness
 (x, y) -> (x + y, (1/2) b(x - y)).
 
-The classes carry no smoothness degree.  A bundle or form is one
-expression field whatever C^r class it is meant in, the invariants (rank
-difference, signature difference, rank parity, circle determinant
-classes) are read off sampled values alone, and nothing in this module
-reads `Expr.smoothness()`.  So the comparison between the C^r and C^0
+The classes carry no C^r degree, and no expression records one.
+A bundle or form is one expression field whatever C^r class it is meant
+in; the partitions of unity behind its embeddings are built with clamp
+power 2 (`unity.CLAMP_POWER`), and the invariants (rank difference,
+signature difference, rank parity, circle determinant classes) are read
+off sampled values alone.  So the comparison between the C^r and C^0
 groups is neither computed nor checked here.
 """
 

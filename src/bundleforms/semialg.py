@@ -685,8 +685,8 @@ class Cover:
         report = self.coverage(plan)
         if not report.ok:
             raise CoverageFailure(
-                f"cover {self.name or '?'} misses sampled base point {report.witness}"
-            )
+                f"cover {self.name or '?'} misses sampled base point {report.witness}",
+                point=report.witness)
 
     def samples(self, indices, plan: SamplePlan) -> np.ndarray:
         """Base points in the intersection of one, two or three charts.

@@ -1,9 +1,10 @@
 """Gluing toolbox: zero functions, separation, shrinking, partitions of unity.
 
-These are the executable forms of the standard covering constructions.  Every
-construction returns an expression with a smoothness lower bound of at
-least the requested r, and every claimed identity is certified at sampled
-points rather than symbolically.
+These are the executable forms of the standard covering constructions.
+Zero functions raise clamped violations to the power r + 1.  Every
+partition of unity is built with clamp power `CLAMP_POWER` = 2, that is
+r = 1, and no C^r degree is recorded on the expressions.  Every claimed
+identity is certified at sampled points rather than symbolically.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .semialg import (
     SemialgebraicSet,
     first_flagged,
 )
+
+CLAMP_POWER = 2     # power of the clamped violations in every partition of unity
 
 
 def zero_function(closed: SemialgebraicSet, r: int) -> ex.Expr:
@@ -92,7 +95,7 @@ def _certify_disjoint(x_set: SemialgebraicSet, y_set: SemialgebraicSet,
     for memo, other in zip(memos, (y_set, x_set)):
         both = first_flagged(memo.points, other.membership(memo, eq_tol=1e-9))
         if both is not None:
-            raise NotDisjoint(f"sampled point {both} lies in both sets")
+            raise NotDisjoint(f"sampled point {both} lies in both sets", point=both)
 
 
 @dataclass
@@ -101,7 +104,7 @@ class ShrunkCover:
     support_gates: list[ex.Expr]    # f_i, vanishing exactly off V_i
 
 
-def shrink_cover(cover: Cover, r: int = 1, *, plan: SamplePlan) -> ShrunkCover:
+def shrink_cover(cover: Cover, *, plan: SamplePlan) -> ShrunkCover:
     """Shrink each chart so its closure sits inside the original chart.
 
     Inductive construction: the part of the base not covered by the other
@@ -132,13 +135,13 @@ def shrink_cover(cover: Cover, r: int = 1, *, plan: SamplePlan) -> ShrunkCover:
         others = SemialgebraicSet(dim, remaining)
         c_k = others.complement()          # closed, possibly off-base junk included
         u_complement = cover.charts[k].complement()
-        h = _separating(c_k, u_complement, r)
+        h = _separating(c_k, u_complement, CLAMP_POWER - 1)
         # V_k = {h < 1/2}; its closure {h <= 1/2} avoids {h = 1} = complement(U_k)
         v_expr = ex.Sub(ex.Const(0.5), h)
         v_k = SemialgebraicSet(dim, [[Condition(v_expr, GT)]])
         new_charts.append(v_k)
-        # gate vanishing exactly off V_k: clamp(1/2 - h)^(r+1)
-        gates.append(ex.Pow(ex.Clamp(v_expr), r + 1))
+        # gate vanishing exactly off V_k: clamp(1/2 - h)^CLAMP_POWER
+        gates.append(ex.Pow(ex.Clamp(v_expr), CLAMP_POWER))
         regions += [c_k, u_complement, v_k.closure()]
     memos = base.region_memos([s.intersect(base.sset) for s in regions], plan,
                               plan.n_overlap)
@@ -148,14 +151,14 @@ def shrink_cover(cover: Cover, r: int = 1, *, plan: SamplePlan) -> ShrunkCover:
     report = shrunk.coverage(plan)
     if not report.ok:
         raise CoverageFailure(
-            f"shrunk cover misses sampled base point {report.witness}"
-        )
+            f"shrunk cover misses sampled base point {report.witness}",
+            point=report.witness)
     # closure-containment certificate: closure(V_k) stays inside U_k at samples
     for k, memo in enumerate(memos[2::3]):
         out = first_flagged(memo.points, ~cover.charts[k].membership(memo))
         if out is not None:
             raise CoverageFailure(
-                f"shrunk chart {k} escapes its original chart at {out}")
+                f"shrunk chart {k} escapes its original chart at {out}", point=out)
     return ShrunkCover(shrunk, gates)
 
 
@@ -167,15 +170,14 @@ class PartitionOfUnity:
         return len(self.weights)
 
 
-def partition_of_unity(cover: Cover, r: int = 1, *,
-                       plan: SamplePlan) -> PartitionOfUnity:
+def partition_of_unity(cover: Cover, *, plan: SamplePlan) -> PartitionOfUnity:
     """Weights lambda_i = f_i^2 / sum f_j^2 subordinate to the cover.
 
     Each f_i vanishes exactly off the shrunk chart V_i, so lambda_i is zero
     exactly outside chart i and the weights sum to one wherever the shrunk
     cover covers, certified at base samples.
     """
-    shrunk = shrink_cover(cover, r, plan=plan)
+    shrunk = shrink_cover(cover, plan=plan)
     return normalized_partition([ex.Mul(f, f) for f in shrunk.support_gates],
                                 cover.base, plan)
 
@@ -190,7 +192,7 @@ def normalized_partition(parts: list[ex.Expr], base: Base,
         total = ex.Add(total, part)
     memo = base.sample_memo(plan)
     if len(memo):
-        bad = first_flagged(memo.points, ex.evaluate(total, memo) <= 1e-12)
+        bad = first_flagged(memo.points, ~(ex.evaluate(total, memo) > 1e-12))
         if bad is not None:
             raise CoverageFailure(
                 f"partition denominator vanishes at sampled base point {bad}",
@@ -213,7 +215,8 @@ def vertical_retraction(u_set: SemialgebraicSet, v_set: SemialgebraicSet, r: int
     memo = base.region_memo(closure_u.intersect(base.sset), plan, plan.n_overlap)
     out = first_flagged(memo.points, ~v_set.membership(memo))
     if out is not None:
-        raise ContainmentFailure(f"closure(U) escapes V at sampled point {out}")
+        raise ContainmentFailure(f"closure(U) escapes V at sampled point {out}",
+                                 point=out)
     f = zero_function(closure_u, r)
     g = zero_function(v_set.complement(), r)
     f2 = ex.Mul(f, f)

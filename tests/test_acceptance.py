@@ -113,7 +113,7 @@ def test_01_cocycle_soundness():
 # 2. Partition of unity.
 
 def _check_partition(cover, base_pts, plan):
-    pou = partition_of_unity(cover, r=1, plan=plan)
+    pou = partition_of_unity(cover, plan=plan)
     total = sum(ex.evaluate(w, base_pts) for w in pou.weights)
     assert np.abs(total - 1.0).max() < 1e-9
     for i, w in enumerate(pou.weights):

@@ -243,7 +243,7 @@ def test_pullback_along_constant_map_is_constant():
 
 def test_generating_sections_trivial_single_chart():
     b = trivial_bundle(full_cover(line_base()), 2)
-    system = generating_sections(b, r=1, plan=PLAN)
+    system = generating_sections(b, plan=PLAN)
     assert len(system.sections) == 2
     pts = np.linspace(-2, 2, 9).reshape(-1, 1)
     mat = section_value_matrix(system.sections, 0,
@@ -253,7 +253,7 @@ def test_generating_sections_trivial_single_chart():
 
 def test_generating_sections_moebius():
     m = moebius()
-    system = generating_sections(m, r=1, plan=PLAN)
+    system = generating_sections(m, plan=PLAN)
     assert len(system.sections) == 2
     for chart in range(2):
         pts = m.cover.samples((chart,), PLAN)
@@ -262,7 +262,7 @@ def test_generating_sections_moebius():
         sv = np.linalg.svd(mat, compute_uv=False)[:, 0]
         assert (sv > 1e-9).all()      # rank 1 everywhere sampled
     for s in system.sections:
-        rep = s.check(PLAN, tol=1e-9)
+        rep = s.check(PLAN)
         assert rep.passed, rep.as_dict()
 
 
@@ -273,18 +273,18 @@ def test_nan_transition_is_a_rank_drop_at_its_point():
     bundle = BundleRep(m.cover, 1, {(0, 1): nan, (1, 0): nan}, name="nan")
     with pytest.raises(RankDrop, match="section values drop below rank 1"
                        ) as err:
-        generating_sections(bundle, r=1, plan=PLAN)
+        generating_sections(bundle, plan=PLAN)
     # chart 0's first sample where the weight of chart 1, which gates the
     # NaN transition, is positive
     pts = m.cover.samples((0,), PLAN)
-    weight = partition_of_unity(m.cover, 1, plan=PLAN).weights[1]
+    weight = partition_of_unity(m.cover, plan=PLAN).weights[1]
     first = pts[int(np.argmax(ex.evaluate(weight, pts) > 0.0))]
     assert str(err.value).endswith(f" at {tuple(first.tolist())}")
 
 
 def test_coefficients_trivial_unique_solve():
     b = trivial_bundle(full_cover(line_base()), 2)
-    system = generating_sections(b, r=1, plan=PLAN)
+    system = generating_sections(b, plan=PLAN)
     target = SectionRep(b, [((ex.Const(1.0),), (ex.Const(0.0),))])
     coeffs = coefficients(target, system, PLAN)
     pts = np.linspace(-2, 2, 11).reshape(-1, 1)
@@ -294,7 +294,7 @@ def test_coefficients_trivial_unique_solve():
 
 def test_coefficients_reconstruct_moebius_section():
     m = moebius()
-    system = generating_sections(m, r=1, plan=PLAN)
+    system = generating_sections(m, plan=PLAN)
     target = system.sections[0]
     coeffs = coefficients(target, system, PLAN)
     for chart in range(2):
@@ -317,7 +317,7 @@ def test_coefficients_refined_chart_count(monkeypatch):
         return glue(cover, plan=plan)
 
     m = moebius()
-    system = generating_sections(m, r=1, plan=PLAN)
+    system = generating_sections(m, plan=PLAN)
     monkeypatch.setattr(bu, "partition_of_unity", spy)
     coefficients(system.sections[0], system, PLAN)
     assert seen == [4]
@@ -325,7 +325,7 @@ def test_coefficients_refined_chart_count(monkeypatch):
 
 def test_coefficients_degenerate_generators():
     b = trivial_bundle(full_cover(line_base()), 1)
-    system = generating_sections(b, r=1, plan=PLAN)
+    system = generating_sections(b, plan=PLAN)
     zero = SectionRep(b, [((ex.Const(0.0),),)])
     system.sections[0] = zero
     with pytest.raises(GeneratorsDegenerate):
@@ -371,7 +371,7 @@ def test_a_sum_embeds_as_the_block_diagonal_of_its_summands_kept_embeddings(shar
     m, t, total, parents = _moebius_plus_trivial(shared)
     assert total.summands == (m, t) and total.cover.n_charts == len(parents)
     proj = gauss_embedding(total, plan=PLAN)
-    e1, e2 = (b.certified[("gauss embedding", 1, PLAN)] for b in (m, t))
+    e1, e2 = (b.certified[("gauss embedding", PLAN)] for b in (m, t))
     assert proj.ambient == e1.ambient + e2.ambient == 4 and proj.rank == 2
     pts = total.base.sample_points(PLAN)
 

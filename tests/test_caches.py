@@ -55,22 +55,21 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-# --- Gauss embeddings, per (bundle, r, plan) ---------------------------------
+# --- Gauss embeddings, per (bundle, plan) ------------------------------------
 
-def test_gauss_embedding_is_built_once_per_r_and_plan(monkeypatch):
+def test_gauss_embedding_is_built_once_per_plan(monkeypatch):
     pou_calls = counting(monkeypatch, bu, "partition_of_unity")
     m = moebius()
     first = gauss_embedding(m, plan=PLAN)
-    assert gauss_embedding(m, 1, plan=PLAN) is first
+    assert gauss_embedding(m, plan=PLAN) is first
     assert len(pou_calls) == 1
-    other_r = gauss_embedding(m, 2, plan=PLAN)
     other_plan = gauss_embedding(m, plan=SamplePlan(seed=1, n_chart=120,
                                                     n_overlap=80, n_triple=60))
-    assert len({id(first), id(other_r), id(other_plan)}) == 3
-    assert len(pou_calls) == 3
+    assert other_plan is not first
+    assert len(pou_calls) == 2
     # another bundle object builds its own, with its own cover
     assert gauss_embedding(moebius(), plan=PLAN) is not first
-    assert len(pou_calls) == 4
+    assert len(pou_calls) == 3
 
 
 def test_failed_certification_is_not_cached(monkeypatch):
@@ -83,7 +82,7 @@ def test_failed_certification_is_not_cached(monkeypatch):
             gauss_embedding(m, plan=PLAN)
     assert m.certified == {}
     proj = gauss_embedding(m, plan=PLAN)      # certified this time, and kept
-    assert m.certified == {("gauss embedding", 1, PLAN): proj}
+    assert m.certified == {("gauss embedding", PLAN): proj}
     assert len(pou_calls) == 2
 
 
@@ -103,8 +102,8 @@ def test_a_sum_embeds_from_its_summands_kept_embeddings(monkeypatch):
     assert pou_calls == [] and shrinks == []
     assert batches and all(region is m.base.sset
                            for _, regions, _, _ in batches for region in regions)
-    assert [b.certified[("gauss embedding", 1, PLAN)] for b in (m, t)] == kept
-    assert total.certified == {("gauss embedding", 1, PLAN): proj}
+    assert [b.certified[("gauss embedding", PLAN)] for b in (m, t)] == kept
+    assert total.certified == {("gauss embedding", PLAN): proj}
 
 
 # --- candidate clouds, per base ----------------------------------------------
@@ -801,7 +800,7 @@ def test_a_batch_returns_the_memos_of_sampling_each_region_alone(monkeypatch):
         return original(base, regions, plan, count)
 
     monkeypatch.setattr(semialg.Base, "region_memos", recording)
-    shrink_cover(three_arc_cover(circle_base()), 1, plan=PLAN)
+    shrink_cover(three_arc_cover(circle_base()), plan=PLAN)
     monkeypatch.undo()
     regions, count = max(batches, key=lambda b: len(b[0]))
     assert len(regions) == 9        # 2 disjointness regions and a closure per chart
@@ -834,7 +833,7 @@ def test_a_shrink_evaluates_each_condition_root_once_per_cloud(monkeypatch):
         return out
 
     monkeypatch.setattr(semialg, "_safe_eval", counted)
-    shrink_cover(cover, 1, plan=PLAN)
+    shrink_cover(cover, plan=PLAN)
     assert len(evaluated) > len(cover.charts)
     assert max(evaluated.values()) == 1
 
@@ -874,7 +873,7 @@ def test_no_held_value_outlives_its_batch(monkeypatch):
         return kept(piece, dim, cloud, held)
 
     monkeypatch.setattr(semialg, "_kept", recording)
-    shrink_cover(cover, 1, plan=PLAN)
+    shrink_cover(cover, plan=PLAN)
     assert max(held_sizes) > 1
     # the clouds hold no values of their own, and each batch starts empty
     assert base.clouds and not any(hasattr(c, "held") for c in base.clouds.values())

@@ -8,8 +8,6 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "census.py"
 # Each defaulted parameter that no call in src/, demos/, perfbench/ or
 # tools/ sets, with the reason it stays a parameter.
 ALLOWED_UNSET = {
-    "bundles.generating_sections(r)":
-        "the paper's C^r degree; the library builds only at r = 1",
     "forms.blend_positive_subbundle(overlap_pts)":
         "an opt-in certificate check of the blend's graph norm",
 }

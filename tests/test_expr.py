@@ -1,4 +1,4 @@
-"""Expression node evaluation, guards, smoothness bookkeeping."""
+"""Expression node evaluation and guards."""
 
 import ast
 import gc
@@ -130,40 +130,6 @@ def test_zero_gate_skips_payload_guards():
     assert np.allclose(ex.evaluate(e, pts), [0.0, 0.0, 2.0 * (1.0 / 2.0)])
 
 
-def test_smoothness_bounds():
-    x = ex.Var(0)
-    assert ex.Const(1.0).smoothness() == ex.SMOOTH
-    assert ex.Abs(x).smoothness() == 0
-    # clamp(u)^(r+1) records bound r
-    assert ex.Pow(ex.Clamp(x), 3).smoothness() == 2
-    # composites take the minimum over children
-    comp = ex.Add(ex.Pow(ex.Clamp(x), 3), ex.Pow(ex.Clamp(x), 5))
-    assert comp.smoothness() == 2
-    assert ex.Mul(x, ex.Sqrt(x)).smoothness() == 0
-    # every kinked node bounds by zero, whatever its children
-    for kinked in (ex.Clamp(x), ex.Max(x, 1.0), ex.Min(x, 1.0)):
-        assert kinked.smoothness() == 0
-    assert ex.Div(x, ex.Add(ex.Mul(x, x), 1.0)).smoothness() == ex.SMOOTH
-
-
-def test_smoothness_visits_each_node_once(monkeypatch):
-    # x <- clamp(x + x)^3, twelve times: 3 nodes per level over one Var
-    node = ex.Var(0)
-    for _ in range(12):
-        node = ex.Pow(ex.Clamp(ex.Add(node, node)), 3)
-    misses = []
-    inner = ex._smoothness
-
-    def counting(n, memo):
-        if id(n) not in memo:
-            misses.append(id(n))
-        return inner(n, memo)
-
-    monkeypatch.setattr(ex, "_smoothness", counting)
-    assert node.smoothness() == 2
-    assert len(misses) == len(set(misses)) == 3 * 12 + 1
-
-
 def test_matrix_solve_entry():
     # constant system [[2,0],[0,4]] x = (1, 2) -> x = (1/2, 1/2)
     a = [[ex.Const(2.0), ex.Const(0.0)], [ex.Const(0.0), ex.Const(4.0)]]
@@ -178,7 +144,6 @@ def test_matrix_solve_guard():
     group = ex.MatrixGroup(ex.SOLVE, a, [[ex.Const(1.0)]], guard_tol=1e-9)
     with pytest.raises(GuardViolation):
         ex.evaluate_at(ex.MatEntry(group, 0, 0), [0.0])
-
 
 
 # --- the kernel memo: one MatrixGroup output per (group, rows of one array) ---
@@ -1179,12 +1144,6 @@ def test_shared_context_evaluates_fresh_nodes():
         assert (ex.Const(float(k)).eval(ctx) == k).all()
     for _ in range(4):
         assert (ex._eval_matrix(em_identity(2), ctx) == np.eye(2)).all()
-
-
-def test_integer_power_of_a_smooth_base_is_smooth():
-    assert ex.Pow(ex.Var(0), 2).smoothness() == ex.SMOOTH
-    # only abs and clamp bases lift their kink with the power
-    assert ex.Pow(ex.Sqrt(ex.Var(0)), 3).smoothness() == 0
 
 
 # --- hash-consing: one object per structure ----------------------------------

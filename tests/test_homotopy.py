@@ -419,16 +419,6 @@ def test_path_product_substitutes_into_maps_only():
     assert np.array_equal(em_eval(lifted, extra), em_eval(field, pts))
 
 
-def test_path_product_smoothness_bounds_the_composite():
-    entries, ts = [[ex.Var(0)]], [0.5, 1.0]
-    smooth = em_path_product(entries, [ex.Mul(ex.Var(0), ex.Var(1))], 1, ts)
-    kinked = em_path_product(entries, [ex.Abs(ex.Sub(ex.Var(0), ex.Var(1)))], 1, ts)
-    assert smooth[0][0].smoothness() == ex.SMOOTH
-    assert kinked[0][0].smoothness() == 0
-    # a substitution's kink bounds the composite too
-    assert ex.substitute(smooth[0][0], {0: ex.Abs(ex.Var(0))}).smoothness() == 0
-
-
 @pytest.mark.parametrize("entries, maps", [
     # the projector's own guard, crossed where h(x, t) = x - t vanishes
     ([[ex.Div(ex.Const(1.0), ex.Var(0))]], [ex.Sub(ex.Var(0), ex.Var(1))]),

@@ -317,7 +317,7 @@ def test_sums_embedded_blockwise_keep_the_ring_invariants():
     w_diff = delta(diff, PLAN)
     assert (w_diff.sig_diff, w_diff.det_classes) == (0, (1, 0))
     assert roundtrip_k0(diff, PLAN)["passed"] and roundtrip_witt(w_diff, PLAN)["passed"]
-    key = ("gauss embedding", 1, PLAN)
+    key = ("gauss embedding", PLAN)
     for bundle in (total, k.plus, w_diff.form.bundle):
         assert bundle.summands is not None
         assert bundle.certified[key].ambient == sum(

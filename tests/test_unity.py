@@ -4,21 +4,31 @@ import numpy as np
 import pytest
 
 from bundleforms import expr as ex
+from bundleforms.bundles import (BundleRep, CheckReport, ProjectorField,
+                                 SectionRep, coefficients, gauss_embedding,
+                                 generating_sections, pullback, trivial_bundle)
+from bundleforms.catalog import full_cover, line_base, moebius
 from bundleforms.errors import (
+    BundleformsError,
     ContainmentFailure,
     CoverageFailure,
     NotDisjoint,
     OpenSetRejected,
 )
-from bundleforms.semialg import Base, Cover, SamplePlan, SemialgebraicSet, memberships
+from bundleforms.forms import blend_positive_subbundle
+from bundleforms.homotopy import trivialize_contractible
+from bundleforms.matexpr import em_const
+from bundleforms.semialg import (GE, GT, Base, Condition, Cover, Polynomial,
+                                 SamplePlan, SemialgebraicSet, memberships)
 from bundleforms.unity import (
+    normalized_partition,
     partition_of_unity,
     separating_function,
     shrink_cover,
     vertical_retraction,
     zero_function,
 )
-from helpers import interval, named_point
+from helpers import interval, named_point, nan_where_positive
 
 
 from helpers import LINE, grid
@@ -38,7 +48,6 @@ def test_zero_function_halfline_values():
     f = zero_function(interval(lo=1.0, strict=False), 1)
     assert ex.evaluate_at(f, [2.0]) == 0.0
     assert ex.evaluate_at(f, [0.0]) == 1.0
-    assert f.smoothness() >= 1
 
 
 def test_zero_function_union_sign_oracle():
@@ -91,7 +100,7 @@ def two_interval_cover():
 
 def test_shrink_cover_two_intervals():
     plan = SamplePlan(seed=0, n_chart=500)
-    shrunk = shrink_cover(two_interval_cover(), r=1, plan=plan)
+    shrunk = shrink_cover(two_interval_cover(), plan=plan)
     assert shrunk.cover.coverage(plan).ok
     # overlap of the shrunk charts is nonempty
     pts = LINE.sample_points(plan)
@@ -102,19 +111,19 @@ def test_shrink_cover_two_intervals():
 
 def test_shrink_single_chart_whole_base():
     cover = Cover(LINE, [SemialgebraicSet(1, [[]])], name="whole")
-    shrunk = shrink_cover(cover, r=1, plan=SamplePlan(seed=0, n_chart=200))
+    shrunk = shrink_cover(cover, plan=SamplePlan(seed=0, n_chart=200))
     assert shrunk.cover.coverage(SamplePlan(seed=5, n_chart=200)).ok
 
 
 def test_shrink_non_covering_fails():
     bad = Cover(LINE, [interval(hi=-1.0), interval(lo=1.0)])
     with pytest.raises(CoverageFailure):
-        shrink_cover(bad, r=1, plan=SamplePlan(seed=0, n_chart=300))
+        shrink_cover(bad, plan=SamplePlan(seed=0, n_chart=300))
 
 
 def test_partition_single_chart_is_one():
     cover = Cover(LINE, [SemialgebraicSet(1, [[]])])
-    pou = partition_of_unity(cover, r=1, plan=SamplePlan(seed=0, n_chart=200))
+    pou = partition_of_unity(cover, plan=SamplePlan(seed=0, n_chart=200))
     assert len(pou) == 1
     vals = ex.evaluate(pou.weights[0], grid(-2, 2, 100))
     assert np.allclose(vals, 1.0)
@@ -122,7 +131,7 @@ def test_partition_single_chart_is_one():
 
 def test_partition_two_intervals_sums_to_one():
     plan = SamplePlan(seed=0, n_chart=400)
-    pou = partition_of_unity(two_interval_cover(), r=1, plan=plan)
+    pou = partition_of_unity(two_interval_cover(), plan=plan)
     pts = grid(-2.5, 2.5, 2000)
     total = sum(ex.evaluate(w, pts) for w in pou.weights)
     assert np.abs(total - 1.0).max() < 1e-9
@@ -133,18 +142,11 @@ def test_partition_two_intervals_sums_to_one():
 
 def test_partition_vanishes_off_chart():
     plan = SamplePlan(seed=0, n_chart=400)
-    pou = partition_of_unity(two_interval_cover(), r=1, plan=plan)
+    pou = partition_of_unity(two_interval_cover(), plan=plan)
     pts = grid(1.0, 2.5, 50)            # outside chart 0 = {x0 < 1}
     assert np.all(ex.evaluate(pou.weights[0], pts) == 0.0)
     pts = grid(-2.5, -1e-9, 50)         # outside chart 1 = {x0 > 0}
     assert np.all(ex.evaluate(pou.weights[1], pts) == 0.0)
-
-
-def test_partition_smoothness_bound():
-    pou = partition_of_unity(two_interval_cover(), r=2,
-                             plan=SamplePlan(seed=0, n_chart=300))
-    for w in pou.weights:
-        assert w.smoothness() >= 2
 
 
 def test_vertical_retraction_values():
@@ -194,15 +196,110 @@ def test_shrink_failures_name_the_first_sampled_point_in_inductive_order():
     # disjointness is certified before the closures, as the induction goes
     gap = Cover(WIDE_LINE, [interval(hi=0.0), interval(lo=0.1)], name="gap")
     with pytest.raises(NotDisjoint) as err:
-        shrink_cover(gap, r=1, plan=SamplePlan(seed=0, n_chart=8))
+        shrink_cover(gap, plan=SamplePlan(seed=0, n_chart=8))
     assert str(err.value) == "sampled point (0.0625,) lies in both sets"
     strict = Cover(WIDE_LINE, [interval(hi=1.0),
                                StricterChart(1, interval(lo=0.0).pieces)])
     with pytest.raises(CoverageFailure) as err:
-        shrink_cover(strict, r=1, plan=SamplePlan(seed=0))
+        shrink_cover(strict, plan=SamplePlan(seed=0))
     assert str(err.value) == "shrunk chart 1 escapes its original chart at (0.4375,)"
     with pytest.raises(NotDisjoint) as err:
         separating_function(interval(hi=1.0, strict=False),
                             interval(lo=0.0, strict=False),
                             1, SamplePlan(seed=0), base=WIDE_LINE)
     assert str(err.value) == "sampled point (0.625,) lies in both sets"
+
+
+def test_a_nan_partition_denominator_fails_at_its_point():
+    # NaN above x0 = 1: "total <= 1e-12" is false there, "not above" is true
+    plan = SamplePlan(seed=0, n_chart=200)
+    nan_part = nan_where_positive(ex.Sub(ex.Var(0), ex.Const(1.0)))
+    with pytest.raises(CoverageFailure, match="partition denominator vanishes"
+                       ) as err:
+        normalized_partition([nan_part, ex.Const(1.0)], line_base(), plan)
+    (x,) = err.value.point
+    assert x > 1.0 and named_point(str(err.value)) == (x,)
+
+
+PLAN = SamplePlan(seed=0, n_chart=200, n_overlap=160, n_triple=100)
+
+
+def _nan_below_minus_two_cover():
+    """{x0 < 1} and a chart whose condition is NaN below x0 = -2: the
+    cover covers, and the shrunk cover misses that stretch."""
+    x = ex.Var(0)
+    cond = ex.Add(ex.Add(x, ex.Const(3.0)),
+                  nan_where_positive(ex.Sub(ex.Const(-2.0), x)))
+    return Cover(line_base(), [interval(hi=1.0),
+                               SemialgebraicSet(1, [[Condition(cond, GT)]])])
+
+
+def _two_rays_trivial():
+    # {x0^2 >= 1/4} with center 1: the segment from 1 to -1 leaves the base
+    x0 = Polynomial.coordinate(1, 0)
+    rays = SemialgebraicSet(1, [[Condition.from_poly(
+        x0 * x0 - Polynomial.constant(1, 0.25), GE)]])
+    base = Base(rays, box=((-2.0, 2.0),), name="two-rays", star_center=(1.0,))
+    return trivial_bundle(full_cover(base), 1)
+
+
+def _nan_moebius():
+    nan = ((ex.Const(np.nan),),)
+    return BundleRep(moebius().cover, 1, {(0, 1): nan, (1, 0): nan})
+
+
+def _uncertified_embedding(monkeypatch):
+    monkeypatch.setattr(ProjectorField, "check", lambda self, plan:
+                        CheckReport("projector", False, 1.0, witness=(1.0, 0.0)))
+    gauss_embedding(moebius(), plan=PLAN)
+
+
+def _degenerate_generators():
+    b = trivial_bundle(full_cover(line_base()), 1)
+    system = generating_sections(b, plan=PLAN)
+    zero = SectionRep(b, [((ex.Const(0.0),),)])
+    system.sections[0] = zero
+    coefficients(zero, system, PLAN)
+
+
+def _omega_violation():
+    rt = 1.0 / np.sqrt(2.0)
+    frame = em_const(np.array([[rt, rt], [rt, -rt]]))
+    nu = em_const(np.array([[1.0], [-0.3]]))   # s(v, v) = -0.6: not in Omega
+    blend_positive_subbundle(frame, 1, nu, ex.Const(0.5),
+                             overlap_pts=np.zeros((1, 1)))
+
+
+RAISES_AT_A_POINT = {
+    "pullback image escapes": lambda mp: pullback(
+        moebius(), [ex.Var(0), ex.Var(0)], line_base(), PLAN),
+    "contraction escapes": lambda mp: trivialize_contractible(
+        _two_rays_trivial(), PLAN),
+    "sections drop rank": lambda mp: generating_sections(_nan_moebius(),
+                                                         plan=PLAN),
+    "embedding uncertified": _uncertified_embedding,
+    "generators degenerate": lambda mp: _degenerate_generators(),
+    "omega violation": lambda mp: _omega_violation(),
+    "cover misses": lambda mp: Cover(
+        WIDE_LINE, [interval(hi=-1.0), interval(lo=1.0)]).require_coverage(PLAN),
+    "not disjoint": lambda mp: separating_function(
+        interval(hi=1.0, strict=False), interval(lo=0.0, strict=False), 1,
+        PLAN, base=WIDE_LINE),
+    "shrunk cover misses": lambda mp: partition_of_unity(
+        _nan_below_minus_two_cover(), plan=PLAN),
+    "shrunk chart escapes": lambda mp: shrink_cover(Cover(WIDE_LINE, [
+        interval(hi=1.0), StricterChart(1, interval(lo=0.0).pieces)]),
+        plan=PLAN),
+    "closure escapes": lambda mp: vertical_retraction(
+        interval(lo=-2.0, hi=2.0), interval(lo=-1.0, hi=1.0), 1, PLAN,
+        base=LINE),
+}
+
+
+@pytest.mark.parametrize("name", RAISES_AT_A_POINT)
+def test_errors_carry_the_point_their_message_names(name, monkeypatch):
+    with pytest.raises(BundleformsError) as err:
+        RAISES_AT_A_POINT[name](monkeypatch)
+    message = str(err.value)        # the point is its last parenthesized text
+    assert err.value.point is not None
+    assert err.value.point == named_point(message[message.rfind("("):])

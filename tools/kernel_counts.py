@@ -256,9 +256,9 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
             del held[id(cloud)]
 
     def counted_build(build, kind):
-        def counted_embedding(bundle, r, plan):
+        def counted_embedding(bundle, plan):
             tally(f"embedding {kind}", 1)
-            return build(bundle, r, plan)
+            return build(bundle, plan)
         return counted_embedding
 
     def counted_eigh(s, g):
