@@ -534,12 +534,13 @@ class ProjectorField:
         idem = np.abs(p @ p - p).max(axis=(1, 2))
         trace_err = np.abs(np.trace(p, axis1=1, axis2=2) - self.rank)
         res = np.maximum(np.maximum(sym, idem), trace_err)
-        max_res = float(res.max())
-        passed = max_res < PROJECTOR_TOL
-        witness = None if passed else first_flagged(memo.points, res == max_res)
-        return CheckReport("projector", passed, max_res, witness=witness,
+        stat = _ResidualStat()
+        stat.add_residuals(res, memo.points)
+        passed = stat.max < PROJECTOR_TOL
+        return CheckReport("projector", passed, stat.max,
+                           witness=None if passed else stat.witness,
                            details={"trace_error": trace_err.max()},
-                           mean_residual=float(res.mean()))
+                           mean_residual=stat.mean)
 
 
 def gauss_embedding(bundle: BundleRep, *, plan: SamplePlan) -> ProjectorField:

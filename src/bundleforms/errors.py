@@ -65,9 +65,9 @@ class NearSingular(BundleformsError):
 class InconsistentSignature(BundleformsError):
     """Raised when per-sample diagonalization types disagree."""
 
-    def __init__(self, message, types=None, points=None):
-        super().__init__(message)
-        self.types = types or []
+    def __init__(self, message, types, points=None, *, point=None):
+        super().__init__(message, point=point)
+        self.types = types
         self.points = points or []
 
 

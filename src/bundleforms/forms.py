@@ -371,9 +371,11 @@ def signature(form: FormField, plan: SamplePlan) -> SignatureType:
                             first_flagged(pts, pos == p))
     if len(seen) != 1:
         raise InconsistentSignature(
-            f"sampled types disagree: {sorted(seen)}",
+            f"sampled types disagree: {sorted(seen)}" if seen else
+            f"no chart of form {form.name or '?'} sampled a point",
             types=[SignatureType(*k) for k in sorted(seen)],
             points=[seen[k] for k in sorted(seen)],
+            point=list(seen.values())[1] if seen else None,
         )
     ((pos, neg),) = seen.keys()
     return SignatureType(pos, neg)
@@ -581,11 +583,7 @@ def blend_positive_subbundle(frame_field, r_plus: int, nu_plus, mu: ex.Expr,
 
 def _lifted_mats(f1: FormField, f2: FormField, bundle_out: BundleRep):
     parents = parent_charts(f1.bundle, f2.bundle, bundle_out.cover)
-    if parents is None:
-        return f1.mats, f2.mats
-    m1 = [f1.mats[i] for i, _ in parents]
-    m2 = [f2.mats[j] for _, j in parents]
-    return m1, m2
+    return [f1.mats[i] for i, _ in parents], [f2.mats[j] for _, j in parents]
 
 
 def orthogonal_sum(f1: FormField, f2: FormField) -> FormField:
@@ -609,9 +607,11 @@ def tensor_form(f1: FormField, f2: FormField) -> FormField:
     if f1.bundle.base.sset is not f2.bundle.base.sset:
         raise BaseMismatch("tensor needs forms over one base")
     bundle = tensor_bundle(f1.bundle, f2.bundle)
+    name = f"({f1.name})ox({f2.name})"
+    if bundle.rank == 0:
+        return FormField(bundle, [()] * bundle.cover.n_charts, name=name)
     m1, m2 = _lifted_mats(f1, f2, bundle)
-    mats = [em_kron(a, b) for a, b in zip(m1, m2)]
-    return FormField(bundle, mats, name=f"({f1.name})ox({f2.name})")
+    return FormField(bundle, [em_kron(a, b) for a, b in zip(m1, m2)], name=name)
 
 
 def negate_form(form: FormField) -> FormField:

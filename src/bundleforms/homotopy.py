@@ -105,11 +105,11 @@ def product_cylinder_cover(cyl: Base, base_charts, intervals) -> Cover:
 # Restriction to a t-slice.
 
 
-def restrict_cylinder(bundle: BundleRep, t_value: float, plan: SamplePlan):
+def restrict_cylinder(bundle: BundleRep, t_value: float):
     """Restrict a cylinder bundle to the slice t = c.
 
     Returns (bundle over the cylinder's base, kept-chart index map).
-    Charts whose slice at t = c has no sampled points are dropped.
+    Charts whose slice misses the base's probe (`Base.meets`) are dropped.
     """
     cyl = bundle.base
     base_x, t_index = _require_cylinder(cyl)
@@ -120,11 +120,9 @@ def restrict_cylinder(bundle: BundleRep, t_value: float, plan: SamplePlan):
     for i, chart in enumerate(bundle.cover.charts):
         sliced = chart.mapped(base_x.dim, lambda p: p.compose(const_maps),
                               lambda e: ex.substitute(e, mapping))
-        probe = base_x.region_memo(base_x.sset.intersect(sliced), plan, 24)
-        if not len(probe):
-            continue
-        charts.append(sliced)
-        kept.append(i)
+        if base_x.meets(sliced):
+            charts.append(sliced)
+            kept.append(i)
     if not charts:
         raise CoverageFailure(f"no chart survives restriction to t = {t_value}")
     cover = Cover(base_x, charts, name=f"{bundle.cover.name}@t={t_value}")
@@ -191,8 +189,8 @@ def homotopy_isomorphism(bundle: BundleRep, plan: SamplePlan,
 
     transport, ladder = _seeded_transport(target_proj.entries, h_exprs,
                                           t_index, base_x, plan)
-    b0, kept0 = restrict_cylinder(bundle, 0.0, plan)
-    b1, kept1 = restrict_cylinder(bundle, 1.0, plan)
+    b0, kept0 = restrict_cylinder(bundle, 0.0)
+    b1, kept1 = restrict_cylinder(bundle, 1.0)
     a, b = common_cover(b0, b1)
     charts = [(kept0[i0], kept1[i1]) for i0, i1 in parent_charts(b0, b1, a.cover)]
     fields = []
@@ -279,18 +277,20 @@ def _certify_slab_coverage(bundle: BundleRep, plan: SamplePlan):
     """Check that the charts cover {x} x [0, 1] over each sampled base
     point x: on SLAB_T_VALUES t-slices and, on a product cover, at every
     endpoint in [0, 1] of its `t_intervals`, where any gap between the open
-    intervals shows, so that there the check is exact in t."""
+    intervals shows, so that there the check is exact in t.  One membership
+    pass tests the slices stacked t-major."""
     base_x, t_index = _require_cylinder(bundle.base)
     pts = base_x.sample_points(plan)
     if pts.shape[0] == 0:
         raise CoverageFailure("cylinder base yielded no samples")
     ends = [e for interval in bundle.cover.t_intervals or ()
             for e in interval if e is not None and 0.0 <= e <= 1.0]
-    for t in np.union1d(np.linspace(0.0, 1.0, SLAB_T_VALUES), ends):
-        lifted = np.column_stack([pts, np.full(pts.shape[0], t)])
-        bad = bundle.cover.first_uncovered(ex.KernelMemo(lifted))
-        if bad is not None:
-            raise TCoverGap(f"slab point uncovered at t = {t:.6f}", point=bad)
+    ts = np.union1d(np.linspace(0.0, 1.0, SLAB_T_VALUES), ends)
+    lifted = np.column_stack([np.tile(pts, (len(ts), 1)),
+                              np.repeat(ts, pts.shape[0])])
+    bad = bundle.cover.first_uncovered(ex.KernelMemo(lifted))
+    if bad is not None:
+        raise TCoverGap(f"slab point uncovered at t = {bad[-1]:.6f}", point=bad)
 
 
 @dataclass

@@ -34,6 +34,7 @@ _EQ_TOL = 1e-9
 _PROJ_TOL = 1e-13
 _PROJ_STEPS = 40  # Gauss-Newton steps onto the equations
 _SAMPLE_MARGIN = 1e-9  # strict conditions of a sampled point clear it
+_PROBE_COUNT = 16  # points `Base.meets` asks for
 
 
 class Polynomial:
@@ -196,7 +197,10 @@ _TO_POLYNOMIAL = {
 
 @dataclass(frozen=True)
 class Condition:
-    """One sign condition `expr op 0`; poly set when the function is polynomial."""
+    """One sign condition `expr op 0`; poly set when the function is
+    polynomial, for projection onto equations.  Membership evaluates the
+    expression.  It hashes by the expression's identity, op and poly's
+    identity, so a region's `pieces` name its request (`Base.region_memos`)."""
 
     expression: ex.Expr
     op: str
@@ -297,8 +301,7 @@ class SemialgebraicSet:
             for cond in piece:
                 if not mask.any():
                     break
-                vals = (cond.poly.eval(points) if cond.poly is not None
-                        else _safe_eval(cond.expression, ctx))
+                vals = _safe_eval(cond.expression, ctx)
                 with np.errstate(invalid="ignore"):
                     if cond.op == GT:
                         mask &= vals > margin
@@ -433,20 +436,16 @@ def _project_to_variety(points: np.ndarray, polys: list[Polynomial]) -> np.ndarr
     return pts
 
 
-def _cloud_key(box, n: int, seed: int, eqs: list[Polynomial]) -> tuple:
-    return (tuple(map(tuple, box)), n, seed,
-            tuple(tuple(sorted(p.terms.items())) for p in eqs))
-
-
 def _cloud(box, n: int, seed: int, eqs: list[Polynomial],
            clouds: dict) -> ex.KernelMemo:
     """The kernel memo of the n seeded candidates in the box, projected
-    onto the equations, kept in `clouds` under `_cloud_key` (box, n, seed,
-    equations).
+    onto the equations, kept in `clouds` under (box, n, seed, equations).
 
     The cloud is read-only and a pure function of that key, so a hit holds
-    the very array a fresh draw and projection would compute."""
-    key = _cloud_key(box, n, seed, eqs)
+    the very array a fresh draw and projection would compute, and the memo
+    itself names the cloud (`Base.intern`)."""
+    key = (tuple(map(tuple, box)), n, seed,
+           tuple(tuple(sorted(p.terms.items())) for p in eqs))
     hit = clouds.get(key)
     if hit is None:
         hit = _candidates(box, n, seed)
@@ -477,23 +476,21 @@ def _kept(piece, dim: int, cloud: ex.KernelMemo, held: dict) -> np.ndarray:
 
 
 def _selection(sset: SemialgebraicSet, plan: SamplePlan, box, count: int,
-               clouds: dict, held: dict) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
+               clouds: dict, held: dict) -> list[tuple[ex.KernelMemo, np.ndarray]]:
     """The rows `sample` keeps before its dedupe: per sampling round and
-    piece that kept a row, in that order, the cloud's `_cloud_key`, its
-    points and the keep mask.  The clouds come from `clouds`, and `held`
-    maps each cloud to the condition values evaluated on it (`_kept`)."""
+    piece that kept a row, in that order, the cloud's memo and the keep
+    mask.  The clouds come from `clouds`, and `held` maps each cloud to
+    the condition values evaluated on it (`_kept`)."""
     selection = []
     total = 0
     for round_idx in range(4):
         n_cand = max(4 * count, 256) * (round_idx + 1)
         seed = plan.seed + 7919 * round_idx
         for piece in sset.pieces:
-            eqs = sset.equality_polys(piece)
-            cloud = _cloud(box, n_cand, seed, eqs, clouds)
+            cloud = _cloud(box, n_cand, seed, sset.equality_polys(piece), clouds)
             keep = _kept(piece, sset.dim, cloud, held.setdefault(cloud, {}))
             if keep.any():
-                selection.append((_cloud_key(box, n_cand, seed, eqs),
-                                  cloud.points, keep))
+                selection.append((cloud, keep))
                 total += int(keep.sum())
         if total >= count:
             break
@@ -518,7 +515,7 @@ def _deduped(selection, dim: int, count: int) -> tuple[np.ndarray, bool]:
     """The first `count` distinct selected rows, and whether there are none."""
     if not selection:
         return np.empty((0, dim)), True
-    allpts = np.vstack([points[keep] for _, points, keep in selection])
+    allpts = np.vstack([cloud.points[keep] for cloud, keep in selection])
     return allpts[_first_distinct(allpts)][:count], False
 
 
@@ -560,11 +557,12 @@ class Base:
 
     `clouds` holds the kernel memos of its sampling clouds (see `_cloud`),
     and `regions` those of the point sets the base evaluates again: its
-    sampled regions, interned by selection (see `region_memos`), each also
-    under the id of its read-only points, which it keeps alive, and fixed
-    grids by name (see `grid_memo`).  Both live as long as the base and
-    hold point arrays and their kernel outputs, never an object that
-    points back.
+    sampled regions, by request (pieces, plan, count) and interned by
+    selection (see `region_memos`), each also under the id of its
+    read-only points, which it keeps alive, and fixed grids by name (see
+    `grid_memo`).  Both live as long as the base and hold point arrays,
+    their kernel outputs and the conditions that name them, never an
+    object that points back.
     """
 
     sset: SemialgebraicSet
@@ -587,11 +585,10 @@ class Base:
     def intern(self, selection, count: int) -> ex.KernelMemo:
         """The kernel memo of the first `count` distinct rows of `selection`
         (see `_selection`), kept in `regions` under (per round and piece
-        that kept a row, the cloud's key and the keep mask's bytes; then
+        that kept a row, the cloud's memo and the keep mask's bytes; then
         count).  The points are a pure function of that key, so no point
         value is hashed, and only a new key pays for the dedupe."""
-        key = (tuple((cloud_key, keep.tobytes()) for cloud_key, _, keep in selection),
-               count)
+        key = (tuple((cloud, keep.tobytes()) for cloud, keep in selection), count)
         hit = self.regions.get(key)
         if hit is None:
             points = _deduped(selection, self.dim, count)[0]
@@ -600,7 +597,11 @@ class Base:
 
     def region_memos(self, regions: list[SemialgebraicSet], plan: SamplePlan,
                      count: int) -> list[ex.KernelMemo]:
-        """The kernel memo of each region's `sample` in this base's box, in
+        """The kernel memo of each region's `sample` in this base's box.
+
+        Each memo is kept in `regions` under its request (the region's
+        `pieces`, plan, count), so a repeated request reads it with no
+        membership pass.  The regions not asked for before are sampled in
         one `SamplingBatch`: it holds the values of the condition
         expressions tested on each cloud, so a condition that several
         regions test is evaluated once per cloud, and a later condition
@@ -609,8 +610,12 @@ class Base:
         clouds read one read-only array and the kernel outputs computed on
         it."""
         batch = SamplingBatch(self)
-        return [self.regions[id(sample(region, plan, self.box, count, batch)[0])]
-                for region in regions]
+        keys = [(region.pieces, plan, count) for region in regions]
+        for key, region in zip(keys, regions):
+            if key not in self.regions:
+                points = sample(region, plan, self.box, count, batch)[0]
+                self.regions[key] = self.regions[id(points)]
+        return [self.regions[key] for key in keys]
 
     def region_memo(self, region: SemialgebraicSet, plan: SamplePlan,
                     count: int) -> ex.KernelMemo:
@@ -624,6 +629,13 @@ class Base:
     def sample_points(self, plan: SamplePlan) -> np.ndarray:
         """The plan's n_chart points of the base, read-only."""
         return self.sample_memo(plan).points
+
+    def meets(self, region: SemialgebraicSet) -> bool:
+        """Whether `region` holds a sampled base point, probed with the
+        fixed `SamplePlan()`: the charts a refinement or slice keeps must
+        not depend on the plan a later check certifies with."""
+        return len(self.region_memo(self.sset.intersect(region), SamplePlan(),
+                                    _PROBE_COUNT)) > 0
 
     def grid_memo(self, name, make) -> ex.KernelMemo:
         """The kernel memo of the fixed point array `make()`, built once and
@@ -663,7 +675,6 @@ class Cover:
         self.name = name
         self.parents = parents
         self.t_intervals = t_intervals
-        self._sample_cache: dict = {}
 
     @property
     def n_charts(self) -> int:
@@ -689,49 +700,36 @@ class Cover:
                 point=report.witness)
 
     def samples(self, indices, plan: SamplePlan) -> np.ndarray:
-        """Base points in the intersection of one, two or three charts.
-
-        The region is built from the sorted indices, and the count is the
-        plan's n_chart, n_overlap or n_triple by the number of charts.
-        """
+        """Base points in the intersection of one, two or three charts."""
         return self.region_memo(indices, plan).points
 
     def region_memo(self, indices, plan: SamplePlan) -> ex.KernelMemo:
-        """The kernel memo of `samples(indices, plan)`, kept per (sorted
-        indices, plan), so every order of the indices reads it without a
-        membership pass. It is the base's interned memo (`Base.region_memo`):
-        regions of any cover of the base that sample the same point set
-        share one read-only array and the kernel outputs computed on it."""
-        key = (tuple(sorted(indices)), plan)
-        if key not in self._sample_cache:
-            region = self.base.sset
-            for i in key[0]:
-                region = region.intersect(self.charts[i])
-            count = (plan.n_chart, plan.n_overlap, plan.n_triple)[len(key[0]) - 1]
-            self._sample_cache[key] = self.base.region_memo(region, plan, count)
-        return self._sample_cache[key]
+        """The base's memo (`Base.region_memo`) of the region of the sorted
+        indices, at the plan's n_chart, n_overlap or n_triple by their
+        number: every order of the indices, and every cover of the base
+        with those charts, reads it with no membership pass after the first."""
+        indices = sorted(indices)
+        region = reduce(SemialgebraicSet.intersect, [self.charts[i] for i in indices],
+                        self.base.sset)
+        count = (plan.n_chart, plan.n_overlap, plan.n_triple)[len(indices) - 1]
+        return self.base.region_memo(region, plan, count)
 
     def refined_with(self, other: "Cover") -> "tuple[Cover, list[tuple[int, int]]]":
         """Common refinement by pairwise chart intersections.
 
         Returns the refined cover and, per refined chart, the (i, j) pair of
-        parent chart indices.  Pairs whose intersection has no sampled point
-        are dropped.  The probe always uses the fixed default `SamplePlan()`
-        (16 points): which intersections survive is part of the refined
-        cover, so it must not depend on the plan a later check certifies with.
+        parent chart indices.  Pairs whose intersection misses the base's
+        probe (`Base.meets`) are dropped.
         """
         if other.base is not self.base and other.base.sset is not self.base.sset:
             raise CoverageFailure("refinement needs a common base")
-        plan = SamplePlan()
         charts, parents = [], []
         for i, ci in enumerate(self.charts):
             for j, cj in enumerate(other.charts):
                 inter = ci.intersect(cj)
-                region = self.base.sset.intersect(inter)
-                if not len(self.base.region_memo(region, plan, 16)):
-                    continue
-                charts.append(inter)
-                parents.append((i, j))
+                if self.base.meets(inter):
+                    charts.append(inter)
+                    parents.append((i, j))
         if not charts:
             raise CoverageFailure("refinement produced no nonempty charts")
         refined = Cover(self.base, charts, name=f"{self.name}&{other.name}",

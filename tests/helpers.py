@@ -62,6 +62,19 @@ def machine_task(check) -> dict:
     return task
 
 
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of its calls' args."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def antipodal_path():
     """H(x, t) = (a x + b Jx) / sqrt(a^2 + b^2) with a = 1 - 2t and
     b = 4t(1 - t): stays on the circle, the identity at t = 0 and the

@@ -745,6 +745,19 @@ def test_check_isomorphism_fails_at_the_first_nan_field():
     assert machine_task(report)["status"] == "fail"
 
 
+def test_a_nan_projector_fails_at_its_first_nan_point():
+    # 1 + (x0 - 1) (inf - inf) where x0 > 1: NaN right of 1, 1 elsewhere
+    huge = ex.Pow(ex.Const(1e200), 2)
+    entry = ex.Add(ex.Const(1.0), ex.ZeroGate(ex.Sub(ex.Var(0), ex.Const(1.0)),
+                                              ex.Sub(huge, huge)))
+    base = line_base()
+    report = ProjectorField(base, ((entry,),), 1).check(PLAN)
+    pts = base.sample_points(PLAN)
+    assert not report.passed and np.isnan(report.max_residual)
+    assert report.witness == tuple(pts[int(np.argmax(pts[:, 0] > 1.0))].tolist())
+    assert machine_task(report)["status"] == "fail"
+
+
 def test_scrambled_plane_bundle_validates():
     b = scrambled_plane_bundle()
     assert validate_cocycle(b, PLAN).passed

@@ -36,23 +36,10 @@ from bundleforms.semialg import (GT, Condition, Polynomial, SamplePlan, Semialge
                                  memberships, sample)
 from bundleforms.unity import shrink_cover
 
-from helpers import antipodal_path
+from helpers import antipodal_path, counting
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 PLAN = SamplePlan(seed=0, n_chart=120, n_overlap=80, n_triple=60)
-
-
-def counting(monkeypatch, module, name):
-    """Replace module.name by a wrapper; returns the list of its calls' args."""
-    original = getattr(module, name)
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
 
 
 # --- Gauss embeddings, per (bundle, plan) ------------------------------------
@@ -646,6 +633,25 @@ def test_regions_with_one_selection_read_one_array_and_memo(deep_ladder_cover):
     assert cover.samples((1,), DEEP_PLAN).tobytes() != cover.samples((0,), DEEP_PLAN).tobytes()
 
 
+def test_a_repeated_region_request_reads_its_memo_with_no_membership_pass(monkeypatch):
+    base = circle_base()
+    cover = circle_two_arc_cover(base)
+    memo = cover.region_memo((0, 1), PLAN)
+    sampled = counting(monkeypatch, semialg, "sample")
+    kept = counting(monkeypatch, semialg, "_kept")
+    # any order of the indices, another cover with those charts, and the
+    # region rebuilt from the same conditions are one request
+    assert cover.region_memo((1, 0), PLAN) is memo
+    assert semialg.Cover(base, cover.charts, name="again").region_memo((0, 1), PLAN) is memo
+    region = base.sset.intersect(cover.charts[0]).intersect(cover.charts[1])
+    assert base.region_memo(region, PLAN, PLAN.n_overlap) is memo
+    assert sampled == [] and kept == []
+    # another count is another request, sampled once
+    fewer = base.region_memo(region, PLAN, 50)
+    assert base.region_memo(region, PLAN, 50) is fewer
+    assert len(sampled) == 1 and fewer is not memo
+
+
 def test_interned_region_depends_on_seed_and_count():
     base = circle_base()
     region = base.sset.intersect(circle_two_arc_cover(base).charts[0])
@@ -853,8 +859,8 @@ def test_a_condition_that_fails_its_guard_is_not_held():
     gated = SemialgebraicSet(1, [[Condition(ex.ZeroGate(x, guarded), GT)]])
     later = semialg._selection(gated, PLAN, box, 50, clouds, held)
     alone = semialg._selection(gated, PLAN, box, 50, {}, {})
-    assert [(key, keep.tobytes()) for key, _, keep in later] == \
-        [(key, keep.tobytes()) for key, _, keep in alone]
+    assert [(cloud.points.tobytes(), keep.tobytes()) for cloud, keep in later] == \
+        [(cloud.points.tobytes(), keep.tobytes()) for cloud, keep in alone]
     line = semialg.Base(SemialgebraicSet.whole_space(1), box)
     together = line.region_memos([first, gated], PLAN, 50)[1]
     memo = semialg.Base(SemialgebraicSet.whole_space(1), box).region_memo(gated, PLAN, 50)
@@ -885,18 +891,19 @@ def test_no_held_value_outlives_its_batch(monkeypatch):
         return batches[-1]
 
     monkeypatch.setattr(semialg, "SamplingBatch", new_batch)
-    for _ in range(2):
+    # new counts, so that each batch samples rather than reads its requests
+    for count in (50, 60):
         del held_sizes[:]
-        base.region_memos(cover.charts, PLAN, 50)
+        base.region_memos(cover.charts, PLAN, count)
         assert held_sizes[0] == 0 and max(held_sizes) >= 1
     assert len(batches) == 2 and batches[0].held is not batches[1].held
     # a region whose equality is not polynomial raises after the first held
     # values, and the next batch starts empty all the same
     not_polynomial = SemialgebraicSet(2, [[Condition(ex.Var(0), semialg.EQ)]])
     with pytest.raises(NotPolynomial):
-        base.region_memos([cover.charts[0], not_polynomial], PLAN, 50)
+        base.region_memos([cover.charts[0], not_polynomial], PLAN, 70)
     del held_sizes[:]
-    base.region_memos(cover.charts, PLAN, 50)
+    base.region_memos(cover.charts, PLAN, 80)
     assert held_sizes[0] == 0
 
 

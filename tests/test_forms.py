@@ -51,6 +51,7 @@ from bundleforms.forms import (
     _gs_events,
 )
 from bundleforms.matexpr import em_const, em_eval
+from bundleforms.reporting import Report, timed_entry
 from bundleforms.semialg import Cover, SamplePlan
 from helpers import (
     interval,
@@ -425,6 +426,15 @@ def test_tensor_signature_law():
     assert signature(t, PLAN) == SignatureType(1, 1)
 
 
+def test_tensor_with_a_rank_zero_form_is_the_rank_zero_form():
+    m = moebius()
+    f0 = FormField(trivial_bundle(m.cover, 0), [()] * m.cover.n_charts, name="0")
+    f1 = FormField.constant(trivial_bundle(full_cover(m.base), 1), np.eye(1))
+    for a, b in ((f0, f1), (f1, f0)):
+        t = tensor_form(a, b)
+        assert t.rank == 0 and t.mats == [()] * t.bundle.cover.n_charts
+
+
 def test_sum_with_rank_zero_is_identity():
     f = point_form(np.eye(2))
     zero_bundle = trivial_bundle(f.bundle.cover, 0)
@@ -791,6 +801,31 @@ def test_signature_reports_first_sample_of_each_type():
         signature(f, PLAN)
     assert [(t.pos, t.neg) for t in got.value.types] == sorted(seen)
     assert got.value.points == [seen[k] for k in sorted(seen)]
+
+
+def test_disagreeing_signature_names_the_first_sample_of_the_second_type():
+    b = trivial_bundle(full_cover(line_base()), 1)
+    f = FormField(b, [((ex.Var(0),),)], name="x0")
+    order = {}
+    for _, pts, ev in sampled_regions(b.cover, PLAN, 1):
+        for pt, s in zip(pts, ev(f.mats[0])):
+            order.setdefault(s[0, 0] > 0, tuple(pt.tolist()))
+    with pytest.raises(InconsistentSignature) as got:
+        signature(f, PLAN)
+    assert got.value.point == list(order.values())[1]
+    # so the CLI's error entry names it
+    with timed_entry(Report(seed=0), "signature") as entry:
+        signature(f, PLAN)
+    assert entry.witness_point == list(got.value.point)
+
+
+def test_a_form_with_no_sampled_point_says_so():
+    b = trivial_bundle(Cover(line_base(), [interval(lo=5.0)], name="far"), 1)
+    f = FormField(b, [((ex.Var(0),),)], name="x0")
+    with pytest.raises(InconsistentSignature,
+                       match="no chart of form x0 sampled a point") as got:
+        signature(f, PLAN)
+    assert got.value.types == [] and got.value.point is None
 
 
 def test_trivializing_cover_raises_for_stuck_row():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from bundleforms import expr as ex
-from bundleforms import homotopy
+from bundleforms import homotopy, semialg
 from bundleforms.bundles import (
     BundleRep,
     CheckReport,
+    common_cover,
     gauss_embedding,
     pullback,
     s1_line_class,
@@ -63,7 +64,7 @@ from bundleforms.semialg import (
     SamplePlan,
     SemialgebraicSet,
 )
-from helpers import antipodal_path
+from helpers import antipodal_path, counting
 
 PLAN = SamplePlan(seed=0, n_chart=160, n_overlap=120, n_triple=80)
 
@@ -147,10 +148,35 @@ def test_product_cover_t_gap_is_named_at_its_lower_end(gap):
 
 def test_restrict_moebius_cylinder_keeps_class():
     b = moebius_cylinder()
-    b0, kept = restrict_cylinder(b, 0.0, PLAN)
+    b0, kept = restrict_cylinder(b, 0.0)
     assert validate_cocycle(b0, PLAN).passed
     assert s1_line_class(b0) == 1
     assert b0.base.circle
+
+
+def test_slices_and_refinements_probe_their_charts_by_one_rule(monkeypatch):
+    # which charts survive is part of the cover, so no caller's plan sets it
+    cylinder, m = moebius_cylinder(), moebius()
+    requests = []
+    original = semialg.Base.region_memo
+
+    def recording(base, region, plan, count):
+        requests.append((plan, count))
+        return original(base, region, plan, count)
+
+    monkeypatch.setattr(semialg.Base, "region_memo", recording)
+    restrict_cylinder(cylinder, 0.0)
+    common_cover(m, trivial_bundle(circle_two_arc_cover(m.base), 1))
+    assert requests and set(requests) == {(SamplePlan(), 16)}
+
+
+def test_slab_coverage_is_one_membership_pass(monkeypatch):
+    b = moebius_cylinder()
+    passes = counting(monkeypatch, semialg, "memberships")
+    homotopy._certify_slab_coverage(b, PLAN)
+    assert len(passes) == 1
+    n = b.base.cylinder_base.sample_points(PLAN).shape[0]
+    assert len(passes[0][1]) == n * homotopy.SLAB_T_VALUES
 
 
 # --- homotopy isomorphism ----------------------------------------------------------
@@ -231,9 +257,9 @@ def test_homotopy_isometry_restricts_each_end_once(monkeypatch):
     calls = []
     original = homotopy.restrict_cylinder
 
-    def counted(bundle, t_value, plan=None):
+    def counted(bundle, t_value):
         calls.append(t_value)
-        return original(bundle, t_value, plan)
+        return original(bundle, t_value)
 
     monkeypatch.setattr(homotopy, "restrict_cylinder", counted)
     b = moebius_cylinder()

@@ -150,7 +150,7 @@ def test_dedupe_keeps_the_rows_np_unique_keeps():
 
 def test_no_construction_or_check_defaults_its_sample_plan():
     # a plan defines what a certificate means, so no function may pick one
-    # silently; only Cover.refined_with probes with the fixed SamplePlan()
+    # silently; only Base.meets probes with the fixed SamplePlan()
     src = Path(__file__).resolve().parent.parent / "src" / "bundleforms"
     defaulted, implicit = [], []
     for path in sorted(src.glob("*.py")):
@@ -170,7 +170,7 @@ def test_no_construction_or_check_defaults_its_sample_plan():
                 if (isinstance(node, ast.Call) and not node.args and not node.keywords
                         and isinstance(node.func, ast.Name)
                         and node.func.id == "SamplePlan"
-                        and fn.name != "refined_with"):
+                        and fn.name != "meets"):
                     implicit.append(f"{path.name}:{fn.name}")
     assert defaulted == []
     assert implicit == []

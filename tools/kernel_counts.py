@@ -29,18 +29,22 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
   the row store; the rows that `homotopy` seeded into row stores from its
   ladder's probes; and the kernel memo traffic on transports;
 - point arrays a base evaluates again, requested and interned, by kind:
-  each region a `Base.region_memos` batch samples counts as one request
-  of the kind of the function that asked for the batch (directly or
-  through `Base.region_memo`): cover regions (`Cover.region_memo`, one per
-  cover, sorted indices and plan), base samples (`Base.sample_memo`),
-  unity probes (the regions `unity` certifies disjointness and
-  containment on), other probes (the refinement and slice probes), and
-  the circle walk's arrays (`Base.grid_memo`): the loop grid, the
-  refinement batches of `bundles.refined_loop` (each batch is one
-  membership evaluation of every angle repeated halving could insert in
-  a round's bad steps) and the sign switches' one-row points.
-  "Interned" counts the requests that made a new array and memo; every
-  other request read one an earlier request of any kind made;
+  each region a `Base.region_memos` batch is asked for counts as one
+  request of the kind of the function that asked for the batch (directly
+  or through `Base.region_memo`): cover regions (`Cover.region_memo`),
+  base samples (`Base.sample_memo`), unity probes (the regions `unity`
+  certifies disjointness and containment on), other probes (the
+  refinement and slice probes of `Base.meets`), and the circle walk's
+  arrays (`Base.grid_memo`): the loop grid, the refinement batches of
+  `bundles.refined_loop` (each batch is one membership evaluation of
+  every angle repeated halving could insert in a round's bad steps) and
+  the sign switches' one-row points.  Of the region requests, "from
+  table" counts those the base's request table answered, and "sampled"
+  those that ran `semialg.sample`'s membership pass; "interned" counts
+  the requests that made a new array and memo, and every other request
+  read one an earlier request of any kind made.  Last, the distinct
+  region requests (base, the region's pieces, plan, count) and the
+  membership passes of the whole operation;
 - expression node evaluations by node kind, with their rows: the calls
   of a node's `_eval`, which no context cache served;
 - node reads a parent context served: reads in a `ZeroGate` sub-context
@@ -163,9 +167,11 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     eigh, closed = ex._whitened_eigh, ex._closed_pencil
     lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
     seed, kept = ex.PathProduct.seed, semialg._kept
-    region_memos, grid_memo = Base.region_memos, Base.grid_memo
+    region_memos, grid_memo, sample = Base.region_memos, Base.grid_memo, semialg.sample
     init, sub = ex.EvalContext.__init__, ex.EvalContext.sub
     interned, served = {}, {}
+    requests = {}   # (id(base), pieces, plan, count) -> base, kept alive
+    asking = []     # the kind of each `region_memos` call in progress
     batch_read = weakref.WeakKeyDictionary()    # context -> ids of held nodes read
     held = {}       # id(cloud) -> the values its batch holds, while `_kept` runs
     builders = weakref.WeakKeyDictionary()      # context -> builder_of name
@@ -280,9 +286,20 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
         return memo
 
     def counted_regions(base, regions, plan, count):
-        memos = region_memos(base, regions, plan, count)
-        kind = kind_of(sys._getframe(1))
+        asking.append(kind_of(sys._getframe(1)))
+        try:
+            memos = region_memos(base, regions, plan, count)
+        finally:
+            kind = asking.pop()
+        for region in regions:
+            requests[(id(base), region.pieces, plan, count)] = base
         return [counted_array(memo, kind) for memo in memos]
+
+    def counted_sample(sset, plan, box, count=None, batch=None):
+        out = sample(sset, plan, box, count, batch)
+        tally(f"{asking[-1]} sampled", out[0].shape[0])
+        tally("membership passes", out[0].shape[0])
+        return out
 
     def counted_grid(base, name, make):
         return counted_array(grid_memo(base, name, make), GRID_KINDS[name[0]])
@@ -297,6 +314,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
                (ex.PathProduct, "seed", counted_seed),
                (semialg, "_kept", counted_kept),
                (Base, "region_memos", counted_regions),
+               (semialg, "sample", counted_sample),
                (Base, "grid_memo", counted_grid),
                (ex.EvalContext, "__init__", counted_init),
                (ex.EvalContext, "sub", counted_sub),
@@ -309,6 +327,12 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
         setattr(owner, attr, new)
     try:
         result = workloads.run_operation(name, SEED)
+        calls["distinct region requests"] = len(requests)
+        requests.clear()        # its keys hold conditions, so nodes, alive
+        for kind in REGION_KINDS:
+            for counter in (calls, rows):
+                counter[f"{kind} from table"] = (counter[f"{kind} requested"]
+                                                 - counter[f"{kind} sampled"])
         calls["live intern table entries"] = len(ex._INTERNED)
         del result
     finally:
@@ -321,8 +345,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
 GRID_KINDS = {"loop grid": "loop grid", "loop batch": "loop batches",
               "loop point": "loop switches"}
 EMBEDDING_KINDS = ["partition of unity", "block sum"]
-ARRAY_KINDS = ["cover regions", "base samples", "unity probes", "other probes",
-               *GRID_KINDS.values()]
+REGION_KINDS = ["cover regions", "base samples", "unity probes", "other probes"]
 
 
 def main() -> int:
@@ -345,9 +368,14 @@ def main() -> int:
         for key in ["pathproduct", "transported", "row store read", "probe seeded",
                     "transport memo hit", "transport memo miss"]:
             print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
-        for kind in ARRAY_KINDS:
-            for key in [f"{kind} requested", f"{kind} interned"]:
+        for kind in [*REGION_KINDS, *GRID_KINDS.values()]:
+            stages = (["requested", "from table", "sampled", "interned"]
+                      if kind in REGION_KINDS else ["requested", "interned"])
+            for key in (f"{kind} {stage}" for stage in stages):
                 print(f"  {key:24s} {calls[key]:7d} arrays {rows[key]:9d} rows")
+        print(f"  {'distinct region requests':24s} "
+              f"{calls['distinct region requests']:7d}, membership passes "
+              f"{calls['membership passes']:d}")
         nodes = sorted(k for k in calls if k.startswith("node "))
         for key in [*nodes, "structural duplicates", "parent served",
                     "batch served"]:
