@@ -36,6 +36,7 @@ from .bundles import (
 from .errors import (
     BaseMismatch,
     BundleformsError,
+    CoverageFailure,
     DimensionMismatch,
     InconsistentSignature,
     NearSingular,
@@ -65,7 +66,15 @@ from .matexpr import (
     em_vstack,
     em_zero_gate,
 )
-from .semialg import Condition, GT, SamplePlan, SemialgebraicSet, first_flagged
+from .semialg import (
+    _SAMPLE_MARGIN,
+    Condition,
+    GT,
+    SamplePlan,
+    SemialgebraicSet,
+    first_flagged,
+    memberships,
+)
 
 NEARLY_SINGULAR = 1e-12
 PIVOT_RATIO = 1e-10
@@ -351,16 +360,34 @@ def eigenvalue_signature(s: np.ndarray) -> SignatureType:
 
 
 def signature(form: FormField, plan: SamplePlan) -> SignatureType:
-    """Per-sample diagonalization type, required constant on the base.
-    A sampled matrix with a NaN or infinite entry raises NonFiniteForm at
-    its point."""
-    if not form.bundle.base.connected:
+    """Diagonalization type at the base's samples, required constant.
+
+    The evidence is the plan's n_chart samples of the base, each typed in
+    every chart that holds it (strict conditions above the sampling
+    margin, as a chart sample clears them): chart i's matrix is evaluated
+    at the base samples inside chart i, in the kernel memo the base interns
+    for that selection.  A chart that holds no base sample is not visited.
+    A base sample that no chart holds raises CoverageFailure at its point,
+    unless no chart holds any, which raises InconsistentSignature; so does
+    a second type, at its first sample.  A sampled matrix with a NaN or
+    infinite entry raises NonFiniteForm at its point."""
+    base = form.bundle.base
+    if not base.connected:
         raise InconsistentSignature(
             "signature needs a base declared connected", [], []
         )
+    memo = base.sample_memo(plan)
+    inside = memberships(form.bundle.cover.charts, memo, _SAMPLE_MARGIN)
+    gap = first_flagged(memo.points, ~inside.any(axis=1))
+    if gap is not None and inside.any():
+        raise CoverageFailure(
+            f"no chart of form {form.name or '?'} holds base sample {gap}",
+            point=gap)
     seen: dict[tuple, tuple] = {}
-    for (i,), pts, ev in sampled_regions(form.bundle.cover, plan, 1):
-        mats = ev(form.mats[i])
+    for i in np.flatnonzero(inside.any(axis=0)):
+        chart = base.intern([(memo, inside[:, i])], plan.n_chart)
+        pts = chart.points
+        mats = em_eval(form.mats[i], chart)
         bad = first_flagged(pts, ~np.isfinite(mats).all(axis=(1, 2)))
         if bad is not None:
             raise NonFiniteForm(f"form {form.name or '?'} is not finite at {bad}",

@@ -181,6 +181,25 @@ def test_homotopy_subcommand_on_circle_is_an_error_not_a_vacuous_pass(capsys):
     assert all(t["message"].startswith("NotCatalogBase: ") for t in tasks)
 
 
+def test_signature_on_charts_that_miss_a_base_sample_is_an_error(tmp_path,
+                                                                 capsys):
+    # U2 = {x1 > 0.9} leaves a gap of the circle that no chart holds: the
+    # signature names its first base sample, as witt-zero's coverage does
+    raw = json.loads((SPECS / "moebius.json").read_text())
+    raw["charts"]["U2"] = [["x1 - 0.9", ">"]]
+    spec = tmp_path / "gap.json"
+    spec.write_text(json.dumps(raw))
+    code, out = run_cli(capsys, "report", spec, "--format", "machine")
+    assert code == 2
+    entries = {t["name"]: t for t in json.loads(out)["tasks"]}
+    sig = entries["signature hyperbolic1"]
+    assert sig["status"] == "error"
+    assert sig["message"].startswith("CoverageFailure: no chart of form "
+                                     "hyperbolic1 holds base sample")
+    assert sig["witness_point"] == [-0.819102332883, 0.573647425049]
+    assert sig["witness_point"] == entries["witt-zero hyperbolic1"]["witness_point"]
+
+
 def test_check_witness_tasks_from_the_spec(tmp_path, capsys):
     raw = json.loads((SPECS / "moebius.json").read_text())
     assert set(raw["sections"]) == {"one"}

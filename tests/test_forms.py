@@ -5,6 +5,7 @@ import pytest
 
 from bundleforms import expr as ex
 from bundleforms import forms as fo
+from bundleforms import semialg
 from bundleforms.bundles import (
     BundleRep,
     gauss_embedding,
@@ -14,6 +15,7 @@ from bundleforms.bundles import (
     whitney_sum,
 )
 from bundleforms.catalog import (
+    circle_base,
     circle_trivial,
     circle_two_arc_cover,
     full_cover,
@@ -54,6 +56,7 @@ from bundleforms.matexpr import em_const, em_eval
 from bundleforms.reporting import Report, timed_entry
 from bundleforms.semialg import Cover, SamplePlan
 from helpers import (
+    counting,
     interval,
     machine_task,
     nan_where_positive,
@@ -826,6 +829,56 @@ def test_a_form_with_no_sampled_point_says_so():
                        match="no chart of form x0 sampled a point") as got:
         signature(f, PLAN)
     assert got.value.types == [] and got.value.point is None
+
+
+def test_signature_types_the_base_samples_without_sampling_a_chart(monkeypatch):
+    # the sum lives on the refinement of two covers of one circle, whose
+    # charts the sum's signature never samples: it types the base's own
+    # samples, each in every chart that holds it
+    base = circle_base()
+    f1 = FormField.constant(trivial_bundle(circle_two_arc_cover(base), 1),
+                            np.eye(1))
+    f2 = FormField.constant(trivial_bundle(circle_two_arc_cover(base), 1),
+                            -np.eye(1))
+    s = orthogonal_sum(f1, f2)
+    assert s.bundle.cover.n_charts == 4
+    base.sample_memo(PLAN)
+    samples = counting(monkeypatch, semialg, "sample")
+    batches = counting(monkeypatch, semialg.Base, "region_memos")
+    interned = []
+    intern = semialg.Base.intern
+
+    def kept(*args):
+        interned.append(intern(*args))
+        return interned[-1]
+
+    monkeypatch.setattr(semialg.Base, "intern", kept)
+    assert signature(s, PLAN) == SignatureType(1, 1)
+    assert samples == []
+    assert [regions for _, regions, *_ in batches] == [[base.sset]]
+    assert len(interned) == 4
+    assert sum(map(len, interned)) >= len(base.sample_memo(PLAN))
+    first = list(interned)
+    interned.clear()
+    assert signature(s, PLAN) == SignatureType(1, 1)
+    assert len(interned) == 4
+    assert all(a is b for a, b in zip(interned, first))
+    assert samples == []
+
+
+def test_signature_checks_a_thin_chart():
+    # chart 1 is a band holding a few of the base's samples: its matrix has
+    # another type than chart 0's, and the signature finds it there
+    band = interval(lo=0.3, hi=0.4)
+    b = trivial_bundle(Cover(line_base(), [interval(lo=-5.0), band]), 1)
+    f = FormField(b, [((ex.Const(1.0),),), ((ex.Const(-1.0),),)], name="thin")
+    pts = b.base.sample_points(PLAN)
+    inside = (pts[:, 0] > 0.3) & (pts[:, 0] < 0.4)
+    assert 0 < inside.sum() < 0.05 * len(pts)
+    with pytest.raises(InconsistentSignature, match="sampled types disagree") as got:
+        signature(f, PLAN)
+    assert got.value.types == [SignatureType(0, 1), SignatureType(1, 0)]
+    assert got.value.point == tuple(pts[int(np.argmax(inside))].tolist())
 
 
 def test_trivializing_cover_raises_for_stuck_row():

@@ -65,7 +65,11 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
   diagonal of a Whitney sum's summands' kept embeddings
   (`bundles._block_sum_embedding`); an embedding kept on its bundle and
   read again is not built;
-- live intern table entries after the operation, its result still held.
+- live intern table entries after the operation, its result still held;
+- per `forms.signature` call, in call order: the form, its chart count
+  and, per chart, the base samples typed there (`signature` types each
+  of the plan's base samples in every chart that holds it, and does not
+  visit a chart that holds none).
 
 The per-layer trace of the benchmark counts a memo hit as a kernel call,
 since it sees only the context's own cache; these counts tell the two
@@ -89,6 +93,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from bundleforms import bundles  # noqa: E402
 from bundleforms import expr as ex  # noqa: E402
+from bundleforms import forms  # noqa: E402
 from bundleforms import semialg  # noqa: E402
 from bundleforms.semialg import Base  # noqa: E402
 
@@ -156,8 +161,10 @@ def _numbered(part, subs: dict, memo: dict, table: dict):
     return part
 
 
-def counted_operation(name: str) -> tuple[Counter, Counter]:
-    """(calls, rows) per counter over one operation of the workload."""
+def counted_operation(name: str) -> tuple[Counter, Counter, list]:
+    """(calls, rows) per counter over one operation of the workload, and
+    per `signature` call its (form name, charts, base samples typed per
+    chart)."""
     calls, rows = Counter(), Counter()
     node_eval = ex.Expr.eval
     # per context: its structure memo, and the first node evaluated there
@@ -168,6 +175,8 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
     seed, kept = ex.PathProduct.seed, semialg._kept
     region_memos, grid_memo, sample = Base.region_memos, Base.grid_memo, semialg.sample
+    chart_memberships = forms.memberships
+    typed = []      # per signature call: (form name, charts, typed per chart)
     init, sub = ex.EvalContext.__init__, ex.EvalContext.sub
     interned, served = {}, {}
     requests = {}   # (id(base), pieces, plan, count) -> base, kept alive
@@ -301,6 +310,14 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
         tally("membership passes", out[0].shape[0])
         return out
 
+    def counted_memberships(sets, points, margin):
+        # `forms` calls it in `signature` alone, with its form's charts and
+        # base samples: whichever module called `signature`, it is seen here
+        inside = chart_memberships(sets, points, margin)
+        form = sys._getframe(1).f_locals["form"]
+        typed.append((form.name, len(sets), inside.sum(axis=0).tolist()))
+        return inside
+
     def counted_grid(base, name, make):
         return counted_array(grid_memo(base, name, make), GRID_KINDS[name[0]])
 
@@ -316,6 +333,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
                (Base, "region_memos", counted_regions),
                (semialg, "sample", counted_sample),
                (Base, "grid_memo", counted_grid),
+               (forms, "memberships", counted_memberships),
                (ex.EvalContext, "__init__", counted_init),
                (ex.EvalContext, "sub", counted_sub),
                (bundles, "_cocycle_embedding",
@@ -338,7 +356,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter]:
     finally:
         for owner, attr, old in originals:
             setattr(owner, attr, old)
-    return calls, rows
+    return calls, rows, typed
 
 
 # the first item of a `Base.grid_memo` name -> the array's kind
@@ -350,7 +368,7 @@ REGION_KINDS = ["cover regions", "base samples", "unity probes", "other probes"]
 
 def main() -> int:
     for name in workloads.WORKLOADS:
-        calls, rows = counted_operation(name)
+        calls, rows, typed = counted_operation(name)
         print(f"{name} (seed {SEED}, one operation)")
         groups = sorted(k for k in calls if k.startswith("matrixgroup "))
         total = sum(calls[k] for k in groups)
@@ -385,6 +403,10 @@ def main() -> int:
         print("  gauss embeddings built: " + ", ".join(
             f"{calls['embedding ' + kind]} by {kind}" for kind in EMBEDDING_KINDS))
         print(f"  {'live intern entries':24s} {calls['live intern table entries']:7d}")
+        print(f"  signature calls {len(typed)}, base samples typed per chart:")
+        for form, charts, counts in typed:
+            print(f"    {form}: {charts} charts, "
+                  + "/".join(map(str, counts)))
         sys.stdout.flush()
     return 0
 
