@@ -366,7 +366,8 @@ def signature(form: FormField, plan: SamplePlan) -> SignatureType:
     every chart that holds it (strict conditions above the sampling
     margin, as a chart sample clears them): chart i's matrix is evaluated
     at the base samples inside chart i, in the kernel memo the base interns
-    for that selection.  A chart that holds no base sample is not visited.
+    for that selection (the base samples' own memo when chart i holds them
+    all).  A chart that holds no base sample is not visited.
     A base sample that no chart holds raises CoverageFailure at its point,
     unless no chart holds any, which raises InconsistentSignature; so does
     a second type, at its first sample.  A sampled matrix with a NaN or
@@ -385,7 +386,9 @@ def signature(form: FormField, plan: SamplePlan) -> SignatureType:
             point=gap)
     seen: dict[tuple, tuple] = {}
     for i in np.flatnonzero(inside.any(axis=0)):
-        chart = base.intern([(memo, inside[:, i])], plan.n_chart)
+        # a chart that holds every base sample reads the base's own memo
+        chart = (memo if inside[:, i].all() else
+                 base.intern([(memo, inside[:, i])], plan.n_chart))
         pts = chart.points
         mats = em_eval(form.mats[i], chart)
         bad = first_flagged(pts, ~np.isfinite(mats).all(axis=(1, 2)))

@@ -842,7 +842,7 @@ def test_signature_types_the_base_samples_without_sampling_a_chart(monkeypatch):
                             -np.eye(1))
     s = orthogonal_sum(f1, f2)
     assert s.bundle.cover.n_charts == 4
-    base.sample_memo(PLAN)
+    memo = base.sample_memo(PLAN)
     samples = counting(monkeypatch, semialg, "sample")
     batches = counting(monkeypatch, semialg.Base, "region_memos")
     interned = []
@@ -857,13 +857,31 @@ def test_signature_types_the_base_samples_without_sampling_a_chart(monkeypatch):
     assert samples == []
     assert [regions for _, regions, *_ in batches] == [[base.sset]]
     assert len(interned) == 4
-    assert sum(map(len, interned)) >= len(base.sample_memo(PLAN))
+    assert sum(map(len, interned)) >= len(memo)
     first = list(interned)
     interned.clear()
     assert signature(s, PLAN) == SignatureType(1, 1)
     assert len(interned) == 4
     assert all(a is b for a, b in zip(interned, first))
     assert samples == []
+
+
+def test_a_chart_holding_every_base_sample_reads_the_base_memo(monkeypatch):
+    # the full chart's points are the base's samples: signature evaluates
+    # in the base's own memo, which every chart walk of the cover reads
+    # too, so their kernel outputs are shared, not computed on a copy
+    b = trivial_bundle(full_cover(line_base()), 2)
+    memo = b.base.sample_memo(PLAN)
+    read = []
+
+    def evaluated(matrix, points):
+        read.append(points)
+        return em_eval(matrix, points)
+
+    monkeypatch.setattr(fo, "em_eval", evaluated)
+    assert signature(FormField.constant(b, np.eye(2)), PLAN) == SignatureType(2, 0)
+    assert len(read) == 1 and read[0] is memo
+    assert memo is b.cover.region_memo((0,), PLAN)
 
 
 def test_signature_checks_a_thin_chart():
