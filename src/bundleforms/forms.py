@@ -66,15 +66,7 @@ from .matexpr import (
     em_vstack,
     em_zero_gate,
 )
-from .semialg import (
-    _SAMPLE_MARGIN,
-    Condition,
-    GT,
-    SamplePlan,
-    SemialgebraicSet,
-    first_flagged,
-    memberships,
-)
+from .semialg import Condition, GT, SamplePlan, SemialgebraicSet, first_flagged
 
 NEARLY_SINGULAR = 1e-12
 PIVOT_RATIO = 1e-10
@@ -363,32 +355,34 @@ def signature(form: FormField, plan: SamplePlan) -> SignatureType:
     """Diagonalization type at the base's samples, required constant.
 
     The evidence is the plan's n_chart samples of the base, each typed in
-    every chart that holds it (strict conditions above the sampling
-    margin, as a chart sample clears them): chart i's matrix is evaluated
-    at the base samples inside chart i, in the kernel memo the base interns
-    for that selection (the base samples' own memo when chart i holds them
-    all).  A chart that holds no base sample is not visited.
+    every chart that holds it (`Cover.chart_memberships`): chart i's
+    matrix is evaluated at the base samples inside chart i, in the kernel
+    memo the base interns for that selection.  A chart too thin to hold a
+    base sample is typed at its own sample (`Cover.region_memo`), and
+    skipped only when that finds no point either.
     A base sample that no chart holds raises CoverageFailure at its point,
-    unless no chart holds any, which raises InconsistentSignature; so does
-    a second type, at its first sample.  A sampled matrix with a NaN or
-    infinite entry raises NonFiniteForm at its point."""
-    base = form.bundle.base
+    unless no chart holds any base sample.  No typed point at all, or a
+    second type, raises InconsistentSignature, the latter at the second
+    type's first sample.  A sampled matrix with a NaN or infinite entry
+    raises NonFiniteForm at its point."""
+    base, cover = form.bundle.base, form.bundle.cover
     if not base.connected:
         raise InconsistentSignature(
             "signature needs a base declared connected", [], []
         )
     memo = base.sample_memo(plan)
-    inside = memberships(form.bundle.cover.charts, memo, _SAMPLE_MARGIN)
+    inside = cover.chart_memberships(memo)
     gap = first_flagged(memo.points, ~inside.any(axis=1))
     if gap is not None and inside.any():
         raise CoverageFailure(
             f"no chart of form {form.name or '?'} holds base sample {gap}",
             point=gap)
     seen: dict[tuple, tuple] = {}
-    for i in np.flatnonzero(inside.any(axis=0)):
-        # a chart that holds every base sample reads the base's own memo
-        chart = (memo if inside[:, i].all() else
-                 base.intern([(memo, inside[:, i])], plan.n_chart))
+    for i, held in enumerate(inside.T):
+        chart = (base.intern([(memo, held)], plan.n_chart) if held.any()
+                 else cover.region_memo((i,), plan))
+        if len(chart) == 0:
+            continue
         pts = chart.points
         mats = em_eval(form.mats[i], chart)
         bad = first_flagged(pts, ~np.isfinite(mats).all(axis=(1, 2)))

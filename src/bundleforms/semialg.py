@@ -687,9 +687,16 @@ class Cover:
         bad = self.first_uncovered(memo)
         return CoverageReport(bad is None, bad)
 
+    def chart_memberships(self, memo: ex.KernelMemo) -> np.ndarray:
+        """The (N, n_charts) matrix of which charts hold each of the memo's
+        points: a chart's strict conditions held above the sampling margin,
+        as a chart's own samples hold them.  Every coverage check of the
+        cover, and `forms.signature`, decide membership here."""
+        return memberships(self.charts, memo, _SAMPLE_MARGIN)
+
     def first_uncovered(self, memo: ex.KernelMemo) -> tuple | None:
         """The first of the memo's points that no chart contains, or None."""
-        covered = memberships(self.charts, memo, 0.0).any(axis=1)
+        covered = self.chart_memberships(memo).any(axis=1)
         return first_flagged(memo.points, ~covered)
 
     def require_coverage(self, plan: SamplePlan) -> None:

@@ -866,37 +866,22 @@ def test_signature_types_the_base_samples_without_sampling_a_chart(monkeypatch):
     assert samples == []
 
 
-def test_a_chart_holding_every_base_sample_reads_the_base_memo(monkeypatch):
-    # the full chart's points are the base's samples: signature evaluates
-    # in the base's own memo, which every chart walk of the cover reads
-    # too, so their kernel outputs are shared, not computed on a copy
-    b = trivial_bundle(full_cover(line_base()), 2)
-    memo = b.base.sample_memo(PLAN)
-    read = []
-
-    def evaluated(matrix, points):
-        read.append(points)
-        return em_eval(matrix, points)
-
-    monkeypatch.setattr(fo, "em_eval", evaluated)
-    assert signature(FormField.constant(b, np.eye(2)), PLAN) == SignatureType(2, 0)
-    assert len(read) == 1 and read[0] is memo
-    assert memo is b.cover.region_memo((0,), PLAN)
-
-
-def test_signature_checks_a_thin_chart():
-    # chart 1 is a band holding a few of the base's samples: its matrix has
-    # another type than chart 0's, and the signature finds it there
-    band = interval(lo=0.3, hi=0.4)
-    b = trivial_bundle(Cover(line_base(), [interval(lo=-5.0), band]), 1)
+@pytest.mark.parametrize("lo, hi, held", [(0.3, 0.4, True), (1.1, 1.13, False)])
+def test_signature_checks_a_thin_chart(lo, hi, held):
+    # chart 1 is a band that holds a few of the base's samples or, too
+    # narrow for any, is typed at its own sample: its matrix has another
+    # type than chart 0's, and the signature finds it there
+    b = trivial_bundle(Cover(line_base(), [interval(lo=-5.0),
+                                           interval(lo=lo, hi=hi)]), 1)
     f = FormField(b, [((ex.Const(1.0),),), ((ex.Const(-1.0),),)], name="thin")
     pts = b.base.sample_points(PLAN)
-    inside = (pts[:, 0] > 0.3) & (pts[:, 0] < 0.4)
-    assert 0 < inside.sum() < 0.05 * len(pts)
+    inside = (pts[:, 0] > lo) & (pts[:, 0] < hi)
+    assert inside.any() == held and inside.sum() < 0.05 * len(pts)
     with pytest.raises(InconsistentSignature, match="sampled types disagree") as got:
         signature(f, PLAN)
     assert got.value.types == [SignatureType(0, 1), SignatureType(1, 0)]
-    assert got.value.point == tuple(pts[int(np.argmax(inside))].tolist())
+    typed = pts[inside] if held else b.cover.samples((1,), PLAN)
+    assert got.value.point == tuple(typed[0].tolist())
 
 
 def test_trivializing_cover_raises_for_stuck_row():

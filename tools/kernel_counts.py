@@ -68,8 +68,8 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
 - live intern table entries after the operation, its result still held;
 - per `forms.signature` call, in call order: the form, its chart count
   and, per chart, the base samples typed there (`signature` types each
-  of the plan's base samples in every chart that holds it, and does not
-  visit a chart that holds none).
+  of the plan's base samples in every chart that holds it; a chart that
+  holds none, shown as 0, is typed at its own sample instead).
 
 The per-layer trace of the benchmark counts a memo hit as a kernel call,
 since it sees only the context's own cache; these counts tell the two
@@ -95,7 +95,7 @@ from bundleforms import bundles  # noqa: E402
 from bundleforms import expr as ex  # noqa: E402
 from bundleforms import forms  # noqa: E402
 from bundleforms import semialg  # noqa: E402
-from bundleforms.semialg import Base  # noqa: E402
+from bundleforms.semialg import Base, Cover  # noqa: E402
 
 SEED = 0
 # the evaluators that build a context for their caller's points
@@ -175,7 +175,8 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
     lookup, transport = ex.PathProduct.compute, ex.PathProduct._compute
     seed, kept = ex.PathProduct.seed, semialg._kept
     region_memos, grid_memo, sample = Base.region_memos, Base.grid_memo, semialg.sample
-    chart_memberships = forms.memberships
+    form_signature, chart_memberships = forms.signature, Cover.chart_memberships
+    signing = []    # the form of each `signature` call under way
     typed = []      # per signature call: (form name, charts, typed per chart)
     init, sub = ex.EvalContext.__init__, ex.EvalContext.sub
     interned, served = {}, {}
@@ -310,12 +311,19 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
         tally("membership passes", out[0].shape[0])
         return out
 
-    def counted_memberships(sets, points, margin):
-        # `forms` calls it in `signature` alone, with its form's charts and
-        # base samples: whichever module called `signature`, it is seen here
-        inside = chart_memberships(sets, points, margin)
-        form = sys._getframe(1).f_locals["form"]
-        typed.append((form.name, len(sets), inside.sum(axis=0).tolist()))
+    def counted_signature(form, plan):
+        signing.append(form)
+        try:
+            return form_signature(form, plan)
+        finally:
+            signing.pop()
+
+    def counted_memberships(cover, memo):
+        # `signature` makes one membership pass, at the base's samples
+        inside = chart_memberships(cover, memo)
+        if signing:
+            typed.append((signing[-1].name, cover.n_charts,
+                          inside.sum(axis=0).tolist()))
         return inside
 
     def counted_grid(base, name, make):
@@ -333,13 +341,18 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
                (Base, "region_memos", counted_regions),
                (semialg, "sample", counted_sample),
                (Base, "grid_memo", counted_grid),
-               (forms, "memberships", counted_memberships),
+               (Cover, "chart_memberships", counted_memberships),
                (ex.EvalContext, "__init__", counted_init),
                (ex.EvalContext, "sub", counted_sub),
                (bundles, "_cocycle_embedding",
                 counted_build(bundles._cocycle_embedding, "partition of unity")),
                (bundles, "_block_sum_embedding",
                 counted_build(bundles._block_sum_embedding, "block sum"))]
+    # every module that binds `signature` by name, `forms` among them
+    patches += [(module, "signature", counted_signature)
+                for module_name, module in list(sys.modules.items())
+                if module_name.split(".")[0] == "bundleforms"
+                and getattr(module, "signature", None) is form_signature]
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patches]
     for owner, attr, new in patches:
         setattr(owner, attr, new)
