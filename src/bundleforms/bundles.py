@@ -49,8 +49,7 @@ from .matexpr import (
     em_zero_gate,
 )
 from .semialg import (GT, Base, Condition, Cover, Polynomial, SamplePlan,
-                      SemialgebraicSet, component_expr, first_flagged,
-                      memberships)
+                      SemialgebraicSet, component_expr, first_flagged)
 from .unity import PartitionOfUnity, normalized_partition, partition_of_unity
 
 DEFAULT_IDENTITY_TOL = 1e-9
@@ -229,7 +228,8 @@ def sampled_regions(cover: Cover, plan: SamplePlan, arity: int):
 
     Arity 1 visits the charts in ascending order, arity 2 the ordered
     overlaps and arity 3 the ordered triples, in `itertools.permutations`
-    order; regions without sample points are skipped.  `ev(matrix)`
+    order; regions without sample points are skipped, but a base without
+    any is a `CoverageFailure`, never a pass.  `ev(matrix)`
     evaluates an expression matrix at the points in one context per visit,
     so a node shared by several matrices is computed once.  The context is
     dropped when the visit ends, but it evaluates in the region's kernel
@@ -239,6 +239,8 @@ def sampled_regions(cover: Cover, plan: SamplePlan, arity: int):
     every region with the same points and by every later walk of the
     cover.
     """
+    if len(cover.base.sample_memo(plan)) == 0:
+        raise CoverageFailure(f"base {cover.base.name or '?'} yielded no sample points")
     for idx in itertools.permutations(range(cover.n_charts), arity):
         memo = cover.region_memo(idx, plan)
         if len(memo) == 0:
@@ -782,7 +784,7 @@ def s1_line_class(bundle: BundleRep) -> int:
     base = bundle.base
 
     def switch_sign(old: int, new: int, angle: float) -> float:
-        at = _loop_memo(base, ("loop point", angle), [angle])
+        at = _loop_memo(base, np.array([angle]))
         det = float(np.linalg.det(em_eval(bundle.transition(new, old), at)[0]))
         if not math.isfinite(det):
             raise GuardViolation(f"transition determinant {det} not finite on the loop",
@@ -809,24 +811,21 @@ def s1_line_class(bundle: BundleRep) -> int:
 
 def refined_loop(cover: Cover) -> tuple[np.ndarray, np.ndarray]:
     """The circle walk's loop angles, from 0 to 2 pi, and per angle which
-    charts hold its point (margin 1e-9).
+    charts hold its point (`Cover.chart_memberships`).
 
-    The loop starts as LOOP_STEPS equal steps, on the base's grid
-    (`Base.grid_memo`); a grid angle that no chart holds is a
-    `CoverageFailure` at that angle, raised before any halving.  Each round
-    halves, at 0.5 * (a + b), every step whose two ends no single chart
-    contains (chart crossover bands can be narrow for derived covers) and
-    each some chart holds, down to steps 1e-9 wide; a step below that width
-    or with an end that no chart holds is a `CoverageFailure`.  A round
-    that meets midpoints not yet evaluated evaluates `_loop_batch` of its
-    bad steps, and the rounds read their midpoints from it, so they insert
-    the angles one-round-at-a-time halving would.
+    The loop starts as LOOP_STEPS equal steps; a grid angle that no chart
+    holds is a `CoverageFailure` at that angle, raised before any halving.
+    Each round halves, at 0.5 * (a + b), every step whose two ends no single
+    chart contains (chart crossover bands can be narrow for derived covers)
+    and each some chart holds, down to steps 1e-9 wide; a step below that
+    width or with an end that no chart holds is a `CoverageFailure`.  The
+    grid and each round's midpoints are one membership pass each, on the
+    base's memo of their angles (`_loop_memo`).
     """
-    base, charts = cover.base, cover.charts
+    base = cover.base
     angles = np.append(2.0 * np.pi * np.arange(LOOP_STEPS) / LOOP_STEPS,
                        2.0 * np.pi)
-    member = memberships(charts, _loop_memo(base, ("loop grid", LOOP_STEPS),
-                                            angles), 1e-9)
+    member = cover.chart_memberships(_loop_memo(base, angles))
     if not member[0].any():
         raise CoverageFailure("circle loop start not covered by any chart")
     bare = angles[~member.any(axis=1)]
@@ -834,7 +833,6 @@ def refined_loop(cover: Cover) -> tuple[np.ndarray, np.ndarray]:
         raise CoverageFailure(
             f"circle loop angle {bare[0]:.6f} not covered by any chart",
             point=_loop_points(base, bare[:1])[0])
-    batch = np.empty(0)
     while True:
         bad = np.flatnonzero(~(member[:-1] & member[1:]).any(axis=1))
         if not bad.size:
@@ -846,40 +844,16 @@ def refined_loop(cover: Cover) -> tuple[np.ndarray, np.ndarray]:
                 f"no chart chain near loop angle {angles[stuck[0]]:.6f}",
                 point=_loop_points(base, angles[stuck[:1]])[0])
         mids = 0.5 * (angles[bad] + angles[bad + 1])
-        if not np.isin(mids, batch).all():
-            batch, batch_member = _loop_batch(cover, angles[bad], angles[bad + 1])
         angles = np.insert(angles, bad + 1, mids)
         member = np.insert(member, bad + 1,
-                           batch_member[np.searchsorted(batch, mids)], axis=0)
+                           cover.chart_memberships(_loop_memo(base, mids)), axis=0)
 
 
-def _loop_batch(cover: Cover, lo: np.ndarray, hi: np.ndarray):
-    """Every angle that repeated halving at 0.5 * (a + b) inserts inside the
-    steps (lo[k], hi[k]), ascending, down to the deepest level that keeps
-    them within LOOP_STEPS angles (the first level always), and which
-    charts hold each point, evaluated in one context.  The angles are a
-    pure function of the steps' ends and the depth, so the base interns
-    their memo by them (`Base.grid_memo`)."""
-    depth = 1
-    while len(lo) * ((2 << depth) - 1) <= LOOP_STEPS:
-        depth += 1
-    ends = np.column_stack([lo, hi])
-    for _ in range(depth):
-        halved = np.empty((len(ends), 2 * ends.shape[1] - 1))
-        halved[:, ::2] = ends
-        halved[:, 1::2] = 0.5 * (ends[:, :-1] + ends[:, 1:])
-        ends = halved
-    angles = ends[:, 1:-1].ravel()
-    memo = _loop_memo(cover.base, ("loop batch", depth, lo.tobytes(), hi.tobytes()),
-                      angles)
-    return angles, memberships(cover.charts, memo, 1e-9)
-
-
-def _loop_memo(base: Base, name, angles) -> ex.KernelMemo:
+def _loop_memo(base: Base, angles: np.ndarray) -> ex.KernelMemo:
     """The base's memo (`Base.grid_memo`) of the unit circle's points in
-    (x0, x1) at `angles`, other coordinates 0, kept under `name`, which
-    must determine the angles."""
-    return base.grid_memo(name, lambda: _loop_points(base, angles))
+    (x0, x1) at `angles`, other coordinates 0, kept under the angles'
+    bytes: the loop grid, a round's midpoints and a switch point alike."""
+    return base.grid_memo(angles.tobytes(), lambda: _loop_points(base, angles))
 
 
 def _loop_points(base: Base, angles) -> np.ndarray:

@@ -79,8 +79,8 @@ class KernelMemo:
     takes it in place of the array, and `len(memo)` is its number of rows.
     Each sampling cloud (`semialg._cloud`) has one, and so does each point
     set a base samples (cover regions, the base's own samples, the probes
-    of `unity`) or evaluates again (`Base.grid_memo`, the circle loop's
-    grid): the base interns it by the rows it selects (`Base.region_memo`),
+    of `unity`) or evaluates again (`Base.grid_memo`, the circle walk's
+    angles): the base interns it by the rows it selects (`Base.region_memo`),
     so every sampling of the base with that point set reads one memo."""
 
     __slots__ = ("points", "outputs")

@@ -559,10 +559,10 @@ class Base:
     and `regions` those of the point sets the base evaluates again: its
     sampled regions, by request (pieces, plan, count) and interned by
     selection (see `region_memos`), each also under the id of its
-    read-only points, which it keeps alive, and fixed grids by name (see
-    `grid_memo`).  Both live as long as the base and hold point arrays,
-    their kernel outputs and the conditions that name them, never an
-    object that points back.
+    read-only points, which it keeps alive, and fixed point arrays by a
+    key that determines them (see `grid_memo`).  Both live as long as the
+    base and hold point arrays, their kernel outputs and the conditions
+    that name them, never an object that points back.
     """
 
     sset: SemialgebraicSet
@@ -637,12 +637,12 @@ class Base:
         return len(self.region_memo(self.sset.intersect(region), SamplePlan(),
                                     _PROBE_COUNT)) > 0
 
-    def grid_memo(self, name, make) -> ex.KernelMemo:
+    def grid_memo(self, key, make) -> ex.KernelMemo:
         """The kernel memo of the fixed point array `make()`, built once and
-        kept in `regions` under `name`."""
-        hit = self.regions.get(name)
+        kept in `regions` under `key`, which must determine the points."""
+        hit = self.regions.get(key)
         if hit is None:
-            hit = self.regions[name] = ex.KernelMemo(make())
+            hit = self.regions[key] = ex.KernelMemo(make())
         return hit
 
 
@@ -691,7 +691,8 @@ class Cover:
         """The (N, n_charts) matrix of which charts hold each of the memo's
         points: a chart's strict conditions held above the sampling margin,
         as a chart's own samples hold them.  Every coverage check of the
-        cover, and `forms.signature`, decide membership here."""
+        cover, `forms.signature` and the circle walk
+        (`bundles.refined_loop`) decide membership here."""
         return memberships(self.charts, memo, _SAMPLE_MARGIN)
 
     def first_uncovered(self, memo: ex.KernelMemo) -> tuple | None:
@@ -700,6 +701,9 @@ class Cover:
         return first_flagged(memo.points, ~covered)
 
     def require_coverage(self, plan: SamplePlan) -> None:
+        if len(self.base.sample_memo(plan)) == 0:
+            raise CoverageFailure(
+                f"base {self.base.name or '?'} yielded no sample points")
         report = self.coverage(plan)
         if not report.ok:
             raise CoverageFailure(

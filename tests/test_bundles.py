@@ -49,13 +49,14 @@ from bundleforms.errors import (
     ImageEscapesBase,
     GuardViolation,
     NoChartFound,
+    NotCatalogBase,
     RankDrop,
 )
 from bundleforms.matexpr import em_const, em_eval, em_identity, em_inv, em_transpose
 from bundleforms.unity import partition_of_unity
 from bundleforms.semialg import (GT, Condition, Cover, Polynomial, SamplePlan,
                                  SemialgebraicSet, memberships)
-from helpers import machine_task, named_point, nan_where_positive
+from helpers import counting, machine_task, named_point, nan_where_positive
 
 PLAN = SamplePlan(seed=0, n_chart=220, n_overlap=160, n_triple=100)
 
@@ -573,6 +574,20 @@ def _tenth():
     return Polynomial.constant(2, Fraction(1, 10))
 
 
+def test_s1_line_class_on_a_base_other_than_the_circle_is_not_a_catalog_base():
+    bundle = trivial_bundle(full_cover(line_base()), 1)
+    with pytest.raises(NotCatalogBase, match="needs a circle catalog base"):
+        s1_line_class(bundle)
+    assert bundle.certified == {}
+
+
+def test_s1_line_class_of_rank_zero_is_not_a_catalog_base():
+    bundle = trivial_bundle(circle_two_arc_cover(), 0)
+    with pytest.raises(NotCatalogBase, match="needs rank >= 1"):
+        s1_line_class(bundle)
+    assert bundle.certified == {}
+
+
 def test_s1_line_class_start_not_covered():
     cover = _circle_cover(Polynomial.constant(2, Fraction(9, 10)) - _coord(0))
     with pytest.raises(CoverageFailure, match="loop start not covered"):
@@ -595,13 +610,14 @@ def test_s1_line_class_uncovered_loop_angle_raises_before_halving(monkeypatch):
                           _coord(1) - Polynomial.constant(2, Fraction(9, 10)))
     flip = ((ex.Div(ex.Var(0), ex.Abs(ex.Var(0))),),)
     bundle = BundleRep(cover, 1, {(0, 1): flip, (1, 0): flip}, name="moebius")
-    batches = []
-    monkeypatch.setattr(bu, "_loop_batch", lambda *args: batches.append(args))
+    passes = counting(monkeypatch, Cover, "chart_memberships")
     with pytest.raises(CoverageFailure) as err:
         s1_line_class(bundle)
     assert str(err.value) == "circle loop angle 0.523599 not covered by any chart"
     assert err.value.point == pytest.approx((np.cos(np.pi / 6), 0.5), abs=1e-12)
-    assert batches == [] and bundle.certified == {}
+    # the grid is the only membership pass
+    assert [len(memo) for _, memo in passes] == [bu.LOOP_STEPS + 1]
+    assert bundle.certified == {}
 
 
 def test_s1_line_class_gap_below_the_step_floor_is_no_chart_chain():
@@ -662,7 +678,7 @@ def _plain_class(bundle, angles, member):
     return 0 if product > 0 else 1
 
 
-def test_narrow_crossover_refines_in_one_batch_as_plain_halving(monkeypatch):
+def test_narrow_crossover_refines_one_round_at_a_time_as_plain_halving(monkeypatch):
     # {x1 > 0.1} and {x1 < 0.1001} overlap in two arcs about 1e-4 wide,
     # far narrower than a loop step of 2 pi / 720
     x1 = ex.Var(1)
@@ -684,9 +700,9 @@ def test_narrow_crossover_refines_in_one_batch_as_plain_halving(monkeypatch):
 
     monkeypatch.setattr(ex.Expr, "eval", recorded)
     assert s1_line_class(bundle) == _plain_class(bundle, angles, member) == 1
-    # the loop grid, then one batch for every round
+    # the loop grid, then one context for every round
     assert [len(ctx.points) for ctx in contexts][0] == bu.LOOP_STEPS + 1
-    assert len(contexts) == 2
+    assert len(contexts) == 1 + rounds
     monkeypatch.undo()
     got_angles, got_member = bu.refined_loop(cover)
     assert got_angles.tobytes() == angles.tobytes()

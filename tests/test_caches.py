@@ -739,7 +739,9 @@ def test_minus_range_bundle_reads_the_pencils_its_plus_twin_computed(monkeypatch
     assert (len(computed), len(missed)) == before
 
 
-LOOP_GRID = ("loop grid", bu.LOOP_STEPS)
+# the key of the circle walk's grid: its angles' bytes
+LOOP_GRID = np.append(2.0 * np.pi * np.arange(bu.LOOP_STEPS) / bu.LOOP_STEPS,
+                      2.0 * np.pi).tobytes()
 
 
 def test_loop_grid_kernels_run_once_per_base(monkeypatch):

@@ -200,6 +200,28 @@ def test_signature_on_charts_that_miss_a_base_sample_is_an_error(tmp_path,
     assert sig["witness_point"] == entries["witt-zero hyperbolic1"]["witness_point"]
 
 
+@pytest.mark.parametrize("command", ["report", "decompose"])
+def test_a_base_without_sample_points_is_an_error_naming_it(tmp_path, capsys,
+                                                           command):
+    # the box [-1, 1] holds no point with x0 > 5: no check has a point
+    # behind it, so none may pass with residual 0
+    raw = {
+        "version": 1,
+        "base": {"dim": 1, "box": [[-1, 1]], "conditions": [["x0 - 5", ">"]]},
+        "charts": {"U": [["x0 + 2", ">"]]},
+        "bundles": {"b": {"rank": 1, "charts": ["U"], "transitions": {}}},
+        "forms": {"f": {"bundle": "b", "upper": {"U": ["1"]}}},
+    }
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps(raw))
+    code, out = run_cli(capsys, command, spec, "--format", "machine")
+    assert code == 2
+    tasks = json.loads(out)["tasks"]
+    assert tasks and all(t["status"] == "error" for t in tasks)
+    assert {t["message"] for t in tasks} == {
+        "CoverageFailure: base custom yielded no sample points"}
+
+
 def test_check_witness_tasks_from_the_spec(tmp_path, capsys):
     raw = json.loads((SPECS / "moebius.json").read_text())
     assert set(raw["sections"]) == {"one"}

@@ -35,16 +35,18 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
   base samples (`Base.sample_memo`), unity probes (the regions `unity`
   certifies disjointness and containment on), other probes (the
   refinement and slice probes of `Base.meets`), and the circle walk's
-  arrays (`Base.grid_memo`): the loop grid, the refinement batches of
-  `bundles.refined_loop` (each batch is one membership evaluation of
-  every angle repeated halving could insert in a round's bad steps) and
-  the sign switches' one-row points.  Of the region requests, "from
-  table" counts those the base's request table answered, and "sampled"
-  those that ran `semialg.sample`'s membership pass; "interned" counts
-  the requests that made a new array and memo, and every other request
-  read one an earlier request of any kind made.  Last, the distinct
-  region requests (base, the region's pieces, plan, count) and the
-  membership passes of the whole operation;
+  arrays (`Base.grid_memo`), by the function that asked: the loop grid
+  and the refinement rounds' midpoints, which `bundles.refined_loop`
+  asks for, and the sign switches' one-row points, which
+  `s1_line_class` asks for.  Of the region requests, "from table" counts
+  those the base's request table answered, and "sampled" those that ran
+  `semialg.sample`'s membership pass; "interned" counts the requests
+  that made a new array and memo, and every other request read one an
+  earlier request of any kind made.  Last, the distinct region requests
+  (base, the region's pieces, plan, count) and the membership passes of
+  the whole operation, and the circle walk's membership passes
+  (`Cover.chart_memberships` calls under `refined_loop`, one for the
+  grid and one per round) with their rows;
 - expression node evaluations by node kind, with their rows: the calls
   of a node's `_eval`, which no context cache served;
 - node reads a parent context served: reads in a `ZeroGate` sub-context
@@ -176,7 +178,9 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
     seed, kept = ex.PathProduct.seed, semialg._kept
     region_memos, grid_memo, sample = Base.region_memos, Base.grid_memo, semialg.sample
     form_signature, chart_memberships = forms.signature, Cover.chart_memberships
+    refine = bundles.refined_loop
     signing = []    # the form of each `signature` call under way
+    walking = []    # per `refined_loop` call under way, its loop arrays asked for
     typed = []      # per signature call: (form name, charts, typed per chart)
     init, sub = ex.EvalContext.__init__, ex.EvalContext.sub
     interned, served = {}, {}
@@ -318,16 +322,31 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
         finally:
             signing.pop()
 
+    def counted_walk(cover):
+        walking.append(0)
+        try:
+            return refine(cover)
+        finally:
+            walking.pop()
+
     def counted_memberships(cover, memo):
         # `signature` makes one membership pass, at the base's samples
         inside = chart_memberships(cover, memo)
+        if walking:
+            tally("walk membership passes", len(memo))
         if signing:
             typed.append((signing[-1].name, cover.n_charts,
                           inside.sum(axis=0).tolist()))
         return inside
 
-    def counted_grid(base, name, make):
-        return counted_array(grid_memo(base, name, make), GRID_KINDS[name[0]])
+    def counted_grid(base, key, make):
+        # the walk asks for its grid first, then one array per round
+        if walking:
+            kind = "loop rounds" if walking[-1] else "loop grid"
+            walking[-1] += 1
+        else:
+            kind = "loop switches"
+        return counted_array(grid_memo(base, key, make), kind)
 
     patches = [(ex.MatrixGroup, "compute", counted(compute, "memo")),
                (ex.MatrixGroup, "_compute", counted_kernel),
@@ -342,6 +361,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
                (semialg, "sample", counted_sample),
                (Base, "grid_memo", counted_grid),
                (Cover, "chart_memberships", counted_memberships),
+               (bundles, "refined_loop", counted_walk),
                (ex.EvalContext, "__init__", counted_init),
                (ex.EvalContext, "sub", counted_sub),
                (bundles, "_cocycle_embedding",
@@ -372,9 +392,9 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
     return calls, rows, typed
 
 
-# the first item of a `Base.grid_memo` name -> the array's kind
-GRID_KINDS = {"loop grid": "loop grid", "loop batch": "loop batches",
-              "loop point": "loop switches"}
+# the kinds of `Base.grid_memo` arrays: asked for by `refined_loop` (its
+# grid, then its rounds) or by `s1_line_class`'s sign switches
+GRID_KINDS = ["loop grid", "loop rounds", "loop switches"]
 EMBEDDING_KINDS = ["partition of unity", "block sum"]
 REGION_KINDS = ["cover regions", "base samples", "unity probes", "other probes"]
 
@@ -399,7 +419,7 @@ def main() -> int:
         for key in ["pathproduct", "transported", "row store read", "probe seeded",
                     "transport memo hit", "transport memo miss"]:
             print(f"  {key:24s} {calls[key]:7d} calls {rows[key]:10d} rows")
-        for kind in [*REGION_KINDS, *GRID_KINDS.values()]:
+        for kind in [*REGION_KINDS, *GRID_KINDS]:
             stages = (["requested", "from table", "sampled", "interned"]
                       if kind in REGION_KINDS else ["requested", "interned"])
             for key in (f"{kind} {stage}" for stage in stages):
@@ -407,6 +427,9 @@ def main() -> int:
         print(f"  {'distinct region requests':24s} "
               f"{calls['distinct region requests']:7d}, membership passes "
               f"{calls['membership passes']:d}")
+        print(f"  {'walk membership passes':24s} "
+              f"{calls['walk membership passes']:7d} passes "
+              f"{rows['walk membership passes']:9d} rows")
         nodes = sorted(k for k in calls if k.startswith("node "))
         for key in [*nodes, "structural duplicates", "parent served",
                     "batch served"]:
