@@ -103,13 +103,16 @@ class EvalContext:
 
     `points` is an (N, dim) array, evaluated with no memo, or a KernelMemo:
     then the context's points are rows of the memo's array, all of them at
-    the root (`path` ()), and under a ZeroGate (`sub`) the parent's rows at
-    the gate's mask, whose bytes extend the path.  Contexts with one memo
-    and one path hold the very same rows, so they share MatrixGroup outputs.
+    the root (`path` ()), and under a ZeroGate (`gated`) the parent's rows
+    where the gate is positive, whose mask's bytes extend the path.
+    Contexts with one memo and one path hold the very same rows, so they
+    share MatrixGroup outputs.
 
     A sub-context also holds its parent's `cache` dict (`parent_cache`) and
     the gate's mask, never the parent context, which holds the sub-context
-    in `sub_contexts`: so no context is part of a reference cycle.  A node
+    in `sub_contexts`, and by gate node in `gates`: so no context is part
+    of a reference cycle, and the ZeroGate nodes of one gate share one
+    mask and one sub-context per context.  A node
     the parent holds is read as the parent's value at the mask
     (`Expr.eval`).  That is the fresh value bit for bit, since every node
     kind is a per-row function (a ladder's power-of-two rung count keeps
@@ -135,6 +138,7 @@ class EvalContext:
         self.cache: dict[Expr | MatrixGroup, np.ndarray] = {}
         self.group_cache: dict[int, np.ndarray] = {}
         self.sub_contexts: dict[tuple[int, bytes], EvalContext] = {}
+        self.gates: dict[Expr, EvalContext | None] = {}
 
     def sub(self, gate_id: int, mask: np.ndarray) -> "EvalContext":
         key = (gate_id, mask.tobytes())
@@ -144,6 +148,14 @@ class EvalContext:
             ctx._bind(self.points[mask], self.memo, (*self.path, key[1]),
                       self.cache, mask)
         return ctx
+
+    def gated(self, gate: "Expr") -> "EvalContext | None":
+        """The sub-context at the rows where `gate` is positive, or None if
+        there are none: one mask and one lookup per gate node."""
+        if gate not in self.gates:
+            mask = gate.eval(self) > 0.0
+            self.gates[gate] = self.sub(id(gate), mask) if mask.any() else None
+        return self.gates[gate]
 
 
 class Expr(metaclass=_Interned):
@@ -396,12 +408,11 @@ class ZeroGate(Expr):
         return (self.gate, self.payload)
 
     def _eval(self, ctx):
-        gate = self.gate.eval(ctx)
-        out = np.zeros_like(gate)
-        mask = gate > 0.0
-        if mask.any():
-            sub = ctx.sub(id(self.gate), mask)
-            out[mask] = gate[mask] * self.payload.eval(sub)
+        sub = ctx.gated(self.gate)
+        out = np.zeros(ctx.points.shape[0])
+        if sub is not None:
+            # the gate's value in the sub-context is the parent's at the mask
+            out[sub.mask] = self.gate.eval(sub) * self.payload.eval(sub)
         return out
 
     def __repr__(self):
@@ -577,7 +588,10 @@ def smallest_sv(a, gram, tol):
       too, and every row LAPACK fails is decided by LAPACK.  Underflow
       adds below 1e-320 to the Gram and lam, and the tiny floor keeps that
       under delta t / 4.  An overflowing Gram makes the test inf > inf or
-      NaN, both false.
+      NaN, both false.  Without a `gram` (the SOLVE and INV guards), the
+      entries g00, g11 and g01 are summed row by row of the operand,
+      elementwise over the stack: the same n-term dot products, within the
+      same gamma_n bound, with no BLAS call per operand.
     - More columns: LAPACK.
 
     The uncertified rows go to LAPACK in one call, except those with a NaN
@@ -592,11 +606,13 @@ def smallest_sv(a, gram, tol):
     elif k <= 2:
         sv = np.full(a.shape[0], np.inf)
         with np.errstate(over="ignore", invalid="ignore"):  # uncertified
-            if gram is None:
-                gram = np.swapaxes(a, 1, 2) @ a
-            t = np.trace(gram, axis1=1, axis2=2)
-            lam = t if k == 1 else _lambda_min(gram[:, 0, 0], gram[:, 1, 1],
-                                               gram[:, 0, 1])
+            pairs = ((0, 0),) if k == 1 else ((0, 0), (1, 1), (0, 1))
+            g = ([_column_dot(a, i, j) for i, j in pairs] if gram is None
+                 else [gram[:, i, j] for i, j in pairs])
+            if k == 1:
+                lam = t = g[0]
+            else:
+                t, lam = g[0] + g[1], _lambda_min(*g)
             rest = ~(lam > max(tol * tol, _TINY) + _FILTER_MARGIN * t)
     else:
         sv, rest = np.empty(a.shape[0]), np.ones(a.shape[0], dtype=bool)
@@ -636,6 +652,15 @@ def smallest_eigenvalue(s, tol):
     else:
         w, rest = np.empty(m.shape[0]), np.ones(m.shape[0], dtype=bool)
     return _lapack_rows(w, rest, m, lambda x: np.linalg.eigvalsh(x)[:, 0])
+
+
+def _column_dot(a, i, j):
+    """Per operand of the stack `a`, the dot product of its columns i and
+    j, summed in row order."""
+    out = a[:, 0, i] * a[:, 0, j]
+    for r in range(1, a.shape[1]):
+        out = out + a[:, r, i] * a[:, r, j]
+    return out
 
 
 def _lambda_min(p, q, b):

@@ -345,6 +345,68 @@ def _events_of(code: np.ndarray, d: int) -> tuple:
     return tuple(out)
 
 
+# A 2 x 2 row is typed in closed form only with |det| above this share of
+# its squared scale, so its second pivot clears PIVOT_RATIO by far.
+_TYPE_FLOOR = 1e-8
+
+
+def signature_types(s: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per row of the stack s (N, d, d), its number of positive pivots:
+    the `pos` of `gram_schmidt_frame(s, points)`, which raises for the
+    first failing row.
+
+    By Sylvester's law of inertia the type of a nondegenerate row is the
+    signs of its eigenvalues, so rows with d = 1 or 2 are typed in closed
+    form where a bound proves the engine would give the same type without
+    raising; every other row goes to the engine in one call.  With sigma =
+    max |s_ij| and D = s00 (d = 1) or s00 s11 - s01^2 (d = 2), a row is
+    certified when s01 == s10 and |D| > max(_TYPE_FLOOR sigma^2 (d = 2),
+    NEARLY_SINGULAR + delta sigma^d), delta = expr._FILTER_MARGIN.  A NaN
+    or infinite entry, or a sigma^d that overflows, makes the test false.
+    Its type is (1, 0) or (0, 1) by the sign of s00 (d = 1), else (1, 1)
+    if D < 0, else (2, 0) or (0, 2) by the sign of s00.  With u = 2^-53
+    (bounds as in Higham, Accuracy and Stability of Numerical Algorithms):
+
+    - Determinant: numpy's is exp(sum log |u_ii|) over LAPACK's LU, within
+      a relative 3 * 745 d u (not s00 bit for bit at d = 1) of the LU's
+      product, which is s00 (d = 1) or within a small multiple of u
+      sigma^2 of D.  As sigma^d >= |D| / 2, it exceeds NEARLY_SINGULAR
+      wherever the test passes.  The symmetry test passes.
+    - d = 1: the pivot is s00 exactly, above PIVOT_RATIO |s00|.
+    - d = 2: the first pivot p1 is a diagonal entry above PIVOT_RATIO
+      sigma, or, after the pair fix (both diagonals below it, so |s01| =
+      sigma and D < 0), s00 + s11 + 2 s01, of size within 4e-10 sigma of
+      2 sigma.  So |p1| <= 4 sigma.  The second vector w = e_j - c w_1
+      (|c| <= sigma / |p1|, or 1.1 after the fix) has q(w) = D / p1 but
+      for a term second order in c's rounding (the Schur complement is
+      stationary in c), and the computed q(w) is within a small multiple
+      of u sigma (1 + |c|)^2 of it.  Relative to |D / p1| that is at most
+      u (6 sigma^2 / |D| + 4 sigma / |p1|) <= 5e10 u, as |D| >= s01^2 / 2
+      where s01^2 >= 2 p1^2.  So the second pivot has the sign of D / p1
+      and size at least |D| / (4 sigma) >= 2.5e-9 sigma, far above
+      PIVOT_RATIO sigma: the type is (1, 1) if D < 0, and otherwise both
+      pivots have the sign of s00, as s00 s11 > 0.
+    """
+    d = s.shape[1]
+    if d not in (1, 2):
+        return gram_schmidt_frame(s, points)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # uncertified
+        size = np.abs(s).max(axis=(1, 2)) ** d
+        if d == 1:
+            det, floor = s[:, 0, 0], 0.0
+            pos = (det > 0.0).astype(int)
+        else:
+            det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 0, 1]
+            floor = _TYPE_FLOOR * size
+            pos = np.where(det < 0.0, 1, np.where(s[:, 0, 0] > 0.0, 2, 0))
+        certified = ((s[:, 0, -1] == s[:, -1, 0]) & (np.abs(det) > np.maximum(
+            floor, NEARLY_SINGULAR + ex._FILTER_MARGIN * size)))
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        pos[rest] = gram_schmidt_frame(s[rest], points[rest])[1]
+    return pos
+
+
 def eigenvalue_signature(s: np.ndarray) -> SignatureType:
     """Independent oracle: count eigenvalue signs."""
     w = np.linalg.eigvalsh(np.asarray(s, dtype=float))
@@ -389,7 +451,7 @@ def signature(form: FormField, plan: SamplePlan) -> SignatureType:
         if bad is not None:
             raise NonFiniteForm(f"form {form.name or '?'} is not finite at {bad}",
                                 point=bad)
-        _, pos = gram_schmidt_frame(mats, pts)
+        pos = signature_types(mats, pts)
         for p in np.unique(pos):
             seen.setdefault((int(p), form.rank - int(p)),
                             first_flagged(pts, pos == p))

@@ -512,11 +512,21 @@ def _first_distinct(points: np.ndarray) -> np.ndarray:
 
 
 def _deduped(selection, dim: int, count: int) -> tuple[np.ndarray, bool]:
-    """The first `count` distinct selected rows, and whether there are none."""
+    """The first `count` distinct selected rows, and whether there are none.
+
+    A row's first occurrence in a prefix of the selection is its first
+    occurrence in the whole, so the dedupe runs on the first `count` rows,
+    and on a prefix twice as long each time duplicates leave it short."""
     if not selection:
         return np.empty((0, dim)), True
     allpts = np.vstack([cloud.points[keep] for cloud, keep in selection])
-    return allpts[_first_distinct(allpts)][:count], False
+    size = max(count, 1)
+    while True:
+        head = allpts[:size]
+        keep = _first_distinct(head)
+        if size >= len(allpts) or np.count_nonzero(keep) >= count:
+            return head[keep][:count], False
+        size *= 2
 
 
 def sample(sset: SemialgebraicSet, plan: SamplePlan, box,

@@ -25,7 +25,7 @@ from bundleforms.matexpr import (
     em_sub,
     em_vstack,
 )
-from helpers import lapack_eig_not_above, lapack_sv_above
+from helpers import counting, lapack_eig_not_above, lapack_sv_above
 
 
 def test_polynomial_arithmetic():
@@ -461,6 +461,42 @@ def test_two_column_filter_decides_as_lapack(monkeypatch, height, tol):
     assert np.array_equal(
         sv[checked], np.linalg.svd(a[checked], compute_uv=False)[:, -1])
     assert (sv[finite & ~checked] == np.inf).all()
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("height", [2, 3, 4])
+def test_one_column_filter_without_a_gram_decides_as_lapack(monkeypatch, height, tol):
+    # the column's norm, summed elementwise, stands in for LAPACK's value
+    rng = np.random.default_rng([height, int(-np.log10(tol)), 2])
+    a = adversarial_two_columns(rng, 100_000, height, tol)[:, :, :1].copy()
+    k = len(a) // 5
+    a[3 * k:4 * k] *= tol / np.linalg.norm(a[3 * k:4 * k], axis=1, keepdims=True)
+    a[3 * k:4 * k] *= 1.0 + rng.integers(-4, 5, (k, 1, 1)) * ULP
+    a = with_non_finite_rows(rng, a)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    want = lapack_sv_above(a[finite], tol)
+    sent = lapack_operands(monkeypatch, "svd")
+    sv = ex.smallest_sv(a, None, tol)
+    monkeypatch.undo()
+    assert np.array_equal(sv[finite] > tol, want)
+    assert 0 < (~want).sum() and 0 < want.sum()
+    assert np.isnan(sv[~finite]).all()
+    assert len(sent) == 1 and (~want).sum() <= len(sent[0]) < len(a)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_square_filter_without_a_gram_decides_as_with_the_stacked_gram(tol):
+    # SOLVE and INV pass no Gram: the elementwise entries decide every
+    # 2 x 2 operand as the stacked matmul's do, and as LAPACK does
+    rng = np.random.default_rng([2, int(-np.log10(tol)), 3])
+    a = adversarial_two_columns(rng, 200_000, 2, tol)
+    elementwise = ex.smallest_sv(a, None, tol)
+    stacked = ex.smallest_sv(a, np.swapaxes(a, 1, 2) @ a, tol)
+    assert np.array_equal(elementwise > tol, stacked > tol)
+    assert np.array_equal(elementwise > tol, lapack_sv_above(a, tol))
+    violations = ~(elementwise > tol)
+    assert violations.sum() > 1000
+    assert np.array_equal(elementwise[violations], stacked[violations])
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
@@ -1086,6 +1122,38 @@ def test_a_context_with_sub_contexts_is_freed_by_reference_counting():
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def test_a_shared_gate_builds_its_mask_and_sub_context_once_per_context(monkeypatch):
+    x, y = ex.Var(0), ex.Var(1)
+    gate = ex.Sub(x, ex.Const(0.25))
+    payloads = [ex.Mul(y, ex.Const(float(k))) for k in range(1, 6)]
+    total = ex.ZeroGate(gate, payloads[0])
+    for payload in payloads[1:]:
+        total = ex.Add(total, ex.ZeroGate(gate, payload))
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (64, 2))
+    subs = counting(monkeypatch, ex.EvalContext, "sub")
+    compares = []
+    own = ex.Sub._eval
+    monkeypatch.setattr(ex.Sub, "_eval",
+                        lambda node, at: compares.append(at) or own(node, at))
+    ctx = ex.EvalContext(pts)
+    got = total.eval(ctx)
+    assert len(subs) == 1 and len(compares) == 1
+    (child,) = ctx.sub_contexts.values()
+    assert ctx.gates == {gate: child}
+    mask = pts[:, 0] > 0.25
+    assert child.mask.tobytes() == mask.tobytes()
+    want = np.zeros(len(pts))
+    for payload in payloads:
+        want = want + np.where(mask, (pts[:, 0] - 0.25)
+                               * (pts[:, 1] * payload.b.value), 0.0)
+    assert got.tobytes() == want.tobytes()
+    # a gate with no positive row makes no sub-context and no payload read
+    ctx = ex.EvalContext(pts[~mask])
+    assert not total.eval(ctx).any()
+    assert ctx.gates == {gate: None} and ctx.sub_contexts == {}
+    assert len(subs) == 1
 
 
 def test_a_substituted_group_equal_to_a_paired_one_is_that_group():

@@ -31,6 +31,7 @@ from bundleforms.errors import (
     OmegaViolation,
 )
 from bundleforms.forms import (
+    NEARLY_SINGULAR,
     PIVOT_RATIO,
     FormField,
     SignatureType,
@@ -46,6 +47,7 @@ from bundleforms.forms import (
     negate_form,
     orthogonal_sum,
     signature,
+    signature_types,
     standard_positive_form,
     tensor_form,
     validate_form,
@@ -785,6 +787,140 @@ def test_gs_stack_raises_for_first_bad_row(order, d):
     with pytest.raises(type(want)) as got:
         gram_schmidt_frame(stack)
     assert str(got.value) == str(want)
+
+
+# --- closed-form typing against the engine -----------------------------------
+
+ULP = 2.0 ** -52
+
+
+def typing_outcome(typer, stack, points):
+    """The types `typer` gives the stack, or its error's type, message and
+    point."""
+    try:
+        return typer(stack, points).tolist()
+    except (NearSingular, DimensionMismatch) as err:
+        return type(err), str(err), err.point
+
+
+def random_type_rows(rng, d, n):
+    """n symmetric d x d rows, Gaussian at scales 1e-150 to 1e150, with a
+    third of them at scales 1e-3 to 1e3."""
+    s = rng.standard_normal((n, d, d))
+    s = 0.5 * (s + np.swapaxes(s, 1, 2))
+    s *= 10.0 ** rng.uniform(-150.0, 150.0, (n, 1, 1))
+    s[: n // 3] = s[: n // 3] / np.abs(s[: n // 3]).max(axis=(1, 2), keepdims=True) \
+        * 10.0 ** rng.uniform(-3.0, 3.0, (n // 3, 1, 1))
+    return s
+
+
+def adversarial_type_rows(rng, d):
+    """Rows at the edges of the closed form's test and of the engine's:
+    |det| on both sides of each floor, pivots on both sides of
+    PIVOT_RATIO sigma, zero diagonals, asymmetry inside `isclose`'s 1e-12,
+    huge, tiny, NaN and infinite entries."""
+    steps = (1.0 + np.arange(-12, 13) * ULP)[:, None]
+    if d == 1:
+        edges = np.concatenate([
+            NEARLY_SINGULAR * steps,
+            NEARLY_SINGULAR * (1.0 + np.array([[-1e-9], [1e-11], [1e-10], [2e-10], [1e-9]])),
+            [[0.0], [-0.0], [5e-324], [1e-300], [1e300], [1.7e308],
+             [np.nan], [np.inf], [-np.inf]]])
+        return np.concatenate([edges, -edges])[:, :, None]
+    rows = []
+    for sigma in (1e-4, 1e-3, 1.0, 1e6, 1e150, 1e154, 1.5e154):
+        for b in (sigma, -sigma):
+            # hyperbolic: both diagonals at or around PIVOT_RATIO sigma
+            for t in (0.0, -0.0, 1e-11, 1e-10, -1e-10, 1.000001e-10, 9.99999e-11):
+                rows += [[[t * sigma, b], [b, 0.0]], [[t * sigma, b], [b, -t * sigma]],
+                         [[0.0, b], [b, t * sigma]]]
+            # a diagonal pivot on both sides of PIVOT_RATIO sigma
+            for t in (1e-10, 1.000001e-10, 9.99999e-11, 1e-9):
+                rows += [[[t * sigma, b], [b, 0.5 * t * sigma]],
+                         [[t * sigma, 0.1 * b], [0.1 * b, -t * sigma]]]
+            # |det| on both sides of 1e-8 sigma^2 and 1e-12 + 1e-10 sigma^2
+            for floor in (1e-8 * sigma * sigma, NEARLY_SINGULAR + 1e-10 * sigma * sigma):
+                for f in (1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6):
+                    for det in (f * floor, -f * floor):
+                        for a in (sigma, 0.3 * sigma, -sigma):
+                            rows.append([[a, b], [b, (det + b * b) / a]])
+                            rows.append([[a, 0.5 * b], [0.5 * b, (det + 0.25 * b * b) / a]])
+            # asymmetry inside and outside isclose's 1e-12
+            for gap in (1e-13, 1e-12, 1e-11, 4 * ULP * sigma):
+                rows.append([[sigma, 0.5 * b], [0.5 * b + gap, -sigma]])
+    base = np.array([[2.0, 0.5], [0.5, -3.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in range(4):
+            row = base.copy()
+            row.flat[k] = bad
+            rows.append(row)
+    rows = np.array(rows, dtype=float)
+    return rows[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_types_match_the_engine_row_by_row(d):
+    rng = np.random.default_rng(35 + d)
+    stack = np.concatenate([random_type_rows(rng, d, 3000),
+                            adversarial_type_rows(rng, d)])
+    points = rng.standard_normal((len(stack), 2))
+    outcomes = set()
+    for k in range(len(stack)):
+        one, at = stack[k:k + 1], points[k:k + 1]
+        engine = gram_schmidt_frame_outcome(one, at)
+        assert typing_outcome(signature_types, one, at) == engine, stack[k]
+        outcomes.add(engine[0] if isinstance(engine, tuple) else "typed")
+    # both kinds of error, and typed rows, occur
+    assert {"typed", NearSingular} <= outcomes
+    if d == 2:
+        assert DimensionMismatch in outcomes
+
+
+def gram_schmidt_frame_outcome(stack, points):
+    return typing_outcome(lambda s, p: gram_schmidt_frame(s, p)[1], stack, points)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_stack_raises_for_the_engines_first_bad_row(monkeypatch, d):
+    rng = np.random.default_rng(70 + d)
+    adversarial = adversarial_type_rows(rng, d)
+    points = rng.standard_normal((len(adversarial) + 60, 3))
+    for start in range(0, len(adversarial), 7):
+        stack = np.concatenate([random_type_rows(rng, d, 60)[:30],
+                                adversarial[start:start + 7],
+                                random_type_rows(rng, d, 60)[:30]])
+        at = points[:len(stack)]
+        assert (typing_outcome(signature_types, stack, at)
+                == gram_schmidt_frame_outcome(stack, at))
+    # Gaussian rows at moderate scales never reach the engine
+    stack = random_type_rows(rng, d, 3000)[:1000]
+    want = gram_schmidt_frame(stack)[1].tolist()
+    sent = counting(monkeypatch, fo, "gram_schmidt_frame")
+    assert signature_types(stack, points[:1].repeat(1000, axis=0)).tolist() == want
+    assert sent == []
+
+
+def test_numpy_one_by_one_determinant_is_not_the_entry_but_close():
+    # numpy forms det as exp(sum log |u_ii|), so a 1 x 1 determinant is
+    # not s bit for bit; the closed form's margin covers a relative
+    # 3 * 745 u, which the worst case over all exponents stays inside
+    rng = np.random.default_rng(3)
+    s = rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-300.0, 300.0, 200_000)
+    det = np.linalg.det(s[:, None, None])
+    assert (det != s).any()
+    assert np.abs(det / s - 1.0).max() < 3 * 745 * 2.0 ** -53
+    near = NEARLY_SINGULAR * (1.0 + np.arange(1, 4000) * ULP)
+    assert (np.linalg.det(near[:, None, None]) != near).any()
+
+
+def test_signature_types_its_samples_without_the_engine(monkeypatch):
+    b = trivial_bundle(full_cover(line_base()), 2)
+    x0 = ex.Var(0)
+    f = FormField.from_upper(b, [[ex.Add(ex.Const(1.0), ex.Mul(x0, x0)), x0,
+                                  ex.Const(-2.0)]])
+    sent = counting(monkeypatch, fo, "gram_schmidt_frame")
+    assert signature(f, PLAN) == SignatureType(1, 1)
+    assert sent == []
 
 
 def test_signature_reports_first_sample_of_each_type():

@@ -17,6 +17,7 @@ from bundleforms.semialg import (
     Polynomial,
     SamplePlan,
     SemialgebraicSet,
+    _deduped,
     _first_distinct,
     _halton,
     expr_to_polynomial,
@@ -145,6 +146,27 @@ def test_dedupe_keeps_the_rows_np_unique_keeps():
     for stack in stacks:
         _, first = np.unique(np.round(stack, 12), axis=0, return_index=True)
         assert np.flatnonzero(_first_distinct(stack)).tolist() == sorted(first.tolist())
+
+def test_prefix_dedupe_keeps_the_rows_the_full_dedupe_keeps():
+    # duplicates inside the first `count` rows grow the prefix; duplicates
+    # beyond them are never looked at, and the kept rows are the same
+    rng = np.random.default_rng(35)
+    for trial in range(300):
+        dim, count = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+        distinct = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 3 * count + 2)), dim))
+        selection = []
+        for _ in range(int(rng.integers(1, 5))):
+            rows = distinct[rng.integers(0, len(distinct), int(rng.integers(1, 4 * count)))]
+            rows = rows + rng.choice([0.0, 4e-13, 0.0], rows.shape)
+            keep = rng.random(len(rows)) < 0.7
+            keep[0] = True      # `_selection` keeps a cloud only if a row passed
+            selection.append((ex.KernelMemo(rows), keep))
+        got, empty = _deduped(selection, dim, count)
+        everything = np.vstack([cloud.points[keep] for cloud, keep in selection])
+        want = everything[_first_distinct(everything)][:count]
+        assert not empty and got.tobytes() == want.tobytes(), trial
+    assert _deduped([], 2, 5)[1] and _deduped([], 2, 5)[0].shape == (0, 2)
+
 
 # --- the sample plan is always explicit ---------------------------------------
 

@@ -71,7 +71,10 @@ For one operation of each workload (`perfbench/workloads.py`) at seed 0:
 - per `forms.signature` call, in call order: the form, its chart count
   and, per chart, the base samples typed there (`signature` types each
   of the plan's base samples in every chart that holds it; a chart that
-  holds none, shown as 0, is typed at its own sample instead).
+  holds none, shown as 0, is typed at its own sample instead); then, of
+  all the rows it typed (`forms.signature_types`), those typed in closed
+  form and those sent to the Gram-Schmidt engine
+  (`forms.gram_schmidt_frame`).
 
 The per-layer trace of the benchmark counts a memo hit as a kernel call,
 since it sees only the context's own cache; these counts tell the two
@@ -88,6 +91,8 @@ import sys
 import weakref
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -165,8 +170,8 @@ def _numbered(part, subs: dict, memo: dict, table: dict):
 
 def counted_operation(name: str) -> tuple[Counter, Counter, list]:
     """(calls, rows) per counter over one operation of the workload, and
-    per `signature` call its (form name, charts, base samples typed per
-    chart)."""
+    per `signature` call a dict of its form name, charts, base samples
+    typed per chart, and rows typed (all, and by the engine)."""
     calls, rows = Counter(), Counter()
     node_eval = ex.Expr.eval
     # per context: its structure memo, and the first node evaluated there
@@ -178,10 +183,11 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
     seed, kept = ex.PathProduct.seed, semialg._kept
     region_memos, grid_memo, sample = Base.region_memos, Base.grid_memo, semialg.sample
     form_signature, chart_memberships = forms.signature, Cover.chart_memberships
+    types, frame = forms.signature_types, forms.gram_schmidt_frame
     refine = bundles.refined_loop
-    signing = []    # the form of each `signature` call under way
+    signing = []    # per `signature` call under way, its entry of `typed`
     walking = []    # per `refined_loop` call under way, its loop arrays asked for
-    typed = []      # per signature call: (form name, charts, typed per chart)
+    typed = []      # per signature call: form, charts, typed per chart, rows
     init, sub = ex.EvalContext.__init__, ex.EvalContext.sub
     interned, served = {}, {}
     requests = {}   # (id(base), pieces, plan, count) -> base, kept alive
@@ -316,7 +322,9 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
         return out
 
     def counted_signature(form, plan):
-        signing.append(form)
+        signing.append({"form": form.name, "charts": form.bundle.cover.n_charts,
+                        "per chart": [], "rows": 0, "engine": 0})
+        typed.append(signing[-1])
         try:
             return form_signature(form, plan)
         finally:
@@ -335,9 +343,18 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
         if walking:
             tally("walk membership passes", len(memo))
         if signing:
-            typed.append((signing[-1].name, cover.n_charts,
-                          inside.sum(axis=0).tolist()))
+            signing[-1]["per chart"] = inside.sum(axis=0).tolist()
         return inside
+
+    def counted_types(s, points):
+        if signing:
+            signing[-1]["rows"] += len(s)
+        return types(s, points)
+
+    def counted_frame(s, points=None):
+        if signing and np.ndim(s) == 3:
+            signing[-1]["engine"] += len(s)
+        return frame(s, points)
 
     def counted_grid(base, key, make):
         # the walk asks for its grid first, then one array per round
@@ -361,6 +378,8 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
                (semialg, "sample", counted_sample),
                (Base, "grid_memo", counted_grid),
                (Cover, "chart_memberships", counted_memberships),
+               (forms, "signature_types", counted_types),
+               (forms, "gram_schmidt_frame", counted_frame),
                (bundles, "refined_loop", counted_walk),
                (ex.EvalContext, "__init__", counted_init),
                (ex.EvalContext, "sub", counted_sub),
@@ -440,9 +459,11 @@ def main() -> int:
             f"{calls['embedding ' + kind]} by {kind}" for kind in EMBEDDING_KINDS))
         print(f"  {'live intern entries':24s} {calls['live intern table entries']:7d}")
         print(f"  signature calls {len(typed)}, base samples typed per chart:")
-        for form, charts, counts in typed:
-            print(f"    {form}: {charts} charts, "
-                  + "/".join(map(str, counts)))
+        for call in typed:
+            print(f"    {call['form']}: {call['charts']} charts, "
+                  + "/".join(map(str, call["per chart"]))
+                  + f"; rows typed in closed form {call['rows'] - call['engine']},"
+                  f" by gram_schmidt_frame {call['engine']}")
         sys.stdout.flush()
     return 0
 
