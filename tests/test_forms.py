@@ -803,22 +803,25 @@ def typing_outcome(typer, stack, points):
         return type(err), str(err), err.point
 
 
+def gram_schmidt_frame_outcome(stack, points):
+    return typing_outcome(lambda s, p: gram_schmidt_frame(s, p)[1], stack, points)
+
+
 def random_type_rows(rng, d, n):
-    """n symmetric d x d rows, Gaussian at scales 1e-150 to 1e150, with a
-    third of them at scales 1e-3 to 1e3."""
+    """n symmetric Gaussian d x d rows scaled to sizes 1e-150 to 1e150,
+    the first third of them to sizes 1e-3 to 1e3."""
     s = rng.standard_normal((n, d, d))
     s = 0.5 * (s + np.swapaxes(s, 1, 2))
-    s *= 10.0 ** rng.uniform(-150.0, 150.0, (n, 1, 1))
-    s[: n // 3] = s[: n // 3] / np.abs(s[: n // 3]).max(axis=(1, 2), keepdims=True) \
-        * 10.0 ** rng.uniform(-3.0, 3.0, (n // 3, 1, 1))
-    return s
+    exponents = rng.uniform(-150.0, 150.0, (n, 1, 1))
+    exponents[: n // 3] = rng.uniform(-3.0, 3.0, (n // 3, 1, 1))
+    return s / np.abs(s).max(axis=(1, 2), keepdims=True) * 10.0 ** exponents
 
 
 def adversarial_type_rows(rng, d):
     """Rows at the edges of the closed form's test and of the engine's:
     |det| on both sides of each floor, pivots on both sides of
-    PIVOT_RATIO sigma, zero diagonals, asymmetry inside `isclose`'s 1e-12,
-    huge, tiny, NaN and infinite entries."""
+    PIVOT_RATIO sigma, zero diagonals, asymmetry on both sides of
+    `isclose`'s 1e-12, huge, tiny, NaN and infinite entries."""
     steps = (1.0 + np.arange(-12, 13) * ULP)[:, None]
     if d == 1:
         edges = np.concatenate([
@@ -874,10 +877,6 @@ def test_closed_form_types_match_the_engine_row_by_row(d):
     assert {"typed", NearSingular} <= outcomes
     if d == 2:
         assert DimensionMismatch in outcomes
-
-
-def gram_schmidt_frame_outcome(stack, points):
-    return typing_outcome(lambda s, p: gram_schmidt_frame(s, p)[1], stack, points)
 
 
 @pytest.mark.parametrize("d", [1, 2])

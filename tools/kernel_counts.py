@@ -92,8 +92,6 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
@@ -352,7 +350,7 @@ def counted_operation(name: str) -> tuple[Counter, Counter, list]:
         return types(s, points)
 
     def counted_frame(s, points=None):
-        if signing and np.ndim(s) == 3:
+        if signing:
             signing[-1]["engine"] += len(s)
         return frame(s, points)
 
